@@ -59,7 +59,6 @@ class BlockKind(enum.Enum):
 class NodeTier(enum.Enum):
     HISTORICAL = "historical"  # every block of every chain
     CURRENT = "current"        # head blocks only
-    LIGHT = "light"            # no ledger, observe/create only
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,24 @@ from .blockchain import (
     ChainTransaction,
     Verdict,
     assemble_block,
+    make_transaction,
 )
 from .codec import Reader
 from .errors import InvariantViolation
 from .lattice import (
     BlockKind,
+    InsufficientBalanceError,
     LatticeBlock,
     LatticeLedger,
     Outcome,
+    OutcomeStatus,
     VoteRecord,
     make_vote,
 )
 from .leader_election import WorkCounter, mine, pos_select
 from .primitives import identity_for
 from .recording import RunRecorder
-from .simnet import Simulation, derive_rng
+from .simnet import SimEventKind, Simulation, derive_rng
 
 MSG_CHAIN_TX = 0
 MSG_CHAIN_BLOCK = 1
@@ -66,7 +69,6 @@ class ChainNode:
                  mode: str = "lottery", hash_rate: float = 0.0,
                  pos_registry=None, pos_slot_interval: float = 1.0,
                  hosted_validators: tuple[str, ...] = (),
-                 check_conservation: bool = True,
                  sample_ledger: bool = False):
         self.node_id = node_id
         self.store = store
@@ -78,7 +80,6 @@ class ChainNode:
         self.pos_registry = pos_registry
         self.pos_slot_interval = pos_slot_interval
         self.hosted_validators = hosted_validators
-        self.check_conservation = check_conservation
         self.sample_ledger = sample_ledger
         self.run_seed = run_seed
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
@@ -91,12 +92,17 @@ class ChainNode:
     # -- mining -------------------------------------------------------------
 
     def start(self, sim: Simulation) -> None:
+        if self.mode == "pos":
+            self._schedule_slot(sim, 1)
+        else:
+            self._schedule_mining(sim)
+
+    def _schedule_mining(self, sim: Simulation) -> None:
+        """Start a work attempt on the adopted head; non-miners do nothing."""
         if self.mode == "lottery" and self.hash_rate > 0:
             self._schedule_lottery(sim)
         elif self.mode == "grind" and self.hash_rate > 0:
             self._schedule_grind(sim)
-        elif self.mode == "pos":
-            self._schedule_slot(sim, 1)
 
     def _head_difficulty(self) -> float:
         return self.store.blocks[self.store.adopted_head].schedule.difficulty
@@ -108,8 +114,7 @@ class ChainNode:
 
     def _schedule_grind(self, sim: Simulation) -> None:
         head = self.store.adopted_head
-        block = assemble_block(self.store, head, list(self.mempool.values()),
-                               self.capacity, self.producer_id, sim.now)
+        block = self._assemble(self.producer_id, sim.now)
         bits = self.store.blocks[head].schedule.difficulty_bits
         counter = WorkCounter()
         nonce_seed = int.from_bytes(block.header.work_digest()[:8], "big") ^ self.node_id
@@ -140,27 +145,27 @@ class ChainNode:
                 block = self._pending_grind
                 self._pending_grind = None
             else:
-                block = assemble_block(self.store, parent,
-                                       list(self.mempool.values()),
-                                       self.capacity, self.producer_id, now)
-            self.recorder.block_mined(now, self.node_id, block.digest(),
-                                      block.header.height)
-            self._ingest_block(sim, now, block, sender=self.node_id)
-            sim.broadcast(self.node_id,
-                          _chain_block_msg(MSG_CHAIN_BLOCK, self.node_id, block))
+                block = self._assemble(self.producer_id, now)
+            self._produce(sim, now, block)
         elif tag == TIMER_POS_SLOT:
             slot = r.u64()
             leader = pos_select(self.pos_registry, self.run_seed, slot)
             if leader in self.hosted_validators:
-                block = assemble_block(self.store, self.store.adopted_head,
-                                       list(self.mempool.values()),
-                                       self.capacity, leader, now)
-                self.recorder.block_mined(now, self.node_id, block.digest(),
-                                          block.header.height)
-                self._ingest_block(sim, now, block, sender=self.node_id)
-                sim.broadcast(self.node_id,
-                              _chain_block_msg(MSG_CHAIN_BLOCK, self.node_id, block))
+                self._produce(sim, now, self._assemble(leader, now))
             self._schedule_slot(sim, slot + 1)
+
+    def _assemble(self, producer: str, now: float) -> Block:
+        return assemble_block(self.store, self.store.adopted_head,
+                              list(self.mempool.values()),
+                              self.capacity, producer, now)
+
+    def _produce(self, sim: Simulation, now: float, block: Block) -> None:
+        """Record a block made here, adopt it, then broadcast it."""
+        self.recorder.block_mined(now, self.node_id, block.digest(),
+                                  block.header.height)
+        self._ingest_block(sim, now, block, sender=self.node_id)
+        sim.broadcast(self.node_id,
+                      _chain_block_msg(MSG_CHAIN_BLOCK, self.node_id, block))
 
     # -- messages -----------------------------------------------------------
 
@@ -201,48 +206,47 @@ class ChainNode:
 
     def _ingest_block(self, sim: Simulation, now: float, block: Block,
                       sender: int) -> None:
-        d = block.digest()
-        if d in self.store.blocks:
-            return
-        self.requested.clear()  # progress: allow re-fetching anything still missing
-        res = self.store.validate_block(block)
-        if res.verdict is Verdict.UNKNOWN_PARENT \
-                and block.header.predecessor not in self.store.blocks:
-            self._park_orphan(sim, block, sender)
-            return
-        if not res.ok:
-            return
-        report = self.store.adopt(block, res)
-        heights = {d: block.header.height}
-        self.recorder.adoption(now, self.node_id, report.old_height,
-                               report.new_height, report.orphaned,
-                               report.reorged_in, heights)
-        if report.head_moved:
-            for nd in report.reorged_in:
-                for tx in self.store.blocks[nd].transactions or ():
-                    self.mempool.pop(tx.digest(), None)
-            for tx in report.returned_transactions:
-                self.mempool.setdefault(tx.digest(), tx)
-            stale = [td for td, tx in self.mempool.items()
-                     if tx.sequence <= self.store.head_state.sequence(tx.sender)]
-            for td in stale:
-                del self.mempool[td]
-            if self.check_conservation:
+        # Blocks parked on an adopted block are tried next, depth first, from
+        # an explicit stack so a long parked run cannot exhaust the call stack.
+        stack = [block]
+        while stack:
+            block = stack.pop()
+            d = block.digest()
+            if d in self.store.blocks:
+                continue
+            self.requested.clear()  # progress: allow re-fetching anything still missing
+            res = self.store.validate_block(block)
+            if res.verdict is Verdict.UNKNOWN_PARENT \
+                    and block.header.predecessor not in self.store.blocks:
+                self._park_orphan(sim, block, sender)
+                continue
+            if not res.ok:
+                continue
+            report = self.store.adopt(block, res)
+            heights = {d: block.header.height}
+            self.recorder.adoption(now, self.node_id, report.old_height,
+                                   report.new_height, report.orphaned,
+                                   report.reorged_in, heights)
+            if report.head_moved:
+                for nd in report.reorged_in:
+                    for tx in self.store.blocks[nd].transactions or ():
+                        self.mempool.pop(tx.digest(), None)
+                for tx in report.returned_transactions:
+                    self.mempool.setdefault(tx.digest(), tx)
+                stale = [td for td, tx in self.mempool.items()
+                         if tx.sequence <= self.store.head_state.sequence(tx.sender)]
+                for td in stale:
+                    del self.mempool[td]
                 if self.store.total_supply() != self.store.expected_supply():
                     raise InvariantViolation(
                         "chain balance conservation",
                         f"supply {self.store.total_supply()} != "
                         f"genesis+rewards {self.store.expected_supply()}")
-            if self.sample_ledger:
-                self.recorder.ledger_sample(
-                    now, self.node_id, sum(self.store.ledger_bytes().values()))
-            if self.mode == "lottery" and self.hash_rate > 0:
-                self._schedule_lottery(sim)
-            elif self.mode == "grind" and self.hash_rate > 0:
-                self._schedule_grind(sim)
-        # anything parked on this block can now be tried
-        for waiting in self.orphans.pop(d, []):
-            self._ingest_block(sim, now, waiting, sender)
+                if self.sample_ledger:
+                    self.recorder.ledger_sample(
+                        now, self.node_id, sum(self.store.ledger_bytes().values()))
+                self._schedule_mining(sim)
+            stack.extend(reversed(self.orphans.pop(d, [])))
 
     def _park_orphan(self, sim: Simulation, block: Block, sender: int) -> None:
         parent = block.header.predecessor
@@ -307,15 +311,16 @@ class LatticeNode:
         outcome = self.ledger.receive_block(block, now, votes)
         self._after_outcome(sim, now, outcome, wire_block=block)
 
-    def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
+    def start(self, sim: Simulation) -> None:
         pass  # lattice behavior is purely reactive
+
+    def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
+        pass
 
     # -- shared outcome handling -------------------------------------------
 
     def _after_outcome(self, sim: Simulation, now: float, outcome: Outcome,
                        wire_block: Optional[LatticeBlock] = None) -> None:
-        from .lattice import OutcomeStatus
-
         for key in outcome.conflicts_opened:
             self.recorder.conflict_opened(now, self.node_id, key[0], key[1])
 
@@ -402,40 +407,6 @@ class LatticeNode:
                 now, self.node_id, sum(self.ledger.ledger_bytes().values()))
 
 
-class LightLatticeNode:
-    """Tier `light`: no ledger, just its own heads/balances and gossip relay."""
-
-    def __init__(self, node_id: int, hosted_accounts: dict[str, tuple[int, bytes]]):
-        # account -> (starting balance, genesis head digest)
-        self.node_id = node_id
-        self.balances = {a: b for a, (b, _) in hosted_accounts.items()}
-        self.heads = {a: h for a, (_, h) in hosted_accounts.items()}
-        self.pending_for_me: dict[bytes, tuple[str, int]] = {}
-        self.seen: set[bytes] = set()
-
-    def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
-        r = Reader(payload)
-        if r.u8() != MSG_LAT_BLOCK:
-            return
-        r.u64()
-        block = LatticeBlock.decode(r)
-        d = block.digest()
-        if d in self.seen:
-            return
-        self.seen.add(d)
-        if not block.verify_signature():
-            return
-        if block.kind is BlockKind.SEND and block.counterparty in self.balances:
-            self.pending_for_me[d] = (block.counterparty, block.amount)
-        sim.broadcast(self.node_id, payload)  # relay, storing nothing else
-
-    def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
-        pass
-
-    def stored_foreign_blocks(self) -> int:
-        return 0  # the tier contract: observe and create only
-
-
 # ---------------------------------------------------------------------------
 # Traffic drivers
 
@@ -480,8 +451,6 @@ class ChainTxDriver:
                                  bytes([CMD_CHAIN_TX]))
 
     def on_command(self, sim: Simulation, now: float, payload: bytes) -> None:
-        from .blockchain import make_transaction
-
         sender = self.senders[self.rng.randrange(len(self.senders))]
         others = [s for s in self.senders if s != sender]
         recipient = others[self.rng.randrange(len(others))]
@@ -519,8 +488,6 @@ class LatticeSendDriver:
                                  bytes([CMD_LATTICE_SEND]))
 
     def on_command(self, sim: Simulation, now: float, payload: bytes) -> None:
-        from .lattice import InsufficientBalanceError
-
         sender = self.senders[self.rng.randrange(len(self.senders))]
         others = [a for a in self.recipients if a != sender]
         recipient = others[self.rng.randrange(len(others))]
@@ -561,9 +528,6 @@ class ForkInjectionDriver:
         sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
 
     def on_command(self, sim: Simulation, now: float, payload: bytes) -> None:
-        from .lattice import InsufficientBalanceError
-        from .simnet import SimEventKind
-
         if now > self.stop_after_s:
             return  # too close to the horizon for the votes to land
         attacker = self.attackers[self.rng.randrange(len(self.attackers))]

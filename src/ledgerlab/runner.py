@@ -12,6 +12,7 @@ from .leader_election import DifficultySchedule, StakeRegistry
 from .nodes import (
     ChainNode,
     ChainTxDriver,
+    CMD_CHAIN_TX,
     CMD_FORK_INJECT,
     CMD_LATTICE_SEND,
     ForkInjectionDriver,
@@ -60,7 +61,8 @@ def _adjacency(cfg: Config) -> dict[int, list[int]]:
     return ring_adjacency(n)
 
 
-def _build_chain(cfg: Config, seed: int, recorder: RunRecorder) -> Simulation:
+def _build_chain(cfg: Config, seed: int,
+                 recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
     miners = cfg["chain.miners"]
     consensus = cfg["chain.consensus"]
@@ -115,21 +117,16 @@ def _build_chain(cfg: Config, seed: int, recorder: RunRecorder) -> Simulation:
                 hash_rate=rates[i] if mining else 0.0,
                 sample_ledger=(i == 0))
 
-    driver = ChainTxDriver(
-        recorder, seed,
-        senders=account_names(cfg["chain.accounts"]),
-        entry_nodes=list(range(n)),
-        rate_per_s=cfg["chain.tx_rate_per_s"],
-        tx_weight=cfg["chain.tx_weight"],
-        max_amount=cfg["chain.max_amount"],
-    )
-
-    sim = Simulation(seed, _link_model(cfg), _adjacency(cfg),
-                     nodes=dict(nodes), driver=driver)
-    for i in sorted(nodes):
-        nodes[i].start(sim)
-    driver.start(sim)
-    return sim
+    drivers = {
+        CMD_CHAIN_TX: ChainTxDriver(
+            recorder, seed,
+            senders=account_names(cfg["chain.accounts"]),
+            entry_nodes=list(range(n)),
+            rate_per_s=cfg["chain.tx_rate_per_s"],
+            tx_weight=cfg["chain.tx_weight"],
+            max_amount=cfg["chain.max_amount"]),
+    }
+    return nodes, drivers
 
 
 def representative_names(count: int, reps: int) -> list[str]:
@@ -142,7 +139,7 @@ def representative_names(count: int, reps: int) -> list[str]:
 
 
 def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder,
-                   horizon_s: float) -> Simulation:
+                   horizon_s: float) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
     count = cfg["lattice.accounts"]
     reps = cfg["lattice.representatives"]
@@ -204,20 +201,23 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder,
             delivery_latency_s=cfg["fork.delivery_latency_ms"] / 1000.0,
             max_amount=cfg["lattice.max_amount"],
             stop_after_s=horizon_s - cfg["fork.interval_s"])
-
-    driver = MultiDriver(drivers)
-    sim = Simulation(seed, _link_model(cfg), _adjacency(cfg),
-                     nodes=dict(nodes), driver=driver)
-    driver.start(sim)
-    return sim
+    return nodes, drivers
 
 
 def build_simulation(cfg: Config, seed: int, recorder: RunRecorder,
                      horizon_s: Optional[float] = None) -> Simulation:
     horizon = horizon_s if horizon_s is not None else cfg["scenario.horizon_s"]
     if cfg.paradigm == "chain":
-        return _build_chain(cfg, seed, recorder)
-    return _build_lattice(cfg, seed, recorder, horizon)
+        nodes, drivers = _build_chain(cfg, seed, recorder)
+    else:
+        nodes, drivers = _build_lattice(cfg, seed, recorder, horizon)
+    driver = MultiDriver(drivers)
+    sim = Simulation(seed, _link_model(cfg), _adjacency(cfg),
+                     nodes=nodes, driver=driver)
+    for i in sorted(nodes):
+        nodes[i].start(sim)
+    driver.start(sim)
+    return sim
 
 
 def run(cfg: Config, seed: int, horizon_s: Optional[float] = None) -> RunResult:

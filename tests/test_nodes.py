@@ -1,14 +1,10 @@
-"""Wire formats and the light lattice tier.
+"""Wire formats, orphan resolution and driver dispatch.
 
 The full node behaviours (mining loops, orphan fetching, vote-on-apply) are
 exercised end to end by the scenario tests in test_runner.py; here we pin the
-message encodings and the parts of the node layer that never run under a
-scenario preset.
+message encodings and the node-layer cases no scenario preset reaches.
 """
 
-from dataclasses import replace
-
-from ledgerlab import codec
 from ledgerlab.blockchain import (
     Block,
     ChainStore,
@@ -23,13 +19,13 @@ from ledgerlab.nodes import (
     CMD_CHAIN_TX,
     CMD_LATTICE_SEND,
     MSG_CHAIN_BLOCK,
-    MSG_CHAIN_REQ,
-    LightLatticeNode,
+    ChainNode,
     MultiDriver,
     _chain_block_msg,
     _lattice_block_msg,
 )
 from ledgerlab.primitives import identity_for
+from ledgerlab.recording import RunRecorder
 from ledgerlab.simnet import LinkModel, Simulation
 
 
@@ -37,14 +33,18 @@ from ledgerlab.simnet import LinkModel, Simulation
 # Message encodings
 
 
-def test_chain_block_message_round_trip():
-    store = ChainStore(
+def _store():
+    return ChainStore(
         genesis_allocation={"alice": 1000, "bob": 500},
         block_reward=50,
         proof_rule=LotteryProof(),
         schedule=DifficultySchedule(2.0, 16, 1.0),
         reorg_safety=8,
     )
+
+
+def test_chain_block_message_round_trip():
+    store = _store()
     tx = make_transaction(identity_for("alice"), "bob", 25, 1, 250)
     block = assemble_block(store, store.adopted_head, [tx], capacity=10_000,
                            producer="miner-0", timestamp=1.0)
@@ -79,70 +79,30 @@ def test_lattice_block_message_round_trip_with_votes():
 
 
 # ---------------------------------------------------------------------------
-# Light tier
+# Orphan resolution
 
 
-class _StubNode:
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.received = []
+def test_long_parked_run_resolves_without_deep_recursion():
+    source = _store()
+    blocks = []
+    for height in range(1, 1201):
+        block = assemble_block(source, source.adopted_head, [], capacity=10_000,
+                               producer="miner-1", timestamp=float(height))
+        source.adopt(block, source.validate_block(block))
+        blocks.append(block)
+    node = ChainNode(0, _store(), RunRecorder(), run_seed=1, capacity=10_000,
+                     producer_id="")
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
+                     nodes={0: node})
 
-    def on_message(self, sim, now, payload):
-        self.received.append(payload)
+    for block in reversed(blocks[1:]):  # every child before its parent
+        node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
+    assert node.store.head_height == 0
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, blocks[0]))
 
-    def on_timer(self, sim, now, payload):
-        pass
-
-
-def _light_setup(extra_accounts=()):
-    genesis = {"carol": (100, "carol"), "home": (40, "home")}
-    for name in extra_accounts:
-        genesis[name] = (60, name)
-    ledger = LatticeLedger(genesis)
-    light = LightLatticeNode(0, {"home": (40, ledger.head("home"))})
-    stub = _StubNode(1)
-    sim = Simulation(seed=5, link=LinkModel(), adjacency={0: [1], 1: [0]},
-                     nodes={0: light, 1: stub})
-    return ledger, light, stub, sim
-
-
-def test_light_node_records_hosted_send_and_relays_once():
-    ledger, light, stub, sim = _light_setup()
-    send = ledger.create_send("carol", "home", 30)
-    payload = _lattice_block_msg(1, send, [])
-
-    sim.send(1, 0, payload)
-    sim.send(1, 0, payload)  # duplicate delivery
-    sim.run(1.0)
-
-    assert light.pending_for_me == {send.digest(): ("home", 30)}
-    assert stub.received == [payload]  # relayed exactly once
-    assert light.stored_foreign_blocks() == 0
-
-
-def test_light_node_relays_foreign_traffic_without_recording():
-    ledger, light, stub, sim = _light_setup(extra_accounts=("dave",))
-    send = ledger.create_send("carol", "dave", 10)
-    payload = _lattice_block_msg(1, send, [])
-
-    sim.send(1, 0, payload)
-    sim.run(1.0)
-
-    assert light.pending_for_me == {}
-    assert stub.received == [payload]
-
-
-def test_light_node_drops_other_tags_and_bad_signatures():
-    ledger, light, stub, sim = _light_setup()
-    send = ledger.create_send("carol", "home", 30)
-    forged = replace(send, amount=31)  # signature no longer covers the body
-
-    sim.send(1, 0, codec.enc_u8(MSG_CHAIN_REQ) + b"not for this tier")
-    sim.send(1, 0, _lattice_block_msg(1, forged, []))
-    sim.run(1.0)
-
-    assert light.pending_for_me == {}
-    assert stub.received == []
+    assert node.store.head_height == 1200
+    assert node.store.adopted_head == source.adopted_head
+    assert node.orphans == {}
 
 
 # ---------------------------------------------------------------------------
