@@ -553,6 +553,27 @@ class ChainStore:
 
     # -- adoption -----------------------------------------------------------
 
+    def _insert(self, d: bytes, header: BlockHeader,
+                transactions: Optional[tuple[ChainTransaction, ...]],
+                schedule: DifficultySchedule,
+                delta: Optional[StateDelta]) -> StoredBlock:
+        """Store one block and count its bytes; None marks a header-only entry."""
+        self._arrival += 1
+        sb = StoredBlock(header, transactions, schedule, self._arrival)
+        self.blocks[d] = sb
+        self.children[d] = []
+        self.children[header.predecessor].append(d)
+        self._bytes["chain_headers"] += len(header.encode())
+        if delta is not None:
+            self.deltas[d] = delta
+            self._bytes["chain_deltas"] += len(delta.encode())
+        if transactions is not None:
+            for tx in transactions:
+                self.tx_blocks.setdefault(tx.digest(), []).append(d)
+            self._bytes["chain_bodies"] += len(
+                codec.enc_list(transactions, lambda t: t.encode()))
+        return sb
+
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
         """Store a validated block and move the head if its branch is longer."""
         d = block.digest()
@@ -564,20 +585,8 @@ class ChainStore:
         if not result.ok or result.delta is None or result.schedule is None:
             raise ValueError("adopt requires a passing validation result")
 
-        self._arrival += 1
-        sb = StoredBlock(block.header, block.transactions, result.schedule, self._arrival)
-        self.blocks[d] = sb
-        self.children[d] = []
-        self.children[block.header.predecessor].append(d)
-        self.deltas[d] = result.delta
-        for tx in block.transactions:
-            self.tx_blocks.setdefault(tx.digest(), []).append(d)
-
-        self._bytes["chain_headers"] += len(block.header.encode())
-        self._bytes["chain_bodies"] += len(
-            codec.enc_list(block.transactions, lambda t: t.encode()))
-        self._bytes["chain_deltas"] += len(result.delta.encode())
-
+        sb = self._insert(d, block.header, block.transactions,
+                          result.schedule, result.delta)
         if sb.height <= old_height:
             # side branch no longer than the adopted one: first seen stays
             return AdoptionReport(old_head, old_head, old_height, old_height, (), (), ())
@@ -780,12 +789,8 @@ def fast_sync(source: ChainStore,
     # install headers up to the pivot without bodies or deltas
     for d in chain[1:pivot_height + 1]:
         src = source.blocks[d]
-        fresh._arrival += 1
-        fresh.blocks[d] = StoredBlock(src.header, None, src.schedule, fresh._arrival)
-        fresh.children[d] = []
-        fresh.children[src.header.predecessor].append(d)
+        fresh._insert(d, src.header, None, src.schedule, None)
         fresh.adopted[d] = src.height
-        fresh._bytes["chain_headers"] += len(src.header.encode())
     fresh.adopted_head = pivot_digest
     fresh.head_state = pivot_state.copy()
     fresh.first_full_block_height = pivot_height

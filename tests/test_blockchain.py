@@ -353,6 +353,9 @@ def test_fast_sync_pivot_replay_matches_source():
     # headers exist below the pivot, bodies do not
     below = source.adopted_chain()[10]
     assert fresh.blocks[below].transactions is None
+    # header-only and replayed blocks share one insert path and byte count
+    assert fresh.recount_bytes() == fresh.ledger_bytes()
+    assert fresh.tips() == [fresh.adopted_head]
 
 
 def test_fast_sync_short_chain_full_replay():
