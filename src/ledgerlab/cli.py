@@ -13,9 +13,7 @@ import sys
 from .errors import ConfigError, LedgerError
 from .metrics import (
     CSV_HEADER,
-    build_report,
     measure_ledger_bytes,
-    render_report,
     run_scenario_suite,
 )
 from .nodes import ChainNode, LatticeNode
@@ -150,7 +148,6 @@ def _cmd_inspect(args) -> int:
 # -- compare ----------------------------------------------------------------
 
 _CHAIN_MARKERS = {"measured-tps", "orphan-rate"}
-_LATTICE_MARKERS = {"settled-tps", "conflicts-opened"}
 
 
 def _read_csv_rows(path: str) -> list[tuple]:

@@ -238,7 +238,6 @@ class Conflict:
     votes: dict[str, VoteRecord]  # one choice per representative
     opened_at: float
     resolved: Optional[bytes] = None
-    tied: bool = False
 
 
 def resolve_fork(candidates: Iterable[bytes], votes: Iterable[VoteRecord],

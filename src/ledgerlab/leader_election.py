@@ -1,11 +1,12 @@
-"""Who gets to produce the next block: PoW puzzles, the hashpower lottery,
+"""Who gets to produce the next block: PoW puzzles, difficulty retargeting,
 and stake-weighted selection with slashing.
 
 Two proof-of-work modes exist. `grind` literally enumerates nonces against a
 leading-zero-bit target and is only allowed at small difficulties (config caps
-it at 24 bits); it is there to validate the puzzle mechanics. `lottery` skips
-the hashing and samples winners/intervals proportionally to hashpower, which
-is what large scenarios use. Both are deterministic under a seed.
+it at scenario.GRIND_BITS_LIMIT); it is there to validate the puzzle mechanics.
+`lottery` skips the hashing: each miner node draws its next block interval
+from an exponential whose rate is proportional to its hashpower, which is what
+large scenarios use. Both are deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from typing import Callable, Mapping
 from . import codec
 from .errors import LedgerError, NotFoundError
 from .primitives import digest, leading_zero_bits
-
-GRIND_MAX_BITS = 24
 
 # Retarget clamp: one adjustment never moves difficulty by more than 4x either way.
 RETARGET_CLAMP = 4.0
@@ -144,16 +143,6 @@ def _weighted_pick(weights: Mapping[str, float], rng: random.Random, what: str) 
         if point < acc:
             return i
     return ids[-1]  # float edge: point == total
-
-
-def lottery_next_leader(hash_rates: Mapping[str, float], seed: int, round_index: int) -> str:
-    """Draw the next block producer proportionally to hashpower.
-
-    Deterministic for a given (seed, round): the whole network computes the
-    same winner without exchanging messages.
-    """
-    rng = _draw_rng(seed, b"/lottery", round_index)
-    return _weighted_pick(hash_rates, rng, "hash rate")
 
 
 # ---------------------------------------------------------------------------

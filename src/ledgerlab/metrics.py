@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, LedgerError
 from .nodes import ChainNode, LatticeNode
 from .primitives import DIGEST_ALGORITHM
-from .recording import RunRecorder
 from .runner import RunResult, run
 from .scenario import Config
 
@@ -97,10 +96,6 @@ def _require_lattice(result: RunResult) -> LatticeNode:
         raise WrongParadigmError(
             f"{result.scenario_id} is a {result.config.paradigm} scenario")
     return result.nodes[OBSERVER]
-
-
-def adopted_chain_digests(result: RunResult) -> list[bytes]:
-    return _require_chain(result).store.adopted_chain()
 
 
 def measure_orphan_rate(result: RunResult) -> float:

@@ -65,21 +65,6 @@ def merkle_root(leaves: list[bytes]) -> bytes:
     return level[0]
 
 
-@dataclass(frozen=True)
-class MerkleTree:
-    """Leaf digests plus their committed root."""
-
-    leaves: tuple[bytes, ...]
-    root: bytes
-
-    @classmethod
-    def build(cls, leaves: list[bytes]) -> "MerkleTree":
-        return cls(leaves=tuple(leaves), root=merkle_root(list(leaves)))
-
-    def verify(self) -> bool:
-        return merkle_root(list(self.leaves)) == self.root
-
-
 # ---------------------------------------------------------------------------
 # Identities and signatures
 

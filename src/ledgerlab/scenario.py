@@ -77,7 +77,6 @@ SCHEMA: dict[str, tuple] = {
     "chain.block_reward": (int, 50),
     "chain.confirm_threshold": (int, 6),
     "chain.prune_keep_recent": (int, 0),  # 0 = keep everything
-    "chain.fastsync_pivot_offset": (int, 1024),
     "chain.reorg_safety": (int, 128),
     "chain.accounts": (int, 20),
     "chain.genesis_amount": (int, 1_000_000),
@@ -122,9 +121,6 @@ class Config:
     values: dict
 
     def __getitem__(self, key: str):
-        return self.values[key]
-
-    def get(self, key: str):
         return self.values[key]
 
     @property

@@ -17,8 +17,8 @@ import enum
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol
+from dataclasses import dataclass
+from typing import Optional, Protocol
 
 from . import codec
 from .errors import LedgerError
@@ -42,11 +42,6 @@ class SimEvent:
     kind: SimEventKind
     destination: int  # node id; commands use DRIVER_DESTINATION
     payload: bytes
-
-    def encode(self) -> bytes:
-        return (codec.enc_f64(self.at) + codec.enc_u64(self.sequence)
-                + codec.enc_u8(self.kind.value) + codec.enc_u64(self.destination)
-                + codec.enc_bytes(self.payload))
 
 
 DRIVER_DESTINATION = 0xFFFF_FFFF

@@ -17,7 +17,6 @@ from ledgerlab.leader_election import (
     WorkCounter,
     antispam_pow,
     check_pow,
-    lottery_next_leader,
     mine,
     pos_select,
     pos_slash,
@@ -140,14 +139,6 @@ def _chi_square_ok(counts, weights):
     f_exp = [total * weights[k] / wsum for k in keys]
     _stat, p = stats.chisquare(f_obs, f_exp)
     return p > SIGNIFICANCE
-
-
-def test_lottery_draw_distribution():
-    rates = {"m0": 1.0, "m1": 2.0, "m2": 5.0}
-    counts = {k: 0 for k in rates}
-    for i in range(10_000):
-        counts[lottery_next_leader(rates, seed=99, round_index=i)] += 1
-    assert _chi_square_ok(counts, rates)
 
 
 def test_pos_draw_distribution():

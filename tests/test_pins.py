@@ -18,25 +18,25 @@ from ledgerlab.scenario import PRESETS, preset_config
 PINS = {
     "bitcoin-baseline": (
         "46061c79f55405f115e9ba1bc9ccd21d7d24239b390f7c4286ec49b3ea604845",
-        "01560918c9da9cb1266af8ded8c1842b88d12f8c179106a2929545018b1acd57"),
+        "e9ae89ecfadb89fa3b6998ac84fb837d64fc62d56cede348961be9d6dc01a42c"),
     "ethereum-baseline": (
         "448c7431ee9e069b03e88970c6199fe9bc17f93108ed9572e9448e049012033f",
-        "08531d297c9366dae7b23fc99527b67f3632a28c73479fffafd14a50140981c1"),
+        "7b623f92965f5deb3a6b614ff40cba17df53f9179b39d76c96559886d454f144"),
     "fork-stress": (
         "ccd005d5b99e8b8490cf0fe71bd1aa9680aae226e876fdcbca1d9a0d0021c248",
-        "30d81893eb6e53c64719d70df9526f208e4142735ab7123f52153c3fc7ff090e"),
+        "401ea263bb010d6d9c73f64f1b3168aeaadc00f25f6dbaf5731db0b3f87e3168"),
     "nano-baseline": (
         "3fee6b71ccd914d79ea1f77dc0991c5edd6b27889613ad362484ff506c9d9fba",
-        "d2d643747f7b0c98f769f49c9f57faeb7b81d0ac6657e082377e829d9e1f6098"),
+        "de050f4e85aab82d77a52322f60cea7f70fb0929312c4e5dca76bbff786ab68a"),
     "nano-scaling": (
         "3d6f79b785fdb87bfa5512c0e661f3244304ee493c3ba105e29905e2d78a1871",
-        "b19e85d63cbe20f542c614b3c7aa1b4488ca362aafa340f9469a5f25265ac77f"),
+        "56c04264d578732b7a0e09de2daf6fd886afa05ff63b324d601c49e3590fbdea"),
     "partition-stress": (
         "0b8b5bc192738485bc81ea19174bb1600d95d186d96482be92049b42c4e46eac",
-        "f4bd57e07a814369031fc0576c62ab6d42d8c74cf5b14bd5fe55d579df490785"),
+        "003bfc6b007a775a96bd9281bf7baa5158ec0b9861ffc2074ac309922cf9753e"),
     "pos-baseline": (
         "bfe39e36fcfd68431ca4dae74efbc2170eeb1bdd3ee7d6460390869f4a70b714",
-        "575aab3323fe7e727b42b191add2c63b560515fc9bab83ebbf79f7747266040c"),
+        "62ed1c854e33c177bd133c47b2f3b756023476feb77eef6bc8b273c00e571400"),
 }
 
 

@@ -9,7 +9,6 @@ from ledgerlab.primitives import (
     DIGEST_ALGORITHM,
     DIGEST_LEN,
     EMPTY_ROOT,
-    MerkleTree,
     ZERO_DIGEST,
     digest,
     identity_for,
@@ -98,13 +97,6 @@ def test_merkle_sensitive_to_any_leaf(leaves, data):
     flipped = leaves[idx][:0] + bytes([leaves[idx][0] ^ 1]) + leaves[idx][1:]
     mutated = leaves[:idx] + [flipped] + leaves[idx + 1:]
     assert merkle_root(leaves) != merkle_root(mutated)
-
-
-def test_merkle_tree_verify():
-    tree = MerkleTree.build(_LEAVES[:3])
-    assert tree.verify()
-    bad = MerkleTree(leaves=tree.leaves, root=ZERO_DIGEST)
-    assert not bad.verify()
 
 
 def test_identity_deterministic_and_distinct():

@@ -38,7 +38,6 @@ def test_parse_minimal_with_defaults():
     assert cfg.paradigm == "chain"
     assert cfg["pow.retarget_window"] == 16
     assert cfg["chain.confirm_threshold"] == 6
-    assert cfg["chain.fastsync_pivot_offset"] == 1024
     assert cfg["net.topology"] == "mesh"
     assert cfg["lattice.quorum_fraction"] == 0.5
 
