@@ -713,6 +713,8 @@ class LatticeLedger:
                 winner_applied = False  # degenerate: winner no longer applies
         conflict.resolved = winner
         self.resolved_winners[key] = winner
+        if key in self.flagged_ties:
+            self.flagged_ties.remove(key)  # a later vote broke the tie
         outcome.resolutions.append(Resolution(
             account=account, subject=subject, winner=winner,
             discarded=discarded, winner_applied=winner_applied))

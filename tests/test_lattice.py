@@ -267,7 +267,7 @@ def test_votes_accumulate_to_quorum():
 
 def test_exact_tie_is_flagged_and_stays_open():
     ledger = _ledger(genesis={"a": (100, "r1"), "r1": (400, "r1"),
-                              "r2": (500, "r2")})
+                              "r2": (500, "r2"), "r3": (100, "r3")})
     assert ledger.representative_weight("r1") == 500
     assert ledger.representative_weight("r2") == 500
     fork_point, s1, s2 = _conflicting_sends(ledger)
@@ -281,6 +281,10 @@ def test_exact_tie_is_flagged_and_stays_open():
     assert ("a", fork_point) in ledger.flagged_ties
     assert ledger.open_conflicts() == [("a", fork_point)]
     assert ledger.accounts["a"].head == s1.digest()  # incumbent holds
+    # a third representative breaks the tie: the flag goes with it
+    ledger.add_vote(make_vote(identity_for("r3"), fork_point, s1.digest(), 100), 3.0)
+    assert ledger.resolved_winners[("a", fork_point)] == s1.digest()
+    assert ledger.flagged_ties == []
 
 
 def test_first_vote_per_rep_and_subject_stands():
