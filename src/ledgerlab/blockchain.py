@@ -59,7 +59,7 @@ class SyncError(LedgerError):
 # ---------------------------------------------------------------------------
 # Transactions
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainTransaction:
     sender: str
     recipient: str
@@ -67,6 +67,9 @@ class ChainTransaction:
     sequence: int
     weight: int
     signature: Signature
+    # digests: filled on first use, or from the wire bytes by decode
+    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (
@@ -78,24 +81,33 @@ class ChainTransaction:
         )
 
     def signing_digest(self) -> bytes:
-        return digest(self.signing_payload())
+        sd = self._sd
+        if sd is None:
+            sd = digest(self.signing_payload())
+            object.__setattr__(self, "_sd", sd)
+        return sd
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
     def decode(cls, r: Reader) -> "ChainTransaction":
-        return cls(
-            sender=r.str_(),
-            recipient=r.str_(),
-            amount=r.u64(),
-            sequence=r.u64(),
-            weight=r.u64(),
-            signature=Signature.decode(r),
-        )
+        start = r.pos
+        sender, recipient = r.str_(), r.str_()
+        amount, sequence, weight = r.u64(), r.u64(), r.u64()
+        sd = digest(r.since(start))
+        tx = cls(sender=sender, recipient=recipient, amount=amount,
+                 sequence=sequence, weight=weight, signature=Signature.decode(r))
+        object.__setattr__(tx, "_sd", sd)
+        object.__setattr__(tx, "_digest", digest(r.since(start)))
+        return tx
 
     def digest(self) -> bytes:
-        return digest(self.encode())
+        d = self._digest
+        if d is None:
+            d = digest(self.encode())
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.sender, self.signing_digest())
@@ -118,7 +130,7 @@ def make_transaction(sender: Identity, recipient: str, amount: int,
 # ---------------------------------------------------------------------------
 # Blocks
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     predecessor: bytes  # zero digest marks genesis
     tx_root: bytes
@@ -127,6 +139,8 @@ class BlockHeader:
     timestamp: float
     nonce: int
     producer: str
+    # filled on first use, or from the wire bytes by decode
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
         return (
@@ -141,20 +155,27 @@ class BlockHeader:
 
     @classmethod
     def decode(cls, r: Reader) -> "BlockHeader":
-        return cls(
+        start = r.pos
+        header = cls(
             predecessor=r.digest(), tx_root=r.digest(), state_root=r.digest(),
             height=r.u64(), timestamp=r.f64(), nonce=r.u64(), producer=r.str_(),
         )
+        object.__setattr__(header, "_digest", digest(r.since(start)))
+        return header
 
     def digest(self) -> bytes:
-        return digest(self.encode())
+        d = self._digest
+        if d is None:
+            d = digest(self.encode())
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def work_digest(self) -> bytes:
         # the grind puzzle runs over the header with its nonce field zeroed
         return digest(replace(self, nonce=0).encode())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[ChainTransaction, ...]

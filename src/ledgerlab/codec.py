@@ -64,7 +64,10 @@ def enc_bytes(value: bytes) -> bytes:
 def enc_str(value: str) -> bytes:
     if not isinstance(value, str):
         raise CodecError(f"not a string: {value!r}")
-    return enc_bytes(value.encode("utf-8"))
+    try:
+        return enc_bytes(value.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise CodecError("string not encodable as utf-8") from exc
 
 
 def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
@@ -74,35 +77,75 @@ def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
     return len(parts).to_bytes(4, "big") + b"".join(parts)
 
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_F64 = struct.Struct(">d")
+
+
 class Reader:
-    """Cursor over an encoded buffer. Raises CodecError on any malformation."""
+    """Cursor over an encoded buffer. Raises CodecError on any malformation.
+
+    `pos` and `since` expose the span a decoder consumed, so a wire type can
+    hash the exact bytes it was read from instead of re-encoding itself.
+    Every read checks its bounds once, inline: decoding is the hottest code
+    in a run, and a shared helper would add a call per field.
+    """
+
+    __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes):
         self._data = bytes(data)
         self._pos = 0
 
+    @property
+    def pos(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes consumed from `start` up to the cursor."""
+        return self._data[start : self._pos]
+
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        start = self._pos
+        end = start + n
+        if end > len(self._data):
             raise CodecError("buffer underrun")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = end
+        return self._data[start:end]
+
+    def _count(self) -> int:
+        pos = self._pos
+        if pos + 4 > len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self._pos
+        if pos >= len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
+        pos = self._pos
+        if pos + 8 > len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = pos + 8
+        return _U64.unpack_from(self._data, pos)[0]
 
     def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
+        pos = self._pos
+        if pos + 8 > len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = pos + 8
+        return _F64.unpack_from(self._data, pos)[0]
 
     def digest(self) -> bytes:
         return self._take(32)
 
     def bytes_(self) -> bytes:
-        n = int.from_bytes(self._take(4), "big")
-        return self._take(n)
+        return self._take(self._count())
 
     def str_(self) -> str:
         raw = self.bytes_()
@@ -112,13 +155,8 @@ class Reader:
             raise CodecError("invalid utf-8") from exc
 
     def list_(self, dec_item: Callable[["Reader"], T]) -> list[T]:
-        n = int.from_bytes(self._take(4), "big")
-        return [dec_item(self) for _ in range(n)]
+        return [dec_item(self) for _ in range(self._count())]
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
-
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos

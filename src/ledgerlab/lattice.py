@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from . import codec
-from .codec import Reader
+from .codec import CodecError, Reader
 from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
 from .primitives import ZERO_DIGEST, Identity, Signature, digest, identity_for, sign, verify
@@ -56,12 +56,15 @@ class BlockKind(enum.Enum):
     REP_CHANGE = 3
 
 
+_KIND_OF = {k.value: k for k in BlockKind}
+
+
 class NodeTier(enum.Enum):
     HISTORICAL = "historical"  # every block of every chain
     CURRENT = "current"        # head blocks only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeBlock:
     """One block on one account's chain.
 
@@ -79,6 +82,9 @@ class LatticeBlock:
     new_representative: Optional[str]
     antispam_nonce: int
     signature: Signature
+    # digests: filled on first use; decode takes _digest from the wire bytes
+    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def _payload(self) -> bytes:
         k = self.kind
@@ -95,7 +101,11 @@ class LatticeBlock:
                 + codec.enc_u8(self.kind.value) + self._payload())
 
     def signing_digest(self) -> bytes:
-        return digest(self.signing_payload())
+        sd = self._sd
+        if sd is None:
+            sd = digest(self.signing_payload())
+            object.__setattr__(self, "_sd", sd)
+        return sd
 
     def encode(self) -> bytes:
         return (self.signing_payload() + codec.enc_u64(self.antispam_nonce)
@@ -103,9 +113,12 @@ class LatticeBlock:
 
     @classmethod
     def decode(cls, r: Reader) -> "LatticeBlock":
+        start = r.pos
         account = r.str_()
         predecessor = r.digest()
-        kind = BlockKind(r.u8())
+        kind = _KIND_OF.get(r.u8())
+        if kind is None:
+            raise CodecError("unknown lattice block kind")
         if kind is BlockKind.GENESIS:
             amount, counterparty, new_rep = r.u64(), None, r.str_()
         elif kind is BlockKind.SEND:
@@ -114,13 +127,19 @@ class LatticeBlock:
             amount, counterparty, new_rep = r.u64(), r.digest(), None
         else:
             amount, counterparty, new_rep = 0, None, r.str_()
-        return cls(account=account, predecessor=predecessor, kind=kind,
-                   amount=amount, counterparty=counterparty,
-                   new_representative=new_rep,
-                   antispam_nonce=r.u64(), signature=Signature.decode(r))
+        block = cls(account=account, predecessor=predecessor, kind=kind,
+                    amount=amount, counterparty=counterparty,
+                    new_representative=new_rep,
+                    antispam_nonce=r.u64(), signature=Signature.decode(r))
+        object.__setattr__(block, "_digest", digest(r.since(start)))
+        return block
 
     def digest(self) -> bytes:
-        return digest(self.encode())
+        d = self._digest
+        if d is None:
+            d = digest(self.encode())
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.account, self.signing_digest())
@@ -154,7 +173,7 @@ class PendingSend:
                 + codec.enc_u64(self.amount))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteRecord:
     """A representative's endorsement of one successor for a disputed slot."""
 
@@ -163,21 +182,33 @@ class VoteRecord:
     choice: bytes   # the endorsed successor block digest
     weight: int     # voter's delegated weight at emission time
     signature: Signature
+    # filled on first use, or from the wire bytes by decode
+    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (codec.enc_str(self.representative) + codec.enc_digest(self.subject)
                 + codec.enc_digest(self.choice) + codec.enc_u64(self.weight))
 
     def signing_digest(self) -> bytes:
-        return digest(self.signing_payload())
+        sd = self._sd
+        if sd is None:
+            sd = digest(self.signing_payload())
+            object.__setattr__(self, "_sd", sd)
+        return sd
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
     def decode(cls, r: Reader) -> "VoteRecord":
-        return cls(representative=r.str_(), subject=r.digest(), choice=r.digest(),
-                   weight=r.u64(), signature=Signature.decode(r))
+        start = r.pos
+        representative, subject, choice = r.str_(), r.digest(), r.digest()
+        weight = r.u64()
+        sd = digest(r.since(start))
+        vote = cls(representative=representative, subject=subject, choice=choice,
+                   weight=weight, signature=Signature.decode(r))
+        object.__setattr__(vote, "_sd", sd)
+        return vote
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.representative, self.signing_digest())

@@ -85,6 +85,7 @@ class ChainNode:
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
         self.mempool: dict[bytes, ChainTransaction] = {}
         self.orphans: dict[bytes, list[Block]] = {}
+        self.orphan_count = 0  # blocks held across all orphan buckets
         self.requested: set[bytes] = set()
         self._pending_grind: Optional[Block] = None
         self.work = WorkCounter()
@@ -246,7 +247,9 @@ class ChainNode:
                     self.recorder.ledger_sample(
                         now, self.node_id, sum(self.store.ledger_bytes().values()))
                 self._schedule_mining(sim)
-            stack.extend(reversed(self.orphans.pop(d, [])))
+            resolved = self.orphans.pop(d, [])
+            self.orphan_count -= len(resolved)
+            stack.extend(reversed(resolved))
 
     def _park_orphan(self, sim: Simulation, block: Block, sender: int) -> None:
         parent = block.header.predecessor
@@ -254,10 +257,10 @@ class ChainNode:
         d = block.digest()
         if len(bucket) < 64 and all(b.digest() != d for b in bucket):
             bucket.append(block)
-        total = sum(len(b) for b in self.orphans.values())
-        if total > ORPHAN_BUFFER_LIMIT:
+            self.orphan_count += 1
+        if self.orphan_count > ORPHAN_BUFFER_LIMIT:
             oldest = next(iter(self.orphans))
-            self.orphans.pop(oldest)
+            self.orphan_count -= len(self.orphans.pop(oldest))
         if sender != self.node_id and parent not in self.requested:
             self.requested.add(parent)
             sim.send(self.node_id, sender,

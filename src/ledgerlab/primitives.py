@@ -71,7 +71,7 @@ def merkle_root(leaves: list[bytes]) -> bytes:
 _SECRET_TAG = b"ledgerlab/identity-secret/v1:"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identity:
     """A participant: stable id plus derived signing secret."""
 
@@ -84,7 +84,7 @@ def identity_for(identity_id: str) -> Identity:
     return Identity(id=identity_id, secret=digest(_SECRET_TAG + identity_id.encode("utf-8")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     signer: str
     payload_digest: bytes

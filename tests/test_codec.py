@@ -1,10 +1,15 @@
 """Canonical wire encoding round-trips and malformed-input handling."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ledgerlab import codec
+from ledgerlab.blockchain import Block, BlockHeader, ChainTransaction
 from ledgerlab.codec import CodecError, Reader
+from ledgerlab.lattice import BlockKind, LatticeBlock, VoteRecord, build_block
+from ledgerlab.primitives import ZERO_DIGEST, Signature, digest, identity_for
 
 
 def test_fixed_width_layouts():
@@ -28,6 +33,8 @@ def test_range_checks():
         codec.enc_u64(2**64)
     with pytest.raises(CodecError):
         codec.enc_digest(b"not 32 bytes")
+    with pytest.raises(CodecError):
+        codec.enc_str("\ud800")  # a lone surrogate has no utf-8 form
 
 
 def test_reader_underrun_and_trailing():
@@ -93,3 +100,117 @@ def test_encoding_is_injective_on_adjacent_strings():
     # length prefixes keep "ab","c" distinct from "a","bc"
     assert (codec.enc_str("ab") + codec.enc_str("c")
             != codec.enc_str("a") + codec.enc_str("bc"))
+
+
+def test_reader_reports_consumed_span():
+    r = Reader(codec.enc_u64(7) + codec.enc_str("ab") + codec.enc_u8(1))
+    r.u64()
+    start = r.pos
+    r.str_()
+    assert r.since(start) == codec.enc_str("ab")
+    assert r.since(0) == codec.enc_u64(7) + codec.enc_str("ab")
+
+
+# ---------------------------------------------------------------------------
+# Wire types: decode takes its digests from the bytes it consumed
+
+u64s = st.integers(min_value=0, max_value=2**64 - 1)
+digests = st.binary(min_size=32, max_size=32)
+names = st.text(max_size=12)
+signatures = st.builds(Signature, signer=names, payload_digest=digests, tag=digests)
+
+
+def _lattice_block(kind, amount, counterparty, new_representative):
+    return st.builds(LatticeBlock, account=names, predecessor=digests,
+                     kind=st.just(kind), amount=amount, counterparty=counterparty,
+                     new_representative=new_representative,
+                     antispam_nonce=u64s, signature=signatures)
+
+
+lattice_blocks = st.one_of(
+    _lattice_block(BlockKind.GENESIS, u64s, st.none(), names),
+    _lattice_block(BlockKind.SEND, u64s, names, st.none()),
+    _lattice_block(BlockKind.RECEIVE, u64s, digests, st.none()),
+    _lattice_block(BlockKind.REP_CHANGE, st.just(0), st.none(), names),
+)
+votes = st.builds(VoteRecord, representative=names, subject=digests,
+                  choice=digests, weight=u64s, signature=signatures)
+transactions = st.builds(ChainTransaction, sender=names, recipient=names,
+                         amount=u64s, sequence=u64s, weight=u64s,
+                         signature=signatures)
+headers = st.builds(BlockHeader, predecessor=digests, tx_root=digests,
+                    state_root=digests, height=u64s,
+                    timestamp=st.floats(allow_nan=False, allow_infinity=False),
+                    nonce=u64s, producer=names)
+blocks = st.builds(Block, header=headers,
+                   transactions=st.lists(transactions, max_size=3).map(tuple))
+wire_objects = st.one_of(lattice_blocks, votes, transactions, headers, blocks)
+
+
+def _check_wire_digests(obj, raw):
+    """A decoded object re-encodes to `raw`, and decode hashed those bytes."""
+    assert obj.encode() == raw
+    if isinstance(obj, Block):  # a block is named by its header
+        assert obj.digest() == obj.header.digest()
+        for part in (obj.header, *obj.transactions):
+            _check_wire_digests(part, part.encode())
+        return
+    if not isinstance(obj, VoteRecord):  # nothing hashes a whole vote
+        assert obj._digest == digest(raw)
+    if isinstance(obj, (ChainTransaction, VoteRecord)):  # receivers always verify
+        assert obj._sd == digest(obj.signing_payload())
+    elif isinstance(obj, LatticeBlock):  # duplicates never verify: filled lazily
+        assert obj.signing_digest() == digest(obj.signing_payload())
+
+
+@given(wire_objects)
+def test_wire_types_decode_to_equal_objects_with_wire_digests(x):
+    raw = x.encode()
+    r = Reader(raw)
+    y = type(x).decode(r)
+    r.expect_end()
+    assert y == x
+    _check_wire_digests(y, raw)
+
+
+@given(headers, u64s)
+def test_replaced_nonce_rehashes_header(header, nonce):
+    before = header.digest()
+    bumped = replace(header, nonce=nonce)
+    assert bumped.digest() == digest(bumped.encode())
+    assert (bumped.digest() == before) == (nonce == header.nonce)
+
+
+@given(lattice_blocks, u64s)
+def test_replaced_antispam_nonce_rehashes_block(block, nonce):
+    before = block.digest()
+    bumped = replace(block, antispam_nonce=nonce)
+    assert bumped.digest() == digest(bumped.encode())
+    assert (bumped.digest() == before) == (nonce == block.antispam_nonce)
+
+
+@given(wire_objects, st.data())
+def test_mutated_encodings_raise_or_decode_canonically(x, data):
+    raw = bytearray(x.encode())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    r = Reader(bytes(raw))
+    try:
+        y = type(x).decode(r)
+    except CodecError:
+        return
+    _check_wire_digests(y, r.since(0))
+
+
+def test_unknown_lattice_kind_byte_is_a_codec_error():
+    send = build_block(identity_for("carol"), ZERO_DIGEST, BlockKind.SEND,
+                       amount=5, counterparty="home")
+    raw = bytearray(send.encode())
+    kind_at = len(codec.enc_str("carol")) + 32
+    assert raw[kind_at] == BlockKind.SEND.value
+    raw[kind_at] = 9
+    with pytest.raises(CodecError):
+        LatticeBlock.decode(Reader(bytes(raw)))

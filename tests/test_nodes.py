@@ -5,6 +5,7 @@ exercised end to end by the scenario tests in test_runner.py; here we pin the
 message encodings and the node-layer cases no scenario preset reaches.
 """
 
+from ledgerlab import nodes
 from ledgerlab.blockchain import (
     Block,
     ChainStore,
@@ -20,6 +21,7 @@ from ledgerlab.nodes import (
     CMD_LATTICE_SEND,
     MSG_CHAIN_BLOCK,
     ChainNode,
+    LatticeNode,
     MultiDriver,
     _chain_block_msg,
     _lattice_block_msg,
@@ -82,27 +84,88 @@ def test_lattice_block_message_round_trip_with_votes():
 # Orphan resolution
 
 
-def test_long_parked_run_resolves_without_deep_recursion():
+def _source_chain(length):
     source = _store()
     blocks = []
-    for height in range(1, 1201):
+    for height in range(1, length + 1):
         block = assemble_block(source, source.adopted_head, [], capacity=10_000,
                                producer="miner-1", timestamp=float(height))
         source.adopt(block, source.validate_block(block))
         blocks.append(block)
+    return source, blocks
+
+
+def _chain_node():
     node = ChainNode(0, _store(), RunRecorder(), run_seed=1, capacity=10_000,
                      producer_id="")
     sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
                      nodes={0: node})
+    return node, sim
+
+
+def _held(node):
+    return sum(len(b) for b in node.orphans.values())
+
+
+def test_long_parked_run_resolves_without_deep_recursion():
+    source, blocks = _source_chain(1200)
+    node, sim = _chain_node()
 
     for block in reversed(blocks[1:]):  # every child before its parent
         node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
     assert node.store.head_height == 0
+    assert node.orphan_count == _held(node) == 1199
     node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, blocks[0]))
 
     assert node.store.head_height == 1200
     assert node.store.adopted_head == source.adopted_head
     assert node.orphans == {}
+    assert node.orphan_count == 0
+
+
+def test_orphan_buffer_evicts_the_oldest_bucket(monkeypatch):
+    monkeypatch.setattr(nodes, "ORPHAN_BUFFER_LIMIT", 3)
+    _, blocks = _source_chain(5)
+    node, sim = _chain_node()
+
+    for block in reversed(blocks[1:]):  # four orphans, each in its own bucket
+        node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
+    # the fourth park went over the limit and dropped the first bucket
+    assert blocks[3].digest() not in node.orphans
+    assert list(node.orphans) == [b.digest() for b in reversed(blocks[:3])]
+    assert node.orphan_count == _held(node) == 3
+
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, blocks[0]))
+    assert node.store.head_height == 4  # the evicted tip stays unknown
+    assert node.orphans == {}
+    assert node.orphan_count == 0
+
+
+def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
+    genesis = {"carol": (100, "carol"), "home": (40, "home")}
+    send = LatticeLedger(genesis).create_send("carol", "home", 30)
+    vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
+    payload = _lattice_block_msg(0, send, [vote])
+    node = LatticeNode(1, LatticeLedger(genesis), RunRecorder(),
+                       hosted_accounts=("home",), representative_accounts=("home",))
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
+                     nodes={1: node})
+    encoded = []
+    original = LatticeBlock.encode
+
+    def counting_encode(block):
+        encoded.append(block)
+        return original(block)
+
+    monkeypatch.setattr(LatticeBlock, "encode", counting_encode)
+
+    node.on_message(sim, 1.0, payload)
+    assert node.ledger.balance("home") == 70  # applied and received here
+    first = len(encoded)
+    assert first > 0  # applying and forwarding do encode
+
+    node.on_message(sim, 2.0, payload)
+    assert len(encoded) == first
 
 
 # ---------------------------------------------------------------------------
