@@ -67,9 +67,11 @@ class ChainTransaction:
     sequence: int
     weight: int
     signature: Signature
-    # digests: filled on first use, or from the wire bytes by decode
+    # digests and encoded length: filled on first use, or from the wire
+    # bytes by decode
     _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (
@@ -100,6 +102,7 @@ class ChainTransaction:
                  sequence=sequence, weight=weight, signature=Signature.decode(r))
         object.__setattr__(tx, "_sd", sd)
         object.__setattr__(tx, "_digest", digest(r.since(start)))
+        object.__setattr__(tx, "_size", r.pos - start)
         return tx
 
     def digest(self) -> bytes:
@@ -108,6 +111,14 @@ class ChainTransaction:
             d = digest(self.encode())
             object.__setattr__(self, "_digest", d)
         return d
+
+    def encoded_len(self) -> int:
+        """len(self.encode()), without re-encoding a decoded transaction."""
+        n = self._size
+        if n is None:
+            n = len(self.encode())
+            object.__setattr__(self, "_size", n)
+        return n
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.sender, self.signing_digest())
@@ -125,6 +136,11 @@ def make_transaction(sender: Identity, recipient: str, amount: int,
         signature=Signature(sender.id, ZERO_DIGEST, ZERO_DIGEST),
     )
     return replace(unsigned, signature=sign(sender, unsigned.signing_digest()))
+
+
+def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
+    """len(codec.enc_list(transactions, ...)): a 4-byte count, then each body."""
+    return 4 + sum(t.encoded_len() for t in transactions)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +607,7 @@ class ChainStore:
         if transactions is not None:
             for tx in transactions:
                 self.tx_blocks.setdefault(tx.digest(), []).append(d)
-            self._bytes["chain_bodies"] += len(
-                codec.enc_list(transactions, lambda t: t.encode()))
+            self._bytes["chain_bodies"] += _body_len(transactions)
         return sb
 
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
@@ -702,8 +717,7 @@ class ChainStore:
                 if sb.height >= cutoff:
                     continue
                 if sb.transactions is not None:
-                    self._bytes["chain_bodies"] -= len(
-                        codec.enc_list(sb.transactions, lambda t: t.encode()))
+                    self._bytes["chain_bodies"] -= _body_len(sb.transactions)
                     sb.transactions = None
                     bodies += 1
                 delta = self.deltas.pop(d, None)

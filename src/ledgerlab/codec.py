@@ -24,18 +24,30 @@ T = TypeVar("T")
 
 U64_MAX = (1 << 64) - 1
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_F64 = struct.Struct(">d")
+
 
 class CodecError(LedgerError):
     """Value outside the encodable domain, or malformed bytes on decode."""
 
 
+# The encoders run once per field of every message, so each first takes a
+# fast path for the exact type it expects; the general checks behind it
+# still decide every other input (bool, int subclasses, bytearray, widths).
+
 def enc_u8(value: int) -> bytes:
+    if type(value) is int and 0 <= value <= 0xFF:
+        return value.to_bytes(1, "big")
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 0xFF:
         raise CodecError(f"u8 out of range: {value!r}")
     return value.to_bytes(1, "big")
 
 
 def enc_u64(value: int) -> bytes:
+    if type(value) is int and 0 <= value <= U64_MAX:
+        return _U64.pack(value)
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= U64_MAX:
         raise CodecError(f"u64 out of range: {value!r}")
     return value.to_bytes(8, "big")
@@ -48,6 +60,8 @@ def enc_f64(value: float) -> bytes:
 
 
 def enc_digest(value: bytes) -> bytes:
+    if type(value) is bytes and len(value) == 32:
+        return value
     if not isinstance(value, (bytes, bytearray)) or len(value) != 32:
         raise CodecError(f"digest must be exactly 32 bytes, got {value!r}")
     return bytes(value)
@@ -65,9 +79,12 @@ def enc_str(value: str) -> bytes:
     if not isinstance(value, str):
         raise CodecError(f"not a string: {value!r}")
     try:
-        return enc_bytes(value.encode("utf-8"))
+        raw = value.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise CodecError("string not encodable as utf-8") from exc
+    if len(raw) > 0xFFFFFFFF:
+        raise CodecError("byte string too long")
+    return _U32.pack(len(raw)) + raw
 
 
 def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
@@ -75,11 +92,6 @@ def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
     if len(parts) > 0xFFFFFFFF:
         raise CodecError("list too long")
     return len(parts).to_bytes(4, "big") + b"".join(parts)
-
-
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
 
 
 class Reader:
@@ -142,15 +154,27 @@ class Reader:
         return _F64.unpack_from(self._data, pos)[0]
 
     def digest(self) -> bytes:
-        return self._take(32)
+        pos = self._pos
+        end = pos + 32
+        if end > len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = end
+        return self._data[pos:end]
 
     def bytes_(self) -> bytes:
         return self._take(self._count())
 
     def str_(self) -> str:
-        raw = self.bytes_()
+        data, pos = self._data, self._pos
+        if pos + 4 > len(data):
+            raise CodecError("buffer underrun")
+        start = pos + 4
+        end = start + _U32.unpack_from(data, pos)[0]
+        if end > len(data):
+            raise CodecError("buffer underrun")
+        self._pos = end
         try:
-            return raw.decode("utf-8")
+            return data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError("invalid utf-8") from exc
 

@@ -82,9 +82,11 @@ class LatticeBlock:
     new_representative: Optional[str]
     antispam_nonce: int
     signature: Signature
-    # digests: filled on first use; decode takes _digest from the wire bytes
+    # digests and encoded length: filled on first use; decode takes _digest
+    # and _size from the wire bytes
     _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
     _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def _payload(self) -> bytes:
         k = self.kind
@@ -132,6 +134,7 @@ class LatticeBlock:
                     new_representative=new_rep,
                     antispam_nonce=r.u64(), signature=Signature.decode(r))
         object.__setattr__(block, "_digest", digest(r.since(start)))
+        object.__setattr__(block, "_size", r.pos - start)
         return block
 
     def digest(self) -> bytes:
@@ -140,6 +143,14 @@ class LatticeBlock:
             d = digest(self.encode())
             object.__setattr__(self, "_digest", d)
         return d
+
+    def encoded_len(self) -> int:
+        """len(self.encode()), without re-encoding a decoded block."""
+        n = self._size
+        if n is None:
+            n = len(self.encode())
+            object.__setattr__(self, "_size", n)
+        return n
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.account, self.signing_digest())
@@ -360,6 +371,9 @@ class LatticeLedger:
         self.seen: set[bytes] = set()
 
         self.conflicts: dict[tuple[str, bytes], Conflict] = {}
+        # candidate digest -> its conflict's key; a block's key is its own
+        # (account, predecessor), so a digest is a candidate in one conflict
+        self.conflict_of: dict[bytes, tuple[str, bytes]] = {}
         self.resolved_winners: dict[tuple[str, bytes], bytes] = {}
         self.flagged_ties: list[tuple[str, bytes]] = []
         self.votes_by_choice: dict[bytes, dict[str, VoteRecord]] = {}
@@ -373,7 +387,6 @@ class LatticeLedger:
         self.total_pending = 0
         self._bytes_blocks = 0
         self._bytes_pending = 0
-        self._enc_len: dict[bytes, int] = {}
 
         # genesis: every account opens its chain with a signed allocation block
         for account in sorted(genesis):
@@ -672,6 +685,11 @@ class LatticeLedger:
         return released
 
     def _record_vote(self, vote: VoteRecord, now: float, outcome: Outcome) -> None:
+        recorded = self.votes_by_choice.get(vote.choice)
+        if recorded is not None and recorded.get(vote.representative) == vote:
+            # byte-identical to a vote already verified and recorded here,
+            # and every conflict over this choice has pulled that one in
+            return
         if not vote.verify_signature():
             return
         prior = self.rep_subject_choice.get((vote.representative, vote.subject))
@@ -680,17 +698,18 @@ class LatticeLedger:
         self.rep_subject_choice[(vote.representative, vote.subject)] = vote.choice
         self.votes_by_choice.setdefault(vote.choice, {})[vote.representative] = vote
 
-        for key in list(self.conflicts):
-            conflict = self.conflicts[key]
-            if conflict.resolved is None and vote.choice in conflict.candidates \
-                    and vote.representative not in conflict.votes:
-                conflict.votes[vote.representative] = vote
-                released: list[LatticeBlock] = []
-                self._try_resolve(key, now, outcome, released)
-                while released:
-                    blk = released.pop(0)
-                    released.extend(
-                        self._process(blk, now, outcome, record_status=False))
+        key = self.conflict_of.get(vote.choice)
+        if key is None:
+            return
+        conflict = self.conflicts[key]
+        if conflict.resolved is None and vote.representative not in conflict.votes:
+            conflict.votes[vote.representative] = vote
+            released: list[LatticeBlock] = []
+            self._try_resolve(key, now, outcome, released)
+            while released:
+                blk = released.pop(0)
+                released.extend(
+                    self._process(blk, now, outcome, record_status=False))
 
     def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: Optional[bytes],
                        now: float, outcome: Outcome) -> None:
@@ -704,7 +723,9 @@ class LatticeLedger:
         if incumbent_digest is not None and incumbent_digest not in conflict.candidates:
             chain = self.accounts[newcomer.account]
             conflict.candidates[incumbent_digest] = chain.blocks.get(incumbent_digest)
+            self.conflict_of[incumbent_digest] = key
         conflict.candidates[newcomer.digest()] = newcomer
+        self.conflict_of[newcomer.digest()] = key
         # pull in any votes that arrived ahead of the conflict
         for cand in sorted(conflict.candidates):
             for rep, vote in sorted(self.votes_by_choice.get(cand, {}).items()):
@@ -799,14 +820,12 @@ class LatticeLedger:
         chain.known.add(d)
         chain.head = d
         self.adoption_time[d] = now
-        enc_len = len(block.encode())
-        self._enc_len[d] = enc_len
-        self._bytes_blocks += enc_len
+        self._bytes_blocks += block.encoded_len()
 
         if self.tier is NodeTier.CURRENT and prev_head != ZERO_DIGEST:
             dropped = chain.blocks.pop(prev_head, None)
             if dropped is not None:
-                self._bytes_blocks -= self._enc_len.get(prev_head, 0)
+                self._bytes_blocks -= dropped.encoded_len()
 
     def _undo_to(self, account: str, target: bytes) -> list[bytes]:
         """Roll an account chain back to `target`, cascading through settlements."""
@@ -861,7 +880,7 @@ class LatticeLedger:
             chain.blocks.pop(d, None)
             chain.known.discard(d)
             self.adoption_time.pop(d, None)
-            self._bytes_blocks -= self._enc_len.pop(d, 0)
+            self._bytes_blocks -= block.encoded_len()
             chain.head = block.predecessor
             discarded.append(d)
         return discarded
@@ -892,8 +911,7 @@ class LatticeLedger:
             chain = self.accounts[account]
             for d in list(chain.blocks):
                 if d != chain.head:
-                    chain.blocks.pop(d)
-                    self._bytes_blocks -= self._enc_len.pop(d, 0)
+                    self._bytes_blocks -= chain.blocks.pop(d).encoded_len()
             pruned.append(account)
         if not skipped:
             self.tier = NodeTier.CURRENT

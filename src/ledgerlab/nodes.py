@@ -10,6 +10,7 @@ full mesh every vote reaches every node riding the block it endorses.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 from typing import Optional
 
@@ -84,6 +85,12 @@ class ChainNode:
         self.run_seed = run_seed
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
         self.mempool: dict[bytes, ChainTransaction] = {}
+        # stale-check work lists: (sequence, digest) of every pooled
+        # transaction in a min-heap per sender (entries of transactions that
+        # left the pool are dropped when they surface), and the digests
+        # pooled since the head last moved
+        self._pooled_by_sender: dict[str, list[tuple[int, bytes]]] = {}
+        self._pooled_since_move: list[bytes] = []
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_count = 0  # blocks held across all orphan buckets
         self.requested: set[bytes] = set()
@@ -203,7 +210,40 @@ class ChainNode:
             return
         if tx.amount <= 0 or tx.weight <= 0 or not tx.verify_signature():
             return
+        self._pool(d, tx)
+
+    def _pool(self, d: bytes, tx: ChainTransaction) -> None:
         self.mempool[d] = tx
+        heapq.heappush(self._pooled_by_sender.setdefault(tx.sender, []),
+                       (tx.sequence, d))
+        self._pooled_since_move.append(d)
+
+    def _drop_stale(self, moved_senders: set[str]) -> None:
+        """Unpool every transaction the new head's sequences have overtaken.
+
+        Only two groups can be stale: transactions pooled since the last
+        head move, and those whose sender has a transaction in a block that
+        just joined the adopted branch. Any other sender's head sequence
+        cannot have risen, and the previous head move already checked them.
+        Of a moved sender's transactions, the stale ones are those at the
+        front of its heap, up to the sender's new head sequence.
+        """
+        pool = self.mempool
+        head_sequence = self.store.head_state.sequence
+        for d in self._pooled_since_move:
+            tx = pool.get(d)
+            if tx is not None and tx.sequence <= head_sequence(tx.sender):
+                del pool[d]
+        self._pooled_since_move = []
+        for sender in moved_senders:
+            heap = self._pooled_by_sender.get(sender)
+            if heap is None:
+                continue
+            overtaken = head_sequence(sender)
+            while heap and heap[0][0] <= overtaken:
+                pool.pop(heapq.heappop(heap)[1], None)
+            if not heap:
+                del self._pooled_by_sender[sender]
 
     def _ingest_block(self, sim: Simulation, now: float, block: Block,
                       sender: int) -> None:
@@ -229,15 +269,16 @@ class ChainNode:
                                    report.new_height, report.orphaned,
                                    report.reorged_in, heights)
             if report.head_moved:
+                moved_senders = set()
                 for nd in report.reorged_in:
                     for tx in self.store.blocks[nd].transactions or ():
                         self.mempool.pop(tx.digest(), None)
+                        moved_senders.add(tx.sender)
                 for tx in report.returned_transactions:
-                    self.mempool.setdefault(tx.digest(), tx)
-                stale = [td for td, tx in self.mempool.items()
-                         if tx.sequence <= self.store.head_state.sequence(tx.sender)]
-                for td in stale:
-                    del self.mempool[td]
+                    td = tx.digest()
+                    if td not in self.mempool:
+                        self._pool(td, tx)
+                self._drop_stale(moved_senders)
                 if self.store.total_supply() != self.store.expected_supply():
                     raise InvariantViolation(
                         "chain balance conservation",

@@ -9,6 +9,7 @@ enough to make forgery detectable in-protocol, which is all the simulation needs
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -79,8 +80,13 @@ class Identity:
     secret: bytes
 
 
+@functools.cache
 def identity_for(identity_id: str) -> Identity:
-    """Deterministic identity for an id. One id, one secret, everywhere."""
+    """Deterministic identity for an id. One id, one secret, everywhere.
+
+    The secret is a pure function of the id and Identity is frozen, so each
+    id is derived once per process and every caller shares the result.
+    """
     return Identity(id=identity_id, secret=digest(_SECRET_TAG + identity_id.encode("utf-8")))
 
 

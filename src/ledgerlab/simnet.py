@@ -17,8 +17,9 @@ import enum
 import hashlib
 import heapq
 import random
+import struct
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from . import codec
 from .errors import LedgerError
@@ -35,8 +36,13 @@ class SimEventKind(enum.Enum):
     COMMAND = 2
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One scheduled event, and itself its heap entry.
+
+    Tuples compare field by field and `sequence` is unique, so the heap
+    orders events by (at, sequence) and never compares the later fields.
+    """
+
     at: float
     sequence: int
     kind: SimEventKind
@@ -45,6 +51,10 @@ class SimEvent:
 
 
 DRIVER_DESTINATION = 0xFFFF_FFFF
+
+# Trace record header: enc_f64(at) + enc_u64(sequence) + enc_u8(kind)
+# + enc_u64(destination), packed in one step.
+_TRACE_HEADER = struct.Struct(">dQBQ")
 
 
 @dataclass(frozen=True)
@@ -91,23 +101,15 @@ class Scheduler:
     def __init__(self) -> None:
         self.now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
 
     def schedule(self, at: float, kind: SimEventKind, destination: int,
                  payload: bytes) -> SimEvent:
         if at < self.now:
             raise SchedulingError(f"cannot schedule {at:.6f} before now {self.now:.6f}")
         self._seq += 1
-        ev = SimEvent(at=at, sequence=self._seq, kind=kind,
-                      destination=destination, payload=payload)
-        heapq.heappush(self._heap, (at, ev.sequence, ev))
-        return ev
-
-    def pop_due(self, horizon: float) -> Optional[SimEvent]:
-        if not self._heap or self._heap[0][0] > horizon:
-            return None
-        at, _, ev = heapq.heappop(self._heap)
-        self.now = at
+        ev = SimEvent(at, self._seq, kind, destination, payload)
+        heapq.heappush(self._heap, ev)
         return ev
 
     def __len__(self) -> int:
@@ -148,13 +150,14 @@ class Simulation:
     def send(self, src: int, dst: int, payload: bytes) -> bool:
         """Unicast with latency/drop/partition applied; True if delivered."""
         rng = self._net_rng[src]
-        if self.link.severed(self.now, src, dst):
+        link = self.link
+        if link.partitions and link.severed(self.now, src, dst):
             return False
-        if self.link.drop_prob > 0 and rng.random() < self.link.drop_prob:
+        if link.drop_prob > 0 and rng.random() < link.drop_prob:
             return False
-        latency = self.link.base_latency_s
-        if self.link.jitter_s > 0:
-            latency += rng.uniform(-self.link.jitter_s, self.link.jitter_s)
+        latency = link.base_latency_s
+        if link.jitter_s > 0:
+            latency += rng.uniform(-link.jitter_s, link.jitter_s)
         latency = max(latency, 0.0)
         self.scheduler.schedule(self.now + latency, SimEventKind.MESSAGE, dst, payload)
         return True
@@ -171,21 +174,24 @@ class Simulation:
 
     def run(self, horizon_s: float) -> None:
         """Execute events in (at, sequence) order until the horizon or drain."""
-        while True:
-            ev = self.scheduler.pop_due(horizon_s)
-            if ev is None:
-                break
-            self._trace.update(
-                codec.enc_f64(ev.at) + codec.enc_u64(ev.sequence)
-                + codec.enc_u8(ev.kind.value) + codec.enc_u64(ev.destination)
-                + digest(ev.payload))
+        scheduler = self.scheduler
+        heap = scheduler._heap
+        pop = heapq.heappop
+        update = self._trace.update
+        pack = _TRACE_HEADER.pack
+        nodes = self.nodes
+        command, timer = SimEventKind.COMMAND, SimEventKind.TIMER
+        while heap and heap[0][0] <= horizon_s:
+            at, sequence, kind, destination, payload = pop(heap)
+            scheduler.now = at
+            update(pack(at, sequence, kind._value_, destination) + digest(payload))
             self.events_executed += 1
-            if ev.kind is SimEventKind.COMMAND:
-                self.driver.on_command(self, ev.at, ev.payload)
-            elif ev.kind is SimEventKind.TIMER:
-                self.nodes[ev.destination].on_timer(self, ev.at, ev.payload)
+            if kind is command:
+                self.driver.on_command(self, at, payload)
+            elif kind is timer:
+                nodes[destination].on_timer(self, at, payload)
             else:
-                self.nodes[ev.destination].on_message(self, ev.at, ev.payload)
+                nodes[destination].on_message(self, at, payload)
 
     def trace_digest(self) -> str:
         return self._trace.hexdigest()

@@ -37,6 +37,41 @@ def test_range_checks():
         codec.enc_str("\ud800")  # a lone surrogate has no utf-8 form
 
 
+def test_fast_paths_keep_the_type_checks():
+    with pytest.raises(CodecError):
+        codec.enc_u64(True)
+    with pytest.raises(CodecError):
+        codec.enc_u8(True)
+
+    class Height(int):
+        pass
+
+    assert codec.enc_u64(Height(5)) == codec.enc_u64(5)
+    assert codec.enc_u8(Height(5)) == codec.enc_u8(5)
+    widened = codec.enc_digest(bytearray(32))
+    assert type(widened) is bytes and widened == bytes(32)
+    with pytest.raises(CodecError):
+        codec.enc_digest(bytes(31))
+    with pytest.raises(CodecError):
+        codec.enc_digest("x" * 32)
+    with pytest.raises(CodecError):
+        codec.enc_str(b"not text")
+
+
+def test_reader_str_rejects_underruns_and_invalid_utf8():
+    with pytest.raises(CodecError):
+        Reader(b"\x00\x00\x00").str_()  # the length itself is cut short
+    with pytest.raises(CodecError):
+        Reader(codec.enc_str("abc")[:-1]).str_()  # the body is cut short
+    with pytest.raises(CodecError):
+        Reader(b"\x00\x00\x00\x01\xff").str_()  # not utf-8
+    with pytest.raises(CodecError):
+        Reader(bytes(31)).digest()
+    r = Reader(codec.enc_str("ab") + codec.enc_str(""))
+    assert (r.str_(), r.str_()) == ("ab", "")
+    r.expect_end()
+
+
 def test_reader_underrun_and_trailing():
     r = Reader(codec.enc_u64(7))
     assert r.u64() == 7
@@ -157,6 +192,8 @@ def _check_wire_digests(obj, raw):
         return
     if not isinstance(obj, VoteRecord):  # nothing hashes a whole vote
         assert obj._digest == digest(raw)
+    if isinstance(obj, (ChainTransaction, LatticeBlock)):  # size accounting
+        assert obj._size == len(raw) == obj.encoded_len()
     if isinstance(obj, (ChainTransaction, VoteRecord)):  # receivers always verify
         assert obj._sd == digest(obj.signing_payload())
     elif isinstance(obj, LatticeBlock):  # duplicates never verify: filled lazily
@@ -171,6 +208,19 @@ def test_wire_types_decode_to_equal_objects_with_wire_digests(x):
     r.expect_end()
     assert y == x
     _check_wire_digests(y, raw)
+
+
+@given(st.one_of(lattice_blocks, transactions))
+def test_locally_built_objects_measure_their_encoding(x):
+    assert x._size is None
+    assert x.encoded_len() == len(x.encode())
+    assert x._size == len(x.encode())
+    # a copy starts with an empty cache, so it measures its own encoding
+    if isinstance(x, LatticeBlock):
+        longer = replace(x, account=x.account + "z")
+    else:
+        longer = replace(x, sender=x.sender + "z")
+    assert longer.encoded_len() == len(longer.encode()) == len(x.encode()) + 1
 
 
 @given(headers, u64s)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import pytest
 
+from ledgerlab import lattice
+from ledgerlab.codec import Reader
 from ledgerlab.errors import NotFoundError
 from ledgerlab.lattice import (
     BlockKind,
@@ -13,8 +15,10 @@ from ledgerlab.lattice import (
     LatticeLedger,
     LatticeVerdict,
     NodeTier,
+    Outcome,
     OutcomeStatus,
     StalePredecessorError,
+    VoteRecord,
     build_block,
     make_vote,
     resolve_fork,
@@ -298,6 +302,65 @@ def test_first_vote_per_rep_and_subject_stands():
     conflict = ledger.conflicts[("a", fork_point)]
     assert conflict.resolved is None
     assert conflict.votes["w2"].choice == s1.digest()
+
+
+def _vote_state(ledger):
+    return ({k: (c.resolved, dict(c.votes), dict(c.candidates))
+             for k, c in ledger.conflicts.items()},
+            {k: dict(v) for k, v in ledger.votes_by_choice.items()},
+            dict(ledger.rep_subject_choice), list(ledger.flagged_ties),
+            dict(ledger.resolved_winners), ledger.accounts["a"].head)
+
+
+def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
+    ledger = _ledger(genesis={"a": (100, "r1"), "r1": (300, "r1"),
+                              "r2": (600, "r2")})
+    fork_point, s1, s2 = _conflicting_sends(ledger)
+    _apply(ledger, s1)
+    vote = make_vote(identity_for("r1"), fork_point, s2.digest(), 400)
+    _apply(ledger, s2, now=2.0, votes=[vote])
+    assert ledger.conflicts[("a", fork_point)].votes == {"r1": vote}
+    before = _vote_state(ledger)
+
+    verified = []
+    original = lattice.verify
+
+    def counting_verify(*args):
+        verified.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "verify", counting_verify)
+    again = VoteRecord.decode(Reader(vote.encode()))  # a fresh copy off the wire
+    assert again == vote and again is not vote
+    assert ledger.add_vote(again, 3.0) == Outcome()
+    dup = _apply(ledger, s2, now=4.0, votes=[again])
+    assert dup == Outcome(status=OutcomeStatus.DUPLICATE)
+    assert verified == []
+    assert _vote_state(ledger) == before
+
+    # a vote that differs in any byte is still verified
+    heavier = make_vote(identity_for("r1"), fork_point, s2.digest(), 401)
+    ledger.add_vote(heavier, 5.0)
+    assert len(verified) == 1
+
+
+def test_vote_for_a_candidate_that_joined_later_counts():
+    ledger = _ledger()
+    fork_point, s1, s2 = _conflicting_sends(ledger)
+    _apply(ledger, s1)
+    _apply(ledger, s2, now=2.0)
+    s3 = build_block(identity_for("a"), fork_point, BlockKind.SEND,
+                     amount=5, counterparty="w8")
+    out = _apply(ledger, s3, now=3.0)
+    assert out.status is OutcomeStatus.CONFLICT
+    assert out.conflicts_opened == []  # joined the open conflict
+    assert sorted(ledger.conflicts[("a", fork_point)].candidates) == sorted(
+        [s1.digest(), s2.digest(), s3.digest()])
+
+    res = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s3.digest(), 800), 4.0)
+    assert [r.winner for r in res.resolutions] == [s3.digest()]
+    assert ledger.accounts["a"].head == s3.digest()
+    assert ledger.balance("a") == 95
 
 
 def test_losing_branch_rollback_cascades_through_receives():

@@ -5,6 +5,10 @@ exercised end to end by the scenario tests in test_runner.py; here we pin the
 message encodings and the node-layer cases no scenario preset reaches.
 """
 
+import random
+
+import pytest
+
 from ledgerlab import nodes
 from ledgerlab.blockchain import (
     Block,
@@ -20,6 +24,7 @@ from ledgerlab.nodes import (
     CMD_CHAIN_TX,
     CMD_LATTICE_SEND,
     MSG_CHAIN_BLOCK,
+    MSG_CHAIN_TX,
     ChainNode,
     LatticeNode,
     MultiDriver,
@@ -166,6 +171,96 @@ def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
 
     node.on_message(sim, 2.0, payload)
     assert len(encoded) == first
+
+
+# ---------------------------------------------------------------------------
+# Stale-mempool eviction
+
+
+class _RescanNode(ChainNode):
+    """Checks the whole pool on every head move: the oracle for the index."""
+
+    def _drop_stale(self, moved_senders):
+        head_sequence = self.store.head_state.sequence
+        for d in [d for d, tx in self.mempool.items()
+                  if tx.sequence <= head_sequence(tx.sender)]:
+            del self.mempool[d]
+
+
+SENDERS = ("alice", "bob", "carol", "dave")
+
+
+def _pool_store():
+    return ChainStore(genesis_allocation={s: 1000 for s in SENDERS},
+                      block_reward=50, proof_rule=LotteryProof(),
+                      schedule=DifficultySchedule(2.0, 16, 1.0), reorg_safety=8)
+
+
+def _tx_msg(tx):
+    return bytes([MSG_CHAIN_TX]) + (1).to_bytes(8, "big") + tx.encode()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_stale_eviction_matches_full_rescan(seed):
+    rng = random.Random(seed)
+    txs = [make_transaction(identity_for(sender), rng.choice(SENDERS), rng.randint(1, 40),
+                            rng.randint(1, 12), rng.randint(1, 3))
+           for sender in SENDERS for _ in range(12)]
+    rng.shuffle(txs)
+
+    # branch A grows to six blocks; branch B forks after A's second and
+    # overtakes it without alice's and bob's transactions, which A returns
+    source = _pool_store()
+    branch_a, parent = [], source.adopted_head
+    for height in range(1, 7):
+        picks = sorted(rng.sample(txs, 10), key=lambda tx: tx.sequence)
+        block = assemble_block(source, parent, picks, capacity=8,
+                               producer="miner-a", timestamp=float(height))
+        source.adopt(block, source.validate_block(block))
+        branch_a.append(block)
+        parent = block.digest()
+    branch_b, parent, returned = [], branch_a[1].digest(), 0
+    b_txs = [tx for tx in txs if tx.sender in ("carol", "dave")]
+    for height in range(3, 9):
+        picks = sorted(rng.sample(b_txs, 6), key=lambda tx: tx.sequence)
+        block = assemble_block(source, parent, picks, capacity=8,
+                               producer="miner-b", timestamp=height + 0.5)
+        returned += len(source.adopt(block, source.validate_block(block))
+                        .returned_transactions)
+        branch_b.append(block)
+        parent = block.digest()
+
+    # blocks arrive in order, parent first; transactions fall in between
+    tx_msgs = iter([_tx_msg(tx) for tx in txs])
+    block_msgs = iter([_chain_block_msg(MSG_CHAIN_BLOCK, 1, b)
+                       for b in branch_a + branch_b])
+    total = len(txs) + len(branch_a) + len(branch_b)
+    at_block = set(rng.sample(range(total), len(branch_a) + len(branch_b)))
+    events = [next(block_msgs) if i in at_block else next(tx_msgs) for i in range(total)]
+    node = ChainNode(0, _pool_store(), RunRecorder(), run_seed=1, capacity=8,
+                     producer_id="")
+    oracle = _RescanNode(0, _pool_store(), RunRecorder(), run_seed=1,
+                         capacity=8, producer_id="")
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]})
+    in_blocks = {tx.digest() for b in branch_a + branch_b for tx in b.transactions}
+    heads, evicted = 0, 0
+    for msg in events:
+        pooled_before = set(node.mempool)
+        head_before = node.store.adopted_head
+        node.on_message(sim, 0.0, msg)
+        oracle.on_message(sim, 0.0, msg)
+        assert list(node.mempool.items()) == list(oracle.mempool.items())
+        for d, tx in node.mempool.items():  # every pooled transaction is indexed
+            assert (tx.sequence, d) in node._pooled_by_sender[tx.sender]
+        if node.store.adopted_head != head_before:
+            heads += 1
+            evicted += len(pooled_before - set(node.mempool) - in_blocks)
+            assert node._pooled_since_move == []
+            assert all(tx.sequence > node.store.head_state.sequence(tx.sender)
+                       for tx in node.mempool.values())
+    assert node.store.adopted_head == branch_b[-1].digest()
+    assert heads == len(branch_a) + len(branch_b) - 4  # B's first three tie or trail A
+    assert returned > 0 and evicted > 0
 
 
 # ---------------------------------------------------------------------------

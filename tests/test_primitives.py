@@ -108,6 +108,12 @@ def test_identity_deterministic_and_distinct():
     assert len(a1.secret) == 32
 
 
+def test_identity_is_derived_once_and_shared():
+    assert identity_for("carol") is identity_for("carol")
+    expected = hashlib.sha256(b"ledgerlab/identity-secret/v1:" + "carol".encode("utf-8"))
+    assert identity_for("carol").secret == expected.digest()
+
+
 def test_signature_roundtrip_and_tamper():
     alice = identity_for("alice")
     payload = digest(b"a payload")

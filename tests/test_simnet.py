@@ -1,8 +1,13 @@
 """Discrete-event network: ordering, links, partitions, reproducibility."""
 
+import hashlib
+
 import pytest
 
+from ledgerlab import codec
+from ledgerlab.primitives import digest
 from ledgerlab.simnet import (
+    DRIVER_DESTINATION,
     LinkModel,
     Partition,
     SchedulingError,
@@ -58,9 +63,11 @@ def test_events_run_in_time_then_fifo_order():
     sim.set_timer(0, 2.0, b"late")
     sim.set_timer(0, 1.0, b"early")
     sim.set_timer(0, 1.0, b"early-second")  # same instant: insertion order
+    sim.set_timer(0, 1.0, b"a-third")  # even when the payload sorts first
     sim.run(10.0)
-    assert [p for _, _, p in nodes[0].log] == [b"early", b"early-second", b"late"]
-    assert sim.events_executed == 3
+    assert [p for _, _, p in nodes[0].log] == [b"early", b"early-second",
+                                               b"a-third", b"late"]
+    assert sim.events_executed == 4
 
 
 def test_horizon_cuts_off_later_events():
@@ -160,6 +167,25 @@ def test_trace_digest_reproducible_and_seed_sensitive():
 
     assert run_once(1) == run_once(1)
     assert run_once(1) != run_once(2)
+
+
+def test_trace_digest_hashes_each_event_record():
+    sim, _ = _sim(2)
+    sim.set_timer(1, 0.75, b"tick")
+    sim.schedule_command(0.25, b"")
+    sim.send(0, 1, b"hello")  # base latency 0.1
+    sim.run(1.0)
+
+    expected = hashlib.sha256()
+    for at, seq, kind, dest, payload in [
+            (0.1, 3, SimEventKind.MESSAGE, 1, b"hello"),
+            (0.25, 2, SimEventKind.COMMAND, DRIVER_DESTINATION, b""),
+            (0.75, 1, SimEventKind.TIMER, 1, b"tick")]:
+        expected.update(codec.enc_f64(at) + codec.enc_u64(seq)
+                        + codec.enc_u8(kind.value) + codec.enc_u64(dest)
+                        + digest(payload))
+    assert sim.trace_digest() == expected.hexdigest()
+    assert sim.events_executed == 3
 
 
 def test_derive_rng_streams_are_independent():
