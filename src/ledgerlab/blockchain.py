@@ -30,6 +30,7 @@ from .primitives import (
     ZERO_DIGEST,
     Identity,
     Signature,
+    WireObject,
     digest,
     merkle_root,
     sign,
@@ -60,18 +61,13 @@ class SyncError(LedgerError):
 # Transactions
 
 @dataclass(frozen=True, slots=True)
-class ChainTransaction:
+class ChainTransaction(WireObject):
     sender: str
     recipient: str
     amount: int
     sequence: int
     weight: int
     signature: Signature
-    # digests and encoded length: filled on first use, or from the wire
-    # bytes by decode
-    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (
@@ -81,13 +77,6 @@ class ChainTransaction:
             + codec.enc_u64(self.sequence)
             + codec.enc_u64(self.weight)
         )
-
-    def signing_digest(self) -> bytes:
-        sd = self._sd
-        if sd is None:
-            sd = digest(self.signing_payload())
-            object.__setattr__(self, "_sd", sd)
-        return sd
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -104,21 +93,6 @@ class ChainTransaction:
         object.__setattr__(tx, "_digest", digest(r.since(start)))
         object.__setattr__(tx, "_size", r.pos - start)
         return tx
-
-    def digest(self) -> bytes:
-        d = self._digest
-        if d is None:
-            d = digest(self.encode())
-            object.__setattr__(self, "_digest", d)
-        return d
-
-    def encoded_len(self) -> int:
-        """len(self.encode()), without re-encoding a decoded transaction."""
-        n = self._size
-        if n is None:
-            n = len(self.encode())
-            object.__setattr__(self, "_size", n)
-        return n
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.sender, self.signing_digest())
@@ -147,7 +121,7 @@ def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
 # Blocks
 
 @dataclass(frozen=True, slots=True)
-class BlockHeader:
+class BlockHeader(WireObject):
     predecessor: bytes  # zero digest marks genesis
     tx_root: bytes
     state_root: bytes
@@ -155,8 +129,6 @@ class BlockHeader:
     timestamp: float
     nonce: int
     producer: str
-    # filled on first use, or from the wire bytes by decode
-    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
         return (
@@ -178,13 +150,6 @@ class BlockHeader:
         )
         object.__setattr__(header, "_digest", digest(r.since(start)))
         return header
-
-    def digest(self) -> bytes:
-        d = self._digest
-        if d is None:
-            d = digest(self.encode())
-            object.__setattr__(self, "_digest", d)
-        return d
 
     def work_digest(self) -> bytes:
         # the grind puzzle runs over the header with its nonce field zeroed
@@ -263,6 +228,12 @@ class StateDelta:
         items = sorted(self.changes.items())
         return codec.enc_digest(self.block) + codec.enc_list(
             items, lambda kv: codec.enc_str(kv[0]) + kv[1].encode())
+
+    def encoded_len(self) -> int:
+        """len(self.encode()), from the account names alone."""
+        # a digest and a list count, then per account a length-prefixed
+        # name and a 33-byte AccountChange
+        return 36 + sum(37 + len(name.encode("utf-8")) for name in self.changes)
 
     def apply(self, state: ChainState) -> None:
         for account, ch in self.changes.items():
@@ -419,7 +390,6 @@ class ChainStore:
         self.blocks: dict[bytes, StoredBlock] = {
             self.genesis_digest: StoredBlock(header, (), schedule, 0)
         }
-        self.children: dict[bytes, list[bytes]] = {self.genesis_digest: []}
         self.deltas: dict[bytes, StateDelta] = {}
         self.tx_blocks: dict[bytes, list[bytes]] = {}
         self.adopted: dict[bytes, int] = {self.genesis_digest: 0}
@@ -438,9 +408,6 @@ class ChainStore:
     @property
     def head_height(self) -> int:
         return self.blocks[self.adopted_head].height
-
-    def tips(self) -> list[bytes]:
-        return sorted(d for d, kids in self.children.items() if not kids)
 
     def balance(self, account: str) -> int:
         return self.head_state.balance(account)
@@ -517,8 +484,7 @@ class ChainStore:
             sched = retarget(sched, observed)
         return sched
 
-    def validate_block(self, block: Block,
-                       proof: ProofRule | None = None) -> ValidationResult:
+    def validate_block(self, block: Block) -> ValidationResult:
         header = block.header
         parent = self.blocks.get(header.predecessor)
         if parent is None:
@@ -528,7 +494,7 @@ class ChainStore:
                 Verdict.UNKNOWN_PARENT,
                 f"height {header.height} does not follow parent at {parent.height}")
 
-        ok, why = (proof or self.proof_rule).check(self, block)
+        ok, why = self.proof_rule.check(self, block)
         if not ok:
             return ValidationResult(Verdict.BAD_PROOF, why)
 
@@ -598,12 +564,10 @@ class ChainStore:
         self._arrival += 1
         sb = StoredBlock(header, transactions, schedule, self._arrival)
         self.blocks[d] = sb
-        self.children[d] = []
-        self.children[header.predecessor].append(d)
         self._bytes["chain_headers"] += len(header.encode())
         if delta is not None:
             self.deltas[d] = delta
-            self._bytes["chain_deltas"] += len(delta.encode())
+            self._bytes["chain_deltas"] += delta.encoded_len()
         if transactions is not None:
             for tx in transactions:
                 self.tx_blocks.setdefault(tx.digest(), []).append(d)
@@ -722,7 +686,7 @@ class ChainStore:
                     bodies += 1
                 delta = self.deltas.pop(d, None)
                 if delta is not None:
-                    self._bytes["chain_deltas"] -= len(delta.encode())
+                    self._bytes["chain_deltas"] -= delta.encoded_len()
                     deltas += 1
             self.first_full_block_height = max(self.first_full_block_height, cutoff)
         return PruneReport(max(cutoff, 0), bodies, deltas, before,
@@ -779,8 +743,7 @@ def assemble_block(store: ChainStore, parent_digest: bytes,
 # Fast sync
 
 def fast_sync(source: ChainStore,
-              pivot_offset: int = DEFAULT_FASTSYNC_PIVOT_OFFSET,
-              proof: ProofRule | None = None) -> ChainStore:
+              pivot_offset: int = DEFAULT_FASTSYNC_PIVOT_OFFSET) -> ChainStore:
     """Bootstrap a new store from a source node.
 
     Headers come over for the whole adopted chain; state is materialized at
@@ -795,7 +758,7 @@ def fast_sync(source: ChainStore,
     fresh = ChainStore(
         genesis_allocation=source.genesis_allocation,
         block_reward=source.block_reward,
-        proof_rule=proof or source.proof_rule,
+        proof_rule=source.proof_rule,
         schedule=genesis_sb.schedule,
         reorg_safety=source.reorg_safety,
     )

@@ -135,8 +135,8 @@ def _cmd_inspect(args) -> int:
         ledger = observer.ledger
         print(f"accounts {len(ledger.accounts)}, settled {ledger.total_balance}, "
               f"pending {ledger.total_pending} over {len(ledger.pending)} sends")
-        print(f"open conflicts {len(ledger.open_conflicts())}, "
-              f"resolved {len(ledger.resolved_winners)}")
+        resolved = sum(c.resolved is not None for c in ledger.conflicts.values())
+        print(f"open conflicts {len(ledger.open_conflicts())}, resolved {resolved}")
     for category, total in sorted(measure_ledger_bytes(observer).items()):
         print(f"bytes {category} {total}")
     if result.breach:

@@ -6,7 +6,7 @@ encoding, so the rules are deliberately rigid:
 * unsigned integers: fixed 8-byte big-endian
 * floats (timestamps, expected-hash-count difficulty): IEEE-754 binary64, big-endian
 * digests: raw 32 bytes
-* variable byte strings (and UTF-8 text): 4-byte big-endian count, then the bytes
+* UTF-8 text: 4-byte big-endian byte count, then the bytes
 * lists: 4-byte big-endian element count, then each element
 * enums: 1-byte discriminant, then the variant payload
 
@@ -33,24 +33,20 @@ class CodecError(LedgerError):
     """Value outside the encodable domain, or malformed bytes on decode."""
 
 
-# The encoders run once per field of every message, so each first takes a
-# fast path for the exact type it expects; the general checks behind it
-# still decide every other input (bool, int subclasses, bytearray, widths).
+# The encoders run once per field of every message, so each accepts only
+# the exact type it expects: a bool, an int subclass or a bytearray is
+# refused rather than converted.
 
 def enc_u8(value: int) -> bytes:
-    if type(value) is int and 0 <= value <= 0xFF:
-        return value.to_bytes(1, "big")
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 0xFF:
+    if type(value) is not int or not 0 <= value <= 0xFF:
         raise CodecError(f"u8 out of range: {value!r}")
     return value.to_bytes(1, "big")
 
 
 def enc_u64(value: int) -> bytes:
-    if type(value) is int and 0 <= value <= U64_MAX:
-        return _U64.pack(value)
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= U64_MAX:
+    if type(value) is not int or not 0 <= value <= U64_MAX:
         raise CodecError(f"u64 out of range: {value!r}")
-    return value.to_bytes(8, "big")
+    return _U64.pack(value)
 
 
 def enc_f64(value: float) -> bytes:
@@ -60,19 +56,9 @@ def enc_f64(value: float) -> bytes:
 
 
 def enc_digest(value: bytes) -> bytes:
-    if type(value) is bytes and len(value) == 32:
-        return value
-    if not isinstance(value, (bytes, bytearray)) or len(value) != 32:
+    if type(value) is not bytes or len(value) != 32:
         raise CodecError(f"digest must be exactly 32 bytes, got {value!r}")
-    return bytes(value)
-
-
-def enc_bytes(value: bytes) -> bytes:
-    if not isinstance(value, (bytes, bytearray)):
-        raise CodecError(f"not bytes: {value!r}")
-    if len(value) > 0xFFFFFFFF:
-        raise CodecError("byte string too long")
-    return len(value).to_bytes(4, "big") + bytes(value)
+    return value
 
 
 def enc_str(value: str) -> bytes:
@@ -117,14 +103,6 @@ class Reader:
         """The bytes consumed from `start` up to the cursor."""
         return self._data[start : self._pos]
 
-    def _take(self, n: int) -> bytes:
-        start = self._pos
-        end = start + n
-        if end > len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = end
-        return self._data[start:end]
-
     def _count(self) -> int:
         pos = self._pos
         if pos + 4 > len(self._data):
@@ -160,9 +138,6 @@ class Reader:
             raise CodecError("buffer underrun")
         self._pos = end
         return self._data[pos:end]
-
-    def bytes_(self) -> bytes:
-        return self._take(self._count())
 
     def str_(self) -> str:
         data, pos = self._data, self._pos

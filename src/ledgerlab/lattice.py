@@ -27,7 +27,16 @@ from . import codec
 from .codec import CodecError, Reader
 from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
-from .primitives import ZERO_DIGEST, Identity, Signature, digest, identity_for, sign, verify
+from .primitives import (
+    ZERO_DIGEST,
+    Identity,
+    Signature,
+    WireObject,
+    digest,
+    identity_for,
+    sign,
+    verify,
+)
 
 DEFAULT_QUORUM_FRACTION = 0.5
 DEFAULT_GAP_BUFFER = 10_000
@@ -65,7 +74,7 @@ class NodeTier(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class LatticeBlock:
+class LatticeBlock(WireObject):
     """One block on one account's chain.
 
     counterparty is the recipient account id for sends and the matched send's
@@ -82,11 +91,6 @@ class LatticeBlock:
     new_representative: Optional[str]
     antispam_nonce: int
     signature: Signature
-    # digests and encoded length: filled on first use; decode takes _digest
-    # and _size from the wire bytes
-    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def _payload(self) -> bytes:
         k = self.kind
@@ -101,13 +105,6 @@ class LatticeBlock:
     def signing_payload(self) -> bytes:
         return (codec.enc_str(self.account) + codec.enc_digest(self.predecessor)
                 + codec.enc_u8(self.kind.value) + self._payload())
-
-    def signing_digest(self) -> bytes:
-        sd = self._sd
-        if sd is None:
-            sd = digest(self.signing_payload())
-            object.__setattr__(self, "_sd", sd)
-        return sd
 
     def encode(self) -> bytes:
         return (self.signing_payload() + codec.enc_u64(self.antispam_nonce)
@@ -133,24 +130,10 @@ class LatticeBlock:
                     amount=amount, counterparty=counterparty,
                     new_representative=new_rep,
                     antispam_nonce=r.u64(), signature=Signature.decode(r))
+        # _sd stays lazy: most deliveries are duplicates that never verify
         object.__setattr__(block, "_digest", digest(r.since(start)))
         object.__setattr__(block, "_size", r.pos - start)
         return block
-
-    def digest(self) -> bytes:
-        d = self._digest
-        if d is None:
-            d = digest(self.encode())
-            object.__setattr__(self, "_digest", d)
-        return d
-
-    def encoded_len(self) -> int:
-        """len(self.encode()), without re-encoding a decoded block."""
-        n = self._size
-        if n is None:
-            n = len(self.encode())
-            object.__setattr__(self, "_size", n)
-        return n
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.account, self.signing_digest())
@@ -185,7 +168,7 @@ class PendingSend:
 
 
 @dataclass(frozen=True, slots=True)
-class VoteRecord:
+class VoteRecord(WireObject):
     """A representative's endorsement of one successor for a disputed slot."""
 
     representative: str
@@ -193,19 +176,10 @@ class VoteRecord:
     choice: bytes   # the endorsed successor block digest
     weight: int     # voter's delegated weight at emission time
     signature: Signature
-    # filled on first use, or from the wire bytes by decode
-    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (codec.enc_str(self.representative) + codec.enc_digest(self.subject)
                 + codec.enc_digest(self.choice) + codec.enc_u64(self.weight))
-
-    def signing_digest(self) -> bytes:
-        sd = self._sd
-        if sd is None:
-            sd = digest(self.signing_payload())
-            object.__setattr__(self, "_sd", sd)
-        return sd
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -260,6 +234,8 @@ class Resolution:
     winner: bytes
     discarded: tuple[bytes, ...]
     winner_applied: bool
+    winner_weight: int  # the winner's tally
+    runner_up: int      # the largest tally among the other candidates
 
 
 @dataclass
@@ -374,7 +350,6 @@ class LatticeLedger:
         # candidate digest -> its conflict's key; a block's key is its own
         # (account, predecessor), so a digest is a candidate in one conflict
         self.conflict_of: dict[bytes, tuple[str, bytes]] = {}
-        self.resolved_winners: dict[tuple[str, bytes], bytes] = {}
         self.flagged_ties: list[tuple[str, bytes]] = []
         self.votes_by_choice: dict[bytes, dict[str, VoteRecord]] = {}
         self.rep_subject_choice: dict[tuple[str, bytes], bytes] = {}
@@ -492,8 +467,7 @@ class LatticeLedger:
 
     # -- validation ---------------------------------------------------------
 
-    def validate_block(self, block: LatticeBlock,
-                       now: float = 0.0) -> tuple[LatticeVerdict, str]:
+    def validate_block(self, block: LatticeBlock) -> tuple[LatticeVerdict, str]:
         if not block.verify_signature():
             return LatticeVerdict.BAD_SIGNATURE, f"bad signature from {block.account}"
         if self.spam_bits > 0 and not check_pow(
@@ -573,13 +547,9 @@ class LatticeLedger:
         outcome = Outcome()
         for v in votes:
             self._record_vote(v, now, outcome)
-        queue = [block]
-        first = True
-        while queue:
-            blk = queue.pop(0)
-            unparked = self._process(blk, now, outcome, record_status=first)
-            first = False
-            queue.extend(unparked)
+        outcome.status, outcome.verdict, outcome.detail, released = \
+            self._process(block, now, outcome)
+        self._drain(released, now, outcome)
         self.check_conservation()
         return outcome
 
@@ -591,71 +561,51 @@ class LatticeLedger:
 
     # -- internals ----------------------------------------------------------
 
-    def _process(self, block: LatticeBlock, now: float, outcome: Outcome,
-                 record_status: bool) -> list[LatticeBlock]:
+    def _drain(self, queue: list[LatticeBlock], now: float, outcome: Outcome) -> None:
+        """Process released blocks first in, first out; each appends its own."""
+        i = 0
+        while i < len(queue):
+            queue.extend(self._process(queue[i], now, outcome)[3])
+            i += 1
+
+    def _process(self, block: LatticeBlock, now: float, outcome: Outcome
+                 ) -> tuple[OutcomeStatus, LatticeVerdict, str, list[LatticeBlock]]:
+        """Settle one block; returns (status, verdict, detail, released)."""
         d = block.digest()
         if d in self.seen:
-            if record_status:
-                outcome.status = OutcomeStatus.DUPLICATE
-            return []
+            return OutcomeStatus.DUPLICATE, LatticeVerdict.ACCEPT, "", []
+        self.seen.add(d)
 
         key = (block.account, block.predecessor)
-        winner = self.resolved_winners.get(key)
-        if winner is not None and d != winner:
-            self.seen.add(d)
-            if record_status:
-                outcome.status = OutcomeStatus.REJECTED
-                outcome.verdict = LatticeVerdict.FORK_DETECTED
-                outcome.detail = "conflict already resolved against this block"
-            return []
+        conflict = self.conflicts.get(key)
+        if conflict is not None and conflict.resolved not in (None, d):
+            return (OutcomeStatus.REJECTED, LatticeVerdict.FORK_DETECTED,
+                    "conflict already resolved against this block", [])
 
-        verdict, detail = self.validate_block(block, now)
+        verdict, detail = self.validate_block(block)
 
         if verdict is LatticeVerdict.ACCEPT:
-            self.seen.add(d)
             self._apply(block, now)
             outcome.applied.append(block)
-            if record_status:
-                outcome.status = OutcomeStatus.APPLIED
-            return self._release_parked(d)
+            return OutcomeStatus.APPLIED, verdict, detail, self._release_parked(d)
 
         if verdict is LatticeVerdict.FORK_DETECTED and block.kind is not BlockKind.GENESIS:
-            self.seen.add(d)
             chain = self.accounts[block.account]
             incumbent = chain.successor_of(block.predecessor)
             if incumbent is not None and self.cement_eligible(incumbent, now):
-                if record_status:
-                    outcome.status = OutcomeStatus.REJECTED
-                    outcome.verdict = verdict
-                    outcome.detail = "incumbent block is cemented"
-                return []
+                return OutcomeStatus.REJECTED, verdict, "incumbent block is cemented", []
             self._open_conflict(block, incumbent, now, outcome)
-            if record_status:
-                outcome.status = OutcomeStatus.CONFLICT
-                outcome.verdict = verdict
-                outcome.detail = detail
-            released: list[LatticeBlock] = []
-            self._try_resolve(key, now, outcome, released)
-            return released
+            return (OutcomeStatus.CONFLICT, verdict, detail,
+                    self._try_resolve(key, now, outcome))
 
         if verdict is LatticeVerdict.GAP_DETECTED and self._parkable(detail):
-            self.seen.add(d)
             missing = block.predecessor
             if block.kind is BlockKind.RECEIVE and detail == "matched send not held":
                 missing = block.counterparty
             self._park(d, block, missing)
-            if record_status:
-                outcome.status = OutcomeStatus.PARKED
-                outcome.verdict = verdict
-                outcome.detail = detail
-            return []
+            return OutcomeStatus.PARKED, verdict, detail, []
 
-        self.seen.add(d)
-        if record_status:
-            outcome.status = OutcomeStatus.REJECTED
-            outcome.verdict = verdict
-            outcome.detail = detail
-        return []
+        return OutcomeStatus.REJECTED, verdict, detail, []
 
     @staticmethod
     def _parkable(detail: str) -> bool:
@@ -704,12 +654,7 @@ class LatticeLedger:
         conflict = self.conflicts[key]
         if conflict.resolved is None and vote.representative not in conflict.votes:
             conflict.votes[vote.representative] = vote
-            released: list[LatticeBlock] = []
-            self._try_resolve(key, now, outcome, released)
-            while released:
-                blk = released.pop(0)
-                released.extend(
-                    self._process(blk, now, outcome, record_status=False))
+            self._drain(self._try_resolve(key, now, outcome), now, outcome)
 
     def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: Optional[bytes],
                        now: float, outcome: Outcome) -> None:
@@ -732,46 +677,56 @@ class LatticeLedger:
                 if rep not in conflict.votes:
                     conflict.votes[rep] = vote
 
-    def _try_resolve(self, key: tuple[str, bytes], now: float, outcome: Outcome,
-                     released: list[LatticeBlock]) -> None:
+    def _try_resolve(self, key: tuple[str, bytes], now: float,
+                     outcome: Outcome) -> list[LatticeBlock]:
+        """Settle an open conflict if its votes decide it; returns the
+        parked blocks that the winner's arrival releases."""
         conflict = self.conflicts.get(key)
         if conflict is None or conflict.resolved is not None:
-            return
+            return []
         winner, tallies, tied = resolve_fork(
             sorted(conflict.candidates), conflict.votes.values(),
             self.total_delegated_weight(), self.quorum_fraction)
         if tied and key not in self.flagged_ties:
             self.flagged_ties.append(key)
         if winner is None:
-            return
+            return []
 
         account, subject = key
         chain = self.accounts[account]
         incumbent = chain.successor_of(subject)
         discarded: tuple[bytes, ...] = ()
         winner_applied = True
-        if incumbent == winner:
-            pass  # the chain already carries the winner
-        else:
+        released: list[LatticeBlock] = []
+        if incumbent != winner:  # else the chain already carries the winner
             if incumbent is not None:
                 discarded = tuple(self._undo_to(account, subject))
             winner_block = conflict.candidates.get(winner)
-            verdict, _ = self.validate_block(winner_block, now)
+            verdict, _ = self.validate_block(winner_block)
             if verdict is LatticeVerdict.ACCEPT:
                 self._apply(winner_block, now)
                 outcome.applied.append(winner_block)
-                released.extend(self._release_parked(winner))
+                released = self._release_parked(winner)
             else:
                 winner_applied = False  # degenerate: winner no longer applies
         conflict.resolved = winner
-        self.resolved_winners[key] = winner
         if key in self.flagged_ties:
             self.flagged_ties.remove(key)  # a later vote broke the tie
         outcome.resolutions.append(Resolution(
             account=account, subject=subject, winner=winner,
-            discarded=discarded, winner_applied=winner_applied))
+            discarded=discarded, winner_applied=winner_applied,
+            winner_weight=tallies[winner],
+            runner_up=max((w for c, w in tallies.items() if c != winner), default=0)))
+        return released
 
     # -- state transitions --------------------------------------------------
+
+    def _shift_weight(self, representative: str, delta: int) -> None:
+        weight = self.rep_weight.get(representative, 0) + delta
+        if weight:
+            self.rep_weight[representative] = weight
+        else:
+            self.rep_weight.pop(representative, None)
 
     def _adjust_balance(self, chain: AccountChain, delta: int) -> None:
         nb = chain.balance + delta
@@ -779,40 +734,44 @@ class LatticeLedger:
             raise InvariantViolation("non-negative balances",
                                      f"{chain.account} would hold {nb}")
         chain.balance = nb
-        rep = chain.representative
-        self.rep_weight[rep] = self.rep_weight.get(rep, 0) + delta
-        if self.rep_weight[rep] == 0:
-            del self.rep_weight[rep]
+        self._shift_weight(chain.representative, delta)
         self.total_balance += delta
+
+    def _delegate(self, chain: AccountChain, representative: str) -> None:
+        """Hand the chain's settled balance to another representative."""
+        if chain.balance:
+            self._shift_weight(chain.representative, -chain.balance)
+            self._shift_weight(representative, chain.balance)
+        chain.representative = representative
+
+    def _add_pending(self, send_digest: bytes, recipient: str, amount: int) -> None:
+        pend = PendingSend(send_digest=send_digest, recipient=recipient, amount=amount)
+        self.pending[send_digest] = pend
+        self.total_pending += amount
+        self._bytes_pending += len(pend.encode())
+
+    def _take_pending(self, send_digest: bytes) -> PendingSend:
+        pend = self.pending.pop(send_digest)
+        self.total_pending -= pend.amount
+        self._bytes_pending -= len(pend.encode())
+        return pend
 
     def _apply(self, block: LatticeBlock, now: float) -> None:
         d = block.digest()
         chain = self.accounts[block.account]
         kind = block.kind
         if kind is BlockKind.GENESIS:
-            chain.representative = block.new_representative
+            self._delegate(chain, block.new_representative)
             self._adjust_balance(chain, block.amount)
         elif kind is BlockKind.SEND:
             self._adjust_balance(chain, -block.amount)
-            self.pending[d] = PendingSend(send_digest=d, recipient=block.counterparty,
-                                          amount=block.amount)
-            self.total_pending += block.amount
-            self._bytes_pending += len(self.pending[d].encode())
+            self._add_pending(d, block.counterparty, block.amount)
         elif kind is BlockKind.RECEIVE:
-            pend = self.pending.pop(block.counterparty)
-            self.total_pending -= pend.amount
-            self._bytes_pending -= len(pend.encode())
+            pend = self._take_pending(block.counterparty)
             self._adjust_balance(chain, pend.amount)
             self.settled_of[block.counterparty] = (block.account, d)
         else:  # REP_CHANGE
-            old = chain.representative
-            if chain.balance:
-                self.rep_weight[old] = self.rep_weight.get(old, 0) - chain.balance
-                if self.rep_weight[old] == 0:
-                    del self.rep_weight[old]
-                new = block.new_representative
-                self.rep_weight[new] = self.rep_weight.get(new, 0) + chain.balance
-            chain.representative = block.new_representative
+            self._delegate(chain, block.new_representative)
 
         prev_head = chain.head
         chain.blocks[d] = block
@@ -846,35 +805,20 @@ class LatticeLedger:
                 settled = self.settled_of.get(d)
                 if settled is not None:
                     recipient, receive_digest = settled
-                    rchain = self.accounts[recipient]
-                    rblock = rchain.blocks.get(receive_digest)
+                    rblock = self.accounts[recipient].blocks.get(receive_digest)
                     if rblock is None:
                         raise InvariantViolation(
                             "rollback needs block bodies",
                             f"{recipient} pruned below a cascading rollback")
                     discarded.extend(self._undo_to(recipient, rblock.predecessor))
-                pend = self.pending.pop(d)
-                self.total_pending -= pend.amount
-                self._bytes_pending -= len(pend.encode())
+                self._take_pending(d)
                 self._adjust_balance(chain, block.amount)
             elif kind is BlockKind.RECEIVE:
-                send_digest = block.counterparty
-                self.settled_of.pop(send_digest, None)
+                self.settled_of.pop(block.counterparty, None)
                 self._adjust_balance(chain, -block.amount)
-                pend = PendingSend(send_digest=send_digest, recipient=account,
-                                   amount=block.amount)
-                self.pending[send_digest] = pend
-                self.total_pending += block.amount
-                self._bytes_pending += len(pend.encode())
+                self._add_pending(block.counterparty, account, block.amount)
             else:  # REP_CHANGE: restore whatever the chain named before
-                prior = self._representative_before(chain, d)
-                new = chain.representative
-                if chain.balance:
-                    self.rep_weight[new] = self.rep_weight.get(new, 0) - chain.balance
-                    if self.rep_weight[new] == 0:
-                        del self.rep_weight[new]
-                    self.rep_weight[prior] = self.rep_weight.get(prior, 0) + chain.balance
-                chain.representative = prior
+                self._delegate(chain, self._representative_before(chain, d))
 
             chain.order.pop()
             chain.blocks.pop(d, None)

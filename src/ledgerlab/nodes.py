@@ -69,7 +69,6 @@ class ChainNode:
                  run_seed: int, capacity: int, producer_id: str,
                  mode: str = "lottery", hash_rate: float = 0.0,
                  pos_registry=None, pos_slot_interval: float = 1.0,
-                 hosted_validators: tuple[str, ...] = (),
                  sample_ledger: bool = False):
         self.node_id = node_id
         self.store = store
@@ -80,7 +79,6 @@ class ChainNode:
         self.hash_rate = hash_rate
         self.pos_registry = pos_registry
         self.pos_slot_interval = pos_slot_interval
-        self.hosted_validators = hosted_validators
         self.sample_ledger = sample_ledger
         self.run_seed = run_seed
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
@@ -158,7 +156,7 @@ class ChainNode:
         elif tag == TIMER_POS_SLOT:
             slot = r.u64()
             leader = pos_select(self.pos_registry, self.run_seed, slot)
-            if leader in self.hosted_validators:
+            if leader == self.producer_id:
                 self._produce(sim, now, self._assemble(leader, now))
             self._schedule_slot(sim, slot + 1)
 
@@ -381,10 +379,9 @@ class LatticeNode:
                 outcome.applied.extend(vote_outcome.applied)
 
         for res in outcome.resolutions:
-            winner_weight, runner_up = self._resolution_weights(res)
             self.recorder.conflict_resolved(now, self.node_id, res.account,
                                             res.subject, res.winner,
-                                            winner_weight, runner_up)
+                                            res.winner_weight, res.runner_up)
 
         # forward every newly applied block, and conflict candidates, once
         forwarded: set[bytes] = set()
@@ -401,18 +398,6 @@ class LatticeNode:
 
         self._auto_receive(sim, now, outcome)
         self._maybe_sample(now, outcome)
-
-    def _resolution_weights(self, res) -> tuple[int, int]:
-        conflict = self.ledger.conflicts.get((res.account, res.subject))
-        if conflict is None:
-            return 0, 0
-        tally: dict[bytes, int] = {c: 0 for c in conflict.candidates}
-        for v in conflict.votes.values():
-            if v.choice in tally:
-                tally[v.choice] += v.weight
-        winner_weight = tally.get(res.winner, 0)
-        others = [w for c, w in tally.items() if c != res.winner]
-        return winner_weight, max(others, default=0)
 
     def _auto_receive(self, sim: Simulation, now: float, outcome: Outcome) -> None:
         # recipients hosted here sign incoming funds in immediately when online
@@ -600,6 +585,5 @@ class ForkInjectionDriver:
         for i, dst in enumerate(targets):
             chosen = a if i < half else b
             msg = _lattice_block_msg(node.node_id, chosen, [])
-            sim.scheduler.schedule(now + self.delivery_latency_s,
-                                   SimEventKind.MESSAGE, dst, msg)
+            sim.schedule(now + self.delivery_latency_s, SimEventKind.MESSAGE, dst, msg)
         sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))

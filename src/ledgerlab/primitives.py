@@ -1,4 +1,5 @@
-"""Hashing, Merkle commitments, and simulated identities/signatures.
+"""Hashing, Merkle commitments, the wire-object digest cache, and simulated
+identities/signatures.
 
 The digest algorithm is pinned to SHA-256 and its name is written into every
 scenario report header. Signatures are keyed-digest authenticators, not real
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import codec
 from .codec import Reader
@@ -64,6 +66,45 @@ def merkle_root(leaves: list[bytes]) -> bytes:
             nxt.append(level[-1])
         level = nxt
     return level[0]
+
+
+# ---------------------------------------------------------------------------
+# Wire objects
+
+@dataclass(frozen=True, slots=True)
+class WireObject:
+    """Base of the ledger's wire types: each digest and length computed once.
+
+    A subclass defines `encode()` and, if it is signed, `signing_payload()`.
+    The caches fill on first use; a subclass's `decode` may fill them from
+    the bytes it consumed, and `dataclasses.replace` starts a copy empty.
+    """
+
+    _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def signing_digest(self) -> bytes:
+        sd = self._sd
+        if sd is None:
+            sd = digest(self.signing_payload())
+            object.__setattr__(self, "_sd", sd)
+        return sd
+
+    def digest(self) -> bytes:
+        d = self._digest
+        if d is None:
+            d = digest(self.encode())
+            object.__setattr__(self, "_digest", d)
+        return d
+
+    def encoded_len(self) -> int:
+        """len(self.encode()), without re-encoding a decoded object."""
+        n = self._size
+        if n is None:
+            n = len(self.encode())
+            object.__setattr__(self, "_size", n)
+        return n
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ def _build_chain(cfg: Config, seed: int,
                 mode="pos" if hosts_validator else "lottery",
                 hash_rate=0.0, pos_registry=registry,
                 pos_slot_interval=cfg["pos.slot_interval_s"],
-                hosted_validators=(f"val-{i}",) if hosts_validator else (),
                 sample_ledger=(i == 0))
         else:
             mining = i < miners

@@ -95,29 +95,8 @@ class SimNode(Protocol):  # pragma: no cover - structural type only
     def on_timer(self, sim: "Simulation", now: float, payload: bytes) -> None: ...
 
 
-class Scheduler:
-    """Priority queue of events keyed by (at, sequence)."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._seq = 0
-        self._heap: list[SimEvent] = []
-
-    def schedule(self, at: float, kind: SimEventKind, destination: int,
-                 payload: bytes) -> SimEvent:
-        if at < self.now:
-            raise SchedulingError(f"cannot schedule {at:.6f} before now {self.now:.6f}")
-        self._seq += 1
-        ev = SimEvent(at, self._seq, kind, destination, payload)
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class Simulation:
-    """Wires nodes, driver, link model and scheduler into one run loop."""
+    """Wires nodes, driver and link model into one event queue and run loop."""
 
     def __init__(self, seed: int, link: LinkModel,
                  adjacency: dict[int, list[int]],
@@ -128,24 +107,30 @@ class Simulation:
         self.adjacency = adjacency
         self.nodes: dict[int, SimNode] = nodes if nodes is not None else {}
         self.driver = driver
-        self.scheduler = Scheduler()
+        self.now = 0.0
+        self._seq = 0
+        self._heap: list[SimEvent] = []  # ordered by (at, sequence)
         self._net_rng = {u: derive_rng(seed, f"net/{u}") for u in sorted(adjacency)}
         self._trace = hashlib.sha256()
         self.events_executed = 0
 
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
     # -- scheduling primitives ---------------------------------------------
 
+    def schedule(self, at: float, kind: SimEventKind, destination: int,
+                 payload: bytes) -> SimEvent:
+        if at < self.now:
+            raise SchedulingError(f"cannot schedule {at:.6f} before now {self.now:.6f}")
+        self._seq += 1
+        ev = SimEvent(at, self._seq, kind, destination, payload)
+        heapq.heappush(self._heap, ev)
+        return ev
+
     def set_timer(self, node_id: int, delay_s: float, payload: bytes) -> SimEvent:
-        return self.scheduler.schedule(self.now + delay_s, SimEventKind.TIMER,
-                                       node_id, payload)
+        return self.schedule(self.now + delay_s, SimEventKind.TIMER, node_id, payload)
 
     def schedule_command(self, delay_s: float, payload: bytes) -> SimEvent:
-        return self.scheduler.schedule(self.now + delay_s, SimEventKind.COMMAND,
-                                       DRIVER_DESTINATION, payload)
+        return self.schedule(self.now + delay_s, SimEventKind.COMMAND,
+                             DRIVER_DESTINATION, payload)
 
     def send(self, src: int, dst: int, payload: bytes) -> bool:
         """Unicast with latency/drop/partition applied; True if delivered."""
@@ -159,7 +144,7 @@ class Simulation:
         if link.jitter_s > 0:
             latency += rng.uniform(-link.jitter_s, link.jitter_s)
         latency = max(latency, 0.0)
-        self.scheduler.schedule(self.now + latency, SimEventKind.MESSAGE, dst, payload)
+        self.schedule(self.now + latency, SimEventKind.MESSAGE, dst, payload)
         return True
 
     def broadcast(self, src: int, payload: bytes) -> int:
@@ -174,8 +159,7 @@ class Simulation:
 
     def run(self, horizon_s: float) -> None:
         """Execute events in (at, sequence) order until the horizon or drain."""
-        scheduler = self.scheduler
-        heap = scheduler._heap
+        heap = self._heap
         pop = heapq.heappop
         update = self._trace.update
         pack = _TRACE_HEADER.pack
@@ -183,7 +167,7 @@ class Simulation:
         command, timer = SimEventKind.COMMAND, SimEventKind.TIMER
         while heap and heap[0][0] <= horizon_s:
             at, sequence, kind, destination, payload = pop(heap)
-            scheduler.now = at
+            self.now = at
             update(pack(at, sequence, kind._value_, destination) + digest(payload))
             self.events_executed += 1
             if kind is command:

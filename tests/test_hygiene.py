@@ -1,6 +1,7 @@
-"""Source hygiene: no dead imports and no config key that nothing reads.
+"""Source hygiene: no dead imports, no config key that nothing reads, and
+no definition that only tests reach.
 
-Both checks parse the package with `ast`, so they see the code as written,
+The checks parse the package with `ast`, so they see the code as written,
 not as imported.
 """
 
@@ -13,6 +14,20 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ledgerlab"
 
 # keys the rest of the package reads through a Config property
 READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm"}
+
+# Definitions that no other package code names, and why each stays.
+TEST_FACING = {
+    "fast_sync": "header-first bootstrap of a store; acceptance criterion 09",
+    "LatticeLedger.prune_to_current": "current-tier pruning; acceptance criterion 08",
+    "pos_slash": "stake slashing; acceptance criterion 10",
+    "StakeRegistry.total_stake": "stake conservation; acceptance criterion 10",
+    "survival_curve": "confirmation confidence; acceptance criterion 03",
+    "SurvivalPoint.std_error": "confirmation confidence; acceptance criterion 03",
+    "ChainStore.confirmations": "a transaction's k-deep confirmation count",
+    "Reader.expect_end": "rejects trailing bytes when a whole message is decoded",
+    "LatticeLedger.create_rep_change": "the benchmark tracer wraps it by name",
+    "_Parser.error": "argparse calls it on a usage error",
+}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -50,6 +65,29 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _definitions(tree: ast.Module, owner: str = "") -> list[tuple[str, str]]:
+    """(qualified name, name) of every function, method and class."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            qualified = f"{owner}.{node.name}" if owner else node.name
+            out.append((qualified, node.name))
+            out.extend(_definitions(node, qualified))
+    return out
+
+
+def _unreferenced(modules: dict[str, ast.Module]) -> list[str]:
+    """Definitions whose name no code in these modules loads or looks up."""
+    named = set()
+    for tree in modules.values():
+        named |= _used_names(tree)
+        named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(qualified for tree in modules.values()
+                  for qualified, name in _definitions(tree)
+                  if name not in named
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
 def _strings_and_attributes(tree: ast.Module) -> set[str]:
     out = set()
     for node in ast.walk(tree):
@@ -79,3 +117,22 @@ def test_every_config_key_is_read_outside_the_schema():
     unread = [key for key in SCHEMA
               if READ_VIA_PROPERTY.get(key, key) not in seen]
     assert unread == []
+
+
+def test_no_definition_is_reached_only_from_tests():
+    unreferenced = _unreferenced(_modules())
+    assert [q for q in unreferenced if q not in TEST_FACING] == []
+    # an entry whose definition is gone, or is now used, goes too
+    assert [q for q in TEST_FACING if q not in unreferenced] == []
+
+
+def test_an_unreferenced_definition_is_caught():
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "class Probe:\n"
+        "    def __repr__(self):\n        return helper()\n"
+        "    def orphan_method(self):\n        pass\n"
+        "def helper():\n    pass\n"
+        "def orphan():\n    pass\n")
+    assert set(_unreferenced(modules)) - set(TEST_FACING) == {
+        "Probe", "Probe.orphan_method", "orphan"}

@@ -185,6 +185,25 @@ def test_gap_parks_until_predecessor_arrives():
     assert not ledger.parked
 
 
+def test_released_blocks_settle_first_in_first_out():
+    ledger = _ledger()
+    feeder = _ledger()
+    s1 = feeder.create_send("a", "w2", 5)
+    feeder.receive_block(s1, 0.5)
+    s2 = feeder.create_send("a", "w2", 7)
+    feeder.receive_block(s2, 0.5)
+    s3 = feeder.create_send("a", "w2", 1)
+    feeder.receive_block(s3, 0.5)
+    r1 = feeder.create_receive("w2", s1.digest())
+    for blk in (s2, s3, r1):  # all wait, directly or not, on s1
+        assert _apply(ledger, blk).status is OutcomeStatus.PARKED
+
+    out = _apply(ledger, s1)
+    # s1 releases s2 and r1; s3, released by s2, queues behind r1
+    assert out.applied == [s1, s2, r1, s3]
+    assert not ledger.parked
+
+
 def test_gap_buffer_evicts_oldest():
     ledger = _ledger(gap_buffer=2)
     feeder = _ledger()
@@ -227,7 +246,7 @@ def test_fork_opens_conflict_and_majority_resolves():
     vote = make_vote(identity_for("w8"), fork_point, s2.digest(), 800)
     res_out = ledger.add_vote(vote, 3.0)
     assert [r.winner for r in res_out.resolutions] == [s2.digest()]
-    assert ledger.resolved_winners[("a", fork_point)] == s2.digest()
+    assert ledger.conflicts[("a", fork_point)].resolved == s2.digest()
     assert ledger.accounts["a"].head == s2.digest()
     assert ledger.balance("a") == 80
     assert s1.digest() not in ledger.pending
@@ -250,7 +269,7 @@ def test_incumbent_survives_when_majority_backs_it():
     _apply(ledger, s2, now=2.0)
     vote = make_vote(identity_for("w8"), fork_point, s1.digest(), 800)
     ledger.add_vote(vote, 3.0)
-    assert ledger.resolved_winners[("a", fork_point)] == s1.digest()
+    assert ledger.conflicts[("a", fork_point)].resolved == s1.digest()
     assert ledger.accounts["a"].head == s1.digest()
     assert ledger.balance("a") == 90
 
@@ -287,7 +306,7 @@ def test_exact_tie_is_flagged_and_stays_open():
     assert ledger.accounts["a"].head == s1.digest()  # incumbent holds
     # a third representative breaks the tie: the flag goes with it
     ledger.add_vote(make_vote(identity_for("r3"), fork_point, s1.digest(), 100), 3.0)
-    assert ledger.resolved_winners[("a", fork_point)] == s1.digest()
+    assert ledger.conflicts[("a", fork_point)].resolved == s1.digest()
     assert ledger.flagged_ties == []
 
 
@@ -309,7 +328,8 @@ def _vote_state(ledger):
              for k, c in ledger.conflicts.items()},
             {k: dict(v) for k, v in ledger.votes_by_choice.items()},
             dict(ledger.rep_subject_choice), list(ledger.flagged_ties),
-            dict(ledger.resolved_winners), ledger.accounts["a"].head)
+            {k: c.resolved for k, c in ledger.conflicts.items()},
+            ledger.accounts["a"].head)
 
 
 def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
@@ -390,6 +410,63 @@ def test_losing_branch_rollback_cascades_through_receives():
     assert ledger.total_balance + ledger.total_pending == ledger.genesis_supply
 
 
+def test_two_candidate_resolution_carries_both_tallies():
+    ledger = _ledger()
+    fork_point, s1, s2 = _conflicting_sends(ledger)
+    _apply(ledger, s1)
+    _apply(ledger, s2, now=2.0)
+    assert ledger.rep_weight == {"w8": 790, "w2": 200}  # s1's 10 is pending
+    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200), 3.0)
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 790), 4.0)
+    assert out.resolutions == [lattice.Resolution(
+        account="a", subject=fork_point, winner=s2.digest(),
+        discarded=(s1.digest(),), winner_applied=True,
+        winner_weight=790, runner_up=200)]
+
+
+def test_three_candidate_runner_up_is_the_largest_loser():
+    ledger = _ledger(genesis={"a": (100, "r3"), "r1": (100, "r1"),
+                              "r2": (250, "r2"), "r3": (550, "r3")})
+    fork_point = ledger.accounts["a"].head
+    sends = [build_block(identity_for("a"), fork_point, BlockKind.SEND,
+                         amount=amount, counterparty=to)
+             for amount, to in ((10, "r1"), (20, "r2"), (30, "r3"))]
+    for i, send in enumerate(sends):
+        _apply(ledger, send, now=1.0 + i)
+    assert ledger.rep_weight == {"r1": 100, "r2": 250, "r3": 640}
+
+    def vote(rep, send):
+        return make_vote(identity_for(rep), fork_point, send.digest(),
+                         ledger.representative_weight(rep))
+
+    for rep, send in (("r1", sends[0]), ("r2", sends[1])):
+        assert ledger.add_vote(vote(rep, send), 5.0).resolutions == []  # under quorum
+    (res,) = ledger.add_vote(vote("r3", sends[2]), 6.0).resolutions
+    assert res.winner == sends[2].digest()
+    assert (res.winner_weight, res.runner_up) == (640, 250)
+    assert res.discarded == (sends[0].digest(),)
+    assert ledger.accounts["a"].head == sends[2].digest()
+
+
+def test_resolution_for_a_winner_that_no_longer_applies():
+    ledger = _ledger()
+    fork_point, s1, _ = _conflicting_sends(ledger)
+    overspend = build_block(identity_for("a"), fork_point, BlockKind.SEND,
+                            amount=1_000, counterparty="w8")
+    _apply(ledger, s1)
+    assert _apply(ledger, overspend, now=2.0).status is OutcomeStatus.CONFLICT
+    out = ledger.add_vote(
+        make_vote(identity_for("w8"), fork_point, overspend.digest(), 790), 3.0)
+    (res,) = out.resolutions
+    assert not res.winner_applied
+    assert (res.winner, res.discarded) == (overspend.digest(), (s1.digest(),))
+    assert (res.winner_weight, res.runner_up) == (790, 0)
+    assert out.applied == []
+    assert ledger.accounts["a"].head == fork_point
+    assert ledger.conflicts[("a", fork_point)].resolved == overspend.digest()
+    assert ledger.balance("a") == 100
+
+
 def test_resolve_fork_tally_rules():
     c1, c2 = b"\x01" * 32, b"\x02" * 32
     mk = lambda rep, choice, w: make_vote(identity_for(rep), b"\x00" * 32, choice, w)
@@ -418,6 +495,30 @@ def test_rep_change_moves_delegated_weight():
     assert ledger.recompute_weights() == {"w8": 700, "w2": 300}
     with pytest.raises(NotFoundError):
         ledger.create_rep_change("a", "nobody")
+
+
+def test_rep_change_on_a_losing_branch_rolls_back():
+    ledger = _ledger()
+    fork_point = ledger.accounts["a"].head
+    change = ledger.create_rep_change("a", "w2")
+    _apply(ledger, change)
+    later = ledger.create_send("a", "w8", 30)
+    _apply(ledger, later, now=2.0)
+    assert ledger.accounts["a"].representative == "w2"
+    assert ledger.rep_weight == {"w8": 700, "w2": 270}
+
+    rival = build_block(identity_for("a"), fork_point, BlockKind.SEND,
+                        amount=20, counterparty="w8")
+    assert _apply(ledger, rival, now=3.0).status is OutcomeStatus.CONFLICT
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, rival.digest(), 700), 4.0)
+    (res,) = out.resolutions
+    assert res.discarded == (later.digest(), change.digest())
+
+    # the prior representative is back, with the balance the rival left
+    assert ledger.accounts["a"].representative == "w8"
+    assert ledger.rep_weight == ledger.recompute_weights() == {"w8": 780, "w2": 200}
+    assert ledger.audit_totals() == (ledger.total_balance, ledger.total_pending) == (980, 20)
+    assert ledger.recount_bytes() == ledger.ledger_bytes()
 
 
 # -- cementing --------------------------------------------------------------

@@ -64,6 +64,20 @@ def test_fork_stress_injects_and_resolves():
         assert winner_w > runner_up
 
 
+def test_recorded_resolution_weights_match_a_fresh_tally():
+    result = run(preset_config("fork-stress"), seed=1)
+    resolved = result.recorder.conflicts_resolved
+    assert resolved
+    for _now, node, account, subject, winner, winner_w, runner_up in resolved:
+        conflict = result.nodes[node].ledger.conflicts[(account, subject)]
+        tally = {c: 0 for c in conflict.candidates}
+        for vote in conflict.votes.values():
+            if vote.choice in tally:
+                tally[vote.choice] += vote.weight
+        others = [w for c, w in tally.items() if c != winner]
+        assert (winner_w, runner_up) == (tally[winner], max(others, default=0))
+
+
 def test_partitioned_chain_still_audits_clean():
     cfg = preset_config("partition-stress")
     result = run(cfg, seed=6)

@@ -83,7 +83,7 @@ def test_scheduling_into_the_past_is_an_error():
     sim.set_timer(0, 1.0, b"tick")
     sim.run(10.0)
     with pytest.raises(SchedulingError):
-        sim.scheduler.schedule(0.5, SimEventKind.TIMER, 0, b"stale")
+        sim.schedule(0.5, SimEventKind.TIMER, 0, b"stale")
 
 
 def test_send_applies_base_latency():
