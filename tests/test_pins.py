@@ -39,6 +39,23 @@ PINS = {
         "62ed1c854e33c177bd133c47b2f3b756023476feb77eef6bc8b273c00e571400"),
 }
 
+# Chain paths no preset runs: grind-mode mining and a miner with zero hash
+# rate. (preset, overrides) -> (trace digest, sha256 of the rendered report)
+VARIANT_PINS = {
+    ("bitcoin-baseline", ("pow.mode=grind", "scenario.horizon_s=120")): (
+        "9de5f7babf2a523789a820119e5c9e8a94c0aae58e03d6d3371b24bedb4c0dda",
+        "a69e721a8d0f63975d0a62ce92293817158c5aeeee37c84ca6985d9476d70442"),
+    ("bitcoin-baseline", ("chain.hash_rates=1,0,2", "scenario.horizon_s=120")): (
+        "5f3d08a942e48f0e15f9ff7fc0cffacf9b90c354cc9a158d2e78881129f2f437",
+        "670237534b748e7cd8a504116f4ef5d93fe94ec32ef4d865db44fae648e09b6a"),
+}
+
+
+def _trace_and_report_sha(cfg):
+    result = run(cfg, 1)
+    text = render_report(build_report(result, cfg["scenario.horizon_s"]))
+    return result.trace, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def test_every_preset_is_pinned():
     assert sorted(PINS) == sorted(PRESETS)
@@ -46,10 +63,12 @@ def test_every_preset_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_preset_seed_one_matches_pin(name):
-    cfg = preset_config(name)
-    horizon = cfg["scenario.horizon_s"]
-    result = run(cfg, 1)
-    text = render_report(build_report(result, horizon))
-    trace, report_sha256 = PINS[name]
-    assert result.trace == trace
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == report_sha256
+    assert _trace_and_report_sha(preset_config(name)) == PINS[name]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_PINS),
+                         ids=lambda v: ",".join(v[1]))
+def test_variant_seed_one_matches_pin(variant):
+    name, overrides = variant
+    cfg = preset_config(name, list(overrides))
+    assert _trace_and_report_sha(cfg) == VARIANT_PINS[variant]
