@@ -4,7 +4,10 @@ One global chain of blocks, each holding signed transactions. Design points:
 
 * account/balance model with per-sender strictly increasing sequence numbers
   (replay protection); no UTXO set
-* block capacity in abstract weight units, enforced at assembly
+* block capacity in abstract weight units: assembly packs to it, validation
+  rejects a block over it
+* one transaction rule, `ChainState.apply_tx`, shared by assembly and
+  validation
 * two Merkle commitments per header: transaction root and state root
 * per-block state deltas so state at any recent block can be reached by
   reversing/applying deltas from the materialized head state
@@ -33,7 +36,6 @@ from .primitives import (
     WireObject,
     digest,
     merkle_root,
-    sign,
     verify,
 )
 
@@ -104,12 +106,11 @@ def make_transaction(sender: Identity, recipient: str, amount: int,
         raise ValueError("transaction amount must be positive")
     if weight <= 0:
         raise ValueError("transaction weight must be positive")
-    unsigned = ChainTransaction(
+    return ChainTransaction(
         sender=sender.id, recipient=recipient, amount=amount,
         sequence=sequence, weight=weight,
         signature=Signature(sender.id, ZERO_DIGEST, ZERO_DIGEST),
-    )
-    return replace(unsigned, signature=sign(sender, unsigned.signing_digest()))
+    ).signed_by(sender)
 
 
 def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
@@ -178,6 +179,17 @@ class Block:
 # ---------------------------------------------------------------------------
 # State and deltas
 
+class Verdict(enum.Enum):
+    ACCEPT = "accept"
+    BAD_PROOF = "bad-proof"
+    UNKNOWN_PARENT = "unknown-parent"
+    BAD_ROOT = "bad-root"
+    DOUBLE_SPEND = "double-spend"
+    BAD_SIGNATURE = "bad-signature"
+    BAD_SEQUENCE = "bad-sequence"
+    OVER_CAPACITY = "over-capacity"
+
+
 @dataclass
 class ChainState:
     """Balances plus per-account last-used sequence numbers."""
@@ -201,6 +213,26 @@ class ChainState:
 
     def sequence(self, account: str) -> int:
         return self.sequences.get(account, 0)
+
+    def apply_tx(self, tx: ChainTransaction) -> Optional[tuple[Verdict, str]]:
+        """The transaction rule: apply `tx`, or return why it is refused.
+
+        A transaction needs a positive amount and weight, a sequence above
+        its sender's last, and a balance that covers the amount.
+        """
+        if tx.amount <= 0:
+            return Verdict.DOUBLE_SPEND, "non-positive amount"
+        if tx.weight <= 0:
+            return Verdict.OVER_CAPACITY, "non-positive weight"
+        if tx.sequence <= self.sequence(tx.sender):
+            return Verdict.BAD_SEQUENCE, f"{tx.sender} reused sequence {tx.sequence}"
+        balance = self.balance(tx.sender)
+        if balance < tx.amount:
+            return Verdict.DOUBLE_SPEND, f"{tx.sender} overspends by {tx.amount - balance}"
+        self.balances[tx.sender] = balance - tx.amount
+        self.balances[tx.recipient] = self.balance(tx.recipient) + tx.amount
+        self.sequences[tx.sender] = tx.sequence
+        return None
 
 
 @dataclass(frozen=True)
@@ -253,16 +285,6 @@ class StateDelta:
 # ---------------------------------------------------------------------------
 # Validation
 
-class Verdict(enum.Enum):
-    ACCEPT = "accept"
-    BAD_PROOF = "bad-proof"
-    UNKNOWN_PARENT = "unknown-parent"
-    BAD_ROOT = "bad-root"
-    DOUBLE_SPEND = "double-spend"
-    BAD_SIGNATURE = "bad-signature"
-    BAD_SEQUENCE = "bad-sequence"
-
-
 @dataclass
 class ValidationResult:
     verdict: Verdict
@@ -308,12 +330,16 @@ class PosProof(ProofRule):
         self.run_seed = run_seed
         self.slot_interval_s = slot_interval_s
 
+    def leader(self, slot: int) -> str:
+        """The validator drawn to produce the block of this slot."""
+        return pos_select(self.registry, self.run_seed, slot)
+
     def check(self, store: "ChainStore", block: Block) -> tuple[bool, str]:
         ts = block.header.timestamp
         slot = round(ts / self.slot_interval_s)
         if abs(slot * self.slot_interval_s - ts) > 1e-9:
             return False, "timestamp off the slot grid"
-        expected = pos_select(self.registry, self.run_seed, slot)
+        expected = self.leader(slot)
         if block.header.producer != expected:
             return False, f"slot {slot} belongs to {expected}"
         return True, ""
@@ -327,7 +353,6 @@ class StoredBlock:
     header: BlockHeader
     transactions: Optional[tuple[ChainTransaction, ...]]
     schedule: DifficultySchedule  # difficulty applying to this block's children
-    arrival: int
 
     @property
     def height(self) -> int:
@@ -363,10 +388,11 @@ class ChainStore:
     """All blocks a node holds, plus the adopted branch and its state."""
 
     def __init__(self, genesis_allocation: dict[str, int], block_reward: int,
-                 proof_rule: ProofRule | None = None,
+                 capacity: int, proof_rule: ProofRule | None = None,
                  schedule: DifficultySchedule | None = None,
                  reorg_safety: int = MIN_KEEP_RECENT):
         self.block_reward = block_reward
+        self.capacity = capacity  # most transaction weight one block may hold
         self.proof_rule = proof_rule or LotteryProof()
         self.reorg_safety = reorg_safety
         self.genesis_allocation = dict(genesis_allocation)
@@ -386,9 +412,8 @@ class ChainStore:
         )
         self.genesis_digest = header.digest()
 
-        self._arrival = 0
         self.blocks: dict[bytes, StoredBlock] = {
-            self.genesis_digest: StoredBlock(header, (), schedule, 0)
+            self.genesis_digest: StoredBlock(header, (), schedule)
         }
         self.deltas: dict[bytes, StateDelta] = {}
         self.tx_blocks: dict[bytes, list[bytes]] = {}
@@ -502,47 +527,41 @@ class ChainStore:
         if merkle_root(tx_digests) != header.tx_root:
             return ValidationResult(Verdict.BAD_ROOT, "transaction root mismatch")
 
+        weight = sum(t.weight for t in block.transactions)
+        if weight > self.capacity:
+            return ValidationResult(
+                Verdict.OVER_CAPACITY, f"weight {weight} over capacity {self.capacity}")
+
         for tx in block.transactions:
             if not tx.verify_signature():
                 return ValidationResult(
                     Verdict.BAD_SIGNATURE, f"bad signature from {tx.sender}")
 
         state = self.state_at(header.predecessor)
-        changes: dict[str, AccountChange] = {}
+        # (balance, sequence, existed) of each touched account before the block
+        before: dict[str, tuple[int, int, bool]] = {}
 
         def touch(account: str) -> None:
-            if account not in changes:
-                changes[account] = AccountChange(
-                    state.balance(account), 0, state.sequence(account), 0,
-                    existed_before=account in state.balances)
+            if account not in before:
+                before[account] = (state.balance(account), state.sequence(account),
+                                   account in state.balances)
 
         for tx in block.transactions:
-            if tx.amount <= 0:
-                return ValidationResult(Verdict.DOUBLE_SPEND, "non-positive amount")
-            if tx.sequence <= state.sequence(tx.sender):
-                return ValidationResult(
-                    Verdict.BAD_SEQUENCE,
-                    f"{tx.sender} reused sequence {tx.sequence}")
-            if state.balance(tx.sender) < tx.amount:
-                return ValidationResult(
-                    Verdict.DOUBLE_SPEND,
-                    f"{tx.sender} overspends by {tx.amount - state.balance(tx.sender)}")
             touch(tx.sender)
             touch(tx.recipient)
-            state.balances[tx.sender] = state.balance(tx.sender) - tx.amount
-            state.balances[tx.recipient] = state.balance(tx.recipient) + tx.amount
-            state.sequences[tx.sender] = tx.sequence
+            refused = state.apply_tx(tx)
+            if refused is not None:
+                return ValidationResult(*refused)
 
         if self.block_reward:
             touch(header.producer)
             state.balances[header.producer] = state.balance(header.producer) + self.block_reward
 
-        for account in changes:
-            ch = changes[account]
-            changes[account] = AccountChange(
-                ch.balance_before, state.balance(account),
-                ch.sequence_before, state.sequence(account),
-                existed_before=ch.existed_before)
+        changes = {
+            account: AccountChange(balance, state.balance(account),
+                                   sequence, state.sequence(account),
+                                   existed_before=existed)
+            for account, (balance, sequence, existed) in before.items()}
 
         if state.root() != header.state_root:
             return ValidationResult(Verdict.BAD_ROOT, "state root mismatch")
@@ -561,8 +580,7 @@ class ChainStore:
                 schedule: DifficultySchedule,
                 delta: Optional[StateDelta]) -> StoredBlock:
         """Store one block and count its bytes; None marks a header-only entry."""
-        self._arrival += 1
-        sb = StoredBlock(header, transactions, schedule, self._arrival)
+        sb = StoredBlock(header, transactions, schedule)
         self.blocks[d] = sb
         self._bytes["chain_headers"] += len(header.encode())
         if delta is not None:
@@ -697,34 +715,26 @@ class ChainStore:
 # Assembly
 
 def assemble_block(store: ChainStore, parent_digest: bytes,
-                   mempool: Iterable[ChainTransaction], capacity: int,
+                   mempool: Iterable[ChainTransaction],
                    producer: str, timestamp: float) -> Block:
-    """Greedy packing in mempool order until capacity is exhausted.
+    """Greedy packing in mempool order until the store's capacity is used.
 
-    Transactions that do not fit (or no longer apply against the evolving
-    block state) are skipped; later ones are still considered. The produced
-    header carries nonce 0; grind mining fills it in afterwards.
+    Transactions that do not fit, or that the transaction rule refuses
+    against the evolving block state, are skipped; later ones are still
+    considered. The produced header carries nonce 0; grind mining fills it
+    in afterwards.
     """
     parent = store.blocks.get(parent_digest)
     if parent is None:
         raise OrphanParentError("cannot assemble on an unknown parent")
     state = store.state_at(parent_digest)
     chosen: list[ChainTransaction] = []
-    used = 0
+    room = store.capacity
     for tx in mempool:
-        if used + tx.weight > capacity:
-            continue
-        if tx.amount <= 0 or tx.weight <= 0:
-            continue
-        if tx.sequence <= state.sequence(tx.sender):
-            continue
-        if state.balance(tx.sender) < tx.amount:
+        if tx.weight > room or state.apply_tx(tx) is not None:
             continue
         chosen.append(tx)
-        used += tx.weight
-        state.balances[tx.sender] -= tx.amount
-        state.balances[tx.recipient] = state.balance(tx.recipient) + tx.amount
-        state.sequences[tx.sender] = tx.sequence
+        room -= tx.weight
     if store.block_reward:
         state.balances[producer] = state.balance(producer) + store.block_reward
     header = BlockHeader(
@@ -748,52 +758,36 @@ def fast_sync(source: ChainStore,
 
     Headers come over for the whole adopted chain; state is materialized at
     pivot = head - pivot_offset and blocks from there on are fully replayed.
-    A source shorter than the offset falls back to full replay. The resulting
-    head state root must equal the source's, else SyncError.
+    A source no longer than the offset has its pivot at genesis, so every
+    block is replayed. The resulting head state root must equal the
+    source's, else SyncError.
     """
     chain = source.adopted_chain()
-    head_height = source.head_height
+    pivot_height = max(source.head_height - pivot_offset, 0)
 
-    genesis_sb = source.blocks[source.genesis_digest]
     fresh = ChainStore(
         genesis_allocation=source.genesis_allocation,
         block_reward=source.block_reward,
+        capacity=source.capacity,
         proof_rule=source.proof_rule,
-        schedule=genesis_sb.schedule,
+        schedule=source.blocks[source.genesis_digest].schedule,
         reorg_safety=source.reorg_safety,
     )
     if fresh.genesis_digest != source.genesis_digest:
         raise SyncError("genesis reconstruction mismatch")
-
-    if head_height <= pivot_offset:
-        # short chain: replay everything
-        if source.first_full_block_height > 0:
-            raise SyncError("source pruned below pivot; full replay impossible")
-        for d in chain[1:]:
-            block = source.reconstruct_block(d)
-            res = fresh.validate_block(block)
-            if not res.ok:
-                raise SyncError(f"replayed block failed: {res.verdict.value}")
-            fresh.adopt(block, res)
-        _check_synced_root(fresh, source)
-        return fresh
-
-    pivot_height = head_height - pivot_offset
     if source.first_full_block_height > pivot_height:
         raise SyncError("source pruned above the pivot")
-    pivot_digest = chain[pivot_height]
-    pivot_state = source.state_at(pivot_digest)
 
-    # install headers up to the pivot without bodies or deltas
-    for d in chain[1:pivot_height + 1]:
-        src = source.blocks[d]
-        fresh._insert(d, src.header, None, src.schedule, None)
-        fresh.adopted[d] = src.height
-    fresh.adopted_head = pivot_digest
-    fresh.head_state = pivot_state.copy()
-    fresh.first_full_block_height = pivot_height
+    if pivot_height > 0:
+        # install headers up to the pivot without bodies or deltas
+        for d in chain[1:pivot_height + 1]:
+            src = source.blocks[d]
+            fresh._insert(d, src.header, None, src.schedule, None)
+            fresh.adopted[d] = src.height
+        fresh.adopted_head = chain[pivot_height]
+        fresh.head_state = source.state_at(fresh.adopted_head)
+        fresh.first_full_block_height = pivot_height
 
-    # replay the full blocks from the pivot on
     for d in chain[pivot_height + 1:]:
         block = source.reconstruct_block(d)
         res = fresh.validate_block(block)
@@ -801,12 +795,8 @@ def fast_sync(source: ChainStore,
             raise SyncError(f"replayed block failed: {res.verdict.value} {res.detail}")
         fresh.adopt(block, res)
 
-    _check_synced_root(fresh, source)
-    return fresh
-
-
-def _check_synced_root(fresh: ChainStore, source: ChainStore) -> None:
     if fresh.adopted_head != source.adopted_head:
         raise SyncError("synced head diverges from source")
     if fresh.head_state.root() != source.head_state.root():
         raise SyncError("synced state root diverges from source")
+    return fresh

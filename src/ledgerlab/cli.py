@@ -241,13 +241,7 @@ def main(argv=None) -> int:
         if args.verb == "inspect":
             return _cmd_inspect(args)
         return _cmd_compare(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LedgerError as exc:
+    except (UsageError, LedgerError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

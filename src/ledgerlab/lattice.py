@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import codec
@@ -34,7 +34,6 @@ from .primitives import (
     WireObject,
     digest,
     identity_for,
-    sign,
     verify,
 )
 
@@ -151,7 +150,7 @@ def build_block(identity: Identity, predecessor: bytes, kind: BlockKind,
         signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST))
     sd = unsigned.signing_digest()
     nonce = antispam_pow(sd, spam_bits, counter) if spam_bits > 0 else 0
-    return replace(unsigned, antispam_nonce=nonce, signature=sign(identity, sd))
+    return unsigned.signed_by(identity, antispam_nonce=nonce)
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,10 @@ class VoteRecord(WireObject):
 
 
 def make_vote(identity: Identity, subject: bytes, choice: bytes, weight: int) -> VoteRecord:
-    unsigned = VoteRecord(representative=identity.id, subject=subject,
-                          choice=choice, weight=weight,
-                          signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST))
-    return replace(unsigned, signature=sign(identity, unsigned.signing_digest()))
+    return VoteRecord(representative=identity.id, subject=subject,
+                      choice=choice, weight=weight,
+                      signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST),
+                      ).signed_by(identity)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,6 @@ class Conflict:
     subject: bytes
     candidates: dict[bytes, LatticeBlock]
     votes: dict[str, VoteRecord]  # one choice per representative
-    opened_at: float
     resolved: Optional[bytes] = None
 
 
@@ -594,7 +592,7 @@ class LatticeLedger:
             incumbent = chain.successor_of(block.predecessor)
             if incumbent is not None and self.cement_eligible(incumbent, now):
                 return OutcomeStatus.REJECTED, verdict, "incumbent block is cemented", []
-            self._open_conflict(block, incumbent, now, outcome)
+            self._open_conflict(block, incumbent, outcome)
             return (OutcomeStatus.CONFLICT, verdict, detail,
                     self._try_resolve(key, now, outcome))
 
@@ -657,12 +655,12 @@ class LatticeLedger:
             self._drain(self._try_resolve(key, now, outcome), now, outcome)
 
     def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: Optional[bytes],
-                       now: float, outcome: Outcome) -> None:
+                       outcome: Outcome) -> None:
         key = (newcomer.account, newcomer.predecessor)
         conflict = self.conflicts.get(key)
         if conflict is None:
             conflict = Conflict(account=newcomer.account, subject=newcomer.predecessor,
-                                candidates={}, votes={}, opened_at=now)
+                                candidates={}, votes={})
             self.conflicts[key] = conflict
             outcome.conflicts_opened.append(key)
         if incumbent_digest is not None and incumbent_digest not in conflict.candidates:

@@ -84,15 +84,9 @@ def summarize(values: list[float]) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Chain measurements
 
-def _require_chain(result: RunResult) -> ChainNode:
-    if result.config.paradigm != "chain":
-        raise WrongParadigmError(
-            f"{result.scenario_id} is a {result.config.paradigm} scenario")
-    return result.nodes[OBSERVER]
-
-
-def _require_lattice(result: RunResult) -> LatticeNode:
-    if result.config.paradigm != "lattice":
+def _observer(result: RunResult, paradigm: str):
+    """The observer node of a run, which must be of the given paradigm."""
+    if result.config.paradigm != paradigm:
         raise WrongParadigmError(
             f"{result.scenario_id} is a {result.config.paradigm} scenario")
     return result.nodes[OBSERVER]
@@ -100,7 +94,7 @@ def _require_lattice(result: RunResult) -> LatticeNode:
 
 def measure_orphan_rate(result: RunResult) -> float:
     """Mined blocks absent from the observer's final adopted chain."""
-    observer = _require_chain(result)
+    observer = _observer(result, "chain")
     mined = {rec[2] for rec in result.recorder.blocks_mined}
     if not mined:
         return 0.0
@@ -110,7 +104,7 @@ def measure_orphan_rate(result: RunResult) -> float:
 
 def measured_tps(result: RunResult, horizon_s: float) -> float:
     """Transactions on the observer's final adopted chain, per second."""
-    observer = _require_chain(result)
+    observer = _observer(result, "chain")
     store = observer.store
     total = 0
     for d in store.adopted_chain():
@@ -201,7 +195,7 @@ def survival_curve(results: list[RunResult],
 
 def heads_in_agreement(result: RunResult) -> int:
     """How many nodes share the observer's adopted head."""
-    observer = _require_chain(result)
+    observer = _observer(result, "chain")
     head = observer.store.adopted_head
     return sum(1 for n in result.nodes.values()
                if isinstance(n, ChainNode) and n.store.adopted_head == head)
@@ -212,7 +206,7 @@ def heads_in_agreement(result: RunResult) -> int:
 
 def measure_settlement_latency(result: RunResult) -> tuple[MetricSeries, list[bytes]]:
     """Send creation to receive adoption at the observer; unsettled listed apart."""
-    _require_lattice(result)
+    _observer(result, "lattice")
     recorder = result.recorder
     created_at: dict[bytes, float] = {}
     for now, _node, send_digest, _acct, _rcpt, _amt in recorder.sends_created:
@@ -230,7 +224,7 @@ def measure_settlement_latency(result: RunResult) -> tuple[MetricSeries, list[by
 
 
 def settled_tps(result: RunResult, horizon_s: float) -> float:
-    _require_lattice(result)
+    _observer(result, "lattice")
     seen: set[bytes] = set()
     for _now, node, send_digest, _rd in result.recorder.receives_applied:
         if node == OBSERVER:
@@ -240,7 +234,7 @@ def settled_tps(result: RunResult, horizon_s: float) -> float:
 
 def conflict_outcomes(result: RunResult) -> dict[tuple, dict[int, tuple]]:
     """(account, subject) -> per-node (winner, winner_weight, runner_up)."""
-    _require_lattice(result)
+    _observer(result, "lattice")
     out: dict[tuple, dict[int, tuple]] = {}
     for rec in result.recorder.conflicts_resolved:
         now, node, account, subject, winner, winner_weight, runner_up = rec

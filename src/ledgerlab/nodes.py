@@ -19,6 +19,8 @@ from .blockchain import (
     Block,
     ChainStore,
     ChainTransaction,
+    GrindProof,
+    PosProof,
     Verdict,
     assemble_block,
     make_transaction,
@@ -35,7 +37,7 @@ from .lattice import (
     VoteRecord,
     make_vote,
 )
-from .leader_election import WorkCounter, mine, pos_select
+from .leader_election import WorkCounter, mine
 from .primitives import identity_for
 from .recording import RunRecorder
 from .simnet import SimEventKind, Simulation, derive_rng
@@ -63,24 +65,23 @@ def _lattice_block_msg(sender: int, block: LatticeBlock,
 
 
 class ChainNode:
-    """A blockchain full node, optionally mining or validating."""
+    """A blockchain full node, optionally producing blocks.
+
+    The store's proof rule names the consensus flavour: a `PosProof` node
+    with a producer id produces in the slots drawn for it; otherwise a node
+    with a positive hash rate mines, by literal nonce search under a
+    `GrindProof` and by an exponential lottery draw under a `LotteryProof`.
+    """
 
     def __init__(self, node_id: int, store: ChainStore, recorder: RunRecorder,
-                 run_seed: int, capacity: int, producer_id: str,
-                 mode: str = "lottery", hash_rate: float = 0.0,
-                 pos_registry=None, pos_slot_interval: float = 1.0,
+                 run_seed: int, producer_id: str, hash_rate: float = 0.0,
                  sample_ledger: bool = False):
         self.node_id = node_id
         self.store = store
         self.recorder = recorder
-        self.capacity = capacity
         self.producer_id = producer_id
-        self.mode = mode
         self.hash_rate = hash_rate
-        self.pos_registry = pos_registry
-        self.pos_slot_interval = pos_slot_interval
         self.sample_ledger = sample_ledger
-        self.run_seed = run_seed
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
         self.mempool: dict[bytes, ChainTransaction] = {}
         # stale-check work lists: (sequence, digest) of every pooled
@@ -98,17 +99,20 @@ class ChainNode:
     # -- mining -------------------------------------------------------------
 
     def start(self, sim: Simulation) -> None:
-        if self.mode == "pos":
-            self._schedule_slot(sim, 1)
+        if isinstance(self.store.proof_rule, PosProof):
+            if self.producer_id:
+                self._schedule_slot(sim, 1)
         else:
             self._schedule_mining(sim)
 
     def _schedule_mining(self, sim: Simulation) -> None:
         """Start a work attempt on the adopted head; non-miners do nothing."""
-        if self.mode == "lottery" and self.hash_rate > 0:
-            self._schedule_lottery(sim)
-        elif self.mode == "grind" and self.hash_rate > 0:
+        if self.hash_rate <= 0:
+            return
+        if isinstance(self.store.proof_rule, GrindProof):
             self._schedule_grind(sim)
+        else:
+            self._schedule_lottery(sim)
 
     def _head_difficulty(self) -> float:
         return self.store.blocks[self.store.adopted_head].schedule.difficulty
@@ -134,7 +138,7 @@ class ChainNode:
         sim.set_timer(self.node_id, duration, payload)
 
     def _schedule_slot(self, sim: Simulation, slot: int) -> None:
-        at = slot * self.pos_slot_interval
+        at = slot * self.store.proof_rule.slot_interval_s
         if at < sim.now:
             return
         payload = codec.enc_u8(TIMER_POS_SLOT) + codec.enc_u64(slot)
@@ -147,7 +151,7 @@ class ChainNode:
             parent = r.digest()
             if parent != self.store.adopted_head:
                 return  # the chain moved on while this attempt was running
-            if self.mode == "grind":
+            if isinstance(self.store.proof_rule, GrindProof):
                 block = self._pending_grind
                 self._pending_grind = None
             else:
@@ -155,15 +159,13 @@ class ChainNode:
             self._produce(sim, now, block)
         elif tag == TIMER_POS_SLOT:
             slot = r.u64()
-            leader = pos_select(self.pos_registry, self.run_seed, slot)
-            if leader == self.producer_id:
-                self._produce(sim, now, self._assemble(leader, now))
+            if self.store.proof_rule.leader(slot) == self.producer_id:
+                self._produce(sim, now, self._assemble(self.producer_id, now))
             self._schedule_slot(sim, slot + 1)
 
     def _assemble(self, producer: str, now: float) -> Block:
         return assemble_block(self.store, self.store.adopted_head,
-                              list(self.mempool.values()),
-                              self.capacity, producer, now)
+                              list(self.mempool.values()), producer, now)
 
     def _produce(self, sim: Simulation, now: float, block: Block) -> None:
         """Record a block made here, adopt it, then broadcast it."""
@@ -318,7 +320,6 @@ class LatticeNode:
         self.node_id = node_id
         self.ledger = ledger
         self.recorder = recorder
-        self.hosted_accounts = hosted_accounts
         self.hosted_set = set(hosted_accounts)
         self.representative_accounts = representative_accounts
         self.offline_accounts = offline_accounts
@@ -472,7 +473,6 @@ class ChainTxDriver:
         self.max_amount = max_amount
         self.rng = derive_rng(run_seed, "driver/chain-tx")
         self.next_sequence = {s: 1 for s in senders}
-        self.created = 0
 
     def start(self, sim: Simulation) -> None:
         if self.rate_per_s > 0:
@@ -490,7 +490,6 @@ class ChainTxDriver:
                               self.tx_weight)
         entry = self.entry_nodes[self.rng.randrange(len(self.entry_nodes))]
         sim.nodes[entry].submit_transaction(sim, tx)
-        self.created += 1
         sim.schedule_command(self.rng.expovariate(self.rate_per_s),
                              bytes([CMD_CHAIN_TX]))
 
@@ -509,7 +508,6 @@ class LatticeSendDriver:
         self.rate_per_s = rate_per_s
         self.max_amount = max_amount
         self.rng = derive_rng(run_seed, "driver/lattice-send")
-        self.created = 0
 
     def start(self, sim: Simulation) -> None:
         if self.rate_per_s > 0:
@@ -531,7 +529,6 @@ class LatticeSendDriver:
             self.recorder.send_created(now, node.node_id, block.digest(),
                                        sender, recipient, amount)
             node.submit_block(sim, now, block)
-            self.created += 1
         sim.schedule_command(self.rng.expovariate(self.rate_per_s),
                              bytes([CMD_LATTICE_SEND]))
 
@@ -551,7 +548,6 @@ class ForkInjectionDriver:
         self.max_amount = max_amount
         self.stop_after_s = stop_after_s
         self.rng = derive_rng(run_seed, "driver/fork-inject")
-        self.injected = 0
 
     def start(self, sim: Simulation) -> None:
         sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
@@ -578,7 +574,6 @@ class ForkInjectionDriver:
             sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
             return
         self.recorder.conflict_injected(now, head, a.digest(), b.digest())
-        self.injected += 1
         # split delivery: half the network hears one spend first
         targets = sorted(sim.nodes)
         half = len(targets) // 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import codec
@@ -75,9 +75,10 @@ def merkle_root(leaves: list[bytes]) -> bytes:
 class WireObject:
     """Base of the ledger's wire types: each digest and length computed once.
 
-    A subclass defines `encode()` and, if it is signed, `signing_payload()`.
-    The caches fill on first use; a subclass's `decode` may fill them from
-    the bytes it consumed, and `dataclasses.replace` starts a copy empty.
+    A subclass defines `encode()` and, if it is signed, `signing_payload()`
+    and a `signature` field. The caches fill on first use; a subclass's
+    `decode` may fill them from the bytes it consumed, and
+    `dataclasses.replace` starts a copy empty.
     """
 
     _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
@@ -90,6 +91,17 @@ class WireObject:
             sd = digest(self.signing_payload())
             object.__setattr__(self, "_sd", sd)
         return sd
+
+    def signed_by(self, identity: "Identity", **changes):
+        """A copy signed by `identity` that keeps this one's signing digest.
+
+        `changes` may set only fields outside the signing payload, such as
+        a nonce, so the digest signed here is the copy's own.
+        """
+        sd = self.signing_digest()
+        signed = replace(self, signature=sign(identity, sd), **changes)
+        object.__setattr__(signed, "_sd", sd)
+        return signed
 
     def digest(self) -> bytes:
         d = self._digest

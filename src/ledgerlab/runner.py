@@ -65,20 +65,21 @@ def _build_chain(cfg: Config, seed: int,
                  recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
     miners = cfg["chain.miners"]
-    consensus = cfg["chain.consensus"]
-    mode = cfg["pow.mode"] if consensus == "pow" else "pos"
-    interval = (cfg["pos.slot_interval_s"] if consensus == "pos"
-                else cfg["pow.target_interval_s"])
-    rates = list(cfg["chain.hash_rates"]) or [1.0] * miners
-
     genesis = {name: cfg["chain.genesis_amount"]
                for name in account_names(cfg["chain.accounts"])}
 
-    registry = None
-    if consensus == "pos":
-        stakes = cfg["pos.stakes"]
+    # one proof rule names the flavour; stateless, so every store shares it
+    if cfg["chain.consensus"] == "pos":
+        interval = cfg["pos.slot_interval_s"]
         registry = StakeRegistry(
-            deposits={f"val-{i}": s for i, s in enumerate(stakes)})
+            deposits={f"val-{i}": s for i, s in enumerate(cfg["pos.stakes"])})
+        rule = PosProof(registry, seed, interval)
+        producers, rates = list(registry.deposits), []
+    else:
+        interval = cfg["pow.target_interval_s"]
+        rule = GrindProof() if cfg["pow.mode"] == "grind" else LotteryProof()
+        producers = [f"miner-{i}" for i in range(miners)]
+        rates = list(cfg["chain.hash_rates"]) or [1.0] * miners
 
     schedule = DifficultySchedule(
         target_interval_s=interval,
@@ -86,35 +87,17 @@ def _build_chain(cfg: Config, seed: int,
         difficulty=float(2 ** cfg["pow.difficulty_bits"]),
     )
 
-    def proof_rule():
-        if consensus == "pos":
-            return PosProof(registry, seed, cfg["pos.slot_interval_s"])
-        if mode == "grind":
-            return GrindProof()
-        return LotteryProof()
-
     nodes: dict[int, ChainNode] = {}
     for i in range(n):
         store = ChainStore(genesis, cfg["chain.block_reward"],
-                           proof_rule=proof_rule(), schedule=schedule,
+                           cfg["chain.capacity_units"], proof_rule=rule,
+                           schedule=schedule,
                            reorg_safety=cfg["chain.reorg_safety"])
-        if consensus == "pos":
-            hosts_validator = i < len(registry.deposits)
-            nodes[i] = ChainNode(
-                i, store, recorder, seed, cfg["chain.capacity_units"],
-                producer_id=f"val-{i}" if hosts_validator else "",
-                mode="pos" if hosts_validator else "lottery",
-                hash_rate=0.0, pos_registry=registry,
-                pos_slot_interval=cfg["pos.slot_interval_s"],
-                sample_ledger=(i == 0))
-        else:
-            mining = i < miners
-            nodes[i] = ChainNode(
-                i, store, recorder, seed, cfg["chain.capacity_units"],
-                producer_id=f"miner-{i}" if mining else "",
-                mode=mode,
-                hash_rate=rates[i] if mining else 0.0,
-                sample_ledger=(i == 0))
+        nodes[i] = ChainNode(
+            i, store, recorder, seed,
+            producer_id=producers[i] if i < len(producers) else "",
+            hash_rate=rates[i] if i < len(rates) else 0.0,
+            sample_ledger=(i == 0))
 
     drivers = {
         CMD_CHAIN_TX: ChainTxDriver(

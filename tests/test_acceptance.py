@@ -130,10 +130,12 @@ def test_criterion_03_confirmation_confidence():
     assert all(r.breach is None for r in results)
 
     six = measure_confirmation_survival(results, depth=6)
+    assert six.depth == 6
     assert six.observations >= 1000, six.observations
     assert six.estimate >= 0.999, six.estimate
 
     curve = survival_curve(results, max_depth=8)
+    assert [point.depth for point in curve] == list(range(1, 9))
     for shallow, deep in zip(curve, curve[1:]):
         slack = shallow.std_error + deep.std_error
         assert deep.estimate >= shallow.estimate - slack, (shallow, deep)
@@ -252,6 +254,7 @@ def _fresh_store():
     return ChainStore(
         genesis_allocation={"alice": 1000, "bob": 500},
         block_reward=50,
+        capacity=10_000,
         proof_rule=LotteryProof(),
         schedule=DifficultySchedule(2.0, 16, 1.0),
         reorg_safety=8,
@@ -279,8 +282,7 @@ def test_criterion_08_pruning_equivalence():
             seq += 1
             txs = [make_transaction(alice, "bob", 5, seq, 250)]
         block = assemble_block(archive, archive.adopted_head, txs,
-                               capacity=10_000, producer="miner-0",
-                               timestamp=float(height))
+                               producer="miner-0", timestamp=float(height))
         assert _adopt_on([archive, pruned], block) == [Verdict.ACCEPT] * 2
 
     report = pruned.prune(keep_recent=10)
@@ -290,8 +292,7 @@ def test_criterion_08_pruning_equivalence():
         assert pruned.balance(account) == archive.balance(account)
 
     # identical subsequent stream, identical verdicts
-    good = assemble_block(archive, archive.adopted_head, [], 10_000,
-                          "miner-0", 41.0)
+    good = assemble_block(archive, archive.adopted_head, [], "miner-0", 41.0)
     bad_tx = replace(make_transaction(alice, "bob", 5, seq + 1, 250), amount=6)
     forged = Block(
         header=BlockHeader(
@@ -360,8 +361,7 @@ def test_criterion_09_fast_sync_fidelity():
             seq += 1
             txs = [make_transaction(alice, "bob", 1, seq, 250)]
         block = assemble_block(source, source.adopted_head, txs,
-                               capacity=10_000, producer="miner-0",
-                               timestamp=float(height))
+                               producer="miner-0", timestamp=float(height))
         result = source.validate_block(block)
         assert result.ok
         source.adopt(block, result)

@@ -3,10 +3,14 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgerlab.blockchain import (
     AccountChange,
+    Block,
+    BlockHeader,
     ChainStore,
+    ChainTransaction,
     GrindProof,
     HistoryPrunedError,
     LotteryProof,
@@ -24,16 +28,17 @@ from ledgerlab.leader_election import (
     mine,
     pos_select,
 )
-from ledgerlab.primitives import identity_for, sign
+from ledgerlab.primitives import ZERO_DIGEST, Signature, identity_for, merkle_root, sign
 
 ALICE = identity_for("alice")
 BOB = identity_for("bob")
 
 
-def _store(reward=50, reorg_safety=8, difficulty=1.0):
+def _store(reward=50, reorg_safety=8, difficulty=1.0, capacity=10_000):
     return ChainStore(
         genesis_allocation={"alice": 1000, "bob": 500},
         block_reward=reward,
+        capacity=capacity,
         proof_rule=LotteryProof(),
         schedule=DifficultySchedule(2.0, 16, difficulty),
         reorg_safety=reorg_safety,
@@ -43,11 +48,38 @@ def _store(reward=50, reorg_safety=8, difficulty=1.0):
 def _extend(store, txs=(), producer="miner-0", parent=None, ts=None):
     parent = parent if parent is not None else store.adopted_head
     ts = ts if ts is not None else float(store.blocks[parent].height + 1)
-    block = assemble_block(store, parent, txs, capacity=10_000,
-                           producer=producer, timestamp=ts)
+    block = assemble_block(store, parent, txs, producer=producer,
+                           timestamp=ts)
     result = store.validate_block(block)
     assert result.ok, (result.verdict, result.detail)
     return block, store.adopt(block, result)
+
+
+def _signed(identity, recipient, amount, sequence, weight):
+    """A signed transaction that skips make_transaction's argument checks."""
+    return ChainTransaction(
+        sender=identity.id, recipient=recipient, amount=amount,
+        sequence=sequence, weight=weight,
+        signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST),
+    ).signed_by(identity)
+
+
+def _forge(store, txs, producer="m", ts=1.0):
+    """A block on the head carrying `txs` as given, with both roots right
+    for moving their funds but no transaction rule applied."""
+    state = store.state_at(store.adopted_head)
+    for tx in txs:
+        state.balances[tx.sender] = max(state.balance(tx.sender) - tx.amount, 0)
+        state.balances[tx.recipient] = state.balance(tx.recipient) + tx.amount
+        state.sequences[tx.sender] = tx.sequence
+    if store.block_reward:
+        state.balances[producer] = state.balance(producer) + store.block_reward
+    header = BlockHeader(
+        predecessor=store.adopted_head,
+        tx_root=merkle_root([t.digest() for t in txs]),
+        state_root=state.root(), height=store.head_height + 1,
+        timestamp=ts, nonce=0, producer=producer)
+    return Block(header=header, transactions=tuple(txs))
 
 
 # -- assembly ---------------------------------------------------------------
@@ -59,7 +91,7 @@ def test_assembly_packs_greedily_and_skips_the_unfit():
     too_big = make_transaction(ALICE, "carol", 10, sequence=2, weight=9_000)
     light = make_transaction(BOB, "carol", 5, sequence=1, weight=400)
     block = assemble_block(store, store.adopted_head, [heavy, too_big, light],
-                           capacity=10_000, producer="miner-0", timestamp=1.0)
+                           producer="miner-0", timestamp=1.0)
     # too_big exceeds remaining capacity, later light one still packs
     assert block.transactions == (heavy, light)
 
@@ -71,7 +103,7 @@ def test_assembly_skips_overspend_and_stale_sequence():
     broke = make_transaction(ALICE, "bob", 10_000, sequence=2, weight=10)
     fine = make_transaction(ALICE, "bob", 1, sequence=2, weight=10)
     block = assemble_block(store, store.adopted_head, [stale, broke, fine],
-                           capacity=1_000, producer="miner-0", timestamp=2.0)
+                           producer="miner-0", timestamp=2.0)
     assert block.transactions == (fine,)
 
 
@@ -79,7 +111,7 @@ def test_assembly_respects_funds_spent_earlier_in_the_block():
     store = _store()
     a = make_transaction(ALICE, "bob", 900, sequence=1, weight=10)
     b = make_transaction(ALICE, "bob", 900, sequence=2, weight=10)
-    block = assemble_block(store, store.adopted_head, [a, b], capacity=1_000,
+    block = assemble_block(store, store.adopted_head, [a, b],
                            producer="miner-0", timestamp=1.0)
     assert block.transactions == (a,)
 
@@ -108,7 +140,7 @@ def test_validate_unknown_parent():
 
 def test_validate_wrong_height():
     store = _store()
-    block = assemble_block(store, store.adopted_head, [], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [], "m", 1.0)
     bad = replace(block, header=replace(block.header, height=5))
     assert store.validate_block(bad).verdict is Verdict.UNKNOWN_PARENT
 
@@ -116,14 +148,14 @@ def test_validate_wrong_height():
 def test_validate_bad_tx_root():
     store = _store()
     tx = make_transaction(ALICE, "bob", 1, 1, 10)
-    block = assemble_block(store, store.adopted_head, [tx], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [tx], "m", 1.0)
     bad = replace(block, transactions=())
     assert store.validate_block(bad).verdict is Verdict.BAD_ROOT
 
 
 def test_validate_bad_state_root():
     store = _store()
-    block = assemble_block(store, store.adopted_head, [], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [], "m", 1.0)
     bad = replace(block, header=replace(block.header, state_root=b"\x00" * 32))
     assert store.validate_block(bad).verdict is Verdict.BAD_ROOT
 
@@ -132,7 +164,7 @@ def test_validate_bad_signature():
     store = _store()
     tx = make_transaction(ALICE, "bob", 1, 1, 10)
     forged = replace(tx, amount=2)  # signature no longer covers the payload
-    block = assemble_block(store, store.adopted_head, [tx], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [tx], "m", 1.0)
     bad = replace(block, transactions=(forged,),
                   header=replace(block.header, tx_root=__import__(
                       "ledgerlab.primitives", fromlist=["merkle_root"]
@@ -143,7 +175,7 @@ def test_validate_bad_signature():
 def test_validate_overspend_is_double_spend():
     store = _store()
     tx = make_transaction(ALICE, "bob", 5_000, 1, 10)
-    block = assemble_block(store, store.adopted_head, [], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [], "m", 1.0)
     from ledgerlab.primitives import merkle_root
     bad = replace(block, transactions=(tx,),
                   header=replace(block.header, tx_root=merkle_root([tx.digest()])))
@@ -156,10 +188,73 @@ def test_validate_sequence_reuse():
     _extend(store, [tx1])
     again = make_transaction(ALICE, "bob", 10, 1, 10)
     from ledgerlab.primitives import merkle_root
-    block = assemble_block(store, store.adopted_head, [], 1_000, "m", 2.0)
+    block = assemble_block(store, store.adopted_head, [], "m", 2.0)
     bad = replace(block, transactions=(again,),
                   header=replace(block.header, tx_root=merkle_root([again.digest()])))
     assert store.validate_block(bad).verdict is Verdict.BAD_SEQUENCE
+
+
+def test_validate_accepts_a_block_filled_exactly_to_capacity():
+    store = _store(capacity=1_000)
+    full = _forge(store, [make_transaction(ALICE, "bob", 1, 1, 600),
+                          make_transaction(BOB, "alice", 1, 1, 400)])
+    assert store.validate_block(full).ok
+
+
+def test_validate_rejects_a_block_over_capacity():
+    store = _store(capacity=1_000)
+    over = _forge(store, [make_transaction(ALICE, "bob", 1, 1, 600),
+                          make_transaction(BOB, "alice", 1, 1, 401)])
+    result = store.validate_block(over)
+    assert result.verdict is Verdict.OVER_CAPACITY
+    assert result.detail == "weight 1001 over capacity 1000"
+
+
+def test_validate_rejects_a_weightless_transaction():
+    store = _store()
+    weightless = _signed(ALICE, "bob", 5, 1, 0)
+    assert weightless.verify_signature()
+    result = store.validate_block(_forge(store, [weightless]))
+    assert result.verdict is Verdict.OVER_CAPACITY
+    assert result.detail == "non-positive weight"
+
+
+_ACCOUNTS = [ALICE, BOB, identity_for("carol")]  # carol starts with nothing
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ACCOUNTS),
+                          st.sampled_from(["alice", "bob", "carol"]),
+                          st.integers(0, 700), st.integers(1, 4),
+                          st.integers(0, 600)),
+                max_size=12),
+       st.integers(1, 2_000))
+def test_assembled_blocks_validate_and_skips_get_the_rule_verdict(specs, capacity):
+    store, twin = _store(capacity=capacity), _store(capacity=capacity)
+    mempool = [_signed(*spec) for spec in specs]
+    block = assemble_block(store, store.adopted_head, mempool, "m", 1.0)
+    assert twin.validate_block(block).ok
+
+    # walk the pool as assembly did, noting each skip the rule refused
+    chosen = list(block.transactions)
+    state = twin.state_at(twin.adopted_head)
+    refused = []
+    for tx in mempool:
+        if chosen and tx == chosen[0]:
+            chosen.pop(0)
+            assert state.apply_tx(tx) is None
+        elif state.copy().apply_tx(tx) is not None:
+            refused.append(tx)
+    assert chosen == []
+    for tx in refused:
+        expected = state.copy().apply_tx(tx)
+        result = twin.validate_block(_forge(twin, list(block.transactions) + [tx]))
+        if sum(t.weight for t in block.transactions) + tx.weight > capacity:
+            assert result.verdict is Verdict.OVER_CAPACITY
+        elif expected is None:  # refused early in the pool, fine at the end
+            assert result.ok
+        else:
+            assert (result.verdict, result.detail) == expected
 
 
 # -- reorgs -----------------------------------------------------------------
@@ -311,7 +406,7 @@ def test_pruned_node_validates_like_archive():
     for _ in range(30):
         seq += 1
         tx = make_transaction(ALICE, "bob", 1, seq, 10)
-        block = assemble_block(archive, archive.adopted_head, [tx], 1_000,
+        block = assemble_block(archive, archive.adopted_head, [tx],
                                "m", float(seq))
         for st in (archive, pruned):
             res = st.validate_block(block)
@@ -322,7 +417,7 @@ def test_pruned_node_validates_like_archive():
     for _ in range(5):
         seq += 1
         tx = make_transaction(ALICE, "bob", 1, seq, 10)
-        block = assemble_block(archive, archive.adopted_head, [tx], 1_000,
+        block = assemble_block(archive, archive.adopted_head, [tx],
                                "m", float(seq))
         ra = archive.validate_block(block)
         rp = pruned.validate_block(block)
@@ -362,17 +457,32 @@ def test_fast_sync_pivot_replay_matches_source():
 def test_fast_sync_short_chain_full_replay():
     source = _store()
     _grow(source, 10, 0)
-    fresh = fast_sync(source, pivot_offset=16)
+    for offset in (16, 10):  # longer than the chain, and exactly its length
+        fresh = fast_sync(source, pivot_offset=offset)
+        assert fresh.head_state.root() == source.head_state.root()
+        assert fresh.first_full_block_height == 0
+        assert fresh.capacity == source.capacity
+        assert all(sb.transactions is not None for sb in fresh.blocks.values())
+
+
+def test_fast_sync_pivot_just_above_genesis():
+    source = _store()
+    _grow(source, 10, 0)
+    fresh = fast_sync(source, pivot_offset=9)
     assert fresh.head_state.root() == source.head_state.root()
-    assert fresh.first_full_block_height == 0
+    assert fresh.first_full_block_height == 1
+    assert fresh.blocks[source.adopted_chain()[1]].transactions is None
+    assert fresh.recount_bytes() == fresh.ledger_bytes()
+    assert set(fresh.blocks) == set(fresh.adopted)
 
 
 def test_fast_sync_refuses_overpruned_source():
     source = _store(reorg_safety=8)
     _grow(source, 60, 0)
     source.prune(keep_recent=10)  # full blocks start at height 50
-    with pytest.raises(SyncError):
-        fast_sync(source, pivot_offset=16)  # pivot at 44 < 50
+    for offset in (16, 60, 65):  # pivot at 44, and at genesis twice
+        with pytest.raises(SyncError):
+            fast_sync(source, pivot_offset=offset)
 
 
 # -- proof rules ------------------------------------------------------------
@@ -381,7 +491,7 @@ def test_fast_sync_refuses_overpruned_source():
 def test_grind_proof_gates_on_nonce():
     store = _store(difficulty=256.0)  # 8 bits
     store.proof_rule = GrindProof()
-    block = assemble_block(store, store.adopted_head, [], 1_000, "m", 1.0)
+    block = assemble_block(store, store.adopted_head, [], "m", 1.0)
     unmined = store.validate_block(block)
     assert unmined.verdict is Verdict.BAD_PROOF
     nonce = mine(block.header.work_digest(), 8, seed=1)
@@ -392,14 +502,13 @@ def test_grind_proof_gates_on_nonce():
 def test_pos_proof_enforces_slot_grid_and_producer():
     registry = StakeRegistry(deposits={"val-0": 100, "val-1": 200})
     rule = PosProof(registry, run_seed=9, slot_interval_s=1.0)
-    store = ChainStore({"alice": 1000}, block_reward=0, proof_rule=rule)
+    store = ChainStore({"alice": 1000}, block_reward=0, capacity=10_000,
+                       proof_rule=rule)
     leader = pos_select(registry, 9, 3)
     other = "val-0" if leader == "val-1" else "val-1"
-    good = assemble_block(store, store.adopted_head, [], 1_000, leader, 3.0)
+    good = assemble_block(store, store.adopted_head, [], leader, 3.0)
     assert store.validate_block(good).ok
-    wrong_producer = assemble_block(store, store.adopted_head, [], 1_000,
-                                    other, 3.0)
+    wrong_producer = assemble_block(store, store.adopted_head, [], other, 3.0)
     assert store.validate_block(wrong_producer).verdict is Verdict.BAD_PROOF
-    off_grid = assemble_block(store, store.adopted_head, [], 1_000,
-                              leader, 3.01)
+    off_grid = assemble_block(store, store.adopted_head, [], leader, 3.01)
     assert store.validate_block(off_grid).verdict is Verdict.BAD_PROOF

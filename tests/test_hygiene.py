@@ -1,5 +1,5 @@
-"""Source hygiene: no dead imports, no config key that nothing reads, and
-no definition that only tests reach.
+"""Source hygiene: no dead imports, no config key that nothing reads, no
+definition that only tests reach, and no class field that nothing reads.
 
 The checks parse the package with `ast`, so they see the code as written,
 not as imported.
@@ -10,7 +10,8 @@ from pathlib import Path
 
 from ledgerlab.scenario import SCHEMA
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ledgerlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ledgerlab"
 
 # keys the rest of the package reads through a Config property
 READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm"}
@@ -27,6 +28,14 @@ TEST_FACING = {
     "Reader.expect_end": "rejects trailing bytes when a whole message is decoded",
     "LatticeLedger.create_rep_change": "the benchmark tracer wraps it by name",
     "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+# Class fields that no code reads by name, and why each stays.
+UNREAD_FIELDS = {
+    "SimEvent.at": "heap order key; Simulation.run unpacks the entry by position",
+    "SimEvent.destination": "Simulation.run unpacks the heap entry by position",
+    "SimEvent.payload": "Simulation.run unpacks the heap entry by position",
 }
 
 
@@ -136,3 +145,69 @@ def test_an_unreferenced_definition_is_caught():
         "def orphan():\n    pass\n")
     assert set(_unreferenced(modules)) - set(TEST_FACING) == {
         "Probe", "Probe.orphan_method", "orphan"}
+
+
+def _fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(Class.field, field) of every annotated class-body field and of every
+    attribute a class's `__init__` sets on self."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.append((f"{cls.name}.{node.target.id}", node.target.id))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                out.extend((f"{cls.name}.{n.attr}", n.attr) for n in ast.walk(node)
+                           if isinstance(n, ast.Attribute)
+                           and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return out
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names the code loads, by dot or through getattr/hasattr."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            out.add(node.args[1].value)
+    return out
+
+
+def _readers() -> list[ast.Module]:
+    """The package, its tests and the benchmark: all code that may read a field."""
+    trees = list(_modules().values())
+    for folder in ("tests", "perfbench"):
+        trees.extend(ast.parse(path.read_text(encoding="utf-8"))
+                     for path in sorted((ROOT / folder).glob("*.py")))
+    return trees
+
+
+def _unread_fields(modules: dict[str, ast.Module],
+                   readers: list[ast.Module]) -> list[str]:
+    read = set().union(*(_read_attributes(tree) for tree in readers))
+    return sorted({qualified for tree in modules.values()
+                   for qualified, name in _fields(tree) if name not in read})
+
+
+def test_every_class_field_is_read():
+    unread = _unread_fields(_modules(), _readers())
+    assert [q for q in unread if q not in UNREAD_FIELDS] == []
+    # an entry whose field is gone, or is now read, goes too
+    assert [q for q in UNREAD_FIELDS if q not in unread] == []
+
+
+def test_an_unread_field_is_caught():
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "class Probe:\n"
+        "    shown: int\n"
+        "    stored_only: int\n"
+        "    def __init__(self):\n        self.counter = 0\n        self.counter += 1\n"
+        "    def show(self):\n        return self.shown\n")
+    unread = _unread_fields(modules, _readers() + [modules["extra"]])
+    assert set(unread) - set(UNREAD_FIELDS) == {"Probe.stored_only", "Probe.counter"}

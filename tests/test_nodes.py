@@ -44,6 +44,7 @@ def _store():
     return ChainStore(
         genesis_allocation={"alice": 1000, "bob": 500},
         block_reward=50,
+        capacity=10_000,
         proof_rule=LotteryProof(),
         schedule=DifficultySchedule(2.0, 16, 1.0),
         reorg_safety=8,
@@ -53,7 +54,7 @@ def _store():
 def test_chain_block_message_round_trip():
     store = _store()
     tx = make_transaction(identity_for("alice"), "bob", 25, 1, 250)
-    block = assemble_block(store, store.adopted_head, [tx], capacity=10_000,
+    block = assemble_block(store, store.adopted_head, [tx],
                            producer="miner-0", timestamp=1.0)
 
     payload = _chain_block_msg(MSG_CHAIN_BLOCK, 3, block)
@@ -93,7 +94,7 @@ def _source_chain(length):
     source = _store()
     blocks = []
     for height in range(1, length + 1):
-        block = assemble_block(source, source.adopted_head, [], capacity=10_000,
+        block = assemble_block(source, source.adopted_head, [],
                                producer="miner-1", timestamp=float(height))
         source.adopt(block, source.validate_block(block))
         blocks.append(block)
@@ -101,7 +102,7 @@ def _source_chain(length):
 
 
 def _chain_node():
-    node = ChainNode(0, _store(), RunRecorder(), run_seed=1, capacity=10_000,
+    node = ChainNode(0, _store(), RunRecorder(), run_seed=1,
                      producer_id="")
     sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
                      nodes={0: node})
@@ -192,7 +193,7 @@ SENDERS = ("alice", "bob", "carol", "dave")
 
 def _pool_store():
     return ChainStore(genesis_allocation={s: 1000 for s in SENDERS},
-                      block_reward=50, proof_rule=LotteryProof(),
+                      block_reward=50, capacity=8, proof_rule=LotteryProof(),
                       schedule=DifficultySchedule(2.0, 16, 1.0), reorg_safety=8)
 
 
@@ -214,7 +215,7 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
     branch_a, parent = [], source.adopted_head
     for height in range(1, 7):
         picks = sorted(rng.sample(txs, 10), key=lambda tx: tx.sequence)
-        block = assemble_block(source, parent, picks, capacity=8,
+        block = assemble_block(source, parent, picks,
                                producer="miner-a", timestamp=float(height))
         source.adopt(block, source.validate_block(block))
         branch_a.append(block)
@@ -223,7 +224,7 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
     b_txs = [tx for tx in txs if tx.sender in ("carol", "dave")]
     for height in range(3, 9):
         picks = sorted(rng.sample(b_txs, 6), key=lambda tx: tx.sequence)
-        block = assemble_block(source, parent, picks, capacity=8,
+        block = assemble_block(source, parent, picks,
                                producer="miner-b", timestamp=height + 0.5)
         returned += len(source.adopt(block, source.validate_block(block))
                         .returned_transactions)
@@ -237,10 +238,10 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
     total = len(txs) + len(branch_a) + len(branch_b)
     at_block = set(rng.sample(range(total), len(branch_a) + len(branch_b)))
     events = [next(block_msgs) if i in at_block else next(tx_msgs) for i in range(total)]
-    node = ChainNode(0, _pool_store(), RunRecorder(), run_seed=1, capacity=8,
+    node = ChainNode(0, _pool_store(), RunRecorder(), run_seed=1,
                      producer_id="")
     oracle = _RescanNode(0, _pool_store(), RunRecorder(), run_seed=1,
-                         capacity=8, producer_id="")
+                         producer_id="")
     sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]})
     in_blocks = {tx.digest() for b in branch_a + branch_b for tx in b.transactions}
     heads, evicted = 0, 0

@@ -131,3 +131,39 @@ def test_signature_roundtrip_and_tamper():
 def test_signature_sound_for_any_signer(signer_id, payload):
     sig = sign(identity_for(signer_id), payload)
     assert verify(sig, signer_id, payload)
+
+
+def _fresh_transaction():
+    from ledgerlab.blockchain import make_transaction
+    return make_transaction(identity_for("alice"), "bob", 5, 1, 10)
+
+
+def _fresh_lattice_block():
+    from ledgerlab.lattice import LatticeLedger
+    ledger = LatticeLedger({"carol": (100, "carol"), "home": (40, "home")},
+                           spam_bits=2)
+    return ledger.create_send("carol", "home", 30)
+
+
+def _fresh_vote():
+    from ledgerlab.lattice import make_vote
+    return make_vote(identity_for("home"), b"\x01" * 32, b"\x02" * 32, 40)
+
+
+@pytest.mark.parametrize("make", [_fresh_transaction, _fresh_lattice_block,
+                                  _fresh_vote])
+def test_a_freshly_signed_object_verifies_without_rehashing(monkeypatch, make):
+    obj = make()
+    cls = type(obj)
+    hashed = []
+    original = cls.signing_payload
+
+    def counting_payload(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cls, "signing_payload", counting_payload)
+    assert obj.verify_signature()
+    assert hashed == []
+    # the cached digest is the copy's own, not a stale one
+    assert obj.signing_digest() == digest(original(obj))
