@@ -39,8 +39,10 @@ PINS = {
         "62ed1c854e33c177bd133c47b2f3b756023476feb77eef6bc8b273c00e571400"),
 }
 
-# Chain paths no preset runs: grind-mode mining and a miner with zero hash
-# rate. (preset, overrides) -> (trace digest, sha256 of the rendered report)
+# Paths no preset runs: grind-mode mining, a miner with zero hash rate, and
+# lossy links that keep blocks parked on a missing dependency (the lattice
+# runs also evict from a small gap buffer, one during open conflicts).
+# (preset, overrides) -> (trace digest, sha256 of the rendered report)
 VARIANT_PINS = {
     ("bitcoin-baseline", ("pow.mode=grind", "scenario.horizon_s=120")): (
         "9de5f7babf2a523789a820119e5c9e8a94c0aae58e03d6d3371b24bedb4c0dda",
@@ -48,6 +50,15 @@ VARIANT_PINS = {
     ("bitcoin-baseline", ("chain.hash_rates=1,0,2", "scenario.horizon_s=120")): (
         "5f3d08a942e48f0e15f9ff7fc0cffacf9b90c354cc9a158d2e78881129f2f437",
         "670237534b748e7cd8a504116f4ef5d93fe94ec32ef4d865db44fae648e09b6a"),
+    ("nano-baseline", ("lattice.gap_buffer=4", "net.drop_prob=0.2")): (
+        "951943081cf3c288679608b015c0cf7c242ea1d845127a42ddb7eb4e29d14c2e",
+        "179f6c8c9ac76fbd61f9822ea83055250f5c835cf961cae30c92940ae62ce228"),
+    ("fork-stress", ("lattice.gap_buffer=2", "net.drop_prob=0.1")): (
+        "4fcaae2011e6676255e5584f5db150f378473fc3ed346e9a6854687b49e08772",
+        "8fa330470cc2eca70c31e4d5c47282c16729ab8a9e8467d9132279cd92e53856"),
+    ("bitcoin-baseline", ("net.drop_prob=0.2", "scenario.horizon_s=120")): (
+        "4a23f254bb06134d9482c5b11893b407cdf10ff509fba1a00b945ffd81a51834",
+        "7fa9fb85323d6873c44625e7b6cf98ea3617d57489814bc21c15db66d10c8670"),
 }
 
 
