@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from . import codec
 from .codec import Reader
-from .errors import ConfigError, LedgerError, NotFoundError
+from .errors import ConfigError, InvariantViolation, LedgerError, NotFoundError
 from .leader_election import DifficultySchedule, check_pow, pos_select, retarget
 from .primitives import (
     ZERO_DIGEST,
@@ -668,6 +668,13 @@ class ChainStore:
 
     def expected_supply(self) -> int:
         return self.genesis_supply + self.block_reward * self.head_height
+
+    def check_conservation(self) -> None:
+        if self.total_supply() != self.expected_supply():
+            raise InvariantViolation(
+                "chain balance conservation",
+                f"supply {self.total_supply()} != "
+                f"genesis+rewards {self.expected_supply()}")
 
     # -- size accounting ----------------------------------------------------
 

@@ -17,6 +17,7 @@ from .metrics import (
     run_scenario_suite,
 )
 from .nodes import ChainNode, LatticeNode
+from .recording import OBSERVER
 from .runner import run
 from .scenario import PRESETS, load_config, preset_config
 
@@ -124,7 +125,7 @@ def _cmd_inspect(args) -> int:
     result = run(cfg, seed, horizon_s=args.horizon)
     print(f"scenario {result.scenario_id} seed {seed}")
     print(f"trace {result.trace}")
-    observer = result.nodes[0]
+    observer = result.nodes[OBSERVER]
     if isinstance(observer, ChainNode):
         store = observer.store
         print(f"adopted head {store.adopted_head.hex()} at height "

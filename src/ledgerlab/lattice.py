@@ -19,7 +19,6 @@ in a bounded FIFO gap buffer and replayed when the missing piece arrives.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -29,6 +28,7 @@ from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
 from .primitives import (
     ZERO_DIGEST,
+    GapBuffer,
     Identity,
     Signature,
     WireObject,
@@ -293,7 +293,6 @@ class AccountChain:
     head: bytes = ZERO_DIGEST
     blocks: dict[bytes, LatticeBlock] = field(default_factory=dict)
     order: list[bytes] = field(default_factory=list)
-    known: set[bytes] = field(default_factory=set)
 
     def successor_of(self, predecessor: bytes) -> Optional[bytes]:
         """Digest of the on-chain block sitting directly after `predecessor`."""
@@ -304,12 +303,6 @@ class AccountChain:
         except ValueError:
             return None
         return self.order[i + 1] if i + 1 < len(self.order) else None
-
-
-@dataclass
-class ParkedBlock:
-    block: LatticeBlock
-    missing: bytes  # digest that must appear before retry
 
 
 @dataclass(frozen=True)
@@ -335,7 +328,6 @@ class LatticeLedger:
         self.spam_bits = spam_bits
         self.quorum_fraction = quorum_fraction
         self.cement_delay_s = cement_delay_s
-        self.gap_buffer = gap_buffer
         self.tier = tier
 
         self.accounts: dict[str, AccountChain] = {}
@@ -352,8 +344,7 @@ class LatticeLedger:
         self.votes_by_choice: dict[bytes, dict[str, VoteRecord]] = {}
         self.rep_subject_choice: dict[tuple[str, bytes], bytes] = {}
 
-        self.parked: "OrderedDict[bytes, ParkedBlock]" = OrderedDict()
-        self.parked_by_missing: dict[bytes, list[bytes]] = {}
+        self.parked = GapBuffer(gap_buffer)
 
         self.rep_weight: dict[str, int] = {}
         self.total_balance = 0
@@ -480,7 +471,7 @@ class LatticeLedger:
             return LatticeVerdict.FORK_DETECTED, "genesis slot is fixed"
 
         if block.predecessor != chain.head:
-            if block.predecessor in chain.known:
+            if block.predecessor in chain.order:
                 return LatticeVerdict.FORK_DETECTED, "predecessor already has a successor"
             return LatticeVerdict.GAP_DETECTED, "predecessor not held"
 
@@ -600,7 +591,7 @@ class LatticeLedger:
             missing = block.predecessor
             if block.kind is BlockKind.RECEIVE and detail == "matched send not held":
                 missing = block.counterparty
-            self._park(d, block, missing)
+            self.parked.park(d, block, missing)
             return OutcomeStatus.PARKED, verdict, detail, []
 
         return OutcomeStatus.REJECTED, verdict, detail, []
@@ -611,25 +602,10 @@ class LatticeLedger:
         return detail in ("predecessor not held", "matched send not held",
                           "unknown account")
 
-    def _park(self, d: bytes, block: LatticeBlock, missing: bytes) -> None:
-        self.parked[d] = ParkedBlock(block=block, missing=missing)
-        self.parked_by_missing.setdefault(missing, []).append(d)
-        while len(self.parked) > self.gap_buffer:
-            evicted_digest, evicted = self.parked.popitem(last=False)
-            waiting = self.parked_by_missing.get(evicted.missing, [])
-            if evicted_digest in waiting:
-                waiting.remove(evicted_digest)
-                if not waiting:
-                    self.parked_by_missing.pop(evicted.missing, None)
-
     def _release_parked(self, arrived: bytes) -> list[LatticeBlock]:
-        digests = self.parked_by_missing.pop(arrived, [])
-        released = []
-        for d in digests:
-            parked = self.parked.pop(d, None)
-            if parked is not None:
-                self.seen.discard(d)  # allow a fresh pass
-                released.append(parked.block)
+        released = self.parked.release(arrived)
+        for block in released:
+            self.seen.discard(block.digest())  # allow a fresh pass
         return released
 
     def _record_vote(self, vote: VoteRecord, now: float, outcome: Outcome) -> None:
@@ -774,7 +750,6 @@ class LatticeLedger:
         prev_head = chain.head
         chain.blocks[d] = block
         chain.order.append(d)
-        chain.known.add(d)
         chain.head = d
         self.adoption_time[d] = now
         self._bytes_blocks += block.encoded_len()
@@ -820,7 +795,6 @@ class LatticeLedger:
 
             chain.order.pop()
             chain.blocks.pop(d, None)
-            chain.known.discard(d)
             self.adoption_time.pop(d, None)
             self._bytes_blocks -= block.encoded_len()
             chain.head = block.predecessor
@@ -863,7 +837,7 @@ class LatticeLedger:
     # -- size accounting ----------------------------------------------------
 
     def ledger_bytes(self) -> dict[str, int]:
-        index_digests = sum(len(c.known) for c in self.accounts.values())
+        index_digests = sum(len(c.order) for c in self.accounts.values())
         bodies = sum(len(c.blocks) for c in self.accounts.values())
         index_only = index_digests - bodies
         return {
@@ -874,6 +848,6 @@ class LatticeLedger:
     def recount_bytes(self) -> dict[str, int]:
         blocks = sum(len(b.encode()) for c in self.accounts.values()
                      for b in c.blocks.values())
-        index_only = sum(len(c.known) - len(c.blocks) for c in self.accounts.values())
+        index_only = sum(len(c.order) - len(c.blocks) for c in self.accounts.values())
         pend = sum(len(p.encode()) for p in self.pending.values())
         return {"lattice_blocks": blocks + 32 * index_only, "lattice_pending": pend}

@@ -1,9 +1,9 @@
 """Measurements and reports over completed runs.
 
 All chain and lattice quantities are read from one designated observer node
-(node 0) rather than averaged across possibly divergent views. Reports are
-pure functions of the run, so re-rendering the same (scenario, seed) yields
-byte-identical text.
+(`recording.OBSERVER`) rather than averaged across possibly divergent views.
+Reports are pure functions of the run, so re-rendering the same (scenario,
+seed) yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, LedgerError
 from .nodes import ChainNode, LatticeNode
 from .primitives import DIGEST_ALGORITHM
+from .recording import OBSERVER
 from .runner import RunResult, run
 from .scenario import Config
-
-OBSERVER = 0
 
 
 class ZeroCapacityError(LedgerError):
@@ -129,21 +128,22 @@ def block_fates(result: RunResult) -> list[BlockFate]:
     The adopted head only ever moves to strictly greater heights, so a
     block's deepest confirmation during a stay on the adopted branch is
     fixed by the head height right before it leaves (or the final height).
+    Incoming blocks run ancestor first up to the new head, which gives each
+    its height; a leaving block's height is the one stored when it came in.
     """
-    recorder = result.recorder
-    height_of = recorder.height_of
-    on_branch: dict[bytes, int] = {}
+    on_branch: dict[bytes, int] = {}  # digest -> height
     peak: dict[bytes, int] = {}
     final_height = 0
-    for now, node, old_h, new_h, orphaned, incoming in recorder.adoptions:
+    for now, node, old_h, new_h, orphaned, incoming in result.recorder.adoptions:
         if node != OBSERVER:
             continue
         for d in orphaned:
-            if d in on_branch:
-                peak[d] = max(peak.get(d, 0), old_h - height_of[d] + 1)
-                del on_branch[d]
-        for d in incoming:
-            on_branch[d] = height_of[d]
+            h = on_branch.pop(d, None)
+            if h is not None:
+                peak[d] = max(peak.get(d, 0), old_h - h + 1)
+        first = new_h - len(incoming) + 1
+        for i, d in enumerate(incoming):
+            on_branch[d] = first + i
         final_height = max(final_height, new_h)
     out = []
     for d, h in on_branch.items():

@@ -26,7 +26,6 @@ from .blockchain import (
     make_transaction,
 )
 from .codec import Reader
-from .errors import InvariantViolation
 from .lattice import (
     BlockKind,
     InsufficientBalanceError,
@@ -38,8 +37,8 @@ from .lattice import (
     make_vote,
 )
 from .leader_election import WorkCounter, mine
-from .primitives import identity_for
-from .recording import RunRecorder
+from .primitives import GapBuffer, identity_for
+from .recording import OBSERVER, RunRecorder
 from .simnet import SimEventKind, Simulation, derive_rng
 
 MSG_CHAIN_TX = 0
@@ -52,6 +51,7 @@ TIMER_MINE = 0
 TIMER_POS_SLOT = 1
 
 ORPHAN_BUFFER_LIMIT = 10_000
+LEDGER_SAMPLE_EVERY = 20  # lattice blocks applied between observer samples
 
 
 def _chain_block_msg(tag: int, sender: int, block: Block) -> bytes:
@@ -71,17 +71,16 @@ class ChainNode:
     with a producer id produces in the slots drawn for it; otherwise a node
     with a positive hash rate mines, by literal nonce search under a
     `GrindProof` and by an exponential lottery draw under a `LotteryProof`.
+    The observer samples its ledger size on every head move.
     """
 
     def __init__(self, node_id: int, store: ChainStore, recorder: RunRecorder,
-                 run_seed: int, producer_id: str, hash_rate: float = 0.0,
-                 sample_ledger: bool = False):
+                 run_seed: int, producer_id: str, hash_rate: float = 0.0):
         self.node_id = node_id
         self.store = store
         self.recorder = recorder
         self.producer_id = producer_id
         self.hash_rate = hash_rate
-        self.sample_ledger = sample_ledger
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
         self.mempool: dict[bytes, ChainTransaction] = {}
         # stale-check work lists: (sequence, digest) of every pooled
@@ -90,8 +89,7 @@ class ChainNode:
         # pooled since the head last moved
         self._pooled_by_sender: dict[str, list[tuple[int, bytes]]] = {}
         self._pooled_since_move: list[bytes] = []
-        self.orphans: dict[bytes, list[Block]] = {}
-        self.orphan_count = 0  # blocks held across all orphan buckets
+        self.parked = GapBuffer(ORPHAN_BUFFER_LIMIT)  # blocks by missing parent
         self.requested: set[bytes] = set()
         self._pending_grind: Optional[Block] = None
         self.work = WorkCounter()
@@ -259,15 +257,14 @@ class ChainNode:
             res = self.store.validate_block(block)
             if res.verdict is Verdict.UNKNOWN_PARENT \
                     and block.header.predecessor not in self.store.blocks:
-                self._park_orphan(sim, block, sender)
+                self._park_and_fetch(sim, d, block, sender)
                 continue
             if not res.ok:
                 continue
             report = self.store.adopt(block, res)
-            heights = {d: block.header.height}
             self.recorder.adoption(now, self.node_id, report.old_height,
                                    report.new_height, report.orphaned,
-                                   report.reorged_in, heights)
+                                   report.reorged_in)
             if report.head_moved:
                 moved_senders = set()
                 for nd in report.reorged_in:
@@ -279,29 +276,17 @@ class ChainNode:
                     if td not in self.mempool:
                         self._pool(td, tx)
                 self._drop_stale(moved_senders)
-                if self.store.total_supply() != self.store.expected_supply():
-                    raise InvariantViolation(
-                        "chain balance conservation",
-                        f"supply {self.store.total_supply()} != "
-                        f"genesis+rewards {self.store.expected_supply()}")
-                if self.sample_ledger:
+                self.store.check_conservation()
+                if self.node_id == OBSERVER:
                     self.recorder.ledger_sample(
                         now, self.node_id, sum(self.store.ledger_bytes().values()))
                 self._schedule_mining(sim)
-            resolved = self.orphans.pop(d, [])
-            self.orphan_count -= len(resolved)
-            stack.extend(reversed(resolved))
+            stack.extend(reversed(self.parked.release(d)))
 
-    def _park_orphan(self, sim: Simulation, block: Block, sender: int) -> None:
+    def _park_and_fetch(self, sim: Simulation, d: bytes, block: Block,
+                        sender: int) -> None:
         parent = block.header.predecessor
-        bucket = self.orphans.setdefault(parent, [])
-        d = block.digest()
-        if len(bucket) < 64 and all(b.digest() != d for b in bucket):
-            bucket.append(block)
-            self.orphan_count += 1
-        if self.orphan_count > ORPHAN_BUFFER_LIMIT:
-            oldest = next(iter(self.orphans))
-            self.orphan_count -= len(self.orphans.pop(oldest))
+        self.parked.park(d, block, parent)
         if sender != self.node_id and parent not in self.requested:
             self.requested.add(parent)
             sim.send(self.node_id, sender,
@@ -310,20 +295,22 @@ class ChainNode:
 
 
 class LatticeNode:
-    """A lattice node hosting accounts; votes if it hosts a representative."""
+    """A lattice node hosting accounts; votes if it hosts a representative.
+
+    The observer samples its ledger size every `LEDGER_SAMPLE_EVERY` blocks
+    it applies.
+    """
 
     def __init__(self, node_id: int, ledger: LatticeLedger, recorder: RunRecorder,
                  hosted_accounts: tuple[str, ...],
                  representative_accounts: tuple[str, ...] = (),
-                 offline_accounts: frozenset[str] = frozenset(),
-                 sample_ledger_every: int = 0):
+                 offline_accounts: frozenset[str] = frozenset()):
         self.node_id = node_id
         self.ledger = ledger
         self.recorder = recorder
         self.hosted_set = set(hosted_accounts)
         self.representative_accounts = representative_accounts
         self.offline_accounts = offline_accounts
-        self.sample_ledger_every = sample_ledger_every
         self._applied_since_sample = 0
         self.work = WorkCounter()
 
@@ -428,10 +415,10 @@ class LatticeNode:
 
     def _maybe_sample(self, now: float, outcome: Outcome) -> None:
         self._record_receives(now, outcome)
-        if not self.sample_ledger_every:
+        if self.node_id != OBSERVER:
             return
         self._applied_since_sample += len(outcome.applied)
-        if self._applied_since_sample >= self.sample_ledger_every:
+        if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:
             self._applied_since_sample = 0
             self.recorder.ledger_sample(
                 now, self.node_id, sum(self.ledger.ledger_bytes().values()))
@@ -462,10 +449,8 @@ class MultiDriver:
 class ChainTxDriver:
     """Poisson wallet traffic for the blockchain paradigm."""
 
-    def __init__(self, recorder: RunRecorder, run_seed: int,
-                 senders: list[str], entry_nodes: list[int],
+    def __init__(self, run_seed: int, senders: list[str], entry_nodes: list[int],
                  rate_per_s: float, tx_weight: int, max_amount: int = 5):
-        self.recorder = recorder
         self.senders = senders
         self.entry_nodes = entry_nodes
         self.rate_per_s = rate_per_s

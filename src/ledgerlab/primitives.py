@@ -1,5 +1,5 @@
-"""Hashing, Merkle commitments, the wire-object digest cache, and simulated
-identities/signatures.
+"""Hashing, Merkle commitments, the wire-object digest cache, the gap buffer
+both ledgers park blocks in, and simulated identities/signatures.
 
 The digest algorithm is pinned to SHA-256 and its name is written into every
 scenario report header. Signatures are keyed-digest authenticators, not real
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -117,6 +118,40 @@ class WireObject:
             n = len(self.encode())
             object.__setattr__(self, "_size", n)
         return n
+
+
+# ---------------------------------------------------------------------------
+# Gap buffer
+
+class GapBuffer:
+    """Blocks waiting on a digest that has not arrived, at most `limit` held.
+
+    A chain block waits on its parent, a lattice block on its predecessor or
+    the send it receives. Past the limit the oldest block is dropped.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.held: OrderedDict[bytes, tuple[object, bytes]] = OrderedDict()
+        self.waiting: dict[bytes, list[bytes]] = {}  # missing -> held digests
+
+    def park(self, d: bytes, block: object, missing: bytes) -> None:
+        """Hold `block` (digest `d`) until `missing` arrives; a held digest
+        is ignored."""
+        if d in self.held:
+            return
+        self.held[d] = (block, missing)
+        self.waiting.setdefault(missing, []).append(d)
+        while len(self.held) > self.limit:
+            oldest, (_, its_missing) = self.held.popitem(last=False)
+            bucket = self.waiting[its_missing]
+            bucket.remove(oldest)
+            if not bucket:
+                del self.waiting[its_missing]
+
+    def release(self, arrived: bytes) -> list:
+        """The blocks that waited on `arrived`, in the order they were parked."""
+        return [self.held.pop(d)[0] for d in self.waiting.pop(arrived, ())]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The node every report reads its chain and lattice figures from.
+OBSERVER = 0
+
 
 @dataclass
 class RunRecorder:
     # (now, node, digest, height)
     blocks_mined: list[tuple] = field(default_factory=list)
-    # (now, node, old_height, new_height, orphaned digests, incoming digests)
+    # (now, node, old_height, new_height, orphaned digests, incoming digests);
+    # incoming runs ancestor first and ends at new_height
     adoptions: list[tuple] = field(default_factory=list)
     # (now, node, send_digest, account, recipient, amount)
     sends_created: list[tuple] = field(default_factory=list)
@@ -28,17 +32,13 @@ class RunRecorder:
     conflicts_injected: list[tuple] = field(default_factory=list)
     # (now, node, total_bytes)
     ledger_samples: list[tuple] = field(default_factory=list)
-    # digest -> height, for every block that crossed the wire
-    height_of: dict[bytes, int] = field(default_factory=dict)
 
     def block_mined(self, now: float, node: int, d: bytes, height: int) -> None:
         self.blocks_mined.append((now, node, d, height))
-        self.height_of[d] = height
 
     def adoption(self, now: float, node: int, old_height: int, new_height: int,
-                 orphaned: tuple, incoming: tuple, heights: dict) -> None:
+                 orphaned: tuple, incoming: tuple) -> None:
         self.adoptions.append((now, node, old_height, new_height, orphaned, incoming))
-        self.height_of.update(heights)
 
     def send_created(self, now: float, node: int, send_digest: bytes,
                      account: str, recipient: str, amount: int) -> None:

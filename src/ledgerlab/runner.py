@@ -96,12 +96,11 @@ def _build_chain(cfg: Config, seed: int,
         nodes[i] = ChainNode(
             i, store, recorder, seed,
             producer_id=producers[i] if i < len(producers) else "",
-            hash_rate=rates[i] if i < len(rates) else 0.0,
-            sample_ledger=(i == 0))
+            hash_rate=rates[i] if i < len(rates) else 0.0)
 
     drivers = {
         CMD_CHAIN_TX: ChainTxDriver(
-            recorder, seed,
+            seed,
             senders=account_names(cfg["chain.accounts"]),
             entry_nodes=list(range(n)),
             rate_per_s=cfg["chain.tx_rate_per_s"],
@@ -153,8 +152,7 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder,
             i, ledger, recorder,
             hosted_accounts=hosted,
             representative_accounts=tuple(a for a in hosted if a in rep_names),
-            offline_accounts=offline,
-            sample_ledger_every=20 if i == 0 else 0)
+            offline_accounts=offline)
 
     attackers: list[str] = []
     if cfg["fork.interval_s"] > 0:
@@ -228,10 +226,7 @@ def _final_audit(cfg: Config, sim: Simulation) -> None:
     for i in sorted(sim.nodes):
         node = sim.nodes[i]
         if isinstance(node, ChainNode):
-            if node.store.total_supply() != node.store.expected_supply():
-                raise InvariantViolation(
-                    "chain balance conservation",
-                    f"node {i} final supply diverged")
+            node.store.check_conservation()
             recount = node.store.recount_bytes()
             if recount != node.store.ledger_bytes():
                 raise InvariantViolation(

@@ -102,7 +102,6 @@ class Simulation:
                  adjacency: dict[int, list[int]],
                  nodes: Optional[dict[int, SimNode]] = None,
                  driver=None):
-        self.seed = seed
         self.link = link
         self.adjacency = adjacency
         self.nodes: dict[int, SimNode] = nodes if nodes is not None else {}

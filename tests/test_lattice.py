@@ -182,7 +182,7 @@ def test_gap_parks_until_predecessor_arrives():
     # parked successor drained in the same call
     assert [b.digest() for b in out2.applied] == [s1.digest(), s2.digest()]
     assert ledger.balance("a") == 88
-    assert not ledger.parked
+    assert not ledger.parked.held and not ledger.parked.waiting
 
 
 def test_released_blocks_settle_first_in_first_out():
@@ -201,7 +201,7 @@ def test_released_blocks_settle_first_in_first_out():
     out = _apply(ledger, s1)
     # s1 releases s2 and r1; s3, released by s2, queues behind r1
     assert out.applied == [s1, s2, r1, s3]
-    assert not ledger.parked
+    assert not ledger.parked.held and not ledger.parked.waiting
 
 
 def test_gap_buffer_evicts_oldest():
@@ -215,8 +215,8 @@ def test_gap_buffer_evicts_oldest():
     # deliver the three successors of the missing first block, newest last
     for s in blocks[1:]:
         _apply(ledger, s)
-    assert len(ledger.parked) == 2
-    parked_digests = set(ledger.parked)
+    assert len(ledger.parked.held) == 2
+    parked_digests = set(ledger.parked.held)
     assert blocks[1].digest() not in parked_digests  # oldest fell out
 
 

@@ -115,12 +115,11 @@ def _synthetic_result():
     b = lambda i: bytes([i]) * 32
     # heights: b1=1 b2=2 side=2 b3=3
     rec.block_mined(1.0, 0, b(1), 1)
-    rec.adoption(1.0, 0, 0, 1, (), (b(1),), {b(1): 1})
+    rec.adoption(1.0, 0, 0, 1, (), (b(1),))
     rec.block_mined(2.0, 0, b(2), 2)
-    rec.adoption(2.0, 0, 1, 2, (), (b(2),), {b(2): 2})
+    rec.adoption(2.0, 0, 1, 2, (), (b(2),))
     # a competing branch of length 3 replaces b2 at head height 2
-    rec.adoption(3.0, 0, 2, 3, (b(2),), (b(10), b(11)),
-                 {b(10): 2, b(11): 3})
+    rec.adoption(3.0, 0, 2, 3, (b(2),), (b(10), b(11)))
     return RunResult("synthetic", 1, None, rec, "", 3)
 
 

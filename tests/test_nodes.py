@@ -109,8 +109,12 @@ def _chain_node():
     return node, sim
 
 
-def _held(node):
-    return sum(len(b) for b in node.orphans.values())
+def _waiting(node):
+    return sum(len(w) for w in node.parked.waiting.values())
+
+
+def _empty(node):
+    return not node.parked.held and not node.parked.waiting
 
 
 def test_long_parked_run_resolves_without_deep_recursion():
@@ -120,31 +124,49 @@ def test_long_parked_run_resolves_without_deep_recursion():
     for block in reversed(blocks[1:]):  # every child before its parent
         node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
     assert node.store.head_height == 0
-    assert node.orphan_count == _held(node) == 1199
+    assert set(node.parked.held) == {b.digest() for b in blocks[1:]}
+    assert len(node.parked.held) == _waiting(node) == 1199
     node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, blocks[0]))
 
     assert node.store.head_height == 1200
     assert node.store.adopted_head == source.adopted_head
-    assert node.orphans == {}
-    assert node.orphan_count == 0
+    assert _empty(node)
 
 
-def test_orphan_buffer_evicts_the_oldest_bucket(monkeypatch):
+def test_parked_blocks_evict_the_oldest(monkeypatch):
     monkeypatch.setattr(nodes, "ORPHAN_BUFFER_LIMIT", 3)
     _, blocks = _source_chain(5)
     node, sim = _chain_node()
 
-    for block in reversed(blocks[1:]):  # four orphans, each in its own bucket
+    for block in reversed(blocks[1:]):  # four orphans, each on its own parent
         node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
-    # the fourth park went over the limit and dropped the first bucket
-    assert blocks[3].digest() not in node.orphans
-    assert list(node.orphans) == [b.digest() for b in reversed(blocks[:3])]
-    assert node.orphan_count == _held(node) == 3
+    # the fourth park went over the limit and dropped the first one parked
+    assert blocks[3].digest() not in node.parked.waiting
+    assert list(node.parked.waiting) == [b.digest() for b in reversed(blocks[:3])]
+    assert list(node.parked.held) == [b.digest() for b in reversed(blocks[1:4])]
+    assert len(node.parked.held) == _waiting(node) == 3
 
     node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, blocks[0]))
     assert node.store.head_height == 4  # the evicted tip stays unknown
-    assert node.orphans == {}
-    assert node.orphan_count == 0
+    assert _empty(node)
+
+
+def test_both_children_of_a_missing_parent_are_adopted_when_it_arrives():
+    source, (parent,) = _source_chain(1)
+    children = [assemble_block(source, parent.digest(), [], producer=p,
+                               timestamp=2.0)
+                for p in ("miner-1", "miner-2")]
+    node, sim = _chain_node()
+
+    for child in children:
+        node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, child))
+    assert node.parked.waiting == {parent.digest(): [c.digest() for c in children]}
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, parent))
+
+    assert all(c.digest() in node.store.blocks for c in children)
+    assert node.store.head_height == 2
+    assert node.store.adopted_head == children[0].digest()  # first seen stays
+    assert _empty(node)
 
 
 def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):

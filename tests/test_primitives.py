@@ -1,4 +1,4 @@
-"""Hashing, Merkle commitments, identities, signatures."""
+"""Hashing, Merkle commitments, the gap buffer, identities, signatures."""
 
 import hashlib
 
@@ -10,6 +10,7 @@ from ledgerlab.primitives import (
     DIGEST_LEN,
     EMPTY_ROOT,
     ZERO_DIGEST,
+    GapBuffer,
     digest,
     identity_for,
     leading_zero_bits,
@@ -167,3 +168,47 @@ def test_a_freshly_signed_object_verifies_without_rehashing(monkeypatch, make):
     assert hashed == []
     # the cached digest is the copy's own, not a stale one
     assert obj.signing_digest() == digest(original(obj))
+
+
+# -- gap buffer ---------------------------------------------------------------
+
+
+def _d(i):
+    return bytes([i]) * 32
+
+
+def test_gap_buffer_releases_in_park_order():
+    buf = GapBuffer(limit=10)
+    buf.park(_d(2), "second", _d(1))
+    buf.park(_d(3), "other", _d(9))
+    buf.park(_d(4), "fourth", _d(1))
+    assert buf.release(_d(1)) == ["second", "fourth"]
+    assert list(buf.held) == [_d(3)]
+    assert buf.waiting == {_d(9): [_d(3)]}
+
+
+def test_gap_buffer_evicts_the_oldest_block_and_its_waiting_entry():
+    buf = GapBuffer(limit=2)
+    buf.park(_d(2), "a", _d(1))
+    buf.park(_d(3), "b", _d(1))
+    buf.park(_d(5), "c", _d(4))
+    assert list(buf.held) == [_d(3), _d(5)]
+    assert buf.waiting == {_d(1): [_d(3)], _d(4): [_d(5)]}
+    buf.park(_d(6), "d", _d(7))  # "b" goes, and _d(1) waits on nothing
+    assert buf.waiting == {_d(4): [_d(5)], _d(7): [_d(6)]}
+    assert buf.release(_d(1)) == []
+
+
+def test_gap_buffer_holds_a_digest_once():
+    buf = GapBuffer(limit=10)
+    buf.park(_d(2), "first", _d(1))
+    buf.park(_d(2), "again", _d(1))
+    assert buf.waiting == {_d(1): [_d(2)]}
+    assert buf.release(_d(1)) == ["first"]
+
+
+def test_gap_buffer_release_of_an_unknown_digest_is_empty():
+    buf = GapBuffer(limit=10)
+    buf.park(_d(2), "held", _d(1))
+    assert buf.release(_d(8)) == []
+    assert list(buf.held) == [_d(2)]

@@ -2,7 +2,10 @@
 
 import pytest
 
+from ledgerlab.blockchain import ChainStore
+from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError
+from ledgerlab.lattice import LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
 from ledgerlab.runner import account_names, representative_names, run
 from ledgerlab.scenario import preset_config
@@ -115,3 +118,54 @@ def test_lattice_tiers_wire_through():
     result = run(cfg, seed=1)
     tiers = [result.nodes[i].ledger.tier.value for i in range(6)]
     assert tiers == ["historical"] * 5 + ["current"]
+
+
+# -- detected breaches ------------------------------------------------------
+# Each case breaks one ledger through a monkeypatched method; run() must catch
+# the InvariantViolation and name the invariant in the result.
+
+
+def _one_byte_more(recount):
+    def skewed(self):
+        out = recount(self)
+        key = min(out)
+        return {**out, key: out[key] + 1}
+    return skewed
+
+
+def test_in_run_supply_check_stops_the_run(monkeypatch):
+    cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=60"])
+    clean = run(cfg, seed=1)
+    expected_supply = ChainStore.expected_supply
+    monkeypatch.setattr(ChainStore, "expected_supply",
+                        lambda self: expected_supply(self) + 1)
+    result = run(cfg, seed=1)
+    assert "chain balance conservation" in result.breach
+    assert result.events < clean.events  # stopped at the first head move
+
+
+def test_final_audit_catches_a_chain_byte_miscount(monkeypatch):
+    monkeypatch.setattr(ChainStore, "recount_bytes",
+                        _one_byte_more(ChainStore.recount_bytes))
+    result = run(preset_config("bitcoin-baseline", ["scenario.horizon_s=20"]), 1)
+    assert "ledger size accounting" in result.breach
+
+
+def test_final_audit_catches_a_lattice_byte_miscount(monkeypatch):
+    monkeypatch.setattr(LatticeLedger, "recount_bytes",
+                        _one_byte_more(LatticeLedger.recount_bytes))
+    result = run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), 1)
+    assert "ledger size accounting" in result.breach
+
+
+def test_weight_rescan_breach_exits_with_status_two(monkeypatch, tmp_path, capsys):
+    recompute = LatticeLedger.recompute_weights
+    monkeypatch.setattr(LatticeLedger, "recompute_weights",
+                        lambda self: {**recompute(self), "nobody": 1})
+    result = run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), 1)
+    assert "delegated weight tracking" in result.breach
+
+    rc = main(["run", "--config", "nano-baseline", "--seeds", "1",
+               "--horizon", "10", "--out", str(tmp_path)])
+    assert rc == EXIT_BREACH
+    assert "delegated weight tracking" in capsys.readouterr().out
