@@ -51,8 +51,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seeds", default="1",
                        help="either N (seeds 1..N) or A..B inclusive")
     p_run.add_argument("--out", default=None, help="report output directory")
-    p_run.add_argument("--horizon", type=float, default=None,
-                       metavar="SECONDS")
 
     p_val = sub.add_parser("validate", help="check a config and echo it")
     common(p_val)
@@ -60,8 +58,6 @@ def _build_parser() -> _Parser:
     p_ins = sub.add_parser("inspect", help="run one seed, dump the observer ledger")
     common(p_ins)
     p_ins.add_argument("--seeds", default="1", help="seed to inspect (first used)")
-    p_ins.add_argument("--horizon", type=float, default=None,
-                       metavar="SECONDS")
 
     p_cmp = sub.add_parser("compare", help="side-by-side paradigm table")
     p_cmp.add_argument("--out", required=True, dest="report_dir",
@@ -98,8 +94,7 @@ def _load(config_arg: str, overrides: list[str]):
 def _cmd_run(args) -> int:
     cfg = _load(args.config, args.override)
     seeds = _parse_seeds(args.seeds)
-    reports, breached = run_scenario_suite(
-        cfg, seeds, out_dir=args.out, horizon_s=args.horizon)
+    reports, breached = run_scenario_suite(cfg, seeds, out_dir=args.out)
     for report in reports:
         status = "BREACH" if report.breach else "ok"
         print(f"{report.scenario_id} seed {report.seed}: {status} "
@@ -122,8 +117,8 @@ def _cmd_validate(args) -> int:
 def _cmd_inspect(args) -> int:
     cfg = _load(args.config, args.override)
     seed = _parse_seeds(args.seeds)[0]
-    result = run(cfg, seed, horizon_s=args.horizon)
-    print(f"scenario {result.scenario_id} seed {seed}")
+    result = run(cfg, seed)
+    print(f"scenario {cfg.scenario_id} seed {seed}")
     print(f"trace {result.trace}")
     observer = result.nodes[OBSERVER]
     if isinstance(observer, ChainNode):

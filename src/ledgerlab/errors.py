@@ -17,6 +17,8 @@ class InvariantViolation(LedgerError):
     """A run-level invariant was breached. Aborts the simulation."""
 
     def __init__(self, invariant: str, detail: str = ""):
+        self.invariant = invariant
+        self.detail = detail
         msg = f"invariant breached: {invariant}"
         if detail:
             msg += f" ({detail})"

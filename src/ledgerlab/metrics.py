@@ -87,7 +87,7 @@ def _observer(result: RunResult, paradigm: str):
     """The observer node of a run, which must be of the given paradigm."""
     if result.config.paradigm != paradigm:
         raise WrongParadigmError(
-            f"{result.scenario_id} is a {result.config.paradigm} scenario")
+            f"{result.config.scenario_id} is a {result.config.paradigm} scenario")
     return result.nodes[OBSERVER]
 
 
@@ -101,7 +101,7 @@ def measure_orphan_rate(result: RunResult) -> float:
     return len(mined - final) / len(mined)
 
 
-def measured_tps(result: RunResult, horizon_s: float) -> float:
+def measured_tps(result: RunResult) -> float:
     """Transactions on the observer's final adopted chain, per second."""
     observer = _observer(result, "chain")
     store = observer.store
@@ -110,7 +110,7 @@ def measured_tps(result: RunResult, horizon_s: float) -> float:
         sb = store.blocks[d]
         if sb.transactions is not None:
             total += len(sb.transactions)
-    return total / horizon_s
+    return total / result.config["scenario.horizon_s"]
 
 
 @dataclass(frozen=True)
@@ -223,13 +223,13 @@ def measure_settlement_latency(result: RunResult) -> tuple[MetricSeries, list[by
     return series, unsettled
 
 
-def settled_tps(result: RunResult, horizon_s: float) -> float:
+def settled_tps(result: RunResult) -> float:
     _observer(result, "lattice")
     seen: set[bytes] = set()
     for _now, node, send_digest, _rd in result.recorder.receives_applied:
         if node == OBSERVER:
             seen.add(send_digest)
-    return len(seen) / horizon_s
+    return len(seen) / result.config["scenario.horizon_s"]
 
 
 def conflict_outcomes(result: RunResult) -> dict[tuple, dict[int, tuple]]:
@@ -292,7 +292,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def build_report(result: RunResult, horizon_s: float) -> ScenarioReport:
+def build_report(result: RunResult) -> ScenarioReport:
     cfg = result.config
     scalars: list[tuple[str, str, float]] = []
     series: list[MetricSeries] = []
@@ -304,12 +304,10 @@ def build_report(result: RunResult, horizon_s: float) -> ScenarioReport:
             ledger_series.add(now, float(total))
 
     if cfg.paradigm == "chain":
-        interval = (cfg["pos.slot_interval_s"]
-                    if cfg["chain.consensus"] == "pos"
-                    else cfg["pow.target_interval_s"])
-        cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"], interval)
+        cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
+                      cfg.block_interval_s)
         scalars.append(("tps-cap", "tx/s", cap))
-        scalars.append(("measured-tps", "tx/s", measured_tps(result, horizon_s)))
+        scalars.append(("measured-tps", "tx/s", measured_tps(result)))
         scalars.append(("orphan-rate", "ratio", measure_orphan_rate(result)))
         scalars.append(("blocks-mined", "blocks",
                         float(len(result.recorder.blocks_mined))))
@@ -322,7 +320,7 @@ def build_report(result: RunResult, horizon_s: float) -> ScenarioReport:
         height = observer.store.head_height
         if height > 0:
             scalars.append(("confirm-latency", "s",
-                            threshold * horizon_s / height))
+                            threshold * cfg["scenario.horizon_s"] / height))
         point = measure_confirmation_survival([result], threshold)
         scalars.append((f"survival-d{threshold}", "ratio", point.estimate))
         scalars.append((f"survival-d{threshold}-observations", "blocks",
@@ -331,7 +329,7 @@ def build_report(result: RunResult, horizon_s: float) -> ScenarioReport:
             flags.append(f"survival-d{threshold}: low confidence "
                          f"({point.observations} observations)")
     else:
-        scalars.append(("settled-tps", "tx/s", settled_tps(result, horizon_s)))
+        scalars.append(("settled-tps", "tx/s", settled_tps(result)))
         latency, unsettled = measure_settlement_latency(result)
         series.append(latency)
         scalars.append(("sends-created", "blocks",
@@ -360,7 +358,7 @@ def build_report(result: RunResult, horizon_s: float) -> ScenarioReport:
         flags.append(f"invariant breach: {result.breach}")
 
     return ScenarioReport(
-        scenario_id=result.scenario_id, seed=result.seed,
+        scenario_id=cfg.scenario_id, seed=result.seed,
         digest_algorithm=DIGEST_ALGORITHM,
         config_lines=cfg.snapshot_lines(),
         series=series, scalars=scalars, flags=flags,
@@ -397,17 +395,16 @@ def render_report(report: ScenarioReport) -> str:
     return "\n".join(lines)
 
 
-def run_scenario_suite(cfg: Config, seeds: list[int], out_dir: str | None = None,
-                       horizon_s: float | None = None) -> tuple[list[ScenarioReport], bool]:
+def run_scenario_suite(cfg: Config, seeds: list[int], out_dir: str | None = None
+                       ) -> tuple[list[ScenarioReport], bool]:
     """One report per seed; returns (reports, any-invariant-breached)."""
     if not seeds:
         raise ConfigError("no seeds")
-    horizon = horizon_s if horizon_s is not None else cfg["scenario.horizon_s"]
     reports = []
     breached = False
     for seed in seeds:
-        result = run(cfg, seed, horizon_s=horizon)
-        report = build_report(result, horizon)
+        result = run(cfg, seed)
+        report = build_report(result)
         reports.append(report)
         breached = breached or (result.breach is not None)
     if out_dir is not None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .blockchain import ChainStore, GrindProof, LotteryProof, PosProof
 from .errors import ConfigError, InvariantViolation
@@ -27,13 +26,12 @@ from .simnet import LinkModel, Simulation, mesh_adjacency, ring_adjacency
 
 @dataclass
 class RunResult:
-    scenario_id: str
     seed: int
     config: Config
     recorder: RunRecorder
     trace: str
     events: int
-    breach: Optional[str] = None
+    breach: str | None = None
     nodes: dict = field(default_factory=dict)
 
     @property
@@ -70,19 +68,17 @@ def _build_chain(cfg: Config, seed: int,
 
     # one proof rule names the flavour; stateless, so every store shares it
     if cfg["chain.consensus"] == "pos":
-        interval = cfg["pos.slot_interval_s"]
         registry = StakeRegistry(
             deposits={f"val-{i}": s for i, s in enumerate(cfg["pos.stakes"])})
-        rule = PosProof(registry, seed, interval)
+        rule = PosProof(registry, seed, cfg.block_interval_s)
         producers, rates = list(registry.deposits), []
     else:
-        interval = cfg["pow.target_interval_s"]
         rule = GrindProof() if cfg["pow.mode"] == "grind" else LotteryProof()
         producers = [f"miner-{i}" for i in range(miners)]
         rates = list(cfg["chain.hash_rates"]) or [1.0] * miners
 
     schedule = DifficultySchedule(
-        target_interval_s=interval,
+        target_interval_s=cfg.block_interval_s,
         retarget_window=cfg["pow.retarget_window"],
         difficulty=float(2 ** cfg["pow.difficulty_bits"]),
     )
@@ -119,8 +115,7 @@ def representative_names(count: int, reps: int) -> list[str]:
     return [names[i] for i in indices]
 
 
-def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder,
-                   horizon_s: float) -> tuple[dict, dict]:
+def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
     count = cfg["lattice.accounts"]
     reps = cfg["lattice.representatives"]
@@ -180,17 +175,13 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder,
             interval_s=cfg["fork.interval_s"],
             delivery_latency_s=cfg["fork.delivery_latency_ms"] / 1000.0,
             max_amount=cfg["lattice.max_amount"],
-            stop_after_s=horizon_s - cfg["fork.interval_s"])
+            stop_after_s=cfg["scenario.horizon_s"] - cfg["fork.interval_s"])
     return nodes, drivers
 
 
-def build_simulation(cfg: Config, seed: int, recorder: RunRecorder,
-                     horizon_s: Optional[float] = None) -> Simulation:
-    horizon = horizon_s if horizon_s is not None else cfg["scenario.horizon_s"]
-    if cfg.paradigm == "chain":
-        nodes, drivers = _build_chain(cfg, seed, recorder)
-    else:
-        nodes, drivers = _build_lattice(cfg, seed, recorder, horizon)
+def build_simulation(cfg: Config, seed: int, recorder: RunRecorder) -> Simulation:
+    build = _build_chain if cfg.paradigm == "chain" else _build_lattice
+    nodes, drivers = build(cfg, seed, recorder)
     driver = MultiDriver(drivers)
     sim = Simulation(seed, _link_model(cfg), _adjacency(cfg),
                      nodes=nodes, driver=driver)
@@ -200,15 +191,14 @@ def build_simulation(cfg: Config, seed: int, recorder: RunRecorder,
     return sim
 
 
-def run(cfg: Config, seed: int, horizon_s: Optional[float] = None) -> RunResult:
+def run(cfg: Config, seed: int) -> RunResult:
     """One deterministic run; an invariant breach stops it and is reported."""
     recorder = RunRecorder()
-    horizon = horizon_s if horizon_s is not None else cfg["scenario.horizon_s"]
-    sim = build_simulation(cfg, seed, recorder, horizon)
+    sim = build_simulation(cfg, seed, recorder)
     breach = None
     try:
-        sim.run(horizon)
-        _final_audit(cfg, sim)
+        sim.run(cfg["scenario.horizon_s"])
+        _final_audit(sim)
         keep = cfg["chain.prune_keep_recent"] if cfg.paradigm == "chain" else 0
         if keep:
             for i in sorted(sim.nodes):
@@ -216,37 +206,43 @@ def run(cfg: Config, seed: int, horizon_s: Optional[float] = None) -> RunResult:
     except InvariantViolation as exc:
         breach = str(exc)
     return RunResult(
-        scenario_id=cfg.scenario_id, seed=seed, config=cfg,
+        seed=seed, config=cfg,
         recorder=recorder, trace=sim.trace_digest(),
         events=sim.events_executed, breach=breach, nodes=dict(sim.nodes))
 
 
-def _final_audit(cfg: Config, sim: Simulation) -> None:
-    """End-of-run accounting sweep over every node's full state."""
+def _final_audit(sim: Simulation) -> None:
+    """End-of-run accounting sweep; a breach names the node it was found on."""
     for i in sorted(sim.nodes):
-        node = sim.nodes[i]
-        if isinstance(node, ChainNode):
-            node.store.check_conservation()
-            recount = node.store.recount_bytes()
-            if recount != node.store.ledger_bytes():
-                raise InvariantViolation(
-                    "ledger size accounting",
-                    f"node {i}: recount {recount} != {node.store.ledger_bytes()}")
-        elif isinstance(node, LatticeNode):
-            ledger = node.ledger
-            settled, pend = ledger.audit_totals()
-            if (settled, pend) != (ledger.total_balance, ledger.total_pending):
-                raise InvariantViolation(
-                    "lattice balance conservation",
-                    f"node {i}: audit {settled}/{pend} != counters "
-                    f"{ledger.total_balance}/{ledger.total_pending}")
-            ledger.check_conservation()
-            if ledger.recompute_weights() != {
-                    r: w for r, w in ledger.rep_weight.items() if w != 0}:
-                raise InvariantViolation(
-                    "delegated weight tracking",
-                    f"node {i}: incremental weights diverged from rescan")
-            if ledger.recount_bytes() != ledger.ledger_bytes():
-                raise InvariantViolation(
-                    "ledger size accounting",
-                    f"node {i}: recount != incremental byte totals")
+        try:
+            _audit_node(sim.nodes[i])
+        except InvariantViolation as exc:
+            raise InvariantViolation(exc.invariant, f"node {i}: {exc.detail}") from exc
+
+
+def _audit_node(node) -> None:
+    if isinstance(node, ChainNode):
+        node.store.check_conservation()
+        recount = node.store.recount_bytes()
+        if recount != node.store.ledger_bytes():
+            raise InvariantViolation(
+                "ledger size accounting",
+                f"recount {recount} != {node.store.ledger_bytes()}")
+    elif isinstance(node, LatticeNode):
+        ledger = node.ledger
+        settled, pend = ledger.audit_totals()
+        if (settled, pend) != (ledger.total_balance, ledger.total_pending):
+            raise InvariantViolation(
+                "lattice balance conservation",
+                f"audit {settled}/{pend} != counters "
+                f"{ledger.total_balance}/{ledger.total_pending}")
+        ledger.check_conservation()
+        if ledger.recompute_weights() != {
+                r: w for r, w in ledger.rep_weight.items() if w != 0}:
+            raise InvariantViolation(
+                "delegated weight tracking",
+                "incremental weights diverged from rescan")
+        if ledger.recount_bytes() != ledger.ledger_bytes():
+            raise InvariantViolation(
+                "ledger size accounting",
+                "recount != incremental byte totals")

@@ -131,6 +131,13 @@ class Config:
     def paradigm(self) -> str:
         return self.values["scenario.paradigm"]
 
+    @property
+    def block_interval_s(self) -> float:
+        """A chain's block interval: the PoS slot or the PoW target."""
+        if self.values["chain.consensus"] == "pos":
+            return self.values["pos.slot_interval_s"]
+        return self.values["pow.target_interval_s"]
+
     def snapshot_lines(self) -> list[str]:
         """The full effective config, one canonical line per key."""
         out = []
@@ -261,6 +268,8 @@ def _cross_validate_lattice(values: dict) -> None:
     offline = values["lattice.offline_accounts"]
     if offline < 0 or offline >= values["lattice.accounts"]:
         raise ConfigError("lattice.offline_accounts must leave active accounts")
+    if values["lattice.gap_buffer"] < 0:
+        raise ConfigError("lattice.gap_buffer cannot be negative")
 
 
 def parse_config_text(text: str) -> dict:

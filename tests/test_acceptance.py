@@ -53,7 +53,7 @@ def preset_runs():
     for name in sorted(PRESETS):
         cfg = preset_config(name)
         result = run(cfg, seed=1)
-        report = build_report(result, cfg["scenario.horizon_s"])
+        report = build_report(result)
         out[name] = (result, render_report(report), report.csv_rows())
     return out
 
@@ -86,7 +86,6 @@ def test_criterion_01_throughput_ceilings():
 def test_criterion_02_simulated_cap_agreement():
     t0 = time.monotonic()
     cfg = preset_config("bitcoin-baseline")
-    horizon = cfg["scenario.horizon_s"]
     cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
                   cfg["pow.target_interval_s"])
 
@@ -95,7 +94,7 @@ def test_criterion_02_simulated_cap_agreement():
         result = run(cfg, seed)
         assert result.breach is None
         assert result.nodes[0].store.head_height >= 200, f"seed {seed} too short"
-        rates.append(measured_tps(result, horizon))
+        rates.append(measured_tps(result))
 
     mean_rate = statistics.fmean(rates)
     assert cap * 0.9 <= mean_rate <= cap * 1.1, (mean_rate, cap)
@@ -149,10 +148,11 @@ def test_criterion_04_fork_rate_monotonicity():
     means = []
     for latency_ms in (20.0, 200.0, 1000.0):  # 0.01 / 0.1 / 0.5 of the interval
         cfg = preset_config("bitcoin-baseline", [
-            f"net.base_latency_ms={latency_ms}", "net.jitter_ms=0"])
+            f"net.base_latency_ms={latency_ms}", "net.jitter_ms=0",
+            "scenario.horizon_s=120"])
         rates = []
         for seed in range(1, 31):
-            result = run(cfg, seed, horizon_s=120.0)
+            result = run(cfg, seed)
             assert result.breach is None
             rates.append(measure_orphan_rate(result))
         means.append(statistics.fmean(rates))
@@ -167,12 +167,11 @@ def test_criterion_05_lattice_scalability():
     def mean_settled(accounts: int) -> float:
         cfg = preset_config("nano-scaling", [f"lattice.accounts={accounts}"])
         assert cfg["lattice.spam_difficulty_bits"] == 0
-        horizon = cfg["scenario.horizon_s"]
         vals = []
         for seed in range(1, 6):
             result = run(cfg, seed)
             assert result.breach is None
-            vals.append(settled_tps(result, horizon))
+            vals.append(settled_tps(result))
         return statistics.fmean(vals)
 
     small = mean_settled(10)
@@ -234,14 +233,14 @@ def test_criterion_07_conservation_and_breach_status(preset_runs, tmp_path,
     from ledgerlab import metrics as metrics_mod
     from ledgerlab.runner import run as real_run
 
-    def breached_run(cfg, seed, horizon_s=None):
-        result = real_run(cfg, seed, horizon_s=horizon_s)
+    def breached_run(cfg, seed):
+        result = real_run(cfg, seed)
         result.breach = "lattice balance conservation"
         return result
 
     monkeypatch.setattr(metrics_mod, "run", breached_run)
     rc = cli_main(["run", "--config", "nano-baseline", "--seeds", "1",
-                   "--horizon", "5", "--out", str(tmp_path)])
+                   "--override", "scenario.horizon_s=5", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 2
 
@@ -411,6 +410,6 @@ def test_criterion_11_deterministic_reports(preset_runs):
         cfg = preset_config(name)
         rerun = run(cfg, seed=1)
         assert rerun.trace == first.trace, name
-        report = build_report(rerun, cfg["scenario.horizon_s"])
+        report = build_report(rerun)
         assert render_report(report) == text, name
         assert report.csv_rows() == rows, name

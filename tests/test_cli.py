@@ -1,5 +1,8 @@
 """Command-line verbs and exit statuses."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from ledgerlab import cli
@@ -8,7 +11,7 @@ from ledgerlab.cli import EXIT_BREACH, EXIT_OK, EXIT_USAGE, main
 
 def test_run_ok(tmp_path, capsys):
     rc = main(["run", "--config", "nano-baseline", "--seeds", "1",
-               "--horizon", "10", "--out", str(tmp_path)])
+               "--override", "scenario.horizon_s=10", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "nano-baseline seed 1: ok" in out
@@ -17,7 +20,7 @@ def test_run_ok(tmp_path, capsys):
 
 def test_run_seed_range(tmp_path, capsys):
     rc = main(["run", "--config", "nano-baseline", "--seeds", "4..5",
-               "--horizon", "5", "--out", str(tmp_path)])
+               "--override", "scenario.horizon_s=5", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "seed 4" in out and "seed 5" in out
@@ -57,6 +60,21 @@ def test_bad_override(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_negative_gap_buffer_is_usage_error(capsys):
+    rc = main(["validate", "--config", "nano-baseline",
+               "--override", "lattice.gap_buffer=-1"])
+    assert rc == EXIT_USAGE
+    assert "lattice.gap_buffer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "inspect"])
+def test_horizon_flag_is_a_usage_error(verb, capsys):
+    # the run length is the config key scenario.horizon_s, nothing else
+    rc = main([verb, "--config", "nano-baseline", "--horizon", "5"])
+    assert rc == EXIT_USAGE
+    assert "--horizon" in capsys.readouterr().err
+
+
 def test_validate_echoes_canonical_config(capsys):
     rc = main(["validate", "--config", "pos-baseline"])
     out = capsys.readouterr().out
@@ -75,7 +93,8 @@ def test_validate_config_file(tmp_path, capsys):
 
 
 def test_inspect_chain(capsys):
-    rc = main(["inspect", "--config", "bitcoin-baseline", "--horizon", "10"])
+    rc = main(["inspect", "--config", "bitcoin-baseline",
+               "--override", "scenario.horizon_s=10"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "adopted head" in out
@@ -83,7 +102,8 @@ def test_inspect_chain(capsys):
 
 
 def test_inspect_lattice(capsys):
-    rc = main(["inspect", "--config", "nano-baseline", "--horizon", "10"])
+    rc = main(["inspect", "--config", "nano-baseline",
+               "--override", "scenario.horizon_s=10"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "accounts 12" in out
@@ -94,14 +114,14 @@ def test_breach_exits_with_status_two(tmp_path, capsys, monkeypatch):
     from ledgerlab import metrics as metrics_mod
     from ledgerlab.runner import run as real_run
 
-    def breached_run(cfg, seed, horizon_s=None):
-        result = real_run(cfg, seed, horizon_s=horizon_s)
+    def breached_run(cfg, seed):
+        result = real_run(cfg, seed)
         result.breach = "chain balance conservation"
         return result
 
     monkeypatch.setattr(metrics_mod, "run", breached_run)
     rc = main(["run", "--config", "nano-baseline", "--seeds", "1",
-               "--horizon", "5", "--out", str(tmp_path)])
+               "--override", "scenario.horizon_s=5", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_BREACH
     assert "BREACH" in out
@@ -110,9 +130,9 @@ def test_breach_exits_with_status_two(tmp_path, capsys, monkeypatch):
 
 def test_compare_two_paradigms(tmp_path, capsys):
     main(["run", "--config", "nano-baseline", "--seeds", "1",
-          "--horizon", "10", "--out", str(tmp_path)])
+          "--override", "scenario.horizon_s=10", "--out", str(tmp_path)])
     main(["run", "--config", "bitcoin-baseline", "--seeds", "1",
-          "--horizon", "10", "--out", str(tmp_path)])
+          "--override", "scenario.horizon_s=10", "--out", str(tmp_path)])
     capsys.readouterr()
     rc = main(["compare", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -125,7 +145,7 @@ def test_compare_two_paradigms(tmp_path, capsys):
 
 def test_compare_single_paradigm_warns(tmp_path, capsys):
     main(["run", "--config", "nano-baseline", "--seeds", "1",
-          "--horizon", "10", "--out", str(tmp_path)])
+          "--override", "scenario.horizon_s=10", "--out", str(tmp_path)])
     capsys.readouterr()
     rc = main(["compare", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -141,3 +161,37 @@ def test_compare_empty_dir(tmp_path, capsys):
 
 def test_compare_missing_dir(tmp_path):
     assert main(["compare", "--out", str(tmp_path / "void")]) == EXIT_USAGE
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    """Every `ledgerlab ...` line in the README's code blocks, with
+    backslash continuations joined."""
+    commands, in_block, pending = [], False, ""
+    for raw in README.read_text(encoding="utf-8").splitlines():
+        if raw.startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        line = pending + raw.strip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.startswith("ledgerlab "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_command_lines()
+    assert commands
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except cli.UsageError as exc:
+            pytest.fail(f"README command does not parse: {line}: {exc}")

@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ledgerlab"
 
 # keys the rest of the package reads through a Config property
-READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm"}
+READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm",
+                     "pos.slot_interval_s": "block_interval_s",
+                     "pow.target_interval_s": "block_interval_s"}
 
 # Definitions that no other package code names, and why each stays.
 TEST_FACING = {

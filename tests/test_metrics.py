@@ -120,7 +120,7 @@ def _synthetic_result():
     rec.adoption(2.0, 0, 1, 2, (), (b(2),))
     # a competing branch of length 3 replaces b2 at head height 2
     rec.adoption(3.0, 0, 2, 3, (b(2),), (b(10), b(11)))
-    return RunResult("synthetic", 1, None, rec, "", 3)
+    return RunResult(seed=1, config=None, recorder=rec, trace="", events=3)
 
 
 def test_block_fates_peak_depth_rules():
@@ -160,14 +160,14 @@ def test_chain_metrics_reject_lattice_runs(lattice_result):
     with pytest.raises(WrongParadigmError):
         measure_orphan_rate(lattice_result)
     with pytest.raises(WrongParadigmError):
-        measured_tps(lattice_result, 40.0)
+        measured_tps(lattice_result)
     with pytest.raises(WrongParadigmError):
         heads_in_agreement(lattice_result)
 
 
 def test_lattice_metrics_reject_chain_runs(chain_result):
     with pytest.raises(WrongParadigmError):
-        settled_tps(chain_result, 40.0)
+        settled_tps(chain_result)
     with pytest.raises(WrongParadigmError):
         measure_settlement_latency(chain_result)
 
@@ -178,7 +178,7 @@ def test_lattice_metrics_reject_chain_runs(chain_result):
 def test_chain_run_measurements(chain_result):
     rate = measure_orphan_rate(chain_result)
     assert 0.0 <= rate < 0.5
-    tps = measured_tps(chain_result, 40.0)
+    tps = measured_tps(chain_result)
     assert 0.0 < tps <= tps_cap(2500, 250, 2.0)
     assert heads_in_agreement(chain_result) == 4
 
@@ -191,7 +191,7 @@ def test_lattice_run_measurements(lattice_result):
     settled = {d for _n, _nd, d, _rd in lattice_result.recorder.receives_applied}
     assert len(series.values()) == len(created & settled)
     assert set(unsettled) == created - settled
-    assert settled_tps(lattice_result, 40.0) == pytest.approx(
+    assert settled_tps(lattice_result) == pytest.approx(
         len(created & settled) / 40.0)
 
 
@@ -214,25 +214,25 @@ def test_conflict_outcomes_cover_all_nodes():
 
 
 def test_report_renders_identically_for_same_result(chain_result):
-    a = render_report(build_report(chain_result, 40.0))
-    b = render_report(build_report(chain_result, 40.0))
+    a = render_report(build_report(chain_result))
+    b = render_report(build_report(chain_result))
     assert a == b
     assert "scenario: bitcoin-baseline" in a
     assert "[config]" in a and "[metrics]" in a
 
 
 def test_report_scalars_recompute(chain_result):
-    report = build_report(chain_result, 40.0)
+    report = build_report(chain_result)
     scalars = {m: v for m, _u, v in report.scalars}
     assert scalars["measured-tps"] == pytest.approx(
-        measured_tps(chain_result, 40.0))
+        measured_tps(chain_result))
     assert scalars["orphan-rate"] == pytest.approx(
         measure_orphan_rate(chain_result))
     assert scalars["tps-cap"] == pytest.approx(tps_cap(2500, 250, 2.0))
 
 
 def test_csv_rows_shape(lattice_result):
-    report = build_report(lattice_result, 40.0)
+    report = build_report(lattice_result)
     assert CSV_HEADER == "scenario,seed,metric,unit,stat,value"
     for row in report.csv_rows():
         assert len(row.split(",")) == 6

@@ -64,7 +64,7 @@ VARIANT_PINS = {
 
 def _trace_and_report_sha(cfg):
     result = run(cfg, 1)
-    text = render_report(build_report(result, cfg["scenario.horizon_s"]))
+    text = render_report(build_report(result))
     return result.trace, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -7,8 +7,9 @@ from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError
 from ledgerlab.lattice import LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
-from ledgerlab.runner import account_names, representative_names, run
+from ledgerlab.runner import RunResult, account_names, representative_names, run
 from ledgerlab.scenario import preset_config
+from ledgerlab.simnet import Simulation
 
 
 def test_account_names_are_stable():
@@ -25,7 +26,7 @@ def test_chain_run_result_shape():
     cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=20"])
     result = run(cfg, seed=5)
     assert result.ok
-    assert result.scenario_id == "bitcoin-baseline"
+    assert result.config.scenario_id == "bitcoin-baseline"
     assert result.seed == 5
     assert len(result.trace) == 64
     assert result.events > 0
@@ -50,10 +51,9 @@ def test_rerun_is_trace_identical():
     assert run(cfg, seed=9).trace == run(cfg, seed=9).trace
 
 
-def test_horizon_override_argument():
-    cfg = preset_config("nano-baseline")
-    short = run(cfg, seed=1, horizon_s=5.0)
-    long_ = run(cfg, seed=1, horizon_s=10.0)
+def test_shorter_horizon_runs_fewer_events():
+    short = run(preset_config("nano-baseline", ["scenario.horizon_s=5"]), seed=1)
+    long_ = run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), seed=1)
     assert short.events < long_.events
 
 
@@ -158,6 +158,29 @@ def test_final_audit_catches_a_lattice_byte_miscount(monkeypatch):
     assert "ledger size accounting" in result.breach
 
 
+def test_final_audit_names_the_node_of_a_supply_breach(monkeypatch):
+    sim_run = Simulation.run
+
+    def run_then_mint(self, horizon_s):
+        sim_run(self, horizon_s)
+        for node in self.nodes.values():
+            balances = node.store.head_state.balances
+            balances[min(balances)] += 1
+
+    monkeypatch.setattr(Simulation, "run", run_then_mint)
+    result = run(preset_config("bitcoin-baseline", ["scenario.horizon_s=20"]), 1)
+    assert "chain balance conservation" in result.breach
+    assert "node 0:" in result.breach
+
+
+def test_zero_gap_buffer_drops_gap_blocks_and_completes():
+    cfg = preset_config("nano-baseline", [
+        "lattice.gap_buffer=0", "net.drop_prob=0.2", "scenario.horizon_s=20"])
+    result = run(cfg, 1)
+    assert isinstance(result, RunResult)
+    assert result.breach is None
+
+
 def test_weight_rescan_breach_exits_with_status_two(monkeypatch, tmp_path, capsys):
     recompute = LatticeLedger.recompute_weights
     monkeypatch.setattr(LatticeLedger, "recompute_weights",
@@ -166,6 +189,6 @@ def test_weight_rescan_breach_exits_with_status_two(monkeypatch, tmp_path, capsy
     assert "delegated weight tracking" in result.breach
 
     rc = main(["run", "--config", "nano-baseline", "--seeds", "1",
-               "--horizon", "10", "--out", str(tmp_path)])
+               "--override", "scenario.horizon_s=10", "--out", str(tmp_path)])
     assert rc == EXIT_BREACH
     assert "delegated weight tracking" in capsys.readouterr().out

@@ -101,6 +101,14 @@ def test_cross_validation_lattice():
         _cfg(MINIMAL_LATTICE + "lattice.tiers = hot,cold\n")
 
 
+def test_negative_gap_buffer_rejected():
+    with pytest.raises(ConfigError, match="lattice.gap_buffer"):
+        build_config(PRESETS["nano-baseline"], ["lattice.gap_buffer=-1"])
+    # zero keeps no gap block at all, which is legal
+    assert build_config(PRESETS["nano-baseline"],
+                        ["lattice.gap_buffer=0"])["lattice.gap_buffer"] == 0
+
+
 def test_partition_syntax():
     cfg = _cfg(MINIMAL_CHAIN + "net.partitions = 30-60:0,1|2,3\n")
     parts = cfg["net.partitions"]
