@@ -417,8 +417,8 @@ class ChainStore:
         }
         self.deltas: dict[bytes, StateDelta] = {}
         self.tx_blocks: dict[bytes, list[bytes]] = {}
+        # digest -> height of each block on the adopted branch, genesis first
         self.adopted: dict[bytes, int] = {self.genesis_digest: 0}
-        self.adopted_head = self.genesis_digest
         self.head_state = genesis_state.copy()
         self.first_full_block_height = 0
 
@@ -431,24 +431,20 @@ class ChainStore:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def adopted_head(self) -> bytes:
+        """The last entry of the adopted branch."""
+        return next(reversed(self.adopted))
+
+    @property
     def head_height(self) -> int:
-        return self.blocks[self.adopted_head].height
+        return self.adopted[self.adopted_head]
 
     def balance(self, account: str) -> int:
         return self.head_state.balance(account)
 
     def adopted_chain(self) -> list[bytes]:
         """Digests of the adopted branch, genesis first."""
-        out = []
-        d = self.adopted_head
-        while True:
-            out.append(d)
-            header = self.blocks[d].header
-            if header.predecessor == ZERO_DIGEST:
-                break
-            d = header.predecessor
-        out.reverse()
-        return out
+        return list(self.adopted)
 
     def reconstruct_block(self, block_digest: bytes) -> Block:
         sb = self.blocks[block_digest]
@@ -468,33 +464,38 @@ class ChainStore:
 
     def state_at(self, block_digest: bytes) -> ChainState:
         """Materialize state as of a block by walking deltas from the head."""
-        if block_digest == self.adopted_head:
-            return self.head_state.copy()
         if block_digest not in self.blocks:
             raise NotFoundError("unknown block")
         state = self.head_state.copy()
-        # path from target up to the adopted branch
-        up: list[bytes] = []
-        d = block_digest
-        while d not in self.adopted:
-            up.append(d)
-            d = self.blocks[d].header.predecessor
-        join = d
-        # rewind the adopted branch down to the join point
-        d = self.adopted_head
-        while d != join:
-            delta = self.deltas.get(d)
-            if delta is None:
-                raise HistoryPrunedError("state below the pruned horizon")
-            delta.revert(state)
-            d = self.blocks[d].header.predecessor
-        # replay the side branch
-        for d in reversed(up):
-            delta = self.deltas.get(d)
-            if delta is None:
-                raise HistoryPrunedError("state below the pruned horizon")
-            delta.apply(state)
+        self._walk(state, block_digest)
         return state
+
+    def _walk(self, state: ChainState, target: bytes) -> tuple[list[bytes], list[bytes]]:
+        """Turn `state`, the head's state, into `target`'s by reverting and
+        applying deltas; returns the blocks that leave the adopted branch
+        (head first) and the blocks that join it (ancestor first)."""
+        joining: list[bytes] = []
+        d = target
+        while d not in self.adopted:
+            joining.append(d)
+            d = self.blocks[d].header.predecessor
+        joining.reverse()
+        leaving: list[bytes] = []
+        for a in reversed(self.adopted):
+            if a == d:
+                break
+            leaving.append(a)
+        # every delta is looked up first, so a pruned one leaves `state` whole
+        try:
+            reverts = [self.deltas[b] for b in leaving]
+            applies = [self.deltas[b] for b in joining]
+        except KeyError:
+            raise HistoryPrunedError("state below the pruned horizon") from None
+        for delta in reverts:
+            delta.revert(state)
+        for delta in applies:
+            delta.apply(state)
+        return leaving, joining
 
     # -- validation ---------------------------------------------------------
 
@@ -610,26 +611,11 @@ class ChainStore:
             return AdoptionReport(old_head, old_head, old_height, old_height, (), (), ())
 
         # reorganize onto the longer branch
-        orphaned: list[bytes] = []
-        incoming: list[bytes] = []
-        a, b = old_head, d
-        while self.blocks[b].height > self.blocks[a].height:
-            incoming.append(b)
-            b = self.blocks[b].header.predecessor
-        while a != b:
-            orphaned.append(a)
-            incoming.append(b)
-            a = self.blocks[a].header.predecessor
-            b = self.blocks[b].header.predecessor
-
+        orphaned, incoming = self._walk(self.head_state, d)
         for od in orphaned:
-            self.deltas[od].revert(self.head_state)
             del self.adopted[od]
-        incoming.reverse()
         for nd in incoming:
-            self.deltas[nd].apply(self.head_state)
             self.adopted[nd] = self.blocks[nd].height
-        self.adopted_head = d
 
         new_txs = {
             t.digest()
@@ -791,8 +777,7 @@ def fast_sync(source: ChainStore,
             src = source.blocks[d]
             fresh._insert(d, src.header, None, src.schedule, None)
             fresh.adopted[d] = src.height
-        fresh.adopted_head = chain[pivot_height]
-        fresh.head_state = source.state_at(fresh.adopted_head)
+        fresh.head_state = source.state_at(chain[pivot_height])
         fresh.first_full_block_height = pivot_height
 
     for d in chain[pivot_height + 1:]:

@@ -249,8 +249,6 @@ class Outcome:
 
 @dataclass
 class Conflict:
-    account: str
-    subject: bytes
     candidates: dict[bytes, LatticeBlock]
     votes: dict[str, VoteRecord]  # one choice per representative
     resolved: Optional[bytes] = None
@@ -290,9 +288,13 @@ class AccountChain:
     account: str
     representative: str
     balance: int = 0
-    head: bytes = ZERO_DIGEST
     blocks: dict[bytes, LatticeBlock] = field(default_factory=dict)
     order: list[bytes] = field(default_factory=list)
+
+    @property
+    def head(self) -> bytes:
+        """The frontier: the last block of the chain."""
+        return self.order[-1] if self.order else ZERO_DIGEST
 
     def successor_of(self, predecessor: bytes) -> Optional[bytes]:
         """Digest of the on-chain block sitting directly after `predecessor`."""
@@ -635,8 +637,7 @@ class LatticeLedger:
         key = (newcomer.account, newcomer.predecessor)
         conflict = self.conflicts.get(key)
         if conflict is None:
-            conflict = Conflict(account=newcomer.account, subject=newcomer.predecessor,
-                                candidates={}, votes={})
+            conflict = Conflict(candidates={}, votes={})
             self.conflicts[key] = conflict
             outcome.conflicts_opened.append(key)
         if incumbent_digest is not None and incumbent_digest not in conflict.candidates:
@@ -750,7 +751,6 @@ class LatticeLedger:
         prev_head = chain.head
         chain.blocks[d] = block
         chain.order.append(d)
-        chain.head = d
         self.adoption_time[d] = now
         self._bytes_blocks += block.encoded_len()
 
@@ -797,7 +797,6 @@ class LatticeLedger:
             chain.blocks.pop(d, None)
             self.adoption_time.pop(d, None)
             self._bytes_blocks -= block.encoded_len()
-            chain.head = block.predecessor
             discarded.append(d)
         return discarded
 

@@ -188,14 +188,17 @@ class ChainNode:
         if tag == MSG_CHAIN_TX:
             r.u64()  # sender node, unused
             tx = ChainTransaction.decode(r)
+            r.expect_end()
             self._add_to_mempool(tx)
         elif tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
             sender = r.u64()
             block = Block.decode(r)
+            r.expect_end()
             self._ingest_block(sim, now, block, sender)
         elif tag == MSG_CHAIN_REQ:
             sender = r.u64()
             wanted = r.digest()
+            r.expect_end()
             sb = self.store.blocks.get(wanted)
             if sb is not None and sb.transactions is not None:
                 block = Block(header=sb.header, transactions=sb.transactions)
@@ -338,6 +341,7 @@ class LatticeNode:
         r.u64()  # sender, unused: gossip is undirected
         block = LatticeBlock.decode(r)
         votes = r.list_(VoteRecord.decode)
+        r.expect_end()
         outcome = self.ledger.receive_block(block, now, votes)
         self._after_outcome(sim, now, outcome, wire_block=block)
 

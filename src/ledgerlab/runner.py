@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blockchain import ChainStore, GrindProof, LotteryProof, PosProof
-from .errors import ConfigError, InvariantViolation
+from .errors import InvariantViolation
 from .lattice import LatticeLedger, NodeTier
 from .leader_election import DifficultySchedule, StakeRegistry
 from .nodes import (
@@ -20,7 +20,7 @@ from .nodes import (
     MultiDriver,
 )
 from .recording import RunRecorder
-from .scenario import Config
+from .scenario import Config, account_names, representative_names
 from .simnet import LinkModel, Simulation, mesh_adjacency, ring_adjacency
 
 
@@ -37,10 +37,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.breach is None
-
-
-def account_names(count: int) -> list[str]:
-    return [f"acct-{i:02d}" for i in range(count)]
 
 
 def _link_model(cfg: Config) -> LinkModel:
@@ -106,15 +102,6 @@ def _build_chain(cfg: Config, seed: int,
     return nodes, drivers
 
 
-def representative_names(count: int, reps: int) -> list[str]:
-    """Representatives spread evenly through the account list."""
-    names = account_names(count)
-    indices = sorted({round(i * count / reps) for i in range(reps)})
-    if len(indices) < reps:  # rounding collision on tiny populations
-        indices = list(range(reps))
-    return [names[i] for i in indices]
-
-
 def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
     count = cfg["lattice.accounts"]
@@ -124,10 +111,7 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
     genesis = {name: (cfg["lattice.genesis_amount"], rep_names[i % reps])
                for i, name in enumerate(names)}
 
-    offline_count = cfg["lattice.offline_accounts"]
-    offline = frozenset(names[-offline_count:]) if offline_count else frozenset()
-    if offline & set(rep_names):
-        raise ConfigError("offline account range overlaps the representatives")
+    offline = frozenset(names[count - cfg["lattice.offline_accounts"]:])
 
     host_of = {name: i % n for i, name in enumerate(names)}
     cement = cfg["lattice.cement_delay_s"] or None
@@ -154,8 +138,6 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
         attackers = [a for a in names
                      if a not in offline and a not in rep_names]
         attackers = attackers[:cfg["fork.attackers"]]
-        if not attackers:
-            raise ConfigError("no eligible attacker accounts for fork injection")
 
     # Attackers only equivocate. Scripted sends or receives on the same
     # account would race the injected pair and hand representatives a third

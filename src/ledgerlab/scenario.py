@@ -116,6 +116,19 @@ _VALID = {
 }
 
 
+def account_names(count: int) -> list[str]:
+    return [f"acct-{i:02d}" for i in range(count)]
+
+
+def representative_names(count: int, reps: int) -> list[str]:
+    """Representatives spread evenly through the account list."""
+    names = account_names(count)
+    indices = sorted({round(i * count / reps) for i in range(reps)})
+    if len(indices) < reps:  # rounding collision on tiny populations
+        indices = list(range(reps))
+    return [names[i] for i in indices]
+
+
 @dataclass(frozen=True)
 class Config:
     values: dict
@@ -238,6 +251,9 @@ def _cross_validate_chain(values: dict) -> None:
             raise ConfigError("pow.retarget_window must be at least 1")
     if values["chain.tx_weight"] <= 0 or values["chain.capacity_units"] <= 0:
         raise ConfigError("chain capacity and weight must be positive")
+    if values["chain.tx_weight"] > values["chain.capacity_units"]:
+        raise ConfigError(
+            "chain.tx_weight exceeds chain.capacity_units: no transaction fits a block")
     keep = values["chain.prune_keep_recent"]
     if keep and keep < values["chain.reorg_safety"]:
         raise ConfigError(
@@ -265,9 +281,17 @@ def _cross_validate_lattice(values: dict) -> None:
                 f"lattice.tiers entries must be historical or current, got {bad[0]!r}")
     if values["fork.interval_s"] > 0 and values["fork.attackers"] < 1:
         raise ConfigError("fork.interval_s needs fork.attackers >= 1")
+    count = values["lattice.accounts"]
     offline = values["lattice.offline_accounts"]
-    if offline < 0 or offline >= values["lattice.accounts"]:
+    if offline < 0 or offline >= count:
         raise ConfigError("lattice.offline_accounts must leave active accounts")
+    names = account_names(count)
+    reps = set(representative_names(count, values["lattice.representatives"]))
+    offline_names = set(names[count - offline:])
+    if offline_names & reps:
+        raise ConfigError("offline account range overlaps the representatives")
+    if values["fork.interval_s"] > 0 and not set(names) - offline_names - reps:
+        raise ConfigError("no eligible attacker accounts for fork injection")
     if values["lattice.gap_buffer"] < 0:
         raise ConfigError("lattice.gap_buffer cannot be negative")
 

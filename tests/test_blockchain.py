@@ -1,5 +1,6 @@
 """Chain store: assembly, validation verdicts, reorgs, pruning, fast sync."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -353,6 +354,34 @@ def test_state_at_walks_to_side_branches():
     at_side = store.state_at(side.digest())
     assert at_side.balance("alice") == 999
     assert store.balance("alice") == 900  # head unaffected
+
+
+def test_branch_records_hold_through_random_reorgs():
+    rng = random.Random(7)
+    store = _store()
+    tips = [store.genesis_digest]
+    reorgs = 0
+    for i in range(1, 201):
+        parent = rng.choice(tips[-8:])
+        sender, identity = rng.choice([("alice", ALICE), ("bob", BOB)])
+        sequence = store.state_at(parent).sequence(sender) + 1
+        tx = make_transaction(identity, rng.choice(["bob", "carol", "dave"]),
+                              rng.randint(1, 5), sequence, 10)
+        block = assemble_block(store, parent, [tx], producer=f"m{i % 3}",
+                               timestamp=float(i))
+        report = store.adopt(block, store.validate_block(block))
+        reorgs += bool(report.orphaned)
+        tips.append(block.digest())
+
+        walk, d = [], store.adopted_head
+        while d != ZERO_DIGEST:
+            walk.append(d)
+            d = store.blocks[d].header.predecessor
+        assert store.adopted_chain() == walk[::-1]
+        assert store.head_height == store.blocks[store.adopted_head].height
+    assert reorgs > 0
+    for d, sb in store.blocks.items():
+        assert store.state_at(d).root() == sb.header.state_root
 
 
 # -- conservation -----------------------------------------------------------

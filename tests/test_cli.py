@@ -67,6 +67,22 @@ def test_negative_gap_buffer_is_usage_error(capsys):
     assert "lattice.gap_buffer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, overrides, reason", [
+    ("nano-baseline", ["lattice.offline_accounts=11"], "overlaps the representatives"),
+    ("fork-stress", ["lattice.accounts=3", "lattice.representatives=3"],
+     "no eligible attacker"),
+    ("bitcoin-baseline", ["chain.tx_weight=3000"], "no transaction fits"),
+])
+def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
+    args = ["--config", preset]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(["validate"] + args) == EXIT_USAGE
+    assert reason in capsys.readouterr().err
+    assert main(["run", "--seeds", "1"] + args) == EXIT_USAGE
+    assert reason in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["run", "inspect"])
 def test_horizon_flag_is_a_usage_error(verb, capsys):
     # the run length is the config key scenario.horizon_s, nothing else

@@ -27,7 +27,6 @@ TEST_FACING = {
     "survival_curve": "confirmation confidence; acceptance criterion 03",
     "SurvivalPoint.std_error": "confirmation confidence; acceptance criterion 03",
     "ChainStore.confirmations": "a transaction's k-deep confirmation count",
-    "Reader.expect_end": "rejects trailing bytes when a whole message is decoded",
     "LatticeLedger.create_rep_change": "the benchmark tracer wraps it by name",
     "_Parser.error": "argparse calls it on a usage error",
 }

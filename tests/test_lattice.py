@@ -404,6 +404,8 @@ def test_losing_branch_rollback_cascades_through_receives():
     # the receive on b's chain was built on the discarded send: unwound too
     assert ledger.balance("b") == 50
     assert ledger.accounts["b"].head != r1.digest()
+    assert ledger.accounts["b"].head == r1.predecessor == ledger.accounts["b"].order[-1]
+    assert ledger.accounts["a"].head == s2.digest()
     assert ledger.balance("a") == 40
     assert s1.digest() not in ledger.pending
     assert ledger.pending[s2.digest()].amount == 60

@@ -18,7 +18,7 @@ from ledgerlab.blockchain import (
     assemble_block,
     make_transaction,
 )
-from ledgerlab.codec import Reader
+from ledgerlab.codec import CodecError, Reader
 from ledgerlab.lattice import LatticeBlock, LatticeLedger, VoteRecord, make_vote
 from ledgerlab.nodes import (
     CMD_CHAIN_TX,
@@ -84,6 +84,26 @@ def test_lattice_block_message_round_trip_with_votes():
     assert decoded.digest() == send.digest()
     assert votes == [vote]
     assert votes[0].verify_signature()
+
+
+def test_a_message_with_trailing_bytes_is_rejected():
+    store = _store()
+    block = assemble_block(store, store.adopted_head, [],
+                           producer="miner-0", timestamp=1.0)
+    node, sim = _chain_node()
+    with pytest.raises(CodecError, match="1 trailing bytes"):
+        node.on_message(sim, 0.0,
+                        _chain_block_msg(MSG_CHAIN_BLOCK, 1, block) + b"\x00")
+    assert node.store.head_height == 0
+
+    genesis = {"carol": (100, "carol"), "home": (40, "home")}
+    send = LatticeLedger(genesis).create_send("carol", "home", 30)
+    lattice_node = LatticeNode(1, LatticeLedger(genesis), RunRecorder(),
+                               hosted_accounts=("home",))
+    with pytest.raises(CodecError, match="1 trailing bytes"):
+        lattice_node.on_message(sim, 0.0,
+                                _lattice_block_msg(0, send, []) + b"\x00")
+    assert lattice_node.ledger.balance("carol") == 100
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,15 @@ from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError
 from ledgerlab.lattice import LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
-from ledgerlab.runner import RunResult, account_names, representative_names, run
+from ledgerlab.metrics import tps_cap
+from ledgerlab.recording import RunRecorder
+from ledgerlab.runner import (
+    RunResult,
+    account_names,
+    build_simulation,
+    representative_names,
+    run,
+)
 from ledgerlab.scenario import preset_config
 from ledgerlab.simnet import Simulation
 
@@ -111,6 +119,37 @@ def test_offline_accounts_cannot_be_representatives():
     with pytest.raises(ConfigError):
         run(preset_config("nano-baseline", ["lattice.offline_accounts=11"]),
             seed=1)
+
+
+def _builds_or_is_rejected(preset, overrides):
+    """A config either fails build_config or builds a simulation cleanly."""
+    try:
+        cfg = preset_config(preset, overrides)
+    except ConfigError:
+        return None
+    build_simulation(cfg, 1, RunRecorder())
+    return cfg
+
+
+def test_validation_agrees_with_the_lattice_builder():
+    for accounts in range(2, 7):
+        for reps in range(1, accounts + 1):
+            for offline in range(accounts):
+                for fork_interval in (0, 10):
+                    _builds_or_is_rejected("fork-stress", [
+                        f"lattice.accounts={accounts}",
+                        f"lattice.representatives={reps}",
+                        f"lattice.offline_accounts={offline}",
+                        f"fork.interval_s={fork_interval}"])
+
+
+def test_validation_agrees_with_the_chain_capacity():
+    for weight in (2499, 2500, 2501):
+        cfg = _builds_or_is_rejected("bitcoin-baseline",
+                                     [f"chain.tx_weight={weight}"])
+        if cfg is not None:
+            assert tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
+                           cfg.block_interval_s) > 0
 
 
 def test_lattice_tiers_wire_through():
