@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit statuses are a stable contract: 0 all good, 1 usage or configuration
-problem, 2 an invariant was breached during a run.
+problem, 2 an invariant was breached during a run, 3 an internal error (a
+defect in ledgerlab itself; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .errors import ConfigError, LedgerError
 from .metrics import (
@@ -24,6 +26,7 @@ from .scenario import PRESETS, load_config, preset_config
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BREACH = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -240,6 +243,10 @@ def main(argv=None) -> int:
     except (UsageError, LedgerError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

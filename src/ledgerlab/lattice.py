@@ -213,7 +213,8 @@ class LatticeVerdict(enum.Enum):
     BAD_SIGNATURE = "bad-signature"
     BAD_POW = "bad-pow"
     FORK_DETECTED = "fork-detected"
-    GAP_DETECTED = "gap-detected"
+    GAP_DETECTED = "gap-detected"          # a predecessor or send not held yet
+    UNKNOWN_REFERENCE = "unknown-reference"  # names what can never arrive
     INSUFFICIENT_BALANCE = "insufficient-balance"
     DUPLICATE_RECEIVE = "duplicate-receive"
 
@@ -324,7 +325,7 @@ class LatticeLedger:
     def __init__(self, genesis: dict[str, tuple[int, str]],
                  spam_bits: int = 0,
                  quorum_fraction: float = DEFAULT_QUORUM_FRACTION,
-                 cement_delay_s: Optional[float] = None,
+                 cement_delay_s: float = 0.0,
                  gap_buffer: int = DEFAULT_GAP_BUFFER,
                  tier: NodeTier = NodeTier.HISTORICAL):
         self.spam_bits = spam_bits
@@ -467,7 +468,8 @@ class LatticeLedger:
 
         chain = self.accounts.get(block.account)
         if chain is None:
-            return LatticeVerdict.GAP_DETECTED, f"unknown account {block.account}"
+            # accounts exist only from genesis, so no later block opens one
+            return LatticeVerdict.UNKNOWN_REFERENCE, f"unknown account {block.account}"
         if block.kind is BlockKind.GENESIS:
             # chains are opened at construction; a second first-block is a fork
             return LatticeVerdict.FORK_DETECTED, "genesis slot is fixed"
@@ -484,7 +486,7 @@ class LatticeLedger:
                 return LatticeVerdict.INSUFFICIENT_BALANCE, (
                     f"{block.account} holds {chain.balance}, sends {block.amount}")
             if block.counterparty not in self.accounts:
-                return LatticeVerdict.GAP_DETECTED, "unknown recipient"
+                return LatticeVerdict.UNKNOWN_REFERENCE, "unknown recipient"
         elif block.kind is BlockKind.RECEIVE:
             pend = self.pending.get(block.counterparty)
             if pend is None:
@@ -492,12 +494,13 @@ class LatticeLedger:
                     return LatticeVerdict.DUPLICATE_RECEIVE, "send already received"
                 return LatticeVerdict.GAP_DETECTED, "matched send not held"
             if pend.recipient != block.account:
-                return LatticeVerdict.GAP_DETECTED, "no matching pending send for this account"
+                return (LatticeVerdict.UNKNOWN_REFERENCE,
+                        "no matching pending send for this account")
             if pend.amount != block.amount:
                 return LatticeVerdict.INSUFFICIENT_BALANCE, "amount mismatch with pending send"
         else:  # REP_CHANGE
             if block.new_representative not in self.accounts:
-                return LatticeVerdict.GAP_DETECTED, "unknown representative"
+                return LatticeVerdict.UNKNOWN_REFERENCE, "unknown representative"
         return LatticeVerdict.ACCEPT, ""
 
     # -- cementing ----------------------------------------------------------
@@ -505,10 +508,10 @@ class LatticeLedger:
     def cement_eligible(self, block_digest: bytes, now: float) -> bool:
         """True when the block is settled and conflict-free past the delay.
 
-        Cementing is an opt-in switch: with no delay configured it always
-        reports False and conflicts fall through to voting.
+        Cementing is an opt-in switch: with a zero delay it always reports
+        False and conflicts fall through to voting.
         """
-        if self.cement_delay_s is None:
+        if self.cement_delay_s == 0:
             return False
         adopted = self.adoption_time.get(block_digest)
         if adopted is None or now - adopted < self.cement_delay_s:
@@ -589,20 +592,14 @@ class LatticeLedger:
             return (OutcomeStatus.CONFLICT, verdict, detail,
                     self._try_resolve(key, now, outcome))
 
-        if verdict is LatticeVerdict.GAP_DETECTED and self._parkable(detail):
+        if verdict is LatticeVerdict.GAP_DETECTED:
             missing = block.predecessor
-            if block.kind is BlockKind.RECEIVE and detail == "matched send not held":
-                missing = block.counterparty
+            if missing == self.accounts[block.account].head:
+                missing = block.counterparty  # a receive whose send is not held
             self.parked.park(d, block, missing)
             return OutcomeStatus.PARKED, verdict, detail, []
 
         return OutcomeStatus.REJECTED, verdict, detail, []
-
-    @staticmethod
-    def _parkable(detail: str) -> bool:
-        # only genuinely-missing context is worth waiting for
-        return detail in ("predecessor not held", "matched send not held",
-                          "unknown account")
 
     def _release_parked(self, arrived: bytes) -> list[LatticeBlock]:
         released = self.parked.release(arrived)

@@ -20,7 +20,7 @@ from .nodes import (
     MultiDriver,
 )
 from .recording import RunRecorder
-from .scenario import Config, account_names, representative_names
+from .scenario import Config, account_names
 from .simnet import LinkModel, Simulation, mesh_adjacency, ring_adjacency
 
 
@@ -104,17 +104,12 @@ def _build_chain(cfg: Config, seed: int,
 
 def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
-    count = cfg["lattice.accounts"]
-    reps = cfg["lattice.representatives"]
-    names = account_names(count)
-    rep_names = representative_names(count, reps)
-    genesis = {name: (cfg["lattice.genesis_amount"], rep_names[i % reps])
-               for i, name in enumerate(names)}
+    roles = cfg.lattice_roles
+    reps = roles.representatives
+    genesis = {name: (cfg["lattice.genesis_amount"], reps[i % len(reps)])
+               for i, name in enumerate(roles.names)}
 
-    offline = frozenset(names[count - cfg["lattice.offline_accounts"]:])
-
-    host_of = {name: i % n for i, name in enumerate(names)}
-    cement = cfg["lattice.cement_delay_s"] or None
+    host_of = {name: i % n for i, name in enumerate(roles.names)}
     tiers = cfg["lattice.tiers"]
 
     nodes: dict[int, LatticeNode] = {}
@@ -123,37 +118,26 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
         ledger = LatticeLedger(
             genesis, spam_bits=cfg["lattice.spam_difficulty_bits"],
             quorum_fraction=cfg["lattice.quorum_fraction"],
-            cement_delay_s=cement,
+            cement_delay_s=cfg["lattice.cement_delay_s"],
             gap_buffer=cfg["lattice.gap_buffer"],
             tier=tier)
-        hosted = tuple(a for a in names if host_of[a] == i)
+        hosted = tuple(a for a in roles.names if host_of[a] == i)
         nodes[i] = LatticeNode(
             i, ledger, recorder,
             hosted_accounts=hosted,
-            representative_accounts=tuple(a for a in hosted if a in rep_names),
-            offline_accounts=offline)
+            representative_accounts=tuple(a for a in hosted if a in reps),
+            offline_accounts=roles.offline)
 
-    attackers: list[str] = []
-    if cfg["fork.interval_s"] > 0:
-        attackers = [a for a in names
-                     if a not in offline and a not in rep_names]
-        attackers = attackers[:cfg["fork.attackers"]]
-
-    # Attackers only equivocate. Scripted sends or receives on the same
-    # account would race the injected pair and hand representatives a third
-    # candidate; single-round voting cannot recover from a three-way split.
-    senders = [a for a in names if a not in offline and a not in attackers]
-    recipients = [a for a in names if a not in attackers]
     drivers: dict[int, object] = {
         CMD_LATTICE_SEND: LatticeSendDriver(
-            recorder, seed, senders=senders, recipients=recipients,
+            recorder, seed, senders=roles.senders, recipients=roles.recipients,
             host_of=host_of,
-            rate_per_s=cfg["lattice.send_rate_per_account_s"] * len(senders),
+            rate_per_s=cfg["lattice.send_rate_per_account_s"] * len(roles.senders),
             max_amount=cfg["lattice.max_amount"]),
     }
-    if attackers:
+    if roles.attackers:
         drivers[CMD_FORK_INJECT] = ForkInjectionDriver(
-            recorder, seed, attackers=attackers, host_of=host_of,
+            recorder, seed, attackers=roles.attackers, host_of=host_of,
             interval_s=cfg["fork.interval_s"],
             delivery_latency_s=cfg["fork.delivery_latency_ms"] / 1000.0,
             max_amount=cfg["lattice.max_amount"],

@@ -3,7 +3,8 @@
 A config is a flat mapping of dotted keys to typed values. Files hold one
 `key = value` pair per line; `#` starts a comment. Every key must appear in
 the schema; anything else is rejected by name so typos fail loudly instead
-of silently running a default.
+of silently running a default. Each value must lie in its key's domain in
+`SCHEMA`, whichever paradigm runs; rules that tie keys together follow.
 """
 
 from __future__ import annotations
@@ -55,64 +56,72 @@ def _parse_strs(raw: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in raw.split(",")) if raw else ()
 
 
-# key -> (parser, default); _MISSING defaults must be supplied by the
-# preset or config file
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low, f"at least {low}")
+
+
+def _within(low: float, high: float) -> tuple:
+    return (lambda v: low <= v <= high, f"in [{low}, {high}]")
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+
+# key -> (parser, default, domain). A _MISSING default must be supplied by
+# the preset or config file. A domain is the set of allowed values or a
+# (test, phrase) pair; _coerce rejects a value outside it, or a list value
+# with an element outside it. None leaves the parser's syntax as the whole
+# domain.
 SCHEMA: dict[str, tuple] = {
-    "scenario.id": (str, _MISSING),
-    "scenario.paradigm": (str, _MISSING),  # "chain" | "lattice"
-    "scenario.horizon_s": (float, 60.0),
+    "scenario.id": (str, _MISSING, None),
+    "scenario.paradigm": (str, _MISSING, {"chain", "lattice"}),
+    "scenario.horizon_s": (float, 60.0, _POSITIVE),
 
-    "net.nodes": (int, 4),
-    "net.topology": (str, "mesh"),  # "mesh" | "ring"
-    "net.base_latency_ms": (float, 50.0),
-    "net.jitter_ms": (float, 0.0),
-    "net.drop_prob": (float, 0.0),
-    "net.partitions": (_parse_partitions, ()),
+    "net.nodes": (int, 4, _at_least(1)),
+    "net.topology": (str, "mesh", {"mesh", "ring"}),
+    "net.base_latency_ms": (float, 50.0, _at_least(0)),
+    "net.jitter_ms": (float, 0.0, _at_least(0)),
+    "net.drop_prob": (float, 0.0, (lambda v: 0 <= v < 1, "in [0, 1)")),
+    "net.partitions": (_parse_partitions, (), None),
 
-    "chain.consensus": (str, "pow"),  # "pow" | "pos"
-    "chain.miners": (int, 3),
-    "chain.hash_rates": (_parse_floats, ()),  # per miner; empty = all 1.0
-    "chain.capacity_units": (int, 2500),
-    "chain.tx_weight": (int, 250),
-    "chain.block_reward": (int, 50),
-    "chain.confirm_threshold": (int, 6),
-    "chain.prune_keep_recent": (int, 0),  # 0 = keep everything
-    "chain.reorg_safety": (int, 128),
-    "chain.accounts": (int, 20),
-    "chain.genesis_amount": (int, 1_000_000),
-    "chain.tx_rate_per_s": (float, 6.0),
-    "chain.max_amount": (int, 5),
+    "chain.consensus": (str, "pow", {"pow", "pos"}),
+    "chain.miners": (int, 3, _at_least(1)),
+    # per miner; empty = all 1.0
+    "chain.hash_rates": (_parse_floats, (), _at_least(0)),
+    "chain.capacity_units": (int, 2500, _at_least(1)),
+    "chain.tx_weight": (int, 250, _at_least(1)),
+    "chain.block_reward": (int, 50, _at_least(0)),
+    "chain.confirm_threshold": (int, 6, _at_least(1)),
+    "chain.prune_keep_recent": (int, 0, _at_least(0)),  # 0 = keep everything
+    "chain.reorg_safety": (int, 128, _at_least(0)),
+    "chain.accounts": (int, 20, _at_least(2)),  # a sender pays another account
+    "chain.genesis_amount": (int, 1_000_000, _at_least(0)),
+    "chain.tx_rate_per_s": (float, 6.0, _at_least(0)),
+    "chain.max_amount": (int, 5, _at_least(1)),
 
-    "pow.mode": (str, "lottery"),  # "lottery" | "grind"
-    "pow.difficulty_bits": (int, 3),
-    "pow.target_interval_s": (float, 2.0),
-    "pow.retarget_window": (int, 16),
+    "pow.mode": (str, "lottery", {"lottery", "grind"}),
+    "pow.difficulty_bits": (int, 3, _within(0, 255)),
+    "pow.target_interval_s": (float, 2.0, _POSITIVE),
+    "pow.retarget_window": (int, 16, _at_least(1)),
 
-    "pos.slot_interval_s": (float, 1.0),
-    "pos.stakes": (_parse_ints, ()),  # one deposit per validator
+    "pos.slot_interval_s": (float, 1.0, _POSITIVE),
+    "pos.stakes": (_parse_ints, (), _at_least(0)),  # one deposit per validator
 
-    "lattice.accounts": (int, 12),
-    "lattice.representatives": (int, 3),
-    "lattice.genesis_amount": (int, 1_000_000),
-    "lattice.spam_difficulty_bits": (int, 0),
-    "lattice.quorum_fraction": (float, 0.5),
-    "lattice.cement_delay_s": (float, 0.0),  # 0 = cementing off
-    "lattice.gap_buffer": (int, 10_000),
-    "lattice.send_rate_per_account_s": (float, 0.2),
-    "lattice.max_amount": (int, 5),
-    "lattice.offline_accounts": (int, 0),
-    "lattice.tiers": (_parse_strs, ()),  # per node; empty = all historical
+    "lattice.accounts": (int, 12, _at_least(2)),
+    "lattice.representatives": (int, 3, _at_least(1)),
+    "lattice.genesis_amount": (int, 1_000_000, _at_least(0)),
+    "lattice.spam_difficulty_bits": (int, 0, _within(0, GRIND_BITS_LIMIT)),
+    "lattice.quorum_fraction": (float, 0.5, (lambda v: 0 < v < 1, "in (0, 1)")),
+    "lattice.cement_delay_s": (float, 0.0, _at_least(0)),  # 0 = cementing off
+    "lattice.gap_buffer": (int, 10_000, _at_least(0)),
+    "lattice.send_rate_per_account_s": (float, 0.2, _at_least(0)),
+    "lattice.max_amount": (int, 5, _at_least(1)),
+    "lattice.offline_accounts": (int, 0, _at_least(0)),
+    # per node; empty = all historical
+    "lattice.tiers": (_parse_strs, (), {"historical", "current"}),
 
-    "fork.interval_s": (float, 0.0),  # 0 = no injected conflicts
-    "fork.attackers": (int, 0),
-    "fork.delivery_latency_ms": (float, 20.0),
-}
-
-_VALID = {
-    "scenario.paradigm": {"chain", "lattice"},
-    "net.topology": {"mesh", "ring"},
-    "chain.consensus": {"pow", "pos"},
-    "pow.mode": {"lottery", "grind"},
+    "fork.interval_s": (float, 0.0, _at_least(0)),  # 0 = no injected conflicts
+    "fork.attackers": (int, 0, _at_least(0)),
+    "fork.delivery_latency_ms": (float, 20.0, _at_least(0)),
 }
 
 
@@ -127,6 +136,17 @@ def representative_names(count: int, reps: int) -> list[str]:
     if len(indices) < reps:  # rounding collision on tiny populations
         indices = list(range(reps))
     return [names[i] for i in indices]
+
+
+@dataclass(frozen=True)
+class LatticeRoles:
+    """The account names of a lattice run, grouped by the part each plays."""
+    names: list[str]
+    representatives: list[str]
+    offline: frozenset[str]
+    attackers: list[str]
+    senders: list[str]
+    recipients: list[str]
 
 
 @dataclass(frozen=True)
@@ -151,6 +171,28 @@ class Config:
             return self.values["pos.slot_interval_s"]
         return self.values["pow.target_interval_s"]
 
+    @property
+    def lattice_roles(self) -> LatticeRoles:
+        """Who holds which role in a lattice run; the last accounts go offline.
+
+        Attackers only equivocate. Scripted sends or receives on the same
+        account would race the injected pair and hand representatives a third
+        candidate; single-round voting cannot recover from a three-way split.
+        """
+        count = self.values["lattice.accounts"]
+        names = account_names(count)
+        reps = representative_names(count, self.values["lattice.representatives"])
+        offline = frozenset(names[count - self.values["lattice.offline_accounts"]:])
+        attackers: list[str] = []
+        if self.values["fork.interval_s"] > 0:
+            attackers = [a for a in names if a not in offline and a not in reps]
+            attackers = attackers[:self.values["fork.attackers"]]
+        return LatticeRoles(
+            names=names, representatives=reps, offline=offline,
+            attackers=attackers,
+            senders=[a for a in names if a not in offline and a not in attackers],
+            recipients=[a for a in names if a not in attackers])
+
     def snapshot_lines(self) -> list[str]:
         """The full effective config, one canonical line per key."""
         out = []
@@ -171,7 +213,7 @@ class Config:
 def _coerce(key: str, raw) -> object:
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key: {key}")
-    parser, _ = SCHEMA[key]
+    parser, _, domain = SCHEMA[key]
     if isinstance(raw, str):
         try:
             value = parser(raw.strip())
@@ -179,16 +221,19 @@ def _coerce(key: str, raw) -> object:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     else:
         value = raw
-    allowed = _VALID.get(key)
-    if allowed and value not in allowed:
-        raise ConfigError(
-            f"bad value for {key}: {value!r} (expected one of {sorted(allowed)})")
+    if domain is not None:
+        test, phrase = ((domain.__contains__, f"one of {sorted(domain)}")
+                        if isinstance(domain, set) else domain)
+        for item in value if isinstance(value, tuple) else (value,):
+            if not test(item):
+                raise ConfigError(
+                    f"bad value for {key}: {item!r} (expected {phrase})")
     return value
 
 
 def build_config(base: dict, overrides: list[str] = ()) -> Config:
     values = {}
-    for key, (_, default) in SCHEMA.items():
+    for key, (_, default, _) in SCHEMA.items():
         values[key] = default
     for key, raw in base.items():
         values[key] = _coerce(key, raw)
@@ -200,100 +245,62 @@ def build_config(base: dict, overrides: list[str] = ()) -> Config:
     missing = [k for k, v in values.items() if v is _MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(sorted(missing))}")
-    _cross_validate(values)
-    return Config(values=values)
-
-
-def _cross_validate(values: dict) -> None:
-    if values["scenario.horizon_s"] <= 0:
-        raise ConfigError("scenario.horizon_s must be positive")
-    if values["net.nodes"] < 1:
-        raise ConfigError("net.nodes must be at least 1")
-    if not 0 <= values["net.drop_prob"] < 1:
-        raise ConfigError("net.drop_prob must lie in [0, 1)")
-    if values["net.base_latency_ms"] < 0 or values["net.jitter_ms"] < 0:
-        raise ConfigError("latency and jitter cannot be negative")
-    if values["scenario.paradigm"] == "chain":
-        _cross_validate_chain(values)
+    cfg = Config(values=values)
+    if cfg.paradigm == "chain":
+        _cross_validate_chain(cfg)
     else:
-        _cross_validate_lattice(values)
+        _cross_validate_lattice(cfg)
+    return cfg
 
 
-def _cross_validate_chain(values: dict) -> None:
-    if values["chain.miners"] < 1:
-        raise ConfigError("chain.miners must be at least 1")
-    if values["chain.miners"] > values["net.nodes"]:
+# Rules that tie two or more keys together; each key's own domain is in SCHEMA.
+
+def _cross_validate_chain(cfg: Config) -> None:
+    if cfg["chain.miners"] > cfg["net.nodes"]:
         raise ConfigError("chain.miners cannot exceed net.nodes")
-    rates = values["chain.hash_rates"]
-    if rates and len(rates) != values["chain.miners"]:
+    rates = cfg["chain.hash_rates"]
+    if rates and len(rates) != cfg["chain.miners"]:
         raise ConfigError("chain.hash_rates length must equal chain.miners")
-    if rates and any(r < 0 for r in rates):
-        raise ConfigError("chain.hash_rates cannot be negative")
-    if values["chain.consensus"] == "pos":
-        stakes = values["pos.stakes"]
+    if cfg["chain.consensus"] == "pos":
+        stakes = cfg["pos.stakes"]
         if not stakes:
             raise ConfigError("pos.stakes is required for pos consensus")
-        if len(stakes) > values["net.nodes"]:
+        if len(stakes) > cfg["net.nodes"]:
             raise ConfigError("more pos.stakes than nodes to host them")
-        if values["pos.slot_interval_s"] <= 0:
-            raise ConfigError("pos.slot_interval_s must be positive")
-    else:
-        bits = values["pow.difficulty_bits"]
-        if not 0 <= bits <= 255:
-            raise ConfigError("pow.difficulty_bits must lie in [0, 255]")
-        if values["pow.mode"] == "grind" and bits > GRIND_BITS_LIMIT:
-            raise ConfigError(
-                f"pow.difficulty_bits above {GRIND_BITS_LIMIT} is not "
-                f"searchable in grind mode")
-        if values["pow.target_interval_s"] <= 0:
-            raise ConfigError("pow.target_interval_s must be positive")
-        if values["pow.retarget_window"] < 1:
-            raise ConfigError("pow.retarget_window must be at least 1")
-    if values["chain.tx_weight"] <= 0 or values["chain.capacity_units"] <= 0:
-        raise ConfigError("chain capacity and weight must be positive")
-    if values["chain.tx_weight"] > values["chain.capacity_units"]:
+        if not any(stakes):
+            raise ConfigError("pos consensus needs at least one positive stake")
+    elif cfg["pow.mode"] == "grind" and cfg["pow.difficulty_bits"] > GRIND_BITS_LIMIT:
+        raise ConfigError(
+            f"pow.difficulty_bits above {GRIND_BITS_LIMIT} is not "
+            f"searchable in grind mode")
+    if cfg["chain.tx_weight"] > cfg["chain.capacity_units"]:
         raise ConfigError(
             "chain.tx_weight exceeds chain.capacity_units: no transaction fits a block")
-    keep = values["chain.prune_keep_recent"]
-    if keep and keep < values["chain.reorg_safety"]:
+    keep = cfg["chain.prune_keep_recent"]
+    if keep and keep < cfg["chain.reorg_safety"]:
         raise ConfigError(
             "chain.prune_keep_recent must be 0 or at least chain.reorg_safety")
 
 
-def _cross_validate_lattice(values: dict) -> None:
-    if values["lattice.accounts"] < 2:
-        raise ConfigError("lattice.accounts must be at least 2")
-    if values["lattice.representatives"] < 1:
-        raise ConfigError("lattice.representatives must be at least 1")
-    if values["lattice.representatives"] > values["lattice.accounts"]:
+def _cross_validate_lattice(cfg: Config) -> None:
+    if cfg["lattice.representatives"] > cfg["lattice.accounts"]:
         raise ConfigError("more representatives than accounts")
-    if not 0 < values["lattice.quorum_fraction"] < 1:
-        raise ConfigError("lattice.quorum_fraction must lie in (0, 1)")
-    if values["lattice.spam_difficulty_bits"] > GRIND_BITS_LIMIT:
-        raise ConfigError("lattice.spam_difficulty_bits too high for desk scale")
-    tiers = values["lattice.tiers"]
-    if tiers:
-        if len(tiers) != values["net.nodes"]:
-            raise ConfigError("lattice.tiers length must equal net.nodes")
-        bad = [t for t in tiers if t not in ("historical", "current")]
-        if bad:
-            raise ConfigError(
-                f"lattice.tiers entries must be historical or current, got {bad[0]!r}")
-    if values["fork.interval_s"] > 0 and values["fork.attackers"] < 1:
-        raise ConfigError("fork.interval_s needs fork.attackers >= 1")
-    count = values["lattice.accounts"]
-    offline = values["lattice.offline_accounts"]
-    if offline < 0 or offline >= count:
+    if cfg["lattice.offline_accounts"] >= cfg["lattice.accounts"]:
         raise ConfigError("lattice.offline_accounts must leave active accounts")
-    names = account_names(count)
-    reps = set(representative_names(count, values["lattice.representatives"]))
-    offline_names = set(names[count - offline:])
-    if offline_names & reps:
+    tiers = cfg["lattice.tiers"]
+    if tiers and len(tiers) != cfg["net.nodes"]:
+        raise ConfigError("lattice.tiers length must equal net.nodes")
+    if cfg["fork.interval_s"] > 0 and cfg["fork.attackers"] < 1:
+        raise ConfigError("fork.interval_s needs fork.attackers >= 1")
+    roles = cfg.lattice_roles
+    if roles.offline & set(roles.representatives):
         raise ConfigError("offline account range overlaps the representatives")
-    if values["fork.interval_s"] > 0 and not set(names) - offline_names - reps:
+    if cfg["fork.interval_s"] > 0 and not roles.attackers:
         raise ConfigError("no eligible attacker accounts for fork injection")
-    if values["lattice.gap_buffer"] < 0:
-        raise ConfigError("lattice.gap_buffer cannot be negative")
+    if roles.attackers and len(roles.names) < 3:
+        raise ConfigError("an attacker needs two other accounts to pay")
+    if any(set(roles.recipients) <= {s} for s in roles.senders):
+        raise ConfigError("a sender has no recipient other than itself")
 
 
 def parse_config_text(text: str) -> dict:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ledgerlab import cli
-from ledgerlab.cli import EXIT_BREACH, EXIT_OK, EXIT_USAGE, main
+from ledgerlab.cli import EXIT_BREACH, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 def test_run_ok(tmp_path, capsys):
@@ -72,15 +72,55 @@ def test_negative_gap_buffer_is_usage_error(capsys):
     ("fork-stress", ["lattice.accounts=3", "lattice.representatives=3"],
      "no eligible attacker"),
     ("bitcoin-baseline", ["chain.tx_weight=3000"], "no transaction fits"),
+    # each of these ran, and crashed, failed late or ignored the value
+    ("bitcoin-baseline", ["chain.accounts=1"], "chain.accounts: 1 (expected at least 2)"),
+    ("bitcoin-baseline", ["chain.max_amount=0"],
+     "chain.max_amount: 0 (expected at least 1)"),
+    ("nano-baseline", ["lattice.max_amount=0"],
+     "lattice.max_amount: 0 (expected at least 1)"),
+    ("fork-stress", ["lattice.accounts=2", "lattice.representatives=1"],
+     "an attacker needs two other accounts to pay"),
+    ("fork-stress", ["lattice.accounts=3", "lattice.representatives=1",
+                     "fork.attackers=2"], "a sender has no recipient other than itself"),
+    ("bitcoin-baseline", ["chain.confirm_threshold=0"],
+     "chain.confirm_threshold: 0 (expected at least 1)"),
+    ("fork-stress", ["fork.delivery_latency_ms=-50"],
+     "fork.delivery_latency_ms: -50.0 (expected at least 0)"),
+    ("nano-baseline", ["lattice.genesis_amount=-3"],
+     "lattice.genesis_amount: -3 (expected at least 0)"),
+    ("bitcoin-baseline", ["chain.genesis_amount=-3"],
+     "chain.genesis_amount: -3 (expected at least 0)"),
+    ("bitcoin-baseline", ["chain.block_reward=-1"],
+     "chain.block_reward: -1 (expected at least 0)"),
+    ("pos-baseline", ["pos.stakes=0,0,0,0"], "at least one positive stake"),
+    ("pos-baseline", ["pos.stakes=100,-5,300,400"], "pos.stakes: -5 (expected at least 0)"),
+    ("nano-baseline", ["lattice.cement_delay_s=-1"],
+     "lattice.cement_delay_s: -1.0 (expected at least 0)"),
 ])
 def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
-    args = ["--config", preset]
+    args = ["--config", preset, "--override", "scenario.horizon_s=20"]
     for item in overrides:
         args += ["--override", item]
     assert main(["validate"] + args) == EXIT_USAGE
     assert reason in capsys.readouterr().err
     assert main(["run", "--seeds", "1"] + args) == EXIT_USAGE
-    assert reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err and reason in err
+    assert "Traceback" not in err
+
+
+def test_an_internal_error_exits_with_status_three(capsys, monkeypatch):
+    from ledgerlab import metrics as metrics_mod
+
+    def broken_run(cfg, seed):
+        raise RuntimeError("defect under test")
+
+    monkeypatch.setattr(metrics_mod, "run", broken_run)
+    rc = main(["run", "--config", "nano-baseline", "--seeds", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INTERNAL
+    assert err.startswith("internal error:")
+    assert "RuntimeError: defect under test" in err
 
 
 @pytest.mark.parametrize("verb", ["run", "inspect"])

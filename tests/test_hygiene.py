@@ -16,7 +16,11 @@ PACKAGE = ROOT / "src" / "ledgerlab"
 # keys the rest of the package reads through a Config property
 READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm",
                      "pos.slot_interval_s": "block_interval_s",
-                     "pow.target_interval_s": "block_interval_s"}
+                     "pow.target_interval_s": "block_interval_s",
+                     "lattice.accounts": "lattice_roles",
+                     "lattice.representatives": "lattice_roles",
+                     "lattice.offline_accounts": "lattice_roles",
+                     "fork.attackers": "lattice_roles"}
 
 # Definitions that no other package code names, and why each stays.
 TEST_FACING = {

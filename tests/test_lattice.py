@@ -220,6 +220,23 @@ def test_gap_buffer_evicts_oldest():
     assert blocks[1].digest() not in parked_digests  # oldest fell out
 
 
+def test_a_reference_that_can_never_arrive_is_rejected_not_parked():
+    # accounts exist only from genesis, so no later block can fill these in
+    ledger = _ledger()
+    stranger = build_block(identity_for("zed"), b"\x01" * 32, BlockKind.SEND,
+                           amount=1, counterparty="a")
+    send = ledger.create_send("a", "w2", 5)
+    _apply(ledger, send)
+    misdirected = build_block(identity_for("w8"), ledger.accounts["w8"].head,
+                              BlockKind.RECEIVE, amount=5,
+                              counterparty=send.digest())  # addressed to w2
+    for block in (stranger, misdirected):
+        out = _apply(ledger, block)
+        assert out.status is OutcomeStatus.REJECTED
+        assert out.verdict is LatticeVerdict.UNKNOWN_REFERENCE
+    assert not ledger.parked.held
+
+
 # -- forks and voting -------------------------------------------------------
 
 

@@ -4,19 +4,13 @@ import pytest
 
 from ledgerlab.blockchain import ChainStore
 from ledgerlab.cli import EXIT_BREACH, main
-from ledgerlab.errors import ConfigError
+from ledgerlab.errors import ConfigError, LedgerError
 from ledgerlab.lattice import LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
 from ledgerlab.metrics import tps_cap
 from ledgerlab.recording import RunRecorder
-from ledgerlab.runner import (
-    RunResult,
-    account_names,
-    build_simulation,
-    representative_names,
-    run,
-)
-from ledgerlab.scenario import preset_config
+from ledgerlab.runner import RunResult, build_simulation, run
+from ledgerlab.scenario import account_names, preset_config, representative_names
 from ledgerlab.simnet import Simulation
 
 
@@ -132,15 +126,27 @@ def _builds_or_is_rejected(preset, overrides):
 
 
 def test_validation_agrees_with_the_lattice_builder():
+    # every layout that validation accepts runs: only a LedgerError may
+    # escape run()
     for accounts in range(2, 7):
         for reps in range(1, accounts + 1):
             for offline in range(accounts):
-                for fork_interval in (0, 10):
-                    _builds_or_is_rejected("fork-stress", [
-                        f"lattice.accounts={accounts}",
-                        f"lattice.representatives={reps}",
-                        f"lattice.offline_accounts={offline}",
-                        f"fork.interval_s={fork_interval}"])
+                for attackers in (1, 2, 3):
+                    for fork_interval in (0, 2):
+                        try:
+                            cfg = preset_config("fork-stress", [
+                                f"lattice.accounts={accounts}",
+                                f"lattice.representatives={reps}",
+                                f"lattice.offline_accounts={offline}",
+                                f"fork.attackers={attackers}",
+                                f"fork.interval_s={fork_interval}",
+                                "scenario.horizon_s=6"])
+                        except ConfigError:
+                            continue
+                        try:
+                            run(cfg, 1)
+                        except LedgerError:
+                            pass
 
 
 def test_validation_agrees_with_the_chain_capacity():

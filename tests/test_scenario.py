@@ -101,6 +101,15 @@ def test_cross_validation_lattice():
         _cfg(MINIMAL_LATTICE + "lattice.tiers = hot,cold\n")
 
 
+def test_a_key_domain_holds_whichever_paradigm_runs():
+    with pytest.raises(ConfigError, match="lattice.quorum_fraction"):
+        _cfg(MINIMAL_CHAIN + "lattice.quorum_fraction = 1.5\n")
+    with pytest.raises(ConfigError, match="chain.miners"):
+        _cfg(MINIMAL_LATTICE + "chain.miners = 0\n")
+    with pytest.raises(ConfigError, match="pos.stakes"):  # pow ignores stakes
+        _cfg(MINIMAL_CHAIN + "pos.stakes = 5,-1\n")
+
+
 def test_negative_gap_buffer_rejected():
     with pytest.raises(ConfigError, match="lattice.gap_buffer"):
         build_config(PRESETS["nano-baseline"], ["lattice.gap_buffer=-1"])
