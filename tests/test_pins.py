@@ -41,7 +41,8 @@ PINS = {
 
 # Paths no preset runs: grind-mode mining, a miner with zero hash rate, and
 # lossy links that keep blocks parked on a missing dependency (the lattice
-# runs also evict from a small gap buffer, one during open conflicts).
+# runs also evict from a small gap buffer, one during open conflicts), and a
+# fork-stress run with five representatives, jitter and a fork every 4 s.
 # (preset, overrides) -> (trace digest, sha256 of the rendered report)
 VARIANT_PINS = {
     ("bitcoin-baseline", ("pow.mode=grind", "scenario.horizon_s=120")): (
@@ -59,6 +60,10 @@ VARIANT_PINS = {
     ("bitcoin-baseline", ("net.drop_prob=0.2", "scenario.horizon_s=120")): (
         "4a23f254bb06134d9482c5b11893b407cdf10ff509fba1a00b945ffd81a51834",
         "7fa9fb85323d6873c44625e7b6cf98ea3617d57489814bc21c15db66d10c8670"),
+    ("fork-stress", ("lattice.representatives=5", "net.jitter_ms=40",
+                     "fork.interval_s=4")): (
+        "d7d29239874fe62618865ca9e2d3028bf632b437b9bc96b95e69b3105b484ecc",
+        "06f715cac3ba9e4bbd27e5b675e776405f688e875a8be6749485a8b2b95aa127"),
 }
 
 
