@@ -251,12 +251,11 @@ class Outcome:
 @dataclass
 class Conflict:
     candidates: dict[bytes, LatticeBlock]
-    votes: dict[str, VoteRecord]  # one choice per representative
     resolved: Optional[bytes] = None
 
 
 def resolve_fork(candidates: Iterable[bytes], votes: Iterable[VoteRecord],
-                 total_delegated_weight: int,
+                 total_weight: int,
                  quorum_fraction: float = DEFAULT_QUORUM_FRACTION,
                  ) -> tuple[Optional[bytes], dict[bytes, int], bool]:
     """Tally votes over conflicting candidates.
@@ -270,7 +269,7 @@ def resolve_fork(candidates: Iterable[bytes], votes: Iterable[VoteRecord],
     for v in votes:
         if v.choice in tallies:
             tallies[v.choice] += v.weight
-    threshold = quorum_fraction * total_delegated_weight
+    threshold = quorum_fraction * total_weight
     best = max(tallies.values(), default=0)
     leaders = [c for c, w in sorted(tallies.items()) if w == best and w > 0]
     tied = len(leaders) > 1
@@ -344,8 +343,8 @@ class LatticeLedger:
         # (account, predecessor), so a digest is a candidate in one conflict
         self.conflict_of: dict[bytes, tuple[str, bytes]] = {}
         self.flagged_ties: list[tuple[str, bytes]] = []
-        self.votes_by_choice: dict[bytes, dict[str, VoteRecord]] = {}
-        self.rep_subject_choice: dict[tuple[str, bytes], bytes] = {}
+        # subject -> representative -> vote; a representative's first stands
+        self.votes: dict[bytes, dict[str, VoteRecord]] = {}
 
         self.parked = GapBuffer(gap_buffer)
 
@@ -387,9 +386,6 @@ class LatticeLedger:
             chain = self.accounts[account]
             out[chain.representative] = out.get(chain.representative, 0) + chain.balance
         return {r: w for r, w in out.items() if w != 0}
-
-    def total_delegated_weight(self) -> int:
-        return self.total_balance
 
     def open_conflicts(self) -> list[tuple[str, bytes]]:
         return sorted(k for k, c in self.conflicts.items() if c.resolved is None)
@@ -608,25 +604,15 @@ class LatticeLedger:
         return released
 
     def _record_vote(self, vote: VoteRecord, now: float, outcome: Outcome) -> None:
-        recorded = self.votes_by_choice.get(vote.choice)
-        if recorded is not None and recorded.get(vote.representative) == vote:
-            # byte-identical to a vote already verified and recorded here,
-            # and every conflict over this choice has pulled that one in
+        ballot = self.votes.setdefault(vote.subject, {})
+        prior = ballot.get(vote.representative)
+        if prior == vote:
+            return  # byte-identical to a vote already verified and stored
+        if not vote.verify_signature() or prior is not None:
             return
-        if not vote.verify_signature():
-            return
-        prior = self.rep_subject_choice.get((vote.representative, vote.subject))
-        if prior is not None and prior != vote.choice:
-            return  # one choice per (representative, subject); first stands
-        self.rep_subject_choice[(vote.representative, vote.subject)] = vote.choice
-        self.votes_by_choice.setdefault(vote.choice, {})[vote.representative] = vote
-
+        ballot[vote.representative] = vote
         key = self.conflict_of.get(vote.choice)
-        if key is None:
-            return
-        conflict = self.conflicts[key]
-        if conflict.resolved is None and vote.representative not in conflict.votes:
-            conflict.votes[vote.representative] = vote
+        if key is not None and key[1] == vote.subject:
             self._drain(self._try_resolve(key, now, outcome), now, outcome)
 
     def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: Optional[bytes],
@@ -634,7 +620,7 @@ class LatticeLedger:
         key = (newcomer.account, newcomer.predecessor)
         conflict = self.conflicts.get(key)
         if conflict is None:
-            conflict = Conflict(candidates={}, votes={})
+            conflict = Conflict(candidates={})
             self.conflicts[key] = conflict
             outcome.conflicts_opened.append(key)
         if incumbent_digest is not None and incumbent_digest not in conflict.candidates:
@@ -643,11 +629,6 @@ class LatticeLedger:
             self.conflict_of[incumbent_digest] = key
         conflict.candidates[newcomer.digest()] = newcomer
         self.conflict_of[newcomer.digest()] = key
-        # pull in any votes that arrived ahead of the conflict
-        for cand in sorted(conflict.candidates):
-            for rep, vote in sorted(self.votes_by_choice.get(cand, {}).items()):
-                if rep not in conflict.votes:
-                    conflict.votes[rep] = vote
 
     def _try_resolve(self, key: tuple[str, bytes], now: float,
                      outcome: Outcome) -> list[LatticeBlock]:
@@ -657,8 +638,8 @@ class LatticeLedger:
         if conflict is None or conflict.resolved is not None:
             return []
         winner, tallies, tied = resolve_fork(
-            sorted(conflict.candidates), conflict.votes.values(),
-            self.total_delegated_weight(), self.quorum_fraction)
+            sorted(conflict.candidates), self.votes.get(key[1], {}).values(),
+            self.total_balance, self.quorum_fraction)
         if tied and key not in self.flagged_ties:
             self.flagged_ties.append(key)
         if winner is None:
@@ -814,7 +795,7 @@ class LatticeLedger:
         """Reduce every undisputed chain to its head block (plus the digest
         index that keeps fork-vs-gap verdicts identical to an archive node)."""
         before = self._bytes_blocks + self._bytes_pending
-        open_accounts = {k[0] for k, c in self.conflicts.items() if c.resolved is None}
+        open_accounts = {account for account, _ in self.open_conflicts()}
         pruned, skipped = [], []
         for account in sorted(self.accounts):
             if account in open_accounts:

@@ -326,10 +326,10 @@ class LatticeNode:
         return outcome
 
     def _forward(self, sim: Simulation, block: LatticeBlock) -> None:
-        votes = sorted(self.ledger.votes_by_choice.get(block.digest(), {}).values(),
-                       key=lambda v: v.representative)
-        sim.broadcast(self.node_id,
-                      _lattice_block_msg(self.node_id, block, list(votes)))
+        d = block.digest()
+        ballot = self.ledger.votes.get(block.predecessor, {})
+        votes = [ballot[rep] for rep in sorted(ballot) if ballot[rep].choice == d]
+        sim.broadcast(self.node_id, _lattice_block_msg(self.node_id, block, votes))
 
     # -- inbound ------------------------------------------------------------
 
@@ -361,7 +361,7 @@ class LatticeNode:
         # vote on every block this node just accepted for the first time
         for blk in outcome.applied:
             for rep in self.representative_accounts:
-                if (rep, blk.predecessor) in self.ledger.rep_subject_choice:
+                if rep in self.ledger.votes.get(blk.predecessor, ()):
                     continue
                 vote = make_vote(identity_for(rep), subject=blk.predecessor,
                                  choice=blk.digest(),

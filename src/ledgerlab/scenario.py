@@ -246,6 +246,11 @@ def build_config(base: dict, overrides: list[str] = ()) -> Config:
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(sorted(missing))}")
     cfg = Config(values=values)
+    for window in cfg["net.partitions"]:
+        for node in sorted(window.side_a | window.side_b):
+            if not 0 <= node < cfg["net.nodes"]:
+                raise ConfigError(f"net.partitions names node {node}, "
+                                  f"but net.nodes is {cfg['net.nodes']}")
     if cfg.paradigm == "chain":
         _cross_validate_chain(cfg)
     else:

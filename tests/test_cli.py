@@ -96,6 +96,8 @@ def test_negative_gap_buffer_is_usage_error(capsys):
     ("pos-baseline", ["pos.stakes=100,-5,300,400"], "pos.stakes: -5 (expected at least 0)"),
     ("nano-baseline", ["lattice.cement_delay_s=-1"],
      "lattice.cement_delay_s: -1.0 (expected at least 0)"),
+    ("bitcoin-baseline", ["net.partitions=1-5:0|9"],
+     "net.partitions names node 9, but net.nodes is 4"),
 ])
 def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
     args = ["--config", preset, "--override", "scenario.horizon_s=20"]

@@ -50,7 +50,6 @@ def test_genesis_allocation_and_weights():
     assert ledger.representative_weight("w8") == 800
     assert ledger.representative_weight("w2") == 200
     assert ledger.recompute_weights() == {"w8": 800, "w2": 200}
-    assert ledger.total_delegated_weight() == 1000
     settled, pending = ledger.audit_totals()
     assert (settled, pending) == (1000, 0)
 
@@ -335,16 +334,30 @@ def test_first_vote_per_rep_and_subject_stands():
     ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200), 3.0)
     # the same representative trying to flip is ignored
     ledger.add_vote(make_vote(identity_for("w2"), fork_point, s2.digest(), 200), 4.0)
-    conflict = ledger.conflicts[("a", fork_point)]
-    assert conflict.resolved is None
-    assert conflict.votes["w2"].choice == s1.digest()
+    assert ledger.conflicts[("a", fork_point)].resolved is None
+    assert ledger.votes[fork_point]["w2"].choice == s1.digest()
+
+
+def test_a_vote_counts_only_on_its_own_subject():
+    ledger = _ledger()
+    fork_point, s1, s2 = _conflicting_sends(ledger)
+    _apply(ledger, s1)
+    _apply(ledger, s2, now=2.0)
+    # w8 holds 800 of 1000, but names the wrong slot: the conflict stays open
+    elsewhere = ledger.accounts["w8"].head
+    out = ledger.add_vote(make_vote(identity_for("w8"), elsewhere, s2.digest(), 800), 3.0)
+    assert out.resolutions == []
+    assert ledger.open_conflicts() == [("a", fork_point)]
+    # the same representative on the right subject decides it
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800), 4.0)
+    assert [r.winner for r in out.resolutions] == [s2.digest()]
+    assert ledger.accounts["a"].head == s2.digest()
 
 
 def _vote_state(ledger):
-    return ({k: (c.resolved, dict(c.votes), dict(c.candidates))
-             for k, c in ledger.conflicts.items()},
-            {k: dict(v) for k, v in ledger.votes_by_choice.items()},
-            dict(ledger.rep_subject_choice), list(ledger.flagged_ties),
+    return ({k: (c.resolved, dict(c.candidates)) for k, c in ledger.conflicts.items()},
+            {k: dict(v) for k, v in ledger.votes.items()},
+            list(ledger.flagged_ties),
             {k: c.resolved for k, c in ledger.conflicts.items()},
             ledger.accounts["a"].head)
 
@@ -356,7 +369,7 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
     _apply(ledger, s1)
     vote = make_vote(identity_for("r1"), fork_point, s2.digest(), 400)
     _apply(ledger, s2, now=2.0, votes=[vote])
-    assert ledger.conflicts[("a", fork_point)].votes == {"r1": vote}
+    assert ledger.votes[fork_point] == {"r1": vote}
     before = _vote_state(ledger)
 
     verified = []
@@ -375,10 +388,11 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
     assert verified == []
     assert _vote_state(ledger) == before
 
-    # a vote that differs in any byte is still verified
+    # a vote that differs in any byte is still verified, then ignored
     heavier = make_vote(identity_for("r1"), fork_point, s2.digest(), 401)
     ledger.add_vote(heavier, 5.0)
     assert len(verified) == 1
+    assert ledger.votes[fork_point] == {"r1": vote}
 
 
 def test_vote_for_a_candidate_that_joined_later_counts():

@@ -119,7 +119,7 @@ def test_negative_gap_buffer_rejected():
 
 
 def test_partition_syntax():
-    cfg = _cfg(MINIMAL_CHAIN + "net.partitions = 30-60:0,1|2,3\n")
+    cfg = _cfg(MINIMAL_CHAIN + "net.partitions = 30-60:0,1|2,3\n", ["net.nodes=4"])
     parts = cfg["net.partitions"]
     assert len(parts) == 1
     assert parts[0].start_s == 30.0
@@ -127,10 +127,12 @@ def test_partition_syntax():
     assert parts[0].side_a == frozenset({0, 1})
     assert parts[0].side_b == frozenset({2, 3})
     multi = _cfg(
-        MINIMAL_CHAIN + "net.partitions = 1-2:0|1;3-4:0,1|2\n")
+        MINIMAL_CHAIN + "net.partitions = 1-2:0|1;3-4:0|1\n")
     assert len(multi["net.partitions"]) == 2
     with pytest.raises(ConfigError):
         _cfg(MINIMAL_CHAIN + "net.partitions = nonsense\n")
+    with pytest.raises(ConfigError, match="names node -1"):
+        _cfg(MINIMAL_CHAIN + "net.partitions = 1-2:-1|0\n")
 
 
 def test_snapshot_lines_are_canonical():
