@@ -22,8 +22,9 @@ same store serves every consensus flavor.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import codec
 from .codec import Reader
@@ -62,6 +63,9 @@ class SyncError(LedgerError):
 # ---------------------------------------------------------------------------
 # Transactions
 
+_TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
+
+
 @dataclass(frozen=True, slots=True)
 class ChainTransaction(WireObject):
     sender: str
@@ -70,6 +74,9 @@ class ChainTransaction(WireObject):
     sequence: int
     weight: int
     signature: Signature
+    # the signature check's verdict, cached like the digest: an object is
+    # checked once, and a node never shares its objects with another node
+    _verified: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
         return (
@@ -84,20 +91,37 @@ class ChainTransaction(WireObject):
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
-    def decode(cls, r: Reader) -> "ChainTransaction":
+    def decode(cls, r: Reader,
+               pool: Optional[Mapping[bytes, "ChainTransaction"]] = None,
+               ) -> "ChainTransaction":
+        """Read one transaction; if `pool` holds its digest, the pooled one.
+
+        The digest is taken over the bytes read, so a pooled object is
+        returned only for byte-identical input, signature included.
+        """
         start = r.pos
         sender, recipient = r.str_(), r.str_()
-        amount, sequence, weight = r.u64(), r.u64(), r.u64()
-        sd = digest(r.since(start))
-        tx = cls(sender=sender, recipient=recipient, amount=amount,
-                 sequence=sequence, weight=weight, signature=Signature.decode(r))
-        object.__setattr__(tx, "_sd", sd)
-        object.__setattr__(tx, "_digest", digest(r.since(start)))
-        object.__setattr__(tx, "_size", r.pos - start)
+        amount, sequence, weight = r.fixed(_TX_NUMBERS)
+        signed_len = r.pos - start
+        signature = Signature.decode(r)
+        raw = r.since(start)
+        d = digest(raw)
+        if pool:
+            pooled = pool.get(d)
+            if pooled is not None:
+                return pooled
+        tx = cls(sender, recipient, amount, sequence, weight, signature)
+        object.__setattr__(tx, "_sd", digest(raw[:signed_len]))
+        object.__setattr__(tx, "_digest", d)
+        object.__setattr__(tx, "_size", len(raw))
         return tx
 
     def verify_signature(self) -> bool:
-        return verify(self.signature, self.sender, self.signing_digest())
+        ok = self._verified
+        if ok is None:
+            ok = verify(self.signature, self.sender, self.signing_digest())
+            object.__setattr__(self, "_verified", ok)
+        return ok
 
 
 def make_transaction(sender: Identity, recipient: str, amount: int,
@@ -120,6 +144,9 @@ def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
 
 # ---------------------------------------------------------------------------
 # Blocks
+
+_HEADER_ROOTS = struct.Struct(">32s32s32sQ")  # predecessor, tx and state roots, height
+
 
 @dataclass(frozen=True, slots=True)
 class BlockHeader(WireObject):
@@ -145,10 +172,9 @@ class BlockHeader(WireObject):
     @classmethod
     def decode(cls, r: Reader) -> "BlockHeader":
         start = r.pos
-        header = cls(
-            predecessor=r.digest(), tx_root=r.digest(), state_root=r.digest(),
-            height=r.u64(), timestamp=r.f64(), nonce=r.u64(), producer=r.str_(),
-        )
+        predecessor, tx_root, state_root, height = r.fixed(_HEADER_ROOTS)
+        header = cls(predecessor, tx_root, state_root, height,
+                     r.f64(), r.u64(), r.str_())
         object.__setattr__(header, "_digest", digest(r.since(start)))
         return header
 
@@ -167,10 +193,12 @@ class Block:
             self.transactions, lambda t: t.encode())
 
     @classmethod
-    def decode(cls, r: Reader) -> "Block":
+    def decode(cls, r: Reader,
+               pool: Optional[Mapping[bytes, ChainTransaction]] = None) -> "Block":
+        """Read a block; a transaction `pool` holds is taken from the pool."""
         header = BlockHeader.decode(r)
-        txs = tuple(r.list_(ChainTransaction.decode))
-        return cls(header=header, transactions=txs)
+        txs = tuple(r.list_(lambda tr: ChainTransaction.decode(tr, pool)))
+        return cls(header, txs)
 
     def digest(self) -> bytes:
         return self.header.digest()
@@ -200,12 +228,28 @@ class ChainState:
     def copy(self) -> "ChainState":
         return ChainState(balances=dict(self.balances), sequences=dict(self.sequences))
 
-    def root(self) -> bytes:
-        leaves = [
-            digest(codec.enc_str(a) + codec.enc_u64(self.balances[a])
-                   + codec.enc_u64(self.sequences.get(a, 0)))
-            for a in sorted(self.balances)
-        ]
+    def root(self, memo: Optional[dict[str, tuple[int, int, bytes]]] = None) -> bytes:
+        """Merkle root over one leaf per account, in account order.
+
+        A leaf is a pure function of (account, balance, sequence). `memo`
+        maps an account to the (balance, sequence, leaf) of an earlier root:
+        a leaf whose balance and sequence match is reused, and every leaf
+        hashed here is written back.
+        """
+        if memo is None:
+            memo = {}
+        sequences = self.sequences
+        leaves = []
+        for a, balance in sorted(self.balances.items()):
+            sequence = sequences.get(a, 0)
+            known = memo.get(a)
+            if known is not None and known[0] == balance and known[1] == sequence:
+                leaves.append(known[2])
+                continue
+            leaf = digest(codec.enc_str(a) + codec.enc_u64(balance)
+                          + codec.enc_u64(sequence))
+            memo[a] = (balance, sequence, leaf)
+            leaves.append(leaf)
         return merkle_root(leaves)
 
     def balance(self, account: str) -> int:
@@ -421,6 +465,9 @@ class ChainStore:
         self.adopted: dict[bytes, int] = {self.genesis_digest: 0}
         self.head_state = genesis_state.copy()
         self.first_full_block_height = 0
+        # account -> (balance, sequence, leaf) of the state roots computed
+        # here, so a root re-hashes only the leaves that changed
+        self.leaf_memo: dict[str, tuple[int, int, bytes]] = {}
 
         self._bytes = {
             "chain_headers": len(header.encode()),
@@ -564,7 +611,7 @@ class ChainStore:
                                    existed_before=existed)
             for account, (balance, sequence, existed) in before.items()}
 
-        if state.root() != header.state_root:
+        if state.root(self.leaf_memo) != header.state_root:
             return ValidationResult(Verdict.BAD_ROOT, "state root mismatch")
 
         block_digest = header.digest()
@@ -733,7 +780,7 @@ def assemble_block(store: ChainStore, parent_digest: bytes,
     header = BlockHeader(
         predecessor=parent_digest,
         tx_root=merkle_root([t.digest() for t in chosen]),
-        state_root=state.root(),
+        state_root=state.root(store.leaf_memo),
         height=parent.height + 1,
         timestamp=timestamp,
         nonce=0,
@@ -781,7 +828,8 @@ def fast_sync(source: ChainStore,
         fresh.first_full_block_height = pivot_height
 
     for d in chain[pivot_height + 1:]:
-        block = source.reconstruct_block(d)
+        # over the wire, so the new store checks objects of its own
+        block = Block.decode(Reader(source.reconstruct_block(d).encode()))
         res = fresh.validate_block(block)
         if not res.ok:
             raise SyncError(f"replayed block failed: {res.verdict.value} {res.detail}")

@@ -131,6 +131,15 @@ class Reader:
         self._pos = pos + 8
         return _F64.unpack_from(self._data, pos)[0]
 
+    def fixed(self, layout: struct.Struct) -> tuple:
+        """A fixed-width run of fields, read with one bounds check."""
+        pos = self._pos
+        end = pos + layout.size
+        if end > len(self._data):
+            raise CodecError("buffer underrun")
+        self._pos = end
+        return layout.unpack_from(self._data, pos)
+
     def digest(self) -> bytes:
         pos = self._pos
         end = pos + 32

@@ -19,6 +19,7 @@ in a bounded FIFO gap buffer and replayed when the missing piece arrives.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -65,6 +66,12 @@ class BlockKind(enum.Enum):
 
 
 _KIND_OF = {k.value: k for k in BlockKind}
+# enum members read off the class cost an attribute lookup on every access
+_GENESIS, _SEND, _RECEIVE = BlockKind.GENESIS, BlockKind.SEND, BlockKind.RECEIVE
+
+_PREDECESSOR_KIND = struct.Struct(">32sB")  # predecessor, kind
+_RECEIVE_FIELDS = struct.Struct(">Q32s")  # amount, matched send
+_VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
 
 
 class NodeTier(enum.Enum):
@@ -93,11 +100,11 @@ class LatticeBlock(WireObject):
 
     def _payload(self) -> bytes:
         k = self.kind
-        if k is BlockKind.GENESIS:
+        if k is _GENESIS:
             return codec.enc_u64(self.amount) + codec.enc_str(self.new_representative)
-        if k is BlockKind.SEND:
+        if k is _SEND:
             return codec.enc_u64(self.amount) + codec.enc_str(self.counterparty)
-        if k is BlockKind.RECEIVE:
+        if k is _RECEIVE:
             return codec.enc_u64(self.amount) + codec.enc_digest(self.counterparty)
         return codec.enc_str(self.new_representative)
 
@@ -113,22 +120,21 @@ class LatticeBlock(WireObject):
     def decode(cls, r: Reader) -> "LatticeBlock":
         start = r.pos
         account = r.str_()
-        predecessor = r.digest()
-        kind = _KIND_OF.get(r.u8())
+        predecessor, kind_value = r.fixed(_PREDECESSOR_KIND)
+        kind = _KIND_OF.get(kind_value)
         if kind is None:
             raise CodecError("unknown lattice block kind")
-        if kind is BlockKind.GENESIS:
-            amount, counterparty, new_rep = r.u64(), None, r.str_()
-        elif kind is BlockKind.SEND:
+        if kind is _SEND:
             amount, counterparty, new_rep = r.u64(), r.str_(), None
-        elif kind is BlockKind.RECEIVE:
-            amount, counterparty, new_rep = r.u64(), r.digest(), None
+        elif kind is _RECEIVE:
+            amount, counterparty = r.fixed(_RECEIVE_FIELDS)
+            new_rep = None
+        elif kind is _GENESIS:
+            amount, counterparty, new_rep = r.u64(), None, r.str_()
         else:
             amount, counterparty, new_rep = 0, None, r.str_()
-        block = cls(account=account, predecessor=predecessor, kind=kind,
-                    amount=amount, counterparty=counterparty,
-                    new_representative=new_rep,
-                    antispam_nonce=r.u64(), signature=Signature.decode(r))
+        block = cls(account, predecessor, kind, amount, counterparty, new_rep,
+                    r.u64(), Signature.decode(r))
         # _sd stays lazy: most deliveries are duplicates that never verify
         object.__setattr__(block, "_digest", digest(r.since(start)))
         object.__setattr__(block, "_size", r.pos - start)
@@ -186,11 +192,10 @@ class VoteRecord(WireObject):
     @classmethod
     def decode(cls, r: Reader) -> "VoteRecord":
         start = r.pos
-        representative, subject, choice = r.str_(), r.digest(), r.digest()
-        weight = r.u64()
+        representative = r.str_()
+        subject, choice, weight = r.fixed(_VOTE_FIELDS)
         sd = digest(r.since(start))
-        vote = cls(representative=representative, subject=subject, choice=choice,
-                   weight=weight, signature=Signature.decode(r))
+        vote = cls(representative, subject, choice, weight, Signature.decode(r))
         object.__setattr__(vote, "_sd", sd)
         return vote
 
@@ -466,7 +471,8 @@ class LatticeLedger:
         if chain is None:
             # accounts exist only from genesis, so no later block opens one
             return LatticeVerdict.UNKNOWN_REFERENCE, f"unknown account {block.account}"
-        if block.kind is BlockKind.GENESIS:
+        kind = block.kind
+        if kind is _GENESIS:
             # chains are opened at construction; a second first-block is a fork
             return LatticeVerdict.FORK_DETECTED, "genesis slot is fixed"
 
@@ -475,7 +481,7 @@ class LatticeLedger:
                 return LatticeVerdict.FORK_DETECTED, "predecessor already has a successor"
             return LatticeVerdict.GAP_DETECTED, "predecessor not held"
 
-        if block.kind is BlockKind.SEND:
+        if kind is _SEND:
             if block.amount <= 0:
                 return LatticeVerdict.INSUFFICIENT_BALANCE, "non-positive amount"
             if block.amount > chain.balance:
@@ -483,7 +489,7 @@ class LatticeLedger:
                     f"{block.account} holds {chain.balance}, sends {block.amount}")
             if block.counterparty not in self.accounts:
                 return LatticeVerdict.UNKNOWN_REFERENCE, "unknown recipient"
-        elif block.kind is BlockKind.RECEIVE:
+        elif kind is _RECEIVE:
             pend = self.pending.get(block.counterparty)
             if pend is None:
                 if block.counterparty in self.settled_of:
@@ -713,13 +719,13 @@ class LatticeLedger:
         d = block.digest()
         chain = self.accounts[block.account]
         kind = block.kind
-        if kind is BlockKind.GENESIS:
+        if kind is _GENESIS:
             self._delegate(chain, block.new_representative)
             self._adjust_balance(chain, block.amount)
-        elif kind is BlockKind.SEND:
+        elif kind is _SEND:
             self._adjust_balance(chain, -block.amount)
             self._add_pending(d, block.counterparty, block.amount)
-        elif kind is BlockKind.RECEIVE:
+        elif kind is _RECEIVE:
             pend = self._take_pending(block.counterparty)
             self._adjust_balance(chain, pend.amount)
             self.settled_of[block.counterparty] = (block.account, d)

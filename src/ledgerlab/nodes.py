@@ -50,6 +50,9 @@ MSG_LAT_BLOCK = 10
 TIMER_MINE = 0
 TIMER_POS_SLOT = 1
 
+# enum members read off the class cost an attribute lookup on every access
+_SEND, _RECEIVE = BlockKind.SEND, BlockKind.RECEIVE
+
 ORPHAN_BUFFER_LIMIT = 10_000
 LEDGER_SAMPLE_EVERY = 20  # lattice blocks applied between observer samples
 
@@ -192,7 +195,8 @@ class ChainNode:
             self._add_to_mempool(tx)
         elif tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
             sender = r.u64()
-            block = Block.decode(r)
+            # a transaction this node pooled is the pooled object, verified once
+            block = Block.decode(r, self.mempool)
             r.expect_end()
             self._ingest_block(sim, now, block, sender)
         elif tag == MSG_CHAIN_REQ:
@@ -393,7 +397,7 @@ class LatticeNode:
 
     def _auto_receive(self, sim: Simulation, now: float, outcome: Outcome) -> None:
         # recipients hosted here sign incoming funds in immediately when online
-        queue = [b for b in outcome.applied if b.kind is BlockKind.SEND]
+        queue = [b for b in outcome.applied if b.kind is _SEND]
         while queue:
             blk = queue.pop(0)
             recipient = blk.counterparty
@@ -407,13 +411,13 @@ class LatticeNode:
             sub = self.ledger.receive_block(receive, now)
             self._record_receives(now, sub)
             for extra in sub.applied:
-                if extra.kind is BlockKind.SEND:
+                if extra.kind is _SEND:
                     queue.append(extra)
                 self._forward(sim, extra)
 
     def _record_receives(self, now: float, outcome: Outcome) -> None:
         for blk in outcome.applied:
-            if blk.kind is BlockKind.RECEIVE:
+            if blk.kind is _RECEIVE:
                 self.recorder.receive_applied(now, self.node_id,
                                               blk.counterparty, blk.digest())
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -77,7 +78,8 @@ class WireObject:
     """Base of the ledger's wire types: each digest and length computed once.
 
     A subclass defines `encode()` and, if it is signed, `signing_payload()`
-    and a `signature` field. The caches fill on first use; a subclass's
+    and a `signature` field. The caches fill on first use (the encoding a
+    digest is taken over also gives the length); a subclass's
     `decode` may fill them from the bytes it consumed, and
     `dataclasses.replace` starts a copy empty.
     """
@@ -107,8 +109,10 @@ class WireObject:
     def digest(self) -> bytes:
         d = self._digest
         if d is None:
-            d = digest(self.encode())
+            encoded = self.encode()
+            d = digest(encoded)
             object.__setattr__(self, "_digest", d)
+            object.__setattr__(self, "_size", len(encoded))
         return d
 
     def encoded_len(self) -> int:
@@ -178,6 +182,9 @@ def identity_for(identity_id: str) -> Identity:
     return Identity(id=identity_id, secret=digest(_SECRET_TAG + identity_id.encode("utf-8")))
 
 
+_SIGNATURE_DIGESTS = struct.Struct(">32s32s")  # payload digest, tag
+
+
 @dataclass(frozen=True, slots=True)
 class Signature:
     signer: str
@@ -189,7 +196,7 @@ class Signature:
 
     @classmethod
     def decode(cls, r: Reader) -> "Signature":
-        return cls(signer=r.str_(), payload_digest=r.digest(), tag=r.digest())
+        return cls(r.str_(), *r.fixed(_SIGNATURE_DIGESTS))
 
 
 def sign(identity: Identity, payload_digest: bytes) -> Signature:

@@ -4,18 +4,20 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ledgerlab.blockchain import (
     AccountChange,
     Block,
     BlockHeader,
+    ChainState,
     ChainStore,
     ChainTransaction,
     GrindProof,
     HistoryPrunedError,
     LotteryProof,
     PosProof,
+    StateDelta,
     SyncError,
     Verdict,
     assemble_block,
@@ -343,6 +345,44 @@ def test_delta_existed_before_false_only_for_new_accounts():
     changes = store.deltas[block.digest()].changes
     assert changes["alice"].existed_before
     assert not changes["carol"].existed_before
+
+
+# -- state root leaf memo ---------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol", "dave"]),
+                          st.integers(0, 3), st.integers(0, 2), st.booleans()),
+                min_size=1, max_size=40))
+# carol is created, reverted away, then created again with the same leaf
+@example([("carol", 1, 1, False), ("bob", 2, 0, False), ("carol", 0, 0, True),
+          ("carol", 0, 0, True), ("carol", 1, 1, False)])
+def test_leaf_memo_root_equals_a_fresh_root_at_every_step(steps):
+    state = ChainState(balances={"alice": 3, "bob": 1}, sequences={"alice": 0, "bob": 0})
+    memo = {}
+    applied = []  # deltas in force, newest last
+    for account, balance, sequence, undo in steps:
+        if undo and applied:
+            applied.pop().revert(state)  # drops an account the delta created
+        else:
+            change = AccountChange(
+                state.balance(account), balance, state.sequence(account), sequence,
+                existed_before=account in state.balances)
+            delta = StateDelta(block=ZERO_DIGEST, changes={account: change})
+            delta.apply(state)
+            applied.append(delta)
+        assert state.root(memo) == state.root()
+
+
+def test_validating_an_assembled_block_rehashes_no_leaf():
+    store = _store()
+    block = assemble_block(store, store.adopted_head,
+                           [make_transaction(ALICE, "carol", 5, 1, 10)],
+                           producer="miner-0", timestamp=1.0)
+    leaves = dict(store.leaf_memo)
+    assert sorted(leaves) == ["alice", "bob", "carol", "miner-0"]
+    assert store.validate_block(block).ok
+    assert all(store.leaf_memo[a] is entry for a, entry in leaves.items())
 
 
 def test_state_at_walks_to_side_branches():

@@ -1,5 +1,6 @@
 """Canonical wire encoding round-trips and malformed-input handling."""
 
+import struct
 from dataclasses import replace
 
 import pytest
@@ -84,6 +85,18 @@ def test_reader_underrun_and_trailing():
     r2.u64()
     with pytest.raises(CodecError):
         r2.expect_end()
+
+
+def test_reader_fixed_reads_a_run_of_fields_or_nothing():
+    layout = struct.Struct(">32sQ")
+    data = bytes(range(32)) + codec.enc_u64(9) + codec.enc_u8(1)
+    r = Reader(data)
+    assert r.fixed(layout) == (bytes(range(32)), 9)
+    assert r.pos == 40
+    with pytest.raises(CodecError):
+        r.fixed(layout)  # one byte left
+    assert r.pos == 40 and r.u8() == 1
+    r.expect_end()
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

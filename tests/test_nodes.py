@@ -9,12 +9,14 @@ import random
 
 import pytest
 
-from ledgerlab import nodes
+from ledgerlab import blockchain, codec, nodes
 from ledgerlab.blockchain import (
     Block,
     ChainStore,
+    ChainTransaction,
     DifficultySchedule,
     LotteryProof,
+    Verdict,
     assemble_block,
     make_transaction,
 )
@@ -24,6 +26,7 @@ from ledgerlab.nodes import (
     CMD_CHAIN_TX,
     CMD_LATTICE_SEND,
     MSG_CHAIN_BLOCK,
+    MSG_CHAIN_RESP,
     MSG_CHAIN_TX,
     ChainNode,
     LatticeNode,
@@ -187,6 +190,100 @@ def test_both_children_of_a_missing_parent_are_adopted_when_it_arrives():
     assert node.store.head_height == 2
     assert node.store.adopted_head == children[0].digest()  # first seen stays
     assert _empty(node)
+
+
+# ---------------------------------------------------------------------------
+# Pooled transactions
+
+
+def _pooled_node(txs):
+    """A chain node that pooled `txs` from the wire, one message each."""
+    node, sim = _chain_node()
+    for tx in txs:
+        node.on_message(sim, 0.0, codec.enc_u8(MSG_CHAIN_TX) + codec.enc_u64(1)
+                        + tx.encode())
+    return node, sim, [node.mempool[tx.digest()] for tx in txs]
+
+
+def _alice_pays_bob():
+    return [make_transaction(identity_for("alice"), "bob", 5, seq, 10)
+            for seq in (1, 2)]
+
+
+def _tampered(tx):
+    """`tx` with one byte of its signature tag flipped."""
+    raw = bytearray(tx.encode())
+    raw[-1] ^= 1
+    return ChainTransaction.decode(Reader(bytes(raw)))
+
+
+def _block_on_genesis(txs):
+    """A block another node built on genesis, committing to `txs` as given."""
+    source = _store()
+    return assemble_block(source, source.adopted_head, txs,
+                          producer="miner-1", timestamp=1.0)
+
+
+def _count_verify(monkeypatch):
+    calls = []
+    real = blockchain.verify
+    monkeypatch.setattr(blockchain, "verify",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_block_of_pooled_transactions_decodes_to_them_and_verifies_nothing(
+        monkeypatch):
+    txs = _alice_pays_bob()
+    node, _, pooled = _pooled_node(txs)
+    block = _block_on_genesis(txs)
+    calls = _count_verify(monkeypatch)
+
+    decoded = Block.decode(Reader(block.encode()), node.mempool)
+
+    assert all(d is p for d, p in zip(decoded.transactions, pooled, strict=True))
+    assert node.store.validate_block(decoded).ok
+    assert calls == []
+
+
+def test_a_tampered_block_transaction_is_decoded_fresh_and_refused(monkeypatch):
+    txs = _alice_pays_bob()
+    node, _, pooled = _pooled_node(txs)
+    block = _block_on_genesis([txs[0], _tampered(txs[1])])
+    calls = _count_verify(monkeypatch)
+
+    decoded = Block.decode(Reader(block.encode()), node.mempool)
+
+    assert decoded.transactions[0] is pooled[0]
+    fresh = decoded.transactions[1]
+    assert fresh is not pooled[1] and fresh.digest() not in node.mempool
+    assert node.store.validate_block(decoded).verdict is Verdict.BAD_SIGNATURE
+    assert [args[1] for args in calls] == ["alice"]  # the fresh one alone
+
+
+@pytest.mark.parametrize("tag", [MSG_CHAIN_BLOCK, MSG_CHAIN_RESP],
+                         ids=["block", "resp"])
+def test_a_delivered_block_reuses_the_pool_and_a_tampered_one_is_refused(
+        monkeypatch, tag):
+    txs = _alice_pays_bob()
+    node, sim, pooled = _pooled_node(txs)
+    verdicts = []
+    validate = node.store.validate_block
+    monkeypatch.setattr(node.store, "validate_block",
+                        lambda b: verdicts.append(validate(b)) or verdicts[-1])
+    calls = _count_verify(monkeypatch)
+
+    tampered = _block_on_genesis([txs[0], _tampered(txs[1])])
+    node.on_message(sim, 1.0, _chain_block_msg(tag, 1, tampered))
+    assert [v.verdict for v in verdicts] == [Verdict.BAD_SIGNATURE]
+    assert len(calls) == 1 and node.store.head_height == 0
+
+    good = _block_on_genesis(txs)
+    node.on_message(sim, 1.0, _chain_block_msg(tag, 1, good))
+    assert verdicts[-1].ok and len(calls) == 1
+    stored = node.store.blocks[good.digest()].transactions
+    assert all(s is p for s, p in zip(stored, pooled, strict=True))
+    assert node.mempool == {}
 
 
 def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):

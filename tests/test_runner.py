@@ -48,6 +48,25 @@ def test_lattice_run_result_shape():
     assert len(ledger.accounts) == 12
 
 
+@pytest.mark.parametrize("overrides", [(), ("net.drop_prob=0.2",)],
+                         ids=["lossless", "drop-0.2"])
+def test_no_chain_transaction_object_is_shared_between_nodes(overrides):
+    # a transaction caches its own signature verdict, so one node's check
+    # must never stand in for another's: every node decodes its own objects
+    cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=60", *overrides])
+    result = run(cfg, seed=1)
+    holder = {}
+    for node_id, node in result.nodes.items():
+        held = list(node.mempool.values())
+        for sb in node.store.blocks.values():
+            held.extend(sb.transactions or ())
+        for block, _missing in node.parked.held.values():
+            held.extend(block.transactions)
+        assert held
+        for tx in held:
+            assert holder.setdefault(id(tx), node_id) == node_id
+
+
 def test_rerun_is_trace_identical():
     cfg = preset_config("pos-baseline", ["scenario.horizon_s=15"])
     assert run(cfg, seed=9).trace == run(cfg, seed=9).trace
