@@ -23,3 +23,7 @@ class InvariantViolation(LedgerError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def at_node(self, node_id: int) -> "InvariantViolation":
+        """The same breach, its detail prefixed with the node it was found on."""
+        return InvariantViolation(self.invariant, f"node {node_id}: {self.detail}")

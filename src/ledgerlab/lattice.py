@@ -507,7 +507,7 @@ class LatticeLedger:
 
     # -- cementing ----------------------------------------------------------
 
-    def cement_eligible(self, block_digest: bytes, now: float) -> bool:
+    def cement_eligible(self, block: LatticeBlock, now: float) -> bool:
         """True when the block is settled and conflict-free past the delay.
 
         Cementing is an opt-in switch: with a zero delay it always reports
@@ -515,26 +515,16 @@ class LatticeLedger:
         """
         if self.cement_delay_s == 0:
             return False
-        adopted = self.adoption_time.get(block_digest)
+        d = block.digest()
+        adopted = self.adoption_time.get(d)
         if adopted is None or now - adopted < self.cement_delay_s:
             return False
-        block = self._find_block(block_digest)
-        if block is None:
-            return False
-        key = (block.account, block.predecessor)
-        open_conflict = self.conflicts.get(key)
+        open_conflict = self.conflicts.get((block.account, block.predecessor))
         if open_conflict is not None and open_conflict.resolved is None:
             return False
-        if block.kind is BlockKind.SEND and block.digest() not in self.settled_of:
+        if block.kind is _SEND and d not in self.settled_of:
             return False
         return True
-
-    def _find_block(self, block_digest: bytes) -> Optional[LatticeBlock]:
-        for account in self.accounts.values():
-            blk = account.blocks.get(block_digest)
-            if blk is not None:
-                return blk
-        return None
 
     # -- the single entry point for blocks off the wire ---------------------
 
@@ -588,7 +578,8 @@ class LatticeLedger:
         if verdict is LatticeVerdict.FORK_DETECTED and block.kind is not BlockKind.GENESIS:
             chain = self.accounts[block.account]
             incumbent = chain.successor_of(block.predecessor)
-            if incumbent is not None and self.cement_eligible(incumbent, now):
+            held = chain.blocks.get(incumbent)
+            if held is not None and self.cement_eligible(held, now):
                 return OutcomeStatus.REJECTED, verdict, "incumbent block is cemented", []
             self._open_conflict(block, incumbent, outcome)
             return (OutcomeStatus.CONFLICT, verdict, detail,

@@ -6,13 +6,15 @@ and asks the sender for the missing predecessor (that fetch is the only
 recovery path, the transport never retransmits). Lattice blocks are
 rebroadcast once per node, representatives attaching their vote, so in a
 full mesh every vote reaches every node riding the block it endorses.
+Representatives vote on every block their node applies, the receives the
+node signs in for its own accounts included.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import codec
 from .blockchain import (
@@ -26,12 +28,12 @@ from .blockchain import (
     make_transaction,
 )
 from .codec import Reader
+from .errors import InvariantViolation
 from .lattice import (
     BlockKind,
     InsufficientBalanceError,
     LatticeBlock,
     LatticeLedger,
-    Outcome,
     OutcomeStatus,
     VoteRecord,
     make_vote,
@@ -283,7 +285,10 @@ class ChainNode:
                     if td not in self.mempool:
                         self._pool(td, tx)
                 self._drop_stale(moved_senders)
-                self.store.check_conservation()
+                try:
+                    self.store.check_conservation()
+                except InvariantViolation as exc:
+                    raise exc.at_node(self.node_id) from exc
                 if self.node_id == OBSERVER:
                     self.recorder.ledger_sample(
                         now, self.node_id, sum(self.store.ledger_bytes().values()))
@@ -304,8 +309,8 @@ class ChainNode:
 class LatticeNode:
     """A lattice node hosting accounts; votes if it hosts a representative.
 
-    The observer samples its ledger size every `LEDGER_SAMPLE_EVERY` blocks
-    it applies.
+    The observer samples its ledger size once every `LEDGER_SAMPLE_EVERY`
+    blocks it applies.
     """
 
     def __init__(self, node_id: int, ledger: LatticeLedger, recorder: RunRecorder,
@@ -323,11 +328,9 @@ class LatticeNode:
 
     # -- outbound -----------------------------------------------------------
 
-    def submit_block(self, sim: Simulation, now: float, block: LatticeBlock) -> Outcome:
+    def submit_block(self, sim: Simulation, now: float, block: LatticeBlock) -> None:
         """Apply a locally created block and gossip it."""
-        outcome = self.ledger.receive_block(block, now)
-        self._after_outcome(sim, now, outcome)
-        return outcome
+        self._settle(sim, now, block)
 
     def _forward(self, sim: Simulation, block: LatticeBlock) -> None:
         d = block.digest()
@@ -346,8 +349,7 @@ class LatticeNode:
         block = LatticeBlock.decode(r)
         votes = r.list_(VoteRecord.decode)
         r.expect_end()
-        outcome = self.ledger.receive_block(block, now, votes)
-        self._after_outcome(sim, now, outcome, wire_block=block)
+        self._settle(sim, now, block, votes)
 
     def start(self, sim: Simulation) -> None:
         pass  # lattice behavior is purely reactive
@@ -355,81 +357,67 @@ class LatticeNode:
     def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
         pass
 
-    # -- shared outcome handling -------------------------------------------
+    # -- settling -----------------------------------------------------------
 
-    def _after_outcome(self, sim: Simulation, now: float, outcome: Outcome,
-                       wire_block: Optional[LatticeBlock] = None) -> None:
-        for key in outcome.conflicts_opened:
-            self.recorder.conflict_opened(now, self.node_id, key[0], key[1])
+    def _settle(self, sim: Simulation, now: float, block: LatticeBlock,
+                votes: Iterable[VoteRecord] = ()) -> None:
+        """Receive a block, then handle each outcome on one work-list.
 
-        # vote on every block this node just accepted for the first time
-        for blk in outcome.applied:
-            for rep in self.representative_accounts:
-                if rep in self.ledger.votes.get(blk.predecessor, ()):
-                    continue
-                vote = make_vote(identity_for(rep), subject=blk.predecessor,
-                                 choice=blk.digest(),
-                                 weight=self.ledger.representative_weight(rep))
-                vote_outcome = self.ledger.add_vote(vote, now)
-                outcome.resolutions.extend(vote_outcome.resolutions)
-                outcome.applied.extend(vote_outcome.applied)
-
-        for res in outcome.resolutions:
-            self.recorder.conflict_resolved(now, self.node_id, res.account,
-                                            res.subject, res.winner,
-                                            res.winner_weight, res.runner_up)
-
-        # forward every newly applied block, and conflict candidates, once
-        forwarded: set[bytes] = set()
-        for blk in outcome.applied:
-            d = blk.digest()
-            if d not in forwarded:
-                forwarded.add(d)
-                self._forward(sim, blk)
-        if outcome.status is OutcomeStatus.CONFLICT and wire_block is not None:
-            d = wire_block.digest()
-            if d not in forwarded:
-                forwarded.add(d)
-                self._forward(sim, wire_block)
-
-        self._auto_receive(sim, now, outcome)
-        self._maybe_sample(now, outcome)
-
-    def _auto_receive(self, sim: Simulation, now: float, outcome: Outcome) -> None:
-        # recipients hosted here sign incoming funds in immediately when online
-        queue = [b for b in outcome.applied if b.kind is _SEND]
-        while queue:
-            blk = queue.pop(0)
-            recipient = blk.counterparty
-            if recipient not in self.hosted_set or recipient in self.offline_accounts:
-                continue
-            send_digest = blk.digest()
-            if send_digest not in self.ledger.pending:
-                continue  # already received or rolled back
-            receive = self.ledger.create_receive(recipient, send_digest,
-                                                 counter=self.work)
-            sub = self.ledger.receive_block(receive, now)
-            self._record_receives(now, sub)
-            for extra in sub.applied:
-                if extra.kind is _SEND:
-                    queue.append(extra)
-                self._forward(sim, extra)
-
-    def _record_receives(self, now: float, outcome: Outcome) -> None:
-        for blk in outcome.applied:
-            if blk.kind is _RECEIVE:
-                self.recorder.receive_applied(now, self.node_id,
-                                              blk.counterparty, blk.digest())
-
-    def _maybe_sample(self, now: float, outcome: Outcome) -> None:
-        self._record_receives(now, outcome)
-        if self.node_id != OBSERVER:
-            return
-        self._applied_since_sample += len(outcome.applied)
-        if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:
-            self._applied_since_sample = 0
-            self.recorder.ledger_sample(
-                now, self.node_id, sum(self.ledger.ledger_bytes().values()))
+        The list starts with the block's outcome, and each receive this node
+        signs in for an online hosted account appends its own, so every
+        block the node applies takes the same steps: hosted representatives
+        vote on it, conflicts and resolutions are recorded, it is forwarded
+        once, a receive is recorded, a due receive is signed in, and the
+        observer counts it. A breach raised on the way names this node.
+        """
+        ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
+        try:
+            work = [(block, ledger.receive_block(block, now, votes))]
+            forwarded: set[bytes] = set()
+            for block, outcome in work:  # signing a receive in appends to work
+                applied = outcome.applied
+                for blk in applied:  # grows with the blocks a vote settles
+                    for rep in self.representative_accounts:
+                        if rep in ledger.votes.get(blk.predecessor, ()):
+                            continue
+                        vote = make_vote(identity_for(rep), subject=blk.predecessor,
+                                         choice=blk.digest(),
+                                         weight=ledger.representative_weight(rep))
+                        cast = ledger.add_vote(vote, now)
+                        outcome.conflicts_opened.extend(cast.conflicts_opened)
+                        outcome.resolutions.extend(cast.resolutions)
+                        applied.extend(cast.applied)
+                for account, subject in outcome.conflicts_opened:
+                    recorder.conflict_opened(now, node_id, account, subject)
+                for res in outcome.resolutions:
+                    recorder.conflict_resolved(now, node_id, res.account,
+                                               res.subject, res.winner,
+                                               res.winner_weight, res.runner_up)
+                # a conflict candidate is forwarded too, so its rival is heard
+                candidate = [block] if outcome.status is OutcomeStatus.CONFLICT else []
+                for blk in applied + candidate:
+                    d = blk.digest()
+                    if d not in forwarded:
+                        forwarded.add(d)
+                        self._forward(sim, blk)
+                for blk in applied:
+                    if blk.kind is _RECEIVE:
+                        recorder.receive_applied(now, node_id, blk.counterparty,
+                                                 blk.digest())
+                    elif (blk.kind is _SEND and blk.counterparty in self.hosted_set
+                          and blk.counterparty not in self.offline_accounts
+                          and blk.digest() in ledger.pending):  # not received yet
+                        receive = ledger.create_receive(
+                            blk.counterparty, blk.digest(), counter=self.work)
+                        work.append((receive, ledger.receive_block(receive, now)))
+                if node_id == OBSERVER:
+                    self._applied_since_sample += len(applied)
+                    if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:
+                        self._applied_since_sample %= LEDGER_SAMPLE_EVERY
+                        recorder.ledger_sample(
+                            now, node_id, sum(ledger.ledger_bytes().values()))
+        except InvariantViolation as exc:
+            raise exc.at_node(node_id) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def _final_audit(sim: Simulation) -> None:
         try:
             _audit_node(sim.nodes[i])
         except InvariantViolation as exc:
-            raise InvariantViolation(exc.invariant, f"node {i}: {exc.detail}") from exc
+            raise exc.at_node(i) from exc
 
 
 def _audit_node(node) -> None:

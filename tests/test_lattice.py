@@ -561,7 +561,7 @@ def test_cementing_disabled_reports_false():
     ledger = _ledger()
     send = ledger.create_send("a", "w2", 5)
     _apply(ledger, send)
-    assert not ledger.cement_eligible(send.digest(), now=1e9)
+    assert not ledger.cement_eligible(send, now=1e9)
 
 
 def test_cementing_settles_after_delay_and_blocks_forks():
@@ -570,13 +570,13 @@ def test_cementing_settles_after_delay_and_blocks_forks():
     send = ledger.create_send("a", "w2", 5)
     _apply(ledger, send, now=1.0)
     # unsettled sends never cement
-    assert not ledger.cement_eligible(send.digest(), now=100.0)
+    assert not ledger.cement_eligible(send, now=100.0)
     recv = ledger.create_receive("w2", send.digest())
     _apply(ledger, recv, now=2.0)
-    assert not ledger.cement_eligible(send.digest(), now=4.0)  # delay not met
-    assert ledger.cement_eligible(send.digest(), now=6.5)
-    assert not ledger.cement_eligible(recv.digest(), now=6.5)
-    assert ledger.cement_eligible(recv.digest(), now=7.5)
+    assert not ledger.cement_eligible(send, now=4.0)  # delay not met
+    assert ledger.cement_eligible(send, now=6.5)
+    assert not ledger.cement_eligible(recv, now=6.5)
+    assert ledger.cement_eligible(recv, now=7.5)
 
     rival = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                         amount=7, counterparty="w2")

@@ -23,14 +23,14 @@ PINS = {
         "448c7431ee9e069b03e88970c6199fe9bc17f93108ed9572e9448e049012033f",
         "7b623f92965f5deb3a6b614ff40cba17df53f9179b39d76c96559886d454f144"),
     "fork-stress": (
-        "ccd005d5b99e8b8490cf0fe71bd1aa9680aae226e876fdcbca1d9a0d0021c248",
-        "401ea263bb010d6d9c73f64f1b3168aeaadc00f25f6dbaf5731db0b3f87e3168"),
+        "899940222a0a0aebbd618e93e58466d5b83e557865e20cfbf7e99a521454cbf6",
+        "909dbe03c269bb9481129dcbb8c7225afbedff080e62d5268044308082a95f0a"),
     "nano-baseline": (
-        "3fee6b71ccd914d79ea1f77dc0991c5edd6b27889613ad362484ff506c9d9fba",
-        "de050f4e85aab82d77a52322f60cea7f70fb0929312c4e5dca76bbff786ab68a"),
+        "18377ef36a373c00ac121b063fe1895955e315f7676978f074e7e23c7d7bb079",
+        "d72535ebca78804edc2e697e4a909db4ab164bd1233c25c5916484481f18391b"),
     "nano-scaling": (
-        "3d6f79b785fdb87bfa5512c0e661f3244304ee493c3ba105e29905e2d78a1871",
-        "56c04264d578732b7a0e09de2daf6fd886afa05ff63b324d601c49e3590fbdea"),
+        "8456b1d906a6f2a7dc104ce034994b5e80829fcbf7dab080c45f7b1bd6f13ebd",
+        "842cbd72ae0cb6aac5eade32e1952de7fc548cfeaa5f306c9a79429511d6d1d7"),
     "partition-stress": (
         "0b8b5bc192738485bc81ea19174bb1600d95d186d96482be92049b42c4e46eac",
         "003bfc6b007a775a96bd9281bf7baa5158ec0b9861ffc2074ac309922cf9753e"),
@@ -52,18 +52,18 @@ VARIANT_PINS = {
         "5f3d08a942e48f0e15f9ff7fc0cffacf9b90c354cc9a158d2e78881129f2f437",
         "670237534b748e7cd8a504116f4ef5d93fe94ec32ef4d865db44fae648e09b6a"),
     ("nano-baseline", ("lattice.gap_buffer=4", "net.drop_prob=0.2")): (
-        "951943081cf3c288679608b015c0cf7c242ea1d845127a42ddb7eb4e29d14c2e",
-        "179f6c8c9ac76fbd61f9822ea83055250f5c835cf961cae30c92940ae62ce228"),
+        "4dab5cc1c8aeb7a26918a7ff06276afdd356b2e8115c9a1adc378010f4d6a216",
+        "575db2b8b039e19735cdb1fe4b492cc7de8d715ad08596230c8a043bcdd36656"),
     ("fork-stress", ("lattice.gap_buffer=2", "net.drop_prob=0.1")): (
-        "4fcaae2011e6676255e5584f5db150f378473fc3ed346e9a6854687b49e08772",
-        "8fa330470cc2eca70c31e4d5c47282c16729ab8a9e8467d9132279cd92e53856"),
+        "a8e2cfba99888301bb12390a84fbe6931606881d4ec59eeca4893dac93a9e93d",
+        "f217e8f0778750e1b7b82fdc2781118ea442f5716f7b45c92e6eb4e584066a26"),
     ("bitcoin-baseline", ("net.drop_prob=0.2", "scenario.horizon_s=120")): (
         "4a23f254bb06134d9482c5b11893b407cdf10ff509fba1a00b945ffd81a51834",
         "7fa9fb85323d6873c44625e7b6cf98ea3617d57489814bc21c15db66d10c8670"),
     ("fork-stress", ("lattice.representatives=5", "net.jitter_ms=40",
                      "fork.interval_s=4")): (
-        "d7d29239874fe62618865ca9e2d3028bf632b437b9bc96b95e69b3105b484ecc",
-        "06f715cac3ba9e4bbd27e5b675e776405f688e875a8be6749485a8b2b95aa127"),
+        "a65c4b8f4c818323021990b833aaf4f33a75c9f9f37ea4c12a798ffcd0746b34",
+        "67537a6adc6fffb946a229db923c4f043466b6dd3477c3cf8f74e536fe2e2f05"),
 }
 
 

@@ -5,10 +5,10 @@ import pytest
 from ledgerlab.blockchain import ChainStore
 from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError, LedgerError
-from ledgerlab.lattice import LatticeLedger
-from ledgerlab.nodes import ChainNode, LatticeNode
+from ledgerlab.lattice import BlockKind, LatticeLedger
+from ledgerlab.nodes import LEDGER_SAMPLE_EVERY, ChainNode, LatticeNode
 from ledgerlab.metrics import tps_cap
-from ledgerlab.recording import RunRecorder
+from ledgerlab.recording import OBSERVER, RunRecorder
 from ledgerlab.runner import RunResult, build_simulation, run
 from ledgerlab.scenario import account_names, preset_config, representative_names
 from ledgerlab.simnet import Simulation
@@ -166,9 +166,33 @@ def test_validation_agrees_with_the_lattice_builder():
                         except ConfigError:
                             continue
                         try:
-                            run(cfg, 1)
+                            result = run(cfg, 1)
                         except LedgerError:
-                            pass
+                            continue
+                        _assert_hosts_vote_on_every_held_block(result)
+
+
+def _assert_hosts_vote_on_every_held_block(result):
+    # a node's representatives vote on every block it applies, the receives
+    # it signs in for its own accounts included
+    for node in result.nodes.values():
+        ballots = node.ledger.votes
+        for chain in node.ledger.accounts.values():
+            for block in chain.blocks.values():
+                if block.kind is BlockKind.GENESIS:
+                    continue
+                for rep in node.representative_accounts:
+                    assert rep in ballots.get(block.predecessor, {})
+
+
+def test_observer_samples_once_per_interval_of_applied_blocks():
+    result = run(preset_config("nano-baseline"), seed=1)
+    ledger = result.nodes[OBSERVER].ledger
+    assert not ledger.conflicts  # nothing rolled back: every applied block is held
+    applied = sum(len(chain.order) - 1 for chain in ledger.accounts.values())
+    samples = [s for s in result.recorder.ledger_samples if s[1] == OBSERVER]
+    assert applied == 543
+    assert len(samples) == applied // LEDGER_SAMPLE_EVERY
 
 
 def test_validation_agrees_with_the_chain_capacity():
@@ -209,6 +233,22 @@ def test_in_run_supply_check_stops_the_run(monkeypatch):
     result = run(cfg, seed=1)
     assert "chain balance conservation" in result.breach
     assert result.events < clean.events  # stopped at the first head move
+    first_miner = result.recorder.blocks_mined[0][1]
+    assert f"node {first_miner}: " in result.breach
+
+
+def test_in_run_lattice_supply_check_names_its_node(monkeypatch):
+    add_pending = LatticeLedger._add_pending
+
+    def mint_on_pending(self, send_digest, recipient, amount):
+        add_pending(self, send_digest, recipient, amount)
+        self.total_pending += 1
+
+    monkeypatch.setattr(LatticeLedger, "_add_pending", mint_on_pending)
+    result = run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), 1)
+    assert "lattice balance conservation" in result.breach
+    first_sender = result.recorder.sends_created[0][1]
+    assert f"node {first_sender}: " in result.breach
 
 
 def test_final_audit_catches_a_chain_byte_miscount(monkeypatch):
