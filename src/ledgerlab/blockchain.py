@@ -405,8 +405,6 @@ class StoredBlock:
 
 @dataclass(frozen=True)
 class AdoptionReport:
-    old_head: bytes
-    new_head: bytes
     old_height: int
     new_height: int
     orphaned: tuple[bytes, ...]          # digests leaving the adopted branch
@@ -416,7 +414,7 @@ class AdoptionReport:
 
     @property
     def head_moved(self) -> bool:
-        return self.new_head != self.old_head
+        return bool(self.reorged_in)
 
 
 @dataclass(frozen=True)
@@ -456,11 +454,11 @@ class ChainStore:
         )
         self.genesis_digest = header.digest()
 
-        self.blocks: dict[bytes, StoredBlock] = {
-            self.genesis_digest: StoredBlock(header, (), schedule)
-        }
+        self.blocks: dict[bytes, StoredBlock] = {}
         self.deltas: dict[bytes, StateDelta] = {}
         self.tx_blocks: dict[bytes, list[bytes]] = {}
+        self._bytes = {"chain_headers": 0, "chain_bodies": 0, "chain_deltas": 0}
+        self._insert(self.genesis_digest, header, (), schedule, None)
         # digest -> height of each block on the adopted branch, genesis first
         self.adopted: dict[bytes, int] = {self.genesis_digest: 0}
         self.head_state = genesis_state.copy()
@@ -468,12 +466,6 @@ class ChainStore:
         # account -> (balance, sequence, leaf) of the state roots computed
         # here, so a root re-hashes only the leaves that changed
         self.leaf_memo: dict[str, tuple[int, int, bytes]] = {}
-
-        self._bytes = {
-            "chain_headers": len(header.encode()),
-            "chain_bodies": len(codec.enc_list((), lambda t: t.encode())),
-            "chain_deltas": 0,
-        }
 
     # -- basic queries ------------------------------------------------------
 
@@ -643,11 +635,9 @@ class ChainStore:
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
         """Store a validated block and move the head if its branch is longer."""
         d = block.digest()
-        old_head = self.adopted_head
         old_height = self.head_height
         if d in self.blocks:
-            return AdoptionReport(old_head, old_head, old_height, old_height,
-                                  (), (), (), duplicate=True)
+            return AdoptionReport(old_height, old_height, (), (), (), duplicate=True)
         if not result.ok or result.delta is None or result.schedule is None:
             raise ValueError("adopt requires a passing validation result")
 
@@ -655,7 +645,7 @@ class ChainStore:
                           result.schedule, result.delta)
         if sb.height <= old_height:
             # side branch no longer than the adopted one: first seen stays
-            return AdoptionReport(old_head, old_head, old_height, old_height, (), (), ())
+            return AdoptionReport(old_height, old_height, (), (), ())
 
         # reorganize onto the longer branch
         orphaned, incoming = self._walk(self.head_state, d)
@@ -675,7 +665,7 @@ class ChainStore:
             for t in (self.blocks[od].transactions or ())
             if t.digest() not in new_txs
         )
-        return AdoptionReport(old_head, d, old_height, sb.height,
+        return AdoptionReport(old_height, sb.height,
                               tuple(orphaned), tuple(incoming), returned)
 
     # -- confirmations ------------------------------------------------------

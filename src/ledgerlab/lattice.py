@@ -330,12 +330,11 @@ class LatticeLedger:
                  spam_bits: int = 0,
                  quorum_fraction: float = DEFAULT_QUORUM_FRACTION,
                  cement_delay_s: float = 0.0,
-                 gap_buffer: int = DEFAULT_GAP_BUFFER,
-                 tier: NodeTier = NodeTier.HISTORICAL):
+                 gap_buffer: int = DEFAULT_GAP_BUFFER):
         self.spam_bits = spam_bits
         self.quorum_fraction = quorum_fraction
         self.cement_delay_s = cement_delay_s
-        self.tier = tier
+        self.tier = NodeTier.HISTORICAL  # prune_to_current makes it CURRENT
 
         self.accounts: dict[str, AccountChain] = {}
         self.pending: dict[bytes, PendingSend] = {}
@@ -723,16 +722,10 @@ class LatticeLedger:
         else:  # REP_CHANGE
             self._delegate(chain, block.new_representative)
 
-        prev_head = chain.head
         chain.blocks[d] = block
         chain.order.append(d)
         self.adoption_time[d] = now
         self._bytes_blocks += block.encoded_len()
-
-        if self.tier is NodeTier.CURRENT and prev_head != ZERO_DIGEST:
-            dropped = chain.blocks.pop(prev_head, None)
-            if dropped is not None:
-                self._bytes_blocks -= dropped.encoded_len()
 
     def _undo_to(self, account: str, target: bytes) -> list[bytes]:
         """Roll an account chain back to `target`, cascading through settlements."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import codec
 from .errors import LedgerError, NotFoundError
@@ -118,34 +118,6 @@ def retarget(schedule: DifficultySchedule, observed_window_s: float) -> Difficul
 
 
 # ---------------------------------------------------------------------------
-# Seeded draws
-
-def _draw_rng(seed: int, purpose: bytes, round_index: int) -> random.Random:
-    # Derivation pins the stream to (seed, purpose, round): same draw everywhere.
-    material = digest(codec.enc_u64(seed & codec.U64_MAX) + purpose + codec.enc_u64(round_index))
-    return random.Random(int.from_bytes(material, "big"))
-
-
-def _weighted_pick(weights: Mapping[str, float], rng: random.Random, what: str) -> str:
-    ids = sorted(weights)
-    total = 0.0
-    for i in ids:
-        w = weights[i]
-        if w < 0:
-            raise ValueError(f"negative {what} for {i}")
-        total += w
-    if total <= 0:
-        raise NoLeaderError(f"all {what}s are zero")
-    point = rng.random() * total
-    acc = 0.0
-    for i in ids:
-        acc += weights[i]
-        if point < acc:
-            return i
-    return ids[-1]  # float edge: point == total
-
-
-# ---------------------------------------------------------------------------
 # Proof of stake
 
 @dataclass
@@ -164,11 +136,24 @@ class StakeRegistry:
 
 def pos_select(registry: StakeRegistry, seed: int, round_index: int) -> str:
     """Stake-weighted validator draw for one slot, deterministic per (seed, round)."""
-    rng = _draw_rng(seed, b"/pos-slot", round_index)
+    # the stream is pinned to (seed, round): every node draws the same leader
+    material = digest(codec.enc_u64(seed & codec.U64_MAX) + b"/pos-slot"
+                      + codec.enc_u64(round_index))
+    rng = random.Random(int.from_bytes(material, "big"))
     active = registry.active()
     if not active:
         raise NoLeaderError("no validator has positive stake")
-    return _weighted_pick({v: float(s) for v, s in active.items()}, rng, "stake")
+    ids = sorted(active)
+    total = 0.0
+    for v in ids:
+        total += float(active[v])
+    point = rng.random() * total
+    acc = 0.0
+    for v in ids:
+        acc += float(active[v])
+        if point < acc:
+            return v
+    return ids[-1]  # float edge: point == total
 
 
 def pos_slash(registry: StakeRegistry, validator_id: str, offending_block,

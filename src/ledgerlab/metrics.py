@@ -197,8 +197,7 @@ def heads_in_agreement(result: RunResult) -> int:
     """How many nodes share the observer's adopted head."""
     observer = _observer(result, "chain")
     head = observer.store.adopted_head
-    return sum(1 for n in result.nodes.values()
-               if isinstance(n, ChainNode) and n.store.adopted_head == head)
+    return sum(1 for n in result.nodes.values() if n.store.adopted_head == head)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +335,14 @@ def build_report(result: RunResult) -> ScenarioReport:
                         float(len(result.recorder.sends_created))))
         scalars.append(("unsettled-at-horizon", "transfers",
                         float(len(unsettled))))
-        opened = {(a, s) for _n, _nd, a, s in result.recorder.conflicts_opened}
+        opened = {(a, s) for _n, node, a, s in result.recorder.conflicts_opened
+                  if node == OBSERVER}
         scalars.append(("conflicts-opened", "conflicts", float(len(opened))))
         scalars.append(("conflicts-injected", "conflicts",
                         float(len(result.recorder.conflicts_injected))))
-        resolved = conflict_outcomes(result)
-        scalars.append(("conflicts-resolved", "conflicts", float(len(resolved))))
+        resolved = sum(OBSERVER in by_node
+                       for by_node in conflict_outcomes(result).values())
+        scalars.append(("conflicts-resolved", "conflicts", float(resolved)))
         observer_lattice: LatticeNode = result.nodes[OBSERVER]
         ties = observer_lattice.ledger.flagged_ties
         scalars.append(("undecided-ties", "conflicts", float(len(ties))))

@@ -95,7 +95,6 @@ class ChainNode:
         self._pooled_by_sender: dict[str, list[tuple[int, bytes]]] = {}
         self._pooled_since_move: list[bytes] = []
         self.parked = GapBuffer(ORPHAN_BUFFER_LIMIT)  # blocks by missing parent
-        self.requested: set[bytes] = set()
         self._pending_grind: Optional[Block] = None
         self.work = WorkCounter()
 
@@ -172,8 +171,8 @@ class ChainNode:
 
     def _produce(self, sim: Simulation, now: float, block: Block) -> None:
         """Record a block made here, adopt it, then broadcast it."""
-        self.recorder.block_mined(now, self.node_id, block.digest(),
-                                  block.header.height)
+        self.recorder.blocks_mined.append(
+            (now, self.node_id, block.digest(), block.header.height))
         self._ingest_block(sim, now, block, sender=self.node_id)
         sim.broadcast(self.node_id,
                       _chain_block_msg(MSG_CHAIN_BLOCK, self.node_id, block))
@@ -262,7 +261,6 @@ class ChainNode:
             d = block.digest()
             if d in self.store.blocks:
                 continue
-            self.requested.clear()  # progress: allow re-fetching anything still missing
             res = self.store.validate_block(block)
             if res.verdict is Verdict.UNKNOWN_PARENT \
                     and block.header.predecessor not in self.store.blocks:
@@ -271,15 +269,13 @@ class ChainNode:
             if not res.ok:
                 continue
             report = self.store.adopt(block, res)
-            self.recorder.adoption(now, self.node_id, report.old_height,
-                                   report.new_height, report.orphaned,
-                                   report.reorged_in)
+            self.recorder.adoptions.append(
+                (now, self.node_id, report.old_height, report.new_height,
+                 report.orphaned, report.reorged_in))
             if report.head_moved:
-                moved_senders = set()
-                for nd in report.reorged_in:
-                    for tx in self.store.blocks[nd].transactions or ():
-                        self.mempool.pop(tx.digest(), None)
-                        moved_senders.add(tx.sender)
+                # _drop_stale unpools the transactions that joined the branch
+                moved_senders = {tx.sender for nd in report.reorged_in
+                                 for tx in self.store.blocks[nd].transactions or ()}
                 for tx in report.returned_transactions:
                     td = tx.digest()
                     if td not in self.mempool:
@@ -290,8 +286,8 @@ class ChainNode:
                 except InvariantViolation as exc:
                     raise exc.at_node(self.node_id) from exc
                 if self.node_id == OBSERVER:
-                    self.recorder.ledger_sample(
-                        now, self.node_id, sum(self.store.ledger_bytes().values()))
+                    self.recorder.ledger_samples.append(
+                        (now, self.node_id, sum(self.store.ledger_bytes().values())))
                 self._schedule_mining(sim)
             stack.extend(reversed(self.parked.release(d)))
 
@@ -299,8 +295,7 @@ class ChainNode:
                         sender: int) -> None:
         parent = block.header.predecessor
         self.parked.park(d, block, parent)
-        if sender != self.node_id and parent not in self.requested:
-            self.requested.add(parent)
+        if sender != self.node_id:
             sim.send(self.node_id, sender,
                      codec.enc_u8(MSG_CHAIN_REQ) + codec.enc_u64(self.node_id)
                      + codec.enc_digest(parent))
@@ -309,20 +304,19 @@ class ChainNode:
 class LatticeNode:
     """A lattice node hosting accounts; votes if it hosts a representative.
 
-    The observer samples its ledger size once every `LEDGER_SAMPLE_EVERY`
-    blocks it applies.
+    `receivers` are the hosted accounts that are online: this node signs in
+    a receive for each send to one of them. The observer samples its ledger
+    size once every `LEDGER_SAMPLE_EVERY` blocks it applies.
     """
 
     def __init__(self, node_id: int, ledger: LatticeLedger, recorder: RunRecorder,
-                 hosted_accounts: tuple[str, ...],
-                 representative_accounts: tuple[str, ...] = (),
-                 offline_accounts: frozenset[str] = frozenset()):
+                 receivers: frozenset[str],
+                 representative_accounts: tuple[str, ...] = ()):
         self.node_id = node_id
         self.ledger = ledger
         self.recorder = recorder
-        self.hosted_set = set(hosted_accounts)
+        self.receivers = receivers
         self.representative_accounts = representative_accounts
-        self.offline_accounts = offline_accounts
         self._applied_since_sample = 0
         self.work = WorkCounter()
 
@@ -388,11 +382,11 @@ class LatticeNode:
                         outcome.resolutions.extend(cast.resolutions)
                         applied.extend(cast.applied)
                 for account, subject in outcome.conflicts_opened:
-                    recorder.conflict_opened(now, node_id, account, subject)
+                    recorder.conflicts_opened.append((now, node_id, account, subject))
                 for res in outcome.resolutions:
-                    recorder.conflict_resolved(now, node_id, res.account,
-                                               res.subject, res.winner,
-                                               res.winner_weight, res.runner_up)
+                    recorder.conflicts_resolved.append(
+                        (now, node_id, res.account, res.subject, res.winner,
+                         res.winner_weight, res.runner_up))
                 # a conflict candidate is forwarded too, so its rival is heard
                 candidate = [block] if outcome.status is OutcomeStatus.CONFLICT else []
                 for blk in applied + candidate:
@@ -402,10 +396,9 @@ class LatticeNode:
                         self._forward(sim, blk)
                 for blk in applied:
                     if blk.kind is _RECEIVE:
-                        recorder.receive_applied(now, node_id, blk.counterparty,
-                                                 blk.digest())
-                    elif (blk.kind is _SEND and blk.counterparty in self.hosted_set
-                          and blk.counterparty not in self.offline_accounts
+                        recorder.receives_applied.append(
+                            (now, node_id, blk.counterparty, blk.digest()))
+                    elif (blk.kind is _SEND and blk.counterparty in self.receivers
                           and blk.digest() in ledger.pending):  # not received yet
                         receive = ledger.create_receive(
                             blk.counterparty, blk.digest(), counter=self.work)
@@ -414,8 +407,8 @@ class LatticeNode:
                     self._applied_since_sample += len(applied)
                     if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:
                         self._applied_since_sample %= LEDGER_SAMPLE_EVERY
-                        recorder.ledger_sample(
-                            now, node_id, sum(ledger.ledger_bytes().values()))
+                        recorder.ledger_samples.append(
+                            (now, node_id, sum(ledger.ledger_bytes().values())))
         except InvariantViolation as exc:
             raise exc.at_node(node_id) from exc
 
@@ -445,10 +438,9 @@ class MultiDriver:
 class ChainTxDriver:
     """Poisson wallet traffic for the blockchain paradigm."""
 
-    def __init__(self, run_seed: int, senders: list[str], entry_nodes: list[int],
+    def __init__(self, run_seed: int, senders: list[str],
                  rate_per_s: float, tx_weight: int, max_amount: int = 5):
         self.senders = senders
-        self.entry_nodes = entry_nodes
         self.rate_per_s = rate_per_s
         self.tx_weight = tx_weight
         self.max_amount = max_amount
@@ -469,7 +461,7 @@ class ChainTxDriver:
         self.next_sequence[sender] = seq + 1
         tx = make_transaction(identity_for(sender), recipient, amount, seq,
                               self.tx_weight)
-        entry = self.entry_nodes[self.rng.randrange(len(self.entry_nodes))]
+        entry = self.rng.randrange(len(sim.nodes))  # any node takes wallet traffic
         sim.nodes[entry].submit_transaction(sim, tx)
         sim.schedule_command(self.rng.expovariate(self.rate_per_s),
                              bytes([CMD_CHAIN_TX]))
@@ -507,8 +499,8 @@ class LatticeSendDriver:
         except InsufficientBalanceError:
             block = None  # broke account this tick; traffic continues
         if block is not None:
-            self.recorder.send_created(now, node.node_id, block.digest(),
-                                       sender, recipient, amount)
+            self.recorder.sends_created.append(
+                (now, node.node_id, block.digest(), sender, recipient, amount))
             node.submit_block(sim, now, block)
         sim.schedule_command(self.rng.expovariate(self.rate_per_s),
                              bytes([CMD_LATTICE_SEND]))
@@ -554,7 +546,7 @@ class ForkInjectionDriver:
         except InsufficientBalanceError:
             sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
             return
-        self.recorder.conflict_injected(now, head, a.digest(), b.digest())
+        self.recorder.conflicts_injected.append((now, head, a.digest(), b.digest()))
         # split delivery: half the network hears one spend first
         targets = sorted(sim.nodes)
         half = len(targets) // 2

@@ -1,6 +1,7 @@
 """Observation stream captured during a run, consumed by the metrics layer.
 
-Records are plain tuples appended in execution order, so the recorder is as
+Records are plain tuples, in the field order each list documents, that the
+nodes and drivers append in execution order, so the recorder is as
 deterministic as the simulation feeding it. Nothing here feeds back into
 protocol behavior; metrics can be added without perturbing a run.
 """
@@ -32,33 +33,3 @@ class RunRecorder:
     conflicts_injected: list[tuple] = field(default_factory=list)
     # (now, node, total_bytes)
     ledger_samples: list[tuple] = field(default_factory=list)
-
-    def block_mined(self, now: float, node: int, d: bytes, height: int) -> None:
-        self.blocks_mined.append((now, node, d, height))
-
-    def adoption(self, now: float, node: int, old_height: int, new_height: int,
-                 orphaned: tuple, incoming: tuple) -> None:
-        self.adoptions.append((now, node, old_height, new_height, orphaned, incoming))
-
-    def send_created(self, now: float, node: int, send_digest: bytes,
-                     account: str, recipient: str, amount: int) -> None:
-        self.sends_created.append((now, node, send_digest, account, recipient, amount))
-
-    def receive_applied(self, now: float, node: int, send_digest: bytes,
-                        receive_digest: bytes) -> None:
-        self.receives_applied.append((now, node, send_digest, receive_digest))
-
-    def conflict_opened(self, now: float, node: int, account: str, subject: bytes) -> None:
-        self.conflicts_opened.append((now, node, account, subject))
-
-    def conflict_resolved(self, now: float, node: int, account: str, subject: bytes,
-                          winner: bytes, winner_weight: int, runner_up: int) -> None:
-        self.conflicts_resolved.append(
-            (now, node, account, subject, winner, winner_weight, runner_up))
-
-    def conflict_injected(self, now: float, subject: bytes,
-                          candidate_a: bytes, candidate_b: bytes) -> None:
-        self.conflicts_injected.append((now, subject, candidate_a, candidate_b))
-
-    def ledger_sample(self, now: float, node: int, total_bytes: int) -> None:
-        self.ledger_samples.append((now, node, total_bytes))

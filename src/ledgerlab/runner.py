@@ -94,7 +94,6 @@ def _build_chain(cfg: Config, seed: int,
         CMD_CHAIN_TX: ChainTxDriver(
             seed,
             senders=account_names(cfg["chain.accounts"]),
-            entry_nodes=list(range(n)),
             rate_per_s=cfg["chain.tx_rate_per_s"],
             tx_weight=cfg["chain.tx_weight"],
             max_amount=cfg["chain.max_amount"]),
@@ -110,23 +109,19 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
                for i, name in enumerate(roles.names)}
 
     host_of = {name: i % n for i, name in enumerate(roles.names)}
-    tiers = cfg["lattice.tiers"]
 
     nodes: dict[int, LatticeNode] = {}
     for i in range(n):
-        tier = NodeTier(tiers[i]) if tiers else NodeTier.HISTORICAL
         ledger = LatticeLedger(
             genesis, spam_bits=cfg["lattice.spam_difficulty_bits"],
             quorum_fraction=cfg["lattice.quorum_fraction"],
             cement_delay_s=cfg["lattice.cement_delay_s"],
-            gap_buffer=cfg["lattice.gap_buffer"],
-            tier=tier)
+            gap_buffer=cfg["lattice.gap_buffer"])
         hosted = tuple(a for a in roles.names if host_of[a] == i)
         nodes[i] = LatticeNode(
             i, ledger, recorder,
-            hosted_accounts=hosted,
-            representative_accounts=tuple(a for a in hosted if a in reps),
-            offline_accounts=roles.offline)
+            receivers=frozenset(a for a in hosted if a not in roles.offline),
+            representative_accounts=tuple(a for a in hosted if a in reps))
 
     drivers: dict[int, object] = {
         CMD_LATTICE_SEND: LatticeSendDriver(
@@ -164,17 +159,31 @@ def run(cfg: Config, seed: int) -> RunResult:
     breach = None
     try:
         sim.run(cfg["scenario.horizon_s"])
+        _prune(cfg, sim)
         _final_audit(sim)
-        keep = cfg["chain.prune_keep_recent"] if cfg.paradigm == "chain" else 0
-        if keep:
-            for i in sorted(sim.nodes):
-                sim.nodes[i].store.prune(keep)
     except InvariantViolation as exc:
         breach = str(exc)
     return RunResult(
         seed=seed, config=cfg,
         recorder=recorder, trace=sim.trace_digest(),
         events=sim.events_executed, breach=breach, nodes=dict(sim.nodes))
+
+
+def _prune(cfg: Config, sim: Simulation) -> None:
+    """End-of-run pruning, ahead of the audit that recounts what it dropped.
+
+    A chain node keeps `chain.prune_keep_recent` blocks of bodies and deltas;
+    a `current` lattice node keeps the head body of each undisputed account.
+    """
+    if cfg.paradigm == "chain":
+        keep = cfg["chain.prune_keep_recent"]
+        if keep:
+            for i in sorted(sim.nodes):
+                sim.nodes[i].store.prune(keep)
+        return
+    for i, tier in enumerate(cfg["lattice.tiers"]):
+        if NodeTier(tier) is NodeTier.CURRENT:
+            sim.nodes[i].ledger.prune_to_current()
 
 
 def _final_audit(sim: Simulation) -> None:

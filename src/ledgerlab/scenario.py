@@ -41,19 +41,12 @@ def _parse_partitions(raw: str) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    return tuple(float(x) for x in raw.split(",")) if raw else ()
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    return tuple(int(x) for x in raw.split(",")) if raw else ()
-
-
-def _parse_strs(raw: str) -> tuple[str, ...]:
-    raw = raw.strip()
-    return tuple(x.strip() for x in raw.split(",")) if raw else ()
+def _parse_list(kind: type):
+    """A parser of comma-separated `kind` values; a blank value is empty."""
+    def parse(raw: str) -> tuple:
+        raw = raw.strip()
+        return tuple(kind(x.strip()) for x in raw.split(",")) if raw else ()
+    return parse
 
 
 def _at_least(low: int) -> tuple:
@@ -86,7 +79,7 @@ SCHEMA: dict[str, tuple] = {
     "chain.consensus": (str, "pow", {"pow", "pos"}),
     "chain.miners": (int, 3, _at_least(1)),
     # per miner; empty = all 1.0
-    "chain.hash_rates": (_parse_floats, (), _at_least(0)),
+    "chain.hash_rates": (_parse_list(float), (), _at_least(0)),
     "chain.capacity_units": (int, 2500, _at_least(1)),
     "chain.tx_weight": (int, 250, _at_least(1)),
     "chain.block_reward": (int, 50, _at_least(0)),
@@ -104,7 +97,7 @@ SCHEMA: dict[str, tuple] = {
     "pow.retarget_window": (int, 16, _at_least(1)),
 
     "pos.slot_interval_s": (float, 1.0, _POSITIVE),
-    "pos.stakes": (_parse_ints, (), _at_least(0)),  # one deposit per validator
+    "pos.stakes": (_parse_list(int), (), _at_least(0)),  # one deposit per validator
 
     "lattice.accounts": (int, 12, _at_least(2)),
     "lattice.representatives": (int, 3, _at_least(1)),
@@ -117,7 +110,7 @@ SCHEMA: dict[str, tuple] = {
     "lattice.max_amount": (int, 5, _at_least(1)),
     "lattice.offline_accounts": (int, 0, _at_least(0)),
     # per node; empty = all historical
-    "lattice.tiers": (_parse_strs, (), {"historical", "current"}),
+    "lattice.tiers": (_parse_list(str), (), {"historical", "current"}),
 
     "fork.interval_s": (float, 0.0, _at_least(0)),  # 0 = no injected conflicts
     "fork.attackers": (int, 0, _at_least(0)),

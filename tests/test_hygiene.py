@@ -25,7 +25,6 @@ READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradig
 # Definitions that no other package code names, and why each stays.
 TEST_FACING = {
     "fast_sync": "header-first bootstrap of a store; acceptance criterion 09",
-    "LatticeLedger.prune_to_current": "current-tier pruning; acceptance criterion 08",
     "pos_slash": "stake slashing; acceptance criterion 10",
     "StakeRegistry.total_stake": "stake conservation; acceptance criterion 10",
     "survival_curve": "confirmation confidence; acceptance criterion 03",

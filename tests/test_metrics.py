@@ -1,5 +1,8 @@
 """Throughput caps, survival estimation, reports."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,12 +117,12 @@ def _synthetic_result():
     rec = RunRecorder()
     b = lambda i: bytes([i]) * 32
     # heights: b1=1 b2=2 side=2 b3=3
-    rec.block_mined(1.0, 0, b(1), 1)
-    rec.adoption(1.0, 0, 0, 1, (), (b(1),))
-    rec.block_mined(2.0, 0, b(2), 2)
-    rec.adoption(2.0, 0, 1, 2, (), (b(2),))
+    rec.blocks_mined.append((1.0, 0, b(1), 1))
+    rec.adoptions.append((1.0, 0, 0, 1, (), (b(1),)))
+    rec.blocks_mined.append((2.0, 0, b(2), 2))
+    rec.adoptions.append((2.0, 0, 1, 2, (), (b(2),)))
     # a competing branch of length 3 replaces b2 at head height 2
-    rec.adoption(3.0, 0, 2, 3, (b(2),), (b(10), b(11)))
+    rec.adoptions.append((3.0, 0, 2, 3, (b(2),), (b(10), b(11))))
     return RunResult(seed=1, config=None, recorder=rec, trace="", events=3)
 
 
@@ -197,6 +200,18 @@ def test_lattice_run_measurements(lattice_result):
 
 def test_conflict_outcomes_empty_without_forks(lattice_result):
     assert conflict_outcomes(lattice_result) == {}
+
+
+def test_conflict_counts_are_taken_at_the_observer(lattice_result):
+    recorder = copy.deepcopy(lattice_result.recorder)
+    seen_here, elsewhere = ("acct-01", bytes(32)), ("acct-02", bytes(32))
+    for node, key in ((0, seen_here), (1, elsewhere)):
+        recorder.conflicts_opened.append((1.0, node, *key))
+        recorder.conflicts_resolved.append((2.0, node, *key, bytes(32), 1, 0))
+    result = replace(lattice_result, recorder=recorder)
+    scalars = {metric: value for metric, _unit, value in build_report(result).scalars}
+    assert scalars["conflicts-opened"] == scalars["conflicts-resolved"] == 1
+    assert set(conflict_outcomes(result)) == {seen_here, elsewhere}
 
 
 def test_conflict_outcomes_cover_all_nodes():

@@ -26,6 +26,7 @@ from ledgerlab.nodes import (
     CMD_CHAIN_TX,
     CMD_LATTICE_SEND,
     MSG_CHAIN_BLOCK,
+    MSG_CHAIN_REQ,
     MSG_CHAIN_RESP,
     MSG_CHAIN_TX,
     ChainNode,
@@ -102,7 +103,7 @@ def test_a_message_with_trailing_bytes_is_rejected():
     genesis = {"carol": (100, "carol"), "home": (40, "home")}
     send = LatticeLedger(genesis).create_send("carol", "home", 30)
     lattice_node = LatticeNode(1, LatticeLedger(genesis), RunRecorder(),
-                               hosted_accounts=("home",))
+                               receivers=frozenset({"home"}))
     with pytest.raises(CodecError, match="1 trailing bytes"):
         lattice_node.on_message(sim, 0.0,
                                 _lattice_block_msg(0, send, []) + b"\x00")
@@ -189,6 +190,35 @@ def test_both_children_of_a_missing_parent_are_adopted_when_it_arrives():
     assert all(c.digest() in node.store.blocks for c in children)
     assert node.store.head_height == 2
     assert node.store.adopted_head == children[0].digest()  # first seen stays
+    assert _empty(node)
+
+
+def test_each_park_of_a_block_from_a_peer_fetches_its_parent(monkeypatch):
+    source, (parent,) = _source_chain(1)
+    children = [assemble_block(source, parent.digest(), [], producer=p,
+                               timestamp=2.0)
+                for p in ("miner-1", "miner-2")]
+    node, sim = _chain_node()
+    sim.nodes[1] = ChainNode(1, source, RunRecorder(), run_seed=1, producer_id="")
+    sent = []
+    send = sim.send
+    monkeypatch.setattr(sim, "send", lambda src, dst, payload:
+                        sent.append((src, dst, payload)) or send(src, dst, payload))
+    request = (0, 1, codec.enc_u8(MSG_CHAIN_REQ) + codec.enc_u64(0)
+               + codec.enc_digest(parent.digest()))
+
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, children[0]))
+    assert node.parked.waiting == {parent.digest(): [children[0].digest()]}
+    assert sent == [request]
+    # the parent is still missing, so the second child asks again
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, children[1]))
+    assert sent == [request] * 2
+
+    sim.run(1.0)  # the peer answers both; the first answer releases both children
+    assert [(src, dst, p[0]) for src, dst, p in sent[2:]] == [(1, 0, MSG_CHAIN_RESP)] * 2
+    assert all(c.digest() in node.store.blocks for c in children)
+    assert node.store.head_height == 2
+    assert node.store.adopted_head == children[0].digest()
     assert _empty(node)
 
 
@@ -292,7 +322,7 @@ def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
     vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
     payload = _lattice_block_msg(0, send, [vote])
     node = LatticeNode(1, LatticeLedger(genesis), RunRecorder(),
-                       hosted_accounts=("home",), representative_accounts=("home",))
+                       receivers=frozenset({"home"}), representative_accounts=("home",))
     sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
                      nodes={1: node})
     encoded = []

@@ -5,7 +5,7 @@ import pytest
 from ledgerlab.blockchain import ChainStore
 from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError, LedgerError
-from ledgerlab.lattice import BlockKind, LatticeLedger
+from ledgerlab.lattice import BlockKind, LatticeLedger, NodeTier
 from ledgerlab.nodes import LEDGER_SAMPLE_EVERY, ChainNode, LatticeNode
 from ledgerlab.metrics import tps_cap
 from ledgerlab.recording import OBSERVER, RunRecorder
@@ -211,6 +211,21 @@ def test_lattice_tiers_wire_through():
     assert tiers == ["historical"] * 5 + ["current"]
 
 
+def test_current_tier_nodes_keep_the_bodies_a_cascading_rollback_needs():
+    # a current-tier node prunes at the horizon, not as blocks land: rolling
+    # back a settled send walks the recipient back past the receive's body
+    cfg = preset_config("fork-stress", [
+        "lattice.tiers=" + ",".join(["current"] * 6), "fork.interval_s=3",
+        "scenario.horizon_s=120", "lattice.send_rate_per_account_s=1.0",
+        "net.jitter_ms=10"])
+    result = run(cfg, seed=1)
+    assert result.breach is None
+    for node in result.nodes.values():
+        assert node.ledger.tier is NodeTier.CURRENT
+        for chain in node.ledger.accounts.values():
+            assert list(chain.blocks) == [chain.head]
+
+
 # -- detected breaches ------------------------------------------------------
 # Each case breaks one ledger through a monkeypatched method; run() must catch
 # the InvariantViolation and name the invariant in the result.
@@ -256,6 +271,23 @@ def test_final_audit_catches_a_chain_byte_miscount(monkeypatch):
                         _one_byte_more(ChainStore.recount_bytes))
     result = run(preset_config("bitcoin-baseline", ["scenario.horizon_s=20"]), 1)
     assert "ledger size accounting" in result.breach
+
+
+def test_final_audit_checks_the_bytes_a_chain_prune_drops(monkeypatch):
+    prune = ChainStore.prune
+
+    def prune_keeping_body_bytes(self, keep_recent):
+        bodies = self.ledger_bytes()["chain_bodies"]
+        report = prune(self, keep_recent)
+        self._bytes["chain_bodies"] = bodies
+        return report
+
+    monkeypatch.setattr(ChainStore, "prune", prune_keeping_body_bytes)
+    result = run(preset_config("bitcoin-baseline", [
+        "scenario.horizon_s=60", "chain.reorg_safety=8",
+        "chain.prune_keep_recent=8"]), 1)
+    assert "ledger size accounting" in result.breach
+    assert "node 0: " in result.breach
 
 
 def test_final_audit_catches_a_lattice_byte_miscount(monkeypatch):
