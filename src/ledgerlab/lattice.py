@@ -28,6 +28,7 @@ from .codec import CodecError, Reader
 from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
 from .primitives import (
+    SIGNATURE_DIGESTS,
     ZERO_DIGEST,
     GapBuffer,
     Identity,
@@ -117,7 +118,14 @@ class LatticeBlock(WireObject):
                 + self.signature.encode())
 
     @classmethod
-    def decode(cls, r: Reader) -> "LatticeBlock":
+    def decode(cls, r: Reader,
+               ledger: Optional["LatticeLedger"] = None) -> "LatticeBlock":
+        """Read one block; if `ledger` holds its digest, the held block.
+
+        The digest is taken over the bytes read, so a held block is returned
+        only for byte-identical input, signature included. A fresh block
+        takes its names from the ledger (`LatticeLedger.name`).
+        """
         start = r.pos
         account = r.str_()
         predecessor, kind_value = r.fixed(_PREDECESSOR_KIND)
@@ -133,11 +141,27 @@ class LatticeBlock(WireObject):
             amount, counterparty, new_rep = r.u64(), None, r.str_()
         else:
             amount, counterparty, new_rep = 0, None, r.str_()
+        signed_len = r.pos - start
+        nonce, signer = r.u64(), r.str_()
+        payload_digest, tag = r.fixed(SIGNATURE_DIGESTS)
+        raw = r.since(start)
+        d = digest(raw)
+        if ledger is not None:
+            chain = ledger.accounts.get(account)
+            if chain is not None:
+                held = chain.blocks.get(d)
+                if held is not None:
+                    return held
+            account, signer = ledger.name(account), ledger.name(signer)
+            if kind is _SEND:
+                counterparty = ledger.name(counterparty)
+            elif new_rep is not None:
+                new_rep = ledger.name(new_rep)
         block = cls(account, predecessor, kind, amount, counterparty, new_rep,
-                    r.u64(), Signature.decode(r))
-        # _sd stays lazy: most deliveries are duplicates that never verify
-        object.__setattr__(block, "_digest", digest(r.since(start)))
-        object.__setattr__(block, "_size", r.pos - start)
+                    nonce, Signature(signer, payload_digest, tag))
+        object.__setattr__(block, "_sd", digest(raw[:signed_len]))
+        object.__setattr__(block, "_digest", d)
+        object.__setattr__(block, "_size", len(raw))
         return block
 
     def verify_signature(self) -> bool:
@@ -190,13 +214,33 @@ class VoteRecord(WireObject):
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
-    def decode(cls, r: Reader) -> "VoteRecord":
+    def decode(cls, r: Reader,
+               ledger: Optional["LatticeLedger"] = None) -> "VoteRecord":
+        """Read one vote; if `ledger` stores one equal to it, the stored vote.
+
+        Equal means every field, the test `_record_vote` applies to a
+        repeat, so only a fresh vote has its signing digest hashed. A fresh
+        vote takes its names from the ledger (`LatticeLedger.name`).
+        """
         start = r.pos
         representative = r.str_()
         subject, choice, weight = r.fixed(_VOTE_FIELDS)
-        sd = digest(r.since(start))
-        vote = cls(representative, subject, choice, weight, Signature.decode(r))
-        object.__setattr__(vote, "_sd", sd)
+        signed_len = r.pos - start
+        signer = r.str_()
+        payload_digest, tag = r.fixed(SIGNATURE_DIGESTS)
+        if ledger is not None:
+            ballot = ledger.votes.get(subject)
+            prior = ballot.get(representative) if ballot else None
+            if prior is not None:
+                sig = prior.signature
+                if (prior.choice == choice and prior.weight == weight
+                        and sig.tag == tag and sig.payload_digest == payload_digest
+                        and sig.signer == signer):
+                    return prior
+            representative, signer = ledger.name(representative), ledger.name(signer)
+        vote = cls(representative, subject, choice, weight,
+                   Signature(signer, payload_digest, tag))
+        object.__setattr__(vote, "_sd", digest(r.since(start)[:signed_len]))
         return vote
 
     def verify_signature(self) -> bool:
@@ -358,15 +402,19 @@ class LatticeLedger:
         self._bytes_blocks = 0
         self._bytes_pending = 0
 
+        # A chain is named by its identity's id, the string that the blocks
+        # and votes signed for that account carry (see `name`).
+        identities = [identity_for(account) for account in sorted(genesis)]
+        for identity in identities:
+            self.accounts[identity.id] = AccountChain(
+                account=identity.id, representative=genesis[identity.id][1])
         # genesis: every account opens its chain with a signed allocation block
-        for account in sorted(genesis):
-            amount, representative = genesis[account]
-            block = build_block(identity_for(account), ZERO_DIGEST,
+        for identity in identities:
+            amount, representative = genesis[identity.id]
+            block = build_block(identity, ZERO_DIGEST,
                                 BlockKind.GENESIS, amount=amount,
-                                new_representative=representative,
+                                new_representative=self.name(representative),
                                 spam_bits=spam_bits)
-            chain = AccountChain(account=account, representative=representative)
-            self.accounts[account] = chain
             self._apply(block, now=0.0)
         self.genesis_supply = self.total_balance
 
@@ -378,6 +426,16 @@ class LatticeLedger:
 
     def head(self, account: str) -> bytes:
         return self.accounts[account].head
+
+    def name(self, name: str) -> str:
+        """This ledger's own string for an account name, else `name` itself.
+
+        Every name the ledger keeps (an account, a recipient, a
+        representative, a signer) passes through here, so the blocks and
+        votes it retains share one string per account.
+        """
+        chain = self.accounts.get(name)
+        return name if chain is None else chain.account
 
     def representative_weight(self, representative: str) -> int:
         """Sum of settled balances delegated to this representative."""
@@ -425,7 +483,7 @@ class LatticeLedger:
         if recipient not in self.accounts:
             raise NotFoundError(f"unknown recipient {recipient}")
         return build_block(identity_for(account), chain.head, BlockKind.SEND,
-                           amount=amount, counterparty=recipient,
+                           amount=amount, counterparty=self.name(recipient),
                            spam_bits=self.spam_bits, counter=counter)
 
     def create_receive(self, account: str, send_digest: bytes,
@@ -448,7 +506,7 @@ class LatticeLedger:
         if new_representative not in self.accounts:
             raise NotFoundError(f"unknown representative {new_representative}")
         return build_block(identity_for(account), chain.head, BlockKind.REP_CHANGE,
-                           new_representative=new_representative,
+                           new_representative=self.name(new_representative),
                            spam_bits=self.spam_bits, counter=counter)
 
     def _chain(self, account: str) -> AccountChain:

@@ -340,8 +340,10 @@ class LatticeNode:
         if tag != MSG_LAT_BLOCK:
             return
         r.u64()  # sender, unused: gossip is undirected
-        block = LatticeBlock.decode(r)
-        votes = r.list_(VoteRecord.decode)
+        # a block or vote this ledger already keeps decodes to the kept object
+        ledger = self.ledger
+        block = LatticeBlock.decode(r, ledger)
+        votes = r.list_(lambda vr: VoteRecord.decode(vr, ledger))
         r.expect_end()
         self._settle(sim, now, block, votes)
 
@@ -436,7 +438,7 @@ class MultiDriver:
 
 
 class ChainTxDriver:
-    """Poisson wallet traffic for the blockchain paradigm."""
+    """Poisson wallet traffic for the blockchain paradigm; senders are distinct."""
 
     def __init__(self, run_seed: int, senders: list[str],
                  rate_per_s: float, tx_weight: int, max_amount: int = 5):
@@ -453,9 +455,11 @@ class ChainTxDriver:
                                  bytes([CMD_CHAIN_TX]))
 
     def on_command(self, sim: Simulation, now: float, payload: bytes) -> None:
-        sender = self.senders[self.rng.randrange(len(self.senders))]
-        others = [s for s in self.senders if s != sender]
-        recipient = others[self.rng.randrange(len(others))]
+        senders = self.senders
+        i = self.rng.randrange(len(senders))
+        sender = senders[i]
+        j = self.rng.randrange(len(senders) - 1)  # among the others: skip i
+        recipient = senders[j + (j >= i)]
         amount = self.rng.randint(1, self.max_amount)
         seq = self.next_sequence[sender]
         self.next_sequence[sender] = seq + 1
@@ -468,7 +472,10 @@ class ChainTxDriver:
 
 
 class LatticeSendDriver:
-    """Poisson send traffic for the lattice paradigm; recipients auto-receive."""
+    """Poisson send traffic for the lattice paradigm; recipients auto-receive.
+
+    The recipients are distinct names, and every sender is one of them.
+    """
 
     def __init__(self, recorder: RunRecorder, run_seed: int,
                  senders: list[str], recipients: list[str],
@@ -477,6 +484,7 @@ class LatticeSendDriver:
         self.recorder = recorder
         self.senders = senders
         self.recipients = recipients
+        self.recipient_index = {a: i for i, a in enumerate(recipients)}
         self.host_of = host_of
         self.rate_per_s = rate_per_s
         self.max_amount = max_amount
@@ -489,8 +497,9 @@ class LatticeSendDriver:
 
     def on_command(self, sim: Simulation, now: float, payload: bytes) -> None:
         sender = self.senders[self.rng.randrange(len(self.senders))]
-        others = [a for a in self.recipients if a != sender]
-        recipient = others[self.rng.randrange(len(others))]
+        skip = self.recipient_index[sender]
+        j = self.rng.randrange(len(self.recipients) - 1)  # among the others
+        recipient = self.recipients[j + (j >= skip)]
         amount = self.rng.randint(1, self.max_amount)
         node: LatticeNode = sim.nodes[self.host_of[sender]]
         try:

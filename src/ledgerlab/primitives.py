@@ -182,7 +182,8 @@ def identity_for(identity_id: str) -> Identity:
     return Identity(id=identity_id, secret=digest(_SECRET_TAG + identity_id.encode("utf-8")))
 
 
-_SIGNATURE_DIGESTS = struct.Struct(">32s32s")  # payload digest, tag
+# the fixed tail of every signature: payload digest, tag
+SIGNATURE_DIGESTS = struct.Struct(">32s32s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +197,7 @@ class Signature:
 
     @classmethod
     def decode(cls, r: Reader) -> "Signature":
-        return cls(r.str_(), *r.fixed(_SIGNATURE_DIGESTS))
+        return cls(r.str_(), *r.fixed(SIGNATURE_DIGESTS))
 
 
 def sign(identity: Identity, payload_digest: bytes) -> Signature:

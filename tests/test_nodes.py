@@ -5,11 +5,12 @@ exercised end to end by the scenario tests in test_runner.py; here we pin the
 message encodings and the node-layer cases no scenario preset reaches.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from ledgerlab import blockchain, codec, nodes
+from ledgerlab import blockchain, codec, lattice, nodes
 from ledgerlab.blockchain import (
     Block,
     ChainStore,
@@ -21,7 +22,17 @@ from ledgerlab.blockchain import (
     make_transaction,
 )
 from ledgerlab.codec import CodecError, Reader
-from ledgerlab.lattice import LatticeBlock, LatticeLedger, VoteRecord, make_vote
+from ledgerlab.lattice import (
+    BlockKind,
+    LatticeBlock,
+    LatticeLedger,
+    LatticeVerdict,
+    OutcomeStatus,
+    VoteRecord,
+    build_block,
+    make_vote,
+)
+from ledgerlab.metrics import build_report, render_report
 from ledgerlab.nodes import (
     CMD_CHAIN_TX,
     CMD_LATTICE_SEND,
@@ -35,9 +46,11 @@ from ledgerlab.nodes import (
     _chain_block_msg,
     _lattice_block_msg,
 )
-from ledgerlab.primitives import identity_for
+from ledgerlab.primitives import ZERO_DIGEST, identity_for
 from ledgerlab.recording import RunRecorder
-from ledgerlab.simnet import LinkModel, Simulation
+from ledgerlab.runner import run
+from ledgerlab.scenario import preset_config
+from ledgerlab.simnet import LinkModel, Simulation, derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +357,190 @@ def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Lattice blocks and votes the ledger already keeps
+
+_GENESIS = {"carol": (100, "carol"), "home": (40, "home")}
+
+
+def _lattice_node():
+    """A node that hosts no account, so it signs and votes for nothing."""
+    node = LatticeNode(1, LatticeLedger(_GENESIS), RunRecorder(),
+                       receivers=frozenset())
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
+                     nodes={1: node})
+    return node, sim
+
+
+def _count_lattice_verify(monkeypatch):
+    calls = []
+    real = lattice.verify
+    monkeypatch.setattr(lattice, "verify",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _flip_last_byte(obj):
+    """The encoding of `obj` with the last byte of its signature tag flipped."""
+    raw = bytearray(obj.encode())
+    raw[-1] ^= 1
+    return bytes(raw)
+
+
+def _decode(cls, raw, ledger):
+    r = Reader(raw)
+    obj = cls.decode(r, ledger)
+    r.expect_end()
+    return obj
+
+
+def _applied_send_with_vote():
+    """A node that applied carol's send to home, carried with carol's vote."""
+    node, sim = _lattice_node()
+    send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
+    vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
+    node.on_message(sim, 1.0, _lattice_block_msg(0, send, [vote]))
+    assert node.ledger.balance("carol") == 70
+    return node, sim, send, vote
+
+
+def test_a_held_block_decodes_to_the_held_object_and_verifies_nothing(monkeypatch):
+    node, sim, send, _ = _applied_send_with_vote()
+    held = node.ledger.accounts["carol"].blocks[send.digest()]
+    calls = _count_lattice_verify(monkeypatch)
+
+    assert _decode(LatticeBlock, send.encode(), node.ledger) is held
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, []))
+
+    assert node.ledger.accounts["carol"].blocks[send.digest()] is held
+    assert calls == []
+
+
+def test_a_held_block_with_a_flipped_signature_byte_is_decoded_fresh_and_refused(
+        monkeypatch):
+    node, _, send, _ = _applied_send_with_vote()
+    calls = _count_lattice_verify(monkeypatch)
+
+    fresh = _decode(LatticeBlock, _flip_last_byte(send), node.ledger)
+
+    assert fresh.digest() not in node.ledger.accounts["carol"].blocks
+    assert fresh.signature.tag != send.signature.tag
+    out = node.ledger.receive_block(fresh, 2.0)
+    assert out.verdict is LatticeVerdict.BAD_SIGNATURE
+    assert len(calls) == 1
+
+
+def test_a_stored_vote_decodes_to_the_stored_object():
+    node, _, send, vote = _applied_send_with_vote()
+    stored = node.ledger.votes[send.predecessor]["carol"]
+
+    assert _decode(VoteRecord, vote.encode(), node.ledger) is stored
+
+
+@pytest.mark.parametrize("change", ["weight", "tag"])
+def test_a_vote_differing_in_one_field_is_decoded_fresh_verified_once_and_not_stored(
+        monkeypatch, change):
+    node, sim, send, vote = _applied_send_with_vote()
+    stored = node.ledger.votes[send.predecessor]["carol"]
+    if change == "weight":
+        raw = make_vote(identity_for("carol"), send.predecessor, send.digest(),
+                        99).encode()
+    else:
+        raw = _flip_last_byte(vote)
+    calls = _count_lattice_verify(monkeypatch)
+
+    fresh = _decode(VoteRecord, raw, node.ledger)
+    assert fresh is not stored and fresh != stored
+
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
+    assert len(calls) == 1  # the fresh vote; the held block is a duplicate
+    assert node.ledger.votes[send.predecessor] == {"carol": stored}
+    assert node.ledger.votes[send.predecessor]["carol"] is stored
+
+
+def test_a_block_of_an_account_the_ledger_does_not_know_decodes_fresh():
+    node, _ = _lattice_node()
+    stranger = build_block(identity_for("dave"), ZERO_DIGEST, BlockKind.SEND,
+                           amount=5, counterparty="home")
+
+    fresh = _decode(LatticeBlock, stranger.encode(), node.ledger)
+
+    assert fresh is not stranger and fresh == stranger
+    assert fresh._sd == stranger.signing_digest()
+    assert fresh.counterparty is node.ledger.accounts["home"].account
+    assert node.ledger.receive_block(fresh, 1.0).verdict \
+        is LatticeVerdict.UNKNOWN_REFERENCE
+
+
+def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
+    node, sim = _lattice_node()
+    source = LatticeLedger(_GENESIS)
+    head = source.head("carol")
+    loser = source.create_send("carol", "home", 30, head=head)
+    winner = source.create_send("carol", "home", 31, head=head)
+    carol_votes_winner = make_vote(identity_for("carol"), head, winner.digest(), 100)
+
+    node.on_message(sim, 1.0, _lattice_block_msg(0, loser, []))
+    held = node.ledger.accounts["carol"].blocks[loser.digest()]
+    node.on_message(sim, 2.0, _lattice_block_msg(0, winner, [carol_votes_winner]))
+    [resolution] = node.recorder.conflicts_resolved
+    assert resolution[4] == winner.digest()
+    assert loser.digest() not in node.ledger.accounts["carol"].blocks
+
+    fresh = _decode(LatticeBlock, loser.encode(), node.ledger)
+
+    assert fresh is not held and fresh == loser
+    # the ledger saw it before the rollback, as it did when every decode
+    # was fresh
+    assert node.ledger.receive_block(fresh, 3.0).status is OutcomeStatus.DUPLICATE
+    assert node.ledger.head("carol") == winner.digest()
+
+
+def test_every_retained_name_is_its_chains_account_string():
+    cfg = preset_config("nano-scaling", ["scenario.horizon_s=20"])
+    result = run(cfg, 1)
+    assert result.ok
+    sends = votes = 0
+    for node in result.nodes.values():
+        ledger = node.ledger
+        own = ledger.accounts
+        for block in (b for c in own.values() for b in c.blocks.values()):
+            assert block.account is own[block.account].account
+            assert block.signature.signer is block.account
+            if block.kind is BlockKind.SEND:
+                sends += 1
+                assert block.counterparty is own[block.counterparty].account
+            if block.new_representative is not None:
+                assert block.new_representative is own[block.new_representative].account
+        for vote in (v for ballot in ledger.votes.values() for v in ballot.values()):
+            votes += 1
+            assert vote.representative is own[vote.representative].account
+            assert vote.signature.signer is vote.representative
+    assert sends and votes
+
+
+def _trace_and_report_sha(name, horizon_s):
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+    text = render_report(build_report(result))
+    return result, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 30),
+                                            ("fork-stress", 40)])
+def test_decoding_against_the_ledger_changes_no_run(monkeypatch, name, horizon_s):
+    reused, reused_sha = _trace_and_report_sha(name, horizon_s)
+    if name == "fork-stress":
+        assert reused.recorder.conflicts_resolved
+
+    for cls in (LatticeBlock, VoteRecord):  # every decode fresh, as before
+        decode = cls.decode
+        monkeypatch.setattr(cls, "decode", classmethod(
+            lambda cls, r, ledger=None, decode=decode: decode(r)))
+    fresh, fresh_sha = _trace_and_report_sha(name, horizon_s)
+
+    assert (reused.trace, reused_sha) == (fresh.trace, fresh_sha)
+
+
+# ---------------------------------------------------------------------------
 # Stale-mempool eviction
 
 
@@ -462,3 +659,33 @@ def test_multi_driver_dispatches_on_leading_byte():
     assert chain_child.started == 1 and lattice_child.started == 1
     assert chain_child.got == [bytes([CMD_CHAIN_TX]) + b"x"]
     assert lattice_child.got == [bytes([CMD_LATTICE_SEND]) + b"y"]
+
+
+def _listed_draw(rng, senders, recipients):
+    """The driver's draw with the recipients other than the sender listed."""
+    sender = senders[rng.randrange(len(senders))]
+    others = [a for a in recipients if a != sender]
+    recipient = others[rng.randrange(len(others))]
+    amount = rng.randint(1, 5)
+    rng.expovariate(1.0)  # the next command's delay
+    return sender, recipient, amount
+
+
+def test_lattice_send_driver_draws_as_a_list_of_the_other_recipients():
+    names = [f"a{i}" for i in range(5)]
+    ledger = LatticeLedger({a: (1000, "a0") for a in names})
+    node = LatticeNode(0, ledger, RunRecorder(), receivers=frozenset())
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={0: []}, nodes={0: node})
+    senders, recipients = ["a0", "a1", "a2"], ["a3", "a2", "a0", "a4", "a1"]
+    recorder = node.recorder
+    driver = nodes.LatticeSendDriver(recorder, 7, senders, recipients,
+                                     {a: 0 for a in names}, rate_per_s=1.0)
+    twin = derive_rng(7, "driver/lattice-send")
+
+    for _ in range(60):
+        driver.on_command(sim, 0.0, bytes([CMD_LATTICE_SEND]))
+
+    drawn = [(s, r, amount) for _, _, _, s, r, amount in recorder.sends_created]
+    assert drawn == [_listed_draw(twin, senders, recipients) for _ in range(60)]
+    assert {s for s, _, _ in drawn} == set(senders)
+    assert all(s != r for s, r, _ in drawn)
