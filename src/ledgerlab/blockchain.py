@@ -211,6 +211,7 @@ class Verdict(enum.Enum):
     ACCEPT = "accept"
     BAD_PROOF = "bad-proof"
     UNKNOWN_PARENT = "unknown-parent"
+    WRONG_HEIGHT = "wrong-height"
     BAD_ROOT = "bad-root"
     DOUBLE_SPEND = "double-spend"
     BAD_SIGNATURE = "bad-signature"
@@ -556,7 +557,7 @@ class ChainStore:
             return ValidationResult(Verdict.UNKNOWN_PARENT, "parent not held")
         if header.height != parent.height + 1:
             return ValidationResult(
-                Verdict.UNKNOWN_PARENT,
+                Verdict.WRONG_HEIGHT,
                 f"height {header.height} does not follow parent at {parent.height}")
 
         ok, why = self.proof_rule.check(self, block)
@@ -633,7 +634,8 @@ class ChainStore:
         return sb
 
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
-        """Store a validated block and move the head if its branch is longer."""
+        """Store a validated block and move the head if its branch is longer;
+        a head move checks the supply."""
         d = block.digest()
         old_height = self.head_height
         if d in self.blocks:
@@ -653,6 +655,7 @@ class ChainStore:
             del self.adopted[od]
         for nd in incoming:
             self.adopted[nd] = self.blocks[nd].height
+        self.check_conservation()
 
         new_txs = {
             t.digest()
@@ -684,7 +687,7 @@ class ChainStore:
                 return self.head_height - self.blocks[bd].height + 1
         return None
 
-    # -- conservation -------------------------------------------------------
+    # -- conservation and audit ---------------------------------------------
 
     def total_supply(self) -> int:
         return sum(self.head_state.balances.values())
@@ -698,6 +701,14 @@ class ChainStore:
                 "chain balance conservation",
                 f"supply {self.total_supply()} != "
                 f"genesis+rewards {self.expected_supply()}")
+
+    def audit(self) -> None:
+        """End-of-run sweep: the supply, and the byte counters against a recount."""
+        self.check_conservation()
+        recount = self.recount_bytes()
+        if recount != self._bytes:
+            raise InvariantViolation(
+                "ledger size accounting", f"recount {recount} != {self._bytes}")
 
     # -- size accounting ----------------------------------------------------
 

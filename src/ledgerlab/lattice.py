@@ -75,11 +75,6 @@ _RECEIVE_FIELDS = struct.Struct(">Q32s")  # amount, matched send
 _VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
 
 
-class NodeTier(enum.Enum):
-    HISTORICAL = "historical"  # every block of every chain
-    CURRENT = "current"        # head blocks only
-
-
 @dataclass(frozen=True, slots=True)
 class LatticeBlock(WireObject):
     """One block on one account's chain.
@@ -347,8 +342,6 @@ class AccountChain:
 
     def successor_of(self, predecessor: bytes) -> Optional[bytes]:
         """Digest of the on-chain block sitting directly after `predecessor`."""
-        if predecessor == ZERO_DIGEST:
-            return self.order[0] if self.order else None
         try:
             i = self.order.index(predecessor)
         except ValueError:
@@ -378,7 +371,6 @@ class LatticeLedger:
         self.spam_bits = spam_bits
         self.quorum_fraction = quorum_fraction
         self.cement_delay_s = cement_delay_s
-        self.tier = NodeTier.HISTORICAL  # prune_to_current makes it CURRENT
 
         self.accounts: dict[str, AccountChain] = {}
         self.pending: dict[bytes, PendingSend] = {}
@@ -399,7 +391,7 @@ class LatticeLedger:
         self.rep_weight: dict[str, int] = {}
         self.total_balance = 0
         self.total_pending = 0
-        self._bytes_blocks = 0
+        self._bytes_blocks = 0  # held bodies, plus 32 per pruned body's digest
         self._bytes_pending = 0
 
         # A chain is named by its identity's id, the string that the blocks
@@ -452,7 +444,7 @@ class LatticeLedger:
     def open_conflicts(self) -> list[tuple[str, bytes]]:
         return sorted(k for k, c in self.conflicts.items() if c.resolved is None)
 
-    # -- conservation -------------------------------------------------------
+    # -- conservation and audit ---------------------------------------------
 
     def check_conservation(self) -> None:
         if self.total_balance + self.total_pending != self.genesis_supply:
@@ -461,11 +453,24 @@ class LatticeLedger:
                 f"settled {self.total_balance} + pending {self.total_pending}"
                 f" != genesis {self.genesis_supply}")
 
-    def audit_totals(self) -> tuple[int, int]:
-        """Recompute settled/pending sums from scratch."""
+    def audit(self) -> None:
+        """Rescan sums, supply, weights and bytes; raise on a breach."""
         settled = sum(c.balance for c in self.accounts.values())
         pend = sum(p.amount for p in self.pending.values())
-        return settled, pend
+        if (settled, pend) != (self.total_balance, self.total_pending):
+            raise InvariantViolation(
+                "lattice balance conservation",
+                f"audit {settled}/{pend} != counters "
+                f"{self.total_balance}/{self.total_pending}")
+        self.check_conservation()
+        if self.recompute_weights() != self.rep_weight:
+            raise InvariantViolation(
+                "delegated weight tracking",
+                "incremental weights diverged from rescan")
+        if self.recount_bytes() != self.ledger_bytes():
+            raise InvariantViolation(
+                "ledger size accounting",
+                "recount != incremental byte totals")
 
     # -- block creation -----------------------------------------------------
 
@@ -534,6 +539,9 @@ class LatticeLedger:
             return LatticeVerdict.FORK_DETECTED, "genesis slot is fixed"
 
         if block.predecessor != chain.head:
+            if block.predecessor == ZERO_DIGEST:
+                # genesis alone follows the zero digest, and it is fixed
+                return LatticeVerdict.UNKNOWN_REFERENCE, "no block but genesis opens a chain"
             if block.predecessor in chain.order:
                 return LatticeVerdict.FORK_DETECTED, "predecessor already has a successor"
             return LatticeVerdict.GAP_DETECTED, "predecessor not held"
@@ -669,7 +677,7 @@ class LatticeLedger:
         if key is not None and key[1] == vote.subject:
             self._drain(self._try_resolve(key, now, outcome), now, outcome)
 
-    def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: Optional[bytes],
+    def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: bytes,
                        outcome: Outcome) -> None:
         key = (newcomer.account, newcomer.predecessor)
         conflict = self.conflicts.get(key)
@@ -677,7 +685,7 @@ class LatticeLedger:
             conflict = Conflict(candidates={})
             self.conflicts[key] = conflict
             outcome.conflicts_opened.append(key)
-        if incumbent_digest is not None and incumbent_digest not in conflict.candidates:
+        if incumbent_digest not in conflict.candidates:
             chain = self.accounts[newcomer.account]
             conflict.candidates[incumbent_digest] = chain.blocks.get(incumbent_digest)
             self.conflict_of[incumbent_digest] = key
@@ -837,11 +845,12 @@ class LatticeLedger:
                 return blk.new_representative
         raise InvariantViolation("chain must start at genesis", chain.account)
 
-    # -- pruning and tiers --------------------------------------------------
+    # -- pruning ------------------------------------------------------------
 
     def prune_to_current(self) -> LatticePruneReport:
         """Reduce every undisputed chain to its head block (plus the digest
-        index that keeps fork-vs-gap verdicts identical to an archive node)."""
+        index that keeps fork-vs-gap verdicts identical to an archive node);
+        a pruned body leaves its 32-byte index entry in the block bytes."""
         before = self._bytes_blocks + self._bytes_pending
         open_accounts = {account for account, _ in self.open_conflicts()}
         pruned, skipped = [], []
@@ -852,23 +861,16 @@ class LatticeLedger:
             chain = self.accounts[account]
             for d in list(chain.blocks):
                 if d != chain.head:
-                    self._bytes_blocks -= chain.blocks.pop(d).encoded_len()
+                    self._bytes_blocks -= chain.blocks.pop(d).encoded_len() - 32
             pruned.append(account)
-        if not skipped:
-            self.tier = NodeTier.CURRENT
         return LatticePruneReport(tuple(pruned), tuple(skipped), before,
                                   self._bytes_blocks + self._bytes_pending)
 
     # -- size accounting ----------------------------------------------------
 
     def ledger_bytes(self) -> dict[str, int]:
-        index_digests = sum(len(c.order) for c in self.accounts.values())
-        bodies = sum(len(c.blocks) for c in self.accounts.values())
-        index_only = index_digests - bodies
-        return {
-            "lattice_blocks": self._bytes_blocks + 32 * index_only,
-            "lattice_pending": self._bytes_pending,
-        }
+        return {"lattice_blocks": self._bytes_blocks,
+                "lattice_pending": self._bytes_pending}
 
     def recount_bytes(self) -> dict[str, int]:
         blocks = sum(len(b.encode()) for c in self.accounts.values()

@@ -262,13 +262,15 @@ class ChainNode:
             if d in self.store.blocks:
                 continue
             res = self.store.validate_block(block)
-            if res.verdict is Verdict.UNKNOWN_PARENT \
-                    and block.header.predecessor not in self.store.blocks:
+            if res.verdict is Verdict.UNKNOWN_PARENT:
                 self._park_and_fetch(sim, d, block, sender)
                 continue
             if not res.ok:
                 continue
-            report = self.store.adopt(block, res)
+            try:
+                report = self.store.adopt(block, res)  # checks supply on a head move
+            except InvariantViolation as exc:
+                raise exc.at_node(self.node_id) from exc
             self.recorder.adoptions.append(
                 (now, self.node_id, report.old_height, report.new_height,
                  report.orphaned, report.reorged_in))
@@ -281,10 +283,6 @@ class ChainNode:
                     if td not in self.mempool:
                         self._pool(td, tx)
                 self._drop_stale(moved_senders)
-                try:
-                    self.store.check_conservation()
-                except InvariantViolation as exc:
-                    raise exc.at_node(self.node_id) from exc
                 if self.node_id == OBSERVER:
                     self.recorder.ledger_samples.append(
                         (now, self.node_id, sum(self.store.ledger_bytes().values())))

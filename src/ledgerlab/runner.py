@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .blockchain import ChainStore, GrindProof, LotteryProof, PosProof
 from .errors import InvariantViolation
-from .lattice import LatticeLedger, NodeTier
+from .lattice import LatticeLedger
 from .leader_election import DifficultySchedule, StakeRegistry
 from .nodes import (
     ChainNode,
@@ -159,8 +159,7 @@ def run(cfg: Config, seed: int) -> RunResult:
     breach = None
     try:
         sim.run(cfg["scenario.horizon_s"])
-        _prune(cfg, sim)
-        _final_audit(sim)
+        _close_books(cfg, sim)
     except InvariantViolation as exc:
         breach = str(exc)
     return RunResult(
@@ -169,55 +168,24 @@ def run(cfg: Config, seed: int) -> RunResult:
         events=sim.events_executed, breach=breach, nodes=dict(sim.nodes))
 
 
-def _prune(cfg: Config, sim: Simulation) -> None:
-    """End-of-run pruning, ahead of the audit that recounts what it dropped.
-
-    A chain node keeps `chain.prune_keep_recent` blocks of bodies and deltas;
-    a `current` lattice node keeps the head body of each undisputed account.
-    """
-    if cfg.paradigm == "chain":
-        keep = cfg["chain.prune_keep_recent"]
-        if keep:
-            for i in sorted(sim.nodes):
-                sim.nodes[i].store.prune(keep)
-        return
-    for i, tier in enumerate(cfg["lattice.tiers"]):
-        if NodeTier(tier) is NodeTier.CURRENT:
-            sim.nodes[i].ledger.prune_to_current()
-
-
-def _final_audit(sim: Simulation) -> None:
-    """End-of-run accounting sweep; a breach names the node it was found on."""
+def _close_books(cfg: Config, sim: Simulation) -> None:
+    """Prune each node, then audit its ledger, so the audit recounts what
+    pruning dropped; a breach names its node. A chain node keeps
+    `chain.prune_keep_recent` blocks of bodies and deltas (0 keeps all); a
+    `current` lattice node keeps each undisputed account's head body."""
+    chain = cfg.paradigm == "chain"
+    keep = cfg["chain.prune_keep_recent"]
+    tiers = cfg["lattice.tiers"]
     for i in sorted(sim.nodes):
+        node = sim.nodes[i]
         try:
-            _audit_node(sim.nodes[i])
+            if chain:
+                if keep:
+                    node.store.prune(keep)
+                node.store.audit()
+            else:
+                if tiers and tiers[i] == "current":
+                    node.ledger.prune_to_current()
+                node.ledger.audit()
         except InvariantViolation as exc:
             raise exc.at_node(i) from exc
-
-
-def _audit_node(node) -> None:
-    if isinstance(node, ChainNode):
-        node.store.check_conservation()
-        recount = node.store.recount_bytes()
-        if recount != node.store.ledger_bytes():
-            raise InvariantViolation(
-                "ledger size accounting",
-                f"recount {recount} != {node.store.ledger_bytes()}")
-    elif isinstance(node, LatticeNode):
-        ledger = node.ledger
-        settled, pend = ledger.audit_totals()
-        if (settled, pend) != (ledger.total_balance, ledger.total_pending):
-            raise InvariantViolation(
-                "lattice balance conservation",
-                f"audit {settled}/{pend} != counters "
-                f"{ledger.total_balance}/{ledger.total_pending}")
-        ledger.check_conservation()
-        if ledger.recompute_weights() != {
-                r: w for r, w in ledger.rep_weight.items() if w != 0}:
-            raise InvariantViolation(
-                "delegated weight tracking",
-                "incremental weights diverged from rescan")
-        if ledger.recount_bytes() != ledger.ledger_bytes():
-            raise InvariantViolation(
-                "ledger size accounting",
-                "recount != incremental byte totals")

@@ -116,20 +116,18 @@ class Simulation:
     # -- scheduling primitives ---------------------------------------------
 
     def schedule(self, at: float, kind: SimEventKind, destination: int,
-                 payload: bytes) -> SimEvent:
+                 payload: bytes) -> None:
         if at < self.now:
             raise SchedulingError(f"cannot schedule {at:.6f} before now {self.now:.6f}")
         self._seq += 1
-        ev = SimEvent(at, self._seq, kind, destination, payload)
-        heapq.heappush(self._heap, ev)
-        return ev
+        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, destination, payload))
 
-    def set_timer(self, node_id: int, delay_s: float, payload: bytes) -> SimEvent:
-        return self.schedule(self.now + delay_s, SimEventKind.TIMER, node_id, payload)
+    def set_timer(self, node_id: int, delay_s: float, payload: bytes) -> None:
+        self.schedule(self.now + delay_s, SimEventKind.TIMER, node_id, payload)
 
-    def schedule_command(self, delay_s: float, payload: bytes) -> SimEvent:
-        return self.schedule(self.now + delay_s, SimEventKind.COMMAND,
-                             DRIVER_DESTINATION, payload)
+    def schedule_command(self, delay_s: float, payload: bytes) -> None:
+        self.schedule(self.now + delay_s, SimEventKind.COMMAND,
+                      DRIVER_DESTINATION, payload)
 
     def send(self, src: int, dst: int, payload: bytes) -> bool:
         """Unicast with latency/drop/partition applied; True if delivered."""
@@ -146,13 +144,10 @@ class Simulation:
         self.schedule(self.now + latency, SimEventKind.MESSAGE, dst, payload)
         return True
 
-    def broadcast(self, src: int, payload: bytes) -> int:
-        """Send to every peer of src; returns the number of deliveries."""
-        delivered = 0
+    def broadcast(self, src: int, payload: bytes) -> None:
+        """Send to every peer of src."""
         for dst in self.adjacency[src]:
-            if self.send(src, dst, payload):
-                delivered += 1
-        return delivered
+            self.send(src, dst, payload)
 
     # -- the loop -----------------------------------------------------------
 

@@ -145,7 +145,7 @@ def test_validate_wrong_height():
     store = _store()
     block = assemble_block(store, store.adopted_head, [], "m", 1.0)
     bad = replace(block, header=replace(block.header, height=5))
-    assert store.validate_block(bad).verdict is Verdict.UNKNOWN_PARENT
+    assert store.validate_block(bad).verdict is Verdict.WRONG_HEIGHT
 
 
 def test_validate_bad_tx_root():

@@ -14,7 +14,6 @@ from ledgerlab.lattice import (
     InvalidAmountError,
     LatticeLedger,
     LatticeVerdict,
-    NodeTier,
     Outcome,
     OutcomeStatus,
     StalePredecessorError,
@@ -24,7 +23,7 @@ from ledgerlab.lattice import (
     resolve_fork,
 )
 from ledgerlab.leader_election import WorkCounter, check_pow
-from ledgerlab.primitives import identity_for
+from ledgerlab.primitives import ZERO_DIGEST, identity_for
 
 
 def _ledger(**kw):
@@ -50,8 +49,7 @@ def test_genesis_allocation_and_weights():
     assert ledger.representative_weight("w8") == 800
     assert ledger.representative_weight("w2") == 200
     assert ledger.recompute_weights() == {"w8": 800, "w2": 200}
-    settled, pending = ledger.audit_totals()
-    assert (settled, pending) == (1000, 0)
+    ledger.audit()
 
 
 # -- send / receive lifecycle -----------------------------------------------
@@ -229,11 +227,16 @@ def test_a_reference_that_can_never_arrive_is_rejected_not_parked():
     misdirected = build_block(identity_for("w8"), ledger.accounts["w8"].head,
                               BlockKind.RECEIVE, amount=5,
                               counterparty=send.digest())  # addressed to w2
-    for block in (stranger, misdirected):
+    # only genesis follows the zero digest, so no block can fill this slot
+    reopened = build_block(identity_for("w2"), ZERO_DIGEST, BlockKind.SEND,
+                           amount=1, counterparty="a")
+    for block in (stranger, misdirected, reopened):
         out = _apply(ledger, block)
         assert out.status is OutcomeStatus.REJECTED
         assert out.verdict is LatticeVerdict.UNKNOWN_REFERENCE
+        assert not out.conflicts_opened
     assert not ledger.parked.held
+    assert not ledger.conflicts
 
 
 # -- forks and voting -------------------------------------------------------
@@ -550,7 +553,8 @@ def test_rep_change_on_a_losing_branch_rolls_back():
     # the prior representative is back, with the balance the rival left
     assert ledger.accounts["a"].representative == "w8"
     assert ledger.rep_weight == ledger.recompute_weights() == {"w8": 780, "w2": 200}
-    assert ledger.audit_totals() == (ledger.total_balance, ledger.total_pending) == (980, 20)
+    ledger.audit()
+    assert (ledger.total_balance, ledger.total_pending) == (980, 20)
     assert ledger.recount_bytes() == ledger.ledger_bytes()
 
 
@@ -618,7 +622,7 @@ def test_current_tier_node_tracks_historical_twin():
         assert (_apply(historical, blk).status
                 == _apply(trimmed, blk).status)
     report = trimmed.prune_to_current()
-    assert trimmed.tier is NodeTier.CURRENT
+    assert not report.skipped_accounts
     assert report.bytes_after < report.bytes_before
     for blk in blocks[4:]:
         assert (_apply(historical, blk).status
@@ -655,7 +659,7 @@ def test_prune_skips_accounts_with_open_conflicts():
     _apply(ledger, s2, now=2.0)
     report = ledger.prune_to_current()
     assert "a" in report.skipped_accounts
-    assert ledger.tier is NodeTier.HISTORICAL
+    assert fork_point in ledger.accounts["a"].blocks  # not the head: kept, not pruned
 
 
 # -- size accounting --------------------------------------------------------

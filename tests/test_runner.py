@@ -5,7 +5,7 @@ import pytest
 from ledgerlab.blockchain import ChainStore
 from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError, LedgerError
-from ledgerlab.lattice import BlockKind, LatticeLedger, NodeTier
+from ledgerlab.lattice import BlockKind, LatticeLedger
 from ledgerlab.nodes import LEDGER_SAMPLE_EVERY, ChainNode, LatticeNode
 from ledgerlab.metrics import tps_cap
 from ledgerlab.recording import OBSERVER, RunRecorder
@@ -207,8 +207,10 @@ def test_validation_agrees_with_the_chain_capacity():
 def test_lattice_tiers_wire_through():
     cfg = preset_config("nano-scaling", ["scenario.horizon_s=10"])
     result = run(cfg, seed=1)
-    tiers = [result.nodes[i].ledger.tier.value for i in range(6)]
-    assert tiers == ["historical"] * 5 + ["current"]
+    heads_only = [all(list(chain.blocks) == [chain.head]
+                      for chain in result.nodes[i].ledger.accounts.values())
+                  for i in range(6)]
+    assert heads_only == [False] * 5 + [True]
 
 
 def test_current_tier_nodes_keep_the_bodies_a_cascading_rollback_needs():
@@ -221,7 +223,6 @@ def test_current_tier_nodes_keep_the_bodies_a_cascading_rollback_needs():
     result = run(cfg, seed=1)
     assert result.breach is None
     for node in result.nodes.values():
-        assert node.ledger.tier is NodeTier.CURRENT
         for chain in node.ledger.accounts.values():
             assert list(chain.blocks) == [chain.head]
 

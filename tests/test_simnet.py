@@ -143,9 +143,9 @@ def test_partition_spares_same_side_links():
 
 def test_broadcast_counts_deliveries():
     sim, nodes = _sim(4)
-    assert sim.broadcast(0, b"all") == 3
+    sim.broadcast(0, b"all")
     sim.run(1.0)
-    assert all(nodes[i].log for i in (1, 2, 3))
+    assert all(len(nodes[i].log) == 1 for i in (1, 2, 3))
     assert not nodes[0].log
 
 
