@@ -27,10 +27,11 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional
 
 from . import codec
-from .codec import Reader
+from .codec import U32, U64_MAX, CodecError, Reader
 from .errors import ConfigError, InvariantViolation, LedgerError, NotFoundError
 from .leader_election import DifficultySchedule, check_pow, pos_select, retarget
 from .primitives import (
+    SIGNATURE_DIGESTS,
     ZERO_DIGEST,
     Identity,
     Signature,
@@ -63,6 +64,7 @@ class SyncError(LedgerError):
 # ---------------------------------------------------------------------------
 # Transactions
 
+# the fixed runs of the wire kernels (see `codec`)
 _TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
 
 
@@ -79,13 +81,14 @@ class ChainTransaction(WireObject):
     _verified: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
-        return (
-            codec.enc_str(self.sender)
-            + codec.enc_str(self.recipient)
-            + codec.enc_u64(self.amount)
-            + codec.enc_u64(self.sequence)
-            + codec.enc_u64(self.weight)
-        )
+        sender, recipient = codec.utf8(self.sender), codec.utf8(self.recipient)
+        amount, sequence, weight = self.amount, self.sequence, self.weight
+        if not (type(amount) is int and type(sequence) is int and type(weight) is int
+                and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
+                and 0 <= weight <= U64_MAX):
+            raise codec.u64_error((amount, sequence, weight))
+        return (U32.pack(len(sender)) + sender + U32.pack(len(recipient)) + recipient
+                + _TX_NUMBERS.pack(amount, sequence, weight))
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -99,21 +102,43 @@ class ChainTransaction(WireObject):
         The digest is taken over the bytes read, so a pooled object is
         returned only for byte-identical input, signature included.
         """
-        start = r.pos
-        sender, recipient = r.str_(), r.str_()
-        amount, sequence, weight = r.fixed(_TX_NUMBERS)
-        signed_len = r.pos - start
-        signature = Signature.decode(r)
-        raw = r.since(start)
-        d = digest(raw)
+        # The offsets first: sender at a:b, recipient at c:d, the numbers at
+        # d, signer at e:f, the signature digests at f. A string's bounds are
+        # checked with the fixed run after it. A pooled transaction is found
+        # from the span alone; only a fresh one has its fields unpacked.
+        data, start = r.data, r.pos
+        size = len(data)
+        a = start + 4
+        if a > size:
+            raise CodecError("buffer underrun")
+        b = a + U32.unpack_from(data, start)[0]
+        c = b + 4
+        if c > size:
+            raise CodecError("buffer underrun")
+        d = c + U32.unpack_from(data, b)[0]
+        e = d + 28
+        if e > size:
+            raise CodecError("buffer underrun")
+        f = e + U32.unpack_from(data, d + 24)[0]
+        end = f + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        r.pos = end
+        tx_digest = digest(data[start:end])
         if pool:
-            pooled = pool.get(d)
+            pooled = pool.get(tx_digest)
             if pooled is not None:
-                return pooled
-        tx = cls(sender, recipient, amount, sequence, weight, signature)
-        object.__setattr__(tx, "_sd", digest(raw[:signed_len]))
-        object.__setattr__(tx, "_digest", d)
-        object.__setattr__(tx, "_size", len(raw))
+                return pooled  # its bytes are these, so the rest is valid
+        try:
+            sender, recipient, signer = (
+                data[a:b].decode(), data[c:d].decode(), data[e:f].decode())
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        tx = cls(sender, recipient, *_TX_NUMBERS.unpack_from(data, d),
+                 Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, f)))
+        object.__setattr__(tx, "_sd", digest(data[start:d + 24]))
+        object.__setattr__(tx, "_digest", tx_digest)
+        object.__setattr__(tx, "_size", end - start)
         return tx
 
     def verify_signature(self) -> bool:
@@ -145,7 +170,8 @@ def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
 # ---------------------------------------------------------------------------
 # Blocks
 
-_HEADER_ROOTS = struct.Struct(">32s32s32sQ")  # predecessor, tx and state roots, height
+_HEADER_FIELDS = struct.Struct(">32s32s32sQdQI")
+# predecessor, tx and state roots, height, timestamp, nonce, producer length
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,23 +185,38 @@ class BlockHeader(WireObject):
     producer: str
 
     def encode(self) -> bytes:
-        return (
-            codec.enc_digest(self.predecessor)
-            + codec.enc_digest(self.tx_root)
-            + codec.enc_digest(self.state_root)
-            + codec.enc_u64(self.height)
-            + codec.enc_f64(self.timestamp)
-            + codec.enc_u64(self.nonce)
-            + codec.enc_str(self.producer)
-        )
+        producer = codec.utf8(self.producer)
+        predecessor, tx_root, state_root = self.predecessor, self.tx_root, self.state_root
+        if not (type(predecessor) is bytes and type(tx_root) is bytes
+                and type(state_root) is bytes and len(predecessor) == len(tx_root)
+                == len(state_root) == 32):
+            raise codec.digest_error((predecessor, tx_root, state_root))
+        height, timestamp, nonce = self.height, self.timestamp, self.nonce
+        if not (type(height) is int and type(nonce) is int
+                and 0 <= height <= U64_MAX and 0 <= nonce <= U64_MAX):
+            raise codec.u64_error((height, nonce))
+        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
+            raise CodecError(f"not a float: {timestamp!r}")
+        return _HEADER_FIELDS.pack(predecessor, tx_root, state_root, height,
+                                   float(timestamp), nonce, len(producer)) + producer
 
     @classmethod
     def decode(cls, r: Reader) -> "BlockHeader":
-        start = r.pos
-        predecessor, tx_root, state_root, height = r.fixed(_HEADER_ROOTS)
-        header = cls(predecessor, tx_root, state_root, height,
-                     r.f64(), r.u64(), r.str_())
-        object.__setattr__(header, "_digest", digest(r.since(start)))
+        data, start = r.data, r.pos
+        p = start + _HEADER_FIELDS.size
+        if p > len(data):
+            raise CodecError("buffer underrun")
+        *fields, n = _HEADER_FIELDS.unpack_from(data, start)
+        end = p + n
+        if end > len(data):
+            raise CodecError("buffer underrun")
+        r.pos = end
+        try:
+            producer = data[p:end].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        header = cls(*fields, producer)
+        object.__setattr__(header, "_digest", digest(data[start:end]))
         return header
 
     def work_digest(self) -> bytes:
@@ -190,15 +231,16 @@ class Block:
 
     def encode(self) -> bytes:
         return self.header.encode() + codec.enc_list(
-            self.transactions, lambda t: t.encode())
+            self.transactions, ChainTransaction.encode)
 
     @classmethod
     def decode(cls, r: Reader,
                pool: Optional[Mapping[bytes, ChainTransaction]] = None) -> "Block":
         """Read a block; a transaction `pool` holds is taken from the pool."""
         header = BlockHeader.decode(r)
-        txs = tuple(r.list_(lambda tr: ChainTransaction.decode(tr, pool)))
-        return cls(header, txs)
+        (count,) = r.fixed(U32)
+        return cls(header, tuple([ChainTransaction.decode(r, pool)
+                                  for _ in range(count)]))
 
     def digest(self) -> bytes:
         return self.header.digest()
@@ -719,7 +761,7 @@ class ChainStore:
         """Full recomputation; audits the incremental counters."""
         headers = sum(len(sb.header.encode()) for sb in self.blocks.values())
         bodies = sum(
-            len(codec.enc_list(sb.transactions, lambda t: t.encode()))
+            4 + sum(len(t.encode()) for t in sb.transactions)
             for sb in self.blocks.values() if sb.transactions is not None)
         deltas = sum(len(d.encode()) for d in self.deltas.values())
         return {"chain_headers": headers, "chain_bodies": bodies,

@@ -11,6 +11,22 @@ encoding, so the rules are deliberately rigid:
 * enums: 1-byte discriminant, then the variant payload
 
 decode(encode(v)) == v for every supported value; anything else raises CodecError.
+
+The wire types (the lattice's blocks and votes, the chain's transactions,
+headers and blocks, and signatures) code themselves as kernels, because
+their codecs run on every delivery and forward; a call per field would cost
+more than the field. A kernel encoder checks its fields as the `enc_*`
+helpers below do (`utf8` for text) and packs each fixed run of fields with
+one precompiled `struct.Struct`. A kernel decoder works out the offsets over
+`Reader.data` from `Reader.pos`, reading only length prefixes and
+discriminants; it checks the bounds once per fixed run (a string's with the
+run after it), slices each string by its length prefix, and moves
+`Reader.pos` once, past the span it consumed and hashes. A held lattice
+block or a pooled transaction is found by that digest and returned before
+any other field is unpacked; a stored vote is found by its fields, and a
+fresh object's fixed runs are unpacked with one `unpack_from` each.
+The errors are the helpers': a CodecError on an underrun, invalid UTF-8 or
+an unknown discriminant.
 """
 
 from __future__ import annotations
@@ -24,18 +40,17 @@ T = TypeVar("T")
 
 U64_MAX = (1 << 64) - 1
 
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
+U32 = struct.Struct(">I")
+U64 = struct.Struct(">Q")
 
 
 class CodecError(LedgerError):
     """Value outside the encodable domain, or malformed bytes on decode."""
 
 
-# The encoders run once per field of every message, so each accepts only
-# the exact type it expects: a bool, an int subclass or a bytearray is
-# refused rather than converted.
+# Every encoder, helper or kernel, accepts only the exact type it expects:
+# a bool, an int subclass, a str subclass or a bytearray is refused rather
+# than converted.
 
 def enc_u8(value: int) -> bytes:
     if type(value) is not int or not 0 <= value <= 0xFF:
@@ -43,26 +58,29 @@ def enc_u8(value: int) -> bytes:
     return value.to_bytes(1, "big")
 
 
+def u64_error(value: object) -> CodecError:
+    return CodecError(f"u64 out of range: {value!r}")
+
+
+def digest_error(value: object) -> CodecError:
+    return CodecError(f"digest must be exactly 32 bytes, got {value!r}")
+
+
 def enc_u64(value: int) -> bytes:
     if type(value) is not int or not 0 <= value <= U64_MAX:
-        raise CodecError(f"u64 out of range: {value!r}")
-    return _U64.pack(value)
-
-
-def enc_f64(value: float) -> bytes:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise CodecError(f"not a float: {value!r}")
-    return struct.pack(">d", float(value))
+        raise u64_error(value)
+    return U64.pack(value)
 
 
 def enc_digest(value: bytes) -> bytes:
     if type(value) is not bytes or len(value) != 32:
-        raise CodecError(f"digest must be exactly 32 bytes, got {value!r}")
+        raise digest_error(value)
     return value
 
 
-def enc_str(value: str) -> bytes:
-    if not isinstance(value, str):
+def utf8(value: str) -> bytes:
+    """The UTF-8 bytes of `value`, for a kernel that packs their length."""
+    if type(value) is not str:
         raise CodecError(f"not a string: {value!r}")
     try:
         raw = value.encode("utf-8")
@@ -70,7 +88,12 @@ def enc_str(value: str) -> bytes:
         raise CodecError("string not encodable as utf-8") from exc
     if len(raw) > 0xFFFFFFFF:
         raise CodecError("byte string too long")
-    return _U32.pack(len(raw)) + raw
+    return raw
+
+
+def enc_str(value: str) -> bytes:
+    raw = utf8(value)
+    return U32.pack(len(raw)) + raw
 
 
 def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
@@ -81,90 +104,31 @@ def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
 
 
 class Reader:
-    """Cursor over an encoded buffer. Raises CodecError on any malformation.
+    """Cursor over an encoded buffer: `data`, read up to `pos`.
 
-    `pos` and `since` expose the span a decoder consumed, so a wire type can
-    hash the exact bytes it was read from instead of re-encoding itself.
-    Every read checks its bounds once, inline: decoding is the hottest code
-    in a run, and a shared helper would add a call per field.
+    A wire type's decoder is a kernel over `data` (see the module
+    docstring): it reads from `pos`, checks the bounds once per fixed run,
+    and sets `pos` once, past the bytes it consumed, so the span it hashes
+    is `data[start:pos]`. The methods serve message framing: `fixed`
+    reads one fixed-width run of fields with one bounds check, and
+    `expect_end` refuses trailing bytes.
     """
 
-    __slots__ = ("_data", "_pos")
+    __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
-        self._data = bytes(data)
-        self._pos = 0
-
-    @property
-    def pos(self) -> int:
-        return self._pos
-
-    def since(self, start: int) -> bytes:
-        """The bytes consumed from `start` up to the cursor."""
-        return self._data[start : self._pos]
-
-    def _count(self) -> int:
-        pos = self._pos
-        if pos + 4 > len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = pos + 4
-        return _U32.unpack_from(self._data, pos)[0]
-
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = pos + 1
-        return self._data[pos]
-
-    def u64(self) -> int:
-        pos = self._pos
-        if pos + 8 > len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = pos + 8
-        return _U64.unpack_from(self._data, pos)[0]
-
-    def f64(self) -> float:
-        pos = self._pos
-        if pos + 8 > len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = pos + 8
-        return _F64.unpack_from(self._data, pos)[0]
+        self.data = bytes(data)
+        self.pos = 0
 
     def fixed(self, layout: struct.Struct) -> tuple:
         """A fixed-width run of fields, read with one bounds check."""
-        pos = self._pos
+        pos = self.pos
         end = pos + layout.size
-        if end > len(self._data):
+        if end > len(self.data):
             raise CodecError("buffer underrun")
-        self._pos = end
-        return layout.unpack_from(self._data, pos)
-
-    def digest(self) -> bytes:
-        pos = self._pos
-        end = pos + 32
-        if end > len(self._data):
-            raise CodecError("buffer underrun")
-        self._pos = end
-        return self._data[pos:end]
-
-    def str_(self) -> str:
-        data, pos = self._data, self._pos
-        if pos + 4 > len(data):
-            raise CodecError("buffer underrun")
-        start = pos + 4
-        end = start + _U32.unpack_from(data, pos)[0]
-        if end > len(data):
-            raise CodecError("buffer underrun")
-        self._pos = end
-        try:
-            return data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8") from exc
-
-    def list_(self, dec_item: Callable[["Reader"], T]) -> list[T]:
-        return [dec_item(self) for _ in range(self._count())]
+        self.pos = end
+        return layout.unpack_from(self.data, pos)
 
     def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
+        if self.pos != len(self.data):
+            raise CodecError(f"{len(self.data) - self.pos} trailing bytes")

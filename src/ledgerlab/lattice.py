@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import codec
-from .codec import CodecError, Reader
+from .codec import U32, U64, U64_MAX, CodecError, Reader
 from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
 from .primitives import (
@@ -69,10 +69,14 @@ class BlockKind(enum.Enum):
 _KIND_OF = {k.value: k for k in BlockKind}
 # enum members read off the class cost an attribute lookup on every access
 _GENESIS, _SEND, _RECEIVE = BlockKind.GENESIS, BlockKind.SEND, BlockKind.RECEIVE
+_REP_CHANGE = BlockKind.REP_CHANGE
 
+# the fixed runs of the wire kernels (see `codec`)
 _PREDECESSOR_KIND = struct.Struct(">32sB")  # predecessor, kind
 _RECEIVE_FIELDS = struct.Struct(">Q32s")  # amount, matched send
+_AMOUNT_TEXT = struct.Struct(">QI")  # amount, the text's length (send, genesis)
 _VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
+_VOTE_FIELDS_SIGNER = struct.Struct(">32s32sQI")  # and the signer's length
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,23 +98,31 @@ class LatticeBlock(WireObject):
     antispam_nonce: int
     signature: Signature
 
-    def _payload(self) -> bytes:
-        k = self.kind
-        if k is _GENESIS:
-            return codec.enc_u64(self.amount) + codec.enc_str(self.new_representative)
-        if k is _SEND:
-            return codec.enc_u64(self.amount) + codec.enc_str(self.counterparty)
-        if k is _RECEIVE:
-            return codec.enc_u64(self.amount) + codec.enc_digest(self.counterparty)
-        return codec.enc_str(self.new_representative)
-
     def signing_payload(self) -> bytes:
-        return (codec.enc_str(self.account) + codec.enc_digest(self.predecessor)
-                + codec.enc_u8(self.kind.value) + self._payload())
+        account = codec.utf8(self.account)
+        predecessor, kind, amount = self.predecessor, self.kind, self.amount
+        if type(predecessor) is not bytes or len(predecessor) != 32:
+            raise codec.digest_error(predecessor)
+        head = (U32.pack(len(account)) + account
+                + _PREDECESSOR_KIND.pack(predecessor, kind.value))
+        if kind is _REP_CHANGE:
+            rep = codec.utf8(self.new_representative)
+            return head + U32.pack(len(rep)) + rep
+        if type(amount) is not int or not 0 <= amount <= U64_MAX:
+            raise codec.u64_error(amount)
+        if kind is _RECEIVE:
+            send = self.counterparty
+            if type(send) is not bytes or len(send) != 32:
+                raise codec.digest_error(send)
+            return head + _RECEIVE_FIELDS.pack(amount, send)
+        text = codec.utf8(self.counterparty if kind is _SEND else self.new_representative)
+        return head + _AMOUNT_TEXT.pack(amount, len(text)) + text
 
     def encode(self) -> bytes:
-        return (self.signing_payload() + codec.enc_u64(self.antispam_nonce)
-                + self.signature.encode())
+        nonce = self.antispam_nonce
+        if type(nonce) is not int or not 0 <= nonce <= U64_MAX:
+            raise codec.u64_error(nonce)
+        return self.signing_payload() + U64.pack(nonce) + self.signature.encode()
 
     @classmethod
     def decode(cls, r: Reader,
@@ -121,42 +133,69 @@ class LatticeBlock(WireObject):
         only for byte-identical input, signature included. A fresh block
         takes its names from the ledger (`LatticeLedger.name`).
         """
-        start = r.pos
-        account = r.str_()
-        predecessor, kind_value = r.fixed(_PREDECESSOR_KIND)
-        kind = _KIND_OF.get(kind_value)
+        # The offsets first: account at a:b, then predecessor and kind, the
+        # kind's fields from c (a text at t:signed_end among them), nonce,
+        # signer at s:e, and the signature digests. A string's bounds are
+        # checked with the fixed run after it. A held block is found from
+        # the span alone; only a fresh block has its fields unpacked.
+        data, start = r.data, r.pos
+        size = len(data)
+        a = start + 4
+        if a > size:
+            raise CodecError("buffer underrun")
+        b = a + U32.unpack_from(data, start)[0]
+        if b + 33 > size:
+            raise CodecError("buffer underrun")
+        kind = _KIND_OF.get(data[b + 32])
         if kind is None:
             raise CodecError("unknown lattice block kind")
-        if kind is _SEND:
-            amount, counterparty, new_rep = r.u64(), r.str_(), None
-        elif kind is _RECEIVE:
-            amount, counterparty = r.fixed(_RECEIVE_FIELDS)
-            new_rep = None
-        elif kind is _GENESIS:
-            amount, counterparty, new_rep = r.u64(), None, r.str_()
+        c = b + 33
+        if kind is _RECEIVE:
+            t = signed_end = c + 40  # amount, matched send: no text
         else:
-            amount, counterparty, new_rep = 0, None, r.str_()
-        signed_len = r.pos - start
-        nonce, signer = r.u64(), r.str_()
-        payload_digest, tag = r.fixed(SIGNATURE_DIGESTS)
-        raw = r.since(start)
-        d = digest(raw)
+            t = c + 4 if kind is _REP_CHANGE else c + 12  # after the amount
+            if t > size:
+                raise CodecError("buffer underrun")
+            signed_end = t + U32.unpack_from(data, t - 4)[0]
+        s = signed_end + 12
+        if s > size:
+            raise CodecError("buffer underrun")
+        e = s + U32.unpack_from(data, s - 4)[0]
+        end = e + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        r.pos = end
+        d = digest(data[start:end])
+        try:
+            account = data[a:b].decode()
+            if ledger is not None:
+                chain = ledger.accounts.get(account)
+                if chain is not None:
+                    held = chain.blocks.get(d)
+                    if held is not None:
+                        return held  # its bytes are these, so the rest is valid
+                    account = chain.account
+            signer = data[s:e].decode()
+            text = None if kind is _RECEIVE else data[t:signed_end].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
         if ledger is not None:
-            chain = ledger.accounts.get(account)
-            if chain is not None:
-                held = chain.blocks.get(d)
-                if held is not None:
-                    return held
-            account, signer = ledger.name(account), ledger.name(signer)
+            signer = ledger.name(signer)
+            if text is not None:
+                text = ledger.name(text)
+        counterparty = None
+        if kind is _RECEIVE:
+            amount, counterparty = _RECEIVE_FIELDS.unpack_from(data, c)
+        else:
+            amount = 0 if kind is _REP_CHANGE else U64.unpack_from(data, c)[0]
             if kind is _SEND:
-                counterparty = ledger.name(counterparty)
-            elif new_rep is not None:
-                new_rep = ledger.name(new_rep)
-        block = cls(account, predecessor, kind, amount, counterparty, new_rep,
-                    nonce, Signature(signer, payload_digest, tag))
-        object.__setattr__(block, "_sd", digest(raw[:signed_len]))
+                counterparty, text = text, None
+        block = cls(account, data[b:b + 32], kind, amount, counterparty, text,
+                    U64.unpack_from(data, signed_end)[0],
+                    Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, e)))
+        object.__setattr__(block, "_sd", digest(data[start:signed_end]))
         object.__setattr__(block, "_digest", d)
-        object.__setattr__(block, "_size", len(raw))
+        object.__setattr__(block, "_size", end - start)
         return block
 
     def verify_signature(self) -> bool:
@@ -202,8 +241,16 @@ class VoteRecord(WireObject):
     signature: Signature
 
     def signing_payload(self) -> bytes:
-        return (codec.enc_str(self.representative) + codec.enc_digest(self.subject)
-                + codec.enc_digest(self.choice) + codec.enc_u64(self.weight))
+        representative = codec.utf8(self.representative)
+        subject, choice, weight = self.subject, self.choice, self.weight
+        if type(subject) is not bytes or len(subject) != 32:
+            raise codec.digest_error(subject)
+        if type(choice) is not bytes or len(choice) != 32:
+            raise codec.digest_error(choice)
+        if type(weight) is not int or not 0 <= weight <= U64_MAX:
+            raise codec.u64_error(weight)
+        return (U32.pack(len(representative)) + representative
+                + _VOTE_FIELDS.pack(subject, choice, weight))
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -217,12 +264,28 @@ class VoteRecord(WireObject):
         repeat, so only a fresh vote has its signing digest hashed. A fresh
         vote takes its names from the ledger (`LatticeLedger.name`).
         """
-        start = r.pos
-        representative = r.str_()
-        subject, choice, weight = r.fixed(_VOTE_FIELDS)
-        signed_len = r.pos - start
-        signer = r.str_()
-        payload_digest, tag = r.fixed(SIGNATURE_DIGESTS)
+        # representative, the fixed fields with the signer's length, signer,
+        # signature digests
+        data, start = r.data, r.pos
+        size = len(data)
+        p = start + 4
+        if p > size:
+            raise CodecError("buffer underrun")
+        q = p + U32.unpack_from(data, start)[0]
+        if q + 76 > size:
+            raise CodecError("buffer underrun")
+        subject, choice, weight, n = _VOTE_FIELDS_SIGNER.unpack_from(data, q)
+        signed_end, at = q + 72, q + 76
+        stop = at + n
+        end = stop + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, stop)
+        r.pos = end
+        try:
+            representative, signer = data[p:q].decode(), data[at:stop].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
         if ledger is not None:
             ballot = ledger.votes.get(subject)
             prior = ballot.get(representative) if ballot else None
@@ -235,7 +298,7 @@ class VoteRecord(WireObject):
             representative, signer = ledger.name(representative), ledger.name(signer)
         vote = cls(representative, subject, choice, weight,
                    Signature(signer, payload_digest, tag))
-        object.__setattr__(vote, "_sd", digest(r.since(start)[:signed_len]))
+        object.__setattr__(vote, "_sd", digest(data[start:signed_end]))
         return vote
 
     def verify_signature(self) -> bool:

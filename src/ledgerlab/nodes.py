@@ -13,6 +13,7 @@ node signs in for its own accounts included.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import replace
 from typing import Iterable, Optional
 
@@ -59,14 +60,19 @@ ORPHAN_BUFFER_LIMIT = 10_000
 LEDGER_SAMPLE_EVERY = 20  # lattice blocks applied between observer samples
 
 
+# every message opens with its tag and the sending node's id
+_HEAD = struct.Struct(">BQ")
+_DIGEST = struct.Struct(">32s")
+
+
 def _chain_block_msg(tag: int, sender: int, block: Block) -> bytes:
-    return codec.enc_u8(tag) + codec.enc_u64(sender) + block.encode()
+    return _HEAD.pack(tag, sender) + block.encode()
 
 
 def _lattice_block_msg(sender: int, block: LatticeBlock,
                        votes: list[VoteRecord]) -> bytes:
-    return (codec.enc_u8(MSG_LAT_BLOCK) + codec.enc_u64(sender) + block.encode()
-            + codec.enc_list(votes, lambda v: v.encode()))
+    return (_HEAD.pack(MSG_LAT_BLOCK, sender) + block.encode()
+            + codec.enc_list(votes, VoteRecord.encode))
 
 
 class ChainNode:
@@ -147,11 +153,9 @@ class ChainNode:
         sim.set_timer(self.node_id, at - sim.now, payload)
 
     def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
-        r = Reader(payload)
-        tag = r.u8()
+        tag = payload[0]  # a timer payload is this node's own, never malformed
         if tag == TIMER_MINE:
-            parent = r.digest()
-            if parent != self.store.adopted_head:
+            if payload[1:] != self.store.adopted_head:
                 return  # the chain moved on while this attempt was running
             if isinstance(self.store.proof_rule, GrindProof):
                 block = self._pending_grind
@@ -160,7 +164,7 @@ class ChainNode:
                 block = self._assemble(self.producer_id, now)
             self._produce(sim, now, block)
         elif tag == TIMER_POS_SLOT:
-            slot = r.u64()
+            slot = int.from_bytes(payload[1:], "big")
             if self.store.proof_rule.leader(slot) == self.producer_id:
                 self._produce(sim, now, self._assemble(self.producer_id, now))
             self._schedule_slot(sim, slot + 1)
@@ -183,26 +187,22 @@ class ChainNode:
         """Entry point for wallet traffic: pool it here, gossip it once."""
         self._add_to_mempool(tx)
         sim.broadcast(self.node_id,
-                      codec.enc_u8(MSG_CHAIN_TX) + codec.enc_u64(self.node_id)
-                      + tx.encode())
+                      _HEAD.pack(MSG_CHAIN_TX, self.node_id) + tx.encode())
 
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
         r = Reader(payload)
-        tag = r.u8()
+        tag, sender = r.fixed(_HEAD)
         if tag == MSG_CHAIN_TX:
-            r.u64()  # sender node, unused
             tx = ChainTransaction.decode(r)
             r.expect_end()
             self._add_to_mempool(tx)
         elif tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
-            sender = r.u64()
             # a transaction this node pooled is the pooled object, verified once
             block = Block.decode(r, self.mempool)
             r.expect_end()
             self._ingest_block(sim, now, block, sender)
         elif tag == MSG_CHAIN_REQ:
-            sender = r.u64()
-            wanted = r.digest()
+            (wanted,) = r.fixed(_DIGEST)
             r.expect_end()
             sb = self.store.blocks.get(wanted)
             if sb is not None and sb.transactions is not None:
@@ -295,8 +295,7 @@ class ChainNode:
         self.parked.park(d, block, parent)
         if sender != self.node_id:
             sim.send(self.node_id, sender,
-                     codec.enc_u8(MSG_CHAIN_REQ) + codec.enc_u64(self.node_id)
-                     + codec.enc_digest(parent))
+                     _HEAD.pack(MSG_CHAIN_REQ, self.node_id) + codec.enc_digest(parent))
 
 
 class LatticeNode:
@@ -334,14 +333,14 @@ class LatticeNode:
 
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
         r = Reader(payload)
-        tag = r.u8()
+        tag, _ = r.fixed(_HEAD)  # the sender is unused: gossip is undirected
         if tag != MSG_LAT_BLOCK:
             return
-        r.u64()  # sender, unused: gossip is undirected
         # a block or vote this ledger already keeps decodes to the kept object
         ledger = self.ledger
         block = LatticeBlock.decode(r, ledger)
-        votes = r.list_(lambda vr: VoteRecord.decode(vr, ledger))
+        (count,) = r.fixed(codec.U32)
+        votes = [VoteRecord.decode(r, ledger) for _ in range(count)]
         r.expect_end()
         self._settle(sim, now, block, votes)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import codec
-from .codec import Reader
 
 DIGEST_ALGORITHM = "sha256"
 DIGEST_LEN = 32
@@ -193,11 +192,15 @@ class Signature:
     tag: bytes
 
     def encode(self) -> bytes:
-        return codec.enc_str(self.signer) + codec.enc_digest(self.payload_digest) + codec.enc_digest(self.tag)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "Signature":
-        return cls(r.str_(), *r.fixed(SIGNATURE_DIGESTS))
+        """A kernel (see `codec`); a signed type's decoder reads it inline."""
+        signer = codec.utf8(self.signer)
+        payload_digest, tag = self.payload_digest, self.tag
+        if type(payload_digest) is not bytes or len(payload_digest) != 32:
+            raise codec.digest_error(payload_digest)
+        if type(tag) is not bytes or len(tag) != 32:
+            raise codec.digest_error(tag)
+        return codec.U32.pack(len(signer)) + signer + SIGNATURE_DIGESTS.pack(
+            payload_digest, tag)
 
 
 def sign(identity: Identity, payload_digest: bytes) -> Signature:

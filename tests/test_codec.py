@@ -4,13 +4,31 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ledgerlab import codec
-from ledgerlab.blockchain import AccountChange, Block, BlockHeader, ChainTransaction, StateDelta
+from ledgerlab.blockchain import (
+    AccountChange,
+    Block,
+    BlockHeader,
+    ChainTransaction,
+    StateDelta,
+    make_transaction,
+)
 from ledgerlab.codec import CodecError, Reader
-from ledgerlab.lattice import BlockKind, LatticeBlock, VoteRecord, build_block
+from ledgerlab.lattice import (
+    BlockKind,
+    LatticeBlock,
+    LatticeLedger,
+    VoteRecord,
+    build_block,
+    make_vote,
+)
 from ledgerlab.primitives import ZERO_DIGEST, Signature, digest, identity_for
+
+U8 = struct.Struct(">B")
+DIGEST = struct.Struct(">32s")
+HEADER_SIZE = 3 * 32 + 8 + 8 + 8 + 4  # roots, height, timestamp, nonce, name length
 
 
 def test_fixed_width_layouts():
@@ -18,7 +36,10 @@ def test_fixed_width_layouts():
     assert codec.enc_u8(255) == b"\xff"
     assert codec.enc_u64(1) == b"\x00" * 7 + b"\x01"
     assert len(codec.enc_u64(2**64 - 1)) == 8
-    assert len(codec.enc_f64(1.5)) == 8
+    # a header's timestamp is a binary64 between its height and nonce
+    header = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 7, 1.5, 9, "")
+    assert len(header.encode()) == HEADER_SIZE
+    assert header.encode()[104:112] == struct.pack(">d", 1.5)
     # big-endian: 256 puts its bit in the seventh byte
     assert codec.enc_u64(256)[6] == 1
 
@@ -47,6 +68,9 @@ def test_fast_paths_keep_the_type_checks():
     class Height(int):
         pass
 
+    class Name(str):
+        pass
+
     # only the exact types are encoded; near relatives are refused
     with pytest.raises(CodecError):
         codec.enc_u64(Height(5))
@@ -60,29 +84,47 @@ def test_fast_paths_keep_the_type_checks():
         codec.enc_digest("x" * 32)
     with pytest.raises(CodecError):
         codec.enc_str(b"not text")
+    with pytest.raises(CodecError):
+        codec.enc_str(Name("carol"))
+
+
+def _named(name):
+    """One wire object of each kind whose first name is `name`."""
+    signature = Signature("signer", ZERO_DIGEST, ZERO_DIGEST)
+    return [
+        LatticeBlock(name, ZERO_DIGEST, BlockKind.SEND, 5, "home", None, 0, signature),
+        VoteRecord(name, ZERO_DIGEST, ZERO_DIGEST, 40, signature),
+        ChainTransaction(name, "bob", 5, 1, 10, signature),
+        BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, 1.0, 0, name),
+    ]
 
 
 def test_reader_str_rejects_underruns_and_invalid_utf8():
+    for obj in _named("é"):
+        raw = obj.encode()
+        at = raw.index("é".encode("utf-8"))
+        cls = type(obj)
+        with pytest.raises(CodecError, match="underrun"):
+            cls.decode(Reader(raw[:at - 1]))  # the length itself is cut short
+        with pytest.raises(CodecError, match="underrun"):
+            cls.decode(Reader(raw[:at + 1]))  # the body is cut short
+        with pytest.raises(CodecError, match="utf-8"):
+            cls.decode(Reader(raw[:at] + b"\xff\xff" + raw[at + 2:]))
     with pytest.raises(CodecError):
-        Reader(b"\x00\x00\x00").str_()  # the length itself is cut short
-    with pytest.raises(CodecError):
-        Reader(codec.enc_str("abc")[:-1]).str_()  # the body is cut short
-    with pytest.raises(CodecError):
-        Reader(b"\x00\x00\x00\x01\xff").str_()  # not utf-8
-    with pytest.raises(CodecError):
-        Reader(bytes(31)).digest()
-    r = Reader(codec.enc_str("ab") + codec.enc_str(""))
-    assert (r.str_(), r.str_()) == ("ab", "")
-    r.expect_end()
+        Reader(bytes(31)).fixed(DIGEST)
+    for obj in _named(""):
+        r = Reader(obj.encode() + obj.encode())
+        assert (type(obj).decode(r), type(obj).decode(r)) == (obj, obj)
+        r.expect_end()
 
 
 def test_reader_underrun_and_trailing():
     r = Reader(codec.enc_u64(7))
-    assert r.u64() == 7
+    assert r.fixed(codec.U64) == (7,)
     with pytest.raises(CodecError):
-        r.u64()
+        r.fixed(codec.U64)
     r2 = Reader(codec.enc_u64(7) + b"\x01")
-    r2.u64()
+    r2.fixed(codec.U64)
     with pytest.raises(CodecError):
         r2.expect_end()
 
@@ -95,50 +137,57 @@ def test_reader_fixed_reads_a_run_of_fields_or_nothing():
     assert r.pos == 40
     with pytest.raises(CodecError):
         r.fixed(layout)  # one byte left
-    assert r.pos == 40 and r.u8() == 1
+    assert r.pos == 40 and r.fixed(U8) == (1,)
     r.expect_end()
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_roundtrip(v):
-    assert Reader(codec.enc_u64(v)).u64() == v
+    assert Reader(codec.enc_u64(v)).fixed(codec.U64) == (v,)
 
 
 @given(st.integers(min_value=0, max_value=255))
 def test_u8_roundtrip(v):
-    assert Reader(codec.enc_u8(v)).u8() == v
+    assert Reader(codec.enc_u8(v)).fixed(U8) == (v,)
 
 
 @given(st.floats(allow_nan=False))
 def test_f64_roundtrip(v):
-    assert Reader(codec.enc_f64(v)).f64() == v
+    header = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, v, 0, "miner")
+    assert BlockHeader.decode(Reader(header.encode())).timestamp == v
 
 
 @given(st.text(max_size=100))
 def test_str_roundtrip(v):
-    assert Reader(codec.enc_str(v)).str_() == v
+    assert Reader(codec.enc_str(v)).fixed(codec.U32) == (len(v.encode("utf-8")),)
+    for obj in _named(v):
+        assert type(obj).decode(Reader(obj.encode())) == obj
 
 
 @given(st.binary(min_size=32, max_size=32))
 def test_digest_roundtrip(v):
-    assert Reader(codec.enc_digest(v)).digest() == v
+    assert Reader(codec.enc_digest(v)).fixed(DIGEST) == (v,)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=30))
 def test_list_roundtrip(vs):
     data = codec.enc_list(vs, codec.enc_u64)
     r = Reader(data)
-    assert r.list_(lambda rr: rr.u64()) == vs
+    (count,) = r.fixed(codec.U32)
+    assert [r.fixed(codec.U64)[0] for _ in range(count)] == vs
     r.expect_end()
 
 
 @given(st.lists(st.text(max_size=20), max_size=10),
        st.integers(min_value=0, max_value=2**64 - 1))
 def test_concatenated_fields_roundtrip(names, tail):
-    data = codec.enc_list(names, codec.enc_str) + codec.enc_u64(tail)
+    signature = Signature("signer", ZERO_DIGEST, ZERO_DIGEST)
+    txs = [ChainTransaction(n, n, 5, 1, 10, signature) for n in names]
+    data = codec.enc_list(txs, ChainTransaction.encode) + codec.enc_u64(tail)
     r = Reader(data)
-    assert r.list_(lambda rr: rr.str_()) == names
-    assert r.u64() == tail
+    (count,) = r.fixed(codec.U32)
+    assert [ChainTransaction.decode(r) for _ in range(count)] == txs
+    assert r.fixed(codec.U64) == (tail,)
     r.expect_end()
 
 
@@ -149,12 +198,13 @@ def test_encoding_is_injective_on_adjacent_strings():
 
 
 def test_reader_reports_consumed_span():
-    r = Reader(codec.enc_u64(7) + codec.enc_str("ab") + codec.enc_u8(1))
-    r.u64()
+    vote = make_vote(identity_for("home"), ZERO_DIGEST, ZERO_DIGEST, 40)
+    r = Reader(codec.enc_u64(7) + vote.encode() + codec.enc_u8(1))
+    r.fixed(codec.U64)
     start = r.pos
-    r.str_()
-    assert r.since(start) == codec.enc_str("ab")
-    assert r.since(0) == codec.enc_u64(7) + codec.enc_str("ab")
+    VoteRecord.decode(r)
+    assert r.data[start:r.pos] == vote.encode()
+    assert r.data[:r.pos] == codec.enc_u64(7) + vote.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +212,8 @@ def test_reader_reports_consumed_span():
 
 u64s = st.integers(min_value=0, max_value=2**64 - 1)
 digests = st.binary(min_size=32, max_size=32)
-names = st.text(max_size=12)
+ACCOUNTS = ("carol", "home", "zoë")  # the accounts of the ledger below
+names = st.text(max_size=12) | st.sampled_from(ACCOUNTS)
 signatures = st.builds(Signature, signer=names, payload_digest=digests, tag=digests)
 
 
@@ -270,7 +321,7 @@ def test_mutated_encodings_raise_or_decode_canonically(x, data):
         y = type(x).decode(r)
     except CodecError:
         return
-    _check_wire_digests(y, r.since(0))
+    _check_wire_digests(y, r.data[:r.pos])
 
 
 def test_unknown_lattice_kind_byte_is_a_codec_error():
@@ -282,3 +333,321 @@ def test_unknown_lattice_kind_byte_is_a_codec_error():
     raw[kind_at] = 9
     with pytest.raises(CodecError):
         LatticeBlock.decode(Reader(bytes(raw)))
+
+
+# ---------------------------------------------------------------------------
+# The kernels against field-by-field decoders
+#
+# The oracles below read one field per call, as the wire types did before
+# they became kernels; the kernels must agree with them on every input.
+
+_PREDECESSOR_KIND = struct.Struct(">32sB")
+_RECEIVE_FIELDS = struct.Struct(">Q32s")
+_VOTE_FIELDS = struct.Struct(">32s32sQ")
+_TX_NUMBERS = struct.Struct(">QQQ")
+_HEADER_ROOTS = struct.Struct(">32s32s32sQ")
+_SIGNATURE_DIGESTS = struct.Struct(">32s32s")
+_F64 = struct.Struct(">d")
+_KIND_OF = {k.value: k for k in BlockKind}
+
+
+class _FieldReader:
+    """A cursor that reads one field per call, each with its own bounds check."""
+
+    def __init__(self, data):
+        self.data, self.pos = data, 0
+
+    def fixed(self, layout):
+        end = self.pos + layout.size
+        if end > len(self.data):
+            raise CodecError("buffer underrun")
+        start, self.pos = self.pos, end
+        return layout.unpack_from(self.data, start)
+
+    def u64(self):
+        return self.fixed(codec.U64)[0]
+
+    def str_(self):
+        end = self.pos + 4 + self.fixed(codec.U32)[0]
+        if end > len(self.data):
+            raise CodecError("buffer underrun")
+        start, self.pos = self.pos, end
+        try:
+            return self.data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+
+    def since(self, start):
+        return self.data[start:self.pos]
+
+
+def _oracle_signature(r):
+    return Signature(r.str_(), *r.fixed(_SIGNATURE_DIGESTS))
+
+
+def _oracle_lattice_block(r, ledger):
+    start = r.pos
+    account = r.str_()
+    predecessor, kind_value = r.fixed(_PREDECESSOR_KIND)
+    kind = _KIND_OF.get(kind_value)
+    if kind is None:
+        raise CodecError("unknown lattice block kind")
+    if kind is BlockKind.SEND:
+        amount, counterparty, new_rep = r.u64(), r.str_(), None
+    elif kind is BlockKind.RECEIVE:
+        (amount, counterparty), new_rep = r.fixed(_RECEIVE_FIELDS), None
+    elif kind is BlockKind.GENESIS:
+        amount, counterparty, new_rep = r.u64(), None, r.str_()
+    else:
+        amount, counterparty, new_rep = 0, None, r.str_()
+    signed_len = r.pos - start
+    nonce, signature = r.u64(), _oracle_signature(r)
+    raw = r.since(start)
+    d = digest(raw)
+    if ledger is not None:
+        chain = ledger.accounts.get(account)
+        if chain is not None and d in chain.blocks:
+            return chain.blocks[d]
+        account = ledger.name(account)
+        signature = replace(signature, signer=ledger.name(signature.signer))
+        if kind is BlockKind.SEND:
+            counterparty = ledger.name(counterparty)
+        elif new_rep is not None:
+            new_rep = ledger.name(new_rep)
+    block = LatticeBlock(account, predecessor, kind, amount, counterparty, new_rep,
+                         nonce, signature)
+    object.__setattr__(block, "_sd", digest(raw[:signed_len]))
+    object.__setattr__(block, "_digest", d)
+    object.__setattr__(block, "_size", len(raw))
+    return block
+
+
+def _oracle_vote(r, ledger):
+    start = r.pos
+    representative = r.str_()
+    subject, choice, weight = r.fixed(_VOTE_FIELDS)
+    signed_len = r.pos - start
+    signature = _oracle_signature(r)
+    if ledger is not None:
+        prior = ledger.votes.get(subject, {}).get(representative)
+        if prior is not None and (prior.choice, prior.weight, prior.signature) == (
+                choice, weight, signature):
+            return prior
+        representative = ledger.name(representative)
+        signature = replace(signature, signer=ledger.name(signature.signer))
+    vote = VoteRecord(representative, subject, choice, weight, signature)
+    object.__setattr__(vote, "_sd", digest(r.since(start)[:signed_len]))
+    return vote
+
+
+def _oracle_transaction(r, pool):
+    start = r.pos
+    sender, recipient = r.str_(), r.str_()
+    amount, sequence, weight = r.fixed(_TX_NUMBERS)
+    signed_len = r.pos - start
+    signature = _oracle_signature(r)
+    raw = r.since(start)
+    d = digest(raw)
+    if pool and d in pool:
+        return pool[d]
+    tx = ChainTransaction(sender, recipient, amount, sequence, weight, signature)
+    object.__setattr__(tx, "_sd", digest(raw[:signed_len]))
+    object.__setattr__(tx, "_digest", d)
+    object.__setattr__(tx, "_size", len(raw))
+    return tx
+
+
+def _oracle_header(r):
+    start = r.pos
+    roots = r.fixed(_HEADER_ROOTS)
+    header = BlockHeader(*roots, r.fixed(_F64)[0], r.u64(), r.str_())
+    object.__setattr__(header, "_digest", digest(r.since(start)))
+    return header
+
+
+def _oracle_block(r, pool):
+    header = _oracle_header(r)
+    (count,) = r.fixed(codec.U32)
+    return Block(header, tuple(_oracle_transaction(r, pool) for _ in range(count)))
+
+
+def _context_ledger():
+    """A ledger holding blocks of every kind, and votes on two subjects."""
+    ledger = LatticeLedger({"carol": (100, "carol"), "home": (40, "home"),
+                            "zoë": (10, "carol")})
+    send = ledger.create_send("carol", "home", 30)
+    ledger.receive_block(send, 0.0)
+    ledger.receive_block(ledger.create_receive("home", send.digest()), 0.0)
+    rep_change = ledger.create_rep_change("zoë", "home")
+    ledger.receive_block(rep_change, 0.0)
+    for rep, block in (("carol", send), ("home", send), ("home", rep_change)):
+        vote = make_vote(identity_for(rep), block.predecessor, block.digest(),
+                         ledger.representative_weight(rep))
+        ledger.add_vote(vote, 1.0)
+    return ledger
+
+
+LEDGER = _context_ledger()
+HELD_BLOCKS = [b for chain in LEDGER.accounts.values() for b in chain.blocks.values()]
+HELD_VOTES = [v for ballot in LEDGER.votes.values() for v in ballot.values()]
+POOLED = [make_transaction(identity_for(sender), "bob", 5, seq, 10)
+          for sender in ("alice", "zoë") for seq in (1, 2)]
+POOL = {tx.digest(): tx for tx in POOLED}
+KEPT = {id(x) for x in HELD_BLOCKS + HELD_VOTES + POOLED}
+assert len(HELD_BLOCKS) == 6 and len(HELD_VOTES) == 3
+
+
+def _agree(kernel, oracle, ledger):
+    """Equal fields and caches, the same kept object, the same shared names."""
+    assert type(kernel) is type(oracle)
+    assert (id(kernel) in KEPT) == (id(oracle) in KEPT)
+    if id(oracle) in KEPT:
+        assert kernel is oracle
+        return
+    if isinstance(kernel, Block):
+        _agree(kernel.header, oracle.header, ledger)
+        assert len(kernel.transactions) == len(oracle.transactions)
+        for k, o in zip(kernel.transactions, oracle.transactions):
+            _agree(k, o, ledger)
+        return
+    assert kernel == oracle
+    for cache in ("_sd", "_digest", "_size"):
+        assert getattr(kernel, cache) == getattr(oracle, cache), cache
+    if ledger is not None and isinstance(kernel, (LatticeBlock, VoteRecord)):
+        for obj in (kernel, oracle, kernel.signature, oracle.signature):
+            for name in obj.__dataclass_fields__:
+                value = getattr(obj, name)
+                if value in ACCOUNTS:  # a name the ledger keeps is its string
+                    assert value is ledger.name(value), name
+
+
+_DECODERS = {
+    LatticeBlock: (_oracle_lattice_block, LEDGER),
+    VoteRecord: (_oracle_vote, LEDGER),
+    ChainTransaction: (_oracle_transaction, POOL),
+    Block: (_oracle_block, POOL),
+    BlockHeader: (lambda r, _: _oracle_header(r), None),
+}
+
+kept_or_random = st.one_of(
+    lattice_blocks, st.sampled_from(HELD_BLOCKS),
+    votes, st.sampled_from(HELD_VOTES),
+    transactions, st.sampled_from(POOLED),
+    headers, blocks,
+    st.builds(Block, header=headers,
+              transactions=st.lists(st.sampled_from(POOLED) | transactions,
+                                    max_size=3).map(tuple)),
+)
+
+
+def _decode_both(cls, raw, with_context):
+    """Kernel and oracle on `raw`: equal results, or both raise CodecError."""
+    oracle, context = _DECODERS[cls]
+    context = context if with_context else None
+    args = () if cls is BlockHeader else (context,)
+    kernel_reader, oracle_reader = Reader(raw), _FieldReader(raw)
+    try:
+        expected = oracle(oracle_reader, context)
+    except CodecError:
+        with pytest.raises(CodecError):
+            cls.decode(kernel_reader, *args)
+        return
+    got = cls.decode(kernel_reader, *args)
+    assert kernel_reader.pos == oracle_reader.pos
+    _agree(got, expected, context if cls in (LatticeBlock, VoteRecord) else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kept_or_random, st.booleans(), st.data())
+def test_kernels_decode_as_the_field_by_field_decoders(x, with_context, data):
+    raw = bytearray(x.encode())
+    change = data.draw(st.sampled_from(["none", "truncate", "flip"]), label="change")
+    if change == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif change == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    # a trailing byte shows that each decoder stops where it should
+    _decode_both(type(x), bytes(raw) + b"\x00", with_context)
+
+
+def test_kernels_agree_on_every_truncation_and_flip_of_kept_objects():
+    header = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, 1.0, 0, "miner")
+    block = Block(header, tuple(POOLED[:2]))
+    for x in HELD_BLOCKS + HELD_VOTES + POOLED + [header, block]:
+        raw = x.encode()
+        for with_context in (False, True):
+            for n in range(len(raw) + 1):
+                _decode_both(type(x), raw[:n], with_context)
+            for at in range(len(raw)):
+                _decode_both(type(x), raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:],
+                             with_context)
+
+
+# ---------------------------------------------------------------------------
+# The kernel encoders keep the exact-type checks of the enc_* helpers
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_BAD = {
+    "u64": [True, _Int(5), -1, 2**64],
+    "digest": [bytearray(32), bytes(31), "x" * 32],
+    "str": [_Str("carol"), b"carol", None],
+}
+_SIG = Signature("carol", ZERO_DIGEST, ZERO_DIGEST)
+_SEND = LatticeBlock("carol", ZERO_DIGEST, BlockKind.SEND, 5, "home", None, 0, _SIG)
+_RECEIVE = replace(_SEND, kind=BlockKind.RECEIVE, counterparty=ZERO_DIGEST)
+_GENESIS = replace(_SEND, kind=BlockKind.GENESIS, counterparty=None,
+                   new_representative="home")
+_REP_CHANGE = replace(_GENESIS, kind=BlockKind.REP_CHANGE, amount=0)
+_VOTE = VoteRecord("home", ZERO_DIGEST, ZERO_DIGEST, 40, _SIG)
+_TX = ChainTransaction("alice", "bob", 5, 1, 10, _SIG)
+_HEADER = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, 1.0, 0, "miner")
+
+# (object, field, domain, whether the field is under the signature)
+_TYPED_FIELDS = [
+    (_SEND, "account", "str", True), (_SEND, "predecessor", "digest", True),
+    (_SEND, "amount", "u64", True), (_SEND, "counterparty", "str", True),
+    (_SEND, "antispam_nonce", "u64", False),
+    (_RECEIVE, "amount", "u64", True), (_RECEIVE, "counterparty", "digest", True),
+    (_GENESIS, "amount", "u64", True), (_GENESIS, "new_representative", "str", True),
+    (_REP_CHANGE, "new_representative", "str", True),
+    (_VOTE, "representative", "str", True), (_VOTE, "subject", "digest", True),
+    (_VOTE, "choice", "digest", True), (_VOTE, "weight", "u64", True),
+    (_TX, "sender", "str", True), (_TX, "recipient", "str", True),
+    (_TX, "amount", "u64", True), (_TX, "sequence", "u64", True),
+    (_TX, "weight", "u64", True),
+    (_HEADER, "predecessor", "digest", False), (_HEADER, "tx_root", "digest", False),
+    (_HEADER, "state_root", "digest", False), (_HEADER, "height", "u64", False),
+    (_HEADER, "nonce", "u64", False), (_HEADER, "producer", "str", False),
+    (_SIG, "signer", "str", False), (_SIG, "payload_digest", "digest", False),
+    (_SIG, "tag", "digest", False),
+]
+
+
+@pytest.mark.parametrize("obj, name, domain, signed", _TYPED_FIELDS,
+                         ids=[f"{type(o).__name__}-{o.kind.name if isinstance(o, LatticeBlock) else ''}-{n}"
+                              for o, n, _, _ in _TYPED_FIELDS])
+def test_kernel_encoders_refuse_near_types(obj, name, domain, signed):
+    obj.encode()  # the unchanged object encodes
+    for bad in _BAD[domain]:
+        broken = replace(obj, **{name: bad})
+        with pytest.raises(CodecError):
+            broken.encode()
+        if signed:
+            with pytest.raises(CodecError):
+                broken.signing_payload()
+        if isinstance(obj, Signature):  # a signature is encoded inside its owner
+            for owner in (_SEND, _VOTE, _TX):
+                with pytest.raises(CodecError):
+                    replace(owner, signature=broken).encode()
+    for bad in (True, "1.0"):
+        with pytest.raises(CodecError):
+            replace(_HEADER, timestamp=bad).encode()

@@ -43,6 +43,7 @@ from ledgerlab.nodes import (
     ChainNode,
     LatticeNode,
     MultiDriver,
+    _HEAD,
     _chain_block_msg,
     _lattice_block_msg,
 )
@@ -77,8 +78,7 @@ def test_chain_block_message_round_trip():
     payload = _chain_block_msg(MSG_CHAIN_BLOCK, 3, block)
 
     r = Reader(payload)
-    assert r.u8() == MSG_CHAIN_BLOCK
-    assert r.u64() == 3
+    assert r.fixed(_HEAD) == (MSG_CHAIN_BLOCK, 3)
     decoded = Block.decode(r)
     r.expect_end()
     assert decoded.digest() == block.digest()
@@ -93,10 +93,10 @@ def test_lattice_block_message_round_trip_with_votes():
     payload = _lattice_block_msg(6, send, [vote])
 
     r = Reader(payload)
-    assert r.u8() == 10  # MSG_LAT_BLOCK
-    assert r.u64() == 6
+    assert r.fixed(_HEAD) == (10, 6)  # MSG_LAT_BLOCK, sender
     decoded = LatticeBlock.decode(r)
-    votes = r.list_(VoteRecord.decode)
+    (count,) = r.fixed(codec.U32)
+    votes = [VoteRecord.decode(r) for _ in range(count)]
     r.expect_end()
     assert decoded.digest() == send.digest()
     assert votes == [vote]

@@ -1,6 +1,7 @@
 """Discrete-event network: ordering, links, partitions, reproducibility."""
 
 import hashlib
+import struct
 
 import pytest
 
@@ -181,7 +182,7 @@ def test_trace_digest_hashes_each_event_record():
             (0.1, 3, SimEventKind.MESSAGE, 1, b"hello"),
             (0.25, 2, SimEventKind.COMMAND, DRIVER_DESTINATION, b""),
             (0.75, 1, SimEventKind.TIMER, 1, b"tick")]:
-        expected.update(codec.enc_f64(at) + codec.enc_u64(seq)
+        expected.update(struct.pack(">d", at) + codec.enc_u64(seq)
                         + codec.enc_u8(kind.value) + codec.enc_u64(dest)
                         + digest(payload))
     assert sim.trace_digest() == expected.hexdigest()
