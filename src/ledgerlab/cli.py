@@ -155,12 +155,15 @@ def _read_csv_rows(path: str) -> list[tuple]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             return []
-        for line in fh:
+        for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 6:
                 continue
             scenario, seed, metric, unit, stat, value = parts
-            rows.append((scenario, int(seed), metric, unit, stat, float(value)))
+            try:
+                rows.append((scenario, int(seed), metric, unit, stat, float(value)))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {ln}: {exc}") from exc
     return rows
 
 

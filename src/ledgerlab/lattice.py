@@ -429,16 +429,13 @@ class LatticeLedger:
     def __init__(self, genesis: dict[str, tuple[int, str]],
                  spam_bits: int = 0,
                  quorum_fraction: float = DEFAULT_QUORUM_FRACTION,
-                 cement_delay_s: float = 0.0,
                  gap_buffer: int = DEFAULT_GAP_BUFFER):
         self.spam_bits = spam_bits
         self.quorum_fraction = quorum_fraction
-        self.cement_delay_s = cement_delay_s
 
         self.accounts: dict[str, AccountChain] = {}
         self.pending: dict[bytes, PendingSend] = {}
         self.settled_of: dict[bytes, tuple[str, bytes]] = {}  # send -> (recipient, receive)
-        self.adoption_time: dict[bytes, float] = {}
         self.seen: set[bytes] = set()
 
         self.conflicts: dict[tuple[str, bytes], Conflict] = {}
@@ -470,7 +467,7 @@ class LatticeLedger:
                                 BlockKind.GENESIS, amount=amount,
                                 new_representative=self.name(representative),
                                 spam_bits=spam_bits)
-            self._apply(block, now=0.0)
+            self._apply(block)
         self.genesis_supply = self.total_balance
 
     # -- queries ------------------------------------------------------------
@@ -633,56 +630,34 @@ class LatticeLedger:
                 return LatticeVerdict.UNKNOWN_REFERENCE, "unknown representative"
         return LatticeVerdict.ACCEPT, ""
 
-    # -- cementing ----------------------------------------------------------
-
-    def cement_eligible(self, block: LatticeBlock, now: float) -> bool:
-        """True when the block is settled and conflict-free past the delay.
-
-        Cementing is an opt-in switch: with a zero delay it always reports
-        False and conflicts fall through to voting.
-        """
-        if self.cement_delay_s == 0:
-            return False
-        d = block.digest()
-        adopted = self.adoption_time.get(d)
-        if adopted is None or now - adopted < self.cement_delay_s:
-            return False
-        open_conflict = self.conflicts.get((block.account, block.predecessor))
-        if open_conflict is not None and open_conflict.resolved is None:
-            return False
-        if block.kind is _SEND and d not in self.settled_of:
-            return False
-        return True
-
     # -- the single entry point for blocks off the wire ---------------------
 
-    def receive_block(self, block: LatticeBlock, now: float,
-                      votes: Iterable[VoteRecord] = ()) -> Outcome:
+    def receive_block(self, block: LatticeBlock, votes: Iterable[VoteRecord] = ()) -> Outcome:
         outcome = Outcome()
         for v in votes:
-            self._record_vote(v, now, outcome)
+            self._record_vote(v, outcome)
         outcome.status, outcome.verdict, outcome.detail, released = \
-            self._process(block, now, outcome)
-        self._drain(released, now, outcome)
+            self._process(block, outcome)
+        self._drain(released, outcome)
         self.check_conservation()
         return outcome
 
-    def add_vote(self, vote: VoteRecord, now: float) -> Outcome:
+    def add_vote(self, vote: VoteRecord) -> Outcome:
         outcome = Outcome()
-        self._record_vote(vote, now, outcome)
+        self._record_vote(vote, outcome)
         self.check_conservation()
         return outcome
 
     # -- internals ----------------------------------------------------------
 
-    def _drain(self, queue: list[LatticeBlock], now: float, outcome: Outcome) -> None:
+    def _drain(self, queue: list[LatticeBlock], outcome: Outcome) -> None:
         """Process released blocks first in, first out; each appends its own."""
         i = 0
         while i < len(queue):
-            queue.extend(self._process(queue[i], now, outcome)[3])
+            queue.extend(self._process(queue[i], outcome)[3])
             i += 1
 
-    def _process(self, block: LatticeBlock, now: float, outcome: Outcome
+    def _process(self, block: LatticeBlock, outcome: Outcome
                  ) -> tuple[OutcomeStatus, LatticeVerdict, str, list[LatticeBlock]]:
         """Settle one block; returns (status, verdict, detail, released)."""
         d = block.digest()
@@ -699,19 +674,14 @@ class LatticeLedger:
         verdict, detail = self.validate_block(block)
 
         if verdict is LatticeVerdict.ACCEPT:
-            self._apply(block, now)
+            self._apply(block)
             outcome.applied.append(block)
             return OutcomeStatus.APPLIED, verdict, detail, self._release_parked(d)
 
         if verdict is LatticeVerdict.FORK_DETECTED and block.kind is not BlockKind.GENESIS:
-            chain = self.accounts[block.account]
-            incumbent = chain.successor_of(block.predecessor)
-            held = chain.blocks.get(incumbent)
-            if held is not None and self.cement_eligible(held, now):
-                return OutcomeStatus.REJECTED, verdict, "incumbent block is cemented", []
+            incumbent = self.accounts[block.account].successor_of(block.predecessor)
             self._open_conflict(block, incumbent, outcome)
-            return (OutcomeStatus.CONFLICT, verdict, detail,
-                    self._try_resolve(key, now, outcome))
+            return OutcomeStatus.CONFLICT, verdict, detail, self._try_resolve(key, outcome)
 
         if verdict is LatticeVerdict.GAP_DETECTED:
             missing = block.predecessor
@@ -728,7 +698,7 @@ class LatticeLedger:
             self.seen.discard(block.digest())  # allow a fresh pass
         return released
 
-    def _record_vote(self, vote: VoteRecord, now: float, outcome: Outcome) -> None:
+    def _record_vote(self, vote: VoteRecord, outcome: Outcome) -> None:
         ballot = self.votes.setdefault(vote.subject, {})
         prior = ballot.get(vote.representative)
         if prior == vote:
@@ -738,7 +708,7 @@ class LatticeLedger:
         ballot[vote.representative] = vote
         key = self.conflict_of.get(vote.choice)
         if key is not None and key[1] == vote.subject:
-            self._drain(self._try_resolve(key, now, outcome), now, outcome)
+            self._drain(self._try_resolve(key, outcome), outcome)
 
     def _open_conflict(self, newcomer: LatticeBlock, incumbent_digest: bytes,
                        outcome: Outcome) -> None:
@@ -755,8 +725,7 @@ class LatticeLedger:
         conflict.candidates[newcomer.digest()] = newcomer
         self.conflict_of[newcomer.digest()] = key
 
-    def _try_resolve(self, key: tuple[str, bytes], now: float,
-                     outcome: Outcome) -> list[LatticeBlock]:
+    def _try_resolve(self, key: tuple[str, bytes], outcome: Outcome) -> list[LatticeBlock]:
         """Settle an open conflict if its votes decide it; returns the
         parked blocks that the winner's arrival releases."""
         conflict = self.conflicts.get(key)
@@ -782,7 +751,7 @@ class LatticeLedger:
             winner_block = conflict.candidates.get(winner)
             verdict, _ = self.validate_block(winner_block)
             if verdict is LatticeVerdict.ACCEPT:
-                self._apply(winner_block, now)
+                self._apply(winner_block)
                 outcome.applied.append(winner_block)
                 released = self._release_parked(winner)
             else:
@@ -834,7 +803,7 @@ class LatticeLedger:
         self._bytes_pending -= len(pend.encode())
         return pend
 
-    def _apply(self, block: LatticeBlock, now: float) -> None:
+    def _apply(self, block: LatticeBlock) -> None:
         d = block.digest()
         chain = self.accounts[block.account]
         kind = block.kind
@@ -853,7 +822,6 @@ class LatticeLedger:
 
         chain.blocks[d] = block
         chain.order.append(d)
-        self.adoption_time[d] = now
         self._bytes_blocks += block.encoded_len()
 
     def _undo_to(self, account: str, target: bytes) -> list[bytes]:
@@ -892,7 +860,6 @@ class LatticeLedger:
 
             chain.order.pop()
             chain.blocks.pop(d, None)
-            self.adoption_time.pop(d, None)
             self._bytes_blocks -= block.encoded_len()
             discarded.append(d)
         return discarded

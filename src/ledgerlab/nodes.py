@@ -365,7 +365,7 @@ class LatticeNode:
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
-            work = [(block, ledger.receive_block(block, now, votes))]
+            work = [(block, ledger.receive_block(block, votes))]
             forwarded: set[bytes] = set()
             for block, outcome in work:  # signing a receive in appends to work
                 applied = outcome.applied
@@ -376,7 +376,7 @@ class LatticeNode:
                         vote = make_vote(identity_for(rep), subject=blk.predecessor,
                                          choice=blk.digest(),
                                          weight=ledger.representative_weight(rep))
-                        cast = ledger.add_vote(vote, now)
+                        cast = ledger.add_vote(vote)
                         outcome.conflicts_opened.extend(cast.conflicts_opened)
                         outcome.resolutions.extend(cast.resolutions)
                         applied.extend(cast.applied)
@@ -401,7 +401,7 @@ class LatticeNode:
                           and blk.digest() in ledger.pending):  # not received yet
                         receive = ledger.create_receive(
                             blk.counterparty, blk.digest(), counter=self.work)
-                        work.append((receive, ledger.receive_block(receive, now)))
+                        work.append((receive, ledger.receive_block(receive)))
                 if node_id == OBSERVER:
                     self._applied_since_sample += len(applied)
                     if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:

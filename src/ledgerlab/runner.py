@@ -115,7 +115,6 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
         ledger = LatticeLedger(
             genesis, spam_bits=cfg["lattice.spam_difficulty_bits"],
             quorum_fraction=cfg["lattice.quorum_fraction"],
-            cement_delay_s=cfg["lattice.cement_delay_s"],
             gap_buffer=cfg["lattice.gap_buffer"])
         hosted = tuple(a for a in roles.names if host_of[a] == i)
         nodes[i] = LatticeNode(

@@ -34,11 +34,18 @@ def _parse_partitions(raw: str) -> tuple[Partition, ...]:
             side_b = frozenset(int(x) for x in b.split(",") if x != "")
         except ValueError as exc:
             raise ValueError(f"bad partition window {chunk!r}") from exc
-        if end <= start or not side_a or not side_b or side_a & side_b:
+        if not start < end or not side_a or not side_b or side_a & side_b:
             raise ValueError(f"bad partition window {chunk!r}")
         out.append(Partition(start_s=start, end_s=end,
                              side_a=side_a, side_b=side_b))
     return tuple(out)
+
+
+def _bound_text(bound: float) -> str:
+    """`bound` in the fewest decimals that parse back exactly, at most 1,074 for
+    a double, with no exponent (the window syntax splits on "-"): "30", "30.5"."""
+    places = next(n for n in range(1075) if float(f"{bound:.{n}f}") == bound)
+    return f"{bound:.{places}f}"
 
 
 def _parse_list(kind: type):
@@ -104,7 +111,6 @@ SCHEMA: dict[str, tuple] = {
     "lattice.genesis_amount": (int, 1_000_000, _at_least(0)),
     "lattice.spam_difficulty_bits": (int, 0, _within(0, GRIND_BITS_LIMIT)),
     "lattice.quorum_fraction": (float, 0.5, (lambda v: 0 < v < 1, "in (0, 1)")),
-    "lattice.cement_delay_s": (float, 0.0, _at_least(0)),  # 0 = cementing off
     "lattice.gap_buffer": (int, 10_000, _at_least(0)),
     "lattice.send_rate_per_account_s": (float, 0.2, _at_least(0)),
     "lattice.max_amount": (int, 5, _at_least(1)),
@@ -193,7 +199,7 @@ class Config:
             val = self.values[key]
             if isinstance(val, tuple) and val and isinstance(val[0], Partition):
                 val = ";".join(
-                    f"{p.start_s:g}-{p.end_s:g}:"
+                    f"{_bound_text(p.start_s)}-{_bound_text(p.end_s)}:"
                     f"{','.join(str(i) for i in sorted(p.side_a))}|"
                     f"{','.join(str(i) for i in sorted(p.side_b))}"
                     for p in val)

@@ -7,6 +7,7 @@ import pytest
 
 from ledgerlab import cli
 from ledgerlab.cli import EXIT_BREACH, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from ledgerlab.metrics import CSV_HEADER
 
 
 def test_run_ok(tmp_path, capsys):
@@ -94,8 +95,9 @@ def test_negative_gap_buffer_is_usage_error(capsys):
      "chain.block_reward: -1 (expected at least 0)"),
     ("pos-baseline", ["pos.stakes=0,0,0,0"], "at least one positive stake"),
     ("pos-baseline", ["pos.stakes=100,-5,300,400"], "pos.stakes: -5 (expected at least 0)"),
-    ("nano-baseline", ["lattice.cement_delay_s=-1"],
-     "lattice.cement_delay_s: -1.0 (expected at least 0)"),
+    # a key outside the schema is refused by name, like a typo
+    ("nano-baseline", ["lattice.cement_delay_s=5"],
+     "unknown config key: lattice.cement_delay_s"),
     ("bitcoin-baseline", ["net.partitions=1-5:0|9"],
      "net.partitions names node 9, but net.nodes is 4"),
 ])
@@ -219,6 +221,18 @@ def test_compare_empty_dir(tmp_path, capsys):
 
 def test_compare_missing_dir(tmp_path):
     assert main(["compare", "--out", str(tmp_path / "void")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("row", ["nano-baseline,one,measured-tps,tx/s,value,1.5",
+                                 "nano-baseline,1,measured-tps,tx/s,value,abc"])
+def test_compare_malformed_csv_is_a_usage_error(tmp_path, capsys, row):
+    path = tmp_path / "broken.csv"
+    path.write_text(f"{CSV_HEADER}\nnano-baseline,1,measured-tps,tx/s,value,2.0\n{row}\n")
+    rc = main(["compare", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert f"{path} line 3" in err
+    assert "Traceback" not in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -476,14 +476,14 @@ def _context_ledger():
     ledger = LatticeLedger({"carol": (100, "carol"), "home": (40, "home"),
                             "zoë": (10, "carol")})
     send = ledger.create_send("carol", "home", 30)
-    ledger.receive_block(send, 0.0)
-    ledger.receive_block(ledger.create_receive("home", send.digest()), 0.0)
+    ledger.receive_block(send)
+    ledger.receive_block(ledger.create_receive("home", send.digest()))
     rep_change = ledger.create_rep_change("zoë", "home")
-    ledger.receive_block(rep_change, 0.0)
+    ledger.receive_block(rep_change)
     for rep, block in (("carol", send), ("home", send), ("home", rep_change)):
         vote = make_vote(identity_for(rep), block.predecessor, block.digest(),
                          ledger.representative_weight(rep))
-        ledger.add_vote(vote, 1.0)
+        ledger.add_vote(vote)
     return ledger
 
 

@@ -1,5 +1,6 @@
 """Source hygiene: no dead imports, no config key that nothing reads, no
-definition that only tests reach, and no class field that nothing reads.
+definition that only tests reach, no class field that nothing reads, and no
+parameter that its function never reads.
 
 The checks parse the package with `ast`, so they see the code as written,
 not as imported.
@@ -43,6 +44,22 @@ UNREAD_FIELDS = {
 }
 
 
+# Parameters that their function never reads, and why each stays: every
+# implementation of an interface takes what the caller passes to all of them.
+INTERFACE_PARAMS = {
+    "ProofRule.check(store, block)": "the proof rule interface; subclasses read them",
+    "LotteryProof.check(store, block)": "ChainStore.validate_block calls every rule alike",
+    "PosProof.check(store)": "ChainStore.validate_block calls every rule alike",
+    "LatticeNode.start(sim)": "the runner starts every node alike",
+    "LatticeNode.on_timer(sim, now, payload)": "Simulation.run fires every node's timers alike",
+    "SimNode.on_message(sim, now, payload)": "the node interface; subclasses read them",
+    "SimNode.on_timer(sim, now, payload)": "the node interface; subclasses read them",
+    "ChainTxDriver.on_command(now, payload)": "MultiDriver calls every driver alike",
+    "LatticeSendDriver.on_command(payload)": "MultiDriver calls every driver alike",
+    "ForkInjectionDriver.on_command(payload)": "MultiDriver calls every driver alike",
+}
+
+
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(PACKAGE.glob("*.py"))}
@@ -78,13 +95,13 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def _definitions(tree: ast.Module, owner: str = "") -> list[tuple[str, str]]:
-    """(qualified name, name) of every function, method and class."""
+def _definitions(tree: ast.AST, owner: str = "") -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of every function, method and class."""
     out = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
             qualified = f"{owner}.{node.name}" if owner else node.name
-            out.append((qualified, node.name))
+            out.append((qualified, node))
             out.extend(_definitions(node, qualified))
     return out
 
@@ -96,9 +113,9 @@ def _unreferenced(modules: dict[str, ast.Module]) -> list[str]:
         named |= _used_names(tree)
         named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(qualified for tree in modules.values()
-                  for qualified, name in _definitions(tree)
-                  if name not in named
-                  and not (name.startswith("__") and name.endswith("__")))
+                  for qualified, node in _definitions(tree)
+                  if node.name not in named
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def _strings_and_attributes(tree: ast.Module) -> set[str]:
@@ -215,3 +232,42 @@ def test_an_unread_field_is_caught():
         "    def show(self):\n        return self.shown\n")
     unread = _unread_fields(modules, _readers() + [modules["extra"]])
     assert set(unread) - set(UNREAD_FIELDS) == {"Probe.stored_only", "Probe.counter"}
+
+
+def _unread_params(modules: dict[str, ast.Module]) -> list[str]:
+    """Each function with a parameter, other than self or cls, that its body
+    never loads, as "function(param, ...)"."""
+    out = []
+    for tree in modules.values():
+        for qualified, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [v for v in (args.vararg, args.kwarg) if v]]
+            loaded = {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread = [p for p in params if p not in loaded and p not in ("self", "cls")]
+            if unread:
+                out.append(f"{qualified}({', '.join(unread)})")
+    return sorted(out)
+
+
+def test_no_parameter_is_unread():
+    unread = _unread_params(_modules())
+    assert [q for q in unread if q not in INTERFACE_PARAMS] == []
+    # an entry whose parameter is gone, or is now read, goes too
+    assert [q for q in INTERFACE_PARAMS if q not in unread] == []
+
+
+def test_an_unread_parameter_is_caught():
+    modules = _modules()
+    modules["extra"] = ast.parse(
+        "class Probe:\n"
+        "    def method(self, used, carried):\n        return used\n"
+        "    @classmethod\n    def make(cls, *args, **kw):\n        return cls(*args)\n"
+        "def helper(a, b=0, *, c):\n"
+        "    def inner():\n        return a\n"
+        "    return inner\n")
+    assert set(_unread_params(modules)) - set(INTERFACE_PARAMS) == {
+        "Probe.method(carried)", "Probe.make(kw)", "helper(b, c)"}

@@ -32,8 +32,8 @@ def _ledger(**kw):
     return LatticeLedger(genesis, **kw)
 
 
-def _apply(ledger, block, now=1.0, votes=()):
-    outcome = ledger.receive_block(block, now, votes=votes)
+def _apply(ledger, block, votes=()):
+    outcome = ledger.receive_block(block, votes=votes)
     return outcome
 
 
@@ -65,7 +65,7 @@ def test_send_then_receive_moves_value():
     assert ledger.pending[send.digest()].recipient == "w2"
 
     recv = ledger.create_receive("w2", send.digest())
-    out2 = _apply(ledger, recv, now=2.0)
+    out2 = _apply(ledger, recv)
     assert out2.status is OutcomeStatus.APPLIED
     assert ledger.balance("w2") == 230
     assert ledger.total_pending == 0
@@ -167,7 +167,7 @@ def test_gap_parks_until_predecessor_arrives():
     ledger = _ledger()
     feeder = _ledger()
     s1 = feeder.create_send("a", "w2", 5)
-    feeder.receive_block(s1, 0.5)
+    feeder.receive_block(s1)
     s2 = feeder.create_send("a", "w2", 7)
 
     out = _apply(ledger, s2)
@@ -186,11 +186,11 @@ def test_released_blocks_settle_first_in_first_out():
     ledger = _ledger()
     feeder = _ledger()
     s1 = feeder.create_send("a", "w2", 5)
-    feeder.receive_block(s1, 0.5)
+    feeder.receive_block(s1)
     s2 = feeder.create_send("a", "w2", 7)
-    feeder.receive_block(s2, 0.5)
+    feeder.receive_block(s2)
     s3 = feeder.create_send("a", "w2", 1)
-    feeder.receive_block(s3, 0.5)
+    feeder.receive_block(s3)
     r1 = feeder.create_receive("w2", s1.digest())
     for blk in (s2, s3, r1):  # all wait, directly or not, on s1
         assert _apply(ledger, blk).status is OutcomeStatus.PARKED
@@ -207,7 +207,7 @@ def test_gap_buffer_evicts_oldest():
     blocks = []
     for i in range(4):
         s = feeder.create_send("a", "w2", 1 + i)
-        feeder.receive_block(s, 0.5)
+        feeder.receive_block(s)
         blocks.append(s)
     # deliver the three successors of the missing first block, newest last
     for s in blocks[1:]:
@@ -256,14 +256,14 @@ def test_fork_opens_conflict_and_majority_resolves():
     fork_point, s1, s2 = _conflicting_sends(ledger)
     assert _apply(ledger, s1).status is OutcomeStatus.APPLIED
 
-    out = _apply(ledger, s2, now=2.0)
+    out = _apply(ledger, s2)
     assert out.status is OutcomeStatus.CONFLICT
     assert out.verdict is LatticeVerdict.FORK_DETECTED
     assert ledger.open_conflicts() == [("a", fork_point)]
 
     # 800 of 1000 delegated weight backs the newcomer: supermajority flips it
     vote = make_vote(identity_for("w8"), fork_point, s2.digest(), 800)
-    res_out = ledger.add_vote(vote, 3.0)
+    res_out = ledger.add_vote(vote)
     assert [r.winner for r in res_out.resolutions] == [s2.digest()]
     assert ledger.conflicts[("a", fork_point)].resolved == s2.digest()
     assert ledger.accounts["a"].head == s2.digest()
@@ -273,10 +273,10 @@ def test_fork_opens_conflict_and_majority_resolves():
     assert not ledger.open_conflicts()
 
     # the loser is already seen, and a fresh third fork is dead on arrival
-    assert _apply(ledger, s1, now=4.0).status is OutcomeStatus.DUPLICATE
+    assert _apply(ledger, s1).status is OutcomeStatus.DUPLICATE
     s3 = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                      amount=1, counterparty="w8")
-    rej = _apply(ledger, s3, now=5.0)
+    rej = _apply(ledger, s3)
     assert rej.status is OutcomeStatus.REJECTED
     assert rej.verdict is LatticeVerdict.FORK_DETECTED
 
@@ -285,9 +285,9 @@ def test_incumbent_survives_when_majority_backs_it():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     vote = make_vote(identity_for("w8"), fork_point, s1.digest(), 800)
-    ledger.add_vote(vote, 3.0)
+    ledger.add_vote(vote)
     assert ledger.conflicts[("a", fork_point)].resolved == s1.digest()
     assert ledger.accounts["a"].head == s1.digest()
     assert ledger.balance("a") == 90
@@ -298,11 +298,11 @@ def test_votes_accumulate_to_quorum():
                               "r2": (600, "r2")})
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     # 400 of 1000 is under the 0.5 quorum: stays open
-    ledger.add_vote(make_vote(identity_for("r1"), fork_point, s2.digest(), 400), 3.0)
+    ledger.add_vote(make_vote(identity_for("r1"), fork_point, s2.digest(), 400))
     assert ledger.open_conflicts() == [("a", fork_point)]
-    out = ledger.add_vote(make_vote(identity_for("r2"), fork_point, s2.digest(), 600), 4.0)
+    out = ledger.add_vote(make_vote(identity_for("r2"), fork_point, s2.digest(), 600))
     assert [r.winner for r in out.resolutions] == [s2.digest()]
     assert not ledger.open_conflicts()
 
@@ -315,7 +315,7 @@ def test_exact_tie_is_flagged_and_stays_open():
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
     # both votes land with the fork so the first tally already sees the split
-    out = _apply(ledger, s2, now=2.0, votes=[
+    out = _apply(ledger, s2, votes=[
         make_vote(identity_for("r1"), fork_point, s1.digest(), 500),
         make_vote(identity_for("r2"), fork_point, s2.digest(), 500),
     ])
@@ -324,7 +324,7 @@ def test_exact_tie_is_flagged_and_stays_open():
     assert ledger.open_conflicts() == [("a", fork_point)]
     assert ledger.accounts["a"].head == s1.digest()  # incumbent holds
     # a third representative breaks the tie: the flag goes with it
-    ledger.add_vote(make_vote(identity_for("r3"), fork_point, s1.digest(), 100), 3.0)
+    ledger.add_vote(make_vote(identity_for("r3"), fork_point, s1.digest(), 100))
     assert ledger.conflicts[("a", fork_point)].resolved == s1.digest()
     assert ledger.flagged_ties == []
 
@@ -333,10 +333,10 @@ def test_first_vote_per_rep_and_subject_stands():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
-    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200), 3.0)
+    _apply(ledger, s2)
+    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200))
     # the same representative trying to flip is ignored
-    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s2.digest(), 200), 4.0)
+    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s2.digest(), 200))
     assert ledger.conflicts[("a", fork_point)].resolved is None
     assert ledger.votes[fork_point]["w2"].choice == s1.digest()
 
@@ -345,14 +345,14 @@ def test_a_vote_counts_only_on_its_own_subject():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     # w8 holds 800 of 1000, but names the wrong slot: the conflict stays open
     elsewhere = ledger.accounts["w8"].head
-    out = ledger.add_vote(make_vote(identity_for("w8"), elsewhere, s2.digest(), 800), 3.0)
+    out = ledger.add_vote(make_vote(identity_for("w8"), elsewhere, s2.digest(), 800))
     assert out.resolutions == []
     assert ledger.open_conflicts() == [("a", fork_point)]
     # the same representative on the right subject decides it
-    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800), 4.0)
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800))
     assert [r.winner for r in out.resolutions] == [s2.digest()]
     assert ledger.accounts["a"].head == s2.digest()
 
@@ -371,7 +371,7 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
     vote = make_vote(identity_for("r1"), fork_point, s2.digest(), 400)
-    _apply(ledger, s2, now=2.0, votes=[vote])
+    _apply(ledger, s2, votes=[vote])
     assert ledger.votes[fork_point] == {"r1": vote}
     before = _vote_state(ledger)
 
@@ -385,15 +385,15 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
     monkeypatch.setattr(lattice, "verify", counting_verify)
     again = VoteRecord.decode(Reader(vote.encode()))  # a fresh copy off the wire
     assert again == vote and again is not vote
-    assert ledger.add_vote(again, 3.0) == Outcome()
-    dup = _apply(ledger, s2, now=4.0, votes=[again])
+    assert ledger.add_vote(again) == Outcome()
+    dup = _apply(ledger, s2, votes=[again])
     assert dup == Outcome(status=OutcomeStatus.DUPLICATE)
     assert verified == []
     assert _vote_state(ledger) == before
 
     # a vote that differs in any byte is still verified, then ignored
     heavier = make_vote(identity_for("r1"), fork_point, s2.digest(), 401)
-    ledger.add_vote(heavier, 5.0)
+    ledger.add_vote(heavier)
     assert len(verified) == 1
     assert ledger.votes[fork_point] == {"r1": vote}
 
@@ -402,16 +402,16 @@ def test_vote_for_a_candidate_that_joined_later_counts():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     s3 = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                      amount=5, counterparty="w8")
-    out = _apply(ledger, s3, now=3.0)
+    out = _apply(ledger, s3)
     assert out.status is OutcomeStatus.CONFLICT
     assert out.conflicts_opened == []  # joined the open conflict
     assert sorted(ledger.conflicts[("a", fork_point)].candidates) == sorted(
         [s1.digest(), s2.digest(), s3.digest()])
 
-    res = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s3.digest(), 800), 4.0)
+    res = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s3.digest(), 800))
     assert [r.winner for r in res.resolutions] == [s3.digest()]
     assert ledger.accounts["a"].head == s3.digest()
     assert ledger.balance("a") == 95
@@ -424,15 +424,15 @@ def test_losing_branch_rollback_cascades_through_receives():
     s1 = ledger.create_send("a", "b", 50)
     _apply(ledger, s1)
     r1 = ledger.create_receive("b", s1.digest())
-    _apply(ledger, r1, now=2.0)
+    _apply(ledger, r1)
     assert ledger.balance("b") == 100
 
     s2 = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                      amount=60, counterparty="w2")
-    out = _apply(ledger, s2, now=3.0)
+    out = _apply(ledger, s2)
     assert out.status is OutcomeStatus.CONFLICT
     res = ledger.add_vote(
-        make_vote(identity_for("w8"), fork_point, s2.digest(), 800), 4.0)
+        make_vote(identity_for("w8"), fork_point, s2.digest(), 800))
     assert [r.winner for r in res.resolutions] == [s2.digest()]
 
     # the receive on b's chain was built on the discarded send: unwound too
@@ -450,10 +450,10 @@ def test_two_candidate_resolution_carries_both_tallies():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     assert ledger.rep_weight == {"w8": 790, "w2": 200}  # s1's 10 is pending
-    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200), 3.0)
-    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 790), 4.0)
+    ledger.add_vote(make_vote(identity_for("w2"), fork_point, s1.digest(), 200))
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 790))
     assert out.resolutions == [lattice.Resolution(
         account="a", subject=fork_point, winner=s2.digest(),
         discarded=(s1.digest(),), winner_applied=True,
@@ -467,8 +467,8 @@ def test_three_candidate_runner_up_is_the_largest_loser():
     sends = [build_block(identity_for("a"), fork_point, BlockKind.SEND,
                          amount=amount, counterparty=to)
              for amount, to in ((10, "r1"), (20, "r2"), (30, "r3"))]
-    for i, send in enumerate(sends):
-        _apply(ledger, send, now=1.0 + i)
+    for send in sends:
+        _apply(ledger, send)
     assert ledger.rep_weight == {"r1": 100, "r2": 250, "r3": 640}
 
     def vote(rep, send):
@@ -476,8 +476,8 @@ def test_three_candidate_runner_up_is_the_largest_loser():
                          ledger.representative_weight(rep))
 
     for rep, send in (("r1", sends[0]), ("r2", sends[1])):
-        assert ledger.add_vote(vote(rep, send), 5.0).resolutions == []  # under quorum
-    (res,) = ledger.add_vote(vote("r3", sends[2]), 6.0).resolutions
+        assert ledger.add_vote(vote(rep, send)).resolutions == []  # under quorum
+    (res,) = ledger.add_vote(vote("r3", sends[2])).resolutions
     assert res.winner == sends[2].digest()
     assert (res.winner_weight, res.runner_up) == (640, 250)
     assert res.discarded == (sends[0].digest(),)
@@ -490,9 +490,9 @@ def test_resolution_for_a_winner_that_no_longer_applies():
     overspend = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                             amount=1_000, counterparty="w8")
     _apply(ledger, s1)
-    assert _apply(ledger, overspend, now=2.0).status is OutcomeStatus.CONFLICT
+    assert _apply(ledger, overspend).status is OutcomeStatus.CONFLICT
     out = ledger.add_vote(
-        make_vote(identity_for("w8"), fork_point, overspend.digest(), 790), 3.0)
+        make_vote(identity_for("w8"), fork_point, overspend.digest(), 790))
     (res,) = out.resolutions
     assert not res.winner_applied
     assert (res.winner, res.discarded) == (overspend.digest(), (s1.digest(),))
@@ -539,14 +539,14 @@ def test_rep_change_on_a_losing_branch_rolls_back():
     change = ledger.create_rep_change("a", "w2")
     _apply(ledger, change)
     later = ledger.create_send("a", "w8", 30)
-    _apply(ledger, later, now=2.0)
+    _apply(ledger, later)
     assert ledger.accounts["a"].representative == "w2"
     assert ledger.rep_weight == {"w8": 700, "w2": 270}
 
     rival = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                         amount=20, counterparty="w8")
-    assert _apply(ledger, rival, now=3.0).status is OutcomeStatus.CONFLICT
-    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, rival.digest(), 700), 4.0)
+    assert _apply(ledger, rival).status is OutcomeStatus.CONFLICT
+    out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, rival.digest(), 700))
     (res,) = out.resolutions
     assert res.discarded == (later.digest(), change.digest())
 
@@ -558,46 +558,6 @@ def test_rep_change_on_a_losing_branch_rolls_back():
     assert ledger.recount_bytes() == ledger.ledger_bytes()
 
 
-# -- cementing --------------------------------------------------------------
-
-
-def test_cementing_disabled_reports_false():
-    ledger = _ledger()
-    send = ledger.create_send("a", "w2", 5)
-    _apply(ledger, send)
-    assert not ledger.cement_eligible(send, now=1e9)
-
-
-def test_cementing_settles_after_delay_and_blocks_forks():
-    ledger = _ledger(cement_delay_s=5.0)
-    fork_point = ledger.accounts["a"].head
-    send = ledger.create_send("a", "w2", 5)
-    _apply(ledger, send, now=1.0)
-    # unsettled sends never cement
-    assert not ledger.cement_eligible(send, now=100.0)
-    recv = ledger.create_receive("w2", send.digest())
-    _apply(ledger, recv, now=2.0)
-    assert not ledger.cement_eligible(send, now=4.0)  # delay not met
-    assert ledger.cement_eligible(send, now=6.5)
-    assert not ledger.cement_eligible(recv, now=6.5)
-    assert ledger.cement_eligible(recv, now=7.5)
-
-    rival = build_block(identity_for("a"), fork_point, BlockKind.SEND,
-                        amount=7, counterparty="w2")
-    out = _apply(ledger, rival, now=8.0)
-    assert out.status is OutcomeStatus.REJECTED
-    assert out.detail == "incumbent block is cemented"
-    assert not ledger.open_conflicts()
-
-
-def test_fork_before_cement_delay_still_opens():
-    ledger = _ledger(cement_delay_s=50.0)
-    fork_point, s1, s2 = _conflicting_sends(ledger)
-    _apply(ledger, s1, now=1.0)
-    out = _apply(ledger, s2, now=2.0)
-    assert out.status is OutcomeStatus.CONFLICT
-
-
 # -- tiers and pruning ------------------------------------------------------
 
 
@@ -606,10 +566,10 @@ def _stream(n=4):
     blocks = []
     for i in range(n):
         s = feeder.create_send("a", "w2", 1 + i)
-        feeder.receive_block(s, 0.5)
+        feeder.receive_block(s)
         blocks.append(s)
         r = feeder.create_receive("w2", s.digest())
-        feeder.receive_block(r, 0.6)
+        feeder.receive_block(r)
         blocks.append(r)
     return blocks
 
@@ -656,7 +616,7 @@ def test_prune_skips_accounts_with_open_conflicts():
     ledger = _ledger()
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
-    _apply(ledger, s2, now=2.0)
+    _apply(ledger, s2)
     report = ledger.prune_to_current()
     assert "a" in report.skipped_accounts
     assert fork_point in ledger.accounts["a"].blocks  # not the head: kept, not pruned
@@ -672,6 +632,6 @@ def test_byte_counters_match_recount_after_churn():
     recv = ledger.create_receive(ledger.pending[s1.digest()].recipient,
                                  s1.digest())
     _apply(ledger, recv)
-    _apply(ledger, s2, now=2.0)
-    ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800), 3.0)
+    _apply(ledger, s2)
+    ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800))
     assert ledger.recount_bytes() == ledger.ledger_bytes()

@@ -424,7 +424,7 @@ def test_a_held_block_with_a_flipped_signature_byte_is_decoded_fresh_and_refused
 
     assert fresh.digest() not in node.ledger.accounts["carol"].blocks
     assert fresh.signature.tag != send.signature.tag
-    out = node.ledger.receive_block(fresh, 2.0)
+    out = node.ledger.receive_block(fresh)
     assert out.verdict is LatticeVerdict.BAD_SIGNATURE
     assert len(calls) == 1
 
@@ -467,7 +467,7 @@ def test_a_block_of_an_account_the_ledger_does_not_know_decodes_fresh():
     assert fresh is not stranger and fresh == stranger
     assert fresh._sd == stranger.signing_digest()
     assert fresh.counterparty is node.ledger.accounts["home"].account
-    assert node.ledger.receive_block(fresh, 1.0).verdict \
+    assert node.ledger.receive_block(fresh).verdict \
         is LatticeVerdict.UNKNOWN_REFERENCE
 
 
@@ -491,7 +491,7 @@ def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
     assert fresh is not held and fresh == loser
     # the ledger saw it before the rollback, as it did when every decode
     # was fresh
-    assert node.ledger.receive_block(fresh, 3.0).status is OutcomeStatus.DUPLICATE
+    assert node.ledger.receive_block(fresh).status is OutcomeStatus.DUPLICATE
     assert node.ledger.head("carol") == winner.digest()
 
 

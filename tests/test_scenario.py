@@ -131,6 +131,8 @@ def test_partition_syntax():
     assert len(multi["net.partitions"]) == 2
     with pytest.raises(ConfigError):
         _cfg(MINIMAL_CHAIN + "net.partitions = nonsense\n")
+    with pytest.raises(ConfigError, match="bad partition window"):
+        _cfg(MINIMAL_CHAIN + "net.partitions = nan-5:0|1\n")
     with pytest.raises(ConfigError, match="names node -1"):
         _cfg(MINIMAL_CHAIN + "net.partitions = 1-2:-1|0\n")
 
@@ -143,6 +145,17 @@ def test_snapshot_lines_are_canonical():
     # canonical text parses back to the same snapshot
     reparsed = _cfg("\n".join(lines))
     assert reparsed.snapshot_lines() == lines
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *((name, []) for name in sorted(PRESETS)),
+    # bounds past six significant digits, tiny, huge and open-ended
+    ("partition-stress",
+     ["net.partitions=0.00001-2:0|1;30.1234567-1234567.5:0,1|2,3;1e17-inf:0|3"]),
+])
+def test_snapshot_reproduces_the_config(name, overrides):
+    cfg = preset_config(name, overrides)
+    assert build_config(parse_config_text("\n".join(cfg.snapshot_lines()))) == cfg
 
 
 def test_presets_all_validate():
