@@ -68,7 +68,7 @@ class SyncError(LedgerError):
 _TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ChainTransaction(WireObject):
     sender: str
     recipient: str
@@ -136,16 +136,16 @@ class ChainTransaction(WireObject):
             raise CodecError("invalid utf-8") from exc
         tx = cls(sender, recipient, *_TX_NUMBERS.unpack_from(data, d),
                  Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, f)))
-        object.__setattr__(tx, "_sd", digest(data[start:d + 24]))
-        object.__setattr__(tx, "_digest", tx_digest)
-        object.__setattr__(tx, "_size", end - start)
+        tx._sd = digest(data[start:d + 24])
+        tx._digest = tx_digest
+        tx._size = end - start
         return tx
 
     def verify_signature(self) -> bool:
         ok = self._verified
         if ok is None:
             ok = verify(self.signature, self.sender, self.signing_digest())
-            object.__setattr__(self, "_verified", ok)
+            self._verified = ok
         return ok
 
 
@@ -174,7 +174,7 @@ _HEADER_FIELDS = struct.Struct(">32s32s32sQdQI")
 # predecessor, tx and state roots, height, timestamp, nonce, producer length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BlockHeader(WireObject):
     predecessor: bytes  # zero digest marks genesis
     tx_root: bytes
@@ -216,7 +216,7 @@ class BlockHeader(WireObject):
         except UnicodeDecodeError as exc:
             raise CodecError("invalid utf-8") from exc
         header = cls(*fields, producer)
-        object.__setattr__(header, "_digest", digest(data[start:end]))
+        header._digest = digest(data[start:end])
         return header
 
     def work_digest(self) -> bytes:
@@ -224,7 +224,7 @@ class BlockHeader(WireObject):
         return digest(replace(self, nonce=0).encode())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[ChainTransaction, ...]

@@ -150,15 +150,23 @@ _CHAIN_MARKERS = {"measured-tps", "orphan-rate"}
 
 
 def _read_csv_rows(path: str) -> list[tuple]:
+    """The rows of a suite CSV; none, with a warning, for any other CSV.
+
+    A row without six fields, or whose seed or value does not parse, is a
+    ConfigError naming the file and line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
+            print(f"warning: skipping {path}: not a suite csv report",
+                  file=sys.stderr)
             return []
         for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 6:
-                continue
+                raise ConfigError(
+                    f"{path} line {ln}: expected 6 fields, got {len(parts)}")
             scenario, seed, metric, unit, stat, value = parts
             try:
                 rows.append((scenario, int(seed), metric, unit, stat, float(value)))

@@ -79,7 +79,7 @@ _VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
 _VOTE_FIELDS_SIGNER = struct.Struct(">32s32sQI")  # and the signer's length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LatticeBlock(WireObject):
     """One block on one account's chain.
 
@@ -193,9 +193,9 @@ class LatticeBlock(WireObject):
         block = cls(account, data[b:b + 32], kind, amount, counterparty, text,
                     U64.unpack_from(data, signed_end)[0],
                     Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, e)))
-        object.__setattr__(block, "_sd", digest(data[start:signed_end]))
-        object.__setattr__(block, "_digest", d)
-        object.__setattr__(block, "_size", end - start)
+        block._sd = digest(data[start:signed_end])
+        block._digest = d
+        block._size = end - start
         return block
 
     def verify_signature(self) -> bool:
@@ -230,7 +230,7 @@ class PendingSend:
                 + codec.enc_u64(self.amount))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VoteRecord(WireObject):
     """A representative's endorsement of one successor for a disputed slot."""
 
@@ -298,7 +298,7 @@ class VoteRecord(WireObject):
             representative, signer = ledger.name(representative), ledger.name(signer)
         vote = cls(representative, subject, choice, weight,
                    Signature(signer, payload_digest, tag))
-        object.__setattr__(vote, "_sd", digest(data[start:signed_end]))
+        vote._sd = digest(data[start:signed_end])
         return vote
 
     def verify_signature(self) -> bool:
@@ -488,6 +488,22 @@ class LatticeLedger:
         """
         chain = self.accounts.get(name)
         return name if chain is None else chain.account
+
+    def has_nothing_new(self, block: LatticeBlock, votes: Iterable[VoteRecord]) -> bool:
+        """True if `receive_block(block, votes)` can change nothing.
+
+        The block has been through `_process` (a genesis block is held but
+        never seen, so it does not count) and each vote is the very object
+        its ballot stores.
+        """
+        if block.digest() not in self.seen:
+            return False
+        stored = self.votes
+        for v in votes:
+            ballot = stored.get(v.subject)
+            if ballot is None or ballot.get(v.representative) is not v:
+                return False
+        return True
 
     def representative_weight(self, representative: str) -> int:
         """Sum of settled balances delegated to this representative."""

@@ -342,7 +342,8 @@ class LatticeNode:
         (count,) = r.fixed(codec.U32)
         votes = [VoteRecord.decode(r, ledger) for _ in range(count)]
         r.expect_end()
-        self._settle(sim, now, block, votes)
+        if not ledger.has_nothing_new(block, votes):
+            self._settle(sim, now, block, votes)
 
     def start(self, sim: Simulation) -> None:
         pass  # lattice behavior is purely reactive

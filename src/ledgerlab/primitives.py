@@ -72,7 +72,7 @@ def merkle_root(leaves: list[bytes]) -> bytes:
 # ---------------------------------------------------------------------------
 # Wire objects
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WireObject:
     """Base of the ledger's wire types: each digest and length computed once.
 
@@ -81,6 +81,12 @@ class WireObject:
     digest is taken over also gives the length); a subclass's
     `decode` may fill them from the bytes it consumed, and
     `dataclasses.replace` starts a copy empty.
+
+    Wire objects are plain slotted records, so a field or cache write is a
+    plain store, but they are write-once: no code assigns a field after
+    construction, and a cache is written only while it is `None`.
+    `tests/test_codec.py` runs the codec and short runs of both paradigms
+    under a guard that enforces this.
     """
 
     _sd: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
@@ -91,7 +97,7 @@ class WireObject:
         sd = self._sd
         if sd is None:
             sd = digest(self.signing_payload())
-            object.__setattr__(self, "_sd", sd)
+            self._sd = sd
         return sd
 
     def signed_by(self, identity: "Identity", **changes):
@@ -102,7 +108,7 @@ class WireObject:
         """
         sd = self.signing_digest()
         signed = replace(self, signature=sign(identity, sd), **changes)
-        object.__setattr__(signed, "_sd", sd)
+        signed._sd = sd
         return signed
 
     def digest(self) -> bytes:
@@ -110,8 +116,9 @@ class WireObject:
         if d is None:
             encoded = self.encode()
             d = digest(encoded)
-            object.__setattr__(self, "_digest", d)
-            object.__setattr__(self, "_size", len(encoded))
+            self._digest = d
+            if self._size is None:  # encoded_len() may have filled it
+                self._size = len(encoded)
         return d
 
     def encoded_len(self) -> int:
@@ -119,7 +126,7 @@ class WireObject:
         n = self._size
         if n is None:
             n = len(self.encode())
-            object.__setattr__(self, "_size", n)
+            self._size = n
         return n
 
 
@@ -185,7 +192,7 @@ def identity_for(identity_id: str) -> Identity:
 SIGNATURE_DIGESTS = struct.Struct(">32s32s")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Signature:
     signer: str
     payload_digest: bytes

@@ -224,7 +224,8 @@ def test_compare_missing_dir(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["nano-baseline,one,measured-tps,tx/s,value,1.5",
-                                 "nano-baseline,1,measured-tps,tx/s,value,abc"])
+                                 "nano-baseline,1,measured-tps,tx/s,value,abc",
+                                 "nano-baseline,2,measured-tps,tx/s,value"])
 def test_compare_malformed_csv_is_a_usage_error(tmp_path, capsys, row):
     path = tmp_path / "broken.csv"
     path.write_text(f"{CSV_HEADER}\nnano-baseline,1,measured-tps,tx/s,value,2.0\n{row}\n")
@@ -233,6 +234,18 @@ def test_compare_malformed_csv_is_a_usage_error(tmp_path, capsys, row):
     assert rc == EXIT_USAGE
     assert f"{path} line 3" in err
     assert "Traceback" not in err
+
+
+def test_compare_names_a_csv_it_skips(tmp_path, capsys):
+    (tmp_path / "suite.csv").write_text(
+        f"{CSV_HEADER}\nnano-baseline,1,settled-tps,tx/s,value,2.0\n")
+    foreign = tmp_path / "other.csv"
+    foreign.write_text("a,b\n1,2\n")
+    rc = main(["compare", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK
+    assert "nano-baseline" in captured.out
+    assert f"skipping {foreign}" in captured.err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -24,7 +24,9 @@ from ledgerlab.lattice import (
     build_block,
     make_vote,
 )
-from ledgerlab.primitives import ZERO_DIGEST, Signature, digest, identity_for
+from ledgerlab.primitives import ZERO_DIGEST, Signature, WireObject, digest, identity_for
+from ledgerlab.runner import run
+from ledgerlab.scenario import preset_config
 
 U8 = struct.Struct(">B")
 DIGEST = struct.Struct(">32s")
@@ -651,3 +653,63 @@ def test_kernel_encoders_refuse_near_types(obj, name, domain, signed):
     for bad in (True, "1.0"):
         with pytest.raises(CodecError):
             replace(_HEADER, timestamp=bad).encode()
+
+
+# ---------------------------------------------------------------------------
+# Wire objects are write-once: each public field is set once, by the
+# constructor, and each cache only while it is None. The types are plain
+# slotted records, so this guard, not the type, checks it.
+
+CACHES = ("_sd", "_digest", "_size", "_verified")
+WIRE_TYPES = [*WireObject.__subclasses__(), Signature, Block]
+
+
+def _write_once_setattr(self, name, value):
+    if name in CACHES:
+        if getattr(self, name, None) is not None:
+            raise AttributeError(f"{type(self).__name__}.{name} is cached already")
+    elif hasattr(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set already")
+    object.__setattr__(self, name, value)
+
+
+@pytest.fixture
+def write_once(monkeypatch):
+    assert {LatticeBlock, VoteRecord, ChainTransaction, BlockHeader} <= set(WIRE_TYPES)
+    for cls in WIRE_TYPES:
+        monkeypatch.setattr(cls, "__setattr__", _write_once_setattr, raising=False)
+
+
+def test_the_write_once_guard_catches_a_mutation(write_once):
+    vote = make_vote(identity_for("home"), ZERO_DIGEST, ZERO_DIGEST, 40)
+    assert vote._sd is not None
+    with pytest.raises(AttributeError, match="weight is set already"):
+        vote.weight = 4
+    with pytest.raises(AttributeError, match="_sd is cached already"):
+        vote._sd = ZERO_DIGEST
+    vote.digest()  # an empty cache still fills
+
+
+def test_hashing_a_measured_object_writes_its_size_once(write_once):
+    tx = make_transaction(identity_for("alice"), "bob", 5, 1, 10)
+    assert tx.encoded_len() == len(tx.encode())
+    assert tx.digest() == digest(tx.encode())
+
+
+@pytest.mark.parametrize("round_trip", [
+    test_wire_types_decode_to_equal_objects_with_wire_digests,
+    test_locally_built_objects_measure_their_encoding,
+    test_mutated_encodings_raise_or_decode_canonically,
+    test_kernels_decode_as_the_field_by_field_decoders,
+    test_kernels_agree_on_every_truncation_and_flip_of_kept_objects,
+], ids=lambda f: f.__name__)
+def test_codec_round_trips_write_each_field_once(write_once, round_trip):
+    round_trip()
+
+
+@pytest.mark.parametrize("name,horizon_s", [("bitcoin-baseline", 60),
+                                            ("nano-scaling", 20),
+                                            ("fork-stress", 40)])
+def test_runs_write_each_field_once(write_once, name, horizon_s):
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+    assert result.ok

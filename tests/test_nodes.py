@@ -7,6 +7,7 @@ message encodings and the node-layer cases no scenario preset reaches.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -538,6 +539,71 @@ def test_decoding_against_the_ledger_changes_no_run(monkeypatch, name, horizon_s
     fresh, fresh_sha = _trace_and_report_sha(name, horizon_s)
 
     assert (reused.trace, reused_sha) == (fresh.trace, fresh_sha)
+
+
+def _spy_receive(monkeypatch, ledger):
+    """The (block, votes) of each receive_block call the ledger gets."""
+    calls = []
+    real = ledger.receive_block
+    monkeypatch.setattr(ledger, "receive_block",
+                        lambda block, votes=(): calls.append((block, list(votes)))
+                        or real(block, votes))
+    return calls
+
+
+def test_a_delivery_that_holds_nothing_new_stops_before_the_ledger(monkeypatch):
+    node, sim, send, vote = _applied_send_with_vote()
+    calls = _spy_receive(monkeypatch, node.ledger)
+
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [vote]))
+    node.on_message(sim, 3.0, _lattice_block_msg(0, send, []))
+
+    assert calls == []
+
+
+def test_a_held_block_with_a_new_vote_still_records_the_vote(monkeypatch):
+    node, sim, send, vote = _applied_send_with_vote()
+    home = make_vote(identity_for("home"), send.predecessor, send.digest(), 40)
+    calls = _spy_receive(monkeypatch, node.ledger)
+
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [vote, home]))
+
+    assert len(calls) == 1
+    assert node.ledger.votes[send.predecessor]["home"] == home
+
+
+@pytest.mark.parametrize("change", ["choice", "weight", "signer",
+                                    "payload_digest", "tag"])
+def test_a_vote_differing_from_the_stored_one_still_reaches_the_ledger(
+        monkeypatch, change):
+    node, sim, send, vote = _applied_send_with_vote()
+    other = b"\x07" * 32
+    if change in ("choice", "weight"):
+        changed = replace(vote, **{change: 99 if change == "weight" else other})
+    else:
+        value = "home" if change == "signer" else other
+        changed = replace(vote, signature=replace(vote.signature, **{change: value}))
+    calls = _spy_receive(monkeypatch, node.ledger)
+
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [changed]))
+
+    [(block, [delivered])] = calls
+    assert block is node.ledger.accounts["carol"].blocks[send.digest()]
+    assert delivered == changed
+    assert node.ledger.votes[send.predecessor]["carol"] is not delivered
+
+
+def test_a_held_block_the_ledger_has_not_seen_still_reaches_it(monkeypatch):
+    node, sim = _lattice_node()
+    chain = node.ledger.accounts["carol"]
+    genesis = chain.blocks[chain.order[0]]  # held, but never through _process
+    assert genesis.digest() not in node.ledger.seen
+    calls = _spy_receive(monkeypatch, node.ledger)
+
+    node.on_message(sim, 1.0, _lattice_block_msg(0, genesis, []))
+
+    assert calls == [(genesis, [])]
+    assert genesis.digest() in node.ledger.seen
 
 
 # ---------------------------------------------------------------------------
