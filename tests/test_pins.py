@@ -18,10 +18,12 @@ from ledgerlab.scenario import PRESETS, preset_config
 
 PIN_DIR = Path(__file__).parent / "pins"
 
-# Paths no preset runs: grind-mode mining, a miner with zero hash rate, and
-# lossy links that keep blocks parked on a missing dependency (the lattice
-# runs also evict from a small gap buffer, one during open conflicts), and a
-# fork-stress run with five representatives, jitter and a fork every 4 s.
+# Paths no preset runs: grind-mode mining, at 3 bits and retargeting up from
+# there, a miner with zero hash rate, lossy links that keep blocks parked on
+# a missing dependency (the lattice runs also evict from a small gap buffer,
+# one during open conflicts), a fork-stress run with five representatives,
+# jitter and a fork every 4 s, and a chain run that prunes old bodies at the
+# horizon.
 # (preset, overrides)
 VARIANTS = (
     ("bitcoin-baseline", ("pow.mode=grind", "scenario.horizon_s=120")),
@@ -31,6 +33,9 @@ VARIANTS = (
     ("bitcoin-baseline", ("net.drop_prob=0.2", "scenario.horizon_s=120")),
     ("fork-stress", ("lattice.representatives=5", "net.jitter_ms=40",
                      "fork.interval_s=4")),
+    ("bitcoin-baseline", ("pow.mode=grind", "chain.hash_rates=100,100,100",
+                          "scenario.horizon_s=120")),
+    ("bitcoin-baseline", ("chain.prune_keep_recent=128",)),
 )
 
 PINNED = [(name, ()) for name in sorted(PRESETS)] + list(VARIANTS)
