@@ -452,21 +452,11 @@ class AdoptionReport:
     new_height: int
     orphaned: tuple[bytes, ...]          # digests leaving the adopted branch
     reorged_in: tuple[bytes, ...]        # digests joining it (ancestor -> head order)
-    returned_transactions: tuple[ChainTransaction, ...]
     duplicate: bool = False
 
     @property
     def head_moved(self) -> bool:
         return bool(self.reorged_in)
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    cutoff_height: int
-    bodies_dropped: int
-    deltas_dropped: int
-    bytes_before: int
-    bytes_after: int
 
 
 class ChainStore:
@@ -681,7 +671,7 @@ class ChainStore:
         d = block.digest()
         old_height = self.head_height
         if d in self.blocks:
-            return AdoptionReport(old_height, old_height, (), (), (), duplicate=True)
+            return AdoptionReport(old_height, old_height, (), (), duplicate=True)
         if not result.ok or result.delta is None or result.schedule is None:
             raise ValueError("adopt requires a passing validation result")
 
@@ -689,7 +679,7 @@ class ChainStore:
                           result.schedule, result.delta)
         if sb.height <= old_height:
             # side branch no longer than the adopted one: first seen stays
-            return AdoptionReport(old_height, old_height, (), (), ())
+            return AdoptionReport(old_height, old_height, (), ())
 
         # reorganize onto the longer branch
         orphaned, incoming = self._walk(self.head_state, d)
@@ -698,20 +688,7 @@ class ChainStore:
         for nd in incoming:
             self.adopted[nd] = self.blocks[nd].height
         self.check_conservation()
-
-        new_txs = {
-            t.digest()
-            for nd in incoming
-            for t in (self.blocks[nd].transactions or ())
-        }
-        returned = tuple(
-            t
-            for od in orphaned
-            for t in (self.blocks[od].transactions or ())
-            if t.digest() not in new_txs
-        )
-        return AdoptionReport(old_height, sb.height,
-                              tuple(orphaned), tuple(incoming), returned)
+        return AdoptionReport(old_height, sb.height, tuple(orphaned), tuple(incoming))
 
     # -- confirmations ------------------------------------------------------
 
@@ -769,14 +746,12 @@ class ChainStore:
 
     # -- pruning ------------------------------------------------------------
 
-    def prune(self, keep_recent: int) -> PruneReport:
+    def prune(self, keep_recent: int) -> None:
         """Drop bodies and deltas below head height - keep_recent."""
         if keep_recent < self.reorg_safety:
             raise ConfigError(
                 f"keep_recent {keep_recent} below reorg safety window {self.reorg_safety}")
-        before = sum(self._bytes.values())
         cutoff = self.head_height - keep_recent
-        bodies = deltas = 0
         if cutoff > 0:
             for d, sb in self.blocks.items():
                 if sb.height >= cutoff:
@@ -784,14 +759,10 @@ class ChainStore:
                 if sb.transactions is not None:
                     self._bytes["chain_bodies"] -= _body_len(sb.transactions)
                     sb.transactions = None
-                    bodies += 1
                 delta = self.deltas.pop(d, None)
                 if delta is not None:
                     self._bytes["chain_deltas"] -= delta.encoded_len()
-                    deltas += 1
             self.first_full_block_height = max(self.first_full_block_height, cutoff)
-        return PruneReport(max(cutoff, 0), bodies, deltas, before,
-                           sum(self._bytes.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ class InsufficientBalanceError(LedgerError):
     """Send amount exceeds the account's settled balance."""
 
 
-class StalePredecessorError(LedgerError):
-    """Block creation raced a head move; caller must rebuild on the new head."""
-
-
 class DuplicateReceiveError(LedgerError):
     """The named send was already received."""
 
@@ -412,14 +408,6 @@ class AccountChain:
         return self.order[i + 1] if i + 1 < len(self.order) else None
 
 
-@dataclass(frozen=True)
-class LatticePruneReport:
-    pruned_accounts: tuple[str, ...]
-    skipped_accounts: tuple[str, ...]
-    bytes_before: int
-    bytes_after: int
-
-
 # ---------------------------------------------------------------------------
 # The ledger (one node's view)
 
@@ -551,11 +539,8 @@ class LatticeLedger:
     # -- block creation -----------------------------------------------------
 
     def create_send(self, account: str, recipient: str, amount: int,
-                    head: Optional[bytes] = None,
                     counter: WorkCounter | None = None) -> LatticeBlock:
         chain = self._chain(account)
-        if head is not None and head != chain.head:
-            raise StalePredecessorError(f"head of {account} moved")
         if amount <= 0:
             raise InvalidAmountError(f"send amount {amount} is not positive")
         if amount > chain.balance:
@@ -893,24 +878,17 @@ class LatticeLedger:
 
     # -- pruning ------------------------------------------------------------
 
-    def prune_to_current(self) -> LatticePruneReport:
+    def prune_to_current(self) -> None:
         """Reduce every undisputed chain to its head block (plus the digest
         index that keeps fork-vs-gap verdicts identical to an archive node);
         a pruned body leaves its 32-byte index entry in the block bytes."""
-        before = self._bytes_blocks + self._bytes_pending
         open_accounts = {account for account, _ in self.open_conflicts()}
-        pruned, skipped = [], []
-        for account in sorted(self.accounts):
+        for account, chain in self.accounts.items():
             if account in open_accounts:
-                skipped.append(account)
                 continue
-            chain = self.accounts[account]
             for d in list(chain.blocks):
                 if d != chain.head:
                     self._bytes_blocks -= chain.blocks.pop(d).encoded_len() - 32
-            pruned.append(account)
-        return LatticePruneReport(tuple(pruned), tuple(skipped), before,
-                                  self._bytes_blocks + self._bytes_pending)
 
     # -- size accounting ----------------------------------------------------
 

@@ -2,8 +2,8 @@
 and stake-weighted selection with slashing.
 
 Two proof-of-work modes exist. `grind` literally enumerates nonces against a
-leading-zero-bit target and is only allowed at small difficulties (config caps
-it at scenario.GRIND_BITS_LIMIT); it is there to validate the puzzle mechanics.
+leading-zero-bit target and is only allowed at small difficulties (see
+GRIND_BITS_LIMIT); it is there to validate the puzzle mechanics.
 `lottery` skips the hashing: each miner node draws its next block interval
 from an exponential whose rate is proportional to its hashpower, which is what
 large scenarios use. Both are deterministic under a seed.
@@ -22,6 +22,12 @@ from .primitives import digest, leading_zero_bits
 
 # Retarget clamp: one adjustment never moves difficulty by more than 4x either way.
 RETARGET_CLAMP = 4.0
+
+# The one bound on a nonce search, so that desk-scale literal mining stays
+# tractable: the config caps genesis and antispam bits at it, and the bits a
+# grind run can retarget to. A retarget window may overshoot by the clamp,
+# two bits, and mine()'s budget covers that.
+GRIND_BITS_LIMIT = 24
 
 
 class MiningBudgetError(LedgerError):
@@ -64,7 +70,7 @@ def mine(header_digest: bytes, difficulty_bits: int, seed: int,
     Raises MiningBudgetError when the attempt budget runs out.
     """
     if budget is None:
-        budget = max(4096, 64 << min(difficulty_bits, 32))
+        budget = max(4096, 64 << difficulty_bits)
     start = random.Random(seed).getrandbits(64)
     for i in range(budget):
         nonce = (start + i) & codec.U64_MAX
@@ -97,7 +103,7 @@ class DifficultySchedule:
         # expected-hash-count -> leading-zero bits, by rounding log2
         if self.difficulty <= 1.0:
             return 0
-        return min(255, round(math.log2(self.difficulty)))
+        return round(math.log2(self.difficulty))
 
 
 def retarget(schedule: DifficultySchedule, observed_window_s: float) -> DifficultySchedule:

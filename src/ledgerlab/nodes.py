@@ -114,43 +114,35 @@ class ChainNode:
             self._schedule_mining(sim)
 
     def _schedule_mining(self, sim: Simulation) -> None:
-        """Start a work attempt on the adopted head; non-miners do nothing."""
+        """Start a work attempt on the adopted head; non-miners do nothing.
+
+        A grind attempt searches its nonce now and fires once this node's
+        hash rate would have spent those evaluations; a lottery attempt
+        draws its duration and assembles its block when it fires.
+        """
         if self.hash_rate <= 0:
             return
-        if isinstance(self.store.proof_rule, GrindProof):
-            self._schedule_grind(sim)
-        else:
-            self._schedule_lottery(sim)
-
-    def _head_difficulty(self) -> float:
-        return self.store.blocks[self.store.adopted_head].schedule.difficulty
-
-    def _schedule_lottery(self, sim: Simulation) -> None:
-        delay = self.rng.expovariate(self.hash_rate / self._head_difficulty())
-        payload = codec.enc_u8(TIMER_MINE) + codec.enc_digest(self.store.adopted_head)
-        sim.set_timer(self.node_id, delay, payload)
-
-    def _schedule_grind(self, sim: Simulation) -> None:
         head = self.store.adopted_head
-        block = self._assemble(self.producer_id, sim.now)
-        bits = self.store.blocks[head].schedule.difficulty_bits
-        counter = WorkCounter()
-        nonce_seed = int.from_bytes(block.header.work_digest()[:8], "big") ^ self.node_id
-        nonce = mine(block.header.work_digest(), bits, nonce_seed, counter=counter)
-        self.work.add(counter.evaluations)
-        mined = Block(header=replace(block.header, nonce=nonce),
-                      transactions=block.transactions)
-        self._pending_grind = mined
-        duration = counter.evaluations / self.hash_rate
-        payload = codec.enc_u8(TIMER_MINE) + codec.enc_digest(head)
-        sim.set_timer(self.node_id, duration, payload)
+        schedule = self.store.blocks[head].schedule
+        if isinstance(self.store.proof_rule, GrindProof):
+            block = self._assemble(self.producer_id, sim.now)
+            work = block.header.work_digest()
+            counter = WorkCounter()
+            nonce = mine(work, schedule.difficulty_bits,
+                         int.from_bytes(work[:8], "big") ^ self.node_id, counter=counter)
+            self.work.add(counter.evaluations)
+            self._pending_grind = Block(header=replace(block.header, nonce=nonce),
+                                        transactions=block.transactions)
+            delay = counter.evaluations / self.hash_rate
+        else:
+            delay = self.rng.expovariate(self.hash_rate / schedule.difficulty)
+        sim.set_timer(self.node_id, delay,
+                      codec.enc_u8(TIMER_MINE) + codec.enc_digest(head))
 
     def _schedule_slot(self, sim: Simulation, slot: int) -> None:
         at = slot * self.store.proof_rule.slot_interval_s
-        if at < sim.now:
-            return
-        payload = codec.enc_u8(TIMER_POS_SLOT) + codec.enc_u64(slot)
-        sim.set_timer(self.node_id, at - sim.now, payload)
+        sim.set_timer(self.node_id, at - sim.now,
+                      codec.enc_u8(TIMER_POS_SLOT) + codec.enc_u64(slot))
 
     def on_timer(self, sim: Simulation, now: float, payload: bytes) -> None:
         tag = payload[0]  # a timer payload is this node's own, never malformed
@@ -275,14 +267,15 @@ class ChainNode:
                 (now, self.node_id, report.old_height, report.new_height,
                  report.orphaned, report.reorged_in))
             if report.head_moved:
-                # _drop_stale unpools the transactions that joined the branch
-                moved_senders = {tx.sender for nd in report.reorged_in
-                                 for tx in self.store.blocks[nd].transactions or ()}
-                for tx in report.returned_transactions:
-                    td = tx.digest()
-                    if td not in self.mempool:
-                        self._pool(td, tx)
-                self._drop_stale(moved_senders)
+                # every orphaned transaction returns to the pool; _drop_stale
+                # unpools those that the new branch holds or overtook
+                for od in report.orphaned:
+                    for tx in self.store.blocks[od].transactions or ():
+                        td = tx.digest()
+                        if td not in self.mempool:
+                            self._pool(td, tx)
+                self._drop_stale({tx.sender for nd in report.reorged_in
+                                  for tx in self.store.blocks[nd].transactions or ()})
                 if self.node_id == OBSERVER:
                     self.recorder.ledger_samples.append(
                         (now, self.node_id, sum(self.store.ledger_bytes().values())))
@@ -546,10 +539,8 @@ class ForkInjectionDriver:
         amount = self.rng.randint(1, self.max_amount)
         head = ledger.head(attacker)
         try:
-            a = ledger.create_send(attacker, r1, amount, head=head,
-                                   counter=node.work)
-            b = ledger.create_send(attacker, r2, amount + 1, head=head,
-                                   counter=node.work)
+            a = ledger.create_send(attacker, r1, amount, counter=node.work)
+            b = ledger.create_send(attacker, r2, amount + 1, counter=node.work)
         except InsufficientBalanceError:
             sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
             return

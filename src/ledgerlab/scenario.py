@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .leader_election import GRIND_BITS_LIMIT
 from .simnet import Partition
 
 _MISSING = object()
-
-GRIND_BITS_LIMIT = 24  # desk-scale literal mining stays tractable below this
 
 
 def _parse_partitions(raw: str) -> tuple[Partition, ...]:
@@ -129,12 +128,10 @@ def account_names(count: int) -> list[str]:
 
 
 def representative_names(count: int, reps: int) -> list[str]:
-    """Representatives spread evenly through the account list."""
+    """Representatives spread evenly through the account list; for reps <=
+    count the points i * count / reps lie 1 or more apart, so none collide."""
     names = account_names(count)
-    indices = sorted({round(i * count / reps) for i in range(reps)})
-    if len(indices) < reps:  # rounding collision on tiny populations
-        indices = list(range(reps))
-    return [names[i] for i in indices]
+    return [names[round(i * count / reps)] for i in range(reps)]
 
 
 @dataclass(frozen=True)
@@ -273,10 +270,22 @@ def _cross_validate_chain(cfg: Config) -> None:
             raise ConfigError("more pos.stakes than nodes to host them")
         if not any(stakes):
             raise ConfigError("pos consensus needs at least one positive stake")
-    elif cfg["pow.mode"] == "grind" and cfg["pow.difficulty_bits"] > GRIND_BITS_LIMIT:
-        raise ConfigError(
-            f"pow.difficulty_bits above {GRIND_BITS_LIMIT} is not "
-            f"searchable in grind mode")
+    elif cfg["pow.mode"] == "grind":
+        if cfg["pow.difficulty_bits"] > GRIND_BITS_LIMIT:
+            raise ConfigError(
+                f"pow.difficulty_bits above {GRIND_BITS_LIMIT} is not "
+                f"searchable in grind mode")
+        # Retargeting settles near log2(total hash rate * target interval)
+        # bits, so that product is bounded too. A config under the bound can
+        # still be slow, as a 24-bit genesis already is: each block mined at
+        # 24 bits takes about 2**24 hashes.
+        total_rate = sum(rates or [1.0] * cfg["chain.miners"])
+        interval = cfg["pow.target_interval_s"]
+        if total_rate * interval > 2 ** GRIND_BITS_LIMIT:
+            raise ConfigError(
+                f"chain.hash_rates total {total_rate:g} times pow.target_interval_s "
+                f"{interval:g} exceeds 2**{GRIND_BITS_LIMIT}: grind mode would "
+                f"retarget past {GRIND_BITS_LIMIT} bits")
     if cfg["chain.tx_weight"] > cfg["chain.capacity_units"]:
         raise ConfigError(
             "chain.tx_weight exceeds chain.capacity_units: no transaction fits a block")

@@ -282,8 +282,10 @@ def test_depth_two_reorg_returns_dropped_transactions():
     assert rep3.head_moved
     assert set(rep3.orphaned) == {a1.digest(), a2.digest()}
     assert rep3.reorged_in == (b1.digest(), b2.digest(), b3.digest())
-    # tx_a fell out and is not on the new branch; tx_shared is, so only tx_a returns
-    assert rep3.returned_transactions == (tx_a,)
+    # tx_a fell out and is not on the new branch; tx_shared is, so only tx_a
+    # is left to return (a node's pool takes it back, see test_nodes.py)
+    assert store.confirmations(tx_a.digest()) is None
+    assert store.confirmations(tx_shared.digest()) == 3
     assert store.balance("alice") == 1000
     assert store.balance("carol") == 7
 
@@ -446,12 +448,15 @@ def test_prune_drops_old_bodies_and_keeps_answers():
         seq += 1
         _extend(store, [make_transaction(ALICE, "bob", 1, seq, 10)])
     before = store.recount_bytes()
-    report = store.prune(keep_recent=10)
-    assert report.cutoff_height == 30
-    # genesis carries an empty body but never had a delta
-    assert report.bodies_dropped == 30
-    assert report.deltas_dropped == 29
-    assert report.bytes_after < report.bytes_before
+    deltas_before = len(store.deltas)
+    store.prune(keep_recent=10)
+    assert store.first_full_block_height == 30
+    # every block below height 30 lost its body; genesis carries an empty
+    # body but never had a delta
+    assert sorted(sb.height for sb in store.blocks.values()
+                  if sb.transactions is None) == list(range(30))
+    assert len(store.deltas) == deltas_before - 29
+    assert min(store.blocks[d].height for d in store.deltas) == 30
     assert store.recount_bytes() == store.ledger_bytes()
     assert sum(store.ledger_bytes().values()) < sum(before.values())
     # balances come from head state, untouched by pruning

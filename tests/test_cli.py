@@ -100,6 +100,9 @@ def test_negative_gap_buffer_is_usage_error(capsys):
      "unknown config key: lattice.cement_delay_s"),
     ("bitcoin-baseline", ["net.partitions=1-5:0|9"],
      "net.partitions names node 9, but net.nodes is 4"),
+    # grind mode would retarget to about 32.5 bits and never finish a block
+    ("bitcoin-baseline", ["pow.mode=grind", "chain.hash_rates=1e9,1e9,1e9"],
+     "chain.hash_rates"),
 ])
 def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
     args = ["--config", preset, "--override", "scenario.horizon_s=20"]
@@ -111,6 +114,12 @@ def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
     err = capsys.readouterr().err
     assert "error: " in err and reason in err
     assert "Traceback" not in err
+
+
+def test_validate_accepts_a_grind_run_that_retargets_under_the_bit_limit(capsys):
+    assert main(["validate", "--config", "bitcoin-baseline",
+                 "--override", "pow.mode=grind",
+                 "--override", "chain.hash_rates=100,100,100"]) == EXIT_OK
 
 
 def test_an_internal_error_exits_with_status_three(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from ledgerlab.lattice import (
     LatticeVerdict,
     Outcome,
     OutcomeStatus,
-    StalePredecessorError,
     VoteRecord,
     build_block,
     make_vote,
@@ -85,11 +84,6 @@ def test_create_send_error_paths():
         ledger.create_send("a", "nobody", 5)
     with pytest.raises(NotFoundError):
         ledger.create_send("ghost", "a", 5)
-    send = ledger.create_send("a", "w2", 5)
-    stale = ledger.accounts["a"].head
-    _apply(ledger, send)
-    with pytest.raises(StalePredecessorError):
-        ledger.create_send("a", "w2", 5, head=stale)
 
 
 def test_create_receive_error_paths():
@@ -581,9 +575,11 @@ def test_current_tier_node_tracks_historical_twin():
     for blk in blocks[:4]:
         assert (_apply(historical, blk).status
                 == _apply(trimmed, blk).status)
-    report = trimmed.prune_to_current()
-    assert not report.skipped_accounts
-    assert report.bytes_after < report.bytes_before
+    bytes_before = sum(trimmed.ledger_bytes().values())
+    trimmed.prune_to_current()
+    for chain in trimmed.accounts.values():  # no conflict: every chain pruned
+        assert set(chain.blocks) == {chain.head}
+    assert sum(trimmed.ledger_bytes().values()) < bytes_before
     for blk in blocks[4:]:
         assert (_apply(historical, blk).status
                 == _apply(trimmed, blk).status)
@@ -604,9 +600,7 @@ def test_prune_keeps_only_heads():
     ledger = _ledger()
     for blk in _stream(3):
         _apply(ledger, blk)
-    report = ledger.prune_to_current()
-    assert set(report.pruned_accounts) == {"a", "w2", "w8"}
-    assert not report.skipped_accounts
+    ledger.prune_to_current()
     for chain in ledger.accounts.values():
         assert set(chain.blocks) == {chain.head}
     assert ledger.recount_bytes() == ledger.ledger_bytes()
@@ -614,12 +608,15 @@ def test_prune_keeps_only_heads():
 
 def test_prune_skips_accounts_with_open_conflicts():
     ledger = _ledger()
+    _apply(ledger, ledger.create_send("w2", "w8", 5))  # history to prune
     fork_point, s1, s2 = _conflicting_sends(ledger)
     _apply(ledger, s1)
     _apply(ledger, s2)
-    report = ledger.prune_to_current()
-    assert "a" in report.skipped_accounts
+    ledger.prune_to_current()
     assert fork_point in ledger.accounts["a"].blocks  # not the head: kept, not pruned
+    undisputed = ledger.accounts["w2"]
+    assert len(undisputed.order) == 2 and set(undisputed.blocks) == {undisputed.head}
+    assert ledger.recount_bytes() == ledger.ledger_bytes()
 
 
 # -- size accounting --------------------------------------------------------

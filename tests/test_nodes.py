@@ -476,8 +476,8 @@ def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
     node, sim = _lattice_node()
     source = LatticeLedger(_GENESIS)
     head = source.head("carol")
-    loser = source.create_send("carol", "home", 30, head=head)
-    winner = source.create_send("carol", "home", 31, head=head)
+    loser = source.create_send("carol", "home", 30)
+    winner = source.create_send("carol", "home", 31)
     carol_votes_winner = make_vote(identity_for("carol"), head, winner.digest(), 100)
 
     node.on_message(sim, 1.0, _lattice_block_msg(0, loser, []))
@@ -658,8 +658,11 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
         picks = sorted(rng.sample(b_txs, 6), key=lambda tx: tx.sequence)
         block = assemble_block(source, parent, picks,
                                producer="miner-b", timestamp=height + 0.5)
-        returned += len(source.adopt(block, source.validate_block(block))
-                        .returned_transactions)
+        report = source.adopt(block, source.validate_block(block))
+        rejoined = {tx.digest() for nd in report.reorged_in
+                    for tx in source.blocks[nd].transactions}
+        returned += sum(tx.digest() not in rejoined for od in report.orphaned
+                        for tx in source.blocks[od].transactions)
         branch_b.append(block)
         parent = block.digest()
 
@@ -694,6 +697,35 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
     assert node.store.adopted_head == branch_b[-1].digest()
     assert heads == len(branch_a) + len(branch_b) - 4  # B's first three tie or trail A
     assert returned > 0 and evicted > 0
+
+
+def test_a_depth_two_reorg_pools_the_orphaned_transactions_the_new_branch_lacks():
+    tx_a = make_transaction(identity_for("alice"), "bob", 100, 1, 10)
+    tx_shared = make_transaction(identity_for("bob"), "alice", 7, 1, 10)
+    source = _store()
+    genesis = source.adopted_head
+
+    def extend(parent, txs, producer, ts):
+        block = assemble_block(source, parent, txs, producer, ts)
+        source.adopt(block, source.validate_block(block))
+        return block
+
+    a1 = extend(genesis, [tx_a, tx_shared], "miner-a", 1.0)
+    a2 = extend(a1.digest(), [], "miner-a", 2.0)
+    b1 = extend(genesis, [tx_shared], "miner-b", 1.5)
+    b2 = extend(b1.digest(), [], "miner-b", 2.5)
+    b3 = extend(b2.digest(), [], "miner-b", 3.5)
+    node, sim = _chain_node()
+
+    for block in (a1, a2, b1, b2):
+        node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, block))
+    assert node.store.adopted_head == a2.digest() and node.mempool == {}
+    node.on_message(sim, 0.0, _chain_block_msg(MSG_CHAIN_BLOCK, 1, b3))
+
+    assert node.store.adopted_head == b3.digest()
+    # both left with a1; tx_shared came back with b1, so only tx_a is pooled
+    assert list(node.mempool) == [tx_a.digest()]
+    assert node._pooled_by_sender == {"alice": [(1, tx_a.digest())]}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ def test_representative_names_spread_over_accounts():
     assert representative_names(4, 4) == account_names(4)
 
 
+def test_representative_names_never_collide():
+    for count in range(1, 201):
+        for reps in range(1, count + 1):
+            names = representative_names(count, reps)
+            assert len(set(names)) == reps, (count, reps)
+
+
 def test_chain_run_result_shape():
     cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=20"])
     result = run(cfg, seed=5)
@@ -279,9 +286,8 @@ def test_final_audit_checks_the_bytes_a_chain_prune_drops(monkeypatch):
 
     def prune_keeping_body_bytes(self, keep_recent):
         bodies = self.ledger_bytes()["chain_bodies"]
-        report = prune(self, keep_recent)
+        prune(self, keep_recent)
         self._bytes["chain_bodies"] = bodies
-        return report
 
     monkeypatch.setattr(ChainStore, "prune", prune_keeping_body_bytes)
     result = run(preset_config("bitcoin-baseline", [

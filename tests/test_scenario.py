@@ -80,6 +80,16 @@ def test_cross_validation_chain():
     with pytest.raises(ConfigError):  # grind beyond the feasible bit limit
         _cfg(MINIMAL_CHAIN
                           + "pow.mode = grind\npow.difficulty_bits = 30\n")
+    # grind retargets to about log2(total hash rate * target interval) bits
+    grind = MINIMAL_CHAIN + "pow.mode = grind\npow.target_interval_s = 2\n"
+    _cfg(grind + f"chain.hash_rates = {2 ** 23}\n")  # exactly 24 bits
+    with pytest.raises(ConfigError, match="chain.hash_rates"):
+        _cfg(grind + f"chain.hash_rates = {2 ** 23 + 1}\n")
+    with pytest.raises(ConfigError, match="chain.hash_rates"):  # 1.0 per miner
+        _cfg(MINIMAL_CHAIN + "pow.mode = grind\n"
+             + f"pow.target_interval_s = {2 ** 24 + 1}\n")
+    # the lottery searches no nonce, so any hash rate goes
+    _cfg(MINIMAL_CHAIN + f"chain.hash_rates = {2 ** 40}\n")
     with pytest.raises(ConfigError):  # pos needs stakes
         _cfg(MINIMAL_CHAIN + "chain.consensus = pos\n")
     with pytest.raises(ConfigError):  # prune window under reorg safety
