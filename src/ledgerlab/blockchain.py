@@ -100,7 +100,9 @@ class ChainTransaction(WireObject):
         """Read one transaction; if `pool` holds its digest, the pooled one.
 
         The digest is taken over the bytes read, so a pooled object is
-        returned only for byte-identical input, signature included.
+        returned only for byte-identical input, signature included. A fresh
+        transaction's payload digest is its signing digest when the two are
+        equal.
         """
         # The offsets first: sender at a:b, recipient at c:d, the numbers at
         # d, signer at e:f, the signature digests at f. A string's bounds are
@@ -134,9 +136,13 @@ class ChainTransaction(WireObject):
                 data[a:b].decode(), data[c:d].decode(), data[e:f].decode())
         except UnicodeDecodeError as exc:
             raise CodecError("invalid utf-8") from exc
+        sd = digest(data[start:d + 24])
+        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, f)
+        if payload_digest == sd:
+            payload_digest = sd
         tx = cls(sender, recipient, *_TX_NUMBERS.unpack_from(data, d),
-                 Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, f)))
-        tx._sd = digest(data[start:d + 24])
+                 Signature(signer, payload_digest, tag))
+        tx._sd = sd
         tx._digest = tx_digest
         tx._size = end - start
         return tx
@@ -775,8 +781,8 @@ def assemble_block(store: ChainStore, parent_digest: bytes,
 
     Transactions that do not fit, or that the transaction rule refuses
     against the evolving block state, are skipped; later ones are still
-    considered. The produced header carries nonce 0; grind mining fills it
-    in afterwards.
+    considered until the block is full. The produced header carries nonce
+    0; grind mining fills it in afterwards.
     """
     parent = store.blocks.get(parent_digest)
     if parent is None:
@@ -789,6 +795,8 @@ def assemble_block(store: ChainStore, parent_digest: bytes,
             continue
         chosen.append(tx)
         room -= tx.weight
+        if not room:
+            break  # no positive weight fits, and the rule refuses the rest
     if store.block_reward:
         state.balances[producer] = state.balance(producer) + store.block_reward
     header = BlockHeader(

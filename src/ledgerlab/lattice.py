@@ -127,7 +127,10 @@ class LatticeBlock(WireObject):
 
         The digest is taken over the bytes read, so a held block is returned
         only for byte-identical input, signature included. A fresh block
-        takes its names from the ledger (`LatticeLedger.name`).
+        takes its names from the ledger (`LatticeLedger.name`), and its
+        digests from the objects the ledger holds for equal values: a held
+        predecessor's digest, a pending send's. Its signature's payload
+        digest is its signing digest when the two are equal.
         """
         # The offsets first: account at a:b, then predecessor and kind, the
         # kind's fields from c (a text at t:signed_end among them), nonce,
@@ -162,6 +165,7 @@ class LatticeBlock(WireObject):
             raise CodecError("buffer underrun")
         r.pos = end
         d = digest(data[start:end])
+        chain = None
         try:
             account = data[a:b].decode()
             if ledger is not None:
@@ -182,14 +186,27 @@ class LatticeBlock(WireObject):
         counterparty = None
         if kind is _RECEIVE:
             amount, counterparty = _RECEIVE_FIELDS.unpack_from(data, c)
+            if ledger is not None:
+                pend = ledger.pending.get(counterparty)
+                if pend is not None:
+                    counterparty = pend.send_digest
         else:
             amount = 0 if kind is _REP_CHANGE else U64.unpack_from(data, c)[0]
             if kind is _SEND:
                 counterparty, text = text, None
-        block = cls(account, data[b:b + 32], kind, amount, counterparty, text,
+        predecessor = data[b:b + 32]
+        if chain is not None:
+            prior = chain.blocks.get(predecessor)
+            if prior is not None:
+                predecessor = prior.digest()
+        sd = digest(data[start:signed_end])
+        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, e)
+        if payload_digest == sd:
+            payload_digest = sd
+        block = cls(account, predecessor, kind, amount, counterparty, text,
                     U64.unpack_from(data, signed_end)[0],
-                    Signature(signer, *SIGNATURE_DIGESTS.unpack_from(data, e)))
-        block._sd = digest(data[start:signed_end])
+                    Signature(signer, payload_digest, tag))
+        block._sd = sd
         block._digest = d
         block._size = end - start
         return block
@@ -225,6 +242,11 @@ class PendingSend:
         return (codec.enc_digest(self.send_digest) + codec.enc_str(self.recipient)
                 + codec.enc_u64(self.amount))
 
+    def encoded_len(self) -> int:
+        """len(self.encode()), from the recipient's name alone."""
+        # a digest, a length-prefixed name and an amount
+        return 44 + len(self.recipient.encode("utf-8"))
+
 
 @dataclass(slots=True)
 class VoteRecord(WireObject):
@@ -258,7 +280,10 @@ class VoteRecord(WireObject):
 
         Equal means every field, the test `_record_vote` applies to a
         repeat, so only a fresh vote has its signing digest hashed. A fresh
-        vote takes its names from the ledger (`LatticeLedger.name`).
+        vote takes its names from the ledger (`LatticeLedger.name`), and
+        its subject and choice from a vote on the subject's ballot that
+        holds equal ones. Its signature's payload digest is its signing
+        digest when the two are equal.
         """
         # representative, the fixed fields with the signer's length, signer,
         # signature digests
@@ -284,17 +309,28 @@ class VoteRecord(WireObject):
             raise CodecError("invalid utf-8") from exc
         if ledger is not None:
             ballot = ledger.votes.get(subject)
-            prior = ballot.get(representative) if ballot else None
-            if prior is not None:
-                sig = prior.signature
-                if (prior.choice == choice and prior.weight == weight
-                        and sig.tag == tag and sig.payload_digest == payload_digest
-                        and sig.signer == signer):
-                    return prior
+            if ballot:
+                prior = ballot.get(representative)
+                if prior is not None:
+                    sig = prior.signature
+                    if (prior.choice == choice and prior.weight == weight
+                            and sig.tag == tag and sig.payload_digest == payload_digest
+                            and sig.signer == signer):
+                        return prior
+                # every vote on the ballot holds the subject, and one that
+                # endorses the same block holds the choice
+                for held in ballot.values():
+                    subject = held.subject
+                    if held.choice == choice:
+                        choice = held.choice
+                        break
             representative, signer = ledger.name(representative), ledger.name(signer)
+        sd = digest(data[start:signed_end])
+        if payload_digest == sd:
+            payload_digest = sd
         vote = cls(representative, subject, choice, weight,
                    Signature(signer, payload_digest, tag))
-        vote._sd = digest(data[start:signed_end])
+        vote._sd = sd
         return vote
 
     def verify_signature(self) -> bool:
@@ -796,12 +832,12 @@ class LatticeLedger:
         pend = PendingSend(send_digest=send_digest, recipient=recipient, amount=amount)
         self.pending[send_digest] = pend
         self.total_pending += amount
-        self._bytes_pending += len(pend.encode())
+        self._bytes_pending += pend.encoded_len()
 
     def _take_pending(self, send_digest: bytes) -> PendingSend:
         pend = self.pending.pop(send_digest)
         self.total_pending -= pend.amount
-        self._bytes_pending -= len(pend.encode())
+        self._bytes_pending -= pend.encoded_len()
         return pend
 
     def _apply(self, block: LatticeBlock) -> None:

@@ -163,7 +163,7 @@ class ChainNode:
 
     def _assemble(self, producer: str, now: float) -> Block:
         return assemble_block(self.store, self.store.adopted_head,
-                              list(self.mempool.values()), producer, now)
+                              self.mempool.values(), producer, now)
 
     def _produce(self, sim: Simulation, now: float, block: Block) -> None:
         """Record a block made here, adopt it, then broadcast it."""

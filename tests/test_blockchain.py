@@ -99,6 +99,41 @@ def test_assembly_packs_greedily_and_skips_the_unfit():
     assert block.transactions == (heavy, light)
 
 
+def _full_scan(store, pool):
+    """The transactions greedy packing chooses when it reads the whole pool."""
+    state = store.state_at(store.adopted_head)
+    room, chosen = store.capacity, []
+    for tx in pool:
+        if tx.weight > room or state.apply_tx(tx) is not None:
+            continue
+        chosen.append(tx)
+        room -= tx.weight
+    return tuple(chosen)
+
+
+def test_assembly_stops_reading_the_pool_once_the_block_is_full():
+    store = _store()
+    fill = [make_transaction(ALICE, "carol", 10, sequence=1, weight=6_000),
+            make_transaction(BOB, "carol", 10, sequence=1, weight=4_000)]
+    past = [make_transaction(ALICE, "carol", 10, sequence=2, weight=1),
+            _signed(BOB, "carol", 10, 2, 0),  # weightless: the rule refuses it
+            make_transaction(BOB, "carol", 10, sequence=3, weight=1)]
+    read = []
+
+    def pool():
+        for tx in fill + past:
+            read.append(tx)
+            yield tx
+
+    block = assemble_block(store, store.adopted_head, pool(),
+                           producer="miner-0", timestamp=1.0)
+
+    assert block.transactions == _full_scan(store, fill + past) == tuple(fill)
+    assert block == assemble_block(store, store.adopted_head, fill,
+                                   producer="miner-0", timestamp=1.0)
+    assert read == fill  # nothing past the full point was read
+
+
 def test_assembly_skips_overspend_and_stale_sequence():
     store = _store()
     _extend(store, [make_transaction(ALICE, "bob", 100, 1, 10)])

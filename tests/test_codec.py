@@ -20,6 +20,7 @@ from ledgerlab.lattice import (
     BlockKind,
     LatticeBlock,
     LatticeLedger,
+    PendingSend,
     VoteRecord,
     build_block,
     make_vote,
@@ -252,6 +253,14 @@ changes = st.builds(AccountChange, u64s, u64s, u64s, u64s, st.booleans())
 def test_state_delta_measures_its_encoding(block, account_changes):
     delta = StateDelta(block=block, changes=account_changes)
     assert delta.encoded_len() == len(delta.encode())
+
+
+@given(digests, names, u64s)
+@example(ZERO_DIGEST, "zoë-名", 7)
+@example(ZERO_DIGEST, "", 0)
+def test_pending_send_measures_its_encoding(send_digest, recipient, amount):
+    pend = PendingSend(send_digest=send_digest, recipient=recipient, amount=amount)
+    assert pend.encoded_len() == len(pend.encode())
 
 
 def _check_wire_digests(obj, raw):

@@ -48,7 +48,7 @@ from ledgerlab.nodes import (
     _chain_block_msg,
     _lattice_block_msg,
 )
-from ledgerlab.primitives import ZERO_DIGEST, identity_for
+from ledgerlab.primitives import ZERO_DIGEST, Signature, identity_for
 from ledgerlab.recording import RunRecorder
 from ledgerlab.runner import run
 from ledgerlab.scenario import preset_config
@@ -517,6 +517,130 @@ def test_every_retained_name_is_its_chains_account_string():
             assert vote.representative is own[vote.representative].account
             assert vote.signature.signer is vote.representative
     assert sends and votes
+
+
+# ---------------------------------------------------------------------------
+# One bytes object per digest value in each node
+
+
+def _held_signed_objects(node):
+    """The signed objects a node keeps: its lattice blocks and stored votes,
+    or its pooled and stored chain transactions."""
+    if isinstance(node, LatticeNode):
+        chains, ballots = node.ledger.accounts.values(), node.ledger.votes.values()
+        yield from (b for c in chains for b in c.blocks.values())
+        yield from (v for ballot in ballots for v in ballot.values())
+    else:
+        yield from node.mempool.values()
+        for sb in node.store.blocks.values():
+            yield from sb.transactions or ()
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 20),
+                                            ("fork-stress", 40),
+                                            ("bitcoin-baseline", 60)])
+def test_every_held_object_signs_its_own_signing_digest_object(name, horizon_s):
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+    assert result.ok
+    held = [obj for node in result.nodes.values()
+            for obj in _held_signed_objects(node)]
+    assert held
+    for obj in held:
+        assert obj._sd is obj.signature.payload_digest
+
+
+def _after_send(send):
+    """A ledger that applied `send`, to build the blocks that follow it."""
+    source = LatticeLedger(_GENESIS)
+    assert source.receive_block(send).status is OutcomeStatus.APPLIED
+    return source
+
+
+def test_a_fresh_block_takes_its_held_predecessors_digest_object():
+    node, _, send, _ = _applied_send_with_vote()
+    after = _after_send(send).create_send("carol", "home", 10)
+
+    fresh = _decode(LatticeBlock, after.encode(), node.ledger)
+
+    assert fresh == after
+    held = node.ledger.accounts["carol"].blocks[send.digest()]
+    assert fresh.predecessor is held.digest()
+
+
+def test_a_fresh_receive_takes_its_pending_sends_digest_object():
+    node, _, send, _ = _applied_send_with_vote()
+    receive = _after_send(send).create_receive("home", send.digest())
+
+    fresh = _decode(LatticeBlock, receive.encode(), node.ledger)
+
+    assert fresh == receive
+    assert fresh.counterparty is node.ledger.pending[send.digest()].send_digest
+    home = node.ledger.accounts["home"]
+    assert fresh.predecessor is home.blocks[home.head].digest()
+
+
+def test_a_fresh_vote_takes_subject_and_choice_from_its_ballot():
+    node, _, send, _ = _applied_send_with_vote()
+    stored = node.ledger.votes[send.predecessor]["carol"]
+    home = identity_for("home")
+    same = make_vote(home, send.predecessor, send.digest(), 40)
+    rival = make_vote(home, send.predecessor, b"\x07" * 32, 40)
+
+    fresh = _decode(VoteRecord, same.encode(), node.ledger)
+    assert fresh == same
+    assert fresh.subject is stored.subject and fresh.choice is stored.choice
+
+    fresh = _decode(VoteRecord, rival.encode(), node.ledger)
+    assert fresh == rival and fresh.subject is stored.subject
+
+
+_OTHER_DIGEST = b"\x09" * 32
+
+
+def _forged(obj):
+    """`obj` with a tag over its signing digest, but a signature that names
+    another payload digest: a decoder that took the signing digest for the
+    payload digest without comparing them would make it verify."""
+    sig = obj.signature
+    assert sig.payload_digest == obj.signing_digest() != _OTHER_DIGEST
+    return replace(obj, signature=Signature(sig.signer, _OTHER_DIGEST, sig.tag))
+
+
+def _kept_apart(fresh, honest):
+    return (fresh.signature.payload_digest == _OTHER_DIGEST
+            and fresh.signing_digest() == honest.signing_digest())
+
+
+def test_a_block_naming_another_payload_digest_is_kept_apart_and_refused():
+    node, _ = _lattice_node()
+    send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
+
+    fresh = _decode(LatticeBlock, _forged(send).encode(), node.ledger)
+
+    assert _kept_apart(fresh, send)
+    assert node.ledger.receive_block(fresh).verdict is LatticeVerdict.BAD_SIGNATURE
+    assert node.ledger.balance("carol") == 100
+
+
+def test_a_vote_naming_another_payload_digest_is_kept_apart_and_refused():
+    node, sim, send, _ = _applied_send_with_vote()
+    vote = make_vote(identity_for("home"), send.predecessor, send.digest(), 40)
+
+    fresh = _decode(VoteRecord, _forged(vote).encode(), node.ledger)
+
+    assert _kept_apart(fresh, vote)
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
+    assert "home" not in node.ledger.votes[send.predecessor]
+
+
+def test_a_transaction_naming_another_payload_digest_is_kept_apart_and_refused():
+    tx = make_transaction(identity_for("alice"), "bob", 5, 1, 10)
+    raw = _forged(tx).encode()
+
+    assert _kept_apart(ChainTransaction.decode(Reader(raw)), tx)
+    node, sim = _chain_node()
+    node.on_message(sim, 0.0, codec.enc_u8(MSG_CHAIN_TX) + codec.enc_u64(1) + raw)
+    assert node.mempool == {}
 
 
 def _trace_and_report_sha(name, horizon_s):
