@@ -43,9 +43,6 @@ from .primitives import (
 
 GENESIS_PRODUCER = "genesis"
 
-# Pruning below this many recent blocks would undercut reorg safety.
-MIN_KEEP_RECENT = 128
-
 DEFAULT_FASTSYNC_PIVOT_OFFSET = 1024
 
 
@@ -458,7 +455,6 @@ class AdoptionReport:
     new_height: int
     orphaned: tuple[bytes, ...]          # digests leaving the adopted branch
     reorged_in: tuple[bytes, ...]        # digests joining it (ancestor -> head order)
-    duplicate: bool = False
 
     @property
     def head_moved(self) -> bool:
@@ -469,18 +465,14 @@ class ChainStore:
     """All blocks a node holds, plus the adopted branch and its state."""
 
     def __init__(self, genesis_allocation: dict[str, int], block_reward: int,
-                 capacity: int, proof_rule: ProofRule | None = None,
-                 schedule: DifficultySchedule | None = None,
-                 reorg_safety: int = MIN_KEEP_RECENT):
+                 capacity: int, proof_rule: ProofRule,
+                 schedule: DifficultySchedule, reorg_safety: int):
         self.block_reward = block_reward
         self.capacity = capacity  # most transaction weight one block may hold
-        self.proof_rule = proof_rule or LotteryProof()
-        self.reorg_safety = reorg_safety
+        self.proof_rule = proof_rule
+        self.reorg_safety = reorg_safety  # fewest recent blocks a prune keeps
         self.genesis_allocation = dict(genesis_allocation)
         self.genesis_supply = sum(genesis_allocation.values())
-        if schedule is None:
-            schedule = DifficultySchedule(
-                target_interval_s=1.0, retarget_window=16, difficulty=1.0)
 
         genesis_state = ChainState(
             balances=dict(sorted(genesis_allocation.items())),
@@ -495,7 +487,6 @@ class ChainStore:
 
         self.blocks: dict[bytes, StoredBlock] = {}
         self.deltas: dict[bytes, StateDelta] = {}
-        self.tx_blocks: dict[bytes, list[bytes]] = {}
         self._bytes = {"chain_headers": 0, "chain_bodies": 0, "chain_deltas": 0}
         self._insert(self.genesis_digest, header, (), schedule, None)
         # digest -> height of each block on the adopted branch, genesis first
@@ -516,9 +507,6 @@ class ChainStore:
     @property
     def head_height(self) -> int:
         return self.adopted[self.adopted_head]
-
-    def balance(self, account: str) -> int:
-        return self.head_state.balance(account)
 
     def adopted_chain(self) -> list[bytes]:
         """Digests of the adopted branch, genesis first."""
@@ -666,20 +654,18 @@ class ChainStore:
             self.deltas[d] = delta
             self._bytes["chain_deltas"] += delta.encoded_len()
         if transactions is not None:
-            for tx in transactions:
-                self.tx_blocks.setdefault(tx.digest(), []).append(d)
             self._bytes["chain_bodies"] += _body_len(transactions)
         return sb
 
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
-        """Store a validated block and move the head if its branch is longer;
-        a head move checks the supply."""
+        """Store a validated block not held yet and move the head if its
+        branch is longer; a head move checks the supply."""
         d = block.digest()
+        if (d in self.blocks or not result.ok or result.delta is None
+                or result.schedule is None):
+            raise ValueError("adopt requires a passing validation result "
+                             "for a block not held yet")
         old_height = self.head_height
-        if d in self.blocks:
-            return AdoptionReport(old_height, old_height, (), (), duplicate=True)
-        if not result.ok or result.delta is None or result.schedule is None:
-            raise ValueError("adopt requires a passing validation result")
 
         sb = self._insert(d, block.header, block.transactions,
                           result.schedule, result.delta)
@@ -695,22 +681,6 @@ class ChainStore:
             self.adopted[nd] = self.blocks[nd].height
         self.check_conservation()
         return AdoptionReport(old_height, sb.height, tuple(orphaned), tuple(incoming))
-
-    # -- confirmations ------------------------------------------------------
-
-    def confirmations(self, tx_digest: bytes) -> Optional[int]:
-        """1 + (head height - containing height) on the adopted branch.
-
-        None when the transaction sits only on orphaned branches; unknown
-        digests raise NotFoundError.
-        """
-        containing = self.tx_blocks.get(tx_digest)
-        if not containing:
-            raise NotFoundError("unknown transaction")
-        for bd in containing:
-            if bd in self.adopted:
-                return self.head_height - self.blocks[bd].height + 1
-        return None
 
     # -- conservation and audit ---------------------------------------------
 

@@ -190,7 +190,12 @@ def _cmd_compare(args) -> int:
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".csv"):
             continue
-        for row in _read_csv_rows(os.path.join(directory, name)):
+        path = os.path.join(directory, name)
+        try:
+            rows = _read_csv_rows(path)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+        for row in rows:
             by_scenario.setdefault(row[0], []).append(row)
     if not by_scenario:
         raise ConfigError(f"no suite csv reports found in {directory}")
@@ -251,7 +256,7 @@ def main(argv=None) -> int:
         if args.verb == "inspect":
             return _cmd_inspect(args)
         return _cmd_compare(args)
-    except (UsageError, LedgerError, FileNotFoundError) as exc:
+    except (UsageError, LedgerError, OSError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

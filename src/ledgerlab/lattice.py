@@ -372,7 +372,6 @@ class Resolution:
     subject: bytes
     winner: bytes
     discarded: tuple[bytes, ...]
-    winner_applied: bool
     winner_weight: int  # the winner's tally
     runner_up: int      # the largest tally among the other candidates
 
@@ -495,10 +494,6 @@ class LatticeLedger:
         self.genesis_supply = self.total_balance
 
     # -- queries ------------------------------------------------------------
-
-    def balance(self, account: str) -> int:
-        chain = self.accounts.get(account)
-        return chain.balance if chain else 0
 
     def head(self, account: str) -> bytes:
         return self.accounts[account].head
@@ -780,7 +775,6 @@ class LatticeLedger:
         chain = self.accounts[account]
         incumbent = chain.successor_of(subject)
         discarded: tuple[bytes, ...] = ()
-        winner_applied = True
         released: list[LatticeBlock] = []
         if incumbent != winner:  # else the chain already carries the winner
             if incumbent is not None:
@@ -791,14 +785,12 @@ class LatticeLedger:
                 self._apply(winner_block)
                 outcome.applied.append(winner_block)
                 released = self._release_parked(winner)
-            else:
-                winner_applied = False  # degenerate: winner no longer applies
         conflict.resolved = winner
         if key in self.flagged_ties:
             self.flagged_ties.remove(key)  # a later vote broke the tie
         outcome.resolutions.append(Resolution(
             account=account, subject=subject, winner=winner,
-            discarded=discarded, winner_applied=winner_applied,
+            discarded=discarded,
             winner_weight=tallies[winner],
             runner_up=max((w for c, w in tallies.items() if c != winner), default=0)))
         return released

@@ -34,10 +34,6 @@ class RunResult:
     breach: str | None = None
     nodes: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.breach is None
-
 
 def _link_model(cfg: Config) -> LinkModel:
     return LinkModel(

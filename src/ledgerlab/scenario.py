@@ -9,6 +9,7 @@ of silently running a default. Each value must lie in its key's domain in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -217,10 +218,14 @@ def _coerce(key: str, raw) -> object:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     else:
         value = raw
+    items = value if isinstance(value, tuple) else (value,)
+    for item in items:
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"bad value for {key}: {item!r} (expected a finite number)")
     if domain is not None:
         test, phrase = ((domain.__contains__, f"one of {sorted(domain)}")
                         if isinstance(domain, set) else domain)
-        for item in value if isinstance(value, tuple) else (value,):
+        for item in items:
             if not test(item):
                 raise ConfigError(
                     f"bad value for {key}: {item!r} (expected {phrase})")
@@ -335,8 +340,11 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str, overrides: list[str] = ()) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
-        base = parse_config_text(fh.read())
-    return build_config(base, overrides)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    return build_config(parse_config_text(text), overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_criterion_08_pruning_equivalence():
     assert sum(pruned.ledger_bytes().values()) < bytes_before
 
     for account in ("alice", "bob", "miner-0", "nobody"):
-        assert pruned.balance(account) == archive.balance(account)
+        assert pruned.head_state.balance(account) == archive.head_state.balance(account)
 
     # identical subsequent stream, identical verdicts
     good = assemble_block(archive, archive.adopted_head, [], "miner-0", 41.0)
@@ -334,7 +334,7 @@ def test_criterion_08_pruning_equivalence():
     assert sum(twin.ledger_bytes().values()) < bytes_before
 
     for account in genesis:
-        assert twin.balance(account) == full.balance(account)
+        assert twin.accounts[account].balance == full.accounts[account].balance
 
     send = full.create_send("b", "c", 15)
     both(send)
@@ -373,7 +373,7 @@ def test_criterion_09_fast_sync_fidelity():
     assert synced.adopted_head == source.adopted_head
     assert synced.head_state.root() == source.head_state.root()
     for account in ("alice", "bob", "miner-0"):
-        assert synced.balance(account) == source.balance(account)
+        assert synced.head_state.balance(account) == source.head_state.balance(account)
     # headers-only below the pivot: the synced copy must be smaller
     assert (sum(synced.ledger_bytes().values())
             < sum(source.ledger_bytes().values()))

@@ -24,7 +24,7 @@ from ledgerlab.blockchain import (
     fast_sync,
     make_transaction,
 )
-from ledgerlab.errors import ConfigError, NotFoundError
+from ledgerlab.errors import ConfigError
 from ledgerlab.leader_election import (
     DifficultySchedule,
     StakeRegistry,
@@ -162,9 +162,9 @@ def test_validate_accepts_and_updates_state():
     tx = make_transaction(ALICE, "bob", 100, sequence=1, weight=10)
     _block, report = _extend(store, [tx])
     assert report.head_moved
-    assert store.balance("alice") == 900
-    assert store.balance("bob") == 600
-    assert store.balance("miner-0") == 50
+    assert store.head_state.balance("alice") == 900
+    assert store.head_state.balance("bob") == 600
+    assert store.head_state.balance("miner-0") == 50
     assert store.head_state.sequence("alice") == 1
 
 
@@ -317,47 +317,25 @@ def test_depth_two_reorg_returns_dropped_transactions():
     assert rep3.head_moved
     assert set(rep3.orphaned) == {a1.digest(), a2.digest()}
     assert rep3.reorged_in == (b1.digest(), b2.digest(), b3.digest())
-    # tx_a fell out and is not on the new branch; tx_shared is, so only tx_a
-    # is left to return (a node's pool takes it back, see test_nodes.py)
-    assert store.confirmations(tx_a.digest()) is None
-    assert store.confirmations(tx_shared.digest()) == 3
-    assert store.balance("alice") == 1000
-    assert store.balance("carol") == 7
+    # tx_a's block left the adopted branch; tx_shared's new block is on it,
+    # three deep, so only tx_a is left to return (a node's pool takes it
+    # back, see test_nodes.py)
+    assert a1.digest() not in store.adopted
+    assert store.head_height - store.adopted[b1.digest()] + 1 == 3
+    assert store.head_state.balance("alice") == 1000
+    assert store.head_state.balance("carol") == 7
 
 
-def test_adopt_duplicate_is_flagged():
+def test_adopt_of_a_held_block_raises():
     store = _store()
-    block, _ = _extend(store)
-    result = store.validate_block(block)  # would fail; use stored path instead
-    report = store.adopt(block, result)
-    assert report.duplicate
-    assert not report.head_moved
-
-
-# -- confirmations ----------------------------------------------------------
-
-
-def test_confirmation_depth_counts_from_inclusion():
-    store = _store()
-    tx = make_transaction(ALICE, "bob", 10, 1, 10)
-    _extend(store, [tx])
-    assert store.confirmations(tx.digest()) == 1
-    for _ in range(5):
-        _extend(store)
-    assert store.confirmations(tx.digest()) == 6
-    with pytest.raises(NotFoundError):
-        store.confirmations(b"\x11" * 32)
-
-
-def test_confirmations_none_when_orphan_only():
-    store = _store()
-    genesis = store.adopted_head
-    tx = make_transaction(ALICE, "bob", 10, 1, 10)
-    a1, _ = _extend(store, [tx], ts=1.0)
-    b1, _ = _extend(store, [], parent=genesis, ts=1.5)
-    b2, _ = _extend(store, [], parent=b1.digest(), ts=2.5)
-    assert store.adopted_head == b2.digest()
-    assert store.confirmations(tx.digest()) is None
+    parent = store.adopted_head
+    block = assemble_block(store, parent, [], producer="miner-0", timestamp=1.0)
+    result = store.validate_block(block)
+    store.adopt(block, result)
+    with pytest.raises(ValueError):
+        store.adopt(block, result)  # the same passing result, a second time
+    assert store.adopted_chain() == [parent, block.digest()]
+    assert len(store.blocks) == 2
 
 
 # -- state deltas -----------------------------------------------------------
@@ -430,7 +408,7 @@ def test_state_at_walks_to_side_branches():
                       parent=genesis, ts=1.5)
     at_side = store.state_at(side.digest())
     assert at_side.balance("alice") == 999
-    assert store.balance("alice") == 900  # head unaffected
+    assert store.head_state.balance("alice") == 900  # head unaffected
 
 
 def test_branch_records_hold_through_random_reorgs():
@@ -495,7 +473,7 @@ def test_prune_drops_old_bodies_and_keeps_answers():
     assert store.recount_bytes() == store.ledger_bytes()
     assert sum(store.ledger_bytes().values()) < sum(before.values())
     # balances come from head state, untouched by pruning
-    assert store.balance("alice") == 1000 - 40
+    assert store.head_state.balance("alice") == 1000 - 40
     # deep history is gone
     old = store.adopted_chain()[5]
     with pytest.raises(HistoryPrunedError):
@@ -612,7 +590,8 @@ def test_pos_proof_enforces_slot_grid_and_producer():
     registry = StakeRegistry(deposits={"val-0": 100, "val-1": 200})
     rule = PosProof(registry, run_seed=9, slot_interval_s=1.0)
     store = ChainStore({"alice": 1000}, block_reward=0, capacity=10_000,
-                       proof_rule=rule)
+                       proof_rule=rule, schedule=DifficultySchedule(1.0, 16, 1.0),
+                       reorg_safety=128)
     leader = pos_select(registry, 9, 3)
     other = "val-0" if leader == "val-1" else "val-1"
     good = assemble_block(store, store.adopted_head, [], leader, 3.0)

@@ -289,3 +289,36 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except cli.UsageError as exc:
             pytest.fail(f"README command does not parse: {line}: {exc}")
+
+
+def _assert_usage_error_naming(path, rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_a_directory_given_as_config_is_a_usage_error(tmp_path, capsys):
+    _assert_usage_error_naming(
+        tmp_path, main(["validate", "--config", str(tmp_path)]), capsys)
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"scenario.id = caf\xe9\n")
+    _assert_usage_error_naming(
+        path, main(["validate", "--config", str(path)]), capsys)
+
+
+def test_compare_over_a_csv_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\ncaf\xe9,1,settled-tps,tx/s,value,2.0\n")
+    _assert_usage_error_naming(path, main(["compare", "--out", str(tmp_path)]), capsys)
+
+
+def test_run_out_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "reports"
+    rc = main(["run", "--config", "nano-baseline", "--override", "scenario.horizon_s=5",
+               "--out", str(out)])
+    _assert_usage_error_naming(out, rc, capsys)

@@ -721,4 +721,4 @@ def test_codec_round_trips_write_each_field_once(write_once, round_trip):
                                             ("fork-stress", 40)])
 def test_runs_write_each_field_once(write_once, name, horizon_s):
     result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
-    assert result.ok
+    assert result.breach is None

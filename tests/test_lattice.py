@@ -44,7 +44,7 @@ def test_genesis_allocation_and_weights():
     assert ledger.total_balance == 1000
     assert ledger.genesis_supply == 1000
     assert ledger.total_pending == 0
-    assert ledger.balance("a") == 100
+    assert ledger.accounts["a"].balance == 100
     assert ledger.representative_weight("w8") == 800
     assert ledger.representative_weight("w2") == 200
     assert ledger.recompute_weights() == {"w8": 800, "w2": 200}
@@ -59,14 +59,14 @@ def test_send_then_receive_moves_value():
     send = ledger.create_send("a", "w2", 30)
     out = _apply(ledger, send)
     assert out.status is OutcomeStatus.APPLIED
-    assert ledger.balance("a") == 70
+    assert ledger.accounts["a"].balance == 70
     assert ledger.total_pending == 30
     assert ledger.pending[send.digest()].recipient == "w2"
 
     recv = ledger.create_receive("w2", send.digest())
     out2 = _apply(ledger, recv)
     assert out2.status is OutcomeStatus.APPLIED
-    assert ledger.balance("w2") == 230
+    assert ledger.accounts["w2"].balance == 230
     assert ledger.total_pending == 0
     assert ledger.settled_of[send.digest()] == ("w2", recv.digest())
     # delegated weight followed the balance
@@ -166,13 +166,13 @@ def test_gap_parks_until_predecessor_arrives():
 
     out = _apply(ledger, s2)
     assert out.status is OutcomeStatus.PARKED
-    assert ledger.balance("a") == 100
+    assert ledger.accounts["a"].balance == 100
 
     out2 = _apply(ledger, s1)
     assert out2.status is OutcomeStatus.APPLIED
     # parked successor drained in the same call
     assert [b.digest() for b in out2.applied] == [s1.digest(), s2.digest()]
-    assert ledger.balance("a") == 88
+    assert ledger.accounts["a"].balance == 88
     assert not ledger.parked.held and not ledger.parked.waiting
 
 
@@ -261,7 +261,7 @@ def test_fork_opens_conflict_and_majority_resolves():
     assert [r.winner for r in res_out.resolutions] == [s2.digest()]
     assert ledger.conflicts[("a", fork_point)].resolved == s2.digest()
     assert ledger.accounts["a"].head == s2.digest()
-    assert ledger.balance("a") == 80
+    assert ledger.accounts["a"].balance == 80
     assert s1.digest() not in ledger.pending
     assert ledger.pending[s2.digest()].amount == 20
     assert not ledger.open_conflicts()
@@ -284,7 +284,7 @@ def test_incumbent_survives_when_majority_backs_it():
     ledger.add_vote(vote)
     assert ledger.conflicts[("a", fork_point)].resolved == s1.digest()
     assert ledger.accounts["a"].head == s1.digest()
-    assert ledger.balance("a") == 90
+    assert ledger.accounts["a"].balance == 90
 
 
 def test_votes_accumulate_to_quorum():
@@ -408,7 +408,7 @@ def test_vote_for_a_candidate_that_joined_later_counts():
     res = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s3.digest(), 800))
     assert [r.winner for r in res.resolutions] == [s3.digest()]
     assert ledger.accounts["a"].head == s3.digest()
-    assert ledger.balance("a") == 95
+    assert ledger.accounts["a"].balance == 95
 
 
 def test_losing_branch_rollback_cascades_through_receives():
@@ -419,7 +419,7 @@ def test_losing_branch_rollback_cascades_through_receives():
     _apply(ledger, s1)
     r1 = ledger.create_receive("b", s1.digest())
     _apply(ledger, r1)
-    assert ledger.balance("b") == 100
+    assert ledger.accounts["b"].balance == 100
 
     s2 = build_block(identity_for("a"), fork_point, BlockKind.SEND,
                      amount=60, counterparty="w2")
@@ -430,11 +430,11 @@ def test_losing_branch_rollback_cascades_through_receives():
     assert [r.winner for r in res.resolutions] == [s2.digest()]
 
     # the receive on b's chain was built on the discarded send: unwound too
-    assert ledger.balance("b") == 50
+    assert ledger.accounts["b"].balance == 50
     assert ledger.accounts["b"].head != r1.digest()
     assert ledger.accounts["b"].head == r1.predecessor == ledger.accounts["b"].order[-1]
     assert ledger.accounts["a"].head == s2.digest()
-    assert ledger.balance("a") == 40
+    assert ledger.accounts["a"].balance == 40
     assert s1.digest() not in ledger.pending
     assert ledger.pending[s2.digest()].amount == 60
     assert ledger.total_balance + ledger.total_pending == ledger.genesis_supply
@@ -450,7 +450,7 @@ def test_two_candidate_resolution_carries_both_tallies():
     out = ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 790))
     assert out.resolutions == [lattice.Resolution(
         account="a", subject=fork_point, winner=s2.digest(),
-        discarded=(s1.digest(),), winner_applied=True,
+        discarded=(s1.digest(),),
         winner_weight=790, runner_up=200)]
 
 
@@ -488,13 +488,12 @@ def test_resolution_for_a_winner_that_no_longer_applies():
     out = ledger.add_vote(
         make_vote(identity_for("w8"), fork_point, overspend.digest(), 790))
     (res,) = out.resolutions
-    assert not res.winner_applied
     assert (res.winner, res.discarded) == (overspend.digest(), (s1.digest(),))
     assert (res.winner_weight, res.runner_up) == (790, 0)
     assert out.applied == []
     assert ledger.accounts["a"].head == fork_point
     assert ledger.conflicts[("a", fork_point)].resolved == overspend.digest()
-    assert ledger.balance("a") == 100
+    assert ledger.accounts["a"].balance == 100
 
 
 def test_resolve_fork_tally_rules():
@@ -584,7 +583,7 @@ def test_current_tier_node_tracks_historical_twin():
         assert (_apply(historical, blk).status
                 == _apply(trimmed, blk).status)
     for account in historical.accounts:
-        assert historical.balance(account) == trimmed.balance(account)
+        assert historical.accounts[account].balance == trimmed.accounts[account].balance
 
     # fork off pruned history: the digest index still says fork, not gap
     old_pred = blocks[0].predecessor

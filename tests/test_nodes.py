@@ -121,7 +121,7 @@ def test_a_message_with_trailing_bytes_is_rejected():
     with pytest.raises(CodecError, match="1 trailing bytes"):
         lattice_node.on_message(sim, 0.0,
                                 _lattice_block_msg(0, send, []) + b"\x00")
-    assert lattice_node.ledger.balance("carol") == 100
+    assert lattice_node.ledger.accounts["carol"].balance == 100
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
     monkeypatch.setattr(LatticeBlock, "encode", counting_encode)
 
     node.on_message(sim, 1.0, payload)
-    assert node.ledger.balance("home") == 70  # applied and received here
+    assert node.ledger.accounts["home"].balance == 70  # applied and received here
     first = len(encoded)
     assert first > 0  # applying and forwarding do encode
 
@@ -400,7 +400,7 @@ def _applied_send_with_vote():
     send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
     vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
     node.on_message(sim, 1.0, _lattice_block_msg(0, send, [vote]))
-    assert node.ledger.balance("carol") == 70
+    assert node.ledger.accounts["carol"].balance == 70
     return node, sim, send, vote
 
 
@@ -499,7 +499,7 @@ def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
 def test_every_retained_name_is_its_chains_account_string():
     cfg = preset_config("nano-scaling", ["scenario.horizon_s=20"])
     result = run(cfg, 1)
-    assert result.ok
+    assert result.breach is None
     sends = votes = 0
     for node in result.nodes.values():
         ledger = node.ledger
@@ -541,7 +541,7 @@ def _held_signed_objects(node):
                                             ("bitcoin-baseline", 60)])
 def test_every_held_object_signs_its_own_signing_digest_object(name, horizon_s):
     result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
-    assert result.ok
+    assert result.breach is None
     held = [obj for node in result.nodes.values()
             for obj in _held_signed_objects(node)]
     assert held
@@ -619,7 +619,7 @@ def test_a_block_naming_another_payload_digest_is_kept_apart_and_refused():
 
     assert _kept_apart(fresh, send)
     assert node.ledger.receive_block(fresh).verdict is LatticeVerdict.BAD_SIGNATURE
-    assert node.ledger.balance("carol") == 100
+    assert node.ledger.accounts["carol"].balance == 100
 
 
 def test_a_vote_naming_another_payload_digest_is_kept_apart_and_refused():

@@ -5,14 +5,19 @@ pinned run is fixed text, and its `trace:` line carries the full event-trace
 digest. Each report is checked in under `tests/pins/`; a run that no longer
 renders it fails with a unified diff. A change that moves a report re-pins
 with `tests/repin.py` and says why.
+
+All pins render in one pass that traces the package, and the statements it
+leaves unreached must match `tests/unreached.txt` (see `unreached.py`).
 """
 
 import difflib
 from pathlib import Path
 
 import pytest
+import unreached
 
 from ledgerlab.metrics import build_report, render_report
+from ledgerlab.primitives import identity_for
 from ledgerlab.runner import run
 from ledgerlab.scenario import PRESETS, preset_config
 
@@ -51,10 +56,22 @@ def render_pin(name: str, overrides: tuple[str, ...]) -> str:
     return render_report(build_report(run(preset_config(name, list(overrides)), 1)))
 
 
-def _assert_matches_pin(name, overrides):
-    path = pin_path(name, overrides)
+def render_pins_traced():
+    """The report of every pinned run, by (name, overrides), from one pass
+    that traces the package; and the lines that ran, by file name."""
+    identity_for.cache_clear()  # as in a fresh process, each identity is derived
+    return unreached.trace(lambda: {pin: render_pin(*pin) for pin in PINNED})
+
+
+@pytest.fixture(scope="module")
+def traced_pass():
+    return render_pins_traced()
+
+
+def _assert_matches_pin(pin, reports):
+    path = pin_path(*pin)
     pinned = path.read_bytes().decode("utf-8")
-    text = render_pin(name, overrides)
+    text = reports[pin]
     if text != pinned:
         diff = difflib.unified_diff(pinned.splitlines(keepends=True),
                                     text.splitlines(keepends=True),
@@ -68,10 +85,19 @@ def test_every_preset_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_preset_seed_one_matches_pin(name):
-    _assert_matches_pin(name, ())
+def test_preset_seed_one_matches_pin(name, traced_pass):
+    _assert_matches_pin((name, ()), traced_pass[0])
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: ",".join(v[1]))
-def test_variant_seed_one_matches_pin(variant):
-    _assert_matches_pin(*variant)
+def test_variant_seed_one_matches_pin(variant, traced_pass):
+    _assert_matches_pin(variant, traced_pass[0])
+
+
+def test_unreached_statements_match_the_list(traced_pass):
+    diff = unreached.difference(unreached.unreached(traced_pass[1]),
+                                unreached.listed())
+    if diff:
+        pytest.fail("the pinned runs' unreached statements moved from "
+                    "tests/unreached.txt (+ newly unreached, - listed but "
+                    "now run):\n" + "\n".join(diff), pytrace=False)

@@ -34,7 +34,7 @@ def test_representative_names_never_collide():
 def test_chain_run_result_shape():
     cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=20"])
     result = run(cfg, seed=5)
-    assert result.ok
+    assert result.breach is None
     assert result.config.scenario_id == "bitcoin-baseline"
     assert result.seed == 5
     assert len(result.trace) == 64
@@ -48,7 +48,7 @@ def test_chain_run_result_shape():
 def test_lattice_run_result_shape():
     cfg = preset_config("nano-baseline", ["scenario.horizon_s=20"])
     result = run(cfg, seed=5)
-    assert result.ok
+    assert result.breach is None
     assert all(isinstance(n, LatticeNode) for n in result.nodes.values())
     ledger = result.nodes[0].ledger
     assert ledger.total_balance + ledger.total_pending == ledger.genesis_supply
@@ -115,7 +115,7 @@ def test_recorded_resolution_weights_stand_against_the_final_ballot():
 def test_partitioned_chain_still_audits_clean():
     cfg = preset_config("partition-stress")
     result = run(cfg, seed=6)
-    assert result.ok
+    assert result.breach is None
     # partition forces competing branches somewhere in the run
     orphans = [o for _t, _n, _oh, _nh, o, _i in result.recorder.adoptions if o]
     assert orphans
@@ -128,7 +128,7 @@ def test_end_of_run_prune_trims_stores():
         "chain.prune_keep_recent=20",
     ])
     result = run(cfg, seed=1)
-    assert result.ok
+    assert result.breach is None
     store = result.nodes[0].store
     assert store.first_full_block_height > 0
     assert store.recount_bytes() == store.ledger_bytes()

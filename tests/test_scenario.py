@@ -5,6 +5,7 @@ import pytest
 from ledgerlab.errors import ConfigError
 from ledgerlab.scenario import (
     PRESETS,
+    SCHEMA,
     build_config,
     load_config,
     parse_config_text,
@@ -126,6 +127,32 @@ def test_negative_gap_buffer_rejected():
     # zero keeps no gap block at all, which is legal
     assert build_config(PRESETS["nano-baseline"],
                         ["lattice.gap_buffer=0"])["lattice.gap_buffer"] == 0
+
+
+def _parses_to_float(parser) -> bool:
+    try:
+        value = parser("1.5")
+    except (ValueError, ConfigError):
+        return False
+    return 1.5 in (value if isinstance(value, tuple) else (value,))
+
+
+FLOAT_KEYS = sorted(key for key, (parser, _, _) in SCHEMA.items()
+                    if _parses_to_float(parser))
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_key_refuses_a_value_that_is_not_finite(key):
+    preset = "nano-baseline" if key.startswith(("lattice.", "fork.")) else "bitcoin-baseline"
+    for raw in ("inf", "-inf", "nan", "1e999"):
+        with pytest.raises(ConfigError, match=f"{key}: .* finite"):
+            build_config(PRESETS[preset], [f"{key}={raw}"])
+
+
+def test_a_float_list_refuses_an_element_that_is_not_finite():
+    assert "chain.hash_rates" in FLOAT_KEYS
+    with pytest.raises(ConfigError, match="chain.hash_rates: inf .* finite"):
+        build_config(PRESETS["bitcoin-baseline"], ["chain.hash_rates=1,inf,2"])
 
 
 def test_partition_syntax():
