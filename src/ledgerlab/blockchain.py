@@ -36,6 +36,7 @@ from .primitives import (
     Identity,
     Signature,
     WireObject,
+    WireScan,
     digest,
     merkle_root,
     verify,
@@ -63,6 +64,44 @@ class SyncError(LedgerError):
 
 # the fixed runs of the wire kernels (see `codec`)
 _TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
+
+
+class TxScan(WireScan):
+    """What an encoded transaction says, read once for all receivers."""
+
+    __slots__ = ("digest", "sender", "recipient", "amount", "sequence", "weight",
+                 "signer")
+
+    def __init__(self, data: bytes, start: int):
+        # The offsets first: sender at a:b, recipient at c:d, the numbers at
+        # d, signer at e:f, the signature digests at f. A string's bounds are
+        # checked with the fixed run after it.
+        size = len(data)
+        a = start + 4
+        if a > size:
+            raise CodecError("buffer underrun")
+        b = a + U32.unpack_from(data, start)[0]
+        c = b + 4
+        if c > size:
+            raise CodecError("buffer underrun")
+        d = c + U32.unpack_from(data, b)[0]
+        e = d + 28
+        if e > size:
+            raise CodecError("buffer underrun")
+        f = e + U32.unpack_from(data, d + 24)[0]
+        end = f + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        try:
+            self.sender, self.recipient, self.signer = (
+                data[a:b].decode(), data[c:d].decode(), data[e:f].decode())
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        self.amount, self.sequence, self.weight = _TX_NUMBERS.unpack_from(data, d)
+        self.payload_digest, self.tag = SIGNATURE_DIGESTS.unpack_from(data, f)
+        self.start, self.signed_end, self.end = start, d + 24, end
+        self.digest = digest(data[start:end])
+        self.sd = None
 
 
 @dataclass(slots=True)
@@ -96,52 +135,24 @@ class ChainTransaction(WireObject):
                ) -> "ChainTransaction":
         """Read one transaction; if `pool` holds its digest, the pooled one.
 
-        The digest is taken over the bytes read, so a pooled object is
+        The bytes are scanned once per broadcast (`Reader.scan`). The
+        digest is taken over the bytes read, so a pooled object is
         returned only for byte-identical input, signature included. A fresh
-        transaction's payload digest is its signing digest when the two are
-        equal.
+        transaction is a new object for the node that decodes it, with its
+        own signature verdict; its payload digest is its signing digest when
+        the two are equal.
         """
-        # The offsets first: sender at a:b, recipient at c:d, the numbers at
-        # d, signer at e:f, the signature digests at f. A string's bounds are
-        # checked with the fixed run after it. A pooled transaction is found
-        # from the span alone; only a fresh one has its fields unpacked.
-        data, start = r.data, r.pos
-        size = len(data)
-        a = start + 4
-        if a > size:
-            raise CodecError("buffer underrun")
-        b = a + U32.unpack_from(data, start)[0]
-        c = b + 4
-        if c > size:
-            raise CodecError("buffer underrun")
-        d = c + U32.unpack_from(data, b)[0]
-        e = d + 28
-        if e > size:
-            raise CodecError("buffer underrun")
-        f = e + U32.unpack_from(data, d + 24)[0]
-        end = f + 64
-        if end > size:
-            raise CodecError("buffer underrun")
-        r.pos = end
-        tx_digest = digest(data[start:end])
+        s = r.scan(TxScan)
         if pool:
-            pooled = pool.get(tx_digest)
+            pooled = pool.get(s.digest)
             if pooled is not None:
                 return pooled  # its bytes are these, so the rest is valid
-        try:
-            sender, recipient, signer = (
-                data[a:b].decode(), data[c:d].decode(), data[e:f].decode())
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8") from exc
-        sd = digest(data[start:d + 24])
-        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, f)
-        if payload_digest == sd:
-            payload_digest = sd
-        tx = cls(sender, recipient, *_TX_NUMBERS.unpack_from(data, d),
-                 Signature(signer, payload_digest, tag))
+        sd = s.signing_digest(r.data)
+        tx = cls(s.sender, s.recipient, s.amount, s.sequence, s.weight,
+                 s.signature(s.signer, sd))
         tx._sd = sd
-        tx._digest = tx_digest
-        tx._size = end - start
+        tx._digest = s.digest
+        tx._size = s.end - s.start
         return tx
 
     def verify_signature(self) -> bool:
@@ -177,6 +188,27 @@ _HEADER_FIELDS = struct.Struct(">32s32s32sQdQI")
 # predecessor, tx and state roots, height, timestamp, nonce, producer length
 
 
+class HeaderScan:
+    """What an encoded block header says, read once for all receivers."""
+
+    __slots__ = ("fields", "producer", "digest", "end")
+
+    def __init__(self, data: bytes, start: int):
+        p = start + _HEADER_FIELDS.size
+        if p > len(data):
+            raise CodecError("buffer underrun")
+        *self.fields, n = _HEADER_FIELDS.unpack_from(data, start)
+        end = p + n
+        if end > len(data):
+            raise CodecError("buffer underrun")
+        try:
+            self.producer = data[p:end].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        self.digest = digest(data[start:end])
+        self.end = end
+
+
 @dataclass(slots=True)
 class BlockHeader(WireObject):
     predecessor: bytes  # zero digest marks genesis
@@ -205,21 +237,10 @@ class BlockHeader(WireObject):
 
     @classmethod
     def decode(cls, r: Reader) -> "BlockHeader":
-        data, start = r.data, r.pos
-        p = start + _HEADER_FIELDS.size
-        if p > len(data):
-            raise CodecError("buffer underrun")
-        *fields, n = _HEADER_FIELDS.unpack_from(data, start)
-        end = p + n
-        if end > len(data):
-            raise CodecError("buffer underrun")
-        r.pos = end
-        try:
-            producer = data[p:end].decode()
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8") from exc
-        header = cls(*fields, producer)
-        header._digest = digest(data[start:end])
+        """Read one header, as a new object for the node that decodes it."""
+        s = r.scan(HeaderScan)
+        header = cls(*s.fields, s.producer)
+        header._digest = s.digest
         return header
 
     def work_digest(self) -> bytes:

@@ -17,26 +17,32 @@ headers and blocks, and signatures) code themselves as kernels, because
 their codecs run on every delivery and forward; a call per field would cost
 more than the field. A kernel encoder checks its fields as the `enc_*`
 helpers below do (`utf8` for text) and packs each fixed run of fields with
-one precompiled `struct.Struct`. A kernel decoder works out the offsets over
-`Reader.data` from `Reader.pos`, reading only length prefixes and
-discriminants; it checks the bounds once per fixed run (a string's with the
-run after it), slices each string by its length prefix, and moves
-`Reader.pos` once, past the span it consumed and hashes. A held lattice
-block or a pooled transaction is found by that digest and returned before
-any other field is unpacked; a stored vote is found by its fields, and a
-fresh object's fixed runs are unpacked with one `unpack_from` each.
-The errors are the helpers': a CodecError on an underrun, invalid UTF-8 or
-an unknown discriminant.
+one precompiled `struct.Struct`.
+
+A kernel decoder runs in two steps. The scan (a `primitives.WireScan`) is
+node-neutral: it works out the offsets over `Reader.data` from
+`Reader.pos`, reading only length prefixes and discriminants, checks the
+bounds once per fixed run (a string's with the run after it), checks the
+kind and the UTF-8, reads the fields and hashes the span it consumed; the
+signing digest is hashed when a step first asks for it. The step then
+turns the scan into the reading node's object: a held lattice block or a
+pooled transaction is found by the span digest, a stored vote by its
+fields, and a fresh object takes its names and digest objects from what the
+node holds. `Reader.scan` runs the scan, or takes the one that an earlier
+receiver of the same `Broadcast` left, and moves `Reader.pos` past the
+object. The errors are the helpers': a CodecError on an underrun, invalid
+UTF-8 or an unknown discriminant.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .errors import LedgerError
 
 T = TypeVar("T")
+S = TypeVar("S")  # a scan: anything with an `end` offset
 
 U64_MAX = (1 << 64) - 1
 
@@ -103,22 +109,47 @@ def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
     return len(parts).to_bytes(4, "big") + b"".join(parts)
 
 
+class Broadcast(bytes):
+    """A payload that one broadcast hands to every receiver, as one object.
+
+    The first receiver that reads it whole leaves its scans in `body` (see
+    `Reader.expect_end`), and the receivers after it take them from there,
+    so the bytes are scanned once; each receiver still builds its own
+    objects from the scans. The body lives as long as the message.
+    """
+
+    body: Optional[dict] = None  # start offset -> scan, once read whole
+
+
 class Reader:
     """Cursor over an encoded buffer: `data`, read up to `pos`.
 
-    A wire type's decoder is a kernel over `data` (see the module
-    docstring): it reads from `pos`, checks the bounds once per fixed run,
-    and sets `pos` once, past the bytes it consumed, so the span it hashes
-    is `data[start:pos]`. The methods serve message framing: `fixed`
-    reads one fixed-width run of fields with one bounds check, and
-    `expect_end` refuses trailing bytes.
+    A wire type's decoder takes the scan of the object at `pos` from `scan`
+    (see the module docstring), which leaves `pos` past the object. The
+    methods serve message framing: `fixed` reads one fixed-width run of
+    fields with one bounds check, and `expect_end` refuses trailing bytes.
     """
 
-    __slots__ = ("data", "pos")
+    __slots__ = ("data", "pos", "scans")
 
     def __init__(self, data: bytes):
-        self.data = bytes(data)
+        self.data = data if isinstance(data, bytes) else bytes(data)
         self.pos = 0
+        body = data.body if type(data) is Broadcast else None
+        self.scans = {} if body is None else body
+
+    def scan(self, scanner: Callable[[bytes, int], S]) -> S:
+        """The scan of the object at `pos`, and `pos` moved past it.
+
+        It is the one this reader's broadcast carries, if an earlier
+        receiver read it whole, else `scanner(data, pos)`.
+        """
+        pos, scans = self.pos, self.scans
+        s = scans.get(pos)
+        if s is None:
+            s = scans[pos] = scanner(self.data, pos)
+        self.pos = s.end
+        return s
 
     def fixed(self, layout: struct.Struct) -> tuple:
         """A fixed-width run of fields, read with one bounds check."""
@@ -130,5 +161,9 @@ class Reader:
         return layout.unpack_from(self.data, pos)
 
     def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise CodecError(f"{len(self.data) - self.pos} trailing bytes")
+        """Refuse trailing bytes; a broadcast read whole keeps its scans."""
+        data = self.data
+        if self.pos != len(data):
+            raise CodecError(f"{len(data) - self.pos} trailing bytes")
+        if type(data) is Broadcast and data.body is None:
+            data.body = self.scans

@@ -34,6 +34,7 @@ from .primitives import (
     Identity,
     Signature,
     WireObject,
+    WireScan,
     digest,
     identity_for,
     verify,
@@ -73,6 +74,66 @@ _RECEIVE_FIELDS = struct.Struct(">Q32s")  # amount, matched send
 _AMOUNT_TEXT = struct.Struct(">QI")  # amount, the text's length (send, genesis)
 _VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
 _VOTE_FIELDS_SIGNER = struct.Struct(">32s32sQI")  # and the signer's length
+
+
+class BlockScan(WireScan):
+    """What an encoded lattice block says, read once for all receivers."""
+
+    __slots__ = ("digest", "account", "predecessor", "kind", "amount",
+                 "counterparty", "new_representative", "nonce", "signer")
+
+    def __init__(self, data: bytes, start: int):
+        # The offsets first: account at a:b, then predecessor and kind, the
+        # kind's fields from c (a text at t:signed_end among them), nonce,
+        # signer at s:e, and the signature digests. A string's bounds are
+        # checked with the fixed run after it.
+        size = len(data)
+        a = start + 4
+        if a > size:
+            raise CodecError("buffer underrun")
+        b = a + U32.unpack_from(data, start)[0]
+        if b + 33 > size:
+            raise CodecError("buffer underrun")
+        kind = _KIND_OF.get(data[b + 32])
+        if kind is None:
+            raise CodecError("unknown lattice block kind")
+        c = b + 33
+        if kind is _RECEIVE:
+            t = signed_end = c + 40  # amount, matched send: no text
+        else:
+            t = c + 4 if kind is _REP_CHANGE else c + 12  # after the amount
+            if t > size:
+                raise CodecError("buffer underrun")
+            signed_end = t + U32.unpack_from(data, t - 4)[0]
+        s = signed_end + 12
+        if s > size:
+            raise CodecError("buffer underrun")
+        e = s + U32.unpack_from(data, s - 4)[0]
+        end = e + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        try:
+            self.account = data[a:b].decode()
+            self.signer = data[s:e].decode()
+            text = None if kind is _RECEIVE else data[t:signed_end].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        self.new_representative = None
+        if kind is _RECEIVE:
+            self.amount, self.counterparty = _RECEIVE_FIELDS.unpack_from(data, c)
+        else:
+            self.amount = 0 if kind is _REP_CHANGE else U64.unpack_from(data, c)[0]
+            if kind is _SEND:
+                self.counterparty = text
+            else:
+                self.counterparty, self.new_representative = None, text
+        self.predecessor = data[b:b + 32]
+        self.kind = kind
+        (self.nonce,) = U64.unpack_from(data, signed_end)
+        self.payload_digest, self.tag = SIGNATURE_DIGESTS.unpack_from(data, e)
+        self.start, self.signed_end, self.end = start, signed_end, end
+        self.digest = digest(data[start:end])
+        self.sd = None
 
 
 @dataclass(slots=True)
@@ -125,90 +186,42 @@ class LatticeBlock(WireObject):
                ledger: Optional["LatticeLedger"] = None) -> "LatticeBlock":
         """Read one block; if `ledger` holds its digest, the held block.
 
-        The digest is taken over the bytes read, so a held block is returned
+        The bytes are scanned once per broadcast (`Reader.scan`). The
+        digest is taken over the bytes read, so a held block is returned
         only for byte-identical input, signature included. A fresh block
         takes its names from the ledger (`LatticeLedger.name`), and its
         digests from the objects the ledger holds for equal values: a held
         predecessor's digest, a pending send's. Its signature's payload
         digest is its signing digest when the two are equal.
         """
-        # The offsets first: account at a:b, then predecessor and kind, the
-        # kind's fields from c (a text at t:signed_end among them), nonce,
-        # signer at s:e, and the signature digests. A string's bounds are
-        # checked with the fixed run after it. A held block is found from
-        # the span alone; only a fresh block has its fields unpacked.
-        data, start = r.data, r.pos
-        size = len(data)
-        a = start + 4
-        if a > size:
-            raise CodecError("buffer underrun")
-        b = a + U32.unpack_from(data, start)[0]
-        if b + 33 > size:
-            raise CodecError("buffer underrun")
-        kind = _KIND_OF.get(data[b + 32])
-        if kind is None:
-            raise CodecError("unknown lattice block kind")
-        c = b + 33
-        if kind is _RECEIVE:
-            t = signed_end = c + 40  # amount, matched send: no text
-        else:
-            t = c + 4 if kind is _REP_CHANGE else c + 12  # after the amount
-            if t > size:
-                raise CodecError("buffer underrun")
-            signed_end = t + U32.unpack_from(data, t - 4)[0]
-        s = signed_end + 12
-        if s > size:
-            raise CodecError("buffer underrun")
-        e = s + U32.unpack_from(data, s - 4)[0]
-        end = e + 64
-        if end > size:
-            raise CodecError("buffer underrun")
-        r.pos = end
-        d = digest(data[start:end])
-        chain = None
-        try:
-            account = data[a:b].decode()
-            if ledger is not None:
-                chain = ledger.accounts.get(account)
-                if chain is not None:
-                    held = chain.blocks.get(d)
-                    if held is not None:
-                        return held  # its bytes are these, so the rest is valid
-                    account = chain.account
-            signer = data[s:e].decode()
-            text = None if kind is _RECEIVE else data[t:signed_end].decode()
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8") from exc
+        s = r.scan(BlockScan)
+        account, predecessor, kind = s.account, s.predecessor, s.kind
+        counterparty, text, signer = s.counterparty, s.new_representative, s.signer
         if ledger is not None:
+            chain = ledger.accounts.get(account)
+            if chain is not None:
+                held = chain.blocks.get(s.digest)
+                if held is not None:
+                    return held  # its bytes are these, so the rest is valid
+                account = chain.account
+                prior = chain.blocks.get(predecessor)
+                if prior is not None:
+                    predecessor = prior.digest()
             signer = ledger.name(signer)
-            if text is not None:
-                text = ledger.name(text)
-        counterparty = None
-        if kind is _RECEIVE:
-            amount, counterparty = _RECEIVE_FIELDS.unpack_from(data, c)
-            if ledger is not None:
+            if kind is _SEND:
+                counterparty = ledger.name(counterparty)
+            elif kind is _RECEIVE:
                 pend = ledger.pending.get(counterparty)
                 if pend is not None:
                     counterparty = pend.send_digest
-        else:
-            amount = 0 if kind is _REP_CHANGE else U64.unpack_from(data, c)[0]
-            if kind is _SEND:
-                counterparty, text = text, None
-        predecessor = data[b:b + 32]
-        if chain is not None:
-            prior = chain.blocks.get(predecessor)
-            if prior is not None:
-                predecessor = prior.digest()
-        sd = digest(data[start:signed_end])
-        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, e)
-        if payload_digest == sd:
-            payload_digest = sd
-        block = cls(account, predecessor, kind, amount, counterparty, text,
-                    U64.unpack_from(data, signed_end)[0],
-                    Signature(signer, payload_digest, tag))
+            if text is not None:
+                text = ledger.name(text)
+        sd = s.signing_digest(r.data)
+        block = cls(account, predecessor, kind, s.amount, counterparty, text,
+                    s.nonce, s.signature(signer, sd))
         block._sd = sd
-        block._digest = d
-        block._size = end - start
+        block._digest = s.digest
+        block._size = s.end - s.start
         return block
 
     def verify_signature(self) -> bool:
@@ -248,6 +261,36 @@ class PendingSend:
         return 44 + len(self.recipient.encode("utf-8"))
 
 
+class VoteScan(WireScan):
+    """What an encoded vote says, read once for all receivers."""
+
+    __slots__ = ("representative", "subject", "choice", "weight", "signer")
+
+    def __init__(self, data: bytes, start: int):
+        # representative, the fixed fields with the signer's length, signer,
+        # signature digests
+        size = len(data)
+        p = start + 4
+        if p > size:
+            raise CodecError("buffer underrun")
+        q = p + U32.unpack_from(data, start)[0]
+        if q + 76 > size:
+            raise CodecError("buffer underrun")
+        self.subject, self.choice, self.weight, n = _VOTE_FIELDS_SIGNER.unpack_from(data, q)
+        at = q + 76
+        stop = at + n
+        end = stop + 64
+        if end > size:
+            raise CodecError("buffer underrun")
+        try:
+            self.representative, self.signer = data[p:q].decode(), data[at:stop].decode()
+        except UnicodeDecodeError as exc:
+            raise CodecError("invalid utf-8") from exc
+        self.payload_digest, self.tag = SIGNATURE_DIGESTS.unpack_from(data, stop)
+        self.start, self.signed_end, self.end = start, q + 72, end
+        self.sd = None
+
+
 @dataclass(slots=True)
 class VoteRecord(WireObject):
     """A representative's endorsement of one successor for a disputed slot."""
@@ -274,62 +317,51 @@ class VoteRecord(WireObject):
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
-    def decode(cls, r: Reader,
-               ledger: Optional["LatticeLedger"] = None) -> "VoteRecord":
+    def decode(cls, r: Reader, ledger: Optional["LatticeLedger"] = None,
+               block: Optional[LatticeBlock] = None) -> "VoteRecord":
         """Read one vote; if `ledger` stores one equal to it, the stored vote.
 
-        Equal means every field, the test `_record_vote` applies to a
-        repeat, so only a fresh vote has its signing digest hashed. A fresh
-        vote takes its names from the ledger (`LatticeLedger.name`), and
-        its subject and choice from a vote on the subject's ballot that
-        holds equal ones. Its signature's payload digest is its signing
-        digest when the two are equal.
+        The bytes are scanned once per broadcast (`Reader.scan`). Equal
+        means every field, the test `_record_vote` applies to a repeat, so
+        only a fresh vote has its signing digest hashed. A fresh vote takes
+        its names from the ledger (`LatticeLedger.name`), and its subject
+        and choice from a vote on the subject's ballot that holds equal
+        ones, else from `block`, the block the vote arrived with. Its
+        signature's payload digest is its signing digest when the two are
+        equal.
         """
-        # representative, the fixed fields with the signer's length, signer,
-        # signature digests
-        data, start = r.data, r.pos
-        size = len(data)
-        p = start + 4
-        if p > size:
-            raise CodecError("buffer underrun")
-        q = p + U32.unpack_from(data, start)[0]
-        if q + 76 > size:
-            raise CodecError("buffer underrun")
-        subject, choice, weight, n = _VOTE_FIELDS_SIGNER.unpack_from(data, q)
-        signed_end, at = q + 72, q + 76
-        stop = at + n
-        end = stop + 64
-        if end > size:
-            raise CodecError("buffer underrun")
-        payload_digest, tag = SIGNATURE_DIGESTS.unpack_from(data, stop)
-        r.pos = end
-        try:
-            representative, signer = data[p:q].decode(), data[at:stop].decode()
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8") from exc
+        s = r.scan(VoteScan)
+        representative, subject, choice = s.representative, s.subject, s.choice
+        signer = s.signer
         if ledger is not None:
             ballot = ledger.votes.get(subject)
+            endorsers = ()
             if ballot:
                 prior = ballot.get(representative)
                 if prior is not None:
                     sig = prior.signature
-                    if (prior.choice == choice and prior.weight == weight
-                            and sig.tag == tag and sig.payload_digest == payload_digest
+                    if (prior.choice == choice and prior.weight == s.weight
+                            and sig.tag == s.tag
+                            and sig.payload_digest == s.payload_digest
                             and sig.signer == signer):
                         return prior
-                # every vote on the ballot holds the subject, and one that
-                # endorses the same block holds the choice
-                for held in ballot.values():
-                    subject = held.subject
-                    if held.choice == choice:
-                        choice = held.choice
-                        break
+                # every vote on the ballot holds the subject
+                endorsers = ballot.values()
+                subject = next(iter(endorsers)).subject
+            elif block is not None and subject == block.predecessor:
+                subject = block.predecessor
+            # a vote that endorses the same block holds the choice, and so
+            # does that block, if the vote arrived with it
+            for held in endorsers:
+                if held.choice == choice:
+                    choice = held.choice
+                    break
+            else:
+                if block is not None and choice == block.digest():
+                    choice = block.digest()
             representative, signer = ledger.name(representative), ledger.name(signer)
-        sd = digest(data[start:signed_end])
-        if payload_digest == sd:
-            payload_digest = sd
-        vote = cls(representative, subject, choice, weight,
-                   Signature(signer, payload_digest, tag))
+        sd = s.signing_digest(r.data)
+        vote = cls(representative, subject, choice, s.weight, s.signature(signer, sd))
         vote._sd = sd
         return vote
 

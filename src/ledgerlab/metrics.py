@@ -401,6 +401,8 @@ def run_scenario_suite(cfg: Config, seeds: list[int], out_dir: str | None = None
     """One report per seed; returns (reports, any-invariant-breached)."""
     if not seeds:
         raise ConfigError("no seeds")
+    if out_dir is not None:  # an unusable directory fails before any run
+        os.makedirs(out_dir, exist_ok=True)
     reports = []
     breached = False
     for seed in seeds:
@@ -409,7 +411,6 @@ def run_scenario_suite(cfg: Config, seeds: list[int], out_dir: str | None = None
         reports.append(report)
         breached = breached or (result.breach is not None)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for report in reports:
             path = os.path.join(out_dir,
                                 f"{report.scenario_id}-seed{report.seed}.txt")

@@ -8,6 +8,13 @@ rebroadcast once per node, representatives attaching their vote, so in a
 full mesh every vote reaches every node riding the block it endorses.
 Representatives vote on every block their node applies, the receives the
 node signs in for its own accounts included.
+
+A broadcast reaches every peer as one `codec.Broadcast`: the first receiver
+to read it whole leaves its scans on it, and the others decode from those
+(see `codec`). Every receiver still makes its own objects, and checks their
+signatures itself; what is shared is what the bytes say, never an object a
+node keeps. Unicasts, timers, commands and injected forks are plain bytes,
+scanned by each receiver.
 """
 
 from __future__ import annotations
@@ -333,7 +340,7 @@ class LatticeNode:
         ledger = self.ledger
         block = LatticeBlock.decode(r, ledger)
         (count,) = r.fixed(codec.U32)
-        votes = [VoteRecord.decode(r, ledger) for _ in range(count)]
+        votes = [VoteRecord.decode(r, ledger, block) for _ in range(count)]
         r.expect_end()
         if not ledger.has_nothing_new(block, votes):
             self._settle(sim, now, block, votes)

@@ -1,5 +1,6 @@
-"""Hashing, Merkle commitments, the wire-object digest cache, the gap buffer
-both ledgers park blocks in, and simulated identities/signatures.
+"""Hashing, Merkle commitments, the wire-object digest cache, the base of
+the wire scans, the gap buffer both ledgers park blocks in, and simulated
+identities/signatures.
 
 The digest algorithm is pinned to SHA-256 and its name is written into every
 scenario report header. Signatures are keyed-digest authenticators, not real
@@ -128,6 +129,35 @@ class WireObject:
             n = len(self.encode())
             self._size = n
         return n
+
+
+class WireScan:
+    """The node-neutral part of decoding one wire object: what its bytes say.
+
+    A subclass's constructor takes the buffer and the object's offset in it,
+    checks the bounds, the discriminants and the UTF-8, reads the fields,
+    and sets `end` past the object. Nothing in a scan comes from a node, so
+    the receivers of one broadcast share it (see `codec.Reader.scan`), and
+    each builds its own object from it. The signing digest is hashed on
+    first use, over the span `start:signed_end` of the buffer passed in: a
+    broadcast keeps its scans, so a scan that kept the buffer would make a
+    reference cycle that only the garbage collector frees.
+    """
+
+    __slots__ = ("start", "signed_end", "end", "payload_digest", "tag", "sd")
+
+    def signing_digest(self, data: bytes) -> bytes:
+        sd = self.sd
+        if sd is None:
+            sd = self.sd = digest(data[self.start:self.signed_end])
+        return sd
+
+    def signature(self, signer: str, sd: bytes) -> "Signature":
+        """A new signature over these digests, naming `signer`; its payload
+        digest is the signing digest `sd` itself when the two are equal."""
+        payload_digest = self.payload_digest
+        return Signature(signer, sd if payload_digest == sd else payload_digest,
+                         self.tag)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ class Simulation:
         return True
 
     def broadcast(self, src: int, payload: bytes) -> None:
-        """Send to every peer of src."""
+        """Send to every peer of src, one `codec.Broadcast` for them all."""
+        payload = codec.Broadcast(payload)
         for dst in self.adjacency[src]:
             self.send(src, dst, payload)
 

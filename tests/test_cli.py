@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgerlab import cli
+from ledgerlab import cli, metrics
 from ledgerlab.cli import EXIT_BREACH, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from ledgerlab.metrics import CSV_HEADER
 
@@ -316,9 +316,14 @@ def test_compare_over_a_csv_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     _assert_usage_error_naming(path, main(["compare", "--out", str(tmp_path)]), capsys)
 
 
-def test_run_out_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+def test_run_out_under_a_regular_file_is_a_usage_error(tmp_path, capsys,
+                                                         monkeypatch):
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "reports"
+    runs = []
+    real = metrics.run
+    monkeypatch.setattr(metrics, "run", lambda *a: runs.append(a) or real(*a))
     rc = main(["run", "--config", "nano-baseline", "--override", "scenario.horizon_s=5",
                "--out", str(out)])
     _assert_usage_error_naming(out, rc, capsys)
+    assert runs == []  # the directory is refused before any seed runs

@@ -594,6 +594,16 @@ def test_a_fresh_vote_takes_subject_and_choice_from_its_ballot():
     assert fresh == rival and fresh.subject is stored.subject
 
 
+def test_a_first_vote_takes_subject_and_choice_from_the_block_it_rides_on():
+    node, _, send, _ = _applied_send_with_vote()
+    block = node.ledger.accounts["carol"].blocks[send.digest()]
+    [subject] = [key for key in node.ledger.votes if key == send.predecessor]
+    vote = node.ledger.votes[subject]["carol"]
+
+    assert vote.subject is block.predecessor and vote.choice is block.digest()
+    assert subject is block.predecessor  # the ballot's key, too
+
+
 _OTHER_DIGEST = b"\x09" * 32
 
 
@@ -649,20 +659,108 @@ def _trace_and_report_sha(name, horizon_s):
     return result, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 30),
-                                            ("fork-stress", 40)])
-def test_decoding_against_the_ledger_changes_no_run(monkeypatch, name, horizon_s):
+def _assert_same_run(monkeypatch, name, horizon_s, change):
+    """A run and its rerun after `change(monkeypatch)` have one trace and
+    one report."""
     reused, reused_sha = _trace_and_report_sha(name, horizon_s)
     if name == "fork-stress":
         assert reused.recorder.conflicts_resolved
+    change(monkeypatch)
+    fresh, fresh_sha = _trace_and_report_sha(name, horizon_s)
+    assert (reused.trace, reused_sha) == (fresh.trace, fresh_sha)
 
-    for cls in (LatticeBlock, VoteRecord):  # every decode fresh, as before
+
+def _decode_fresh(monkeypatch):
+    """Every lattice block and vote decoded fresh, as if no node held any."""
+    for cls in (LatticeBlock, VoteRecord):
         decode = cls.decode
         monkeypatch.setattr(cls, "decode", classmethod(
-            lambda cls, r, ledger=None, decode=decode: decode(r)))
-    fresh, fresh_sha = _trace_and_report_sha(name, horizon_s)
+            lambda cls, r, *context, decode=decode: decode(r)))
 
-    assert (reused.trace, reused_sha) == (fresh.trace, fresh_sha)
+
+def _scan_per_receiver(monkeypatch):
+    """Every receiver of a broadcast gets plain bytes, so each scans its own."""
+    def broadcast(sim, src, payload):
+        for dst in sim.adjacency[src]:
+            sim.send(src, dst, bytes(payload))
+    monkeypatch.setattr(Simulation, "broadcast", broadcast)
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 30),
+                                            ("fork-stress", 40)])
+def test_decoding_against_the_ledger_changes_no_run(monkeypatch, name, horizon_s):
+    _assert_same_run(monkeypatch, name, horizon_s, _decode_fresh)
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 30),
+                                            ("fork-stress", 40),
+                                            ("bitcoin-baseline", 60)])
+def test_sharing_a_broadcasts_scans_changes_no_run(monkeypatch, name, horizon_s):
+    _assert_same_run(monkeypatch, name, horizon_s, _scan_per_receiver)
+
+
+# ---------------------------------------------------------------------------
+# One scan per broadcast, one object per receiver
+
+
+def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
+    scans, decodes, delivered = [], [], []
+
+    class CountingScan(lattice.BlockScan):
+        __slots__ = ()
+
+        def __init__(self, data, start):
+            scans.append(start)
+            super().__init__(data, start)
+
+    monkeypatch.setattr(lattice, "BlockScan", CountingScan)
+    decode = LatticeBlock.decode
+    monkeypatch.setattr(LatticeBlock, "decode", classmethod(
+        lambda cls, *args: decodes.append(1) or decode(*args)))
+    on_message = LatticeNode.on_message
+    monkeypatch.setattr(LatticeNode, "on_message", lambda node, sim, now, payload: (
+        delivered.append(payload) or on_message(node, sim, now, payload)))
+
+    run(preset_config("nano-baseline", ["scenario.horizon_s=20"]), 1)
+
+    # nano-baseline injects no forks, so every message is a broadcast;
+    # `delivered` keeps each alive, so no two share an id
+    assert {type(p) for p in delivered} == {codec.Broadcast}
+    broadcasts = {id(p) for p in delivered}
+    assert len(scans) == len(broadcasts) < len(delivered)
+    assert len(decodes) == len(delivered)
+
+
+def _malformed(fault, raw):
+    if fault == "truncated":
+        return raw[:-1]
+    if fault == "trailing byte":
+        return raw + b"\x00"
+    at = _HEAD.size + 4  # the first byte of the first string, after its length
+    return raw[:at] + b"\xff" + raw[at + 1:]
+
+
+@pytest.mark.parametrize("fault", ["truncated", "trailing byte", "invalid utf-8"])
+@pytest.mark.parametrize("paradigm", ["lattice", "chain"])
+def test_a_malformed_broadcast_fails_alike_at_every_receiver_and_keeps_no_body(
+        fault, paradigm):
+    if paradigm == "lattice":
+        send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
+        raw = _lattice_block_msg(0, send, [])
+        receivers = [_lattice_node() for _ in range(3)]
+    else:
+        raw = _tx_msg(make_transaction(identity_for("alice"), "bob", 5, 1, 10))
+        receivers = [_chain_node() for _ in range(3)]
+    payload = codec.Broadcast(_malformed(fault, raw))
+
+    errors = []
+    for node, sim in receivers:
+        with pytest.raises(CodecError) as caught:
+            node.on_message(sim, 1.0, payload)
+        errors.append(str(caught.value))
+
+    assert len(set(errors)) == 1
+    assert payload.body is None
 
 
 def _spy_receive(monkeypatch, ledger):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ledgerlab.blockchain import ChainStore
+from ledgerlab.blockchain import ChainStore, ChainTransaction
 from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.errors import ConfigError, LedgerError
 from ledgerlab.lattice import BlockKind, LatticeLedger
@@ -59,19 +59,38 @@ def test_lattice_run_result_shape():
                          ids=["lossless", "drop-0.2"])
 def test_no_chain_transaction_object_is_shared_between_nodes(overrides):
     # a transaction caches its own signature verdict, so one node's check
-    # must never stand in for another's: every node decodes its own objects
+    # must never stand in for another's: every node decodes its own objects,
+    # headers and signatures too, though a broadcast is scanned once for all
     cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=60", *overrides])
     result = run(cfg, seed=1)
     holder = {}
     for node_id, node in result.nodes.items():
         held = list(node.mempool.values())
         for sb in node.store.blocks.values():
+            held.append(sb.header)
             held.extend(sb.transactions or ())
         for block, _missing in node.parked.held.values():
+            held.append(block.header)
             held.extend(block.transactions)
+        held.extend([obj.signature for obj in held if isinstance(obj, ChainTransaction)])
         assert held
-        for tx in held:
-            assert holder.setdefault(id(tx), node_id) == node_id
+        for obj in held:
+            assert holder.setdefault(id(obj), node_id) == node_id
+
+
+@pytest.mark.parametrize("name", ["nano-baseline", "fork-stress"])
+def test_no_lattice_block_or_vote_object_is_shared_between_nodes(name):
+    result = run(preset_config(name, ["scenario.horizon_s=30"]), seed=1)
+    holder = {}
+    for node_id, node in result.nodes.items():
+        ledger = node.ledger
+        held = [b for chain in ledger.accounts.values() for b in chain.blocks.values()]
+        held.extend(v for ballot in ledger.votes.values() for v in ballot.values())
+        held.extend(block for block, _missing in ledger.parked.held.values())
+        held.extend([obj.signature for obj in held])
+        assert held
+        for obj in held:
+            assert holder.setdefault(id(obj), node_id) == node_id
 
 
 def test_rerun_is_trace_identical():
