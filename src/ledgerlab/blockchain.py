@@ -10,7 +10,9 @@ One global chain of blocks, each holding signed transactions. Design points:
   validation
 * two Merkle commitments per header: transaction root and state root
 * per-block state deltas so state at any recent block can be reached by
-  reversing/applying deltas from the materialized head state
+  reversing/applying deltas from the materialized head state; a delta, its
+  account changes and an adoption report are plain slotted records, set
+  once like the wire types (see `primitives.WireObject`)
 * longest chain wins; equal length keeps the first-seen branch
 * pruning drops bodies and deltas below a recency window, headers stay
 * fast sync = all headers + state snapshot at a pivot + replay from the pivot
@@ -39,6 +41,7 @@ from .primitives import (
     WireScan,
     digest,
     merkle_root,
+    sign,
     verify,
 )
 
@@ -62,8 +65,9 @@ class SyncError(LedgerError):
 # ---------------------------------------------------------------------------
 # Transactions
 
-# the fixed runs of the wire kernels (see `codec`)
+# the fixed runs of the kernels (see `codec`)
 _TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
+_TX_NUMBERS_SIGNER = struct.Struct(">QQQI")  # the same, then the signer's length
 
 
 class TxScan(WireScan):
@@ -127,7 +131,22 @@ class ChainTransaction(WireObject):
                 + _TX_NUMBERS.pack(amount, sequence, weight))
 
     def encode(self) -> bytes:
-        return self.signing_payload() + self.signature.encode()
+        """The signing payload and the signature, in one pass."""
+        signature = self.signature
+        sender, recipient = codec.utf8(self.sender), codec.utf8(self.recipient)
+        signer = codec.utf8(signature.signer)
+        amount, sequence, weight = self.amount, self.sequence, self.weight
+        if not (type(amount) is int and type(sequence) is int and type(weight) is int
+                and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
+                and 0 <= weight <= U64_MAX):
+            raise codec.u64_error((amount, sequence, weight))
+        payload_digest, tag = signature.payload_digest, signature.tag
+        if not (type(payload_digest) is bytes and type(tag) is bytes
+                and len(payload_digest) == len(tag) == 32):
+            raise codec.digest_error((payload_digest, tag))
+        return (U32.pack(len(sender)) + sender + U32.pack(len(recipient)) + recipient
+                + _TX_NUMBERS_SIGNER.pack(amount, sequence, weight, len(signer))
+                + signer + SIGNATURE_DIGESTS.pack(payload_digest, tag))
 
     @classmethod
     def decode(cls, r: Reader,
@@ -169,11 +188,11 @@ def make_transaction(sender: Identity, recipient: str, amount: int,
         raise ValueError("transaction amount must be positive")
     if weight <= 0:
         raise ValueError("transaction weight must be positive")
-    return ChainTransaction(
-        sender=sender.id, recipient=recipient, amount=amount,
-        sequence=sequence, weight=weight,
-        signature=Signature(sender.id, ZERO_DIGEST, ZERO_DIGEST),
-    ).signed_by(sender)
+    sd = ChainTransaction(sender.id, recipient, amount, sequence, weight,
+                          Signature(sender.id, ZERO_DIGEST, ZERO_DIGEST)).signing_digest()
+    tx = ChainTransaction(sender.id, recipient, amount, sequence, weight, sign(sender, sd))
+    tx._sd = sd
+    return tx
 
 
 def _body_len(transactions: tuple[ChainTransaction, ...]) -> int:
@@ -273,6 +292,10 @@ class Block:
 # ---------------------------------------------------------------------------
 # State and deltas
 
+_CHANGE = struct.Struct(">QQQQB")  # balances and sequences before and after, existed
+_LEAF_NUMBERS = struct.Struct(">QQ")  # a state-root leaf's balance and sequence
+
+
 class Verdict(enum.Enum):
     ACCEPT = "accept"
     BAD_PROOF = "bad-proof"
@@ -313,8 +336,11 @@ class ChainState:
             if known is not None and known[0] == balance and known[1] == sequence:
                 leaves.append(known[2])
                 continue
-            leaf = digest(codec.enc_str(a) + codec.enc_u64(balance)
-                          + codec.enc_u64(sequence))
+            name = codec.utf8(a)
+            if not (type(balance) is int and type(sequence) is int
+                    and 0 <= balance <= U64_MAX and 0 <= sequence <= U64_MAX):
+                raise codec.u64_error((balance, sequence))
+            leaf = digest(U32.pack(len(name)) + name + _LEAF_NUMBERS.pack(balance, sequence))
             memo[a] = (balance, sequence, leaf)
             leaves.append(leaf)
         return merkle_root(leaves)
@@ -322,31 +348,30 @@ class ChainState:
     def balance(self, account: str) -> int:
         return self.balances.get(account, 0)
 
-    def sequence(self, account: str) -> int:
-        return self.sequences.get(account, 0)
-
     def apply_tx(self, tx: ChainTransaction) -> Optional[tuple[Verdict, str]]:
         """The transaction rule: apply `tx`, or return why it is refused.
 
         A transaction needs a positive amount and weight, a sequence above
         its sender's last, and a balance that covers the amount.
         """
-        if tx.amount <= 0:
+        sender, amount, sequence = tx.sender, tx.amount, tx.sequence
+        if amount <= 0:
             return Verdict.DOUBLE_SPEND, "non-positive amount"
         if tx.weight <= 0:
             return Verdict.OVER_CAPACITY, "non-positive weight"
-        if tx.sequence <= self.sequence(tx.sender):
-            return Verdict.BAD_SEQUENCE, f"{tx.sender} reused sequence {tx.sequence}"
-        balance = self.balance(tx.sender)
-        if balance < tx.amount:
-            return Verdict.DOUBLE_SPEND, f"{tx.sender} overspends by {tx.amount - balance}"
-        self.balances[tx.sender] = balance - tx.amount
-        self.balances[tx.recipient] = self.balance(tx.recipient) + tx.amount
-        self.sequences[tx.sender] = tx.sequence
+        balances, sequences = self.balances, self.sequences
+        if sequence <= sequences.get(sender, 0):
+            return Verdict.BAD_SEQUENCE, f"{sender} reused sequence {sequence}"
+        balance = balances.get(sender, 0)
+        if balance < amount:
+            return Verdict.DOUBLE_SPEND, f"{sender} overspends by {amount - balance}"
+        balances[sender] = balance - amount
+        balances[tx.recipient] = balances.get(tx.recipient, 0) + amount
+        sequences[sender] = sequence
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AccountChange:
     balance_before: int
     balance_after: int
@@ -355,12 +380,17 @@ class AccountChange:
     existed_before: bool = True  # reverting a block must drop accounts it created
 
     def encode(self) -> bytes:
-        return (codec.enc_u64(self.balance_before) + codec.enc_u64(self.balance_after)
-                + codec.enc_u64(self.sequence_before) + codec.enc_u64(self.sequence_after)
-                + codec.enc_u8(1 if self.existed_before else 0))
+        """A kernel (see `codec`): four u64s and a u8."""
+        a, b = self.balance_before, self.balance_after
+        c, d = self.sequence_before, self.sequence_after
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                and 0 <= a <= U64_MAX and 0 <= b <= U64_MAX
+                and 0 <= c <= U64_MAX and 0 <= d <= U64_MAX):
+            raise codec.u64_error((a, b, c, d))
+        return _CHANGE.pack(a, b, c, d, 1 if self.existed_before else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateDelta:
     """Balance/sequence movement one block causes, keyed by its digest."""
 
@@ -368,9 +398,16 @@ class StateDelta:
     changes: dict[str, AccountChange]
 
     def encode(self) -> bytes:
-        items = sorted(self.changes.items())
-        return codec.enc_digest(self.block) + codec.enc_list(
-            items, lambda kv: codec.enc_str(kv[0]) + kv[1].encode())
+        """A kernel (see `codec`): the digest, then a list of (name, change)
+        in name order."""
+        block, changes = self.block, self.changes
+        if type(block) is not bytes or len(block) != 32:
+            raise codec.digest_error(block)
+        parts = [block, U32.pack(len(changes))]
+        for account, change in sorted(changes.items()):
+            name = codec.utf8(account)
+            parts.append(U32.pack(len(name)) + name + change.encode())
+        return b"".join(parts)
 
     def encoded_len(self) -> int:
         """len(self.encode()), from the account names alone."""
@@ -396,7 +433,7 @@ class StateDelta:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass
+@dataclass(slots=True)
 class ValidationResult:
     verdict: Verdict
     detail: str = ""
@@ -459,7 +496,7 @@ class PosProof(ProofRule):
 # ---------------------------------------------------------------------------
 # The store
 
-@dataclass
+@dataclass(slots=True)
 class StoredBlock:
     header: BlockHeader
     transactions: Optional[tuple[ChainTransaction, ...]]
@@ -470,7 +507,7 @@ class StoredBlock:
         return self.header.height
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdoptionReport:
     old_height: int
     new_height: int
@@ -626,29 +663,26 @@ class ChainStore:
                     Verdict.BAD_SIGNATURE, f"bad signature from {tx.sender}")
 
         state = self.state_at(header.predecessor)
+        balances, sequences = state.balances, state.sequences
+        touched = [account for tx in block.transactions
+                   for account in (tx.sender, tx.recipient)]
+        if self.block_reward:
+            touched.append(header.producer)
         # (balance, sequence, existed) of each touched account before the block
-        before: dict[str, tuple[int, int, bool]] = {}
-
-        def touch(account: str) -> None:
-            if account not in before:
-                before[account] = (state.balance(account), state.sequence(account),
-                                   account in state.balances)
-
+        before = {account: (balances.get(account, 0), sequences.get(account, 0),
+                            account in balances) for account in touched}
         for tx in block.transactions:
-            touch(tx.sender)
-            touch(tx.recipient)
             refused = state.apply_tx(tx)
             if refused is not None:
                 return ValidationResult(*refused)
-
         if self.block_reward:
-            touch(header.producer)
-            state.balances[header.producer] = state.balance(header.producer) + self.block_reward
+            producer = header.producer
+            balances[producer] = balances.get(producer, 0) + self.block_reward
 
+        # every touched account holds a balance now, not always a sequence
         changes = {
-            account: AccountChange(balance, state.balance(account),
-                                   sequence, state.sequence(account),
-                                   existed_before=existed)
+            account: AccountChange(balance, balances[account],
+                                   sequence, sequences.get(account, 0), existed)
             for account, (balance, sequence, existed) in before.items()}
 
         if state.root(self.leaf_memo) != header.state_root:

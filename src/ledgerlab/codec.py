@@ -13,11 +13,12 @@ encoding, so the rules are deliberately rigid:
 decode(encode(v)) == v for every supported value; anything else raises CodecError.
 
 The wire types (the lattice's blocks and votes, the chain's transactions,
-headers and blocks, and signatures) code themselves as kernels, because
-their codecs run on every delivery and forward; a call per field would cost
-more than the field. A kernel encoder checks its fields as the `enc_*`
-helpers below do (`utf8` for text) and packs each fixed run of fields with
-one precompiled `struct.Struct`.
+headers and blocks, and signatures) and the chain's state records (account
+changes, state deltas and the state-root leaf) code themselves as kernels,
+because they run on every delivery, forward, root and audit; a call per
+field would cost more than the field. A kernel encoder checks its fields as
+the `enc_*` helpers below do (`utf8` for text) and packs each fixed run of
+fields with one precompiled `struct.Struct`.
 
 A kernel decoder runs in two steps. The scan (a `primitives.WireScan`) is
 node-neutral: it works out the offsets over `Reader.data` from

@@ -37,6 +37,7 @@ from .primitives import (
     WireScan,
     digest,
     identity_for,
+    sign,
     verify,
 )
 
@@ -240,7 +241,10 @@ def build_block(identity: Identity, predecessor: bytes, kind: BlockKind,
         signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST))
     sd = unsigned.signing_digest()
     nonce = antispam_pow(sd, spam_bits, counter) if spam_bits > 0 else 0
-    return unsigned.signed_by(identity, antispam_nonce=nonce)
+    block = LatticeBlock(identity.id, predecessor, kind, amount, counterparty,
+                         new_representative, nonce, sign(identity, sd))
+    block._sd = sd
+    return block
 
 
 @dataclass(frozen=True)
@@ -370,10 +374,11 @@ class VoteRecord(WireObject):
 
 
 def make_vote(identity: Identity, subject: bytes, choice: bytes, weight: int) -> VoteRecord:
-    return VoteRecord(representative=identity.id, subject=subject,
-                      choice=choice, weight=weight,
-                      signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST),
-                      ).signed_by(identity)
+    sd = VoteRecord(identity.id, subject, choice, weight,
+                    Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST)).signing_digest()
+    vote = VoteRecord(identity.id, subject, choice, weight, sign(identity, sd))
+    vote._sd = sd
+    return vote
 
 
 # ---------------------------------------------------------------------------

@@ -234,17 +234,17 @@ class ChainNode:
         front of its heap, up to the sender's new head sequence.
         """
         pool = self.mempool
-        head_sequence = self.store.head_state.sequence
+        head_sequences = self.store.head_state.sequences
         for d in self._pooled_since_move:
             tx = pool.get(d)
-            if tx is not None and tx.sequence <= head_sequence(tx.sender):
+            if tx is not None and tx.sequence <= head_sequences.get(tx.sender, 0):
                 del pool[d]
         self._pooled_since_move = []
         for sender in moved_senders:
             heap = self._pooled_by_sender.get(sender)
             if heap is None:
                 continue
-            overtaken = head_sequence(sender)
+            overtaken = head_sequences.get(sender, 0)
             while heap and heap[0][0] <= overtaken:
                 pool.pop(heapq.heappop(heap)[1], None)
             if not heap:

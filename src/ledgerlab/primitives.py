@@ -15,7 +15,7 @@ import functools
 import hashlib
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import codec
@@ -100,17 +100,6 @@ class WireObject:
             sd = digest(self.signing_payload())
             self._sd = sd
         return sd
-
-    def signed_by(self, identity: "Identity", **changes):
-        """A copy signed by `identity` that keeps this one's signing digest.
-
-        `changes` may set only fields outside the signing payload, such as
-        a nonce, so the digest signed here is the copy's own.
-        """
-        sd = self.signing_digest()
-        signed = replace(self, signature=sign(identity, sd), **changes)
-        signed._sd = sd
-        return signed
 
     def digest(self) -> bytes:
         d = self._digest

@@ -24,7 +24,7 @@ from ledgerlab.blockchain import (
     fast_sync,
     make_transaction,
 )
-from ledgerlab.errors import ConfigError
+from ledgerlab.errors import ConfigError, InvariantViolation
 from ledgerlab.leader_election import (
     DifficultySchedule,
     StakeRegistry,
@@ -60,11 +60,10 @@ def _extend(store, txs=(), producer="miner-0", parent=None, ts=None):
 
 def _signed(identity, recipient, amount, sequence, weight):
     """A signed transaction that skips make_transaction's argument checks."""
-    return ChainTransaction(
-        sender=identity.id, recipient=recipient, amount=amount,
-        sequence=sequence, weight=weight,
-        signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST),
-    ).signed_by(identity)
+    unsigned = ChainTransaction(identity.id, recipient, amount, sequence, weight,
+                                Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST))
+    return ChainTransaction(identity.id, recipient, amount, sequence, weight,
+                            sign(identity, unsigned.signing_digest()))
 
 
 def _forge(store, txs, producer="m", ts=1.0):
@@ -165,7 +164,7 @@ def test_validate_accepts_and_updates_state():
     assert store.head_state.balance("alice") == 900
     assert store.head_state.balance("bob") == 600
     assert store.head_state.balance("miner-0") == 50
-    assert store.head_state.sequence("alice") == 1
+    assert store.head_state.sequences["alice"] == 1
 
 
 def test_validate_unknown_parent():
@@ -381,7 +380,7 @@ def test_leaf_memo_root_equals_a_fresh_root_at_every_step(steps):
             applied.pop().revert(state)  # drops an account the delta created
         else:
             change = AccountChange(
-                state.balance(account), balance, state.sequence(account), sequence,
+                state.balance(account), balance, state.sequences.get(account, 0), sequence,
                 existed_before=account in state.balances)
             delta = StateDelta(block=ZERO_DIGEST, changes={account: change})
             delta.apply(state)
@@ -398,6 +397,18 @@ def test_validating_an_assembled_block_rehashes_no_leaf():
     assert sorted(leaves) == ["alice", "bob", "carol", "miner-0"]
     assert store.validate_block(block).ok
     assert all(store.leaf_memo[a] is entry for a, entry in leaves.items())
+
+
+def test_state_root_frozen_values():
+    # frozen from leaves encoded field by field (enc_str, enc_u64, enc_u64);
+    # an account with no sequence entry reads as sequence 0
+    state = ChainState(balances={"alice": 1000, "bob": 500, "zoë-名": 7},
+                       sequences={"alice": 3, "bob": 0})
+    assert state.root().hex() == (
+        "609eb2c1445182e373be6314111630cbb60ef0f748d3455e9940235ae0c43256")
+    top = ChainState(balances={"alice": 2**64 - 1}, sequences={"alice": 2**64 - 1})
+    assert top.root().hex() == (
+        "b68326ba815ff70e011a893afa1efef18a3eb90cb8eb9ad68dd94c1171c0f396")
 
 
 def test_state_at_walks_to_side_branches():
@@ -419,7 +430,7 @@ def test_branch_records_hold_through_random_reorgs():
     for i in range(1, 201):
         parent = rng.choice(tips[-8:])
         sender, identity = rng.choice([("alice", ALICE), ("bob", BOB)])
-        sequence = store.state_at(parent).sequence(sender) + 1
+        sequence = store.state_at(parent).sequences.get(sender, 0) + 1
         tx = make_transaction(identity, rng.choice(["bob", "carol", "dave"]),
                               rng.randint(1, 5), sequence, 10)
         block = assemble_block(store, parent, [tx], producer=f"m{i % 3}",
@@ -446,9 +457,29 @@ def test_supply_tracks_reward_issuance():
     store = _store(reward=50)
     for _ in range(7):
         _extend(store, [make_transaction(ALICE, "bob", 5,
-                                         store.head_state.sequence("alice") + 1,
+                                         store.head_state.sequences["alice"] + 1,
                                          10)])
     assert store.total_supply() == store.expected_supply() == 1500 + 7 * 50
+
+
+@pytest.mark.parametrize("record", ["header", "body", "delta"])
+def test_audit_catches_a_record_that_no_longer_matches_its_counter(record):
+    store = _store()
+    for seq in (1, 2):
+        block, _ = _extend(store, [make_transaction(ALICE, "bob", 5, seq, 10)])
+    store.audit()  # every counter matches its records
+    d = block.digest()
+    sb = store.blocks[d]
+    if record == "header":
+        sb.header = replace(sb.header, producer=sb.header.producer + "x")
+    elif record == "body":
+        sb.transactions = ()
+    else:
+        delta = store.deltas[d]
+        store.deltas[d] = StateDelta(delta.block, {**delta.changes,
+                                                   "zed": AccountChange(0, 0, 0, 0, False)})
+    with pytest.raises(InvariantViolation, match=r"ledger size accounting \(recount"):
+        store.audit()
 
 
 # -- pruning ----------------------------------------------------------------

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from ledgerlab import codec
 from ledgerlab.blockchain import (
     AccountChange,
+    AdoptionReport,
     Block,
     BlockHeader,
+    ChainState,
     ChainTransaction,
     StateDelta,
     make_transaction,
@@ -25,7 +27,14 @@ from ledgerlab.lattice import (
     build_block,
     make_vote,
 )
-from ledgerlab.primitives import ZERO_DIGEST, Signature, WireObject, digest, identity_for
+from ledgerlab.primitives import (
+    ZERO_DIGEST,
+    Signature,
+    WireObject,
+    digest,
+    identity_for,
+    merkle_root,
+)
 from ledgerlab.runner import run
 from ledgerlab.scenario import preset_config
 
@@ -610,7 +619,7 @@ class _Str(str):
 _BAD = {
     "u64": [True, _Int(5), -1, 2**64],
     "digest": [bytearray(32), bytes(31), "x" * 32],
-    "str": [_Str("carol"), b"carol", None],
+    "str": [_Str("carol"), b"carol", None, "lone \ud800"],
 }
 _SIG = Signature("carol", ZERO_DIGEST, ZERO_DIGEST)
 _SEND = LatticeBlock("carol", ZERO_DIGEST, BlockKind.SEND, 5, "home", None, 0, _SIG)
@@ -621,6 +630,7 @@ _REP_CHANGE = replace(_GENESIS, kind=BlockKind.REP_CHANGE, amount=0)
 _VOTE = VoteRecord("home", ZERO_DIGEST, ZERO_DIGEST, 40, _SIG)
 _TX = ChainTransaction("alice", "bob", 5, 1, 10, _SIG)
 _HEADER = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, 1.0, 0, "miner")
+_CHANGE = AccountChange(5, 3, 0, 1)
 
 # (object, field, domain, whether the field is under the signature)
 _TYPED_FIELDS = [
@@ -640,6 +650,8 @@ _TYPED_FIELDS = [
     (_HEADER, "nonce", "u64", False), (_HEADER, "producer", "str", False),
     (_SIG, "signer", "str", False), (_SIG, "payload_digest", "digest", False),
     (_SIG, "tag", "digest", False),
+    (_CHANGE, "balance_before", "u64", False), (_CHANGE, "balance_after", "u64", False),
+    (_CHANGE, "sequence_before", "u64", False), (_CHANGE, "sequence_after", "u64", False),
 ]
 
 
@@ -665,12 +677,96 @@ def test_kernel_encoders_refuse_near_types(obj, name, domain, signed):
 
 
 # ---------------------------------------------------------------------------
-# Wire objects are write-once: each public field is set once, by the
-# constructor, and each cache only while it is None. The types are plain
-# slotted records, so this guard, not the type, checks it.
+# The chain's one-pass kernels give the bytes of the field-by-field helpers
+# they replace, and refuse what the helpers refuse.
+
+def _change_by_fields(change):
+    return (codec.enc_u64(change.balance_before) + codec.enc_u64(change.balance_after)
+            + codec.enc_u64(change.sequence_before) + codec.enc_u64(change.sequence_after)
+            + codec.enc_u8(1 if change.existed_before else 0))
+
+
+def _delta_by_fields(delta):
+    return codec.enc_digest(delta.block) + codec.enc_list(
+        sorted(delta.changes.items()),
+        lambda kv: codec.enc_str(kv[0]) + _change_by_fields(kv[1]))
+
+
+def _tx_by_fields(tx):
+    sig = tx.signature
+    return (codec.enc_str(tx.sender) + codec.enc_str(tx.recipient)
+            + codec.enc_u64(tx.amount) + codec.enc_u64(tx.sequence)
+            + codec.enc_u64(tx.weight) + codec.enc_str(sig.signer)
+            + codec.enc_digest(sig.payload_digest) + codec.enc_digest(sig.tag))
+
+
+def _root_by_fields(state):
+    return merkle_root([digest(codec.enc_str(account) + codec.enc_u64(balance)
+                               + codec.enc_u64(state.sequences.get(account, 0)))
+                        for account, balance in sorted(state.balances.items())])
+
+
+# a state whose accounts may lack a sequence, which reads as 0
+states = st.dictionaries(names, st.tuples(u64s, st.none() | u64s), max_size=8).map(
+    lambda accounts: ChainState(
+        {a: balance for a, (balance, _) in accounts.items()},
+        {a: sequence for a, (_, sequence) in accounts.items() if sequence is not None}))
+
+
+@given(changes, digests, st.dictionaries(names, changes, max_size=8))
+@example(AccountChange(2**64 - 1, 0, 2**64 - 1, 0, False), ZERO_DIGEST,
+         {"zoë-名": AccountChange(0, 5, 0, 1, existed_before=False), "": AccountChange(1, 1, 1, 1)})
+def test_state_delta_kernels_match_the_helpers(change, block, account_changes):
+    assert change.encode() == _change_by_fields(change)
+    delta = StateDelta(block, account_changes)
+    assert delta.encode() == _delta_by_fields(delta)
+
+
+@given(transactions)
+def test_transaction_kernel_matches_the_helpers(tx):
+    assert tx.encode() == _tx_by_fields(tx)
+    assert tx.encode().startswith(tx.signing_payload())
+
+
+@given(states, states)
+def test_state_root_leaf_kernel_matches_the_helpers(state, later):
+    memo = {}
+    assert state.root(memo) == _root_by_fields(state)
+    assert later.root(memo) == _root_by_fields(later)  # memo leaves reused
+
+
+def _near_value_encodes():
+    """(id, call) of a state delta and a state root fed each value their
+    kernels refuse; `test_kernel_encoders_refuse_near_types` feeds the
+    account change and transaction kernels."""
+    calls = [(f"delta-block-{bad!r}", StateDelta(bad, {}).encode) for bad in _BAD["digest"]]
+    for bad in _BAD["u64"]:
+        broken = replace(_CHANGE, balance_after=bad)
+        calls.append((f"delta-change-{bad!r}", StateDelta(ZERO_DIGEST, {"alice": broken}).encode))
+        calls.append((f"leaf-balance-{bad!r}", ChainState({"alice": bad}, {"alice": 0}).root))
+        calls.append((f"leaf-sequence-{bad!r}", ChainState({"alice": 5}, {"alice": bad}).root))
+    for bad in _BAD["str"]:
+        calls.append((f"delta-name-{bad!r}", StateDelta(ZERO_DIGEST, {bad: _CHANGE}).encode))
+        calls.append((f"leaf-name-{bad!r}", ChainState({bad: 5}, {bad: 1}).root))
+    return calls
+
+
+@pytest.mark.parametrize("encode", [c for _, c in _near_value_encodes()],
+                         ids=[i for i, _ in _near_value_encodes()])
+def test_state_kernels_refuse_near_values_with_a_codec_error(encode):
+    with pytest.raises(CodecError):  # a struct.error would escape this
+        encode()
+
+
+# ---------------------------------------------------------------------------
+# Wire objects and the chain's state records are write-once: each public
+# field is set once, by the constructor, and each cache only while it is
+# None. The types are plain slotted records, so this guard, not the type,
+# checks it.
 
 CACHES = ("_sd", "_digest", "_size", "_verified")
-WIRE_TYPES = [*WireObject.__subclasses__(), Signature, Block]
+WRITE_ONCE_TYPES = [*WireObject.__subclasses__(), Signature, Block,
+                    AccountChange, StateDelta, AdoptionReport]
 
 
 def _write_once_setattr(self, name, value):
@@ -684,8 +780,8 @@ def _write_once_setattr(self, name, value):
 
 @pytest.fixture
 def write_once(monkeypatch):
-    assert {LatticeBlock, VoteRecord, ChainTransaction, BlockHeader} <= set(WIRE_TYPES)
-    for cls in WIRE_TYPES:
+    assert {LatticeBlock, VoteRecord, ChainTransaction, BlockHeader} <= set(WRITE_ONCE_TYPES)
+    for cls in WRITE_ONCE_TYPES:
         monkeypatch.setattr(cls, "__setattr__", _write_once_setattr, raising=False)
 
 
@@ -697,6 +793,18 @@ def test_the_write_once_guard_catches_a_mutation(write_once):
     with pytest.raises(AttributeError, match="_sd is cached already"):
         vote._sd = ZERO_DIGEST
     vote.digest()  # an empty cache still fills
+
+
+def test_the_write_once_guard_covers_the_state_records(write_once):
+    change = AccountChange(5, 3, 0, 1)
+    with pytest.raises(AttributeError, match="balance_after is set already"):
+        change.balance_after = 4
+    delta = StateDelta(ZERO_DIGEST, {"alice": change})
+    with pytest.raises(AttributeError, match="changes is set already"):
+        delta.changes = {}
+    report = AdoptionReport(1, 2, (), (ZERO_DIGEST,))
+    with pytest.raises(AttributeError, match="new_height is set already"):
+        report.new_height = 3
 
 
 def test_hashing_a_measured_object_writes_its_size_once(write_once):

@@ -836,9 +836,9 @@ class _RescanNode(ChainNode):
     """Checks the whole pool on every head move: the oracle for the index."""
 
     def _drop_stale(self, moved_senders):
-        head_sequence = self.store.head_state.sequence
+        head_sequences = self.store.head_state.sequences
         for d in [d for d, tx in self.mempool.items()
-                  if tx.sequence <= head_sequence(tx.sender)]:
+                  if tx.sequence <= head_sequences.get(tx.sender, 0)]:
             del self.mempool[d]
 
 
@@ -914,7 +914,7 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
             heads += 1
             evicted += len(pooled_before - set(node.mempool) - in_blocks)
             assert node._pooled_since_move == []
-            assert all(tx.sequence > node.store.head_state.sequence(tx.sender)
+            assert all(tx.sequence > node.store.head_state.sequences.get(tx.sender, 0)
                        for tx in node.mempool.values())
     assert node.store.adopted_head == branch_b[-1].digest()
     assert heads == len(branch_a) + len(branch_b) - 4  # B's first three tie or trail A
