@@ -296,6 +296,14 @@ _CHANGE = struct.Struct(">QQQQB")  # balances and sequences before and after, ex
 _LEAF_NUMBERS = struct.Struct(">QQ")  # a state-root leaf's balance and sequence
 
 
+def _by_name(named: dict) -> list:
+    """The items of `named` in name order; names of mixed types are a `CodecError`."""
+    try:
+        return sorted(named.items())
+    except TypeError as exc:
+        raise CodecError("account names are not all strings") from exc
+
+
 class Verdict(enum.Enum):
     ACCEPT = "accept"
     BAD_PROOF = "bad-proof"
@@ -330,7 +338,7 @@ class ChainState:
             memo = {}
         sequences = self.sequences
         leaves = []
-        for a, balance in sorted(self.balances.items()):
+        for a, balance in _by_name(self.balances):
             sequence = sequences.get(a, 0)
             known = memo.get(a)
             if known is not None and known[0] == balance and known[1] == sequence:
@@ -404,7 +412,7 @@ class StateDelta:
         if type(block) is not bytes or len(block) != 32:
             raise codec.digest_error(block)
         parts = [block, U32.pack(len(changes))]
-        for account, change in sorted(changes.items()):
+        for account, change in _by_name(changes):
             name = codec.utf8(account)
             parts.append(U32.pack(len(name)) + name + change.encode())
         return b"".join(parts)

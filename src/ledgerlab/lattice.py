@@ -326,42 +326,30 @@ class VoteRecord(WireObject):
         """Read one vote; if `ledger` stores one equal to it, the stored vote.
 
         The bytes are scanned once per broadcast (`Reader.scan`). Equal
-        means every field, the test `_record_vote` applies to a repeat, so
-        only a fresh vote has its signing digest hashed. A fresh vote takes
-        its names from the ledger (`LatticeLedger.name`), and its subject
-        and choice from a vote on the subject's ballot that holds equal
-        ones, else from `block`, the block the vote arrived with. Its
-        signature's payload digest is its signing digest when the two are
-        equal.
+        means every field, so only a fresh vote has its signing digest
+        hashed; the ballot is read for nothing else. A fresh vote takes its
+        names from the ledger (`LatticeLedger.name`), and its subject and
+        choice from `block`, the block the vote arrived with, where they
+        equal its predecessor and digest. Its signature's payload digest is
+        its signing digest when the two are equal.
         """
         s = r.scan(VoteScan)
         representative, subject, choice = s.representative, s.subject, s.choice
         signer = s.signer
         if ledger is not None:
             ballot = ledger.votes.get(subject)
-            endorsers = ()
-            if ballot:
-                prior = ballot.get(representative)
-                if prior is not None:
-                    sig = prior.signature
-                    if (prior.choice == choice and prior.weight == s.weight
-                            and sig.tag == s.tag
-                            and sig.payload_digest == s.payload_digest
-                            and sig.signer == signer):
-                        return prior
-                # every vote on the ballot holds the subject
-                endorsers = ballot.values()
-                subject = next(iter(endorsers)).subject
-            elif block is not None and subject == block.predecessor:
-                subject = block.predecessor
-            # a vote that endorses the same block holds the choice, and so
-            # does that block, if the vote arrived with it
-            for held in endorsers:
-                if held.choice == choice:
-                    choice = held.choice
-                    break
-            else:
-                if block is not None and choice == block.digest():
+            prior = ballot.get(representative) if ballot else None
+            if prior is not None:
+                sig = prior.signature
+                if (prior.choice == choice and prior.weight == s.weight
+                        and sig.tag == s.tag
+                        and sig.payload_digest == s.payload_digest
+                        and sig.signer == signer):
+                    return prior
+            if block is not None:
+                if subject == block.predecessor:
+                    subject = block.predecessor
+                if choice == block.digest():
                     choice = block.digest()
             representative, signer = ledger.name(representative), ledger.name(signer)
         sd = s.signing_digest(r.data)
@@ -549,15 +537,14 @@ class LatticeLedger:
         """True if `receive_block(block, votes)` can change nothing.
 
         The block has been through `_process` (a genesis block is held but
-        never seen, so it does not count) and each vote is the very object
-        its ballot stores.
+        never seen, so it does not count) and each vote's representative
+        is on its subject's ballot, where the first vote stands.
         """
         if block.digest() not in self.seen:
             return False
         stored = self.votes
         for v in votes:
-            ballot = stored.get(v.subject)
-            if ballot is None or ballot.get(v.representative) is not v:
+            if v.representative not in stored.get(v.subject, ()):
                 return False
         return True
 
@@ -769,11 +756,8 @@ class LatticeLedger:
 
     def _record_vote(self, vote: VoteRecord, outcome: Outcome) -> None:
         ballot = self.votes.setdefault(vote.subject, {})
-        prior = ballot.get(vote.representative)
-        if prior == vote:
-            return  # byte-identical to a vote already verified and stored
-        if not vote.verify_signature() or prior is not None:
-            return
+        if vote.representative in ballot or not vote.verify_signature():
+            return  # the first vote stands, and a forged one never counts
         ballot[vote.representative] = vote
         key = self.conflict_of.get(vote.choice)
         if key is not None and key[1] == vote.subject:

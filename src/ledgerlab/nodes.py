@@ -101,12 +101,9 @@ class ChainNode:
         self.hash_rate = hash_rate
         self.rng = derive_rng(run_seed, f"miner/{node_id}")
         self.mempool: dict[bytes, ChainTransaction] = {}
-        # stale-check work lists: (sequence, digest) of every pooled
-        # transaction in a min-heap per sender (entries of transactions that
-        # left the pool are dropped when they surface), and the digests
-        # pooled since the head last moved
+        # stale-check work list: (sequence, digest) of each pooled
+        # transaction in a min-heap per sender, pushed and popped with the pool
         self._pooled_by_sender: dict[str, list[tuple[int, bytes]]] = {}
-        self._pooled_since_move: list[bytes] = []
         self.parked = GapBuffer(ORPHAN_BUFFER_LIMIT)  # blocks by missing parent
         self._pending_grind: Optional[Block] = None
         self.work = WorkCounter()
@@ -191,12 +188,12 @@ class ChainNode:
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
         r = Reader(payload)
         tag, sender = r.fixed(_HEAD)
+        # a transaction this node pooled is the pooled object, verified once
         if tag == MSG_CHAIN_TX:
-            tx = ChainTransaction.decode(r)
+            tx = ChainTransaction.decode(r, self.mempool)
             r.expect_end()
             self._add_to_mempool(tx)
         elif tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
-            # a transaction this node pooled is the pooled object, verified once
             block = Block.decode(r, self.mempool)
             r.expect_end()
             self._ingest_block(sim, now, block, sender)
@@ -210,43 +207,36 @@ class ChainNode:
                          _chain_block_msg(MSG_CHAIN_RESP, self.node_id, block))
 
     def _add_to_mempool(self, tx: ChainTransaction) -> None:
-        d = tx.digest()
-        if d in self.mempool:
-            return
-        if tx.amount <= 0 or tx.weight <= 0 or not tx.verify_signature():
-            return
-        self._pool(d, tx)
+        if tx.amount > 0 and tx.weight > 0 and tx.verify_signature():
+            self._pool(tx)
 
-    def _pool(self, d: bytes, tx: ChainTransaction) -> None:
+    def _pool(self, tx: ChainTransaction) -> None:
+        """Pool `tx` unless it is pooled already or the head's sequences
+        have overtaken it, so no pooled transaction is ever stale."""
+        d = tx.digest()
+        if d in self.mempool or (
+                tx.sequence <= self.store.head_state.sequences.get(tx.sender, 0)):
+            return
         self.mempool[d] = tx
         heapq.heappush(self._pooled_by_sender.setdefault(tx.sender, []),
                        (tx.sequence, d))
-        self._pooled_since_move.append(d)
 
     def _drop_stale(self, moved_senders: set[str]) -> None:
         """Unpool every transaction the new head's sequences have overtaken.
 
-        Only two groups can be stale: transactions pooled since the last
-        head move, and those whose sender has a transaction in a block that
-        just joined the adopted branch. Any other sender's head sequence
-        cannot have risen, and the previous head move already checked them.
-        Of a moved sender's transactions, the stale ones are those at the
-        front of its heap, up to the sender's new head sequence.
+        `_pool` admits no stale transaction, and a head move raises only
+        the sequences of senders with a transaction in a block that just
+        joined the adopted branch. Of such a sender's transactions, the
+        stale ones are those at the front of its heap, up to the sender's
+        new head sequence.
         """
         pool = self.mempool
         head_sequences = self.store.head_state.sequences
-        for d in self._pooled_since_move:
-            tx = pool.get(d)
-            if tx is not None and tx.sequence <= head_sequences.get(tx.sender, 0):
-                del pool[d]
-        self._pooled_since_move = []
-        for sender in moved_senders:
-            heap = self._pooled_by_sender.get(sender)
-            if heap is None:
-                continue
+        for sender in moved_senders & self._pooled_by_sender.keys():
+            heap = self._pooled_by_sender[sender]
             overtaken = head_sequences.get(sender, 0)
             while heap and heap[0][0] <= overtaken:
-                pool.pop(heapq.heappop(heap)[1], None)
+                del pool[heapq.heappop(heap)[1]]
             if not heap:
                 del self._pooled_by_sender[sender]
 
@@ -274,13 +264,11 @@ class ChainNode:
                 (now, self.node_id, report.old_height, report.new_height,
                  report.orphaned, report.reorged_in))
             if report.head_moved:
-                # every orphaned transaction returns to the pool; _drop_stale
-                # unpools those that the new branch holds or overtook
+                # every orphaned transaction goes back through _pool, which
+                # refuses those that the new branch holds or overtook
                 for od in report.orphaned:
                     for tx in self.store.blocks[od].transactions or ():
-                        td = tx.digest()
-                        if td not in self.mempool:
-                            self._pool(td, tx)
+                        self._pool(tx)
                 self._drop_stale({tx.sender for nd in report.reorged_in
                                   for tx in self.store.blocks[nd].transactions or ()})
                 if self.node_id == OBSERVER:

@@ -748,6 +748,10 @@ def _near_value_encodes():
     for bad in _BAD["str"]:
         calls.append((f"delta-name-{bad!r}", StateDelta(ZERO_DIGEST, {bad: _CHANGE}).encode))
         calls.append((f"leaf-name-{bad!r}", ChainState({bad: 5}, {bad: 1}).root))
+    # names that do not sort together are refused before any is encoded
+    calls.append(("delta-names-mixed",
+                  StateDelta(ZERO_DIGEST, {b"a": _CHANGE, "b": _CHANGE}).encode))
+    calls.append(("leaf-names-mixed", ChainState({b"a": 1, "b": 2}, {}).root))
     return calls
 
 

@@ -385,11 +385,11 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
     assert verified == []
     assert _vote_state(ledger) == before
 
-    # a vote that differs in any byte is still verified, then ignored
+    # a vote that differs in any byte is ignored unverified: the first stands
     heavier = make_vote(identity_for("r1"), fork_point, s2.digest(), 401)
-    ledger.add_vote(heavier)
-    assert len(verified) == 1
-    assert ledger.votes[fork_point] == {"r1": vote}
+    assert ledger.add_vote(heavier) == Outcome()
+    assert verified == []
+    assert _vote_state(ledger) == before
 
 
 def test_vote_for_a_candidate_that_joined_later_counts():

@@ -28,6 +28,7 @@ from ledgerlab.lattice import (
     LatticeBlock,
     LatticeLedger,
     LatticeVerdict,
+    Outcome,
     OutcomeStatus,
     VoteRecord,
     build_block,
@@ -387,9 +388,9 @@ def _flip_last_byte(obj):
     return bytes(raw)
 
 
-def _decode(cls, raw, ledger):
+def _decode(cls, raw, ledger, *context):
     r = Reader(raw)
-    obj = cls.decode(r, ledger)
+    obj = cls.decode(r, ledger, *context)
     r.expect_end()
     return obj
 
@@ -438,7 +439,7 @@ def test_a_stored_vote_decodes_to_the_stored_object():
 
 
 @pytest.mark.parametrize("change", ["weight", "tag"])
-def test_a_vote_differing_in_one_field_is_decoded_fresh_verified_once_and_not_stored(
+def test_a_vote_differing_in_one_field_is_decoded_fresh_and_ignored_unverified(
         monkeypatch, change):
     node, sim, send, vote = _applied_send_with_vote()
     stored = node.ledger.votes[send.predecessor]["carol"]
@@ -453,7 +454,7 @@ def test_a_vote_differing_in_one_field_is_decoded_fresh_verified_once_and_not_st
     assert fresh is not stored and fresh != stored
 
     node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
-    assert len(calls) == 1  # the fresh vote; the held block is a duplicate
+    assert calls == []  # carol's first vote stands, so no other is checked
     assert node.ledger.votes[send.predecessor] == {"carol": stored}
     assert node.ledger.votes[send.predecessor]["carol"] is stored
 
@@ -579,19 +580,22 @@ def test_a_fresh_receive_takes_its_pending_sends_digest_object():
     assert fresh.predecessor is home.blocks[home.head].digest()
 
 
-def test_a_fresh_vote_takes_subject_and_choice_from_its_ballot():
+def test_a_fresh_vote_takes_subject_and_choice_from_its_block():
     node, _, send, _ = _applied_send_with_vote()
     stored = node.ledger.votes[send.predecessor]["carol"]
+    # equal to the held block, but none of its digests are the held objects
+    block = LatticeBlock.decode(Reader(send.encode()))
+    assert block.predecessor == stored.subject and block.predecessor is not stored.subject
     home = identity_for("home")
     same = make_vote(home, send.predecessor, send.digest(), 40)
     rival = make_vote(home, send.predecessor, b"\x07" * 32, 40)
 
-    fresh = _decode(VoteRecord, same.encode(), node.ledger)
+    fresh = _decode(VoteRecord, same.encode(), node.ledger, block)
     assert fresh == same
-    assert fresh.subject is stored.subject and fresh.choice is stored.choice
+    assert fresh.subject is block.predecessor and fresh.choice is block.digest()
 
-    fresh = _decode(VoteRecord, rival.encode(), node.ledger)
-    assert fresh == rival and fresh.subject is stored.subject
+    fresh = _decode(VoteRecord, rival.encode(), node.ledger, block)
+    assert fresh == rival and fresh.subject is block.predecessor
 
 
 def test_a_first_vote_takes_subject_and_choice_from_the_block_it_rides_on():
@@ -796,7 +800,7 @@ def test_a_held_block_with_a_new_vote_still_records_the_vote(monkeypatch):
 
 @pytest.mark.parametrize("change", ["choice", "weight", "signer",
                                     "payload_digest", "tag"])
-def test_a_vote_differing_from_the_stored_one_still_reaches_the_ledger(
+def test_a_vote_differing_from_the_stored_one_is_skipped(
         monkeypatch, change):
     node, sim, send, vote = _applied_send_with_vote()
     other = b"\x07" * 32
@@ -805,14 +809,14 @@ def test_a_vote_differing_from_the_stored_one_still_reaches_the_ledger(
     else:
         value = "home" if change == "signer" else other
         changed = replace(vote, signature=replace(vote.signature, **{change: value}))
+    stored = node.ledger.votes[send.predecessor]["carol"]
     calls = _spy_receive(monkeypatch, node.ledger)
 
     node.on_message(sim, 2.0, _lattice_block_msg(0, send, [changed]))
 
-    [(block, [delivered])] = calls
-    assert block is node.ledger.accounts["carol"].blocks[send.digest()]
-    assert delivered == changed
-    assert node.ledger.votes[send.predecessor]["carol"] is not delivered
+    assert calls == []  # carol is on the ballot, and her first vote stands
+    assert node.ledger.votes[send.predecessor] == {"carol": stored}
+    assert node.ledger.votes[send.predecessor]["carol"] is stored
 
 
 def test_a_held_block_the_ledger_has_not_seen_still_reaches_it(monkeypatch):
@@ -828,14 +832,44 @@ def test_a_held_block_the_ledger_has_not_seen_still_reaches_it(monkeypatch):
     assert genesis.digest() in node.ledger.seen
 
 
+@pytest.mark.parametrize("name,horizon_s", [("nano-baseline", 20),
+                                            ("fork-stress", 40)])
+def test_every_delivery_the_ledger_skips_would_change_nothing(
+        monkeypatch, name, horizon_s):
+    skipped = []
+    has_nothing_new = LatticeLedger.has_nothing_new
+
+    def receive_after_a_skip(ledger, block, votes):
+        if not has_nothing_new(ledger, block, votes):
+            return False
+        before = {subject: dict(ballot) for subject, ballot in ledger.votes.items()}
+        skipped.append(ledger.receive_block(block, votes))
+        assert ledger.votes == before
+        return True
+
+    monkeypatch.setattr(LatticeLedger, "has_nothing_new", receive_after_a_skip)
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+
+    assert result.breach is None and skipped
+    assert all(out == Outcome(status=OutcomeStatus.DUPLICATE) for out in skipped)
+
+
 # ---------------------------------------------------------------------------
 # Stale-mempool eviction
 
 
 class _RescanNode(ChainNode):
-    """Checks the whole pool on every head move: the oracle for the index."""
+    """Pools every valid transaction, then drops every stale one from the
+    whole pool after each message: the oracle for the indexed check."""
+
+    def _pool(self, tx):
+        self.mempool.setdefault(tx.digest(), tx)
 
     def _drop_stale(self, moved_senders):
+        pass
+
+    def on_message(self, sim, now, payload):
+        super().on_message(sim, now, payload)
         head_sequences = self.store.head_state.sequences
         for d in [d for d, tx in self.mempool.items()
                   if tx.sequence <= head_sequences.get(tx.sender, 0)]:
@@ -908,14 +942,15 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
         node.on_message(sim, 0.0, msg)
         oracle.on_message(sim, 0.0, msg)
         assert list(node.mempool.items()) == list(oracle.mempool.items())
-        for d, tx in node.mempool.items():  # every pooled transaction is indexed
-            assert (tx.sequence, d) in node._pooled_by_sender[tx.sender]
+        # the heaps index exactly the pooled transactions
+        assert sorted((tx.sender, tx.sequence, d) for d, tx in node.mempool.items()) \
+            == sorted((sender, *entry) for sender, heap in node._pooled_by_sender.items()
+                      for entry in heap)
+        assert all(tx.sequence > node.store.head_state.sequences.get(tx.sender, 0)
+                   for tx in node.mempool.values())  # and none is stale
         if node.store.adopted_head != head_before:
             heads += 1
             evicted += len(pooled_before - set(node.mempool) - in_blocks)
-            assert node._pooled_since_move == []
-            assert all(tx.sequence > node.store.head_state.sequences.get(tx.sender, 0)
-                       for tx in node.mempool.values())
     assert node.store.adopted_head == branch_b[-1].digest()
     assert heads == len(branch_a) + len(branch_b) - 4  # B's first three tie or trail A
     assert returned > 0 and evicted > 0
@@ -948,6 +983,24 @@ def test_a_depth_two_reorg_pools_the_orphaned_transactions_the_new_branch_lacks(
     # both left with a1; tx_shared came back with b1, so only tx_a is pooled
     assert list(node.mempool) == [tx_a.digest()]
     assert node._pooled_by_sender == {"alice": [(1, tx_a.digest())]}
+
+
+def test_a_repeated_transaction_message_decodes_to_the_pooled_object(monkeypatch):
+    node, sim = _chain_node()
+    first = make_transaction(identity_for("alice"), "bob", 5, 1, 10)
+    for tx in (first, make_transaction(identity_for("alice"), "bob", 6, 2, 10)):
+        node.on_message(sim, 0.0, _tx_msg(tx))
+    pool = list(node.mempool.items())
+    heaps = {sender: list(heap) for sender, heap in node._pooled_by_sender.items()}
+    added = []
+    add = node._add_to_mempool
+    monkeypatch.setattr(node, "_add_to_mempool", lambda tx: added.append(tx) or add(tx))
+
+    node.on_message(sim, 0.0, _tx_msg(first))
+
+    assert [tx is node.mempool[first.digest()] for tx in added] == [True]
+    assert list(node.mempool.items()) == pool
+    assert node._pooled_by_sender == heaps
 
 
 # ---------------------------------------------------------------------------
