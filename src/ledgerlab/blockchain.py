@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional
 
 from . import codec
-from .codec import U32, U64_MAX, CodecError, Reader
+from .codec import U32, U64_MAX, CodecError
 from .errors import ConfigError, InvariantViolation, LedgerError, NotFoundError
 from .leader_election import DifficultySchedule, check_pow, pos_select, retarget
 from .primitives import (
@@ -149,24 +149,20 @@ class ChainTransaction(WireObject):
                 + signer + SIGNATURE_DIGESTS.pack(payload_digest, tag))
 
     @classmethod
-    def decode(cls, r: Reader,
-               pool: Optional[Mapping[bytes, "ChainTransaction"]] = None,
-               ) -> "ChainTransaction":
-        """Read one transaction; if `pool` holds its digest, the pooled one.
+    def decode(cls, s: TxScan, data: bytes,
+               pool: Mapping[bytes, "ChainTransaction"]) -> "ChainTransaction":
+        """The transaction scanned in `s`; if `pool` holds its digest, that one.
 
-        The bytes are scanned once per broadcast (`Reader.scan`). The
-        digest is taken over the bytes read, so a pooled object is
+        The digest is taken over the bytes scanned, so a pooled object is
         returned only for byte-identical input, signature included. A fresh
         transaction is a new object for the node that decodes it, with its
-        own signature verdict; its payload digest is its signing digest when
-        the two are equal.
+        own signature verdict; its payload digest is its signing digest (over
+        `data`) when the two are equal.
         """
-        s = r.scan(TxScan)
-        if pool:
-            pooled = pool.get(s.digest)
-            if pooled is not None:
-                return pooled  # its bytes are these, so the rest is valid
-        sd = s.signing_digest(r.data)
+        pooled = pool.get(s.digest)
+        if pooled is not None:
+            return pooled  # its bytes are these, so the rest is valid
+        sd = s.signing_digest(data)
         tx = cls(s.sender, s.recipient, s.amount, s.sequence, s.weight,
                  s.signature(s.signer, sd))
         tx._sd = sd
@@ -255,9 +251,8 @@ class BlockHeader(WireObject):
                                    float(timestamp), nonce, len(producer)) + producer
 
     @classmethod
-    def decode(cls, r: Reader) -> "BlockHeader":
-        """Read one header, as a new object for the node that decodes it."""
-        s = r.scan(HeaderScan)
+    def decode(cls, s: HeaderScan) -> "BlockHeader":
+        """The header scanned in `s`, as a new object for the decoding node."""
         header = cls(*s.fields, s.producer)
         header._digest = s.digest
         return header
@@ -271,19 +266,19 @@ class BlockHeader(WireObject):
 class Block:
     header: BlockHeader
     transactions: tuple[ChainTransaction, ...]
+    FRAMING = (HeaderScan, [TxScan])  # its scan steps (see `codec.scan_frame`)
 
     def encode(self) -> bytes:
         return self.header.encode() + codec.enc_list(
             self.transactions, ChainTransaction.encode)
 
     @classmethod
-    def decode(cls, r: Reader,
-               pool: Optional[Mapping[bytes, ChainTransaction]] = None) -> "Block":
-        """Read a block; a transaction `pool` holds is taken from the pool."""
-        header = BlockHeader.decode(r)
-        (count,) = r.fixed(U32)
-        return cls(header, tuple([ChainTransaction.decode(r, pool)
-                                  for _ in range(count)]))
+    def decode(cls, scans: list, data: bytes,
+               pool: Mapping[bytes, ChainTransaction]) -> "Block":
+        """The block whose `FRAMING` scans are `scans`, reusing pooled transactions."""
+        header, txs = scans
+        return cls(BlockHeader.decode(header),
+                   tuple([ChainTransaction.decode(s, data, pool) for s in txs]))
 
     def digest(self) -> bytes:
         return self.header.digest()
@@ -884,7 +879,8 @@ def fast_sync(source: ChainStore,
 
     for d in chain[pivot_height + 1:]:
         # over the wire, so the new store checks objects of its own
-        block = Block.decode(Reader(source.reconstruct_block(d).encode()))
+        raw = source.reconstruct_block(d).encode()
+        block = Block.decode(codec.scan_frame(raw, Block.FRAMING), raw, {})
         res = fresh.validate_block(block)
         if not res.ok:
             raise SyncError(f"replayed block failed: {res.verdict.value} {res.detail}")

@@ -20,35 +20,32 @@ field would cost more than the field. A kernel encoder checks its fields as
 the `enc_*` helpers below do (`utf8` for text) and packs each fixed run of
 fields with one precompiled `struct.Struct`.
 
-A kernel decoder runs in two steps. The scan (a `primitives.WireScan`) is
-node-neutral: it works out the offsets over `Reader.data` from
-`Reader.pos`, reading only length prefixes and discriminants, checks the
-bounds once per fixed run (a string's with the run after it), checks the
-kind and the UTF-8, reads the fields and hashes the span it consumed; the
-signing digest is hashed when a step first asks for it. The step then
-turns the scan into the reading node's object: a held lattice block or a
-pooled transaction is found by the span digest, a stored vote by its
-fields, and a fresh object takes its names and digest objects from what the
-node holds. `Reader.scan` runs the scan, or takes the one that an earlier
-receiver of the same `Broadcast` left, and moves `Reader.pos` past the
-object. The errors are the helpers': a CodecError on an underrun, invalid
-UTF-8 or an unknown discriminant.
+A message is a head (`HEAD`: a 1-byte tag, the sender's node id), then the
+objects its tag's framing lists, and `scan_message` scans it whole, once. A
+scan (a `primitives.WireScan`) is node-neutral: it reads an object's length
+prefixes and discriminants, checks the bounds once per fixed run, the kind
+and the UTF-8, reads the fields and hashes the span it consumed. A wire
+type's `decode` turns a scan and the buffer into the reading node's object:
+the held lattice block or pooled transaction with the span's digest, the
+stored vote with its fields, or a fresh object whose names and digests are
+the node's own. An underrun, trailing bytes, invalid UTF-8 or an unknown tag
+or discriminant is a CodecError.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 from .errors import LedgerError
 
 T = TypeVar("T")
-S = TypeVar("S")  # a scan: anything with an `end` offset
 
 U64_MAX = (1 << 64) - 1
 
 U32 = struct.Struct(">I")
 U64 = struct.Struct(">Q")
+HEAD = struct.Struct(">BQ")  # every message opens with its tag and sender
 
 
 class CodecError(LedgerError):
@@ -110,61 +107,63 @@ def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:
     return len(parts).to_bytes(4, "big") + b"".join(parts)
 
 
-class Broadcast(bytes):
-    """A payload that one broadcast hands to every receiver, as one object.
+class DigestScan:
+    """A raw 32-byte digest in a message's framing."""
 
-    The first receiver that reads it whole leaves its scans in `body` (see
-    `Reader.expect_end`), and the receivers after it take them from there,
-    so the bytes are scanned once; each receiver still builds its own
-    objects from the scans. The body lives as long as the message.
-    """
+    __slots__ = ("digest", "end")
 
-    body: Optional[dict] = None  # start offset -> scan, once read whole
-
-
-class Reader:
-    """Cursor over an encoded buffer: `data`, read up to `pos`.
-
-    A wire type's decoder takes the scan of the object at `pos` from `scan`
-    (see the module docstring), which leaves `pos` past the object. The
-    methods serve message framing: `fixed` reads one fixed-width run of
-    fields with one bounds check, and `expect_end` refuses trailing bytes.
-    """
-
-    __slots__ = ("data", "pos", "scans")
-
-    def __init__(self, data: bytes):
-        self.data = data if isinstance(data, bytes) else bytes(data)
-        self.pos = 0
-        body = data.body if type(data) is Broadcast else None
-        self.scans = {} if body is None else body
-
-    def scan(self, scanner: Callable[[bytes, int], S]) -> S:
-        """The scan of the object at `pos`, and `pos` moved past it.
-
-        It is the one this reader's broadcast carries, if an earlier
-        receiver read it whole, else `scanner(data, pos)`.
-        """
-        pos, scans = self.pos, self.scans
-        s = scans.get(pos)
-        if s is None:
-            s = scans[pos] = scanner(self.data, pos)
-        self.pos = s.end
-        return s
-
-    def fixed(self, layout: struct.Struct) -> tuple:
-        """A fixed-width run of fields, read with one bounds check."""
-        pos = self.pos
-        end = pos + layout.size
-        if end > len(self.data):
+    def __init__(self, data: bytes, start: int):
+        self.digest, self.end = data[start:start + 32], start + 32
+        if self.end > len(data):
             raise CodecError("buffer underrun")
-        self.pos = end
-        return layout.unpack_from(self.data, pos)
 
-    def expect_end(self) -> None:
-        """Refuse trailing bytes; a broadcast read whole keeps its scans."""
-        data = self.data
-        if self.pos != len(data):
-            raise CodecError(f"{len(data) - self.pos} trailing bytes")
-        if type(data) is Broadcast and data.body is None:
-            data.body = self.scans
+
+def scan_frame(data: bytes, framing: tuple, pos: int = 0) -> list:
+    """The scans of `framing`'s steps over `data` from `pos` to its end.
+
+    A step is a scanner: it scans the object at an offset into a scan whose
+    `end` is past it. A one-item list `[scanner]` is a u32 count, then that
+    many such objects.
+    """
+    size, scans = len(data), []
+    for step in framing:
+        if type(step) is list:
+            if pos + 4 > size:
+                raise CodecError("buffer underrun")
+            count, pos, items = U32.unpack_from(data, pos)[0], pos + 4, []
+            for _ in range(count):
+                items.append(step[0](data, pos))
+                pos = items[-1].end
+            scans.append(items)
+        else:
+            scans.append(step(data, pos))
+            pos = scans[-1].end
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes")
+    return scans
+
+
+class Broadcast(bytes):
+    """A payload that one broadcast hands to every receiver, as one object:
+    the first receiver leaves its `scan_message` result in `scanned` for the
+    others, so the bytes are scanned once. A failed scan leaves nothing."""
+
+    scanned: Optional[tuple] = None
+
+
+def scan_message(data: bytes, framings: Mapping[int, tuple]) -> tuple:
+    """(tag, sender, scans) of a whole message, by `scan_frame` with the tag's
+    framing in `framings`; a `Broadcast` scanned before returns what it kept."""
+    broadcast = type(data) is Broadcast
+    if broadcast and data.scanned is not None:
+        return data.scanned
+    if len(data) < HEAD.size:
+        raise CodecError("buffer underrun")
+    tag, sender = HEAD.unpack_from(data)
+    framing = framings.get(tag)
+    if framing is None:
+        raise CodecError(f"unknown message tag {tag}")
+    scanned = (tag, sender, scan_frame(data, framing, HEAD.size))
+    if broadcast:
+        data.scanned = scanned
+    return scanned

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import codec
-from .codec import U32, U64, U64_MAX, CodecError, Reader
+from .codec import U32, U64, U64_MAX, CodecError
 from .errors import InvariantViolation, LedgerError, NotFoundError
 from .leader_election import WorkCounter, antispam_pow, check_pow
 from .primitives import (
@@ -183,41 +183,38 @@ class LatticeBlock(WireObject):
         return self.signing_payload() + U64.pack(nonce) + self.signature.encode()
 
     @classmethod
-    def decode(cls, r: Reader,
-               ledger: Optional["LatticeLedger"] = None) -> "LatticeBlock":
-        """Read one block; if `ledger` holds its digest, the held block.
+    def decode(cls, s: BlockScan, data: bytes,
+               ledger: "LatticeLedger") -> "LatticeBlock":
+        """The block scanned in `s`; if `ledger` holds its digest, the held block.
 
-        The bytes are scanned once per broadcast (`Reader.scan`). The
-        digest is taken over the bytes read, so a held block is returned
-        only for byte-identical input, signature included. A fresh block
-        takes its names from the ledger (`LatticeLedger.name`), and its
+        The digest is taken over the bytes scanned, so a held block is
+        returned only for byte-identical input, signature included. A fresh
+        block takes its names from the ledger (`LatticeLedger.name`), and its
         digests from the objects the ledger holds for equal values: a held
-        predecessor's digest, a pending send's. Its signature's payload
-        digest is its signing digest when the two are equal.
+        predecessor's digest, a pending send's. Its signature's payload digest
+        is its signing digest (over `data`) when the two are equal.
         """
-        s = r.scan(BlockScan)
         account, predecessor, kind = s.account, s.predecessor, s.kind
         counterparty, text, signer = s.counterparty, s.new_representative, s.signer
-        if ledger is not None:
-            chain = ledger.accounts.get(account)
-            if chain is not None:
-                held = chain.blocks.get(s.digest)
-                if held is not None:
-                    return held  # its bytes are these, so the rest is valid
-                account = chain.account
-                prior = chain.blocks.get(predecessor)
-                if prior is not None:
-                    predecessor = prior.digest()
-            signer = ledger.name(signer)
-            if kind is _SEND:
-                counterparty = ledger.name(counterparty)
-            elif kind is _RECEIVE:
-                pend = ledger.pending.get(counterparty)
-                if pend is not None:
-                    counterparty = pend.send_digest
-            if text is not None:
-                text = ledger.name(text)
-        sd = s.signing_digest(r.data)
+        chain = ledger.accounts.get(account)
+        if chain is not None:
+            held = chain.blocks.get(s.digest)
+            if held is not None:
+                return held  # its bytes are these, so the rest is valid
+            account = chain.account
+            prior = chain.blocks.get(predecessor)
+            if prior is not None:
+                predecessor = prior.digest()
+        signer = ledger.name(signer)
+        if kind is _SEND:
+            counterparty = ledger.name(counterparty)
+        elif kind is _RECEIVE:
+            pend = ledger.pending.get(counterparty)
+            if pend is not None:
+                counterparty = pend.send_digest
+        if text is not None:
+            text = ledger.name(text)
+        sd = s.signing_digest(data)
         block = cls(account, predecessor, kind, s.amount, counterparty, text,
                     s.nonce, s.signature(signer, sd))
         block._sd = sd
@@ -321,38 +318,33 @@ class VoteRecord(WireObject):
         return self.signing_payload() + self.signature.encode()
 
     @classmethod
-    def decode(cls, r: Reader, ledger: Optional["LatticeLedger"] = None,
-               block: Optional[LatticeBlock] = None) -> "VoteRecord":
-        """Read one vote; if `ledger` stores one equal to it, the stored vote.
+    def decode(cls, s: VoteScan, data: bytes, ledger: "LatticeLedger",
+               block: LatticeBlock) -> "VoteRecord":
+        """The vote scanned in `s`; if `ledger` stores one equal to it, that vote.
 
-        The bytes are scanned once per broadcast (`Reader.scan`). Equal
-        means every field, so only a fresh vote has its signing digest
-        hashed; the ballot is read for nothing else. A fresh vote takes its
-        names from the ledger (`LatticeLedger.name`), and its subject and
-        choice from `block`, the block the vote arrived with, where they
-        equal its predecessor and digest. Its signature's payload digest is
-        its signing digest when the two are equal.
+        Equal means every field, so only a fresh vote has its signing digest
+        hashed over `data`; the ballot is read for nothing else. A fresh vote
+        takes its names from the ledger (`LatticeLedger.name`), and its
+        subject and choice from `block`, the block the vote arrived with,
+        where they equal its predecessor and digest. Its signature's payload
+        digest is its signing digest when the two are equal.
         """
-        s = r.scan(VoteScan)
         representative, subject, choice = s.representative, s.subject, s.choice
-        signer = s.signer
-        if ledger is not None:
-            ballot = ledger.votes.get(subject)
-            prior = ballot.get(representative) if ballot else None
-            if prior is not None:
-                sig = prior.signature
-                if (prior.choice == choice and prior.weight == s.weight
-                        and sig.tag == s.tag
-                        and sig.payload_digest == s.payload_digest
-                        and sig.signer == signer):
-                    return prior
-            if block is not None:
-                if subject == block.predecessor:
-                    subject = block.predecessor
-                if choice == block.digest():
-                    choice = block.digest()
-            representative, signer = ledger.name(representative), ledger.name(signer)
-        sd = s.signing_digest(r.data)
+        ballot = ledger.votes.get(subject)
+        prior = ballot.get(representative) if ballot else None
+        if prior is not None:
+            sig = prior.signature
+            if (prior.choice == choice and prior.weight == s.weight
+                    and sig.tag == s.tag
+                    and sig.payload_digest == s.payload_digest
+                    and sig.signer == s.signer):
+                return prior
+        if subject == block.predecessor:
+            subject = block.predecessor
+        if choice == block.digest():
+            choice = block.digest()
+        representative, signer = ledger.name(representative), ledger.name(s.signer)
+        sd = s.signing_digest(data)
         vote = cls(representative, subject, choice, s.weight, s.signature(signer, sd))
         vote._sd = sd
         return vote

@@ -9,18 +9,17 @@ full mesh every vote reaches every node riding the block it endorses.
 Representatives vote on every block their node applies, the receives the
 node signs in for its own accounts included.
 
-A broadcast reaches every peer as one `codec.Broadcast`: the first receiver
-to read it whole leaves its scans on it, and the others decode from those
-(see `codec`). Every receiver still makes its own objects, and checks their
-signatures itself; what is shared is what the bytes say, never an object a
-node keeps. Unicasts, timers, commands and injected forks are plain bytes,
-scanned by each receiver.
+Every message is scanned whole by `codec.scan_message` with the one framing
+table, `FRAMING`, and handed to the handler that its node class keeps for
+its tag in `HANDLERS`; a tag with none there is a `CodecError`. A broadcast
+or an injected fork spend reaches each receiver as one `codec.Broadcast`,
+scanned once for all of them. Every receiver makes its own objects and
+checks their signatures itself; no node shares an object it keeps.
 """
 
 from __future__ import annotations
 
 import heapq
-import struct
 from dataclasses import replace
 from typing import Iterable, Optional
 
@@ -31,19 +30,22 @@ from .blockchain import (
     ChainTransaction,
     GrindProof,
     PosProof,
+    TxScan,
     Verdict,
     assemble_block,
     make_transaction,
 )
-from .codec import Reader
+from .codec import HEAD, CodecError
 from .errors import InvariantViolation
 from .lattice import (
     BlockKind,
+    BlockScan,
     InsufficientBalanceError,
     LatticeBlock,
     LatticeLedger,
     OutcomeStatus,
     VoteRecord,
+    VoteScan,
     make_vote,
 )
 from .leader_election import WorkCounter, mine
@@ -57,6 +59,15 @@ MSG_CHAIN_REQ = 2
 MSG_CHAIN_RESP = 3
 MSG_LAT_BLOCK = 10
 
+# The one framing table: what follows each tag's head (see `codec.scan_frame`).
+FRAMING = {
+    MSG_CHAIN_TX: (TxScan,),
+    MSG_CHAIN_BLOCK: Block.FRAMING,
+    MSG_CHAIN_REQ: (codec.DigestScan,),  # the digest of the block wanted
+    MSG_CHAIN_RESP: Block.FRAMING,
+    MSG_LAT_BLOCK: (BlockScan, [VoteScan]),  # a block and the votes for it
+}
+
 TIMER_MINE = 0
 TIMER_POS_SLOT = 1
 
@@ -67,18 +78,13 @@ ORPHAN_BUFFER_LIMIT = 10_000
 LEDGER_SAMPLE_EVERY = 20  # lattice blocks applied between observer samples
 
 
-# every message opens with its tag and the sending node's id
-_HEAD = struct.Struct(">BQ")
-_DIGEST = struct.Struct(">32s")
-
-
 def _chain_block_msg(tag: int, sender: int, block: Block) -> bytes:
-    return _HEAD.pack(tag, sender) + block.encode()
+    return HEAD.pack(tag, sender) + block.encode()
 
 
 def _lattice_block_msg(sender: int, block: LatticeBlock,
                        votes: list[VoteRecord]) -> bytes:
-    return (_HEAD.pack(MSG_LAT_BLOCK, sender) + block.encode()
+    return (HEAD.pack(MSG_LAT_BLOCK, sender) + block.encode()
             + codec.enc_list(votes, VoteRecord.encode))
 
 
@@ -183,28 +189,31 @@ class ChainNode:
         """Entry point for wallet traffic: pool it here, gossip it once."""
         self._add_to_mempool(tx)
         sim.broadcast(self.node_id,
-                      _HEAD.pack(MSG_CHAIN_TX, self.node_id) + tx.encode())
+                      HEAD.pack(MSG_CHAIN_TX, self.node_id) + tx.encode())
 
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
-        r = Reader(payload)
-        tag, sender = r.fixed(_HEAD)
+        tag, sender, scans = codec.scan_message(payload, FRAMING)
+        handler = self.HANDLERS.get(tag)
+        if handler is None:  # a message of the other paradigm
+            raise CodecError(f"ChainNode takes no message tag {tag}")
+        handler(self, sim, now, sender, payload, scans)
+
+    def _on_transaction(self, sim, now, sender, data, scans) -> None:
         # a transaction this node pooled is the pooled object, verified once
-        if tag == MSG_CHAIN_TX:
-            tx = ChainTransaction.decode(r, self.mempool)
-            r.expect_end()
-            self._add_to_mempool(tx)
-        elif tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
-            block = Block.decode(r, self.mempool)
-            r.expect_end()
-            self._ingest_block(sim, now, block, sender)
-        elif tag == MSG_CHAIN_REQ:
-            (wanted,) = r.fixed(_DIGEST)
-            r.expect_end()
-            sb = self.store.blocks.get(wanted)
-            if sb is not None and sb.transactions is not None:
-                block = Block(header=sb.header, transactions=sb.transactions)
-                sim.send(self.node_id, sender,
-                         _chain_block_msg(MSG_CHAIN_RESP, self.node_id, block))
+        self._add_to_mempool(ChainTransaction.decode(scans[0], data, self.mempool))
+
+    def _on_block(self, sim, now, sender, data, scans) -> None:
+        self._ingest_block(sim, now, Block.decode(scans, data, self.mempool), sender)
+
+    def _on_fetch(self, sim, now, sender, data, scans) -> None:
+        sb = self.store.blocks.get(scans[0].digest)
+        if sb is not None and sb.transactions is not None:
+            block = Block(header=sb.header, transactions=sb.transactions)
+            sim.send(self.node_id, sender,
+                     _chain_block_msg(MSG_CHAIN_RESP, self.node_id, block))
+
+    HANDLERS = {MSG_CHAIN_TX: _on_transaction, MSG_CHAIN_BLOCK: _on_block,
+                MSG_CHAIN_REQ: _on_fetch, MSG_CHAIN_RESP: _on_block}
 
     def _add_to_mempool(self, tx: ChainTransaction) -> None:
         if tx.amount > 0 and tx.weight > 0 and tx.verify_signature():
@@ -283,7 +292,7 @@ class ChainNode:
         self.parked.park(d, block, parent)
         if sender != self.node_id:
             sim.send(self.node_id, sender,
-                     _HEAD.pack(MSG_CHAIN_REQ, self.node_id) + codec.enc_digest(parent))
+                     HEAD.pack(MSG_CHAIN_REQ, self.node_id) + codec.enc_digest(parent))
 
 
 class LatticeNode:
@@ -320,18 +329,21 @@ class LatticeNode:
     # -- inbound ------------------------------------------------------------
 
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
-        r = Reader(payload)
-        tag, _ = r.fixed(_HEAD)  # the sender is unused: gossip is undirected
-        if tag != MSG_LAT_BLOCK:
-            return
+        tag, sender, scans = codec.scan_message(payload, FRAMING)
+        handler = self.HANDLERS.get(tag)
+        if handler is None:  # a message of the other paradigm
+            raise CodecError(f"LatticeNode takes no message tag {tag}")
+        handler(self, sim, now, sender, payload, scans)
+
+    def _on_block(self, sim, now, sender, data, scans) -> None:
         # a block or vote this ledger already keeps decodes to the kept object
-        ledger = self.ledger
-        block = LatticeBlock.decode(r, ledger)
-        (count,) = r.fixed(codec.U32)
-        votes = [VoteRecord.decode(r, ledger, block) for _ in range(count)]
-        r.expect_end()
+        ledger, (block_scan, vote_scans) = self.ledger, scans
+        block = LatticeBlock.decode(block_scan, data, ledger)
+        votes = [VoteRecord.decode(s, data, ledger, block) for s in vote_scans]
         if not ledger.has_nothing_new(block, votes):
             self._settle(sim, now, block, votes)
+
+    HANDLERS = {MSG_LAT_BLOCK: _on_block}  # gossip is undirected: no sender
 
     def start(self, sim: Simulation) -> None:
         pass  # lattice behavior is purely reactive
@@ -540,11 +552,11 @@ class ForkInjectionDriver:
             sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
             return
         self.recorder.conflicts_injected.append((now, head, a.digest(), b.digest()))
-        # split delivery: half the network hears one spend first
+        # split delivery: half the network hears one spend first; each spend
+        # is one message, scanned once for all who hear it
+        msgs = [codec.Broadcast(_lattice_block_msg(node.node_id, x, [])) for x in (a, b)]
+        at = now + self.delivery_latency_s
         targets = sorted(sim.nodes)
-        half = len(targets) // 2
         for i, dst in enumerate(targets):
-            chosen = a if i < half else b
-            msg = _lattice_block_msg(node.node_id, chosen, [])
-            sim.schedule(now + self.delivery_latency_s, SimEventKind.MESSAGE, dst, msg)
+            sim.schedule(at, SimEventKind.MESSAGE, dst, msgs[i >= len(targets) // 2])
         sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))

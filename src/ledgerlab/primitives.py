@@ -126,11 +126,10 @@ class WireScan:
     A subclass's constructor takes the buffer and the object's offset in it,
     checks the bounds, the discriminants and the UTF-8, reads the fields,
     and sets `end` past the object. Nothing in a scan comes from a node, so
-    the receivers of one broadcast share it (see `codec.Reader.scan`), and
+    the receivers of one broadcast share it (see `codec.scan_message`), and
     each builds its own object from it. The signing digest is hashed on
-    first use, over the span `start:signed_end` of the buffer passed in: a
-    broadcast keeps its scans, so a scan that kept the buffer would make a
-    reference cycle that only the garbage collector frees.
+    first use, over `start:signed_end` of the buffer passed in: a scan that
+    kept the broadcast that keeps it would be a reference cycle.
     """
 
     __slots__ = ("start", "signed_end", "end", "payload_digest", "tag", "sd")

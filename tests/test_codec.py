@@ -17,7 +17,7 @@ from ledgerlab.blockchain import (
     StateDelta,
     make_transaction,
 )
-from ledgerlab.codec import CodecError, Reader
+from ledgerlab.codec import CodecError
 from ledgerlab.lattice import (
     BlockKind,
     LatticeBlock,
@@ -37,9 +37,9 @@ from ledgerlab.primitives import (
 )
 from ledgerlab.runner import run
 from ledgerlab.scenario import preset_config
+from wire import FRAMING, decode_prefix, decode_scans, decode_whole
 
 U8 = struct.Struct(">B")
-DIGEST = struct.Struct(">32s")
 HEADER_SIZE = 3 * 32 + 8 + 8 + 8 + 4  # roots, height, timestamp, nonce, name length
 
 
@@ -111,83 +111,74 @@ def _named(name):
     ]
 
 
-def test_reader_str_rejects_underruns_and_invalid_utf8():
+def test_a_scan_rejects_underruns_and_invalid_utf8():
     for obj in _named("é"):
         raw = obj.encode()
         at = raw.index("é".encode("utf-8"))
         cls = type(obj)
         with pytest.raises(CodecError, match="underrun"):
-            cls.decode(Reader(raw[:at - 1]))  # the length itself is cut short
+            decode_whole(cls, raw[:at - 1])  # the length itself is cut short
         with pytest.raises(CodecError, match="underrun"):
-            cls.decode(Reader(raw[:at + 1]))  # the body is cut short
+            decode_whole(cls, raw[:at + 1])  # the body is cut short
         with pytest.raises(CodecError, match="utf-8"):
-            cls.decode(Reader(raw[:at] + b"\xff\xff" + raw[at + 2:]))
-    with pytest.raises(CodecError):
-        Reader(bytes(31)).fixed(DIGEST)
+            decode_whole(cls, raw[:at] + b"\xff\xff" + raw[at + 2:])
+    with pytest.raises(CodecError, match="underrun"):
+        codec.DigestScan(bytes(31), 0)
     for obj in _named(""):
-        r = Reader(obj.encode() + obj.encode())
-        assert (type(obj).decode(r), type(obj).decode(r)) == (obj, obj)
-        r.expect_end()
+        cls = type(obj)
+        raw = obj.encode() + obj.encode()
+        scans = codec.scan_frame(raw, FRAMING[cls] * 2)  # two objects in a row
+        assert [decode_scans(cls, [s], raw) for s in scans] == [obj, obj]
 
 
-def test_reader_underrun_and_trailing():
-    r = Reader(codec.enc_u64(7))
-    assert r.fixed(codec.U64) == (7,)
-    with pytest.raises(CodecError):
-        r.fixed(codec.U64)
-    r2 = Reader(codec.enc_u64(7) + b"\x01")
-    r2.fixed(codec.U64)
-    with pytest.raises(CodecError):
-        r2.expect_end()
-
-
-def test_reader_fixed_reads_a_run_of_fields_or_nothing():
-    layout = struct.Struct(">32sQ")
-    data = bytes(range(32)) + codec.enc_u64(9) + codec.enc_u8(1)
-    r = Reader(data)
-    assert r.fixed(layout) == (bytes(range(32)), 9)
-    assert r.pos == 40
-    with pytest.raises(CodecError):
-        r.fixed(layout)  # one byte left
-    assert r.pos == 40 and r.fixed(U8) == (1,)
-    r.expect_end()
+def test_a_frame_refuses_underruns_and_trailing_bytes():
+    first, second = bytes(range(32)), bytes(range(1, 33))
+    framing = (codec.DigestScan, [codec.DigestScan])  # a digest, a counted list
+    data = first + codec.U32.pack(1) + second
+    one, [other] = codec.scan_frame(data, framing)
+    assert (one.digest, other.digest, other.end) == (first, second, len(data))
+    for cut in (31, 34, 67):  # in the digest, in the count, in the listed digest
+        with pytest.raises(CodecError, match="underrun"):
+            codec.scan_frame(data[:cut], framing)
+    with pytest.raises(CodecError, match="1 trailing bytes"):
+        codec.scan_frame(data + b"\x01", framing)
+    # a frame starts where it is told, and a count of zero is an empty list
+    assert codec.scan_frame(codec.enc_u64(7) + codec.U32.pack(0), framing[1:], 8) == [[]]
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_roundtrip(v):
-    assert Reader(codec.enc_u64(v)).fixed(codec.U64) == (v,)
+    assert codec.U64.unpack(codec.enc_u64(v)) == (v,)
 
 
 @given(st.integers(min_value=0, max_value=255))
 def test_u8_roundtrip(v):
-    assert Reader(codec.enc_u8(v)).fixed(U8) == (v,)
+    assert U8.unpack(codec.enc_u8(v)) == (v,)
 
 
 @given(st.floats(allow_nan=False))
 def test_f64_roundtrip(v):
     header = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, ZERO_DIGEST, 1, v, 0, "miner")
-    assert BlockHeader.decode(Reader(header.encode())).timestamp == v
+    assert decode_whole(BlockHeader, header.encode()).timestamp == v
 
 
 @given(st.text(max_size=100))
 def test_str_roundtrip(v):
-    assert Reader(codec.enc_str(v)).fixed(codec.U32) == (len(v.encode("utf-8")),)
+    assert codec.U32.unpack_from(codec.enc_str(v)) == (len(v.encode("utf-8")),)
     for obj in _named(v):
-        assert type(obj).decode(Reader(obj.encode())) == obj
+        assert decode_whole(type(obj), obj.encode()) == obj
 
 
 @given(st.binary(min_size=32, max_size=32))
 def test_digest_roundtrip(v):
-    assert Reader(codec.enc_digest(v)).fixed(DIGEST) == (v,)
+    assert codec.DigestScan(codec.enc_digest(v), 0).digest == v
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=30))
 def test_list_roundtrip(vs):
     data = codec.enc_list(vs, codec.enc_u64)
-    r = Reader(data)
-    (count,) = r.fixed(codec.U32)
-    assert [r.fixed(codec.U64)[0] for _ in range(count)] == vs
-    r.expect_end()
+    assert codec.U32.unpack_from(data) == (len(vs),)
+    assert list(struct.unpack(f">{len(vs)}Q", data[4:])) == vs
 
 
 @given(st.lists(st.text(max_size=20), max_size=10),
@@ -196,11 +187,16 @@ def test_concatenated_fields_roundtrip(names, tail):
     signature = Signature("signer", ZERO_DIGEST, ZERO_DIGEST)
     txs = [ChainTransaction(n, n, 5, 1, 10, signature) for n in names]
     data = codec.enc_list(txs, ChainTransaction.encode) + codec.enc_u64(tail)
-    r = Reader(data)
-    (count,) = r.fixed(codec.U32)
-    assert [ChainTransaction.decode(r) for _ in range(count)] == txs
-    assert r.fixed(codec.U64) == (tail,)
-    r.expect_end()
+    scans, _ = codec.scan_frame(data, ([*FRAMING[ChainTransaction]], _U64Scan))
+    assert [ChainTransaction.decode(s, data, {}) for s in scans] == txs
+    assert codec.U64.unpack(data[-8:]) == (tail,)
+
+
+class _U64Scan:
+    """A u64 as a framing step, for the test above."""
+
+    def __init__(self, data, start):
+        self.end = start + 8
 
 
 def test_encoding_is_injective_on_adjacent_strings():
@@ -209,14 +205,13 @@ def test_encoding_is_injective_on_adjacent_strings():
             != codec.enc_str("a") + codec.enc_str("bc"))
 
 
-def test_reader_reports_consumed_span():
+def test_a_scan_spans_exactly_its_object():
     vote = make_vote(identity_for("home"), ZERO_DIGEST, ZERO_DIGEST, 40)
-    r = Reader(codec.enc_u64(7) + vote.encode() + codec.enc_u8(1))
-    r.fixed(codec.U64)
-    start = r.pos
-    VoteRecord.decode(r)
-    assert r.data[start:r.pos] == vote.encode()
-    assert r.data[:r.pos] == codec.enc_u64(7) + vote.encode()
+    data = codec.enc_u64(7) + vote.encode() + bytes(32)
+    s, _ = codec.scan_frame(data, (*FRAMING[VoteRecord], codec.DigestScan), 8)
+    assert data[s.start:s.end] == vote.encode()
+    assert data[:s.end] == codec.enc_u64(7) + vote.encode()
+    assert data[s.start:s.signed_end] == vote.signing_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +287,7 @@ def _check_wire_digests(obj, raw):
 @given(wire_objects)
 def test_wire_types_decode_to_equal_objects_with_wire_digests(x):
     raw = x.encode()
-    r = Reader(raw)
-    y = type(x).decode(r)
-    r.expect_end()
+    y = decode_whole(type(x), raw)
     assert y == x
     _check_wire_digests(y, raw)
 
@@ -336,12 +329,11 @@ def test_mutated_encodings_raise_or_decode_canonically(x, data):
     else:
         at = data.draw(st.integers(0, len(raw) - 1), label="at")
         raw[at] ^= data.draw(st.integers(1, 255), label="mask")
-    r = Reader(bytes(raw))
     try:
-        y = type(x).decode(r)
+        y, end = decode_prefix(type(x), bytes(raw))
     except CodecError:
         return
-    _check_wire_digests(y, r.data[:r.pos])
+    _check_wire_digests(y, bytes(raw[:end]))
 
 
 def test_unknown_lattice_kind_byte_is_a_codec_error():
@@ -352,7 +344,7 @@ def test_unknown_lattice_kind_byte_is_a_codec_error():
     assert raw[kind_at] == BlockKind.SEND.value
     raw[kind_at] = 9
     with pytest.raises(CodecError):
-        LatticeBlock.decode(Reader(bytes(raw)))
+        decode_whole(LatticeBlock, bytes(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +556,19 @@ def _decode_both(cls, raw, with_context):
     """Kernel and oracle on `raw`: equal results, or both raise CodecError."""
     oracle, context = _DECODERS[cls]
     context = context if with_context else None
-    args = () if cls is BlockHeader else (context,)
-    kernel_reader, oracle_reader = Reader(raw), _FieldReader(raw)
+    # without one, the kernel decodes against a context that holds nothing
+    args = (context,) if with_context and cls is not BlockHeader else ()
+    if args and cls is VoteRecord:
+        args += (HELD_BLOCKS[0],)  # a vote decodes beside a block; any will do
+    oracle_reader = _FieldReader(raw)
     try:
         expected = oracle(oracle_reader, context)
     except CodecError:
         with pytest.raises(CodecError):
-            cls.decode(kernel_reader, *args)
+            decode_prefix(cls, raw, *args)
         return
-    got = cls.decode(kernel_reader, *args)
-    assert kernel_reader.pos == oracle_reader.pos
+    got, end = decode_prefix(cls, raw, *args)
+    assert end == oracle_reader.pos
     _agree(got, expected, context if cls in (LatticeBlock, VoteRecord) else None)
 
 

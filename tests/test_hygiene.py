@@ -1,14 +1,16 @@
 """Source hygiene: no dead imports, no config key that nothing reads, no
-definition that only tests reach, no class field that only tests read, and
-no parameter that its function never reads.
+definition that only tests reach, no class field that only tests read, no
+parameter that its function never reads, and no message tag that lacks a
+framing or a handler.
 
 The checks parse the package with `ast`, so they see the code as written,
-not as imported.
+not as imported; the last reads the two message tables as imported.
 """
 
 import ast
 from pathlib import Path
 
+from ledgerlab import nodes
 from ledgerlab.scenario import SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,9 @@ INTERFACE_PARAMS = {
     "ChainTxDriver.on_command(now, payload)": "MultiDriver calls every driver alike",
     "LatticeSendDriver.on_command(payload)": "MultiDriver calls every driver alike",
     "ForkInjectionDriver.on_command(payload)": "MultiDriver calls every driver alike",
+    "ChainNode._on_transaction(sim, now, sender)": "on_message calls every handler alike",
+    "ChainNode._on_fetch(now, data)": "on_message calls every handler alike",
+    "LatticeNode._on_block(sender)": "on_message calls every handler alike",
 }
 
 
@@ -276,3 +281,12 @@ def test_an_unread_parameter_is_caught():
         "    return inner\n")
     assert set(_unread_params(modules)) - set(INTERFACE_PARAMS) == {
         "Probe.method(carried)", "Probe.make(kw)", "helper(b, c)"}
+
+
+def test_every_framed_message_tag_has_a_handler_and_every_handler_a_framing():
+    node_types = [cls for cls in vars(nodes).values()
+                  if isinstance(cls, type) and "HANDLERS" in vars(cls)]
+    assert {nodes.ChainNode, nodes.LatticeNode} <= set(node_types)
+    handled = set().union(*(cls.HANDLERS for cls in node_types))
+    assert set(nodes.FRAMING) <= handled  # no message that no node type takes
+    assert handled <= set(nodes.FRAMING)  # no handler for a message never scanned

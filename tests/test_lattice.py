@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from ledgerlab import lattice
-from ledgerlab.codec import Reader
 from ledgerlab.errors import NotFoundError
 from ledgerlab.lattice import (
     BlockKind,
@@ -23,6 +22,7 @@ from ledgerlab.lattice import (
 )
 from ledgerlab.leader_election import WorkCounter, check_pow
 from ledgerlab.primitives import ZERO_DIGEST, identity_for
+from wire import decode_whole
 
 
 def _ledger(**kw):
@@ -377,7 +377,7 @@ def test_repeated_vote_changes_nothing_and_skips_verify(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lattice, "verify", counting_verify)
-    again = VoteRecord.decode(Reader(vote.encode()))  # a fresh copy off the wire
+    again = decode_whole(VoteRecord, vote.encode())  # a fresh copy off the wire
     assert again == vote and again is not vote
     assert ledger.add_vote(again) == Outcome()
     dup = _apply(ledger, s2, votes=[again])

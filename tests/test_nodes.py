@@ -22,7 +22,7 @@ from ledgerlab.blockchain import (
     assemble_block,
     make_transaction,
 )
-from ledgerlab.codec import CodecError, Reader
+from ledgerlab.codec import HEAD, CodecError
 from ledgerlab.lattice import (
     BlockKind,
     LatticeBlock,
@@ -42,10 +42,10 @@ from ledgerlab.nodes import (
     MSG_CHAIN_REQ,
     MSG_CHAIN_RESP,
     MSG_CHAIN_TX,
+    MSG_LAT_BLOCK,
     ChainNode,
     LatticeNode,
     MultiDriver,
-    _HEAD,
     _chain_block_msg,
     _lattice_block_msg,
 )
@@ -53,7 +53,8 @@ from ledgerlab.primitives import ZERO_DIGEST, Signature, identity_for
 from ledgerlab.recording import RunRecorder
 from ledgerlab.runner import run
 from ledgerlab.scenario import preset_config
-from ledgerlab.simnet import LinkModel, Simulation, derive_rng
+from ledgerlab.simnet import LinkModel, Simulation, derive_rng, mesh_adjacency
+from wire import decode_whole
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +80,9 @@ def test_chain_block_message_round_trip():
 
     payload = _chain_block_msg(MSG_CHAIN_BLOCK, 3, block)
 
-    r = Reader(payload)
-    assert r.fixed(_HEAD) == (MSG_CHAIN_BLOCK, 3)
-    decoded = Block.decode(r)
-    r.expect_end()
+    tag, sender, scans = codec.scan_message(payload, nodes.FRAMING)
+    assert (tag, sender) == (MSG_CHAIN_BLOCK, 3)
+    decoded = Block.decode(scans, payload, {})
     assert decoded.digest() == block.digest()
     assert decoded.transactions == block.transactions
 
@@ -94,12 +94,11 @@ def test_lattice_block_message_round_trip_with_votes():
 
     payload = _lattice_block_msg(6, send, [vote])
 
-    r = Reader(payload)
-    assert r.fixed(_HEAD) == (10, 6)  # MSG_LAT_BLOCK, sender
-    decoded = LatticeBlock.decode(r)
-    (count,) = r.fixed(codec.U32)
-    votes = [VoteRecord.decode(r) for _ in range(count)]
-    r.expect_end()
+    tag, sender, (block_scan, vote_scans) = codec.scan_message(payload, nodes.FRAMING)
+    assert (tag, sender) == (MSG_LAT_BLOCK, 6)
+    nothing = LatticeLedger({})
+    decoded = LatticeBlock.decode(block_scan, payload, nothing)
+    votes = [VoteRecord.decode(s, payload, nothing, decoded) for s in vote_scans]
     assert decoded.digest() == send.digest()
     assert votes == [vote]
     assert votes[0].verify_signature()
@@ -259,7 +258,7 @@ def _tampered(tx):
     """`tx` with one byte of its signature tag flipped."""
     raw = bytearray(tx.encode())
     raw[-1] ^= 1
-    return ChainTransaction.decode(Reader(bytes(raw)))
+    return decode_whole(ChainTransaction, bytes(raw))
 
 
 def _block_on_genesis(txs):
@@ -284,7 +283,7 @@ def test_a_block_of_pooled_transactions_decodes_to_them_and_verifies_nothing(
     block = _block_on_genesis(txs)
     calls = _count_verify(monkeypatch)
 
-    decoded = Block.decode(Reader(block.encode()), node.mempool)
+    decoded = decode_whole(Block, block.encode(), node.mempool)
 
     assert all(d is p for d, p in zip(decoded.transactions, pooled, strict=True))
     assert node.store.validate_block(decoded).ok
@@ -297,7 +296,7 @@ def test_a_tampered_block_transaction_is_decoded_fresh_and_refused(monkeypatch):
     block = _block_on_genesis([txs[0], _tampered(txs[1])])
     calls = _count_verify(monkeypatch)
 
-    decoded = Block.decode(Reader(block.encode()), node.mempool)
+    decoded = decode_whole(Block, block.encode(), node.mempool)
 
     assert decoded.transactions[0] is pooled[0]
     fresh = decoded.transactions[1]
@@ -388,13 +387,6 @@ def _flip_last_byte(obj):
     return bytes(raw)
 
 
-def _decode(cls, raw, ledger, *context):
-    r = Reader(raw)
-    obj = cls.decode(r, ledger, *context)
-    r.expect_end()
-    return obj
-
-
 def _applied_send_with_vote():
     """A node that applied carol's send to home, carried with carol's vote."""
     node, sim = _lattice_node()
@@ -410,7 +402,7 @@ def test_a_held_block_decodes_to_the_held_object_and_verifies_nothing(monkeypatc
     held = node.ledger.accounts["carol"].blocks[send.digest()]
     calls = _count_lattice_verify(monkeypatch)
 
-    assert _decode(LatticeBlock, send.encode(), node.ledger) is held
+    assert decode_whole(LatticeBlock, send.encode(), node.ledger) is held
     node.on_message(sim, 2.0, _lattice_block_msg(0, send, []))
 
     assert node.ledger.accounts["carol"].blocks[send.digest()] is held
@@ -422,7 +414,7 @@ def test_a_held_block_with_a_flipped_signature_byte_is_decoded_fresh_and_refused
     node, _, send, _ = _applied_send_with_vote()
     calls = _count_lattice_verify(monkeypatch)
 
-    fresh = _decode(LatticeBlock, _flip_last_byte(send), node.ledger)
+    fresh = decode_whole(LatticeBlock, _flip_last_byte(send), node.ledger)
 
     assert fresh.digest() not in node.ledger.accounts["carol"].blocks
     assert fresh.signature.tag != send.signature.tag
@@ -435,7 +427,7 @@ def test_a_stored_vote_decodes_to_the_stored_object():
     node, _, send, vote = _applied_send_with_vote()
     stored = node.ledger.votes[send.predecessor]["carol"]
 
-    assert _decode(VoteRecord, vote.encode(), node.ledger) is stored
+    assert decode_whole(VoteRecord, vote.encode(), node.ledger, send) is stored
 
 
 @pytest.mark.parametrize("change", ["weight", "tag"])
@@ -450,7 +442,7 @@ def test_a_vote_differing_in_one_field_is_decoded_fresh_and_ignored_unverified(
         raw = _flip_last_byte(vote)
     calls = _count_lattice_verify(monkeypatch)
 
-    fresh = _decode(VoteRecord, raw, node.ledger)
+    fresh = decode_whole(VoteRecord, raw, node.ledger, send)
     assert fresh is not stored and fresh != stored
 
     node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
@@ -464,7 +456,7 @@ def test_a_block_of_an_account_the_ledger_does_not_know_decodes_fresh():
     stranger = build_block(identity_for("dave"), ZERO_DIGEST, BlockKind.SEND,
                            amount=5, counterparty="home")
 
-    fresh = _decode(LatticeBlock, stranger.encode(), node.ledger)
+    fresh = decode_whole(LatticeBlock, stranger.encode(), node.ledger)
 
     assert fresh is not stranger and fresh == stranger
     assert fresh._sd == stranger.signing_digest()
@@ -488,7 +480,7 @@ def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
     assert resolution[4] == winner.digest()
     assert loser.digest() not in node.ledger.accounts["carol"].blocks
 
-    fresh = _decode(LatticeBlock, loser.encode(), node.ledger)
+    fresh = decode_whole(LatticeBlock, loser.encode(), node.ledger)
 
     assert fresh is not held and fresh == loser
     # the ledger saw it before the rollback, as it did when every decode
@@ -561,7 +553,7 @@ def test_a_fresh_block_takes_its_held_predecessors_digest_object():
     node, _, send, _ = _applied_send_with_vote()
     after = _after_send(send).create_send("carol", "home", 10)
 
-    fresh = _decode(LatticeBlock, after.encode(), node.ledger)
+    fresh = decode_whole(LatticeBlock, after.encode(), node.ledger)
 
     assert fresh == after
     held = node.ledger.accounts["carol"].blocks[send.digest()]
@@ -572,7 +564,7 @@ def test_a_fresh_receive_takes_its_pending_sends_digest_object():
     node, _, send, _ = _applied_send_with_vote()
     receive = _after_send(send).create_receive("home", send.digest())
 
-    fresh = _decode(LatticeBlock, receive.encode(), node.ledger)
+    fresh = decode_whole(LatticeBlock, receive.encode(), node.ledger)
 
     assert fresh == receive
     assert fresh.counterparty is node.ledger.pending[send.digest()].send_digest
@@ -584,17 +576,17 @@ def test_a_fresh_vote_takes_subject_and_choice_from_its_block():
     node, _, send, _ = _applied_send_with_vote()
     stored = node.ledger.votes[send.predecessor]["carol"]
     # equal to the held block, but none of its digests are the held objects
-    block = LatticeBlock.decode(Reader(send.encode()))
+    block = decode_whole(LatticeBlock, send.encode())
     assert block.predecessor == stored.subject and block.predecessor is not stored.subject
     home = identity_for("home")
     same = make_vote(home, send.predecessor, send.digest(), 40)
     rival = make_vote(home, send.predecessor, b"\x07" * 32, 40)
 
-    fresh = _decode(VoteRecord, same.encode(), node.ledger, block)
+    fresh = decode_whole(VoteRecord, same.encode(), node.ledger, block)
     assert fresh == same
     assert fresh.subject is block.predecessor and fresh.choice is block.digest()
 
-    fresh = _decode(VoteRecord, rival.encode(), node.ledger, block)
+    fresh = decode_whole(VoteRecord, rival.encode(), node.ledger, block)
     assert fresh == rival and fresh.subject is block.predecessor
 
 
@@ -629,7 +621,7 @@ def test_a_block_naming_another_payload_digest_is_kept_apart_and_refused():
     node, _ = _lattice_node()
     send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
 
-    fresh = _decode(LatticeBlock, _forged(send).encode(), node.ledger)
+    fresh = decode_whole(LatticeBlock, _forged(send).encode(), node.ledger)
 
     assert _kept_apart(fresh, send)
     assert node.ledger.receive_block(fresh).verdict is LatticeVerdict.BAD_SIGNATURE
@@ -640,7 +632,7 @@ def test_a_vote_naming_another_payload_digest_is_kept_apart_and_refused():
     node, sim, send, _ = _applied_send_with_vote()
     vote = make_vote(identity_for("home"), send.predecessor, send.digest(), 40)
 
-    fresh = _decode(VoteRecord, _forged(vote).encode(), node.ledger)
+    fresh = decode_whole(VoteRecord, _forged(vote).encode(), node.ledger, send)
 
     assert _kept_apart(fresh, vote)
     node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
@@ -651,7 +643,7 @@ def test_a_transaction_naming_another_payload_digest_is_kept_apart_and_refused()
     tx = make_transaction(identity_for("alice"), "bob", 5, 1, 10)
     raw = _forged(tx).encode()
 
-    assert _kept_apart(ChainTransaction.decode(Reader(raw)), tx)
+    assert _kept_apart(decode_whole(ChainTransaction, raw), tx)
     node, sim = _chain_node()
     node.on_message(sim, 0.0, codec.enc_u8(MSG_CHAIN_TX) + codec.enc_u64(1) + raw)
     assert node.mempool == {}
@@ -675,11 +667,14 @@ def _assert_same_run(monkeypatch, name, horizon_s, change):
 
 
 def _decode_fresh(monkeypatch):
-    """Every lattice block and vote decoded fresh, as if no node held any."""
-    for cls in (LatticeBlock, VoteRecord):
-        decode = cls.decode
-        monkeypatch.setattr(cls, "decode", classmethod(
-            lambda cls, r, *context, decode=decode: decode(r)))
+    """Every lattice block and vote decoded fresh, against a ledger that
+    holds nothing, as if no node held any."""
+    nothing = LatticeLedger({})
+    block_decode, vote_decode = LatticeBlock.decode, VoteRecord.decode
+    monkeypatch.setattr(LatticeBlock, "decode", classmethod(
+        lambda cls, s, data, ledger: block_decode(s, data, nothing)))
+    monkeypatch.setattr(VoteRecord, "decode", classmethod(
+        lambda cls, s, data, ledger, block: vote_decode(s, data, nothing, block)))
 
 
 def _scan_per_receiver(monkeypatch):
@@ -709,15 +704,9 @@ def test_sharing_a_broadcasts_scans_changes_no_run(monkeypatch, name, horizon_s)
 
 def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
     scans, decodes, delivered = [], [], []
-
-    class CountingScan(lattice.BlockScan):
-        __slots__ = ()
-
-        def __init__(self, data, start):
-            scans.append(start)
-            super().__init__(data, start)
-
-    monkeypatch.setattr(lattice, "BlockScan", CountingScan)
+    scan_frame = codec.scan_frame
+    monkeypatch.setattr(codec, "scan_frame", lambda data, *rest: (
+        scans.append(id(data)) or scan_frame(data, *rest)))
     decode = LatticeBlock.decode
     monkeypatch.setattr(LatticeBlock, "decode", classmethod(
         lambda cls, *args: decodes.append(1) or decode(*args)))
@@ -732,39 +721,116 @@ def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
     assert {type(p) for p in delivered} == {codec.Broadcast}
     broadcasts = {id(p) for p in delivered}
     assert len(scans) == len(broadcasts) < len(delivered)
+    assert set(scans) == broadcasts
     assert len(decodes) == len(delivered)
 
 
-def _malformed(fault, raw):
+def _message(tag):
+    """A well-formed message of each tag in the framing table."""
+    if tag == MSG_CHAIN_TX:
+        return _tx_msg(make_transaction(identity_for("alice"), "bob", 5, 1, 10))
+    if tag in (MSG_CHAIN_BLOCK, MSG_CHAIN_RESP):
+        return _chain_block_msg(tag, 1, _block_on_genesis([]))
+    if tag == MSG_CHAIN_REQ:
+        return HEAD.pack(MSG_CHAIN_REQ, 1) + bytes(32)
+    send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
+    return _lattice_block_msg(0, send, [])
+
+
+# where each tag's message has its first string: after the head, or after
+# a block header's fixed fields; a block request holds none
+_FIRST_TEXT = {MSG_CHAIN_TX: HEAD.size, MSG_LAT_BLOCK: HEAD.size,
+               MSG_CHAIN_BLOCK: HEAD.size + 124, MSG_CHAIN_RESP: HEAD.size + 124}
+_UNKNOWN_TAG = 99
+
+
+def _malformed(fault, tag):
+    raw = _message(tag)
     if fault == "truncated":
         return raw[:-1]
     if fault == "trailing byte":
         return raw + b"\x00"
-    at = _HEAD.size + 4  # the first byte of the first string, after its length
+    if fault == "unknown tag":
+        return bytes([_UNKNOWN_TAG]) + raw[1:]
+    if fault == "other paradigm":
+        return raw
+    at = _FIRST_TEXT[tag] + 4  # the first byte of the string, after its length
     return raw[:at] + b"\xff" + raw[at + 1:]
 
 
-@pytest.mark.parametrize("fault", ["truncated", "trailing byte", "invalid utf-8"])
-@pytest.mark.parametrize("paradigm", ["lattice", "chain"])
+def _malformed_cases():
+    """(receiving paradigm, fault, tag): each tag a node type handles,
+    truncated, with a trailing byte and with invalid UTF-8 where it holds
+    text; each tag of the other paradigm as it is; and an unknown tag."""
+    cases = []
+    for paradigm, node_type in (("chain", ChainNode), ("lattice", LatticeNode)):
+        for tag in sorted(nodes.FRAMING):
+            if tag not in node_type.HANDLERS:
+                cases.append((paradigm, "other paradigm", tag))
+                continue
+            faults = ["invalid utf-8"] if tag in _FIRST_TEXT else []
+            cases += [(paradigm, fault, tag)
+                      for fault in faults + ["trailing byte", "truncated"]]
+        cases.append((paradigm, "unknown tag", MSG_LAT_BLOCK))
+    return cases
+
+
+def _case_id(paradigm, fault, tag):
+    """The case's name; a gossiped transaction or lattice block goes unnamed."""
+    return f"{paradigm}-{fault}" + ("" if tag in (MSG_CHAIN_TX, MSG_LAT_BLOCK)
+                                    else f"-tag{tag}")
+
+
+@pytest.mark.parametrize("paradigm,fault,tag", _malformed_cases(),
+                         ids=[_case_id(*case) for case in _malformed_cases()])
 def test_a_malformed_broadcast_fails_alike_at_every_receiver_and_keeps_no_body(
-        fault, paradigm):
-    if paradigm == "lattice":
-        send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
-        raw = _lattice_block_msg(0, send, [])
-        receivers = [_lattice_node() for _ in range(3)]
-    else:
-        raw = _tx_msg(make_transaction(identity_for("alice"), "bob", 5, 1, 10))
-        receivers = [_chain_node() for _ in range(3)]
-    payload = codec.Broadcast(_malformed(fault, raw))
+        paradigm, fault, tag):
+    receiver = _lattice_node if paradigm == "lattice" else _chain_node
+    raw = _malformed(fault, tag)
+    broadcast = codec.Broadcast(raw)
 
     errors = []
-    for node, sim in receivers:
+    for payload in [broadcast] * 3 + [bytes(raw)] * 3:  # broadcast, then unicasts
+        node, sim = receiver()
         with pytest.raises(CodecError) as caught:
             node.on_message(sim, 1.0, payload)
         errors.append(str(caught.value))
 
     assert len(set(errors)) == 1
-    assert payload.body is None
+    if fault == "other paradigm":
+        # the bytes scan: the node type refuses them, and the broadcast keeps
+        # only what its bytes say
+        assert errors[0] == f"{type(node).__name__} takes no message tag {tag}"
+        assert broadcast.scanned is not None
+    else:
+        assert broadcast.scanned is None  # a failed scan keeps nothing
+        if fault == "unknown tag":
+            assert errors[0] == f"unknown message tag {_UNKNOWN_TAG}"
+
+
+_MSG_PING = 200  # a message type that only the test below registers
+
+
+def test_a_new_message_type_is_one_table_entry_and_one_handler(monkeypatch):
+    heard = []
+    monkeypatch.setitem(nodes.FRAMING, _MSG_PING, (codec.DigestScan,))
+    monkeypatch.setitem(ChainNode.HANDLERS, _MSG_PING,
+                        lambda node, sim, now, sender, data, scans:
+                        heard.append((node.node_id, sender, scans[0].digest)))
+    chain_nodes = {i: ChainNode(i, _store(), RunRecorder(), run_seed=1,
+                                producer_id="") for i in range(3)}
+    sim = Simulation(seed=1, link=LinkModel(), adjacency=mesh_adjacency(3),
+                     nodes=chain_nodes)
+
+    sim.broadcast(0, HEAD.pack(_MSG_PING, 0) + b"\x05" * 32)  # to nodes 1 and 2
+    sim.send(2, 0, HEAD.pack(_MSG_PING, 2) + b"\x06" * 32)  # and a unicast
+    sim.run(1.0)
+
+    assert sorted(heard) == [(0, 2, b"\x06" * 32), (1, 0, b"\x05" * 32),
+                             (2, 0, b"\x05" * 32)]
+    node, sim = _lattice_node()  # the other node type has no handler for it
+    with pytest.raises(CodecError, match=f"LatticeNode takes no message tag {_MSG_PING}"):
+        node.on_message(sim, 1.0, HEAD.pack(_MSG_PING, 0) + bytes(32))
 
 
 def _spy_receive(monkeypatch, ledger):
