@@ -102,14 +102,11 @@ def measure_orphan_rate(result: RunResult) -> float:
 
 
 def measured_tps(result: RunResult) -> float:
-    """Transactions on the observer's final adopted chain, per second."""
+    """Transactions on the observer's final adopted chain, per second, as
+    mined, so a body pruned at the horizon still counts (genesis has none)."""
     observer = _observer(result, "chain")
-    store = observer.store
-    total = 0
-    for d in store.adopted_chain():
-        sb = store.blocks[d]
-        if sb.transactions is not None:
-            total += len(sb.transactions)
+    tx_count = {rec[2]: rec[4] for rec in result.recorder.blocks_mined}
+    total = sum(tx_count.get(d, 0) for d in observer.store.adopted_chain())
     return total / result.config["scenario.horizon_s"]
 
 
@@ -298,9 +295,8 @@ def build_report(result: RunResult) -> ScenarioReport:
     flags: list[str] = []
 
     ledger_series = MetricSeries(name="ledger-bytes", unit="bytes")
-    for now, node, total in result.recorder.ledger_samples:
-        if node == OBSERVER:
-            ledger_series.add(now, float(total))
+    for at, total in result.recorder.ledger_samples:
+        ledger_series.add(at, float(total))
 
     if cfg.paradigm == "chain":
         cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],

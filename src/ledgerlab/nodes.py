@@ -50,7 +50,7 @@ from .lattice import (
 )
 from .leader_election import WorkCounter, mine
 from .primitives import GapBuffer, identity_for
-from .recording import OBSERVER, RunRecorder
+from .recording import RunRecorder
 from .simnet import SimEventKind, Simulation, derive_rng
 
 MSG_CHAIN_TX = 0
@@ -75,7 +75,6 @@ TIMER_POS_SLOT = 1
 _SEND, _RECEIVE = BlockKind.SEND, BlockKind.RECEIVE
 
 ORPHAN_BUFFER_LIMIT = 10_000
-LEDGER_SAMPLE_EVERY = 20  # lattice blocks applied between observer samples
 
 
 def _chain_block_msg(tag: int, sender: int, block: Block) -> bytes:
@@ -95,7 +94,6 @@ class ChainNode:
     with a producer id produces in the slots drawn for it; otherwise a node
     with a positive hash rate mines, by literal nonce search under a
     `GrindProof` and by an exponential lottery draw under a `LotteryProof`.
-    The observer samples its ledger size on every head move.
     """
 
     def __init__(self, node_id: int, store: ChainStore, recorder: RunRecorder,
@@ -178,7 +176,8 @@ class ChainNode:
     def _produce(self, sim: Simulation, now: float, block: Block) -> None:
         """Record a block made here, adopt it, then broadcast it."""
         self.recorder.blocks_mined.append(
-            (now, self.node_id, block.digest(), block.header.height))
+            (now, self.node_id, block.digest(), block.header.height,
+             len(block.transactions)))
         self._ingest_block(sim, now, block, sender=self.node_id)
         sim.broadcast(self.node_id,
                       _chain_block_msg(MSG_CHAIN_BLOCK, self.node_id, block))
@@ -280,9 +279,6 @@ class ChainNode:
                         self._pool(tx)
                 self._drop_stale({tx.sender for nd in report.reorged_in
                                   for tx in self.store.blocks[nd].transactions or ()})
-                if self.node_id == OBSERVER:
-                    self.recorder.ledger_samples.append(
-                        (now, self.node_id, sum(self.store.ledger_bytes().values())))
                 self._schedule_mining(sim)
             stack.extend(reversed(self.parked.release(d)))
 
@@ -299,8 +295,7 @@ class LatticeNode:
     """A lattice node hosting accounts; votes if it hosts a representative.
 
     `receivers` are the hosted accounts that are online: this node signs in
-    a receive for each send to one of them. The observer samples its ledger
-    size once every `LEDGER_SAMPLE_EVERY` blocks it applies.
+    a receive for each send to one of them.
     """
 
     def __init__(self, node_id: int, ledger: LatticeLedger, recorder: RunRecorder,
@@ -311,7 +306,6 @@ class LatticeNode:
         self.recorder = recorder
         self.receivers = receivers
         self.representative_accounts = representative_accounts
-        self._applied_since_sample = 0
         self.work = WorkCounter()
 
     # -- outbound -----------------------------------------------------------
@@ -361,8 +355,8 @@ class LatticeNode:
         signs in for an online hosted account appends its own, so every
         block the node applies takes the same steps: hosted representatives
         vote on it, conflicts and resolutions are recorded, it is forwarded
-        once, a receive is recorded, a due receive is signed in, and the
-        observer counts it. A breach raised on the way names this node.
+        once, a receive is recorded, and a due receive is signed in. A breach
+        raised on the way names this node.
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
@@ -403,12 +397,6 @@ class LatticeNode:
                         receive = ledger.create_receive(
                             blk.counterparty, blk.digest(), counter=self.work)
                         work.append((receive, ledger.receive_block(receive)))
-                if node_id == OBSERVER:
-                    self._applied_since_sample += len(applied)
-                    if self._applied_since_sample >= LEDGER_SAMPLE_EVERY:
-                        self._applied_since_sample %= LEDGER_SAMPLE_EVERY
-                        recorder.ledger_samples.append(
-                            (now, node_id, sum(ledger.ledger_bytes().values())))
         except InvariantViolation as exc:
             raise exc.at_node(node_id) from exc
 

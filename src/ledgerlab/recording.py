@@ -1,7 +1,7 @@
 """Observation stream captured during a run, consumed by the metrics layer.
 
 Records are plain tuples, in the field order each list documents, that the
-nodes and drivers append in execution order, so the recorder is as
+nodes, drivers and runner append in execution order, so the recorder is as
 deterministic as the simulation feeding it. Nothing here feeds back into
 protocol behavior; metrics can be added without perturbing a run.
 """
@@ -16,7 +16,7 @@ OBSERVER = 0
 
 @dataclass
 class RunRecorder:
-    # (now, node, digest, height)
+    # (now, node, digest, height, transaction count)
     blocks_mined: list[tuple] = field(default_factory=list)
     # (now, node, old_height, new_height, orphaned digests, incoming digests);
     # incoming runs ancestor first and ends at new_height
@@ -31,5 +31,6 @@ class RunRecorder:
     conflicts_resolved: list[tuple] = field(default_factory=list)
     # (now, subject, candidate_a, candidate_b)
     conflicts_injected: list[tuple] = field(default_factory=list)
-    # (now, node, total_bytes)
+    # (at, total_bytes): the observer's ledger size at the end of each of the
+    # runner's equal slices of the horizon (runner.LEDGER_SAMPLES)
     ledger_samples: list[tuple] = field(default_factory=list)

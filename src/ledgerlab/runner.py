@@ -19,9 +19,13 @@ from .nodes import (
     LatticeSendDriver,
     MultiDriver,
 )
-from .recording import RunRecorder
+from .recording import OBSERVER, RunRecorder
 from .scenario import Config, account_names
 from .simnet import LinkModel, Simulation, mesh_adjacency, ring_adjacency
+
+# The observer's ledger size is sampled at the end of each of this many
+# equal slices of the horizon, the same way in both paradigms.
+LEDGER_SAMPLES = 100
 
 
 @dataclass
@@ -148,13 +152,24 @@ def build_simulation(cfg: Config, seed: int, recorder: RunRecorder) -> Simulatio
 
 
 def run(cfg: Config, seed: int) -> RunResult:
-    """One deterministic run; an invariant breach stops it and is reported."""
+    """One deterministic run; an invariant breach stops it and is reported.
+
+    The loop runs in `LEDGER_SAMPLES` slices, the last ending on the horizon,
+    and the observer's ledger size is taken after each. Slicing pops the same
+    events in the same order, so the trace does not depend on it."""
     recorder = RunRecorder()
     sim = build_simulation(cfg, seed, recorder)
+    horizon = cfg["scenario.horizon_s"]
+    chain = cfg.paradigm == "chain"
+    books = {i: node.store if chain else node.ledger for i, node in sim.nodes.items()}
     breach = None
     try:
-        sim.run(cfg["scenario.horizon_s"])
-        _close_books(cfg, sim)
+        for k in range(1, LEDGER_SAMPLES + 1):
+            at = horizon if k == LEDGER_SAMPLES else horizon * k / LEDGER_SAMPLES
+            sim.run(at)
+            recorder.ledger_samples.append(
+                (at, sum(books[OBSERVER].ledger_bytes().values())))
+        _close_books(cfg, books)
     except InvariantViolation as exc:
         breach = str(exc)
     return RunResult(
@@ -163,24 +178,22 @@ def run(cfg: Config, seed: int) -> RunResult:
         events=sim.events_executed, breach=breach, nodes=dict(sim.nodes))
 
 
-def _close_books(cfg: Config, sim: Simulation) -> None:
-    """Prune each node, then audit its ledger, so the audit recounts what
-    pruning dropped; a breach names its node. A chain node keeps
-    `chain.prune_keep_recent` blocks of bodies and deltas (0 keeps all); a
-    `current` lattice node keeps each undisputed account's head body."""
+def _close_books(cfg: Config, books: dict) -> None:
+    """Prune each node's ledger in `books` (by node id), then audit it, so
+    the audit recounts what pruning dropped; a breach names its node. A
+    chain node keeps `chain.prune_keep_recent` blocks of bodies and deltas
+    (0 keeps all); a `current` lattice node keeps each undisputed account's
+    head body."""
     chain = cfg.paradigm == "chain"
     keep = cfg["chain.prune_keep_recent"]
     tiers = cfg["lattice.tiers"]
-    for i in sorted(sim.nodes):
-        node = sim.nodes[i]
+    for i in sorted(books):
         try:
             if chain:
                 if keep:
-                    node.store.prune(keep)
-                node.store.audit()
-            else:
-                if tiers and tiers[i] == "current":
-                    node.ledger.prune_to_current()
-                node.ledger.audit()
+                    books[i].prune(keep)
+            elif tiers and tiers[i] == "current":
+                books[i].prune_to_current()
+            books[i].audit()
         except InvariantViolation as exc:
             raise exc.at_node(i) from exc

@@ -117,9 +117,9 @@ def _synthetic_result():
     rec = RunRecorder()
     b = lambda i: bytes([i]) * 32
     # heights: b1=1 b2=2 side=2 b3=3
-    rec.blocks_mined.append((1.0, 0, b(1), 1))
+    rec.blocks_mined.append((1.0, 0, b(1), 1, 0))
     rec.adoptions.append((1.0, 0, 0, 1, (), (b(1),)))
-    rec.blocks_mined.append((2.0, 0, b(2), 2))
+    rec.blocks_mined.append((2.0, 0, b(2), 2, 0))
     rec.adoptions.append((2.0, 0, 1, 2, (), (b(2),)))
     # a competing branch of length 3 replaces b2 at head height 2
     rec.adoptions.append((3.0, 0, 2, 3, (b(2),), (b(10), b(11))))
@@ -244,6 +244,17 @@ def test_report_scalars_recompute(chain_result):
     assert scalars["orphan-rate"] == pytest.approx(
         measure_orphan_rate(chain_result))
     assert scalars["tps-cap"] == pytest.approx(tps_cap(2500, 250, 2.0))
+
+
+@pytest.mark.parametrize("name, tps", [
+    ("bitcoin-baseline", 4.616071), ("ethereum-baseline", 9.083333),
+    ("pos-baseline", 6.09), ("partition-stress", 3.358333)])
+def test_measured_tps_does_not_depend_on_pruning(name, tps):
+    # pruning at the horizon drops old bodies, not the mined blocks' counts
+    kept = measured_tps(run(preset_config(name), 1))
+    pruned = measured_tps(run(preset_config(name, ["chain.prune_keep_recent=128"]), 1))
+    assert kept == pruned
+    assert round(kept, 6) == tps
 
 
 def test_csv_rows_shape(lattice_result):

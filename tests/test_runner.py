@@ -4,12 +4,12 @@ import pytest
 
 from ledgerlab.blockchain import ChainStore, ChainTransaction
 from ledgerlab.cli import EXIT_BREACH, main
-from ledgerlab.errors import ConfigError, LedgerError
+from ledgerlab.errors import ConfigError, InvariantViolation, LedgerError
 from ledgerlab.lattice import BlockKind, LatticeLedger
-from ledgerlab.nodes import LEDGER_SAMPLE_EVERY, ChainNode, LatticeNode
+from ledgerlab.nodes import ChainNode, LatticeNode
 from ledgerlab.metrics import tps_cap
 from ledgerlab.recording import OBSERVER, RunRecorder
-from ledgerlab.runner import RunResult, build_simulation, run
+from ledgerlab.runner import LEDGER_SAMPLES, RunResult, build_simulation, run
 from ledgerlab.scenario import account_names, preset_config, representative_names
 from ledgerlab.simnet import Simulation
 
@@ -211,14 +211,44 @@ def _assert_hosts_vote_on_every_held_block(result):
                     assert rep in ballots.get(block.predecessor, {})
 
 
-def test_observer_samples_once_per_interval_of_applied_blocks():
-    result = run(preset_config("nano-baseline"), seed=1)
-    ledger = result.nodes[OBSERVER].ledger
-    assert not ledger.conflicts  # nothing rolled back: every applied block is held
-    applied = sum(len(chain.order) - 1 for chain in ledger.accounts.values())
-    samples = [s for s in result.recorder.ledger_samples if s[1] == OBSERVER]
-    assert applied == 543
-    assert len(samples) == applied // LEDGER_SAMPLE_EVERY
+def _assert_sampled_on_the_grid(monkeypatch, name, node_cls, books):
+    # the runner samples the observer's ledger at the end of each of
+    # LEDGER_SAMPLES equal slices of the horizon, the last on the horizon
+    cfg = preset_config(name, ["scenario.horizon_s=30"])
+    clean = run(cfg, seed=1)
+    samples = clean.recorder.ledger_samples
+    assert clean.breach is None and len(samples) == LEDGER_SAMPLES == 100
+    assert [at for at, _ in samples] == pytest.approx(
+        [30 * k / 100 for k in range(1, 101)])
+    assert samples[-1][0] == 30.0
+    assert samples[-1][1] == sum(books(clean.nodes[OBSERVER]).ledger_bytes().values())
+
+    # a breach stops the run: the samples taken before it stay, no others
+    stopped_at = []
+    deliver = node_cls.on_message
+
+    def breach_after_12s(self, sim, now, payload):
+        if now > 12.0:
+            stopped_at.append(now)
+            raise InvariantViolation("monkeypatched breach")
+        deliver(self, sim, now, payload)
+
+    monkeypatch.setattr(node_cls, "on_message", breach_after_12s)
+    result = run(cfg, seed=1)
+    assert "monkeypatched breach" in result.breach
+    kept = [s for s in samples if s[0] < stopped_at[0]]
+    assert 40 <= len(kept) < 100  # the grid reaches 12 s at its 40th point
+    assert result.recorder.ledger_samples == kept
+
+
+def test_chain_observer_is_sampled_on_the_time_grid(monkeypatch):
+    _assert_sampled_on_the_grid(monkeypatch, "bitcoin-baseline", ChainNode,
+                                lambda node: node.store)
+
+
+def test_lattice_observer_is_sampled_on_the_time_grid(monkeypatch):
+    _assert_sampled_on_the_grid(monkeypatch, "nano-baseline", LatticeNode,
+                                lambda node: node.ledger)
 
 
 def test_validation_agrees_with_the_chain_capacity():
@@ -328,6 +358,8 @@ def test_final_audit_names_the_node_of_a_supply_breach(monkeypatch):
 
     def run_then_mint(self, horizon_s):
         sim_run(self, horizon_s)
+        if horizon_s < 20:  # the loop runs in slices: mint after the last
+            return
         for node in self.nodes.values():
             balances = node.store.head_state.balances
             balances[min(balances)] += 1
