@@ -13,11 +13,7 @@ import sys
 import traceback
 
 from .errors import ConfigError, LedgerError
-from .metrics import (
-    CSV_HEADER,
-    measure_ledger_bytes,
-    run_scenario_suite,
-)
+from .metrics import CSV_HEADER, run_scenario_suite
 from .nodes import ChainNode, LatticeNode
 from .recording import OBSERVER
 from .runner import run
@@ -136,7 +132,7 @@ def _cmd_inspect(args) -> int:
               f"pending {ledger.total_pending} over {len(ledger.pending)} sends")
         resolved = sum(c.resolved is not None for c in ledger.conflicts.values())
         print(f"open conflicts {len(ledger.open_conflicts())}, resolved {resolved}")
-    for category, total in sorted(measure_ledger_bytes(observer).items()):
+    for category, total in sorted(result.books[OBSERVER].ledger_bytes().items()):
         print(f"bytes {category} {total}")
     if result.breach:
         print(f"failed invariant: {result.breach}")

@@ -393,7 +393,7 @@ class Resolution:
     runner_up: int      # the largest tally among the other candidates
 
 
-@dataclass
+@dataclass(slots=True)
 class Outcome:
     status: OutcomeStatus = OutcomeStatus.REJECTED
     verdict: LatticeVerdict = LatticeVerdict.ACCEPT

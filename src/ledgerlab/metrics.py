@@ -240,18 +240,6 @@ def conflict_outcomes(result: RunResult) -> dict[tuple, dict[int, tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# Ledger size
-
-def measure_ledger_bytes(node) -> dict[str, int]:
-    """Retained ledger data by category, from canonical encoding lengths."""
-    if isinstance(node, ChainNode):
-        return node.store.ledger_bytes()
-    if isinstance(node, LatticeNode):
-        return node.ledger.ledger_bytes()
-    raise WrongParadigmError(f"no ledger on {type(node).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Reports
 
 @dataclass
@@ -345,7 +333,7 @@ def build_report(result: RunResult) -> ScenarioReport:
         for key in ties:
             flags.append(f"tie left undecided on {key[0]}")
 
-    for category, total in sorted(measure_ledger_bytes(result.nodes[OBSERVER]).items()):
+    for category, total in sorted(result.books[OBSERVER].ledger_bytes().items()):
         scalars.append((f"ledger-{category.replace('_', '-')}", "bytes",
                         float(total)))
     if ledger_series.samples:

@@ -355,12 +355,18 @@ class LatticeNode:
         signs in for an online hosted account appends its own, so every
         block the node applies takes the same steps: hosted representatives
         vote on it, conflicts and resolutions are recorded, it is forwarded
-        once, a receive is recorded, and a due receive is signed in. A breach
-        raised on the way names this node.
+        once, a receive is recorded, and a due receive is signed in. A
+        delivery that applies, opens, resolves and contests nothing (a known
+        block bringing new votes) has no step to take and returns at once.
+        A breach raised on the way names this node.
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
-            work = [(block, ledger.receive_block(block, votes))]
+            outcome = ledger.receive_block(block, votes)
+            if not (outcome.applied or outcome.conflicts_opened or outcome.resolutions
+                    or outcome.status is OutcomeStatus.CONFLICT):
+                return
+            work = [(block, outcome)]
             forwarded: set[bytes] = set()
             for block, outcome in work:  # signing a receive in appends to work
                 applied = outcome.applied

@@ -37,6 +37,7 @@ class RunResult:
     events: int
     breach: str | None = None
     nodes: dict = field(default_factory=dict)
+    books: dict = field(default_factory=dict)  # node id -> its ChainStore or LatticeLedger
 
 
 def _link_model(cfg: Config) -> LinkModel:
@@ -175,7 +176,8 @@ def run(cfg: Config, seed: int) -> RunResult:
     return RunResult(
         seed=seed, config=cfg,
         recorder=recorder, trace=sim.trace_digest(),
-        events=sim.events_executed, breach=breach, nodes=dict(sim.nodes))
+        events=sim.events_executed, breach=breach, nodes=dict(sim.nodes),
+        books=books)
 
 
 def _close_books(cfg: Config, books: dict) -> None:

@@ -9,6 +9,11 @@ Messages are canonical-encoded payloads delivered after sampled latency
 (base + uniform jitter), can be dropped by link probability or an active
 partition window, and are never retransmitted by the transport. Recovery,
 where a protocol wants it, is the protocol's own rebroadcast/fetch logic.
+
+A heap entry is a plain (at, sequence, kind, destination, payload) tuple.
+`Simulation.send` pushes its own entry, since a latency is never negative;
+`schedule` serves timers, driver commands and fork injections, and refuses
+a time before now.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import heapq
 import random
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol
+from typing import Optional, Protocol
 
 from . import codec
 from .errors import LedgerError
@@ -34,20 +39,6 @@ class SimEventKind(enum.Enum):
     MESSAGE = 0
     TIMER = 1
     COMMAND = 2
-
-
-class SimEvent(NamedTuple):
-    """One scheduled event, and itself its heap entry.
-
-    Tuples compare field by field and `sequence` is unique, so the heap
-    orders events by (at, sequence) and never compares the later fields.
-    """
-
-    at: float
-    sequence: int
-    kind: SimEventKind
-    destination: int  # node id; commands use DRIVER_DESTINATION
-    payload: bytes
 
 
 DRIVER_DESTINATION = 0xFFFF_FFFF
@@ -108,7 +99,10 @@ class Simulation:
         self.driver = driver
         self.now = 0.0
         self._seq = 0
-        self._heap: list[SimEvent] = []  # ordered by (at, sequence)
+        # (at, sequence, kind, destination, payload): tuples compare field by
+        # field and sequence is unique, so the heap orders by (at, sequence)
+        # and never compares the later fields; commands go to DRIVER_DESTINATION
+        self._heap: list[tuple] = []
         self._net_rng = {u: derive_rng(seed, f"net/{u}") for u in sorted(adjacency)}
         self._trace = hashlib.sha256()
         self.events_executed = 0
@@ -120,7 +114,7 @@ class Simulation:
         if at < self.now:
             raise SchedulingError(f"cannot schedule {at:.6f} before now {self.now:.6f}")
         self._seq += 1
-        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, destination, payload))
+        heapq.heappush(self._heap, (at, self._seq, kind, destination, payload))
 
     def set_timer(self, node_id: int, delay_s: float, payload: bytes) -> None:
         self.schedule(self.now + delay_s, SimEventKind.TIMER, node_id, payload)
@@ -139,38 +133,45 @@ class Simulation:
             return False
         latency = link.base_latency_s
         if link.jitter_s > 0:
-            latency += rng.uniform(-link.jitter_s, link.jitter_s)
-        latency = max(latency, 0.0)
-        self.schedule(self.now + latency, SimEventKind.MESSAGE, dst, payload)
+            latency = max(latency + rng.uniform(-link.jitter_s, link.jitter_s), 0.0)
+        self._seq += 1  # latency >= 0, so no past-time check is needed
+        heapq.heappush(self._heap, (self.now + latency, self._seq,
+                                    SimEventKind.MESSAGE, dst, payload))
         return True
 
     def broadcast(self, src: int, payload: bytes) -> None:
         """Send to every peer of src, one `codec.Broadcast` for them all."""
-        payload = codec.Broadcast(payload)
+        payload, send = codec.Broadcast(payload), self.send
         for dst in self.adjacency[src]:
-            self.send(src, dst, payload)
+            send(src, dst, payload)
 
     # -- the loop -----------------------------------------------------------
 
     def run(self, horizon_s: float) -> None:
-        """Execute events in (at, sequence) order until the horizon or drain."""
+        """Execute events in (at, sequence) order until the horizon or drain.
+
+        An event counts as executed once popped, even if its handler raises."""
         heap = self._heap
         pop = heapq.heappop
         update = self._trace.update
         pack = _TRACE_HEADER.pack
         nodes = self.nodes
-        command, timer = SimEventKind.COMMAND, SimEventKind.TIMER
-        while heap and heap[0][0] <= horizon_s:
-            at, sequence, kind, destination, payload = pop(heap)
-            self.now = at
-            update(pack(at, sequence, kind._value_, destination) + digest(payload))
-            self.events_executed += 1
-            if kind is command:
-                self.driver.on_command(self, at, payload)
-            elif kind is timer:
-                nodes[destination].on_timer(self, at, payload)
-            else:
-                nodes[destination].on_message(self, at, payload)
+        message, timer = SimEventKind.MESSAGE, SimEventKind.TIMER
+        executed = 0
+        try:
+            while heap and heap[0][0] <= horizon_s:
+                at, sequence, kind, destination, payload = pop(heap)
+                self.now = at
+                update(pack(at, sequence, kind._value_, destination) + digest(payload))
+                executed += 1
+                if kind is message:
+                    nodes[destination].on_message(self, at, payload)
+                elif kind is timer:
+                    nodes[destination].on_timer(self, at, payload)
+                else:
+                    self.driver.on_command(self, at, payload)
+        finally:
+            self.events_executed += executed
 
     def trace_digest(self) -> str:
         return self._trace.hexdigest()

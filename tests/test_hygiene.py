@@ -40,9 +40,6 @@ TEST_FACING = {
 # Class fields that no package or benchmark code reads by name, and why
 # each stays.
 UNREAD_FIELDS = {
-    "SimEvent.at": "heap order key; Simulation.run unpacks the entry by position",
-    "SimEvent.destination": "Simulation.run unpacks the heap entry by position",
-    "SimEvent.payload": "Simulation.run unpacks the heap entry by position",
     "StakeRegistry.burned": "the stake a slash destroys; acceptance criterion 10",
     "SurvivalPoint.depth": "a survival curve's x axis; acceptance criterion 03",
     "SurvivalPoint.survivors": "the count behind each estimate; acceptance criterion 03",

@@ -7,6 +7,7 @@ message encodings and the node-layer cases no scenario preset reaches.
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -1128,3 +1129,116 @@ def test_lattice_send_driver_draws_as_a_list_of_the_other_recipients():
     assert drawn == [_listed_draw(twin, senders, recipients) for _ in range(60)]
     assert {s for s, _, _ in drawn} == set(senders)
     assert all(s != r for s, r, _ in drawn)
+
+
+# ---------------------------------------------------------------------------
+# Settling: a delivery that settles nothing returns before the work-list
+
+
+def _settles_nothing(outcome):
+    return not (outcome.applied or outcome.conflicts_opened or outcome.resolutions
+                or outcome.status is OutcomeStatus.CONFLICT)
+
+
+@pytest.mark.parametrize("name,horizon_s", [("fork-stress", 40),
+                                            ("nano-baseline", 20)])
+def test_each_settling_forwards_each_applied_block_and_candidate_once(
+        monkeypatch, name, horizon_s):
+    # one (node id, digests applied or contested) entry per `_settle` call
+    settlings, forwards, idle = [], [], []
+    settle, forward = LatticeNode._settle, LatticeNode._forward
+    receive_block, add_vote = LatticeLedger.receive_block, LatticeLedger.add_vote
+
+    def spy_settle(node, sim, now, block, votes=()):
+        settlings.append((node.node_id, set()))
+        settle(node, sim, now, block, votes)
+
+    def spy_receive(ledger, block, votes=()):
+        outcome = receive_block(ledger, block, votes)
+        idle.append(_settles_nothing(outcome))
+        settlings[-1][1].update(b.digest() for b in outcome.applied)
+        if outcome.status is OutcomeStatus.CONFLICT:
+            settlings[-1][1].add(block.digest())
+        return outcome
+
+    def spy_add_vote(ledger, vote):
+        outcome = add_vote(ledger, vote)
+        settlings[-1][1].update(b.digest() for b in outcome.applied)
+        return outcome
+
+    monkeypatch.setattr(LatticeNode, "_settle", spy_settle)
+    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block: (
+        forwards.append((node.node_id, block.digest())) or forward(node, sim, block)))
+    monkeypatch.setattr(LatticeLedger, "receive_block", spy_receive)
+    monkeypatch.setattr(LatticeLedger, "add_vote", spy_add_vote)
+
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+
+    assert result.breach is None and any(idle) and not all(idle)
+    expected = Counter((node_id, d) for node_id, digests in settlings for d in digests)
+    assert Counter(forwards) == expected
+    if name == "fork-stress":  # a candidate that later wins is forwarded twice
+        assert max(expected.values()) == 2
+        assert result.recorder.conflicts_resolved
+
+
+def test_every_rival_is_forwarded_once_though_only_the_first_opens_a_conflict(
+        monkeypatch):
+    node, sim = _lattice_node()  # it hosts no representative, so none decides
+    fork_point = node.ledger.accounts["carol"].head
+    rivals = [build_block(identity_for("carol"), fork_point, BlockKind.SEND,
+                          amount=amount, counterparty="home")
+              for amount in (10, 20, 30)]
+    forwarded, outcomes = [], []
+    monkeypatch.setattr(LatticeNode, "_forward",
+                        lambda node, sim, block: forwarded.append(block))
+    receive_block = node.ledger.receive_block
+    monkeypatch.setattr(node.ledger, "receive_block", lambda block, votes=(): (
+        outcomes.append(receive_block(block, votes)) or outcomes[-1]))
+
+    for at, rival in enumerate(rivals, start=1):
+        node.on_message(sim, float(at), _lattice_block_msg(0, rival, []))
+
+    assert [o.status for o in outcomes] == [OutcomeStatus.APPLIED,
+                                            OutcomeStatus.CONFLICT,
+                                            OutcomeStatus.CONFLICT]
+    assert [len(o.conflicts_opened) for o in outcomes] == [0, 1, 0]
+    assert forwarded == rivals
+
+
+class _NeverEmpty(list):
+    """An applied list that reads as non-empty even when it is empty."""
+
+    def __bool__(self):
+        return True
+
+
+def _records(result):
+    rec = result.recorder
+    return (result.trace, rec.conflicts_opened, rec.conflicts_resolved,
+            rec.receives_applied)
+
+
+@pytest.mark.parametrize("name,horizon_s", [("fork-stress", 40),
+                                            ("nano-baseline", 20)])
+def test_returning_early_from_an_idle_settling_changes_no_record(
+        monkeypatch, name, horizon_s):
+    cfg = preset_config(name, [f"scenario.horizon_s={horizon_s}"])
+    early = run(cfg, 1)
+    receive_block = LatticeLedger.receive_block
+    walked = []
+
+    def full_walk(ledger, block, votes=()):
+        # every outcome now looks as if it applied something, so `_settle`
+        # never returns early and walks its work-list for each delivery
+        outcome = receive_block(ledger, block, votes)
+        walked.append(_settles_nothing(outcome))
+        outcome.applied = _NeverEmpty(outcome.applied)
+        return outcome
+
+    monkeypatch.setattr(LatticeLedger, "receive_block", full_walk)
+    full = run(cfg, 1)
+
+    assert any(walked)
+    assert early.recorder.receives_applied
+    assert _records(early) == _records(full)

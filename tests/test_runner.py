@@ -211,7 +211,7 @@ def _assert_hosts_vote_on_every_held_block(result):
                     assert rep in ballots.get(block.predecessor, {})
 
 
-def _assert_sampled_on_the_grid(monkeypatch, name, node_cls, books):
+def _assert_sampled_on_the_grid(monkeypatch, name, node_cls):
     # the runner samples the observer's ledger at the end of each of
     # LEDGER_SAMPLES equal slices of the horizon, the last on the horizon
     cfg = preset_config(name, ["scenario.horizon_s=30"])
@@ -221,7 +221,7 @@ def _assert_sampled_on_the_grid(monkeypatch, name, node_cls, books):
     assert [at for at, _ in samples] == pytest.approx(
         [30 * k / 100 for k in range(1, 101)])
     assert samples[-1][0] == 30.0
-    assert samples[-1][1] == sum(books(clean.nodes[OBSERVER]).ledger_bytes().values())
+    assert samples[-1][1] == sum(clean.books[OBSERVER].ledger_bytes().values())
 
     # a breach stops the run: the samples taken before it stay, no others
     stopped_at = []
@@ -242,13 +242,11 @@ def _assert_sampled_on_the_grid(monkeypatch, name, node_cls, books):
 
 
 def test_chain_observer_is_sampled_on_the_time_grid(monkeypatch):
-    _assert_sampled_on_the_grid(monkeypatch, "bitcoin-baseline", ChainNode,
-                                lambda node: node.store)
+    _assert_sampled_on_the_grid(monkeypatch, "bitcoin-baseline", ChainNode)
 
 
 def test_lattice_observer_is_sampled_on_the_time_grid(monkeypatch):
-    _assert_sampled_on_the_grid(monkeypatch, "nano-baseline", LatticeNode,
-                                lambda node: node.ledger)
+    _assert_sampled_on_the_grid(monkeypatch, "nano-baseline", LatticeNode)
 
 
 def test_validation_agrees_with_the_chain_capacity():

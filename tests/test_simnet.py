@@ -107,6 +107,40 @@ def test_jitter_spreads_but_never_goes_negative():
     assert len(set(round(a, 9) for a in arrivals)) > 1
 
 
+def test_jitter_wider_than_the_base_never_schedules_before_now():
+    sim, nodes = _sim(2, base=0.05, jitter=0.2, seed=3)
+    sim.set_timer(0, 2.0, b"poke")
+    sim.run(2.0)  # now is 2.0, so a latency clamped to zero lands on it
+    for _ in range(50):
+        sim.send(0, 1, b"x")
+    assert min(at for at, *_ in sim._heap) == 2.0
+    sim.run(10.0)
+    arrivals = [at for kind, at, _ in nodes[1].log if kind == "msg"]
+    assert len(arrivals) == 50
+    assert min(arrivals) == 2.0  # some draws fall below -base and clamp
+    assert max(arrivals) > 2.05
+
+
+def test_an_event_whose_handler_raises_still_counts_as_executed():
+    class Fragile(Recorder):
+        def on_timer(self, sim, now, payload):
+            super().on_timer(sim, now, payload)
+            if payload == b"boom":
+                raise RuntimeError("handler failed")
+
+    sim = Simulation(1, LinkModel(), mesh_adjacency(1), {0: Fragile()},
+                     EchoDriver())
+    for i, payload in enumerate([b"a", b"b", b"boom", b"later"]):
+        sim.set_timer(0, 1.0 + i, payload)
+    sim.run(1.5)
+    with pytest.raises(RuntimeError):
+        sim.run(10.0)  # raises in the middle of this slice
+    assert sim.events_executed == 3  # the one that raised included
+    assert sim.now == 3.0
+    sim.run(10.0)
+    assert sim.events_executed == 4
+
+
 def test_drop_probability_loses_messages():
     sim, nodes = _sim(2, drop=0.5, seed=5)
     sent = sum(1 for _ in range(400) if sim.send(0, 1, b"x"))
