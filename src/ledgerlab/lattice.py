@@ -320,25 +320,15 @@ class VoteRecord(WireObject):
     @classmethod
     def decode(cls, s: VoteScan, data: bytes, ledger: "LatticeLedger",
                block: LatticeBlock) -> "VoteRecord":
-        """The vote scanned in `s`; if `ledger` stores one equal to it, that vote.
+        """The vote scanned in `s`, a new object.
 
-        Equal means every field, so only a fresh vote has its signing digest
-        hashed over `data`; the ballot is read for nothing else. A fresh vote
-        takes its names from the ledger (`LatticeLedger.name`), and its
+        It takes its names from the ledger (`LatticeLedger.name`), and its
         subject and choice from `block`, the block the vote arrived with,
-        where they equal its predecessor and digest. Its signature's payload
-        digest is its signing digest when the two are equal.
+        where they equal its predecessor and digest. Its signing digest is
+        hashed over `data`, and its signature's payload digest is its
+        signing digest when the two are equal.
         """
         representative, subject, choice = s.representative, s.subject, s.choice
-        ballot = ledger.votes.get(subject)
-        prior = ballot.get(representative) if ballot else None
-        if prior is not None:
-            sig = prior.signature
-            if (prior.choice == choice and prior.weight == s.weight
-                    and sig.tag == s.tag
-                    and sig.payload_digest == s.payload_digest
-                    and sig.signer == s.signer):
-                return prior
         if subject == block.predecessor:
             subject = block.predecessor
         if choice == block.digest():
@@ -524,21 +514,6 @@ class LatticeLedger:
         """
         chain = self.accounts.get(name)
         return name if chain is None else chain.account
-
-    def has_nothing_new(self, block: LatticeBlock, votes: Iterable[VoteRecord]) -> bool:
-        """True if `receive_block(block, votes)` can change nothing.
-
-        The block has been through `_process` (a genesis block is held but
-        never seen, so it does not count) and each vote's representative
-        is on its subject's ballot, where the first vote stands.
-        """
-        if block.digest() not in self.seen:
-            return False
-        stored = self.votes
-        for v in votes:
-            if v.representative not in stored.get(v.subject, ()):
-                return False
-        return True
 
     def representative_weight(self, representative: str) -> int:
         """Sum of settled balances delegated to this representative."""

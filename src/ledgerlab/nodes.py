@@ -5,7 +5,9 @@ by their producer; a node that sees a block with an unknown parent parks it
 and asks the sender for the missing predecessor (that fetch is the only
 recovery path, the transport never retransmits). Lattice blocks are
 rebroadcast once per node, representatives attaching their vote, so in a
-full mesh every vote reaches every node riding the block it endorses.
+full mesh every vote reaches every node riding the block it endorses. A
+node relays a block it received as the bytes it arrived in, and encodes
+only the blocks it makes, releases from a park or settles by a vote.
 Representatives vote on every block their node applies, the receives the
 node signs in for its own accounts included.
 
@@ -35,7 +37,7 @@ from .blockchain import (
     assemble_block,
     make_transaction,
 )
-from .codec import HEAD, CodecError
+from .codec import HEAD, U32, CodecError
 from .errors import InvariantViolation
 from .lattice import (
     BlockKind,
@@ -81,10 +83,11 @@ def _chain_block_msg(tag: int, sender: int, block: Block) -> bytes:
     return HEAD.pack(tag, sender) + block.encode()
 
 
-def _lattice_block_msg(sender: int, block: LatticeBlock,
+def _lattice_block_msg(sender: int, block: bytes,
                        votes: list[VoteRecord]) -> bytes:
-    return (HEAD.pack(MSG_LAT_BLOCK, sender) + block.encode()
-            + codec.enc_list(votes, VoteRecord.encode))
+    """A block message from the block's encoding and the votes it carries."""
+    return b"".join([HEAD.pack(MSG_LAT_BLOCK, sender), block,
+                     U32.pack(len(votes)), *[v.encode() for v in votes]])
 
 
 class ChainNode:
@@ -314,11 +317,12 @@ class LatticeNode:
         """Apply a locally created block and gossip it."""
         self._settle(sim, now, block)
 
-    def _forward(self, sim: Simulation, block: LatticeBlock) -> None:
+    def _forward(self, sim: Simulation, block: LatticeBlock, wire: bytes) -> None:
+        """Broadcast `block`, encoded as `wire`, with the votes held for it."""
         d = block.digest()
         ballot = self.ledger.votes.get(block.predecessor, {})
         votes = [ballot[rep] for rep in sorted(ballot) if ballot[rep].choice == d]
-        sim.broadcast(self.node_id, _lattice_block_msg(self.node_id, block, votes))
+        sim.broadcast(self.node_id, _lattice_block_msg(self.node_id, wire, votes))
 
     # -- inbound ------------------------------------------------------------
 
@@ -330,12 +334,16 @@ class LatticeNode:
         handler(self, sim, now, sender, payload, scans)
 
     def _on_block(self, sim, now, sender, data, scans) -> None:
-        # a block or vote this ledger already keeps decodes to the kept object
+        # A block this ledger holds decodes to the held object. A vote whose
+        # representative is on its subject's ballot is dropped undecoded:
+        # the first vote stands, so it could not count.
         ledger, (block_scan, vote_scans) = self.ledger, scans
         block = LatticeBlock.decode(block_scan, data, ledger)
-        votes = [VoteRecord.decode(s, data, ledger, block) for s in vote_scans]
-        if not ledger.has_nothing_new(block, votes):
-            self._settle(sim, now, block, votes)
+        ballots = ledger.votes
+        votes = [VoteRecord.decode(s, data, ledger, block) for s in vote_scans
+                 if s.representative not in ballots.get(s.subject, ())]
+        if votes or block.digest() not in ledger.seen:
+            self._settle(sim, now, block, votes, data, block_scan)
 
     HANDLERS = {MSG_LAT_BLOCK: _on_block}  # gossip is undirected: no sender
 
@@ -348,7 +356,8 @@ class LatticeNode:
     # -- settling -----------------------------------------------------------
 
     def _settle(self, sim: Simulation, now: float, block: LatticeBlock,
-                votes: Iterable[VoteRecord] = ()) -> None:
+                votes: Iterable[VoteRecord] = (), data: bytes = b"",
+                scan: Optional[BlockScan] = None) -> None:
         """Receive a block, then handle each outcome on one work-list.
 
         The list starts with the block's outcome, and each receive this node
@@ -358,7 +367,9 @@ class LatticeNode:
         once, a receive is recorded, and a due receive is signed in. A
         delivery that applies, opens, resolves and contests nothing (a known
         block bringing new votes) has no step to take and returns at once.
-        A breach raised on the way names this node.
+        A block that arrived `scan`ned in `data` is forwarded as the bytes it
+        came in; every other block is encoded here. A breach raised on the
+        way names this node.
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
@@ -366,6 +377,7 @@ class LatticeNode:
             if not (outcome.applied or outcome.conflicts_opened or outcome.resolutions
                     or outcome.status is OutcomeStatus.CONFLICT):
                 return
+            arrived = block if scan is not None else None
             work = [(block, outcome)]
             forwarded: set[bytes] = set()
             for block, outcome in work:  # signing a receive in appends to work
@@ -393,7 +405,8 @@ class LatticeNode:
                     d = blk.digest()
                     if d not in forwarded:
                         forwarded.add(d)
-                        self._forward(sim, blk)
+                        self._forward(sim, blk, data[scan.start:scan.end]
+                                      if blk is arrived else blk.encode())
                 for blk in applied:
                     if blk.kind is _RECEIVE:
                         recorder.receives_applied.append(
@@ -548,7 +561,8 @@ class ForkInjectionDriver:
         self.recorder.conflicts_injected.append((now, head, a.digest(), b.digest()))
         # split delivery: half the network hears one spend first; each spend
         # is one message, scanned once for all who hear it
-        msgs = [codec.Broadcast(_lattice_block_msg(node.node_id, x, [])) for x in (a, b)]
+        msgs = [codec.Broadcast(_lattice_block_msg(node.node_id, x.encode(), []))
+                for x in (a, b)]
         at = now + self.delivery_latency_s
         targets = sorted(sim.nodes)
         for i, dst in enumerate(targets):

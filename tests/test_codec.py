@@ -440,11 +440,7 @@ def _oracle_vote(r, ledger):
     subject, choice, weight = r.fixed(_VOTE_FIELDS)
     signed_len = r.pos - start
     signature = _oracle_signature(r)
-    if ledger is not None:
-        prior = ledger.votes.get(subject, {}).get(representative)
-        if prior is not None and (prior.choice, prior.weight, prior.signature) == (
-                choice, weight, signature):
-            return prior
+    if ledger is not None:  # a vote decodes fresh, even one the ledger holds
         representative = ledger.name(representative)
         signature = replace(signature, signer=ledger.name(signature.signer))
     vote = VoteRecord(representative, subject, choice, weight, signature)

@@ -93,7 +93,7 @@ def test_lattice_block_message_round_trip_with_votes():
     send = ledger.create_send("carol", "home", 30)
     vote = make_vote(identity_for("home"), send.digest(), send.digest(), 40)
 
-    payload = _lattice_block_msg(6, send, [vote])
+    payload = _lattice_block_msg(6, send.encode(), [vote])
 
     tag, sender, (block_scan, vote_scans) = codec.scan_message(payload, nodes.FRAMING)
     assert (tag, sender) == (MSG_LAT_BLOCK, 6)
@@ -121,7 +121,7 @@ def test_a_message_with_trailing_bytes_is_rejected():
                                receivers=frozenset({"home"}))
     with pytest.raises(CodecError, match="1 trailing bytes"):
         lattice_node.on_message(sim, 0.0,
-                                _lattice_block_msg(0, send, []) + b"\x00")
+                                _lattice_block_msg(0, send.encode(), []) + b"\x00")
     assert lattice_node.ledger.accounts["carol"].balance == 100
 
 
@@ -335,7 +335,7 @@ def test_duplicate_lattice_delivery_encodes_nothing(monkeypatch):
     genesis = {"carol": (100, "carol"), "home": (40, "home")}
     send = LatticeLedger(genesis).create_send("carol", "home", 30)
     vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
-    payload = _lattice_block_msg(0, send, [vote])
+    payload = _lattice_block_msg(0, send.encode(), [vote])
     node = LatticeNode(1, LatticeLedger(genesis), RunRecorder(),
                        receivers=frozenset({"home"}), representative_accounts=("home",))
     sim = Simulation(seed=1, link=LinkModel(), adjacency={0: [1], 1: [0]},
@@ -393,7 +393,7 @@ def _applied_send_with_vote():
     node, sim = _lattice_node()
     send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
     vote = make_vote(identity_for("carol"), send.predecessor, send.digest(), 100)
-    node.on_message(sim, 1.0, _lattice_block_msg(0, send, [vote]))
+    node.on_message(sim, 1.0, _lattice_block_msg(0, send.encode(), [vote]))
     assert node.ledger.accounts["carol"].balance == 70
     return node, sim, send, vote
 
@@ -404,7 +404,7 @@ def test_a_held_block_decodes_to_the_held_object_and_verifies_nothing(monkeypatc
     calls = _count_lattice_verify(monkeypatch)
 
     assert decode_whole(LatticeBlock, send.encode(), node.ledger) is held
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, []))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), []))
 
     assert node.ledger.accounts["carol"].blocks[send.digest()] is held
     assert calls == []
@@ -424,11 +424,21 @@ def test_a_held_block_with_a_flipped_signature_byte_is_decoded_fresh_and_refused
     assert len(calls) == 1
 
 
-def test_a_stored_vote_decodes_to_the_stored_object():
-    node, _, send, vote = _applied_send_with_vote()
-    stored = node.ledger.votes[send.predecessor]["carol"]
+def test_votes_from_representatives_on_the_ballot_are_never_decoded(monkeypatch):
+    node, sim, send, vote = _applied_send_with_vote()
+    before = {subject: dict(ballot) for subject, ballot in node.ledger.votes.items()}
+    again = make_vote(identity_for("carol"), send.predecessor, send.digest(), 99)
+    decodes = []
+    decode = VoteRecord.decode
+    monkeypatch.setattr(VoteRecord, "decode", classmethod(
+        lambda cls, *args: decodes.append(args) or decode(*args)))
 
-    assert decode_whole(VoteRecord, vote.encode(), node.ledger, send) is stored
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [vote, again]))
+
+    assert decodes == []
+    assert node.ledger.votes == before
+    carol = node.ledger.votes[send.predecessor]["carol"]
+    assert carol is before[send.predecessor]["carol"]
 
 
 @pytest.mark.parametrize("change", ["weight", "tag"])
@@ -446,7 +456,7 @@ def test_a_vote_differing_in_one_field_is_decoded_fresh_and_ignored_unverified(
     fresh = decode_whole(VoteRecord, raw, node.ledger, send)
     assert fresh is not stored and fresh != stored
 
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [fresh]))
     assert calls == []  # carol's first vote stands, so no other is checked
     assert node.ledger.votes[send.predecessor] == {"carol": stored}
     assert node.ledger.votes[send.predecessor]["carol"] is stored
@@ -474,9 +484,10 @@ def test_a_block_rolled_back_then_delivered_again_decodes_fresh():
     winner = source.create_send("carol", "home", 31)
     carol_votes_winner = make_vote(identity_for("carol"), head, winner.digest(), 100)
 
-    node.on_message(sim, 1.0, _lattice_block_msg(0, loser, []))
+    node.on_message(sim, 1.0, _lattice_block_msg(0, loser.encode(), []))
     held = node.ledger.accounts["carol"].blocks[loser.digest()]
-    node.on_message(sim, 2.0, _lattice_block_msg(0, winner, [carol_votes_winner]))
+    node.on_message(sim, 2.0,
+                    _lattice_block_msg(0, winner.encode(), [carol_votes_winner]))
     [resolution] = node.recorder.conflicts_resolved
     assert resolution[4] == winner.digest()
     assert loser.digest() not in node.ledger.accounts["carol"].blocks
@@ -636,7 +647,7 @@ def test_a_vote_naming_another_payload_digest_is_kept_apart_and_refused():
     fresh = decode_whole(VoteRecord, _forged(vote).encode(), node.ledger, send)
 
     assert _kept_apart(fresh, vote)
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [fresh]))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [fresh]))
     assert "home" not in node.ledger.votes[send.predecessor]
 
 
@@ -735,7 +746,7 @@ def _message(tag):
     if tag == MSG_CHAIN_REQ:
         return HEAD.pack(MSG_CHAIN_REQ, 1) + bytes(32)
     send = LatticeLedger(_GENESIS).create_send("carol", "home", 30)
-    return _lattice_block_msg(0, send, [])
+    return _lattice_block_msg(0, send.encode(), [])
 
 
 # where each tag's message has its first string: after the head, or after
@@ -848,8 +859,8 @@ def test_a_delivery_that_holds_nothing_new_stops_before_the_ledger(monkeypatch):
     node, sim, send, vote = _applied_send_with_vote()
     calls = _spy_receive(monkeypatch, node.ledger)
 
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [vote]))
-    node.on_message(sim, 3.0, _lattice_block_msg(0, send, []))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [vote]))
+    node.on_message(sim, 3.0, _lattice_block_msg(0, send.encode(), []))
 
     assert calls == []
 
@@ -859,7 +870,7 @@ def test_a_held_block_with_a_new_vote_still_records_the_vote(monkeypatch):
     home = make_vote(identity_for("home"), send.predecessor, send.digest(), 40)
     calls = _spy_receive(monkeypatch, node.ledger)
 
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [vote, home]))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [vote, home]))
 
     assert len(calls) == 1
     assert node.ledger.votes[send.predecessor]["home"] == home
@@ -879,7 +890,7 @@ def test_a_vote_differing_from_the_stored_one_is_skipped(
     stored = node.ledger.votes[send.predecessor]["carol"]
     calls = _spy_receive(monkeypatch, node.ledger)
 
-    node.on_message(sim, 2.0, _lattice_block_msg(0, send, [changed]))
+    node.on_message(sim, 2.0, _lattice_block_msg(0, send.encode(), [changed]))
 
     assert calls == []  # carol is on the ballot, and her first vote stands
     assert node.ledger.votes[send.predecessor] == {"carol": stored}
@@ -893,7 +904,7 @@ def test_a_held_block_the_ledger_has_not_seen_still_reaches_it(monkeypatch):
     assert genesis.digest() not in node.ledger.seen
     calls = _spy_receive(monkeypatch, node.ledger)
 
-    node.on_message(sim, 1.0, _lattice_block_msg(0, genesis, []))
+    node.on_message(sim, 1.0, _lattice_block_msg(0, genesis.encode(), []))
 
     assert calls == [(genesis, [])]
     assert genesis.digest() in node.ledger.seen
@@ -903,22 +914,43 @@ def test_a_held_block_the_ledger_has_not_seen_still_reaches_it(monkeypatch):
                                             ("fork-stress", 40)])
 def test_every_delivery_the_ledger_skips_would_change_nothing(
         monkeypatch, name, horizon_s):
-    skipped = []
-    has_nothing_new = LatticeLedger.has_nothing_new
+    """Every vote a node drops undecoded, and every delivery it does not
+    settle, replayed through `receive_block` after the node is done with it,
+    leaves the ballots as they are and is a duplicate."""
+    replayed, dropped_votes, unsettled = [], [], []
+    on_block, settle = LatticeNode._on_block, LatticeNode._settle
+    block_decode, vote_decode = LatticeBlock.decode, VoteRecord.decode
+    decoded, settled = set(), []
 
-    def receive_after_a_skip(ledger, block, votes):
-        if not has_nothing_new(ledger, block, votes):
-            return False
+    def spy_on_block(node, sim, now, sender, data, scans):
+        decoded.clear()
+        settled.clear()
+        on_block(node, sim, now, sender, data, scans)
+        ledger, (block_scan, vote_scans) = node.ledger, scans
+        dropped = [s for s in vote_scans if id(s) not in decoded]
+        if settled and not dropped:
+            return
+        block = block_decode(block_scan, data, ledger)
+        votes = [vote_decode(s, data, ledger, block) for s in dropped]
+        dropped_votes.extend(votes)
+        if not settled:
+            unsettled.append(block)
         before = {subject: dict(ballot) for subject, ballot in ledger.votes.items()}
-        skipped.append(ledger.receive_block(block, votes))
+        replayed.append(ledger.receive_block(block, votes))
         assert ledger.votes == before
-        return True
 
-    monkeypatch.setattr(LatticeLedger, "has_nothing_new", receive_after_a_skip)
+    def spy_vote_decode(cls, s, data, ledger, block):
+        decoded.add(id(s))
+        return vote_decode(s, data, ledger, block)
+
+    monkeypatch.setattr(LatticeNode, "HANDLERS", {MSG_LAT_BLOCK: spy_on_block})
+    monkeypatch.setattr(LatticeNode, "_settle", lambda node, *args: (
+        settled.append(1) or settle(node, *args)))
+    monkeypatch.setattr(VoteRecord, "decode", classmethod(spy_vote_decode))
     result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
 
-    assert result.breach is None and skipped
-    assert all(out == Outcome(status=OutcomeStatus.DUPLICATE) for out in skipped)
+    assert result.breach is None and dropped_votes and unsettled
+    assert all(out == Outcome(status=OutcomeStatus.DUPLICATE) for out in replayed)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,9 +1181,9 @@ def test_each_settling_forwards_each_applied_block_and_candidate_once(
     settle, forward = LatticeNode._settle, LatticeNode._forward
     receive_block, add_vote = LatticeLedger.receive_block, LatticeLedger.add_vote
 
-    def spy_settle(node, sim, now, block, votes=()):
+    def spy_settle(node, sim, now, block, *rest):
         settlings.append((node.node_id, set()))
-        settle(node, sim, now, block, votes)
+        settle(node, sim, now, block, *rest)
 
     def spy_receive(ledger, block, votes=()):
         outcome = receive_block(ledger, block, votes)
@@ -1167,8 +1199,9 @@ def test_each_settling_forwards_each_applied_block_and_candidate_once(
         return outcome
 
     monkeypatch.setattr(LatticeNode, "_settle", spy_settle)
-    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block: (
-        forwards.append((node.node_id, block.digest())) or forward(node, sim, block)))
+    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block, wire: (
+        forwards.append((node.node_id, block.digest()))
+        or forward(node, sim, block, wire)))
     monkeypatch.setattr(LatticeLedger, "receive_block", spy_receive)
     monkeypatch.setattr(LatticeLedger, "add_vote", spy_add_vote)
 
@@ -1191,19 +1224,41 @@ def test_every_rival_is_forwarded_once_though_only_the_first_opens_a_conflict(
               for amount in (10, 20, 30)]
     forwarded, outcomes = [], []
     monkeypatch.setattr(LatticeNode, "_forward",
-                        lambda node, sim, block: forwarded.append(block))
+                        lambda node, sim, block, wire: forwarded.append(block))
     receive_block = node.ledger.receive_block
     monkeypatch.setattr(node.ledger, "receive_block", lambda block, votes=(): (
         outcomes.append(receive_block(block, votes)) or outcomes[-1]))
 
     for at, rival in enumerate(rivals, start=1):
-        node.on_message(sim, float(at), _lattice_block_msg(0, rival, []))
+        node.on_message(sim, float(at), _lattice_block_msg(0, rival.encode(), []))
 
     assert [o.status for o in outcomes] == [OutcomeStatus.APPLIED,
                                             OutcomeStatus.CONFLICT,
                                             OutcomeStatus.CONFLICT]
     assert [len(o.conflicts_opened) for o in outcomes] == [0, 1, 0]
     assert forwarded == rivals
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-baseline", 20),
+                                            ("fork-stress", 40)])
+def test_a_relayed_block_is_sent_as_the_encoder_builds_it(monkeypatch, name, horizon_s):
+    expected, sent = [], []
+    forward, broadcast = LatticeNode._forward, Simulation.broadcast
+
+    def spy_forward(node, sim, block, wire):
+        ballot = node.ledger.votes.get(block.predecessor, {})
+        votes = [ballot[rep] for rep in sorted(ballot)
+                 if ballot[rep].choice == block.digest()]
+        expected.append(_lattice_block_msg(node.node_id, block.encode(), votes))
+        forward(node, sim, block, wire)
+
+    monkeypatch.setattr(LatticeNode, "_forward", spy_forward)
+    monkeypatch.setattr(Simulation, "broadcast", lambda sim, src, payload: (
+        sent.append(payload) or broadcast(sim, src, payload)))
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+
+    assert result.breach is None and expected
+    assert sent == expected
 
 
 class _NeverEmpty(list):

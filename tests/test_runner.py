@@ -1,5 +1,10 @@
 """Scenario assembly and end-of-run audits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ledgerlab.blockchain import ChainStore, ChainTransaction
@@ -96,6 +101,36 @@ def test_no_lattice_block_or_vote_object_is_shared_between_nodes(name):
 def test_rerun_is_trace_identical():
     cfg = preset_config("pos-baseline", ["scenario.horizon_s=15"])
     assert run(cfg, seed=9).trace == run(cfg, seed=9).trace
+
+
+# prints each run's trace digest and the SHA-256 of its rendered report
+_HASH_SEED_PROBE = """
+import hashlib
+from ledgerlab.metrics import build_report, render_report
+from ledgerlab.runner import run
+from ledgerlab.scenario import preset_config
+for name, horizon_s in (("nano-baseline", 20), ("fork-stress", 40),
+                        ("bitcoin-baseline", 60)):
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+    text = render_report(build_report(result))
+    print(name, result.trace, hashlib.sha256(text.encode("utf-8")).hexdigest())
+"""
+
+
+def _runs_under_hash_seed(hash_seed: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_runs_do_not_depend_on_the_hash_seed():
+    """String hashing is salted per process, so a run that iterated a set or
+    dict of names in hash order would change with PYTHONHASHSEED."""
+    runs = [_runs_under_hash_seed(seed) for seed in ("0", "1")]
+    assert len(runs[0].splitlines()) == 3
+    assert runs[0] == runs[1]
 
 
 def test_shorter_horizon_runs_fewer_events():
