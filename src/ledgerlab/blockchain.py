@@ -67,7 +67,6 @@ class SyncError(LedgerError):
 
 # the fixed runs of the kernels (see `codec`)
 _TX_NUMBERS = struct.Struct(">QQQ")  # amount, sequence, weight
-_TX_NUMBERS_SIGNER = struct.Struct(">QQQI")  # the same, then the signer's length
 
 
 class TxScan(WireScan):
@@ -121,20 +120,19 @@ class ChainTransaction(WireObject):
     _verified: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
-        sender, recipient = codec.utf8(self.sender), codec.utf8(self.recipient)
+        sender, recipient = codec.enc_str(self.sender), codec.enc_str(self.recipient)
         amount, sequence, weight = self.amount, self.sequence, self.weight
         if not (type(amount) is int and type(sequence) is int and type(weight) is int
                 and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
                 and 0 <= weight <= U64_MAX):
             raise codec.u64_error((amount, sequence, weight))
-        return (U32.pack(len(sender)) + sender + U32.pack(len(recipient)) + recipient
-                + _TX_NUMBERS.pack(amount, sequence, weight))
+        return sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
 
     def encode(self) -> bytes:
         """The signing payload and the signature, in one pass."""
         signature = self.signature
-        sender, recipient = codec.utf8(self.sender), codec.utf8(self.recipient)
-        signer = codec.utf8(signature.signer)
+        sender, recipient = codec.enc_str(self.sender), codec.enc_str(self.recipient)
+        signer = codec.enc_str(signature.signer)
         amount, sequence, weight = self.amount, self.sequence, self.weight
         if not (type(amount) is int and type(sequence) is int and type(weight) is int
                 and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
@@ -144,8 +142,7 @@ class ChainTransaction(WireObject):
         if not (type(payload_digest) is bytes and type(tag) is bytes
                 and len(payload_digest) == len(tag) == 32):
             raise codec.digest_error((payload_digest, tag))
-        return (U32.pack(len(sender)) + sender + U32.pack(len(recipient)) + recipient
-                + _TX_NUMBERS_SIGNER.pack(amount, sequence, weight, len(signer))
+        return (sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
                 + signer + SIGNATURE_DIGESTS.pack(payload_digest, tag))
 
     @classmethod
@@ -339,11 +336,11 @@ class ChainState:
             if known is not None and known[0] == balance and known[1] == sequence:
                 leaves.append(known[2])
                 continue
-            name = codec.utf8(a)
+            name = codec.enc_str(a)
             if not (type(balance) is int and type(sequence) is int
                     and 0 <= balance <= U64_MAX and 0 <= sequence <= U64_MAX):
                 raise codec.u64_error((balance, sequence))
-            leaf = digest(U32.pack(len(name)) + name + _LEAF_NUMBERS.pack(balance, sequence))
+            leaf = digest(name + _LEAF_NUMBERS.pack(balance, sequence))
             memo[a] = (balance, sequence, leaf)
             leaves.append(leaf)
         return merkle_root(leaves)
@@ -408,15 +405,14 @@ class StateDelta:
             raise codec.digest_error(block)
         parts = [block, U32.pack(len(changes))]
         for account, change in _by_name(changes):
-            name = codec.utf8(account)
-            parts.append(U32.pack(len(name)) + name + change.encode())
+            parts.append(codec.enc_str(account) + change.encode())
         return b"".join(parts)
 
     def encoded_len(self) -> int:
         """len(self.encode()), from the account names alone."""
         # a digest and a list count, then per account a length-prefixed
         # name and a 33-byte AccountChange
-        return 36 + sum(37 + len(name.encode("utf-8")) for name in self.changes)
+        return 36 + sum(33 + len(codec.enc_str(name)) for name in self.changes)
 
     def apply(self, state: ChainState) -> None:
         for account, ch in self.changes.items():

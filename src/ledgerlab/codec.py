@@ -17,8 +17,10 @@ headers and blocks, and signatures) and the chain's state records (account
 changes, state deltas and the state-root leaf) code themselves as kernels,
 because they run on every delivery, forward, root and audit; a call per
 field would cost more than the field. A kernel encoder checks its fields as
-the `enc_*` helpers below do (`utf8` for text) and packs each fixed run of
-fields with one precompiled `struct.Struct`.
+the `enc_*` helpers below do and packs each fixed run of fields with one
+precompiled `struct.Struct`. A name is a whole length-prefixed field taken
+from `enc_str`, the memo; only the chain header, whose producer's length
+sits inside its one fixed run, packs the raw bytes of `utf8`.
 
 A message is a head (`HEAD`: a 1-byte tag, the sender's node id), then the
 objects its tag's framing lists, and `scan_message` scans it whole, once. A
@@ -83,7 +85,8 @@ def enc_digest(value: bytes) -> bytes:
 
 
 def utf8(value: str) -> bytes:
-    """The UTF-8 bytes of `value`, for a kernel that packs their length."""
+    """The UTF-8 bytes of `value`, for a kernel that packs their length
+    itself; unmemoised, unlike `enc_str`."""
     if type(value) is not str:
         raise CodecError(f"not a string: {value!r}")
     try:
@@ -95,9 +98,27 @@ def utf8(value: str) -> bytes:
     return raw
 
 
+# an exact str -> its length-prefixed UTF-8 field; see `enc_str`
+NAME_FIELDS: dict[str, bytes] = {}
+
+
 def enc_str(value: str) -> bytes:
+    """The length-prefixed UTF-8 field of `value`, memoised in `NAME_FIELDS`.
+
+    The kernels write every name through here, and a run writes the few
+    names of its config many times over, so each is encoded once per
+    process. A field is immutable bytes and a pure function of the string,
+    so sharing it between nodes shares no node's state. Only an exact `str`
+    is looked up, so a subclass or an unhashable value falls through to
+    `utf8`, which refuses it; a refused value is never stored.
+    """
+    if type(value) is str:
+        field = NAME_FIELDS.get(value)
+        if field is not None:
+            return field
     raw = utf8(value)
-    return U32.pack(len(raw)) + raw
+    field = NAME_FIELDS[value] = U32.pack(len(raw)) + raw
+    return field
 
 
 def enc_list(items: Iterable[T], enc_item: Callable[[T], bytes]) -> bytes:

@@ -72,7 +72,6 @@ _REP_CHANGE = BlockKind.REP_CHANGE
 # the fixed runs of the wire kernels (see `codec`)
 _PREDECESSOR_KIND = struct.Struct(">32sB")  # predecessor, kind
 _RECEIVE_FIELDS = struct.Struct(">Q32s")  # amount, matched send
-_AMOUNT_TEXT = struct.Struct(">QI")  # amount, the text's length (send, genesis)
 _VOTE_FIELDS = struct.Struct(">32s32sQ")  # subject, choice, weight
 _VOTE_FIELDS_SIGNER = struct.Struct(">32s32sQI")  # and the signer's length
 
@@ -157,15 +156,13 @@ class LatticeBlock(WireObject):
     signature: Signature
 
     def signing_payload(self) -> bytes:
-        account = codec.utf8(self.account)
+        account = codec.enc_str(self.account)
         predecessor, kind, amount = self.predecessor, self.kind, self.amount
         if type(predecessor) is not bytes or len(predecessor) != 32:
             raise codec.digest_error(predecessor)
-        head = (U32.pack(len(account)) + account
-                + _PREDECESSOR_KIND.pack(predecessor, kind.value))
+        head = account + _PREDECESSOR_KIND.pack(predecessor, kind.value)
         if kind is _REP_CHANGE:
-            rep = codec.utf8(self.new_representative)
-            return head + U32.pack(len(rep)) + rep
+            return head + codec.enc_str(self.new_representative)
         if type(amount) is not int or not 0 <= amount <= U64_MAX:
             raise codec.u64_error(amount)
         if kind is _RECEIVE:
@@ -173,8 +170,8 @@ class LatticeBlock(WireObject):
             if type(send) is not bytes or len(send) != 32:
                 raise codec.digest_error(send)
             return head + _RECEIVE_FIELDS.pack(amount, send)
-        text = codec.utf8(self.counterparty if kind is _SEND else self.new_representative)
-        return head + _AMOUNT_TEXT.pack(amount, len(text)) + text
+        text = codec.enc_str(self.counterparty if kind is _SEND else self.new_representative)
+        return head + U64.pack(amount) + text
 
     def encode(self) -> bytes:
         nonce = self.antispam_nonce
@@ -259,7 +256,7 @@ class PendingSend:
     def encoded_len(self) -> int:
         """len(self.encode()), from the recipient's name alone."""
         # a digest, a length-prefixed name and an amount
-        return 44 + len(self.recipient.encode("utf-8"))
+        return 40 + len(codec.enc_str(self.recipient))
 
 
 class VoteScan(WireScan):
@@ -303,7 +300,7 @@ class VoteRecord(WireObject):
     signature: Signature
 
     def signing_payload(self) -> bytes:
-        representative = codec.utf8(self.representative)
+        representative = codec.enc_str(self.representative)
         subject, choice, weight = self.subject, self.choice, self.weight
         if type(subject) is not bytes or len(subject) != 32:
             raise codec.digest_error(subject)
@@ -311,8 +308,7 @@ class VoteRecord(WireObject):
             raise codec.digest_error(choice)
         if type(weight) is not int or not 0 <= weight <= U64_MAX:
             raise codec.u64_error(weight)
-        return (U32.pack(len(representative)) + representative
-                + _VOTE_FIELDS.pack(subject, choice, weight))
+        return representative + _VOTE_FIELDS.pack(subject, choice, weight)
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()

@@ -188,10 +188,11 @@ class ChainNode:
     # -- messages -----------------------------------------------------------
 
     def submit_transaction(self, sim: Simulation, tx: ChainTransaction) -> None:
-        """Entry point for wallet traffic: pool it here, gossip it once."""
+        """Entry point for wallet traffic: pool it here, gossip it once. It is
+        encoded once, for the broadcast and for `_pool`'s digest alike."""
+        wire = tx.encode_and_cache()
         self._add_to_mempool(tx)
-        sim.broadcast(self.node_id,
-                      HEAD.pack(MSG_CHAIN_TX, self.node_id) + tx.encode())
+        sim.broadcast(self.node_id, HEAD.pack(MSG_CHAIN_TX, self.node_id) + wire)
 
     def on_message(self, sim: Simulation, now: float, payload: bytes) -> None:
         tag, sender, scans = codec.scan_message(payload, FRAMING)

@@ -104,12 +104,19 @@ class WireObject:
     def digest(self) -> bytes:
         d = self._digest
         if d is None:
-            encoded = self.encode()
-            d = digest(encoded)
-            self._digest = d
-            if self._size is None:  # encoded_len() may have filled it
-                self._size = len(encoded)
+            self.encode_and_cache()
+            d = self._digest
         return d
+
+    def encode_and_cache(self) -> bytes:
+        """`encode()`, filling whichever of the digest and length caches is
+        still empty from those same bytes."""
+        encoded = self.encode()
+        if self._digest is None:
+            self._digest = digest(encoded)
+        if self._size is None:  # encoded_len() may have filled it
+            self._size = len(encoded)
+        return encoded
 
     def encoded_len(self) -> int:
         """len(self.encode()), without re-encoding a decoded object."""
@@ -218,14 +225,13 @@ class Signature:
 
     def encode(self) -> bytes:
         """A kernel (see `codec`); a signed type's decoder reads it inline."""
-        signer = codec.utf8(self.signer)
+        signer = codec.enc_str(self.signer)
         payload_digest, tag = self.payload_digest, self.tag
         if type(payload_digest) is not bytes or len(payload_digest) != 32:
             raise codec.digest_error(payload_digest)
         if type(tag) is not bytes or len(tag) != 32:
             raise codec.digest_error(tag)
-        return codec.U32.pack(len(signer)) + signer + SIGNATURE_DIGESTS.pack(
-            payload_digest, tag)
+        return signer + SIGNATURE_DIGESTS.pack(payload_digest, tag)
 
 
 def sign(identity: Identity, payload_digest: bytes) -> Signature:

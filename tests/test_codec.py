@@ -754,6 +754,120 @@ def test_state_kernels_refuse_near_values_with_a_codec_error(encode):
 
 
 # ---------------------------------------------------------------------------
+# Every kernel that writes a name takes its whole field from the memo in
+# `codec.enc_str`. Cold or warm, the bytes are those of a field-by-field
+# encoder that never reads the memo, and a refused name leaves it unchanged.
+
+def _field(name):
+    raw = name.encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+_OTHER = bytes(range(32))
+
+
+def _name_kernels(a, b):
+    """(label, kernel call, expected bytes) of each name-writing kernel,
+    with `a` and `b` in its name slots."""
+    sig = Signature(b, ZERO_DIGEST, _OTHER)
+    sig_bytes = _field(b) + ZERO_DIGEST + _OTHER
+    tx = ChainTransaction(a, b, 5, 1, 10, sig)
+    tx_payload = _field(a) + _field(b) + _TX_NUMBERS.pack(5, 1, 10)
+    state = ChainState({a: 7, b: 9}, {a: 2})
+    leaves = [digest(_field(n) + codec.U64.pack(state.balances[n])
+                     + codec.U64.pack(state.sequences.get(n, 0)))
+              for n in sorted(state.balances)]
+    changes = {a: AccountChange(0, 5, 0, 1, False), b: AccountChange(9, 4, 3, 4)}
+    delta = StateDelta(_OTHER, changes)
+    delta_bytes = _OTHER + codec.U32.pack(2) + b"".join(
+        _field(n) + _change_by_fields(changes[n]) for n in sorted(changes))
+    vote = VoteRecord(a, ZERO_DIGEST, _OTHER, 40, sig)
+    vote_payload = _field(a) + ZERO_DIGEST + _OTHER + codec.U64.pack(40)
+    pend = PendingSend(_OTHER, a, 5)
+    pend_bytes = _OTHER + _field(a) + codec.U64.pack(5)
+    cases = [
+        ("signature", sig.encode, sig_bytes),
+        ("tx-payload", tx.signing_payload, tx_payload),
+        ("tx", tx.encode, tx_payload + sig_bytes),
+        ("state-root", state.root, merkle_root(leaves)),
+        ("delta", delta.encode, delta_bytes),
+        ("delta-len", delta.encoded_len, len(delta_bytes)),
+        ("vote-payload", vote.signing_payload, vote_payload),
+        ("vote", vote.encode, vote_payload + sig_bytes),
+        ("pending", pend.encode, pend_bytes),
+        ("pending-len", pend.encoded_len, len(pend_bytes)),
+    ]
+    amount = codec.U64.pack(5)
+    for kind, counterparty, rep, tail in (
+            (BlockKind.SEND, b, None, amount + _field(b)),
+            (BlockKind.GENESIS, None, b, amount + _field(b)),
+            (BlockKind.RECEIVE, _OTHER, None, amount + _OTHER),
+            (BlockKind.REP_CHANGE, None, b, _field(b))):
+        block = LatticeBlock(a, ZERO_DIGEST, kind, 0 if kind is BlockKind.REP_CHANGE else 5,
+                             counterparty, rep, 3, sig)
+        payload = _field(a) + ZERO_DIGEST + bytes([kind.value]) + tail
+        cases.append((f"{kind.name}-payload", block.signing_payload, payload))
+        cases.append((kind.name, block.encode, payload + codec.U64.pack(3) + sig_bytes))
+    return cases
+
+
+# a long name has a length past 16 bits
+MEMO_NAMES = ["carol", "", "zoë-名", "ü" * 40_000]
+
+
+@pytest.mark.parametrize("name", MEMO_NAMES, ids=["ascii", "empty", "non-ascii", "long"])
+def test_name_kernels_write_the_field_by_field_bytes_cold_and_warm(monkeypatch, name):
+    monkeypatch.setattr(codec, "NAME_FIELDS", {})
+    a, b = name, name + "·2"
+    for label, kernel, expected in _name_kernels(a, b):
+        codec.NAME_FIELDS.clear()
+        assert kernel() == expected, f"{label}, cold"
+        memo = dict(codec.NAME_FIELDS)
+        assert memo and memo.keys() <= {a, b}, label
+        assert all(field == _field(n) for n, field in memo.items()), label
+        assert kernel() == expected, f"{label}, warm"
+        assert codec.NAME_FIELDS == memo, label
+    assert codec.enc_str(a) is codec.enc_str(a) == _field(a)
+
+
+def _refused_name_calls(bad):
+    """(label, call) of `enc_str` and of each name-writing kernel with `bad`
+    in one name slot; a list cannot key the dicts of a delta or a state."""
+    calls = [("enc_str", lambda: codec.enc_str(bad)),
+             ("signature", replace(_SIG, signer=bad).encode),
+             ("pending", PendingSend(ZERO_DIGEST, bad, 5).encode),
+             ("pending-len", PendingSend(ZERO_DIGEST, bad, 5).encoded_len)]
+    for obj, name in ((_SEND, "account"), (_SEND, "counterparty"),
+                      (_GENESIS, "new_representative"),
+                      (_REP_CHANGE, "new_representative"),
+                      (_VOTE, "representative"), (_TX, "sender"), (_TX, "recipient")):
+        broken = replace(obj, **{name: bad})
+        label = f"{type(obj).__name__}.{name}"
+        calls.append((f"{label}-payload", broken.signing_payload))
+        calls.append((label, broken.encode))
+    if type(bad) is not list:
+        delta = StateDelta(ZERO_DIGEST, {"alice": _CHANGE, bad: _CHANGE})
+        calls += [("delta", delta.encode), ("delta-len", delta.encoded_len),
+                  ("state-root", ChainState({"alice": 1, bad: 5}, {bad: 1}).root)]
+    return calls
+
+
+@pytest.mark.parametrize("bad", [_Str("carol"), b"carol", ["carol"], "lone \ud800"],
+                         ids=["str-subclass", "bytes", "list", "lone-surrogate"])
+def test_a_refused_name_is_a_codec_error_and_leaves_the_memo_unchanged(monkeypatch, bad):
+    monkeypatch.setattr(codec, "NAME_FIELDS", {})
+    for obj in (_SEND, _GENESIS, _REP_CHANGE, _VOTE, _TX, _SIG):
+        obj.encode()  # every good name is memoised, "carol" among them
+    codec.enc_str("alice")
+    assert "carol" in codec.NAME_FIELDS
+    memo = dict(codec.NAME_FIELDS)
+    for label, call in _refused_name_calls(bad):
+        with pytest.raises(CodecError):  # a TypeError would escape this
+            call()
+        assert codec.NAME_FIELDS == memo, label
+
+
+# ---------------------------------------------------------------------------
 # Wire objects and the chain's state records are write-once: each public
 # field is set once, by the constructor, and each cache only while it is
 # None. The types are plain slotted records, so this guard, not the type,

@@ -1055,6 +1055,22 @@ def test_indexed_stale_eviction_matches_full_rescan(seed):
     assert returned > 0 and evicted > 0
 
 
+def test_a_wallet_transaction_is_encoded_once_for_the_pool_and_the_broadcast(monkeypatch):
+    node = ChainNode(1, _pool_store(), RunRecorder(), run_seed=1, producer_id="")
+    sim = Simulation(seed=1, link=LinkModel(), adjacency={1: [0], 0: [1]}, nodes={1: node})
+    tx = make_transaction(identity_for("alice"), "bob", 5, 1, 10)
+    encoded, sent = [], []
+    encode = ChainTransaction.encode
+    monkeypatch.setattr(ChainTransaction, "encode",
+                        lambda self: encoded.append(encode(self)) or encoded[-1])
+    monkeypatch.setattr(sim, "send", lambda src, dst, payload: sent.append(payload))
+    node.submit_transaction(sim, tx)
+    assert len(encoded) == 1
+    assert sent == [_tx_msg(tx)]  # re-encodes, after the count
+    assert node.mempool == {hashlib.sha256(encoded[0]).digest(): tx}
+    assert (tx._digest, tx._size) == (hashlib.sha256(encoded[0]).digest(), len(encoded[0]))
+
+
 def test_a_depth_two_reorg_pools_the_orphaned_transactions_the_new_branch_lacks():
     tx_a = make_transaction(identity_for("alice"), "bob", 100, 1, 10)
     tx_shared = make_transaction(identity_for("bob"), "alice", 7, 1, 10)

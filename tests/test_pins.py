@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 import unreached
 
+from ledgerlab import codec
 from ledgerlab.metrics import build_report, render_report
 from ledgerlab.primitives import identity_for
 from ledgerlab.runner import run
@@ -59,7 +60,9 @@ def render_pin(name: str, overrides: tuple[str, ...]) -> str:
 def render_pins_traced():
     """The report of every pinned run, by (name, overrides), from one pass
     that traces the package; and the lines that ran, by file name."""
-    identity_for.cache_clear()  # as in a fresh process, each identity is derived
+    # as in a fresh process, each identity is derived and each name encoded
+    identity_for.cache_clear()
+    codec.NAME_FIELDS.clear()
     return unreached.trace(lambda: {pin: render_pin(*pin) for pin in PINNED})
 
 
