@@ -287,6 +287,11 @@ class Block:
 _CHANGE = struct.Struct(">QQQQB")  # balances and sequences before and after, existed
 _LEAF_NUMBERS = struct.Struct(">QQ")  # a state-root leaf's balance and sequence
 
+# account -> (balance, sequence, leaf) of the leaf last hashed for it, shared
+# by every state root in the process; bounded, like `codec.NAME_FIELDS`, by
+# the account names the process has seen
+STATE_LEAVES: dict[str, tuple[int, int, bytes]] = {}
+
 
 def _by_name(named: dict) -> list:
     """The items of `named` in name order; names of mixed types are a `CodecError`."""
@@ -318,29 +323,31 @@ class ChainState:
     def copy(self) -> "ChainState":
         return ChainState(balances=dict(self.balances), sequences=dict(self.sequences))
 
-    def root(self, memo: Optional[dict[str, tuple[int, int, bytes]]] = None) -> bytes:
+    def root(self) -> bytes:
         """Merkle root over one leaf per account, in account order.
 
-        A leaf is a pure function of (account, balance, sequence). `memo`
-        maps an account to the (balance, sequence, leaf) of an earlier root:
-        a leaf whose balance and sequence match is reused, and every leaf
-        hashed here is written back.
+        A leaf is a pure function of (account, balance, sequence), so every
+        store shares one memo of them, `STATE_LEAVES`: a leaf whose account
+        holds the balance and sequence it was last hashed at is reused, and
+        every leaf hashed here is written back. The types and bounds are
+        checked before the lookup, so a value a cold root refuses is refused
+        warm too. The memo holds digests, never a verdict: each store builds
+        its own leaf list from its own state and compares the root itself.
         """
-        if memo is None:
-            memo = {}
-        sequences = self.sequences
+        sequences, memo = self.sequences, STATE_LEAVES
         leaves = []
         for a, balance in _by_name(self.balances):
             sequence = sequences.get(a, 0)
+            if type(a) is not str:
+                raise CodecError(f"not a string: {a!r}")
+            if not (type(balance) is int and type(sequence) is int
+                    and 0 <= balance <= U64_MAX and 0 <= sequence <= U64_MAX):
+                raise codec.u64_error((balance, sequence))
             known = memo.get(a)
             if known is not None and known[0] == balance and known[1] == sequence:
                 leaves.append(known[2])
                 continue
-            name = codec.enc_str(a)
-            if not (type(balance) is int and type(sequence) is int
-                    and 0 <= balance <= U64_MAX and 0 <= sequence <= U64_MAX):
-                raise codec.u64_error((balance, sequence))
-            leaf = digest(name + _LEAF_NUMBERS.pack(balance, sequence))
+            leaf = digest(codec.enc_str(a) + _LEAF_NUMBERS.pack(balance, sequence))
             memo[a] = (balance, sequence, leaf)
             leaves.append(leaf)
         return merkle_root(leaves)
@@ -550,9 +557,6 @@ class ChainStore:
         self.adopted: dict[bytes, int] = {self.genesis_digest: 0}
         self.head_state = genesis_state.copy()
         self.first_full_block_height = 0
-        # account -> (balance, sequence, leaf) of the state roots computed
-        # here, so a root re-hashes only the leaves that changed
-        self.leaf_memo: dict[str, tuple[int, int, bytes]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -684,7 +688,7 @@ class ChainStore:
                                    sequence, sequences.get(account, 0), existed)
             for account, (balance, sequence, existed) in before.items()}
 
-        if state.root(self.leaf_memo) != header.state_root:
+        if state.root() != header.state_root:
             return ValidationResult(Verdict.BAD_ROOT, "state root mismatch")
 
         block_digest = header.digest()
@@ -826,7 +830,7 @@ def assemble_block(store: ChainStore, parent_digest: bytes,
     header = BlockHeader(
         predecessor=parent_digest,
         tx_root=merkle_root([t.digest() for t in chosen]),
-        state_root=state.root(store.leaf_memo),
+        state_root=state.root(),
         height=parent.height + 1,
         timestamp=timestamp,
         nonce=0,

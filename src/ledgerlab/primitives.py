@@ -45,18 +45,35 @@ def leading_zero_bits(d: bytes) -> int:
 # ---------------------------------------------------------------------------
 # Merkle commitment
 
+# the most recent distinct leaf lists whose roots `merkle_root` keeps
+MERKLE_ROOTS = 16
+
+
 def merkle_root(leaves: list[bytes]) -> bytes:
     """Root of a binary Merkle tree over 32-byte leaf digests.
 
     Empty list commits to digest(b""). A single leaf commits to digest(leaf).
     At every level adjacent nodes are paired left-to-right; an odd trailing
     node is promoted to the next level unchanged, not duplicated.
+
+    A leaf that is not an exact 32-byte `bytes` is a ValueError. The root is
+    a pure function of the leaves, so it is memoised on their exact tuple for
+    the last MERKLE_ROOTS lists: the producer and every validator of a block
+    commit to the same leaves, and only the first of them hashes the tree.
+    The memo holds digests, never a verdict; each caller compares the root
+    with its header itself.
     """
+    for leaf in leaves:
+        if type(leaf) is not bytes or len(leaf) != DIGEST_LEN:
+            raise ValueError("merkle leaves must be 32-byte digests")
+    return _tree_root(tuple(leaves))
+
+
+@functools.lru_cache(maxsize=MERKLE_ROOTS)
+def _tree_root(leaves: tuple[bytes, ...]) -> bytes:
+    """`merkle_root` of leaves it has checked."""
     if not leaves:
         return EMPTY_ROOT
-    for leaf in leaves:
-        if len(leaf) != DIGEST_LEN:
-            raise ValueError("merkle leaves must be 32-byte digests")
     if len(leaves) == 1:
         return digest(leaves[0])
     level = list(leaves)

@@ -1,11 +1,15 @@
 """Chain store: assembly, validation verdicts, reorgs, pruning, fast sync."""
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from memos import clear_memos
+from wire import leaf_by_fields, root_by_fields
 
+from ledgerlab import blockchain, primitives
 from ledgerlab.blockchain import (
     AccountChange,
     Block,
@@ -372,8 +376,8 @@ def test_delta_existed_before_false_only_for_new_accounts():
 @example([("carol", 1, 1, False), ("bob", 2, 0, False), ("carol", 0, 0, True),
           ("carol", 0, 0, True), ("carol", 1, 1, False)])
 def test_leaf_memo_root_equals_a_fresh_root_at_every_step(steps):
+    clear_memos()
     state = ChainState(balances={"alice": 3, "bob": 1}, sequences={"alice": 0, "bob": 0})
-    memo = {}
     applied = []  # deltas in force, newest last
     for account, balance, sequence, undo in steps:
         if undo and applied:
@@ -385,18 +389,63 @@ def test_leaf_memo_root_equals_a_fresh_root_at_every_step(steps):
             delta = StateDelta(block=ZERO_DIGEST, changes={account: change})
             delta.apply(state)
             applied.append(delta)
-        assert state.root(memo) == state.root()
+        assert state.root() == root_by_fields(state)
 
 
-def test_validating_an_assembled_block_rehashes_no_leaf():
-    store = _store()
+def test_two_stores_one_balance_apart_each_commit_to_their_own_state():
+    clear_memos()
+    ahead, behind = _store(), _store()
+    _extend(ahead, [make_transaction(ALICE, "bob", 1, 1, 10)], ts=1.0)
+    _extend(behind, [make_transaction(ALICE, "bob", 2, 1, 10)], ts=1.0)
+    states = (ahead.head_state, behind.head_state)
+    assert states[0].balances.keys() == states[1].balances.keys()
+    assert states[0].sequences == states[1].sequences
+    assert [a for a in states[0].balances
+            if states[0].balances[a] != states[1].balances[a]] == ["alice", "bob"]
+    for state in (*states, *states):  # each root after the other's, twice
+        assert state.root() == root_by_fields(state)
+    assert states[0].root() != states[1].root()
+
+
+def _tree_preimages(leaves):
+    """The byte strings that hashing the Merkle tree over `leaves` digests."""
+    if len(leaves) == 1:
+        return [leaves[0]]
+    out, level = [], list(leaves)
+    while len(level) > 1:
+        pairs = [level[i] + level[i + 1] for i in range(0, len(level) // 2 * 2, 2)]
+        out += pairs
+        level = [hashlib.sha256(p).digest() for p in pairs] + level[len(pairs) * 2:]
+    return out
+
+
+def test_validating_an_assembled_block_hashes_no_leaf_and_no_merkle_node(monkeypatch):
+    clear_memos()
+    store, other = _store(), _store()
     block = assemble_block(store, store.adopted_head,
                            [make_transaction(ALICE, "carol", 5, 1, 10)],
                            producer="miner-0", timestamp=1.0)
-    leaves = dict(store.leaf_memo)
-    assert sorted(leaves) == ["alice", "bob", "carol", "miner-0"]
-    assert store.validate_block(block).ok
-    assert all(store.leaf_memo[a] is entry for a, entry in leaves.items())
+    hashed = []
+
+    def recording_digest(payload):
+        hashed.append(bytes(payload))
+        return hashlib.sha256(payload).digest()
+
+    for module in (primitives, blockchain):
+        monkeypatch.setattr(module, "digest", recording_digest)
+    results = [store.validate_block(block), other.validate_block(block)]
+    monkeypatch.undo()
+    assert all(r.ok for r in results)
+    assert hashed  # the header's digest, at least
+    state = store.state_at(store.adopted_head)
+    results[0].delta.apply(state)
+    assert sorted(state.balances) == ["alice", "bob", "carol", "miner-0"]
+    leaves = [leaf_by_fields(a, b, state.sequences.get(a, 0))
+              for a, b in sorted(state.balances.items())]
+    tree = [*_tree_preimages([hashlib.sha256(leaf).digest() for leaf in leaves]),
+            *_tree_preimages([tx.digest() for tx in block.transactions])]
+    assert not set(hashed) & set(leaves), "a leaf was hashed again"
+    assert not set(hashed) & set(tree), "a Merkle node was hashed again"
 
 
 def test_state_root_frozen_values():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ledgerlab import codec
+from ledgerlab import blockchain, codec
 from ledgerlab.blockchain import (
     AccountChange,
     AdoptionReport,
@@ -37,7 +37,8 @@ from ledgerlab.primitives import (
 )
 from ledgerlab.runner import run
 from ledgerlab.scenario import preset_config
-from wire import FRAMING, decode_prefix, decode_scans, decode_whole
+from memos import clear_memos
+from wire import FRAMING, decode_prefix, decode_scans, decode_whole, root_by_fields
 
 U8 = struct.Struct(">B")
 HEADER_SIZE = 3 * 32 + 8 + 8 + 8 + 4  # roots, height, timestamp, nonce, name length
@@ -691,12 +692,6 @@ def _tx_by_fields(tx):
             + codec.enc_digest(sig.payload_digest) + codec.enc_digest(sig.tag))
 
 
-def _root_by_fields(state):
-    return merkle_root([digest(codec.enc_str(account) + codec.enc_u64(balance)
-                               + codec.enc_u64(state.sequences.get(account, 0)))
-                        for account, balance in sorted(state.balances.items())])
-
-
 # a state whose accounts may lack a sequence, which reads as 0
 states = st.dictionaries(names, st.tuples(u64s, st.none() | u64s), max_size=8).map(
     lambda accounts: ChainState(
@@ -721,9 +716,30 @@ def test_transaction_kernel_matches_the_helpers(tx):
 
 @given(states, states)
 def test_state_root_leaf_kernel_matches_the_helpers(state, later):
-    memo = {}
-    assert state.root(memo) == _root_by_fields(state)
-    assert later.root(memo) == _root_by_fields(later)  # memo leaves reused
+    clear_memos()
+    assert state.root() == root_by_fields(state)
+    assert later.root() == root_by_fields(later)  # the first root's leaves reused
+
+
+@pytest.mark.parametrize("balances,sequences", [
+    ({"alice": True}, {"alice": 0}),
+    ({"alice": 1.0}, {"alice": 0}),
+    ({"alice": 1}, {"alice": False}),
+    ({_Str("alice"): 1}, {"alice": 0}),
+], ids=["bool-balance", "float-balance", "bool-sequence", "str-subclass"])
+def test_a_state_root_refuses_a_near_value_cold_and_warm(monkeypatch, balances, sequences):
+    # each near value equals the memoised one, so only a type check can refuse it
+    monkeypatch.setattr(blockchain, "STATE_LEAVES", {})
+    near = ChainState(balances, sequences)
+    with pytest.raises(CodecError):
+        near.root()
+    assert blockchain.STATE_LEAVES == {}
+    ChainState({"alice": 1}, {"alice": 0}).root()
+    warm = dict(blockchain.STATE_LEAVES)
+    assert list(warm) == ["alice"] and warm["alice"][:2] == (1, 0)
+    with pytest.raises(CodecError):
+        near.root()
+    assert blockchain.STATE_LEAVES == warm
 
 
 def _near_value_encodes():
@@ -847,8 +863,11 @@ def _refused_name_calls(bad):
         calls.append((label, broken.encode))
     if type(bad) is not list:
         delta = StateDelta(ZERO_DIGEST, {"alice": _CHANGE, bad: _CHANGE})
+        root = ChainState({"alice": 1, bad: 5}, {bad: 1}).root
+        # the same root once every good name holds a leaf at its numbers
+        warm = ChainState({"alice": 1, "carol": 5}, {"carol": 1}).root
         calls += [("delta", delta.encode), ("delta-len", delta.encoded_len),
-                  ("state-root", ChainState({"alice": 1, bad: 5}, {bad: 1}).root)]
+                  ("state-root", root), ("state-root-warm", lambda: (warm(), root()))]
     return calls
 
 
@@ -856,6 +875,7 @@ def _refused_name_calls(bad):
                          ids=["str-subclass", "bytes", "list", "lone-surrogate"])
 def test_a_refused_name_is_a_codec_error_and_leaves_the_memo_unchanged(monkeypatch, bad):
     monkeypatch.setattr(codec, "NAME_FIELDS", {})
+    monkeypatch.setattr(blockchain, "STATE_LEAVES", {})
     for obj in (_SEND, _GENESIS, _REP_CHANGE, _VOTE, _TX, _SIG):
         obj.encode()  # every good name is memoised, "carol" among them
     codec.enc_str("alice")
@@ -865,6 +885,8 @@ def test_a_refused_name_is_a_codec_error_and_leaves_the_memo_unchanged(monkeypat
         with pytest.raises(CodecError):  # a TypeError would escape this
             call()
         assert codec.NAME_FIELDS == memo, label
+    if type(bad) is not list:  # the warm root stored the good names' leaves only
+        assert sorted(blockchain.STATE_LEAVES) == ["alice", "carol"]
 
 
 # ---------------------------------------------------------------------------

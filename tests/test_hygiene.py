@@ -1,17 +1,24 @@
 """Source hygiene: no dead imports, no config key that nothing reads, no
 definition that only tests reach, no class field that only tests read, no
-parameter that its function never reads, and no message tag that lacks a
-framing or a handler.
+parameter that its function never reads, no message tag that lacks a
+framing or a handler, and no process-wide memo that `memos.clear_memos`
+leaves filled.
 
 The checks parse the package with `ast`, so they see the code as written,
-not as imported; the last reads the two message tables as imported.
+not as imported; the last two read the message tables and the memos as
+imported.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
-from ledgerlab import nodes
-from ledgerlab.scenario import SCHEMA
+from memos import clear_memos
+
+from ledgerlab import blockchain, codec, nodes
+from ledgerlab.runner import run
+from ledgerlab.scenario import SCHEMA, preset_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ledgerlab"
@@ -287,3 +294,28 @@ def test_every_framed_message_tag_has_a_handler_and_every_handler_a_framing():
     handled = set().union(*(cls.HANDLERS for cls in node_types))
     assert set(nodes.FRAMING) <= handled  # no message that no node type takes
     assert handled <= set(nodes.FRAMING)  # no handler for a message never scanned
+
+
+def _functools_caches() -> dict[str, object]:
+    """Every functools cache bound in a package module's globals, by name."""
+    importlib.import_module("ledgerlab.cli")  # not imported by the package
+    return {f"{name}.{attr}": value
+            for name, module in sorted(sys.modules.items())
+            if name == "ledgerlab" or name.startswith("ledgerlab.")
+            for attr, value in vars(module).items()
+            if callable(getattr(value, "cache_info", None))}
+
+
+def test_clearing_the_memos_leaves_no_process_memo_filled():
+    run(preset_config("bitcoin-baseline", ["scenario.horizon_s=20"]), 1)
+    run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), 1)
+    caches = _functools_caches()
+    dicts = {"codec.NAME_FIELDS": codec.NAME_FIELDS,
+             "blockchain.STATE_LEAVES": blockchain.STATE_LEAVES}
+    for name in ("ledgerlab.primitives.identity_for", "ledgerlab.primitives._tree_root"):
+        assert caches[name].cache_info().currsize, name  # the runs filled it
+    assert all(dicts.values())
+    clear_memos()
+    filled = [name for name, cache in caches.items() if cache.cache_info().currsize]
+    filled += [name for name, memo in dicts.items() if memo]
+    assert filled == []

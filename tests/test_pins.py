@@ -15,10 +15,9 @@ from pathlib import Path
 
 import pytest
 import unreached
+from memos import clear_memos
 
-from ledgerlab import codec
 from ledgerlab.metrics import build_report, render_report
-from ledgerlab.primitives import identity_for
 from ledgerlab.runner import run
 from ledgerlab.scenario import PRESETS, preset_config
 
@@ -60,9 +59,7 @@ def render_pin(name: str, overrides: tuple[str, ...]) -> str:
 def render_pins_traced():
     """The report of every pinned run, by (name, overrides), from one pass
     that traces the package; and the lines that ran, by file name."""
-    # as in a fresh process, each identity is derived and each name encoded
-    identity_for.cache_clear()
-    codec.NAME_FIELDS.clear()
+    clear_memos()  # so each memo's miss path runs, as in a fresh process
     return unreached.trace(lambda: {pin: render_pin(*pin) for pin in PINNED})
 
 

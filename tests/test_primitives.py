@@ -1,10 +1,14 @@
 """Hashing, Merkle commitments, the gap buffer, identities, signatures."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from memos import clear_memos
+from wire import merkle_by_levels
 
+from ledgerlab import primitives
 from ledgerlab.primitives import (
     DIGEST_ALGORITHM,
     DIGEST_LEN,
@@ -18,26 +22,6 @@ from ledgerlab.primitives import (
     sign,
     verify,
 )
-
-# Independent oracle: same pairing discipline, written recursively against
-# hashlib directly so it shares no code with the implementation under test.
-
-
-def _oracle_root(leaves):
-    h = lambda b: hashlib.sha256(b).digest()
-    if not leaves:
-        return h(b"")
-    if len(leaves) == 1:
-        return h(leaves[0])
-    level = list(leaves)
-    while len(level) > 1:
-        nxt = [h(level[i] + level[i + 1])
-               for i in range(0, len(level) // 2 * 2, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
 
 _LEAVES = [hashlib.sha256(bytes([i])).digest() for i in range(5)]
 
@@ -61,7 +45,7 @@ def test_leading_zero_bits():
 
 
 def test_merkle_frozen_values():
-    # frozen from the recursive oracle above
+    # frozen from the level-by-level oracle, `wire.merkle_by_levels`
     assert merkle_root([]) == EMPTY_ROOT
     assert merkle_root(_LEAVES[:1]).hex() == (
         "1406e05881e299367766d313e26c05564ec91bf721d31726bd6e46e60689539a")
@@ -86,9 +70,36 @@ def test_merkle_rejects_bad_leaf_width():
         merkle_root([b"short"])
 
 
+@pytest.mark.parametrize("bad", [b"short", bytes(31), bytearray(32), list(range(32))],
+                         ids=["short", "31-bytes", "bytearray", "int-list"])
+def test_merkle_refuses_a_leaf_that_is_not_32_exact_bytes(bad):
+    for leaves in ([bad], [_LEAVES[0], bad], [bad, *_LEAVES]):
+        with pytest.raises(ValueError):  # an unhashable leaf is no TypeError
+            merkle_root(leaves)
+
+
+@pytest.mark.parametrize("count", range(1, 66))
+def test_merkle_memo_gives_the_oracle_root_cold_warm_and_for_equal_leaves(count):
+    rng = random.Random(count)
+    leaves = [rng.randbytes(32) for _ in range(count)]
+    want = merkle_by_levels(leaves)
+    clear_memos()
+    assert merkle_root(leaves) == want, "cold"
+    hits = primitives._tree_root.cache_info().hits
+    assert merkle_root(leaves) == want, "warm"
+    assert primitives._tree_root.cache_info().hits == hits + 1
+    equal = [bytes(bytearray(leaf)) for leaf in leaves]
+    assert not any(a is b for a, b in zip(equal, leaves))
+    assert merkle_root(equal) == want, "equal leaves, distinct objects"
+    i, at = rng.randrange(count), rng.randrange(32)
+    flipped = list(leaves)
+    flipped[i] = leaves[i][:at] + bytes([leaves[i][at] ^ 1]) + leaves[i][at + 1:]
+    assert merkle_root(flipped) == merkle_by_levels(flipped) != want
+
+
 @given(st.lists(st.binary(min_size=32, max_size=32), max_size=40))
 def test_merkle_matches_oracle(leaves):
-    assert merkle_root(leaves) == _oracle_root(leaves)
+    assert merkle_root(leaves) == merkle_by_levels(leaves)
 
 
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=12),

@@ -6,13 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from memos import clear_memos
 
-from ledgerlab.blockchain import ChainStore, ChainTransaction
+from ledgerlab.blockchain import STATE_LEAVES, ChainStore, ChainTransaction
 from ledgerlab.cli import EXIT_BREACH, main
+from ledgerlab.codec import NAME_FIELDS
 from ledgerlab.errors import ConfigError, InvariantViolation, LedgerError
 from ledgerlab.lattice import BlockKind, LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
-from ledgerlab.metrics import tps_cap
+from ledgerlab.metrics import build_report, render_report, tps_cap
 from ledgerlab.recording import OBSERVER, RunRecorder
 from ledgerlab.runner import LEDGER_SAMPLES, RunResult, build_simulation, run
 from ledgerlab.scenario import account_names, preset_config, representative_names
@@ -96,6 +98,20 @@ def test_no_lattice_block_or_vote_object_is_shared_between_nodes(name):
         assert held
         for obj in held:
             assert holder.setdefault(id(obj), node_id) == node_id
+
+
+def test_warm_memos_change_no_chain_run():
+    """The process-wide memos hold digests and encodings, never a verdict,
+    so a run after another has filled them is the run a fresh process makes."""
+    cfg = preset_config("bitcoin-baseline", ["scenario.horizon_s=20"])
+    clear_memos()
+    cold = run(cfg, seed=1)
+    cold_report = render_report(build_report(cold))
+    run(preset_config("partition-stress"), seed=1)
+    assert STATE_LEAVES and NAME_FIELDS
+    warm = run(cfg, seed=1)
+    assert warm.trace == cold.trace
+    assert render_report(build_report(warm)) == cold_report
 
 
 def test_rerun_is_trace_identical():

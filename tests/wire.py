@@ -5,8 +5,12 @@ test often has the bytes of one object. `decode_whole` scans them with the
 object's framing, which must fill them, and decodes the scan against the
 context given, or against one that holds nothing: an empty ledger, an
 empty pool, and for a vote a block that no vote names.
+
+It also holds the oracles of the chain's commitments, written against
+`hashlib` and `str.encode`, so they read no memo of the package.
 """
 
+import hashlib
 import re
 
 from ledgerlab import codec
@@ -67,3 +71,37 @@ def decode_prefix(cls, raw: bytes, *context):
             raise
     end = len(raw) - int(trailing[1])
     return decode_whole(cls, raw[:end], *context), end
+
+
+def merkle_by_levels(leaves) -> bytes:
+    """The Merkle root of `leaves`, level by level: adjacent nodes pair left
+    to right and an odd trailing node rides up unchanged."""
+    h = lambda b: hashlib.sha256(b).digest()
+    if not leaves:
+        return h(b"")
+    if len(leaves) == 1:
+        return h(leaves[0])
+    level = list(leaves)
+    while len(level) > 1:
+        nxt = [h(level[i] + level[i + 1])
+               for i in range(0, len(level) // 2 * 2, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
+def leaf_by_fields(account: str, balance: int, sequence: int) -> bytes:
+    """A state-root leaf's preimage: the name's length-prefixed UTF-8, then
+    the balance and the sequence as u64s."""
+    raw = account.encode("utf-8")
+    return (len(raw).to_bytes(4, "big") + raw + balance.to_bytes(8, "big")
+            + sequence.to_bytes(8, "big"))
+
+
+def root_by_fields(state) -> bytes:
+    """A `ChainState`'s root from its leaves encoded field by field; an
+    account with no sequence reads as 0."""
+    return merkle_by_levels([
+        hashlib.sha256(leaf_by_fields(a, b, state.sequences.get(a, 0))).digest()
+        for a, b in sorted(state.balances.items())])
