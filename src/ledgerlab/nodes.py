@@ -13,10 +13,12 @@ node signs in for its own accounts included.
 
 Every message is scanned whole by `codec.scan_message` with the one framing
 table, `FRAMING`, and handed to the handler that its node class keeps for
-its tag in `HANDLERS`; a tag with none there is a `CodecError`. A broadcast
-or an injected fork spend reaches each receiver as one `codec.Broadcast`,
-scanned once for all of them. Every receiver makes its own objects and
-checks their signatures itself; no node shares an object it keeps.
+its tag in `HANDLERS`; a tag with none there is a `CodecError`. Every
+message goes out through `Simulation.send`, an injected fork spend from its
+attacker's host too. A broadcast or a fork spend reaches each receiver as
+one `codec.Broadcast`, scanned once for all of them. Every receiver makes
+its own objects and checks their signatures itself; no node shares an
+object it keeps.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .lattice import (
 from .leader_election import WorkCounter, mine
 from .primitives import GapBuffer, identity_for
 from .recording import RunRecorder
-from .simnet import SimEventKind, Simulation, derive_rng
+from .simnet import Simulation, derive_rng
 
 MSG_CHAIN_TX = 0
 MSG_CHAIN_BLOCK = 1
@@ -526,13 +528,12 @@ class ForkInjectionDriver:
 
     def __init__(self, recorder: RunRecorder, run_seed: int,
                  attackers: list[str], host_of: dict[str, int],
-                 interval_s: float, delivery_latency_s: float,
-                 max_amount: int = 5, stop_after_s: float = float("inf")):
+                 interval_s: float, max_amount: int = 5,
+                 stop_after_s: float = float("inf")):
         self.recorder = recorder
         self.attackers = attackers
         self.host_of = host_of
         self.interval_s = interval_s
-        self.delivery_latency_s = delivery_latency_s
         self.max_amount = max_amount
         self.stop_after_s = stop_after_s
         self.rng = derive_rng(run_seed, "driver/fork-inject")
@@ -560,12 +561,12 @@ class ForkInjectionDriver:
             sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))
             return
         self.recorder.conflicts_injected.append((now, head, a.digest(), b.digest()))
-        # split delivery: half the network hears one spend first; each spend
-        # is one message, scanned once for all who hear it
+        # split delivery: the attacker's host sends one spend to half the
+        # network and the other to the rest, itself included, over the links;
+        # each spend is one message, scanned once for all who hear it
         msgs = [codec.Broadcast(_lattice_block_msg(node.node_id, x.encode(), []))
                 for x in (a, b)]
-        at = now + self.delivery_latency_s
         targets = sorted(sim.nodes)
         for i, dst in enumerate(targets):
-            sim.schedule(at, SimEventKind.MESSAGE, dst, msgs[i >= len(targets) // 2])
+            sim.send(node.node_id, dst, msgs[i >= len(targets) // 2])
         sim.schedule_command(self.interval_s, bytes([CMD_FORK_INJECT]))

@@ -134,7 +134,6 @@ def _build_lattice(cfg: Config, seed: int, recorder: RunRecorder) -> tuple[dict,
         drivers[CMD_FORK_INJECT] = ForkInjectionDriver(
             recorder, seed, attackers=roles.attackers, host_of=host_of,
             interval_s=cfg["fork.interval_s"],
-            delivery_latency_s=cfg["fork.delivery_latency_ms"] / 1000.0,
             max_amount=cfg["lattice.max_amount"],
             stop_after_s=cfg["scenario.horizon_s"] - cfg["fork.interval_s"])
     return nodes, drivers

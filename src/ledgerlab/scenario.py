@@ -120,7 +120,6 @@ SCHEMA: dict[str, tuple] = {
 
     "fork.interval_s": (float, 0.0, _at_least(0)),  # 0 = no injected conflicts
     "fork.attackers": (int, 0, _at_least(0)),
-    "fork.delivery_latency_ms": (float, 20.0, _at_least(0)),
 }
 
 
@@ -442,7 +441,6 @@ PRESETS: dict[str, dict] = {
         "lattice.send_rate_per_account_s": 0.1,
         "fork.interval_s": 10.0,
         "fork.attackers": 2,
-        "fork.delivery_latency_ms": 20.0,
     },
     # A healed network split and the reorg that follows it.
     "partition-stress": {

@@ -11,9 +11,9 @@ partition window, and are never retransmitted by the transport. Recovery,
 where a protocol wants it, is the protocol's own rebroadcast/fetch logic.
 
 A heap entry is a plain (at, sequence, kind, destination, payload) tuple.
-`Simulation.send` pushes its own entry, since a latency is never negative;
-`schedule` serves timers, driver commands and fork injections, and refuses
-a time before now.
+Every message enters through `Simulation.send`, which pushes its own entry,
+since a latency is never negative; `schedule` serves timers and driver
+commands only, and refuses a time before now.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class Simulation:
                       DRIVER_DESTINATION, payload)
 
     def send(self, src: int, dst: int, payload: bytes) -> bool:
-        """Unicast with latency/drop/partition applied; True if delivered."""
+        """Unicast with latency/drop/partition applied; True if queued."""
         rng = self._net_rng[src]
         link = self.link
         if link.partitions and link.severed(self.now, src, dst):

@@ -1,8 +1,8 @@
 """Source hygiene: no dead imports, no config key that nothing reads, no
 definition that only tests reach, no class field that only tests read, no
 parameter that its function never reads, no message tag that lacks a
-framing or a handler, and no process-wide memo that `memos.clear_memos`
-leaves filled.
+framing or a handler, no message queued past `Simulation.send`, and no
+process-wide memo that `memos.clear_memos` leaves filled.
 
 The checks parse the package with `ast`, so they see the code as written,
 not as imported; the last two read the message tables and the memos as
@@ -294,6 +294,23 @@ def test_every_framed_message_tag_has_a_handler_and_every_handler_a_framing():
     handled = set().union(*(cls.HANDLERS for cls in node_types))
     assert set(nodes.FRAMING) <= handled  # no message that no node type takes
     assert handled <= set(nodes.FRAMING)  # no handler for a message never scanned
+
+
+def _message_queuers(modules: dict[str, ast.Module]) -> list[str]:
+    """The modules that name the MESSAGE event kind, so could queue one."""
+    return sorted(name for name, tree in modules.items()
+                  if any(isinstance(n, ast.Attribute) and n.attr == "MESSAGE"
+                         and isinstance(n.value, ast.Name)
+                         and n.value.id == "SimEventKind" for n in ast.walk(tree)))
+
+
+def test_every_message_enters_the_network_through_send():
+    # only `Simulation.send` applies the link's latency, drops and partitions
+    modules = _modules()
+    assert _message_queuers(modules) == ["simnet"]
+    modules["probe"] = ast.parse(
+        "sim.schedule(at, SimEventKind.MESSAGE, dst, payload)\n")
+    assert _message_queuers(modules) == ["probe", "simnet"]
 
 
 def _functools_caches() -> dict[str, object]:

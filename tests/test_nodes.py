@@ -52,9 +52,15 @@ from ledgerlab.nodes import (
 )
 from ledgerlab.primitives import ZERO_DIGEST, Signature, identity_for
 from ledgerlab.recording import RunRecorder
-from ledgerlab.runner import run
+from ledgerlab.runner import build_simulation, run
 from ledgerlab.scenario import preset_config
-from ledgerlab.simnet import LinkModel, Simulation, derive_rng, mesh_adjacency
+from ledgerlab.simnet import (
+    LinkModel,
+    SimEventKind,
+    Simulation,
+    derive_rng,
+    mesh_adjacency,
+)
 from wire import decode_whole
 
 
@@ -1177,6 +1183,47 @@ def test_lattice_send_driver_draws_as_a_list_of_the_other_recipients():
     assert drawn == [_listed_draw(twin, senders, recipients) for _ in range(60)]
     assert {s for s, _, _ in drawn} == set(senders)
     assert all(s != r for s, r, _ in drawn)
+
+
+def test_every_queued_message_is_a_send_the_fork_spends_included(monkeypatch):
+    queued, delivered = [], []
+    send, on_message = Simulation.send, LatticeNode.on_message
+    monkeypatch.setattr(Simulation, "send", lambda sim, src, dst, payload: (
+        queued.append(send(sim, src, dst, payload)) or queued[-1]))
+    monkeypatch.setattr(LatticeNode, "on_message", lambda node, sim, now, payload: (
+        delivered.append(now) or on_message(node, sim, now, payload)))
+    recorder = RunRecorder()
+    sim = build_simulation(preset_config("fork-stress", ["scenario.horizon_s=40"]),
+                           1, recorder)
+
+    sim.run(40.0)
+
+    pending = sum(entry[2] is SimEventKind.MESSAGE for entry in sim._heap)
+    assert len(recorder.conflicts_injected) == 3 and pending
+    assert queued.count(True) == len(delivered) + pending
+
+
+def test_a_fork_injection_does_not_cross_a_partition(monkeypatch):
+    # every attacker's host is cut off from 9 to 12 s, across the one
+    # injection (at 10 s) that a 20 s run makes
+    cfg = preset_config("fork-stress")
+    roles, n = cfg.lattice_roles, cfg["net.nodes"]
+    hosts = sorted({roles.names.index(a) % n for a in roles.attackers})
+    cuts = ";".join(f"9-12:{h}|{','.join(str(v) for v in range(n) if v != h)}"
+                    for h in hosts)
+    received = []
+    receive_block = LatticeLedger.receive_block
+    monkeypatch.setattr(LatticeLedger, "receive_block", lambda ledger, block, votes=(): (
+        received.append((ledger, block.digest()))
+        or receive_block(ledger, block, votes)))
+
+    result = run(preset_config("fork-stress", ["scenario.horizon_s=20",
+                                               f"net.partitions={cuts}"]), 1)
+
+    [(_, _, a, b)] = result.recorder.conflicts_injected
+    heard = {node_id for node_id, node in result.nodes.items()
+             for ledger, d in received if ledger is node.ledger and d in (a, b)}
+    assert len(heard) == 1 and heard <= set(hosts)  # only the host itself
 
 
 # ---------------------------------------------------------------------------
