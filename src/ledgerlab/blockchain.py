@@ -129,21 +129,7 @@ class ChainTransaction(WireObject):
         return sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
 
     def encode(self) -> bytes:
-        """The signing payload and the signature, in one pass."""
-        signature = self.signature
-        sender, recipient = codec.enc_str(self.sender), codec.enc_str(self.recipient)
-        signer = codec.enc_str(signature.signer)
-        amount, sequence, weight = self.amount, self.sequence, self.weight
-        if not (type(amount) is int and type(sequence) is int and type(weight) is int
-                and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
-                and 0 <= weight <= U64_MAX):
-            raise codec.u64_error((amount, sequence, weight))
-        payload_digest, tag = signature.payload_digest, signature.tag
-        if not (type(payload_digest) is bytes and type(tag) is bytes
-                and len(payload_digest) == len(tag) == 32):
-            raise codec.digest_error((payload_digest, tag))
-        return (sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
-                + signer + SIGNATURE_DIGESTS.pack(payload_digest, tag))
+        return self.signing_payload() + self.signature.encode()
 
     @classmethod
     def decode(cls, s: TxScan, data: bytes,
@@ -444,7 +430,6 @@ class ValidationResult:
     verdict: Verdict
     detail: str = ""
     delta: Optional[StateDelta] = None
-    schedule: Optional[DifficultySchedule] = None
 
     @property
     def ok(self) -> bool:
@@ -626,17 +611,6 @@ class ChainStore:
 
     # -- validation ---------------------------------------------------------
 
-    def _child_schedule(self, block: Block, parent: StoredBlock) -> DifficultySchedule:
-        sched = parent.schedule
-        h = block.header.height
-        if h > 0 and h % sched.retarget_window == 0 and h >= sched.retarget_window:
-            window_start = self.ancestor_at(
-                block.header.predecessor, h - sched.retarget_window)
-            observed = block.header.timestamp - self.blocks[window_start].header.timestamp
-            observed = max(observed, 1e-9)
-            sched = retarget(sched, observed)
-        return sched
-
     def validate_block(self, block: Block) -> ValidationResult:
         header = block.header
         parent = self.blocks.get(header.predecessor)
@@ -691,12 +665,8 @@ class ChainStore:
         if state.root() != header.state_root:
             return ValidationResult(Verdict.BAD_ROOT, "state root mismatch")
 
-        block_digest = header.digest()
         return ValidationResult(
-            Verdict.ACCEPT,
-            delta=StateDelta(block=block_digest, changes=changes),
-            schedule=self._child_schedule(block, parent),
-        )
+            Verdict.ACCEPT, delta=StateDelta(block=header.digest(), changes=changes))
 
     # -- adoption -----------------------------------------------------------
 
@@ -715,18 +685,28 @@ class ChainStore:
             self._bytes["chain_bodies"] += _body_len(transactions)
         return sb
 
+    def _child_schedule(self, block: Block) -> DifficultySchedule:
+        sched = self.blocks[block.header.predecessor].schedule
+        h = block.header.height
+        if h > 0 and h % sched.retarget_window == 0 and h >= sched.retarget_window:
+            window_start = self.ancestor_at(
+                block.header.predecessor, h - sched.retarget_window)
+            observed = block.header.timestamp - self.blocks[window_start].header.timestamp
+            observed = max(observed, 1e-9)
+            sched = retarget(sched, observed)
+        return sched
+
     def adopt(self, block: Block, result: ValidationResult) -> AdoptionReport:
         """Store a validated block not held yet and move the head if its
         branch is longer; a head move checks the supply."""
         d = block.digest()
-        if (d in self.blocks or not result.ok or result.delta is None
-                or result.schedule is None):
+        if d in self.blocks or not result.ok or result.delta is None:
             raise ValueError("adopt requires a passing validation result "
                              "for a block not held yet")
         old_height = self.head_height
 
         sb = self._insert(d, block.header, block.transactions,
-                          result.schedule, result.delta)
+                          self._child_schedule(block), result.delta)
         if sb.height <= old_height:
             # side branch no longer than the adopted one: first seen stays
             return AdoptionReport(old_height, old_height, (), ())

@@ -292,9 +292,8 @@ class ChainNode:
                         sender: int) -> None:
         parent = block.header.predecessor
         self.parked.park(d, block, parent)
-        if sender != self.node_id:
-            sim.send(self.node_id, sender,
-                     HEAD.pack(MSG_CHAIN_REQ, self.node_id) + codec.enc_digest(parent))
+        sim.send(self.node_id, sender,
+                 HEAD.pack(MSG_CHAIN_REQ, self.node_id) + codec.enc_digest(parent))
 
 
 class LatticeNode:
@@ -315,10 +314,6 @@ class LatticeNode:
         self.work = WorkCounter()
 
     # -- outbound -----------------------------------------------------------
-
-    def submit_block(self, sim: Simulation, now: float, block: LatticeBlock) -> None:
-        """Apply a locally created block and gossip it."""
-        self._settle(sim, now, block)
 
     def _forward(self, sim: Simulation, block: LatticeBlock, wire: bytes) -> None:
         """Broadcast `block`, encoded as `wire`, with the votes held for it."""
@@ -518,7 +513,7 @@ class LatticeSendDriver:
         if block is not None:
             self.recorder.sends_created.append(
                 (now, node.node_id, block.digest(), sender, recipient, amount))
-            node.submit_block(sim, now, block)
+            node._settle(sim, now, block)  # apply it here and gossip it
         sim.schedule_command(self.rng.expovariate(self.rate_per_s),
                              bytes([CMD_LATTICE_SEND]))
 

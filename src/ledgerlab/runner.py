@@ -155,8 +155,9 @@ def run(cfg: Config, seed: int) -> RunResult:
     """One deterministic run; an invariant breach stops it and is reported.
 
     The loop runs in `LEDGER_SAMPLES` slices, the last ending on the horizon,
-    and the observer's ledger size is taken after each. Slicing pops the same
-    events in the same order, so the trace does not depend on it."""
+    and the observer's ledger size is taken after each, the last after the
+    books close. Slicing pops the same events in the same order, so the
+    trace does not depend on it."""
     recorder = RunRecorder()
     sim = build_simulation(cfg, seed, recorder)
     horizon = cfg["scenario.horizon_s"]
@@ -167,9 +168,10 @@ def run(cfg: Config, seed: int) -> RunResult:
         for k in range(1, LEDGER_SAMPLES + 1):
             at = horizon if k == LEDGER_SAMPLES else horizon * k / LEDGER_SAMPLES
             sim.run(at)
+            if k == LEDGER_SAMPLES:
+                _close_books(cfg, books)
             recorder.ledger_samples.append(
                 (at, sum(books[OBSERVER].ledger_bytes().values())))
-        _close_books(cfg, books)
     except InvariantViolation as exc:
         breach = str(exc)
     return RunResult(

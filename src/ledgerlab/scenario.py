@@ -1,10 +1,12 @@
-"""Scenario configuration: flat typed key=value files, presets, overrides.
+"""Scenario configuration: flat key = value text, presets, overrides.
 
-A config is a flat mapping of dotted keys to typed values. Files hold one
-`key = value` pair per line; `#` starts a comment. Every key must appear in
-the schema; anything else is rejected by name so typos fail loudly instead
-of silently running a default. Each value must lie in its key's domain in
-`SCHEMA`, whichever paradigm runs; rules that tie keys together follow.
+A config is a flat mapping of dotted keys to typed values, each parsed from
+text: a file or a preset holds one `key = value` pair per line (`#` starts a
+comment), and an override is one `key=value` pair. Every key must appear in
+the schema; anything else, or a value that is not text, is rejected by name
+so typos fail loudly instead of silently running a default. Each value must
+lie in its key's domain in `SCHEMA`, whichever paradigm runs; rules that tie
+keys together follow.
 """
 
 from __future__ import annotations
@@ -206,17 +208,16 @@ class Config:
         return out
 
 
-def _coerce(key: str, raw) -> object:
+def _coerce(key: str, raw: str) -> object:
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key: {key}")
+    if not isinstance(raw, str):
+        raise ConfigError(f"bad value for {key}: {raw!r} (expected text)")
     parser, _, domain = SCHEMA[key]
-    if isinstance(raw, str):
-        try:
-            value = parser(raw.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    else:
-        value = raw
+    try:
+        value = parser(raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     items = value if isinstance(value, tuple) else (value,)
     for item in items:
         if isinstance(item, float) and not math.isfinite(item):
@@ -231,7 +232,7 @@ def _coerce(key: str, raw) -> object:
     return value
 
 
-def build_config(base: dict, overrides: list[str] = ()) -> Config:
+def build_config(base: dict[str, str], overrides: list[str] = ()) -> Config:
     values = {}
     for key, (_, default, _) in SCHEMA.items():
         values[key] = default
@@ -349,115 +350,116 @@ def load_config(path: str, overrides: list[str] = ()) -> Config:
 # ---------------------------------------------------------------------------
 # Presets
 
-PRESETS: dict[str, dict] = {
+# Config-file text, each line as `Config.snapshot_lines` prints it.
+PRESETS: dict[str, str] = {
     # Lottery mining tuned to a 2 s target; saturated mempool, mild forking.
-    "bitcoin-baseline": {
-        "scenario.id": "bitcoin-baseline",
-        "scenario.paradigm": "chain",
-        "scenario.horizon_s": 560.0,
-        "net.nodes": 4,
-        "net.base_latency_ms": 100.0,
-        "net.jitter_ms": 20.0,
-        "chain.miners": 3,
-        "chain.capacity_units": 2500,
-        "chain.tx_weight": 250,
-        "chain.tx_rate_per_s": 6.0,
-        "pow.mode": "lottery",
-        "pow.difficulty_bits": 3,
-        "pow.target_interval_s": 2.0,
-    },
+    "bitcoin-baseline": """
+scenario.id = bitcoin-baseline
+scenario.paradigm = chain
+scenario.horizon_s = 560.0
+net.nodes = 4
+net.base_latency_ms = 100.0
+net.jitter_ms = 20.0
+chain.miners = 3
+chain.capacity_units = 2500
+chain.tx_weight = 250
+chain.tx_rate_per_s = 6.0
+pow.mode = lottery
+pow.difficulty_bits = 3
+pow.target_interval_s = 2.0
+""",
     # Same engine, smaller blocks arriving faster.
-    "ethereum-baseline": {
-        "scenario.id": "ethereum-baseline",
-        "scenario.paradigm": "chain",
-        "scenario.horizon_s": 300.0,
-        "net.nodes": 4,
-        "net.base_latency_ms": 100.0,
-        "net.jitter_ms": 20.0,
-        "chain.miners": 3,
-        "chain.capacity_units": 210_000,
-        "chain.tx_weight": 21_000,
-        "chain.block_reward": 5,
-        "chain.tx_rate_per_s": 12.0,
-        "pow.mode": "lottery",
-        "pow.difficulty_bits": 2,
-        "pow.target_interval_s": 1.0,
-    },
+    "ethereum-baseline": """
+scenario.id = ethereum-baseline
+scenario.paradigm = chain
+scenario.horizon_s = 300.0
+net.nodes = 4
+net.base_latency_ms = 100.0
+net.jitter_ms = 20.0
+chain.miners = 3
+chain.capacity_units = 210000
+chain.tx_weight = 21000
+chain.block_reward = 5
+chain.tx_rate_per_s = 12.0
+pow.mode = lottery
+pow.difficulty_bits = 2
+pow.target_interval_s = 1.0
+""",
     # Stake-weighted slot leaders instead of work.
-    "pos-baseline": {
-        "scenario.id": "pos-baseline",
-        "scenario.paradigm": "chain",
-        "scenario.horizon_s": 200.0,
-        "net.nodes": 5,
-        "net.base_latency_ms": 50.0,
-        "chain.consensus": "pos",
-        "chain.miners": 4,
-        "chain.capacity_units": 2500,
-        "chain.tx_weight": 250,
-        "chain.block_reward": 10,
-        "chain.tx_rate_per_s": 6.0,
-        "pos.slot_interval_s": 1.0,
-        "pos.stakes": "100,200,300,400",
-    },
+    "pos-baseline": """
+scenario.id = pos-baseline
+scenario.paradigm = chain
+scenario.horizon_s = 200.0
+net.nodes = 5
+net.base_latency_ms = 50.0
+chain.consensus = pos
+chain.miners = 4
+chain.capacity_units = 2500
+chain.tx_weight = 250
+chain.block_reward = 10
+chain.tx_rate_per_s = 6.0
+pos.slot_interval_s = 1.0
+pos.stakes = 100,200,300,400
+""",
     # Block lattice at rest: steady small transfers, no adversary.
-    "nano-baseline": {
-        "scenario.id": "nano-baseline",
-        "scenario.paradigm": "lattice",
-        "scenario.horizon_s": 120.0,
-        "net.nodes": 6,
-        "net.base_latency_ms": 50.0,
-        "net.jitter_ms": 10.0,
-        "lattice.accounts": 12,
-        "lattice.representatives": 3,
-        "lattice.spam_difficulty_bits": 4,
-        "lattice.send_rate_per_account_s": 0.2,
-        "lattice.offline_accounts": 1,
-    },
+    "nano-baseline": """
+scenario.id = nano-baseline
+scenario.paradigm = lattice
+scenario.horizon_s = 120.0
+net.nodes = 6
+net.base_latency_ms = 50.0
+net.jitter_ms = 10.0
+lattice.accounts = 12
+lattice.representatives = 3
+lattice.spam_difficulty_bits = 4
+lattice.send_rate_per_account_s = 0.2
+lattice.offline_accounts = 1
+""",
     # Ledger growth and throughput as the account population widens;
     # sweep lattice.accounts via --override.
-    "nano-scaling": {
-        "scenario.id": "nano-scaling",
-        "scenario.paradigm": "lattice",
-        "scenario.horizon_s": 80.0,
-        "net.nodes": 6,
-        "net.base_latency_ms": 50.0,
-        "lattice.accounts": 10,
-        "lattice.representatives": 3,
-        "lattice.spam_difficulty_bits": 0,
-        "lattice.send_rate_per_account_s": 0.25,
-        "lattice.tiers": "historical,historical,historical,historical,historical,current",
-    },
+    "nano-scaling": """
+scenario.id = nano-scaling
+scenario.paradigm = lattice
+scenario.horizon_s = 80.0
+net.nodes = 6
+net.base_latency_ms = 50.0
+lattice.accounts = 10
+lattice.representatives = 3
+lattice.spam_difficulty_bits = 0
+lattice.send_rate_per_account_s = 0.25
+lattice.tiers = historical,historical,historical,historical,historical,current
+""",
     # Deliberate equivocation under a split delivery schedule.
-    "fork-stress": {
-        "scenario.id": "fork-stress",
-        "scenario.paradigm": "lattice",
-        "scenario.horizon_s": 100.0,
-        "net.nodes": 6,
-        "net.base_latency_ms": 50.0,
-        "net.jitter_ms": 10.0,
-        "lattice.accounts": 12,
-        "lattice.representatives": 3,
-        "lattice.spam_difficulty_bits": 2,
-        "lattice.send_rate_per_account_s": 0.1,
-        "fork.interval_s": 10.0,
-        "fork.attackers": 2,
-    },
+    "fork-stress": """
+scenario.id = fork-stress
+scenario.paradigm = lattice
+scenario.horizon_s = 100.0
+net.nodes = 6
+net.base_latency_ms = 50.0
+net.jitter_ms = 10.0
+lattice.accounts = 12
+lattice.representatives = 3
+lattice.spam_difficulty_bits = 2
+lattice.send_rate_per_account_s = 0.1
+fork.interval_s = 10.0
+fork.attackers = 2
+""",
     # A healed network split and the reorg that follows it.
-    "partition-stress": {
-        "scenario.id": "partition-stress",
-        "scenario.paradigm": "chain",
-        "scenario.horizon_s": 120.0,
-        "net.nodes": 4,
-        "net.base_latency_ms": 100.0,
-        "net.partitions": "30-60:0,1|2,3",
-        "chain.miners": 4,
-        "chain.capacity_units": 2500,
-        "chain.tx_weight": 250,
-        "chain.tx_rate_per_s": 4.0,
-        "pow.mode": "lottery",
-        "pow.difficulty_bits": 3,
-        "pow.target_interval_s": 2.0,
-    },
+    "partition-stress": """
+scenario.id = partition-stress
+scenario.paradigm = chain
+scenario.horizon_s = 120.0
+net.nodes = 4
+net.base_latency_ms = 100.0
+net.partitions = 30-60:0,1|2,3
+chain.miners = 4
+chain.capacity_units = 2500
+chain.tx_weight = 250
+chain.tx_rate_per_s = 4.0
+pow.mode = lottery
+pow.difficulty_bits = 3
+pow.target_interval_s = 2.0
+""",
 }
 
 
@@ -465,4 +467,4 @@ def preset_config(name: str, overrides: list[str] = ()) -> Config:
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return build_config(PRESETS[name], overrides)
+    return build_config(parse_config_text(PRESETS[name]), overrides)

@@ -4,9 +4,10 @@
 
 Each rewritten pin is printed with what moved in it: the run itself (its
 `trace:` or `events:` line, so the event schedule changed) or the report
-text only. `git diff tests/pins` then shows the lines; a change that
-re-pins says why in CHANGES.md. Files of runs that are no longer pinned
-are removed.
+text only, and the report sections whose lines changed (`head` for the
+lines above `[config]`). `git diff tests/pins` then shows the lines; a
+change that re-pins says why and names those sections in CHANGES.md.
+Files of runs that are no longer pinned are removed.
 """
 
 import sys
@@ -23,6 +24,28 @@ def run_lines(text: str) -> list[str]:
             if line.startswith(("trace:", "events:"))]
 
 
+def sections(text: str) -> dict[str, list[str]]:
+    """The lines of a pinned report by section: `head` for those above the
+    first bracketed heading, then each heading (`[config]`, `[metrics]`,
+    `[series ...]`, `[flags]`) with the lines under it."""
+    out: dict[str, list[str]] = {"head": []}
+    name = "head"
+    for line in text.splitlines():
+        if line.startswith("["):
+            name = line
+            out[name] = []
+        else:
+            out[name].append(line)
+    return out
+
+
+def moved_sections(old: str, new: str) -> list[str]:
+    """The sections, in report order, whose lines differ between two reports."""
+    before, after = sections(old), sections(new)
+    names = list(after) + [name for name in before if name not in after]
+    return [name for name in names if before.get(name) != after.get(name)]
+
+
 def main() -> None:
     PIN_DIR.mkdir(exist_ok=True)
     keep = {pin_path(*p) for p in PINNED}
@@ -36,12 +59,14 @@ def main() -> None:
             continue
         path.write_bytes(text.encode("utf-8"))
         if old is None:
-            moved = "new pin"
-        elif run_lines(old) != run_lines(text):
+            print(f"re-pinned {path.name}: new pin")
+            continue
+        if run_lines(old) != run_lines(text):
             moved = "run moved (trace/events)"
         else:
             moved = "report text only"
-        print(f"re-pinned {path.name}: {moved}")
+        print(f"re-pinned {path.name}: {moved}; sections: "
+              f"{', '.join(moved_sections(old, text))}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,13 @@ from ledgerlab.metrics import (
 from ledgerlab.nodes import LatticeNode
 from ledgerlab.primitives import digest, identity_for, merkle_root
 from ledgerlab.runner import run
-from ledgerlab.scenario import PRESETS, SCHEMA, build_config, preset_config
+from ledgerlab.scenario import (
+    PRESETS,
+    SCHEMA,
+    build_config,
+    parse_config_text,
+    preset_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,25 +112,25 @@ def test_criterion_02_simulated_cap_agreement():
 
 # Two equal miners on a two-node link; 100 ms delay against a 2 s expected
 # block interval puts latency/interval at 0.05.
-_TWO_MINER_RACE = {
-    "scenario.id": "two-miner-race",
-    "scenario.paradigm": "chain",
-    "scenario.horizon_s": 150.0,
-    "net.nodes": 2,
-    "net.base_latency_ms": 100.0,
-    "net.jitter_ms": 0.0,
-    "chain.miners": 2,
-    "chain.capacity_units": 2500,
-    "chain.tx_weight": 250,
-    "chain.tx_rate_per_s": 1.0,
-    "pow.mode": "lottery",
-    "pow.difficulty_bits": 2,
-    "pow.target_interval_s": 2.0,
-}
+_TWO_MINER_RACE = """
+scenario.id = two-miner-race
+scenario.paradigm = chain
+scenario.horizon_s = 150.0
+net.nodes = 2
+net.base_latency_ms = 100.0
+net.jitter_ms = 0.0
+chain.miners = 2
+chain.capacity_units = 2500
+chain.tx_weight = 250
+chain.tx_rate_per_s = 1.0
+pow.mode = lottery
+pow.difficulty_bits = 2
+pow.target_interval_s = 2.0
+"""
 
 
 def test_criterion_03_confirmation_confidence():
-    cfg = build_config(dict(_TWO_MINER_RACE))
+    cfg = build_config(parse_config_text(_TWO_MINER_RACE))
     results = [run(cfg, seed) for seed in range(1, 19)]
     assert all(r.breach is None for r in results)
 

@@ -208,6 +208,16 @@ def test_end_of_run_prune_trims_stores():
             < sum(archive.ledger_bytes().values()))
 
 
+def test_a_pruned_series_ends_at_the_pruned_size():
+    # the last ledger sample is taken after the books close, so a pruned
+    # run's series ends at the size its ledger-* scalars report
+    result = run(preset_config("bitcoin-baseline", ["chain.prune_keep_recent=128"]), 1)
+    assert result.breach is None
+    at, size = result.recorder.ledger_samples[-1]
+    assert at == 560.0
+    assert size == sum(result.books[OBSERVER].ledger_bytes().values()) == 286_576
+
+
 def test_offline_accounts_cannot_be_representatives():
     with pytest.raises(ConfigError):
         run(preset_config("nano-baseline", ["lattice.offline_accounts=11"]),

@@ -11,6 +11,7 @@ from ledgerlab.scenario import (
     parse_config_text,
     preset_config,
 )
+from test_pins import VARIANTS
 
 
 def _cfg(text, overrides=()):
@@ -62,6 +63,13 @@ def test_type_errors_surface():
     with pytest.raises(ConfigError):
         _cfg(MINIMAL_CHAIN.replace("net.nodes = 2",
                                                 "net.nodes = lots"))
+
+
+def test_a_value_that_is_not_text_is_rejected_by_key():
+    base = parse_config_text(MINIMAL_CHAIN)
+    for value in (5, 5.0, None, ("a", "b")):
+        with pytest.raises(ConfigError, match=r"net\.nodes: .* \(expected text\)"):
+            build_config({**base, "net.nodes": value})
 
 
 def test_overrides_apply_and_validate():
@@ -123,10 +131,10 @@ def test_a_key_domain_holds_whichever_paradigm_runs():
 
 def test_negative_gap_buffer_rejected():
     with pytest.raises(ConfigError, match="lattice.gap_buffer"):
-        build_config(PRESETS["nano-baseline"], ["lattice.gap_buffer=-1"])
+        preset_config("nano-baseline", ["lattice.gap_buffer=-1"])
     # zero keeps no gap block at all, which is legal
-    assert build_config(PRESETS["nano-baseline"],
-                        ["lattice.gap_buffer=0"])["lattice.gap_buffer"] == 0
+    assert preset_config("nano-baseline",
+                         ["lattice.gap_buffer=0"])["lattice.gap_buffer"] == 0
 
 
 def _parses_to_float(parser) -> bool:
@@ -146,13 +154,13 @@ def test_a_float_key_refuses_a_value_that_is_not_finite(key):
     preset = "nano-baseline" if key.startswith(("lattice.", "fork.")) else "bitcoin-baseline"
     for raw in ("inf", "-inf", "nan", "1e999"):
         with pytest.raises(ConfigError, match=f"{key}: .* finite"):
-            build_config(PRESETS[preset], [f"{key}={raw}"])
+            preset_config(preset, [f"{key}={raw}"])
 
 
 def test_a_float_list_refuses_an_element_that_is_not_finite():
     assert "chain.hash_rates" in FLOAT_KEYS
     with pytest.raises(ConfigError, match="chain.hash_rates: inf .* finite"):
-        build_config(PRESETS["bitcoin-baseline"], ["chain.hash_rates=1,inf,2"])
+        preset_config("bitcoin-baseline", ["chain.hash_rates=1,inf,2"])
 
 
 def test_partition_syntax():
@@ -186,6 +194,7 @@ def test_snapshot_lines_are_canonical():
 
 @pytest.mark.parametrize("name, overrides", [
     *((name, []) for name in sorted(PRESETS)),
+    *((name, list(overrides)) for name, overrides in VARIANTS),
     # bounds past six significant digits, tiny, huge and open-ended
     ("partition-stress",
      ["net.partitions=0.00001-2:0|1;30.1234567-1234567.5:0,1|2,3;1e17-inf:0|3"]),
@@ -203,6 +212,10 @@ def test_presets_all_validate():
         cfg = preset_config(name)
         assert cfg.scenario_id == name
         assert cfg.paradigm in ("chain", "lattice")
+        # a preset is written line for line as its snapshot prints it
+        snapshot = cfg.snapshot_lines()
+        for line in PRESETS[name].strip().splitlines():
+            assert line in snapshot, (name, line)
 
 
 def test_unknown_preset_lists_available():
