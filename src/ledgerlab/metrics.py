@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, LedgerError
-from .nodes import ChainNode, LatticeNode
 from .primitives import DIGEST_ALGORITHM
 from .recording import OBSERVER
 from .runner import RunResult, run
@@ -84,29 +83,30 @@ def summarize(values: list[float]) -> dict[str, float]:
 # Chain measurements
 
 def _observer(result: RunResult, paradigm: str):
-    """The observer node of a run, which must be of the given paradigm."""
+    """The observer's ledger, its `ChainStore` or `LatticeLedger`; the run
+    must be of the given paradigm."""
     if result.config.paradigm != paradigm:
         raise WrongParadigmError(
             f"{result.config.scenario_id} is a {result.config.paradigm} scenario")
-    return result.nodes[OBSERVER]
+    return result.books[OBSERVER]
 
 
 def measure_orphan_rate(result: RunResult) -> float:
     """Mined blocks absent from the observer's final adopted chain."""
-    observer = _observer(result, "chain")
+    store = _observer(result, "chain")
     mined = {rec[2] for rec in result.recorder.blocks_mined}
     if not mined:
         return 0.0
-    final = set(observer.store.adopted_chain())
+    final = set(store.adopted_chain())
     return len(mined - final) / len(mined)
 
 
 def measured_tps(result: RunResult) -> float:
     """Transactions on the observer's final adopted chain, per second, as
     mined, so a body pruned at the horizon still counts (genesis has none)."""
-    observer = _observer(result, "chain")
+    store = _observer(result, "chain")
     tx_count = {rec[2]: rec[4] for rec in result.recorder.blocks_mined}
-    total = sum(tx_count.get(d, 0) for d in observer.store.adopted_chain())
+    total = sum(tx_count.get(d, 0) for d in store.adopted_chain())
     return total / result.config["scenario.horizon_s"]
 
 
@@ -192,9 +192,8 @@ def survival_curve(results: list[RunResult],
 
 def heads_in_agreement(result: RunResult) -> int:
     """How many nodes share the observer's adopted head."""
-    observer = _observer(result, "chain")
-    head = observer.store.adopted_head
-    return sum(1 for n in result.nodes.values() if n.store.adopted_head == head)
+    head = _observer(result, "chain").adopted_head
+    return sum(1 for store in result.books.values() if store.adopted_head == head)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +287,17 @@ def build_report(result: RunResult) -> ScenarioReport:
 
     if cfg.paradigm == "chain":
         cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
-                      cfg.block_interval_s)
+                      cfg["chain.block_interval_s"])
         scalars.append(("tps-cap", "tx/s", cap))
         scalars.append(("measured-tps", "tx/s", measured_tps(result)))
         scalars.append(("orphan-rate", "ratio", measure_orphan_rate(result)))
         scalars.append(("blocks-mined", "blocks",
                         float(len(result.recorder.blocks_mined))))
-        observer: ChainNode = result.nodes[OBSERVER]
-        scalars.append(("adopted-height", "blocks",
-                        float(observer.store.head_height)))
+        height = _observer(result, "chain").head_height
+        scalars.append(("adopted-height", "blocks", float(height)))
         scalars.append(("heads-in-agreement", "nodes",
                         float(heads_in_agreement(result))))
         threshold = cfg["chain.confirm_threshold"]
-        height = observer.store.head_height
         if height > 0:
             scalars.append(("confirm-latency", "s",
                             threshold * cfg["scenario.horizon_s"] / height))
@@ -327,8 +324,7 @@ def build_report(result: RunResult) -> ScenarioReport:
         resolved = sum(OBSERVER in by_node
                        for by_node in conflict_outcomes(result).values())
         scalars.append(("conflicts-resolved", "conflicts", float(resolved)))
-        observer_lattice: LatticeNode = result.nodes[OBSERVER]
-        ties = observer_lattice.ledger.flagged_ties
+        ties = _observer(result, "lattice").flagged_ties
         scalars.append(("undecided-ties", "conflicts", float(len(ties))))
         for key in ties:
             flags.append(f"tie left undecided on {key[0]}")

@@ -59,23 +59,24 @@ def _adjacency(cfg: Config) -> dict[int, list[int]]:
 def _build_chain(cfg: Config, seed: int,
                  recorder: RunRecorder) -> tuple[dict, dict]:
     n = cfg["net.nodes"]
-    miners = cfg["chain.miners"]
+    consensus = cfg["chain.consensus"]
+    interval = cfg["chain.block_interval_s"]
     genesis = {name: cfg["chain.genesis_amount"]
                for name in account_names(cfg["chain.accounts"])}
 
     # one proof rule names the flavour; stateless, so every store shares it
-    if cfg["chain.consensus"] == "pos":
+    if consensus == "pos":
         registry = StakeRegistry(
             deposits={f"val-{i}": s for i, s in enumerate(cfg["pos.stakes"])})
-        rule = PosProof(registry, seed, cfg.block_interval_s)
+        rule = PosProof(registry, seed, interval)
         producers, rates = list(registry.deposits), []
     else:
-        rule = GrindProof() if cfg["pow.mode"] == "grind" else LotteryProof()
-        producers = [f"miner-{i}" for i in range(miners)]
-        rates = list(cfg["chain.hash_rates"]) or [1.0] * miners
+        rule = GrindProof() if consensus == "grind" else LotteryProof()
+        rates = list(cfg["chain.hash_rates"])
+        producers = [f"miner-{i}" for i in range(len(rates))]
 
     schedule = DifficultySchedule(
-        target_interval_s=cfg.block_interval_s,
+        target_interval_s=interval,
         retarget_window=cfg["pow.retarget_window"],
         difficulty=float(2 ** cfg["pow.difficulty_bits"]),
     )

@@ -12,6 +12,7 @@ keys together follow.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -74,7 +75,11 @@ _POSITIVE = (lambda v: v > 0, "positive")
 # with an element outside it. None leaves the parser's syntax as the whole
 # domain.
 SCHEMA: dict[str, tuple] = {
-    "scenario.id": (str, _MISSING, None),
+    # names the report files and fills the CSV's first field
+    "scenario.id": (str, _MISSING,
+                    (lambda v: re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", v),
+                     "a name of letters, digits, '.', '_' and '-' that "
+                     "starts with a letter or digit")),
     "scenario.paradigm": (str, _MISSING, {"chain", "lattice"}),
     "scenario.horizon_s": (float, 60.0, _POSITIVE),
 
@@ -85,10 +90,10 @@ SCHEMA: dict[str, tuple] = {
     "net.drop_prob": (float, 0.0, (lambda v: 0 <= v < 1, "in [0, 1)")),
     "net.partitions": (_parse_partitions, (), None),
 
-    "chain.consensus": (str, "pow", {"pow", "pos"}),
-    "chain.miners": (int, 3, _at_least(1)),
-    # per miner; empty = all 1.0
-    "chain.hash_rates": (_parse_list(float), (), _at_least(0)),
+    "chain.consensus": (str, "lottery", {"lottery", "grind", "pos"}),
+    "chain.block_interval_s": (float, 2.0, _POSITIVE),  # PoW target or PoS slot
+    # one entry per miner, under lottery and grind
+    "chain.hash_rates": (_parse_list(float), (1.0, 1.0, 1.0), _at_least(0)),
     "chain.capacity_units": (int, 2500, _at_least(1)),
     "chain.tx_weight": (int, 250, _at_least(1)),
     "chain.block_reward": (int, 50, _at_least(0)),
@@ -100,12 +105,9 @@ SCHEMA: dict[str, tuple] = {
     "chain.tx_rate_per_s": (float, 6.0, _at_least(0)),
     "chain.max_amount": (int, 5, _at_least(1)),
 
-    "pow.mode": (str, "lottery", {"lottery", "grind"}),
     "pow.difficulty_bits": (int, 3, _within(0, 255)),
-    "pow.target_interval_s": (float, 2.0, _POSITIVE),
     "pow.retarget_window": (int, 16, _at_least(1)),
 
-    "pos.slot_interval_s": (float, 1.0, _POSITIVE),
     "pos.stakes": (_parse_list(int), (), _at_least(0)),  # one deposit per validator
 
     "lattice.accounts": (int, 12, _at_least(2)),
@@ -161,13 +163,6 @@ class Config:
     @property
     def paradigm(self) -> str:
         return self.values["scenario.paradigm"]
-
-    @property
-    def block_interval_s(self) -> float:
-        """A chain's block interval: the PoS slot or the PoW target."""
-        if self.values["chain.consensus"] == "pos":
-            return self.values["pos.slot_interval_s"]
-        return self.values["pow.target_interval_s"]
 
     @property
     def lattice_roles(self) -> LatticeRoles:
@@ -262,12 +257,8 @@ def build_config(base: dict[str, str], overrides: list[str] = ()) -> Config:
 # Rules that tie two or more keys together; each key's own domain is in SCHEMA.
 
 def _cross_validate_chain(cfg: Config) -> None:
-    if cfg["chain.miners"] > cfg["net.nodes"]:
-        raise ConfigError("chain.miners cannot exceed net.nodes")
-    rates = cfg["chain.hash_rates"]
-    if rates and len(rates) != cfg["chain.miners"]:
-        raise ConfigError("chain.hash_rates length must equal chain.miners")
-    if cfg["chain.consensus"] == "pos":
+    consensus = cfg["chain.consensus"]
+    if consensus == "pos":
         stakes = cfg["pos.stakes"]
         if not stakes:
             raise ConfigError("pos.stakes is required for pos consensus")
@@ -275,7 +266,13 @@ def _cross_validate_chain(cfg: Config) -> None:
             raise ConfigError("more pos.stakes than nodes to host them")
         if not any(stakes):
             raise ConfigError("pos consensus needs at least one positive stake")
-    elif cfg["pow.mode"] == "grind":
+    else:
+        rates = cfg["chain.hash_rates"]
+        if len(rates) > cfg["net.nodes"]:
+            raise ConfigError("more chain.hash_rates than nodes to host them")
+        if not any(rates):  # empty, or no miner could ever find a block
+            raise ConfigError(f"{consensus} consensus needs at least one positive hash rate")
+    if consensus == "grind":
         if cfg["pow.difficulty_bits"] > GRIND_BITS_LIMIT:
             raise ConfigError(
                 f"pow.difficulty_bits above {GRIND_BITS_LIMIT} is not "
@@ -284,11 +281,11 @@ def _cross_validate_chain(cfg: Config) -> None:
         # bits, so that product is bounded too. A config under the bound can
         # still be slow, as a 24-bit genesis already is: each block mined at
         # 24 bits takes about 2**24 hashes.
-        total_rate = sum(rates or [1.0] * cfg["chain.miners"])
-        interval = cfg["pow.target_interval_s"]
+        total_rate = sum(cfg["chain.hash_rates"])
+        interval = cfg["chain.block_interval_s"]
         if total_rate * interval > 2 ** GRIND_BITS_LIMIT:
             raise ConfigError(
-                f"chain.hash_rates total {total_rate:g} times pow.target_interval_s "
+                f"chain.hash_rates total {total_rate:g} times chain.block_interval_s "
                 f"{interval:g} exceeds 2**{GRIND_BITS_LIMIT}: grind mode would "
                 f"retarget past {GRIND_BITS_LIMIT} bits")
     if cfg["chain.tx_weight"] > cfg["chain.capacity_units"]:
@@ -360,13 +357,10 @@ scenario.horizon_s = 560.0
 net.nodes = 4
 net.base_latency_ms = 100.0
 net.jitter_ms = 20.0
-chain.miners = 3
 chain.capacity_units = 2500
 chain.tx_weight = 250
 chain.tx_rate_per_s = 6.0
-pow.mode = lottery
 pow.difficulty_bits = 3
-pow.target_interval_s = 2.0
 """,
     # Same engine, smaller blocks arriving faster.
     "ethereum-baseline": """
@@ -376,14 +370,12 @@ scenario.horizon_s = 300.0
 net.nodes = 4
 net.base_latency_ms = 100.0
 net.jitter_ms = 20.0
-chain.miners = 3
+chain.block_interval_s = 1.0
 chain.capacity_units = 210000
 chain.tx_weight = 21000
 chain.block_reward = 5
 chain.tx_rate_per_s = 12.0
-pow.mode = lottery
 pow.difficulty_bits = 2
-pow.target_interval_s = 1.0
 """,
     # Stake-weighted slot leaders instead of work.
     "pos-baseline": """
@@ -393,12 +385,11 @@ scenario.horizon_s = 200.0
 net.nodes = 5
 net.base_latency_ms = 50.0
 chain.consensus = pos
-chain.miners = 4
+chain.block_interval_s = 1.0
 chain.capacity_units = 2500
 chain.tx_weight = 250
 chain.block_reward = 10
 chain.tx_rate_per_s = 6.0
-pos.slot_interval_s = 1.0
 pos.stakes = 100,200,300,400
 """,
     # Block lattice at rest: steady small transfers, no adversary.
@@ -452,13 +443,11 @@ scenario.horizon_s = 120.0
 net.nodes = 4
 net.base_latency_ms = 100.0
 net.partitions = 30-60:0,1|2,3
-chain.miners = 4
+chain.hash_rates = 1.0,1.0,1.0,1.0
 chain.capacity_units = 2500
 chain.tx_weight = 250
 chain.tx_rate_per_s = 4.0
-pow.mode = lottery
 pow.difficulty_bits = 3
-pow.target_interval_s = 2.0
 """,
 }
 

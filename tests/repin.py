@@ -7,7 +7,8 @@ Each rewritten pin is printed with what moved in it: the run itself (its
 text only, and the report sections whose lines changed (`head` for the
 lines above `[config]`). `git diff tests/pins` then shows the lines; a
 change that re-pins says why and names those sections in CHANGES.md.
-Files of runs that are no longer pinned are removed.
+Files of runs that are no longer pinned are removed, each named as it goes,
+so a renamed pin reads as a removal plus a new pin.
 """
 
 import sys
@@ -49,8 +50,9 @@ def moved_sections(old: str, new: str) -> list[str]:
 def main() -> None:
     PIN_DIR.mkdir(exist_ok=True)
     keep = {pin_path(*p) for p in PINNED}
-    for stale in set(PIN_DIR.glob("*.txt")) - keep:
+    for stale in sorted(set(PIN_DIR.glob("*.txt")) - keep):
         stale.unlink()
+        print(f"removed stale pin {stale.name}")
     for name, overrides in PINNED:
         path = pin_path(name, overrides)
         text = render_pin(name, overrides)

@@ -93,7 +93,7 @@ def test_criterion_02_simulated_cap_agreement():
     t0 = time.monotonic()
     cfg = preset_config("bitcoin-baseline")
     cap = tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
-                  cfg["pow.target_interval_s"])
+                  cfg["chain.block_interval_s"])
 
     rates = []
     for seed in range(1, 31):
@@ -119,13 +119,13 @@ scenario.horizon_s = 150.0
 net.nodes = 2
 net.base_latency_ms = 100.0
 net.jitter_ms = 0.0
-chain.miners = 2
+chain.hash_rates = 1.0,1.0
 chain.capacity_units = 2500
 chain.tx_weight = 250
 chain.tx_rate_per_s = 1.0
-pow.mode = lottery
+chain.consensus = lottery
 pow.difficulty_bits = 2
-pow.target_interval_s = 2.0
+chain.block_interval_s = 2.0
 """
 
 

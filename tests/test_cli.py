@@ -88,6 +88,14 @@ def test_negative_gap_buffer_is_usage_error(capsys):
     # a removed key is refused by name too: injections take the link's latency
     ("fork-stress", ["fork.delivery_latency_ms=20"],
      "unknown config key: fork.delivery_latency_ms"),
+    # the miners are chain.hash_rates' entries, the flavour is chain.consensus
+    # and both intervals are chain.block_interval_s
+    ("bitcoin-baseline", ["chain.miners=3"], "unknown config key: chain.miners"),
+    ("bitcoin-baseline", ["pow.mode=grind"], "unknown config key: pow.mode"),
+    ("bitcoin-baseline", ["pow.target_interval_s=2.0"],
+     "unknown config key: pow.target_interval_s"),
+    ("pos-baseline", ["pos.slot_interval_s=1.0"],
+     "unknown config key: pos.slot_interval_s"),
     ("nano-baseline", ["lattice.genesis_amount=-3"],
      "lattice.genesis_amount: -3 (expected at least 0)"),
     ("bitcoin-baseline", ["chain.genesis_amount=-3"],
@@ -101,8 +109,18 @@ def test_negative_gap_buffer_is_usage_error(capsys):
      "unknown config key: lattice.cement_delay_s"),
     ("bitcoin-baseline", ["net.partitions=1-5:0|9"],
      "net.partitions names node 9, but net.nodes is 4"),
+    # the id names the report files and fills the CSV's first field
+    ("nano-baseline", ["scenario.id="], "bad value for scenario.id: ''"),
+    ("nano-baseline", ["scenario.id=../escaped"],
+     "bad value for scenario.id: '../escaped'"),
+    ("nano-baseline", ["scenario.id=a,b"], "bad value for scenario.id: 'a,b'"),
+    # the miners are the entries of chain.hash_rates, one per node at most
+    ("bitcoin-baseline", ["chain.hash_rates="], "at least one positive hash rate"),
+    ("bitcoin-baseline", ["chain.hash_rates=0,0,0"], "at least one positive hash rate"),
+    ("bitcoin-baseline", ["chain.hash_rates=1,1,1,1,1"],
+     "more chain.hash_rates than nodes"),
     # grind mode would retarget to about 32.5 bits and never finish a block
-    ("bitcoin-baseline", ["pow.mode=grind", "chain.hash_rates=1e9,1e9,1e9"],
+    ("bitcoin-baseline", ["chain.consensus=grind", "chain.hash_rates=1e9,1e9,1e9"],
      "chain.hash_rates"),
 ])
 def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
@@ -119,8 +137,22 @@ def test_validate_rejects_what_run_rejects(preset, overrides, reason, capsys):
 
 def test_validate_accepts_a_grind_run_that_retargets_under_the_bit_limit(capsys):
     assert main(["validate", "--config", "bitcoin-baseline",
-                 "--override", "pow.mode=grind",
+                 "--override", "chain.consensus=grind",
                  "--override", "chain.hash_rates=100,100,100"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("overrides", [
+    ["net.nodes=2", "pos.stakes=100,200"],
+    # stake, not hash rate, picks the producers of a pos run
+    ["chain.hash_rates=1,2"],
+])
+def test_a_pos_config_is_held_to_its_stakes_alone(overrides, capsys):
+    args = ["--config", "pos-baseline", "--override", "scenario.horizon_s=10"]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(["validate"] + args) == EXIT_OK
+    assert main(["run", "--seeds", "1"] + args) == EXIT_OK
+    assert "pos-baseline seed 1: ok" in capsys.readouterr().out
 
 
 def test_an_internal_error_exits_with_status_three(capsys, monkeypatch):
@@ -158,7 +190,7 @@ def test_validate_echoes_canonical_config(capsys):
 def test_validate_config_file(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text("scenario.id = tiny\nscenario.paradigm = chain\n"
-                    "scenario.horizon_s = 5\nnet.nodes = 2\nchain.miners = 1\n")
+                    "scenario.horizon_s = 5\nnet.nodes = 2\nchain.hash_rates = 1.0\n")
     assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 

@@ -25,8 +25,6 @@ PACKAGE = ROOT / "src" / "ledgerlab"
 
 # keys the rest of the package reads through a Config property
 READ_VIA_PROPERTY = {"scenario.id": "scenario_id", "scenario.paradigm": "paradigm",
-                     "pos.slot_interval_s": "block_interval_s",
-                     "pow.target_interval_s": "block_interval_s",
                      "lattice.accounts": "lattice_roles",
                      "lattice.representatives": "lattice_roles",
                      "lattice.offline_accounts": "lattice_roles",

@@ -31,14 +31,14 @@ PIN_DIR = Path(__file__).parent / "pins"
 # horizon.
 # (preset, overrides)
 VARIANTS = (
-    ("bitcoin-baseline", ("pow.mode=grind", "scenario.horizon_s=120")),
+    ("bitcoin-baseline", ("chain.consensus=grind", "scenario.horizon_s=120")),
     ("bitcoin-baseline", ("chain.hash_rates=1,0,2", "scenario.horizon_s=120")),
     ("nano-baseline", ("lattice.gap_buffer=4", "net.drop_prob=0.2")),
     ("fork-stress", ("lattice.gap_buffer=2", "net.drop_prob=0.1")),
     ("bitcoin-baseline", ("net.drop_prob=0.2", "scenario.horizon_s=120")),
     ("fork-stress", ("lattice.representatives=5", "net.jitter_ms=40",
                      "fork.interval_s=4")),
-    ("bitcoin-baseline", ("pow.mode=grind", "chain.hash_rates=100,100,100",
+    ("bitcoin-baseline", ("chain.consensus=grind", "chain.hash_rates=100,100,100",
                           "scenario.horizon_s=120")),
     ("bitcoin-baseline", ("chain.prune_keep_recent=128",)),
 )

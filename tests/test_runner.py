@@ -316,7 +316,7 @@ def test_validation_agrees_with_the_chain_capacity():
                                      [f"chain.tx_weight={weight}"])
         if cfg is not None:
             assert tps_cap(cfg["chain.capacity_units"], cfg["chain.tx_weight"],
-                           cfg.block_interval_s) > 0
+                           cfg["chain.block_interval_s"]) > 0
 
 
 def test_lattice_tiers_wire_through():

@@ -22,7 +22,7 @@ scenario.id = tiny
 scenario.paradigm = chain
 scenario.horizon_s = 10
 net.nodes = 2
-chain.miners = 1
+chain.hash_rates = 1.0
 """
 
 MINIMAL_LATTICE = """
@@ -73,9 +73,9 @@ def test_a_value_that_is_not_text_is_rejected_by_key():
 
 
 def test_overrides_apply_and_validate():
-    cfg = _cfg(MINIMAL_CHAIN, ["net.nodes=5", "chain.miners=4"])
+    cfg = _cfg(MINIMAL_CHAIN, ["net.nodes=5", "chain.hash_rates=1,1,1,1"])
     assert cfg["net.nodes"] == 5
-    assert cfg["chain.miners"] == 4
+    assert len(cfg["chain.hash_rates"]) == 4
     with pytest.raises(ConfigError):
         _cfg(MINIMAL_CHAIN, ["nonsense"])
     with pytest.raises(ConfigError):
@@ -84,21 +84,21 @@ def test_overrides_apply_and_validate():
 
 def test_cross_validation_chain():
     with pytest.raises(ConfigError):  # more miners than nodes
-        _cfg(MINIMAL_CHAIN.replace("chain.miners = 1",
-                                                "chain.miners = 3"))
+        _cfg(MINIMAL_CHAIN.replace("chain.hash_rates = 1.0",
+                                                "chain.hash_rates = 1.0,1.0,1.0"))
     with pytest.raises(ConfigError):  # grind beyond the feasible bit limit
         _cfg(MINIMAL_CHAIN
-                          + "pow.mode = grind\npow.difficulty_bits = 30\n")
+                          + "chain.consensus = grind\npow.difficulty_bits = 30\n")
     # grind retargets to about log2(total hash rate * target interval) bits
-    grind = MINIMAL_CHAIN + "pow.mode = grind\npow.target_interval_s = 2\n"
-    _cfg(grind + f"chain.hash_rates = {2 ** 23}\n")  # exactly 24 bits
+    grind = MINIMAL_CHAIN + "chain.consensus = grind\nchain.block_interval_s = 2\n"
+    _cfg(grind, [f"chain.hash_rates={2 ** 23}"])  # exactly 24 bits
     with pytest.raises(ConfigError, match="chain.hash_rates"):
-        _cfg(grind + f"chain.hash_rates = {2 ** 23 + 1}\n")
-    with pytest.raises(ConfigError, match="chain.hash_rates"):  # 1.0 per miner
-        _cfg(MINIMAL_CHAIN + "pow.mode = grind\n"
-             + f"pow.target_interval_s = {2 ** 24 + 1}\n")
+        _cfg(grind, [f"chain.hash_rates={2 ** 23 + 1}"])
+    with pytest.raises(ConfigError, match="chain.hash_rates"):  # one miner at 1.0
+        _cfg(MINIMAL_CHAIN + "chain.consensus = grind\n"
+             + f"chain.block_interval_s = {2 ** 24 + 1}\n")
     # the lottery searches no nonce, so any hash rate goes
-    _cfg(MINIMAL_CHAIN + f"chain.hash_rates = {2 ** 40}\n")
+    _cfg(MINIMAL_CHAIN, [f"chain.hash_rates={2 ** 40}"])
     with pytest.raises(ConfigError):  # pos needs stakes
         _cfg(MINIMAL_CHAIN + "chain.consensus = pos\n")
     with pytest.raises(ConfigError):  # prune window under reorg safety
@@ -123,8 +123,8 @@ def test_cross_validation_lattice():
 def test_a_key_domain_holds_whichever_paradigm_runs():
     with pytest.raises(ConfigError, match="lattice.quorum_fraction"):
         _cfg(MINIMAL_CHAIN + "lattice.quorum_fraction = 1.5\n")
-    with pytest.raises(ConfigError, match="chain.miners"):
-        _cfg(MINIMAL_LATTICE + "chain.miners = 0\n")
+    with pytest.raises(ConfigError, match="chain.confirm_threshold"):
+        _cfg(MINIMAL_LATTICE + "chain.confirm_threshold = 0\n")
     with pytest.raises(ConfigError, match="pos.stakes"):  # pow ignores stakes
         _cfg(MINIMAL_CHAIN + "pos.stakes = 5,-1\n")
 
