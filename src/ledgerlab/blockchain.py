@@ -131,6 +131,12 @@ class ChainTransaction(WireObject):
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
 
+    def field_len(self) -> int:
+        """len(self.encode()), from the fields alone: the three names' fields,
+        then 88 fixed bytes (amount, sequence, weight, signature digests)."""
+        return 88 + (len(codec.enc_str(self.sender)) + len(codec.enc_str(self.recipient))
+                     + len(codec.enc_str(self.signature.signer)))
+
     @classmethod
     def decode(cls, s: TxScan, data: bytes,
                pool: Mapping[bytes, "ChainTransaction"]) -> "ChainTransaction":
@@ -189,7 +195,7 @@ _HEADER_FIELDS = struct.Struct(">32s32s32sQdQI")
 class HeaderScan:
     """What an encoded block header says, read once for all receivers."""
 
-    __slots__ = ("fields", "producer", "digest", "end")
+    __slots__ = ("fields", "producer", "digest", "start", "end")
 
     def __init__(self, data: bytes, start: int):
         p = start + _HEADER_FIELDS.size
@@ -204,7 +210,7 @@ class HeaderScan:
         except UnicodeDecodeError as exc:
             raise CodecError("invalid utf-8") from exc
         self.digest = digest(data[start:end])
-        self.end = end
+        self.start, self.end = start, end
 
 
 @dataclass(slots=True)
@@ -233,11 +239,17 @@ class BlockHeader(WireObject):
         return _HEADER_FIELDS.pack(predecessor, tx_root, state_root, height,
                                    float(timestamp), nonce, len(producer)) + producer
 
+    def field_len(self) -> int:
+        """len(self.encode()), from the fields alone: the fixed run, then
+        the producer's UTF-8 bytes."""
+        return _HEADER_FIELDS.size + len(codec.utf8(self.producer))
+
     @classmethod
     def decode(cls, s: HeaderScan) -> "BlockHeader":
         """The header scanned in `s`, as a new object for the decoding node."""
         header = cls(*s.fields, s.producer)
         header._digest = s.digest
+        header._size = s.end - s.start
         return header
 
     def work_digest(self) -> bytes:
@@ -677,7 +689,7 @@ class ChainStore:
         """Store one block and count its bytes; None marks a header-only entry."""
         sb = StoredBlock(header, transactions, schedule)
         self.blocks[d] = sb
-        self._bytes["chain_headers"] += len(header.encode())
+        self._bytes["chain_headers"] += header.encoded_len()
         if delta is not None:
             self.deltas[d] = delta
             self._bytes["chain_deltas"] += delta.encoded_len()
@@ -749,12 +761,18 @@ class ChainStore:
         return dict(self._bytes)
 
     def recount_bytes(self) -> dict[str, int]:
-        """Full recomputation; audits the incremental counters."""
-        headers = sum(len(sb.header.encode()) for sb in self.blocks.values())
+        """Full recomputation; audits the incremental counters.
+
+        A counter takes a header or transaction from the bytes it was
+        scanned from or encoded to, and the recount each size from the
+        stored fields (`field_len`), never from a cache or an encoding. A
+        delta is counted and recounted by its field rule, so for deltas the
+        audit checks the bookkeeping of insert and prune."""
+        headers = sum(sb.header.field_len() for sb in self.blocks.values())
         bodies = sum(
-            4 + sum(len(t.encode()) for t in sb.transactions)
+            4 + sum(t.field_len() for t in sb.transactions)
             for sb in self.blocks.values() if sb.transactions is not None)
-        deltas = sum(len(d.encode()) for d in self.deltas.values())
+        deltas = sum(d.encoded_len() for d in self.deltas.values())
         return {"chain_headers": headers, "chain_bodies": bodies,
                 "chain_deltas": deltas}
 

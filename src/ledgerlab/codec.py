@@ -15,12 +15,18 @@ decode(encode(v)) == v for every supported value; anything else raises CodecErro
 The wire types (the lattice's blocks and votes, the chain's transactions,
 headers and blocks, and signatures) and the chain's state records (account
 changes, state deltas and the state-root leaf) code themselves as kernels,
-because they run on every delivery, forward, root and audit; a call per
-field would cost more than the field. A kernel encoder checks its fields as
-the `enc_*` helpers below do and packs each fixed run of fields with one
-precompiled `struct.Struct`. A name is a whole length-prefixed field taken
-from `enc_str`, the memo; only the chain header, whose producer's length
-sits inside its one fixed run, packs the raw bytes of `utf8`.
+because they run on every delivery, forward and root; a call per field would
+cost more than the field. A kernel encoder checks its fields as the `enc_*`
+helpers below do and packs each fixed run of fields with one precompiled
+`struct.Struct`. A name is a whole length-prefixed field taken from
+`enc_str`, the memo; only the chain header, whose producer's length sits
+inside its one fixed run, packs the raw bytes of `utf8`.
+
+No audit encodes. Each stored type has a field rule beside its `encode()`
+that gives the encoding's length from the fields alone, and the byte
+recounts call only those. So no run encodes a state delta, an account change
+or a pending send; their encoders are what the tests check the field rules
+against.
 
 A message is a head (`HEAD`: a 1-byte tag, the sender's node id), then the
 objects its tag's framing lists, and `scan_message` scans it whole, once. A

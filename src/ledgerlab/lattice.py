@@ -179,6 +179,21 @@ class LatticeBlock(WireObject):
             raise codec.u64_error(nonce)
         return self.signing_payload() + U64.pack(nonce) + self.signature.encode()
 
+    def field_len(self) -> int:
+        """len(self.encode()), from the fields alone: account, predecessor
+        and kind, the kind's fields, nonce, signer, signature digests."""
+        kind = self.kind
+        if kind is _RECEIVE:
+            body = 40  # amount, matched send
+        elif kind is _REP_CHANGE:
+            body = len(codec.enc_str(self.new_representative))
+        else:  # an amount, then the recipient or the genesis representative
+            body = 8 + len(codec.enc_str(
+                self.counterparty if kind is _SEND else self.new_representative))
+        # 105: predecessor and kind (33), nonce (8), signature digests (64)
+        return 105 + body + (len(codec.enc_str(self.account))
+                             + len(codec.enc_str(self.signature.signer)))
+
     @classmethod
     def decode(cls, s: BlockScan, data: bytes,
                ledger: "LatticeLedger") -> "LatticeBlock":
@@ -909,8 +924,15 @@ class LatticeLedger:
                 "lattice_pending": self._bytes_pending}
 
     def recount_bytes(self) -> dict[str, int]:
-        blocks = sum(len(b.encode()) for c in self.accounts.values()
+        """Full recomputation; audits the incremental counters.
+
+        A counter takes a block from the bytes it was scanned from or
+        encoded to, and the recount each size from the stored fields
+        (`field_len`), never from a cache or an encoding. A pending send is
+        counted and recounted by its field rule, so for pending sends the
+        audit checks the bookkeeping of insert, take and undo."""
+        blocks = sum(b.field_len() for c in self.accounts.values()
                      for b in c.blocks.values())
         index_only = sum(len(c.order) - len(c.blocks) for c in self.accounts.values())
-        pend = sum(len(p.encode()) for p in self.pending.values())
+        pend = sum(p.encoded_len() for p in self.pending.values())
         return {"lattice_blocks": blocks + 32 * index_only, "lattice_pending": pend}

@@ -511,7 +511,8 @@ def test_supply_tracks_reward_issuance():
     assert store.total_supply() == store.expected_supply() == 1500 + 7 * 50
 
 
-@pytest.mark.parametrize("record", ["header", "body", "delta"])
+@pytest.mark.parametrize("record", ["header", "body", "sender", "recipient", "signer",
+                                    "delta"])
 def test_audit_catches_a_record_that_no_longer_matches_its_counter(record):
     store = _store()
     for seq in (1, 2):
@@ -519,10 +520,16 @@ def test_audit_catches_a_record_that_no_longer_matches_its_counter(record):
     store.audit()  # every counter matches its records
     d = block.digest()
     sb = store.blocks[d]
+    (tx,) = sb.transactions
     if record == "header":
         sb.header = replace(sb.header, producer=sb.header.producer + "x")
     elif record == "body":
         sb.transactions = ()
+    elif record in ("sender", "recipient"):  # a stored transaction's name grows
+        sb.transactions = (replace(tx, **{record: getattr(tx, record) + "x"}),)
+    elif record == "signer":
+        signature = replace(tx.signature, signer=tx.signature.signer + "x")
+        sb.transactions = (replace(tx, signature=signature),)
     else:
         delta = store.deltas[d]
         store.deltas[d] = StateDelta(delta.block, {**delta.changes,

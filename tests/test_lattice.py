@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from ledgerlab import lattice
-from ledgerlab.errors import NotFoundError
+from ledgerlab.errors import InvariantViolation, NotFoundError
 from ledgerlab.lattice import (
     BlockKind,
     DuplicateReceiveError,
@@ -631,3 +631,23 @@ def test_byte_counters_match_recount_after_churn():
     _apply(ledger, s2)
     ledger.add_vote(make_vote(identity_for("w8"), fork_point, s2.digest(), 800))
     assert ledger.recount_bytes() == ledger.ledger_bytes()
+
+
+@pytest.mark.parametrize("field", ["account", "counterparty", "signer", "recipient"])
+def test_audit_catches_a_record_that_no_longer_matches_its_counter(field):
+    ledger = _ledger()
+    send = ledger.create_send("a", "w2", 30)
+    _apply(ledger, send)
+    ledger.audit()  # every counter matches its records
+    d = send.digest()
+    blocks = ledger.accounts["a"].blocks
+    if field in ("account", "counterparty"):  # a held block's name grows
+        blocks[d] = replace(send, **{field: getattr(send, field) + "x"})
+    elif field == "signer":
+        blocks[d] = replace(send, signature=replace(send.signature,
+                                                    signer=send.signature.signer + "x"))
+    else:  # the pending send's recipient grows
+        pend = ledger.pending[d]
+        ledger.pending[d] = replace(pend, recipient=pend.recipient + "x")
+    with pytest.raises(InvariantViolation, match="ledger size accounting"):
+        ledger.audit()

@@ -208,6 +208,36 @@ def test_end_of_run_prune_trims_stores():
             < sum(archive.ledger_bytes().values()))
 
 
+def _recount_by_encoding(ledger):
+    """The byte totals of `ledger` with each stored object measured by
+    encoding it: the recount rule that the field rules replace."""
+    if isinstance(ledger, ChainStore):
+        blocks = ledger.blocks.values()
+        return {"chain_headers": sum(len(sb.header.encode()) for sb in blocks),
+                "chain_bodies": sum(4 + sum(len(t.encode()) for t in sb.transactions)
+                                    for sb in blocks if sb.transactions is not None),
+                "chain_deltas": sum(len(d.encode()) for d in ledger.deltas.values())}
+    chains = ledger.accounts.values()
+    held = sum(len(b.encode()) for c in chains for b in c.blocks.values())
+    index_only = sum(len(c.order) - len(c.blocks) for c in chains)
+    return {"lattice_blocks": held + 32 * index_only,
+            "lattice_pending": sum(len(p.encode()) for p in ledger.pending.values())}
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("bitcoin-baseline", ["scenario.horizon_s=60"]),
+    ("bitcoin-baseline", ["scenario.horizon_s=60", "chain.reorg_safety=8",
+                          "chain.prune_keep_recent=8"]),
+    ("nano-scaling", ["scenario.horizon_s=20"]),
+    ("fork-stress", ["scenario.horizon_s=40"]),
+], ids=["chain", "chain-pruned", "lattice-tiers", "lattice-forks"])
+def test_every_node_recounts_by_fields_what_its_objects_encode_to(name, overrides):
+    result = run(preset_config(name, overrides), 1)
+    assert result.breach is None
+    for i, ledger in sorted(result.books.items()):
+        assert ledger.recount_bytes() == _recount_by_encoding(ledger), f"node {i}"
+
+
 def test_a_pruned_series_ends_at_the_pruned_size():
     # the last ledger sample is taken after the books close, so a pruned
     # run's series ends at the size its ledger-* scalars report
