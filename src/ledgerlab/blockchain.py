@@ -107,6 +107,19 @@ class TxScan(WireScan):
         self.sd = None
 
 
+def _tx_payload(sender: str, recipient: str, amount: int, sequence: int,
+                weight: int) -> bytes:
+    """A transaction's signing payload from its fields: the kernel behind
+    `ChainTransaction.signing_payload`, which `make_transaction` hashes
+    before the transaction exists."""
+    sender, recipient = codec.enc_str(sender), codec.enc_str(recipient)
+    if not (type(amount) is int and type(sequence) is int and type(weight) is int
+            and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
+            and 0 <= weight <= U64_MAX):
+        raise codec.u64_error((amount, sequence, weight))
+    return sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
+
+
 @dataclass(slots=True)
 class ChainTransaction(WireObject):
     sender: str
@@ -120,13 +133,8 @@ class ChainTransaction(WireObject):
     _verified: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def signing_payload(self) -> bytes:
-        sender, recipient = codec.enc_str(self.sender), codec.enc_str(self.recipient)
-        amount, sequence, weight = self.amount, self.sequence, self.weight
-        if not (type(amount) is int and type(sequence) is int and type(weight) is int
-                and 0 <= amount <= U64_MAX and 0 <= sequence <= U64_MAX
-                and 0 <= weight <= U64_MAX):
-            raise codec.u64_error((amount, sequence, weight))
-        return sender + recipient + _TX_NUMBERS.pack(amount, sequence, weight)
+        return _tx_payload(self.sender, self.recipient, self.amount, self.sequence,
+                           self.weight)
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -173,8 +181,7 @@ def make_transaction(sender: Identity, recipient: str, amount: int,
         raise ValueError("transaction amount must be positive")
     if weight <= 0:
         raise ValueError("transaction weight must be positive")
-    sd = ChainTransaction(sender.id, recipient, amount, sequence, weight,
-                          Signature(sender.id, ZERO_DIGEST, ZERO_DIGEST)).signing_digest()
+    sd = digest(_tx_payload(sender.id, recipient, amount, sequence, weight))
     tx = ChainTransaction(sender.id, recipient, amount, sequence, weight, sign(sender, sd))
     tx._sd = sd
     return tx

@@ -173,7 +173,12 @@ def scan_frame(data: bytes, framing: tuple, pos: int = 0) -> list:
 class Broadcast(bytes):
     """A payload that one broadcast hands to every receiver, as one object:
     the first receiver leaves its `scan_message` result in `scanned` for the
-    others, so the bytes are scanned once. A failed scan leaves nothing."""
+    others, so the bytes are scanned once. A failed scan leaves nothing.
+
+    A sender may fill `scanned` itself, with the scans the bytes would
+    give: a lattice node relays a block it received in the same place of a
+    new message, so it passes the block's scan on and scans only the votes
+    (`nodes.LatticeNode._forward`)."""
 
     scanned: Optional[tuple] = None
 

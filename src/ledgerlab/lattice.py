@@ -136,6 +136,27 @@ class BlockScan(WireScan):
         self.sd = None
 
 
+def _block_payload(account: str, predecessor: bytes, kind: BlockKind, amount: int,
+                   counterparty: object, new_representative: Optional[str]) -> bytes:
+    """A block's signing payload from its fields: the kernel behind
+    `LatticeBlock.signing_payload`, which `build_block` hashes before the
+    block exists."""
+    account = codec.enc_str(account)
+    if type(predecessor) is not bytes or len(predecessor) != 32:
+        raise codec.digest_error(predecessor)
+    head = account + _PREDECESSOR_KIND.pack(predecessor, kind.value)
+    if kind is _REP_CHANGE:
+        return head + codec.enc_str(new_representative)
+    if type(amount) is not int or not 0 <= amount <= U64_MAX:
+        raise codec.u64_error(amount)
+    if kind is _RECEIVE:
+        if type(counterparty) is not bytes or len(counterparty) != 32:
+            raise codec.digest_error(counterparty)
+        return head + _RECEIVE_FIELDS.pack(amount, counterparty)
+    text = codec.enc_str(counterparty if kind is _SEND else new_representative)
+    return head + U64.pack(amount) + text
+
+
 @dataclass(slots=True)
 class LatticeBlock(WireObject):
     """One block on one account's chain.
@@ -156,22 +177,8 @@ class LatticeBlock(WireObject):
     signature: Signature
 
     def signing_payload(self) -> bytes:
-        account = codec.enc_str(self.account)
-        predecessor, kind, amount = self.predecessor, self.kind, self.amount
-        if type(predecessor) is not bytes or len(predecessor) != 32:
-            raise codec.digest_error(predecessor)
-        head = account + _PREDECESSOR_KIND.pack(predecessor, kind.value)
-        if kind is _REP_CHANGE:
-            return head + codec.enc_str(self.new_representative)
-        if type(amount) is not int or not 0 <= amount <= U64_MAX:
-            raise codec.u64_error(amount)
-        if kind is _RECEIVE:
-            send = self.counterparty
-            if type(send) is not bytes or len(send) != 32:
-                raise codec.digest_error(send)
-            return head + _RECEIVE_FIELDS.pack(amount, send)
-        text = codec.enc_str(self.counterparty if kind is _SEND else self.new_representative)
-        return head + U64.pack(amount) + text
+        return _block_payload(self.account, self.predecessor, self.kind, self.amount,
+                              self.counterparty, self.new_representative)
 
     def encode(self) -> bytes:
         nonce = self.antispam_nonce
@@ -242,13 +249,10 @@ def build_block(identity: Identity, predecessor: bytes, kind: BlockKind,
                 amount: int = 0, counterparty: object = None,
                 new_representative: Optional[str] = None, spam_bits: int = 0,
                 counter: WorkCounter | None = None) -> LatticeBlock:
-    """Sign and spam-stamp a block for the given identity."""
-    unsigned = LatticeBlock(
-        account=identity.id, predecessor=predecessor, kind=kind, amount=amount,
-        counterparty=counterparty, new_representative=new_representative,
-        antispam_nonce=0,
-        signature=Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST))
-    sd = unsigned.signing_digest()
+    """Sign and spam-stamp a block for the given identity, hashing its
+    signing payload from the fields, before the one block is built."""
+    sd = digest(_block_payload(identity.id, predecessor, kind, amount,
+                               counterparty, new_representative))
     nonce = antispam_pow(sd, spam_bits, counter) if spam_bits > 0 else 0
     block = LatticeBlock(identity.id, predecessor, kind, amount, counterparty,
                          new_representative, nonce, sign(identity, sd))
@@ -256,9 +260,10 @@ def build_block(identity: Identity, predecessor: bytes, kind: BlockKind,
     return block
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PendingSend:
-    """A settled send waiting for its receive."""
+    """A settled send waiting for its receive: a plain slotted record,
+    write-once like the wire types (`primitives.WireObject`)."""
 
     send_digest: bytes
     recipient: str
@@ -304,6 +309,21 @@ class VoteScan(WireScan):
         self.sd = None
 
 
+def _vote_payload(representative: str, subject: bytes, choice: bytes,
+                  weight: int) -> bytes:
+    """A vote's signing payload from its fields: the kernel behind
+    `VoteRecord.signing_payload`, which `make_vote` hashes before the vote
+    exists."""
+    representative = codec.enc_str(representative)
+    if type(subject) is not bytes or len(subject) != 32:
+        raise codec.digest_error(subject)
+    if type(choice) is not bytes or len(choice) != 32:
+        raise codec.digest_error(choice)
+    if type(weight) is not int or not 0 <= weight <= U64_MAX:
+        raise codec.u64_error(weight)
+    return representative + _VOTE_FIELDS.pack(subject, choice, weight)
+
+
 @dataclass(slots=True)
 class VoteRecord(WireObject):
     """A representative's endorsement of one successor for a disputed slot."""
@@ -315,15 +335,7 @@ class VoteRecord(WireObject):
     signature: Signature
 
     def signing_payload(self) -> bytes:
-        representative = codec.enc_str(self.representative)
-        subject, choice, weight = self.subject, self.choice, self.weight
-        if type(subject) is not bytes or len(subject) != 32:
-            raise codec.digest_error(subject)
-        if type(choice) is not bytes or len(choice) != 32:
-            raise codec.digest_error(choice)
-        if type(weight) is not int or not 0 <= weight <= U64_MAX:
-            raise codec.u64_error(weight)
-        return representative + _VOTE_FIELDS.pack(subject, choice, weight)
+        return _vote_payload(self.representative, self.subject, self.choice, self.weight)
 
     def encode(self) -> bytes:
         return self.signing_payload() + self.signature.encode()
@@ -355,8 +367,8 @@ class VoteRecord(WireObject):
 
 
 def make_vote(identity: Identity, subject: bytes, choice: bytes, weight: int) -> VoteRecord:
-    sd = VoteRecord(identity.id, subject, choice, weight,
-                    Signature(identity.id, ZERO_DIGEST, ZERO_DIGEST)).signing_digest()
+    """A vote signed by `identity`, its signing payload hashed from the fields."""
+    sd = digest(_vote_payload(identity.id, subject, choice, weight))
     vote = VoteRecord(identity.id, subject, choice, weight, sign(identity, sd))
     vote._sd = sd
     return vote
@@ -672,7 +684,8 @@ class LatticeLedger:
             self._record_vote(v, outcome)
         outcome.status, outcome.verdict, outcome.detail, released = \
             self._process(block, outcome)
-        self._drain(released, outcome)
+        if released:
+            self._drain(released, outcome)
         self.check_conservation()
         return outcome
 

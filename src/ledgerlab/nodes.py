@@ -6,8 +6,10 @@ and asks the sender for the missing predecessor (that fetch is the only
 recovery path, the transport never retransmits). Lattice blocks are
 rebroadcast once per node, representatives attaching their vote, so in a
 full mesh every vote reaches every node riding the block it endorses. A
-node relays a block it received as the bytes it arrived in, and encodes
-only the blocks it makes, releases from a park or settles by a vote.
+node relays a block it received as the bytes it arrived in, and hands on
+the scan it arrived with, so no relay scans the block again; it encodes
+only the blocks it makes, releases from a park or settles by a vote, and
+their first receivers scan them.
 Representatives vote on every block their node applies, the receives the
 node signs in for its own accounts included.
 
@@ -16,7 +18,9 @@ table, `FRAMING`, and handed to the handler that its node class keeps for
 its tag in `HANDLERS`; a tag with none there is a `CodecError`. Every
 message goes out through `Simulation.send`, an injected fork spend from its
 attacker's host too. A broadcast or a fork spend reaches each receiver as
-one `codec.Broadcast`, scanned once for all of them. Every receiver makes
+one `codec.Broadcast`, scanned once for all of them; a relay's broadcast
+comes scanned, its block by the scan the relay received and its votes
+anew (`LatticeNode._forward`). Every receiver makes
 its own objects and checks their signatures itself; no node shares an
 object it keeps.
 """
@@ -71,6 +75,7 @@ FRAMING = {
     MSG_CHAIN_RESP: Block.FRAMING,
     MSG_LAT_BLOCK: (BlockScan, [VoteScan]),  # a block and the votes for it
 }
+_VOTES = FRAMING[MSG_LAT_BLOCK][1:]  # what follows a lattice block message's block
 
 TIMER_MINE = 0
 TIMER_POS_SLOT = 1
@@ -315,12 +320,23 @@ class LatticeNode:
 
     # -- outbound -----------------------------------------------------------
 
-    def _forward(self, sim: Simulation, block: LatticeBlock, wire: bytes) -> None:
-        """Broadcast `block`, encoded as `wire`, with the votes held for it."""
-        d = block.digest()
+    def _forward(self, sim: Simulation, block: LatticeBlock, wire: bytes,
+                 scan: Optional[BlockScan]) -> None:
+        """Broadcast `block`, encoded as `wire`, with the votes held for it.
+
+        A block relayed as the bytes it arrived in passes the `scan` it
+        arrived with: `_lattice_block_msg` puts the block at `HEAD.size` in
+        every message, so the scan's offsets and digest hold in this one too.
+        The broadcast then carries it, and only the votes are scanned anew.
+        """
+        node_id, d = self.node_id, block.digest()
         ballot = self.ledger.votes.get(block.predecessor, {})
         votes = [ballot[rep] for rep in sorted(ballot) if ballot[rep].choice == d]
-        sim.broadcast(self.node_id, _lattice_block_msg(self.node_id, wire, votes))
+        message = codec.Broadcast(_lattice_block_msg(node_id, wire, votes))
+        if scan is not None:
+            message.scanned = (MSG_LAT_BLOCK, node_id,
+                               [scan, *codec.scan_frame(message, _VOTES, scan.end)])
+        sim.broadcast(node_id, message)
 
     # -- inbound ------------------------------------------------------------
 
@@ -366,8 +382,8 @@ class LatticeNode:
         delivery that applies, opens, resolves and contests nothing (a known
         block bringing new votes) has no step to take and returns at once.
         A block that arrived `scan`ned in `data` is forwarded as the bytes it
-        came in; every other block is encoded here. A breach raised on the
-        way names this node.
+        came in, with that scan; every other block is encoded here. A breach
+        raised on the way names this node.
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
@@ -403,8 +419,10 @@ class LatticeNode:
                     d = blk.digest()
                     if d not in forwarded:
                         forwarded.add(d)
-                        self._forward(sim, blk, data[scan.start:scan.end]
-                                      if blk is arrived else blk.encode())
+                        if blk is arrived:
+                            self._forward(sim, blk, data[scan.start:scan.end], scan)
+                        else:
+                            self._forward(sim, blk, blk.encode(), None)
                 for blk in applied:
                     if blk.kind is _RECEIVE:
                         recorder.receives_applied.append(

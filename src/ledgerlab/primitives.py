@@ -7,6 +7,9 @@ scenario report header. Signatures are keyed-digest authenticators, not real
 asymmetric crypto: a secret is derived per identity, the tag is
 digest(secret || payload-digest), and verification recomputes the tag. That is
 enough to make forgery detectable in-protocol, which is all the simulation needs.
+`sign` and `verify` share one bounded memo of expected tags, so the nodes
+that check a signed object soon after it is signed reuse its tag instead of
+hashing it again.
 """
 
 from __future__ import annotations
@@ -203,7 +206,11 @@ class GapBuffer:
 
     def release(self, arrived: bytes) -> list:
         """The blocks that waited on `arrived`, in the order they were parked."""
-        return [self.held.pop(d)[0] for d in self.waiting.pop(arrived, ())]
+        waiting = self.waiting.pop(arrived, None)
+        if waiting is None:  # nothing waits on it: the usual case
+            return []
+        held = self.held
+        return [held.pop(d)[0] for d in waiting]
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +258,32 @@ class Signature:
         return signer + SIGNATURE_DIGESTS.pack(payload_digest, tag)
 
 
+# the most recent (signer, payload digest) pairs whose tags `_expected_tag` keeps
+SIGNATURE_TAGS = 512
+
+
+@functools.lru_cache(maxsize=SIGNATURE_TAGS)
+def _expected_tag(secret: bytes, payload_digest: bytes) -> bytes:
+    """digest(secret || payload digest): the tag that the signer holding
+    `secret` puts on `payload_digest`.
+
+    One secret is one signer's, so the memo is keyed by (signer, payload
+    digest). A block, vote or transaction is signed once and checked by
+    every node it reaches, within a few link latencies, so the last
+    SIGNATURE_TAGS pairs are kept and only the signer hashes the tag. The
+    memo holds the expected tag, never a verdict; each caller compares it
+    with the tag it was given.
+    """
+    return digest(secret + payload_digest)
+
+
 def sign(identity: Identity, payload_digest: bytes) -> Signature:
-    tag = digest(identity.secret + payload_digest)
-    return Signature(signer=identity.id, payload_digest=payload_digest, tag=tag)
+    return Signature(identity.id, payload_digest,
+                     _expected_tag(identity.secret, payload_digest))
 
 
 def verify(signature: Signature, signer: str, payload_digest: bytes) -> bool:
     """True iff the tag was produced with `signer`'s secret over this digest."""
     if signature.signer != signer or signature.payload_digest != payload_digest:
         return False
-    expected = digest(identity_for(signer).secret + payload_digest)
-    return signature.tag == expected
+    return signature.tag == _expected_tag(identity_for(signer).secret, payload_digest)

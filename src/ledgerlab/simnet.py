@@ -140,8 +140,11 @@ class Simulation:
         return True
 
     def broadcast(self, src: int, payload: bytes) -> None:
-        """Send to every peer of src, one `codec.Broadcast` for them all."""
-        payload, send = codec.Broadcast(payload), self.send
+        """Send to every peer of src, one `codec.Broadcast` for them all; a
+        payload that is one already goes as it is, with what it carries."""
+        if type(payload) is not codec.Broadcast:
+            payload = codec.Broadcast(payload)
+        send = self.send
         for dst in self.adjacency[src]:
             send(src, dst, payload)
 

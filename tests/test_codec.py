@@ -920,7 +920,7 @@ def test_a_refused_name_is_a_codec_error_and_leaves_the_memo_unchanged(monkeypat
 
 CACHES = ("_sd", "_digest", "_size", "_verified")
 WRITE_ONCE_TYPES = [*WireObject.__subclasses__(), Signature, Block,
-                    AccountChange, StateDelta, AdoptionReport]
+                    AccountChange, StateDelta, AdoptionReport, PendingSend]
 
 
 def _write_once_setattr(self, name, value):
@@ -959,6 +959,37 @@ def test_the_write_once_guard_covers_the_state_records(write_once):
     report = AdoptionReport(1, 2, (), (ZERO_DIGEST,))
     with pytest.raises(AttributeError, match="new_height is set already"):
         report.new_height = 3
+    pend = PendingSend(ZERO_DIGEST, "alice", 5)
+    with pytest.raises(AttributeError, match="amount is set already"):
+        pend.amount = 4
+    with pytest.raises(TypeError):  # a plain slotted record is unhashable,
+        hash(pend)  # so the guarded runs show that nothing hashes one
+
+
+def _constructions(monkeypatch, types):
+    """The class name of each object of `types` built from here on."""
+    built = []
+    for cls in types:
+        def counted(self, *args, __init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("make,kind", [
+    (lambda: build_block(identity_for("carol"), ZERO_DIGEST, BlockKind.SEND,
+                         amount=5, counterparty="home", spam_bits=2), "LatticeBlock"),
+    (lambda: make_vote(identity_for("home"), ZERO_DIGEST, ZERO_DIGEST, 40), "VoteRecord"),
+    (lambda: make_transaction(identity_for("alice"), "bob", 5, 1, 10), "ChainTransaction"),
+], ids=["build_block", "make_vote", "make_transaction"])
+def test_a_new_object_is_signed_from_its_fields_by_one_constructor_call(
+        monkeypatch, make, kind):
+    built = _constructions(monkeypatch, [LatticeBlock, VoteRecord, ChainTransaction,
+                                         Signature])
+    obj = make()
+    assert sorted(built) == sorted([kind, "Signature"])
+    assert obj._sd == digest(obj.signing_payload()) and obj.verify_signature()
 
 
 def test_hashing_a_measured_object_writes_its_size_once(write_once):

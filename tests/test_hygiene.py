@@ -327,7 +327,8 @@ def test_clearing_the_memos_leaves_no_process_memo_filled():
     caches = _functools_caches()
     dicts = {"codec.NAME_FIELDS": codec.NAME_FIELDS,
              "blockchain.STATE_LEAVES": blockchain.STATE_LEAVES}
-    for name in ("ledgerlab.primitives.identity_for", "ledgerlab.primitives._tree_root"):
+    for name in ("ledgerlab.primitives.identity_for", "ledgerlab.primitives._tree_root",
+                 "ledgerlab.primitives._expected_tag"):
         assert caches[name].cache_info().currsize, name  # the runs filled it
     assert all(dicts.values())
     clear_memos()

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from census import take
 
 from ledgerlab import blockchain, codec, lattice, nodes
 from ledgerlab.blockchain import (
@@ -743,6 +744,44 @@ def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
     assert len(decodes) == len(delivered)
 
 
+def _scan_fields(scan, data):
+    """Every slot of a scan, its signing digest (over `data`) included."""
+    slots = [name for cls in type(scan).__mro__
+             for name in getattr(cls, "__slots__", ()) if name != "sd"]
+    return {name: getattr(scan, name) for name in slots} | {
+        "sd": scan.signing_digest(data)}
+
+
+def test_a_relayed_broadcast_carries_the_scans_its_bytes_give(monkeypatch):
+    relayed, broadcast = [], Simulation.broadcast
+
+    def spy(sim, src, payload):
+        if type(payload) is codec.Broadcast and payload.scanned is not None:
+            relayed.append((bytes(payload), payload.scanned))
+        broadcast(sim, src, payload)
+
+    monkeypatch.setattr(Simulation, "broadcast", spy)
+    result = run(preset_config("fork-stress", ["scenario.horizon_s=40"]), 1)
+
+    assert result.breach is None and result.recorder.conflicts_resolved
+    assert any(vote_scans for _, (_, _, (_, vote_scans)) in relayed)
+    for data, (tag, sender, (block_scan, vote_scans)) in relayed:
+        fresh_tag, fresh_sender, (fresh_block, fresh_votes) = codec.scan_message(
+            data, nodes.FRAMING)
+        assert tag == MSG_LAT_BLOCK and (tag, sender) == (fresh_tag, fresh_sender)
+        assert _scan_fields(block_scan, data) == _scan_fields(fresh_block, data)
+        assert ([_scan_fields(s, data) for s in vote_scans]
+                == [_scan_fields(s, data) for s in fresh_votes])
+
+
+def test_each_lattice_block_is_scanned_once_however_often_it_is_relayed():
+    census = take("nano-scaling", ["scenario.horizon_s=30"], 1)
+    scans, blocks = census.scans["BlockScan"]
+    assert scans == len(blocks) > 0
+    votes, distinct_votes = census.scans["VoteScan"]
+    assert votes > len(distinct_votes)  # a vote rides every relay of its block
+
+
 def _message(tag):
     """A well-formed message of each tag in the framing table."""
     if tag == MSG_CHAIN_TX:
@@ -1262,9 +1301,9 @@ def test_each_settling_forwards_each_applied_block_and_candidate_once(
         return outcome
 
     monkeypatch.setattr(LatticeNode, "_settle", spy_settle)
-    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block, wire: (
+    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block, wire, scan: (
         forwards.append((node.node_id, block.digest()))
-        or forward(node, sim, block, wire)))
+        or forward(node, sim, block, wire, scan)))
     monkeypatch.setattr(LatticeLedger, "receive_block", spy_receive)
     monkeypatch.setattr(LatticeLedger, "add_vote", spy_add_vote)
 
@@ -1287,7 +1326,7 @@ def test_every_rival_is_forwarded_once_though_only_the_first_opens_a_conflict(
               for amount in (10, 20, 30)]
     forwarded, outcomes = [], []
     monkeypatch.setattr(LatticeNode, "_forward",
-                        lambda node, sim, block, wire: forwarded.append(block))
+                        lambda node, sim, block, wire, scan: forwarded.append(block))
     receive_block = node.ledger.receive_block
     monkeypatch.setattr(node.ledger, "receive_block", lambda block, votes=(): (
         outcomes.append(receive_block(block, votes)) or outcomes[-1]))
@@ -1308,12 +1347,12 @@ def test_a_relayed_block_is_sent_as_the_encoder_builds_it(monkeypatch, name, hor
     expected, sent = [], []
     forward, broadcast = LatticeNode._forward, Simulation.broadcast
 
-    def spy_forward(node, sim, block, wire):
+    def spy_forward(node, sim, block, wire, scan):
         ballot = node.ledger.votes.get(block.predecessor, {})
         votes = [ballot[rep] for rep in sorted(ballot)
                  if ballot[rep].choice == block.digest()]
         expected.append(_lattice_block_msg(node.node_id, block.encode(), votes))
-        forward(node, sim, block, wire)
+        forward(node, sim, block, wire, scan)
 
     monkeypatch.setattr(LatticeNode, "_forward", spy_forward)
     monkeypatch.setattr(Simulation, "broadcast", lambda sim, src, payload: (

@@ -139,6 +139,23 @@ def test_signature_roundtrip_and_tamper():
         "alice", payload)
 
 
+def test_a_tag_is_hashed_once_and_still_compared_at_every_check(monkeypatch):
+    clear_memos()
+    alice, payload = identity_for("alice"), digest(b"a payload")
+    hashed = []
+    monkeypatch.setattr(primitives, "digest", lambda data: (
+        hashed.append(data) or digest(data)))
+    sig = sign(alice, payload)
+    assert all(verify(sig, "alice", payload) for _ in range(5))
+    assert hashed == [alice.secret + payload]
+    # the memo holds the expected tag, not a verdict: a forged tag on the
+    # same (signer, payload digest) is compared with it and refused
+    forged = type(sig)(signer="alice", payload_digest=payload, tag=bytes(32))
+    assert not verify(forged, "alice", payload)
+    assert hashed == [alice.secret + payload]
+    assert primitives._expected_tag.cache_info().maxsize == primitives.SIGNATURE_TAGS
+
+
 @given(st.text(min_size=1, max_size=24), st.binary(min_size=32, max_size=32))
 def test_signature_sound_for_any_signer(signer_id, payload):
     sig = sign(identity_for(signer_id), payload)

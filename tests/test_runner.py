@@ -15,6 +15,7 @@ from ledgerlab.errors import ConfigError, InvariantViolation, LedgerError
 from ledgerlab.lattice import BlockKind, LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
 from ledgerlab.metrics import build_report, render_report, tps_cap
+from ledgerlab.primitives import _expected_tag
 from ledgerlab.recording import OBSERVER, RunRecorder
 from ledgerlab.runner import LEDGER_SAMPLES, RunResult, build_simulation, run
 from ledgerlab.scenario import account_names, preset_config, representative_names
@@ -110,6 +111,21 @@ def test_warm_memos_change_no_chain_run():
     run(preset_config("partition-stress"), seed=1)
     assert STATE_LEAVES and NAME_FIELDS
     warm = run(cfg, seed=1)
+    assert warm.trace == cold.trace
+    assert render_report(build_report(warm)) == cold_report
+
+
+def test_warm_memos_change_no_lattice_run():
+    """The tag memo holds expected tags, never a verdict, so a lattice run
+    whose signature checks find the tags an earlier run left is the run a
+    fresh process makes."""
+    cfg = preset_config("fork-stress", ["scenario.horizon_s=40"])
+    clear_memos()
+    cold = run(cfg, seed=1)
+    cold_report = render_report(build_report(cold))
+    cold_hashed = _expected_tag.cache_info().misses
+    warm = run(cfg, seed=1)
+    assert _expected_tag.cache_info().misses == cold_hashed  # it hashed no tag
     assert warm.trace == cold.trace
     assert render_report(build_report(warm)) == cold_report
 
