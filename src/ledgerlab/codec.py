@@ -177,7 +177,8 @@ class Broadcast(bytes):
 
     A sender may fill `scanned` itself, with the scans the bytes would
     give: a lattice node relays a block it received in the same place of a
-    new message, so it passes the block's scan on and scans only the votes
+    new message, so it passes the block's scan on and scans only the votes,
+    or, when the votes too are those it received, passes every scan on
     (`nodes.LatticeNode._forward`)."""
 
     scanned: Optional[tuple] = None

@@ -254,10 +254,49 @@ def build_block(identity: Identity, predecessor: bytes, kind: BlockKind,
     sd = digest(_block_payload(identity.id, predecessor, kind, amount,
                                counterparty, new_representative))
     nonce = antispam_pow(sd, spam_bits, counter) if spam_bits > 0 else 0
-    block = LatticeBlock(identity.id, predecessor, kind, amount, counterparty,
+    return _signed_block(identity.id, predecessor, kind, amount, counterparty,
                          new_representative, nonce, sign(identity, sd))
-    block._sd = sd
+
+
+def _signed_block(account: str, predecessor: bytes, kind: BlockKind,
+                  amount: int, counterparty: object,
+                  new_representative: Optional[str], nonce: int,
+                  signature: Signature, d: Optional[bytes] = None,
+                  size: Optional[int] = None) -> LatticeBlock:
+    """A new block, not a decoded one, with the signing digest it was signed
+    over cached, and its digest and encoded length when they are known."""
+    block = LatticeBlock(account, predecessor, kind, amount, counterparty,
+                         new_representative, nonce, signature)
+    block._sd, block._digest, block._size = signature.payload_digest, d, size
     return block
+
+
+# (account, amount, representative, spam bits) -> (signing digest, nonce,
+# tag, digest, size) of that genesis block; bounded, like `codec.NAME_FIELDS`,
+# by the genesis allocations the process has seen
+GENESIS_VALUES: dict[tuple[str, int, str, int], tuple[bytes, int, bytes, bytes, int]] = {}
+
+
+def genesis_block(identity: Identity, amount: int, representative: str,
+                  spam_bits: int) -> LatticeBlock:
+    """The genesis block that opens `identity`'s chain, a new object.
+
+    Every ledger of a run opens the same chains, so the block's values are
+    signed, stamped and hashed once per process (`GENESIS_VALUES`), and
+    each later ledger builds its own block and signature around them.
+    """
+    key = (identity.id, amount, representative, spam_bits)
+    values = GENESIS_VALUES.get(key)
+    if values is None:
+        block = build_block(identity, ZERO_DIGEST, _GENESIS, amount=amount,
+                            new_representative=representative, spam_bits=spam_bits)
+        GENESIS_VALUES[key] = (block._sd, block.antispam_nonce, block.signature.tag,
+                               block.digest(), block.encoded_len())
+        return block
+    sd, nonce, tag, d, size = values
+    return _signed_block(identity.id, ZERO_DIGEST, _GENESIS, amount, None,
+                         representative, nonce, Signature(identity.id, sd, tag),
+                         d, size)
 
 
 @dataclass(slots=True)
@@ -516,11 +555,8 @@ class LatticeLedger:
         # genesis: every account opens its chain with a signed allocation block
         for identity in identities:
             amount, representative = genesis[identity.id]
-            block = build_block(identity, ZERO_DIGEST,
-                                BlockKind.GENESIS, amount=amount,
-                                new_representative=self.name(representative),
-                                spam_bits=spam_bits)
-            self._apply(block)
+            self._apply(genesis_block(identity, amount, self.name(representative),
+                                      spam_bits))
         self.genesis_supply = self.total_balance
 
     # -- queries ------------------------------------------------------------

@@ -7,7 +7,9 @@ recovery path, the transport never retransmits). Lattice blocks are
 rebroadcast once per node, representatives attaching their vote, so in a
 full mesh every vote reaches every node riding the block it endorses. A
 node relays a block it received as the bytes it arrived in, and hands on
-the scan it arrived with, so no relay scans the block again; it encodes
+the scan it arrived with, so no relay scans the block again; when it holds
+no vote for the block but those that arrived with it, the relay is the
+message received under its own head, votes and scans and all. It encodes
 only the blocks it makes, releases from a park or settles by a vote, and
 their first receivers scan them.
 Representatives vote on every block their node applies, the receives the
@@ -19,8 +21,8 @@ its tag in `HANDLERS`; a tag with none there is a `CodecError`. Every
 message goes out through `Simulation.send`, an injected fork spend from its
 attacker's host too. A broadcast or a fork spend reaches each receiver as
 one `codec.Broadcast`, scanned once for all of them; a relay's broadcast
-comes scanned, its block by the scan the relay received and its votes
-anew (`LatticeNode._forward`). Every receiver makes
+comes scanned, with the scans the relay received, or with its block's scan
+and its votes scanned anew (`LatticeNode._forward`). Every receiver makes
 its own objects and checks their signatures itself; no node shares an
 object it keeps.
 """
@@ -320,22 +322,35 @@ class LatticeNode:
 
     # -- outbound -----------------------------------------------------------
 
-    def _forward(self, sim: Simulation, block: LatticeBlock, wire: bytes,
-                 scan: Optional[BlockScan]) -> None:
-        """Broadcast `block`, encoded as `wire`, with the votes held for it.
+    def _forward(self, sim: Simulation, block: LatticeBlock,
+                 arrival: Optional[tuple] = None) -> None:
+        """Broadcast `block` with the votes held for it.
 
-        A block relayed as the bytes it arrived in passes the `scan` it
-        arrived with: `_lattice_block_msg` puts the block at `HEAD.size` in
-        every message, so the scan's offsets and digest hold in this one too.
-        The broadcast then carries it, and only the votes are scanned anew.
+        A block that arrived has its `arrival`: (the message `data`, its
+        `scans`, the votes decoded from it, or None if the ballot filter
+        dropped one). When the votes held are those, in that order, the
+        relay is the message received under this node's head, and it
+        carries the arrival's scans. Else the relay is built around the
+        block's bytes as they arrived and carries the block's scan, since
+        `_lattice_block_msg` puts the block at `HEAD.size` in every message;
+        only its votes are scanned anew. Any other block is encoded here.
         """
         node_id, d = self.node_id, block.digest()
         ballot = self.ledger.votes.get(block.predecessor, {})
         votes = [ballot[rep] for rep in sorted(ballot) if ballot[rep].choice == d]
-        message = codec.Broadcast(_lattice_block_msg(node_id, wire, votes))
-        if scan is not None:
-            message.scanned = (MSG_LAT_BLOCK, node_id,
-                               [scan, *codec.scan_frame(message, _VOTES, scan.end)])
+        if arrival is None:
+            message = codec.Broadcast(_lattice_block_msg(node_id, block.encode(), votes))
+        else:
+            data, scans, carried = arrival
+            if votes == carried:
+                message = codec.Broadcast(HEAD.pack(MSG_LAT_BLOCK, node_id)
+                                          + data[HEAD.size:])
+            else:
+                scan = scans[0]
+                message = codec.Broadcast(_lattice_block_msg(
+                    node_id, data[scan.start:scan.end], votes))
+                scans = [scan, *codec.scan_frame(message, _VOTES, scan.end)]
+            message.scanned = (MSG_LAT_BLOCK, node_id, scans)
         sim.broadcast(node_id, message)
 
     # -- inbound ------------------------------------------------------------
@@ -353,11 +368,13 @@ class LatticeNode:
         # the first vote stands, so it could not count.
         ledger, (block_scan, vote_scans) = self.ledger, scans
         block = LatticeBlock.decode(block_scan, data, ledger)
-        ballots = ledger.votes
-        votes = [VoteRecord.decode(s, data, ledger, block) for s in vote_scans
-                 if s.representative not in ballots.get(s.subject, ())]
-        if votes or block.digest() not in ledger.seen:
-            self._settle(sim, now, block, votes, data, block_scan)
+        ballots, votes = ledger.votes, []
+        for s in vote_scans:
+            if s.representative not in ballots.get(s.subject, ()):
+                votes.append(VoteRecord.decode(s, data, ledger, block))
+        if votes or block_scan.digest not in ledger.seen:
+            carried = votes if len(votes) == len(vote_scans) else None
+            self._settle(sim, now, block, votes, (data, scans, carried))
 
     HANDLERS = {MSG_LAT_BLOCK: _on_block}  # gossip is undirected: no sender
 
@@ -370,8 +387,8 @@ class LatticeNode:
     # -- settling -----------------------------------------------------------
 
     def _settle(self, sim: Simulation, now: float, block: LatticeBlock,
-                votes: Iterable[VoteRecord] = (), data: bytes = b"",
-                scan: Optional[BlockScan] = None) -> None:
+                votes: Iterable[VoteRecord] = (),
+                arrival: Optional[tuple] = None) -> None:
         """Receive a block, then handle each outcome on one work-list.
 
         The list starts with the block's outcome, and each receive this node
@@ -381,9 +398,9 @@ class LatticeNode:
         once, a receive is recorded, and a due receive is signed in. A
         delivery that applies, opens, resolves and contests nothing (a known
         block bringing new votes) has no step to take and returns at once.
-        A block that arrived `scan`ned in `data` is forwarded as the bytes it
-        came in, with that scan; every other block is encoded here. A breach
-        raised on the way names this node.
+        The block that arrived is forwarded with its `arrival` (see
+        `_forward`); every other block is encoded there. A breach raised on
+        the way names this node.
         """
         ledger, recorder, node_id = self.ledger, self.recorder, self.node_id
         try:
@@ -391,7 +408,7 @@ class LatticeNode:
             if not (outcome.applied or outcome.conflicts_opened or outcome.resolutions
                     or outcome.status is OutcomeStatus.CONFLICT):
                 return
-            arrived = block if scan is not None else None
+            arrived = block if arrival is not None else None
             work = [(block, outcome)]
             forwarded: set[bytes] = set()
             for block, outcome in work:  # signing a receive in appends to work
@@ -420,9 +437,9 @@ class LatticeNode:
                     if d not in forwarded:
                         forwarded.add(d)
                         if blk is arrived:
-                            self._forward(sim, blk, data[scan.start:scan.end], scan)
+                            self._forward(sim, blk, arrival)
                         else:
-                            self._forward(sim, blk, blk.encode(), None)
+                            self._forward(sim, blk)
                 for blk in applied:
                     if blk.kind is _RECEIVE:
                         recorder.receives_applied.append(

@@ -10,10 +10,21 @@ Messages are canonical-encoded payloads delivered after sampled latency
 partition window, and are never retransmitted by the transport. Recovery,
 where a protocol wants it, is the protocol's own rebroadcast/fetch logic.
 
-A heap entry is a plain (at, sequence, kind, destination, payload) tuple.
-Every message enters through `Simulation.send`, which pushes its own entry,
+An event entry is a plain (at, sequence, kind, destination, payload) tuple.
+Every message enters through `Simulation.send`, which queues its own entry,
 since a latency is never negative; `schedule` serves timers and driver
-commands only, and refuses a time before now.
+commands only, and refuses a time before now. Entries wait in one of two
+queues: a message over a jitter-free link joins a FIFO lane, since now never
+decreases and its latency is the constant base, so the lane is already in
+(at, sequence) order; a jittered message, a timer and a command go on a heap.
+`run` takes the smaller head of the two, so the total order is the same as
+one heap's.
+
+The trace digest chains one fixed-size record per event: its time,
+sequence, kind and destination and the digest of its payload. `run` packs
+the records into a buffer and hashes it a batch at a time, and the rest on
+its way out, a handler that raises included, so the digest after a run is
+the one a hash per event would give.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import hashlib
 import heapq
 import random
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -41,11 +53,15 @@ class SimEventKind(enum.Enum):
     COMMAND = 2
 
 
+_MESSAGE = SimEventKind.MESSAGE
+
 DRIVER_DESTINATION = 0xFFFF_FFFF
 
-# Trace record header: enc_f64(at) + enc_u64(sequence) + enc_u8(kind)
-# + enc_u64(destination), packed in one step.
-_TRACE_HEADER = struct.Struct(">dQBQ")
+# Trace record: enc_f64(at) + enc_u64(sequence) + enc_u8(kind)
+# + enc_u64(destination) + the payload's digest, packed in one step.
+_TRACE_RECORD = struct.Struct(">dQBQ32s")
+# records `run` packs before it hashes them
+_TRACE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -103,6 +119,7 @@ class Simulation:
         # field and sequence is unique, so the heap orders by (at, sequence)
         # and never compares the later fields; commands go to DRIVER_DESTINATION
         self._heap: list[tuple] = []
+        self._lane: deque[tuple] = deque()  # jitter-free messages, in order
         self._net_rng = {u: derive_rng(seed, f"net/{u}") for u in sorted(adjacency)}
         self._trace = hashlib.sha256()
         self.events_executed = 0
@@ -124,19 +141,25 @@ class Simulation:
                       DRIVER_DESTINATION, payload)
 
     def send(self, src: int, dst: int, payload: bytes) -> bool:
-        """Unicast with latency/drop/partition applied; True if queued."""
-        rng = self._net_rng[src]
+        """Unicast with latency/drop/partition applied; True if queued.
+
+        Over a jitter-free link the entry joins the lane, whose entries all
+        share the latency; a jittered one goes on the heap."""
         link = self.link
         if link.partitions and link.severed(self.now, src, dst):
             return False
-        if link.drop_prob > 0 and rng.random() < link.drop_prob:
+        if link.drop_prob > 0 and self._net_rng[src].random() < link.drop_prob:
             return False
-        latency = link.base_latency_s
-        if link.jitter_s > 0:
-            latency = max(latency + rng.uniform(-link.jitter_s, link.jitter_s), 0.0)
         self._seq += 1  # latency >= 0, so no past-time check is needed
-        heapq.heappush(self._heap, (self.now + latency, self._seq,
-                                    SimEventKind.MESSAGE, dst, payload))
+        jitter = link.jitter_s
+        if jitter > 0:
+            latency = max(link.base_latency_s
+                          + self._net_rng[src].uniform(-jitter, jitter), 0.0)
+            heapq.heappush(self._heap, (self.now + latency, self._seq,
+                                        _MESSAGE, dst, payload))
+        else:
+            self._lane.append((self.now + link.base_latency_s, self._seq,
+                               _MESSAGE, dst, payload))
         return True
 
     def broadcast(self, src: int, payload: bytes) -> None:
@@ -153,19 +176,33 @@ class Simulation:
     def run(self, horizon_s: float) -> None:
         """Execute events in (at, sequence) order until the horizon or drain.
 
-        An event counts as executed once popped, even if its handler raises."""
-        heap = self._heap
-        pop = heapq.heappop
-        update = self._trace.update
-        pack = _TRACE_HEADER.pack
+        An event counts as executed, and is in the trace, once popped, even
+        if its handler raises."""
+        heap, lane = self._heap, self._lane
+        pop, take = heapq.heappop, lane.popleft
+        size = _TRACE_RECORD.size
+        batch = bytearray(size * _TRACE_BATCH)
+        pack, full = _TRACE_RECORD.pack_into, len(batch)
         nodes = self.nodes
-        message, timer = SimEventKind.MESSAGE, SimEventKind.TIMER
-        executed = 0
+        message, timer = _MESSAGE, SimEventKind.TIMER
+        executed = offset = 0
         try:
-            while heap and heap[0][0] <= horizon_s:
-                at, sequence, kind, destination, payload = pop(heap)
+            while True:
+                if lane and not (heap and heap[0] < lane[0]):
+                    if lane[0][0] > horizon_s:
+                        break
+                    at, sequence, kind, destination, payload = take()
+                elif heap and heap[0][0] <= horizon_s:
+                    at, sequence, kind, destination, payload = pop(heap)
+                else:
+                    break
                 self.now = at
-                update(pack(at, sequence, kind._value_, destination) + digest(payload))
+                pack(batch, offset, at, sequence, kind._value_, destination,
+                     digest(payload))
+                offset += size
+                if offset == full:
+                    self._trace.update(batch)
+                    offset = 0
                 executed += 1
                 if kind is message:
                     nodes[destination].on_message(self, at, payload)
@@ -174,6 +211,7 @@ class Simulation:
                 else:
                     self.driver.on_command(self, at, payload)
         finally:
+            self._trace.update(memoryview(batch)[:offset])
             self.events_executed += executed
 
     def trace_digest(self) -> str:

@@ -11,7 +11,12 @@ as a fresh process would, and prints:
 * the calls to `primitives.verify`, with the distinct (signer, payload
   digest) pairs they checked;
 * the scans made by type (`codec.scan_frame`'s steps), each with the number
-  of distinct objects scanned: distinct byte spans.
+  of distinct objects scanned: distinct byte spans;
+* the messages queued by `Simulation.send` on the FIFO lane (jitter-free
+  links) and on the event heap;
+* the blocks lattice nodes forwarded: relayed as the message received,
+  rebuilt around the block as received (the votes held differ), or
+  encoded (a block the node made, released or settled by a vote).
 
 A count above its distinct inputs is work that the nodes of one process
 repeat on the same value. Only this script's wrappers see the calls; the
@@ -28,19 +33,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from memos import clear_memos  # noqa: E402
 
-from ledgerlab import codec, nodes, primitives  # noqa: E402
+from ledgerlab import codec, nodes, primitives, simnet  # noqa: E402
 from ledgerlab.runner import run  # noqa: E402
 from ledgerlab.scenario import preset_config  # noqa: E402
 
 
+RELAYS = ("as received", "rebuilt", "encoded")
+
+
 class Census:
     """Calls and distinct inputs: `digests` by call site, `verifies`, and
-    `scans` by scan type, each a [calls, set of distinct keys] pair."""
+    `scans` by scan type, each a [calls, set of distinct keys] pair; and
+    the messages `queued` by queue and the lattice `relays` by path."""
 
     def __init__(self):
         self.digests: dict[str, list] = {}
         self.verifies: list = [0, set()]
         self.scans: dict[str, list] = {}
+        self.queued = {"lane": 0, "heap": 0}
+        self.relays = dict.fromkeys(RELAYS, 0)
 
 
 def _scan_types() -> list[type]:
@@ -100,6 +111,43 @@ def counting():
         init = cls.__dict__["__init__"]
         cls.__init__ = counted_init(cls, init)
         undo.append((cls, "__init__", init))
+
+    sim_class, node_class = simnet.Simulation, nodes.LatticeNode
+    send, broadcast = sim_class.send, sim_class.broadcast
+    forward = node_class._forward
+    forwarding = []  # the arrival of each forward under way
+
+    def counted_send(sim, src, dst, payload):
+        waiting = len(sim._lane)
+        queued = send(sim, src, dst, payload)
+        if queued:
+            census.queued["lane" if len(sim._lane) > waiting else "heap"] += 1
+        return queued
+
+    def counted_forward(node, sim, block, arrival=None):
+        forwarding.append(arrival)
+        try:
+            forward(node, sim, block, arrival)
+        finally:
+            forwarding.pop()
+
+    def counted_broadcast(sim, src, payload):
+        if forwarding:
+            arrival = forwarding[-1]
+            if arrival is None:
+                path = "encoded"
+            elif payload.scanned[2] is arrival[1]:  # the arrival's own scans
+                path = "as received"
+            else:
+                path = "rebuilt"
+            census.relays[path] += 1
+        broadcast(sim, src, payload)
+
+    for owner, attr, wrapper in ((sim_class, "send", counted_send),
+                                 (sim_class, "broadcast", counted_broadcast),
+                                 (node_class, "_forward", counted_forward)):
+        undo.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, wrapper)
     try:
         yield census
     finally:
@@ -130,7 +178,17 @@ def render(census: Census) -> str:
     lines.append(f"{'scans by type':44} {'scans':>9} {'distinct':>9}")
     for name, (scans, keys) in sorted(census.scans.items()):
         lines.append(f"  {name:42} {scans:9,} {len(keys):9,}")
+    lines.append(f"{'messages queued':44} {'messages':>9} {'share':>9}")
+    lines += _shares(census.queued)
+    lines.append(f"{'lattice blocks forwarded':44} {'relays':>9} {'share':>9}")
+    lines += _shares(census.relays)
     return "\n".join(lines)
+
+
+def _shares(counts: dict[str, int]) -> list[str]:
+    total = sum(counts.values())
+    return [f"  {name:42} {n:9,} {n / total if total else 0:9.1%}"
+            for name, n in counts.items()]
 
 
 def main(argv=None) -> None:

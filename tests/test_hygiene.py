@@ -16,7 +16,7 @@ from pathlib import Path
 
 from memos import clear_memos
 
-from ledgerlab import blockchain, codec, nodes
+from ledgerlab import blockchain, codec, lattice, nodes
 from ledgerlab.runner import run
 from ledgerlab.scenario import SCHEMA, preset_config
 
@@ -326,7 +326,8 @@ def test_clearing_the_memos_leaves_no_process_memo_filled():
     run(preset_config("nano-baseline", ["scenario.horizon_s=10"]), 1)
     caches = _functools_caches()
     dicts = {"codec.NAME_FIELDS": codec.NAME_FIELDS,
-             "blockchain.STATE_LEAVES": blockchain.STATE_LEAVES}
+             "blockchain.STATE_LEAVES": blockchain.STATE_LEAVES,
+             "lattice.GENESIS_VALUES": lattice.GENESIS_VALUES}
     for name in ("ledgerlab.primitives.identity_for", "ledgerlab.primitives._tree_root",
                  "ledgerlab.primitives._expected_tag"):
         assert caches[name].cache_info().currsize, name  # the runs filled it

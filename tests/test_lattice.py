@@ -17,11 +17,13 @@ from ledgerlab.lattice import (
     OutcomeStatus,
     VoteRecord,
     build_block,
+    genesis_block,
     make_vote,
     resolve_fork,
 )
 from ledgerlab.leader_election import WorkCounter, check_pow
 from ledgerlab.primitives import ZERO_DIGEST, identity_for
+from memos import clear_memos
 from wire import decode_whole
 
 
@@ -651,3 +653,24 @@ def test_audit_catches_a_record_that_no_longer_matches_its_counter(field):
         ledger.pending[d] = replace(pend, recipient=pend.recipient + "x")
     with pytest.raises(InvariantViolation, match="ledger size accounting"):
         ledger.audit()
+
+
+def test_a_genesis_block_is_signed_once_per_process_and_built_anew_each_time():
+    clear_memos()
+    carol = identity_for("carol")
+    built = build_block(carol, ZERO_DIGEST, BlockKind.GENESIS, amount=100,
+                        new_representative="home", spam_bits=2)
+    first = genesis_block(carol, 100, "home", 2)
+    assert len(lattice.GENESIS_VALUES) == 1
+    again = genesis_block(carol, 100, "home", 2)
+    assert len(lattice.GENESIS_VALUES) == 1
+    for block in (first, again):
+        assert block == built and block.encode() == built.encode()
+        assert (block.signing_digest(), block.digest(), block.encoded_len()) == (
+            built.signing_digest(), built.digest(), len(built.encode()))
+        assert block.verify_signature()
+    assert again is not first and again.signature is not first.signature
+    # a different allocation, representative or spam stamp is its own entry
+    for args in ((101, "home", 2), (100, "carol", 2), (100, "home", 0)):
+        assert genesis_block(carol, *args) != built
+    assert len(lattice.GENESIS_VALUES) == 4

@@ -721,8 +721,37 @@ def test_sharing_a_broadcasts_scans_changes_no_run(monkeypatch, name, horizon_s)
 # One scan per broadcast, one object per receiver
 
 
+def _spy_relays(monkeypatch):
+    """A list that gets (node, the votes held, the message, whether it went
+    out as the message received) for each block a lattice node forwards."""
+    relays, forward, broadcast = [], LatticeNode._forward, Simulation.broadcast
+    forwarding = []  # (node, block, arrival) of the forward under way
+
+    def spy_forward(node, sim, block, arrival=None):
+        forwarding.append((node, block, arrival))
+        try:
+            forward(node, sim, block, arrival)
+        finally:
+            forwarding.pop()
+
+    def spy_broadcast(sim, src, payload):
+        if forwarding:
+            node, block, arrival = forwarding[-1]
+            ballot = node.ledger.votes.get(block.predecessor, {})
+            votes = [ballot[rep] for rep in sorted(ballot)
+                     if ballot[rep].choice == block.digest()]
+            as_received = arrival is not None and payload.scanned[2] is arrival[1]
+            relays.append((node, block, votes, payload, as_received))
+        broadcast(sim, src, payload)
+
+    monkeypatch.setattr(LatticeNode, "_forward", spy_forward)
+    monkeypatch.setattr(Simulation, "broadcast", spy_broadcast)
+    return relays
+
+
 def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
     scans, decodes, delivered = [], [], []
+    relays = _spy_relays(monkeypatch)
     scan_frame = codec.scan_frame
     monkeypatch.setattr(codec, "scan_frame", lambda data, *rest: (
         scans.append(id(data)) or scan_frame(data, *rest)))
@@ -736,11 +765,16 @@ def test_a_broadcast_is_scanned_once_and_decoded_at_every_receiver(monkeypatch):
     run(preset_config("nano-baseline", ["scenario.horizon_s=20"]), 1)
 
     # nano-baseline injects no forks, so every message is a broadcast;
-    # `delivered` keeps each alive, so no two share an id
+    # `delivered` and `relays` keep each alive, so no two share an id. A
+    # relay sent as the message received carries its scans and is never
+    # scanned; every other broadcast is scanned once.
     assert {type(p) for p in delivered} == {codec.Broadcast}
     broadcasts = {id(p) for p in delivered}
-    assert len(scans) == len(broadcasts) < len(delivered)
-    assert set(scans) == broadcasts
+    assert len(broadcasts) < len(delivered)  # receivers share each broadcast
+    as_received = {id(payload) for *_, payload, same in relays if same}
+    assert as_received and as_received < broadcasts
+    assert len(scans) == len(broadcasts - as_received)
+    assert set(scans) == broadcasts - as_received
     assert len(decodes) == len(delivered)
 
 
@@ -772,6 +806,32 @@ def test_a_relayed_broadcast_carries_the_scans_its_bytes_give(monkeypatch):
         assert _scan_fields(block_scan, data) == _scan_fields(fresh_block, data)
         assert ([_scan_fields(s, data) for s in vote_scans]
                 == [_scan_fields(s, data) for s in fresh_votes])
+
+
+@pytest.mark.parametrize("name,horizon_s", [("nano-scaling", 30),
+                                            ("fork-stress", 40)])
+def test_every_relay_is_the_message_its_votes_build(monkeypatch, name, horizon_s):
+    """A relay that goes out as the message received, under the relay's
+    head, is byte for byte the message `_lattice_block_msg` builds from the
+    votes held, and the scans it carries are the scans of its bytes; so is
+    every relay built anew."""
+    relays = _spy_relays(monkeypatch)
+    result = run(preset_config(name, [f"scenario.horizon_s={horizon_s}"]), 1)
+
+    assert result.breach is None
+    same = [as_received for *_, as_received in relays]
+    assert any(same) and not all(same)  # both paths are taken
+    for node, block, votes, payload, _ in relays:
+        assert payload == _lattice_block_msg(node.node_id, block.encode(), votes)
+        if payload.scanned is None:  # encoded here: its first receiver scans it
+            continue
+        tag, sender, (block_scan, vote_scans) = payload.scanned
+        fresh_tag, fresh_sender, (fresh_block, fresh_votes) = codec.scan_message(
+            bytes(payload), nodes.FRAMING)
+        assert (tag, sender) == (fresh_tag, fresh_sender) == (MSG_LAT_BLOCK, node.node_id)
+        assert _scan_fields(block_scan, payload) == _scan_fields(fresh_block, payload)
+        assert ([_scan_fields(s, payload) for s in vote_scans]
+                == [_scan_fields(s, payload) for s in fresh_votes])
 
 
 def test_each_lattice_block_is_scanned_once_however_often_it_is_relayed():
@@ -1301,9 +1361,9 @@ def test_each_settling_forwards_each_applied_block_and_candidate_once(
         return outcome
 
     monkeypatch.setattr(LatticeNode, "_settle", spy_settle)
-    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block, wire, scan: (
+    monkeypatch.setattr(LatticeNode, "_forward", lambda node, sim, block, *arrival: (
         forwards.append((node.node_id, block.digest()))
-        or forward(node, sim, block, wire, scan)))
+        or forward(node, sim, block, *arrival)))
     monkeypatch.setattr(LatticeLedger, "receive_block", spy_receive)
     monkeypatch.setattr(LatticeLedger, "add_vote", spy_add_vote)
 
@@ -1326,7 +1386,7 @@ def test_every_rival_is_forwarded_once_though_only_the_first_opens_a_conflict(
               for amount in (10, 20, 30)]
     forwarded, outcomes = [], []
     monkeypatch.setattr(LatticeNode, "_forward",
-                        lambda node, sim, block, wire, scan: forwarded.append(block))
+                        lambda node, sim, block, *arrival: forwarded.append(block))
     receive_block = node.ledger.receive_block
     monkeypatch.setattr(node.ledger, "receive_block", lambda block, votes=(): (
         outcomes.append(receive_block(block, votes)) or outcomes[-1]))
@@ -1347,12 +1407,12 @@ def test_a_relayed_block_is_sent_as_the_encoder_builds_it(monkeypatch, name, hor
     expected, sent = [], []
     forward, broadcast = LatticeNode._forward, Simulation.broadcast
 
-    def spy_forward(node, sim, block, wire, scan):
+    def spy_forward(node, sim, block, *arrival):
         ballot = node.ledger.votes.get(block.predecessor, {})
         votes = [ballot[rep] for rep in sorted(ballot)
                  if ballot[rep].choice == block.digest()]
         expected.append(_lattice_block_msg(node.node_id, block.encode(), votes))
-        forward(node, sim, block, wire, scan)
+        forward(node, sim, block, *arrival)
 
     monkeypatch.setattr(LatticeNode, "_forward", spy_forward)
     monkeypatch.setattr(Simulation, "broadcast", lambda sim, src, payload: (

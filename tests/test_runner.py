@@ -12,7 +12,7 @@ from ledgerlab.blockchain import STATE_LEAVES, ChainStore, ChainTransaction
 from ledgerlab.cli import EXIT_BREACH, main
 from ledgerlab.codec import NAME_FIELDS
 from ledgerlab.errors import ConfigError, InvariantViolation, LedgerError
-from ledgerlab.lattice import BlockKind, LatticeLedger
+from ledgerlab.lattice import GENESIS_VALUES, BlockKind, LatticeLedger
 from ledgerlab.nodes import ChainNode, LatticeNode
 from ledgerlab.metrics import build_report, render_report, tps_cap
 from ledgerlab.primitives import _expected_tag
@@ -116,16 +116,19 @@ def test_warm_memos_change_no_chain_run():
 
 
 def test_warm_memos_change_no_lattice_run():
-    """The tag memo holds expected tags, never a verdict, so a lattice run
-    whose signature checks find the tags an earlier run left is the run a
-    fresh process makes."""
+    """The tag memo holds expected tags, never a verdict, and the genesis
+    memo a genesis block's values, so a lattice run that finds what an
+    earlier run left in them is the run a fresh process makes."""
     cfg = preset_config("fork-stress", ["scenario.horizon_s=40"])
     clear_memos()
     cold = run(cfg, seed=1)
     cold_report = render_report(build_report(cold))
     cold_hashed = _expected_tag.cache_info().misses
+    geneses = dict(GENESIS_VALUES)
+    assert geneses
     warm = run(cfg, seed=1)
     assert _expected_tag.cache_info().misses == cold_hashed  # it hashed no tag
+    assert GENESIS_VALUES == geneses  # it signed no genesis block
     assert warm.trace == cold.trace
     assert render_report(build_report(warm)) == cold_report
 

@@ -1,12 +1,16 @@
 """Discrete-event network: ordering, links, partitions, reproducibility."""
 
 import hashlib
+import heapq
 import struct
 
 import pytest
 
 from ledgerlab import codec
+from ledgerlab.metrics import build_report, render_report
 from ledgerlab.primitives import digest
+from ledgerlab.runner import run
+from ledgerlab.scenario import preset_config
 from ledgerlab.simnet import (
     DRIVER_DESTINATION,
     LinkModel,
@@ -261,6 +265,150 @@ def test_running_in_slices_executes_the_same_schedule():
     assert set(bounds) <= {at for _, _, at, _ in whole[2]}  # on event times
     assert whole[1] > 100
     assert sliced == whole
+
+
+def _per_event_trace(events):
+    """The trace digest of (at, sequence, kind, destination, payload)
+    events, hashed one record at a time."""
+    expected = hashlib.sha256()
+    for at, seq, kind, dest, payload in events:
+        expected.update(struct.pack(">d", at) + codec.enc_u64(seq)
+                        + codec.enc_u8(kind.value) + codec.enc_u64(dest)
+                        + digest(payload))
+    return expected.hexdigest()
+
+
+def test_a_trace_of_many_batches_is_the_per_event_trace():
+    sim, _ = _sim(2)
+    events = []
+    for i in range(1000):  # several batches and a partial one
+        sim.set_timer(i % 2, 0.25 * i, b"t%d" % i)
+        events.append((0.25 * i, i + 1, SimEventKind.TIMER, i % 2, b"t%d" % i))
+    sim.run(100.0)
+    sim.run(300.0)
+    assert sim.events_executed == 1000
+    assert sim.trace_digest() == _per_event_trace(events)
+
+
+def test_a_handler_that_raises_leaves_its_event_in_the_trace():
+    class Fragile(Recorder):
+        def on_timer(self, sim, now, payload):
+            if payload == b"boom":
+                raise RuntimeError("handler failed")
+
+    sim = Simulation(1, LinkModel(), mesh_adjacency(1), {0: Fragile()},
+                     EchoDriver())
+    payloads = [b"a", b"boom", b"later"]
+    for i, payload in enumerate(payloads):
+        sim.set_timer(0, 1.0 + i, payload)
+    with pytest.raises(RuntimeError):
+        sim.run(10.0)
+    events = [(1.0 + i, i + 1, SimEventKind.TIMER, 0, p)
+              for i, p in enumerate(payloads)]
+    assert sim.trace_digest() == _per_event_trace(events[:2])
+    sim.run(10.0)
+    assert sim.trace_digest() == _per_event_trace(events)
+
+
+# ---------------------------------------------------------------------------
+# The FIFO lane: messages over a jitter-free link
+
+
+def test_jitter_free_messages_queue_on_the_lane_and_the_rest_on_the_heap():
+    sim, _ = _sim(2)
+    sim.send(0, 1, b"m")
+    sim.set_timer(0, 1.0, b"t")
+    assert [entry[4] for entry in sim._lane] == [b"m"]
+    assert [entry[4] for entry in sim._heap] == [b"t"]
+    jittered, _ = _sim(2, jitter=0.05)
+    jittered.send(0, 1, b"m")
+    assert not jittered._lane and [entry[4] for entry in jittered._heap] == [b"m"]
+
+
+def test_a_lane_message_and_a_timer_at_one_time_pop_in_sequence_order():
+    # latency and timer delays are multiples of 0.25 s, exact in binary
+    sim, nodes = _sim(2, base=0.25)
+    sim.set_timer(1, 0.25, b"timer-first")
+    sim.send(0, 1, b"message")
+    sim.set_timer(1, 0.25, b"timer-after")
+    sim.send(0, 1, b"message-after")
+    sim.run(1.0)
+    assert [(kind, at, p) for kind, at, p in nodes[1].log] == [
+        ("timer", 0.25, b"timer-first"), ("msg", 0.25, b"message"),
+        ("timer", 0.25, b"timer-after"), ("msg", 0.25, b"message-after")]
+
+
+class Sender(Recorder):
+    """Sends its timer's payload to node 1 when the timer fires."""
+
+    def on_timer(self, sim, now, payload):
+        super().on_timer(sim, now, payload)
+        sim.send(0, 1, payload)
+
+
+def test_a_horizon_between_lane_entries_stops_and_resumes_losing_nothing():
+    def schedule(bounds):
+        nodes = {0: Sender(), 1: Recorder()}
+        sim = Simulation(1, LinkModel(base_latency_s=1.0), mesh_adjacency(2),
+                         nodes, EchoDriver())
+        for i in range(4):  # sends at 0.25 i land at 1.0 + 0.25 i
+            sim.set_timer(0, 0.25 * i, b"m%d" % i)
+        for bound in bounds:
+            sim.run(bound)
+            assert all(entry[0] > bound for entry in sim._lane)
+        return sim.trace_digest(), sim.events_executed, nodes[1].log
+
+    whole = schedule([5.0])
+    assert [p for _, _, p in whole[2]] == [b"m0", b"m1", b"m2", b"m3"]
+    # 1.1 and 1.4 fall between lane entries, 1.25 is on one
+    assert schedule([1.1, 1.25, 1.4, 5.0]) == whole
+    assert whole[1] == 8
+
+
+def _heap_only_send(sim, src, dst, payload):
+    """`Simulation.send` as it was before the lane: every message on the heap."""
+    rng = sim._net_rng[src]
+    link = sim.link
+    if link.partitions and link.severed(sim.now, src, dst):
+        return False
+    if link.drop_prob > 0 and rng.random() < link.drop_prob:
+        return False
+    latency = link.base_latency_s
+    if link.jitter_s > 0:
+        latency = max(latency + rng.uniform(-link.jitter_s, link.jitter_s), 0.0)
+    sim._seq += 1
+    heapq.heappush(sim._heap, (sim.now + latency, sim._seq,
+                               SimEventKind.MESSAGE, dst, payload))
+    return True
+
+
+@pytest.mark.parametrize("overrides", [
+    (), ("net.drop_prob=0.2",), ("net.partitions=5-15:0,1,2|3,4,5",)],
+    ids=["lossless", "drop-0.2", "partition"])
+def test_the_lane_changes_no_jitter_free_run(monkeypatch, overrides):
+    cfg = preset_config("nano-scaling", ["scenario.horizon_s=30", *overrides])
+    assert cfg["net.jitter_ms"] == 0
+    sends = []  # (queued, joined the lane) per send
+    lane_send = Simulation.send
+
+    def spy(sim, src, dst, payload):
+        waiting = len(sim._lane)
+        queued = lane_send(sim, src, dst, payload)
+        sends.append((queued, len(sim._lane) == waiting + 1))
+        return queued
+
+    monkeypatch.setattr(Simulation, "send", spy)
+    with_lane = run(cfg, 1)
+    monkeypatch.setattr(Simulation, "send", _heap_only_send)
+    heap_only = run(cfg, 1)
+
+    assert all(queued == laned for queued, laned in sends)
+    assert any(queued for queued, _ in sends)
+    assert all(queued for queued, _ in sends) == (not overrides)  # drops, cuts
+    assert with_lane.breach is None and with_lane.events > 1000
+    assert with_lane.trace == heap_only.trace
+    assert (render_report(build_report(with_lane))
+            == render_report(build_report(heap_only)))
 
 
 def test_derive_rng_streams_are_independent():
